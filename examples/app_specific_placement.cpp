@@ -14,7 +14,6 @@
 #include "core/app_specific.hpp"
 #include "core/c_sweep.hpp"
 #include "traffic/app_models.hpp"
-#include "traffic/patterns.hpp"
 
 using namespace xlp;
 
@@ -22,27 +21,12 @@ int main(int argc, char** argv) {
   const std::string workload = argc > 1 ? argv[1] : "canneal";
   const int side = argc > 2 ? std::atoi(argv[2]) : 8;
 
-  // Resolve the workload: PARSEC model name first, synthetic pattern next.
-  traffic::TrafficMatrix demand(side);
-  bool resolved = false;
-  for (const auto& model : traffic::parsec_models()) {
-    if (model.name == workload) {
-      demand = model.traffic_matrix(side);
-      resolved = true;
-      break;
-    }
+  if (!traffic::is_known_workload(workload)) {
+    std::fprintf(stderr, "unknown workload '%s' (PARSEC name or pattern)\n",
+                 workload.c_str());
+    return 1;
   }
-  if (!resolved) {
-    const auto pattern = traffic::pattern_from_string(workload);
-    if (!pattern) {
-      std::fprintf(stderr,
-                   "unknown workload '%s' (PARSEC name or pattern)\n",
-                   workload.c_str());
-      return 1;
-    }
-    demand = traffic::TrafficMatrix::from_pattern(*pattern, side, 0.02);
-    resolved = true;
-  }
+  const auto demand = traffic::resolve_workload(workload, side, 0.02);
 
   core::SweepOptions options;
   options.sa = core::SaParams{}.with_moves(2000);

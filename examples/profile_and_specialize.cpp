@@ -17,7 +17,7 @@
 #include "core/app_specific.hpp"
 #include "core/c_sweep.hpp"
 #include "exp/scenarios.hpp"
-#include "traffic/patterns.hpp"
+#include "traffic/app_models.hpp"
 
 using namespace xlp;
 
@@ -26,13 +26,7 @@ int main(int argc, char** argv) {
   const long cycles = argc > 2 ? std::atol(argv[2]) : 20000;
   constexpr int kSide = 8;
 
-  // Resolve the workload into an offered-demand description.
-  traffic::TrafficMatrix demand(kSide);
-  if (const auto pattern = traffic::pattern_from_string(workload)) {
-    demand = traffic::TrafficMatrix::from_pattern(*pattern, kSide, 0.02);
-  } else {
-    demand = traffic::parsec_model(workload).traffic_matrix(kSide);
-  }
+  const auto demand = traffic::resolve_workload(workload, kSide, 0.02);
 
   // 1. Profile on the mesh.
   std::printf("profiling '%s' on the baseline mesh for %ld cycles...\n",

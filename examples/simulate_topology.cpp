@@ -7,60 +7,34 @@
 //     placement      C  pattern        packets/node/cycle
 //
 // The placement is replicated across all rows and columns (the paper's
-// general-purpose construction); C must be a feasible limit for it.
+// general-purpose construction); C must be a feasible limit for it. The
+// pattern may also be a PARSEC model name (at its own injection rate).
 
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
-#include <string>
 
-#include "exp/scenarios.hpp"
 #include "latency/model.hpp"
 #include "power/model.hpp"
-#include "sim/throughput.hpp"
-#include "topo/builders.hpp"
-#include "traffic/patterns.hpp"
+#include "svc/request.hpp"
 
 using namespace xlp;
 
-namespace {
-
-std::vector<topo::RowLink> parse_links(const std::string& spec) {
-  std::vector<topo::RowLink> links;
-  if (spec.empty() || spec == "none") return links;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto dash = item.find('-');
-    if (dash == std::string::npos)
-      throw std::invalid_argument("link must look like lo-hi: " + item);
-    links.push_back({std::stoi(item.substr(0, dash)),
-                     std::stoi(item.substr(dash + 1))});
-  }
-  return links;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const std::string spec = argc > 1 ? argv[1] : "1-3,3-7";
-  const int limit = argc > 2 ? std::atoi(argv[2]) : 4;
-  const std::string pattern_name =
-      argc > 3 ? argv[3] : "uniform_random";
-  const double load = argc > 4 ? std::atof(argv[4]) : 0.02;
-  const int side = argc > 5 ? std::atoi(argv[5]) : 8;
-
-  const auto pattern = traffic::pattern_from_string(pattern_name);
-  if (!pattern) {
-    std::fprintf(stderr, "unknown pattern '%s'\n", pattern_name.c_str());
-    return 1;
-  }
+  // The same request `xlp simulate` and the xlpd service run.
+  svc::Request request;
+  request.kind = svc::RequestKind::kSimulate;
+  request.links = argc > 1 ? argv[1] : "1-3,3-7";
+  request.link_limit = argc > 2 ? std::atoi(argv[2]) : 4;
+  request.workload = argc > 3 ? argv[3] : "uniform_random";
+  request.load = argc > 4 ? std::atof(argv[4]) : 0.02;
+  request.n = argc > 5 ? std::atoi(argv[5]) : 8;
 
   try {
-    const topo::RowTopology row(side, parse_links(spec));
-    const topo::ExpressMesh design = topo::make_design(row, limit);
-    std::printf("design: %dx%d, C=%d, flit %d bits, row %s\n", side, side,
-                limit, design.flit_bits(), row.to_string().c_str());
+    request.validate();
+    const topo::ExpressMesh design = svc::design_of(request);
+    std::printf("design: %dx%d, C=%d, flit %d bits, row %s\n", request.n,
+                request.n, request.link_limit, design.flit_bits(),
+                design.row(0).to_string().c_str());
 
     const latency::MeshLatencyModel model(
         design, latency::LatencyParams::zero_load());
@@ -70,12 +44,9 @@ int main(int argc, char** argv) {
                 model.average().serialization, model.worst_case(),
                 model.average_hops());
 
-    const auto demand =
-        traffic::TrafficMatrix::from_pattern(*pattern, side, load);
-    sim::SimConfig config;
-    const auto stats = exp::simulate_design(design, demand, config);
-    std::printf("simulated @ %.3f packets/node/cycle (%s):\n", load,
-                pattern_name.c_str());
+    const auto stats = svc::simulate(request);
+    std::printf("simulated @ %.3f packets/node/cycle (%s):\n", request.load,
+                request.workload.c_str());
     std::printf("  avg latency %.2f cycles, head %.2f, max %.0f\n",
                 stats.avg_latency, stats.avg_head_latency, stats.max_latency);
     std::printf("  accepted %.4f packets/node/cycle, contention %.2f "
@@ -83,8 +54,8 @@ int main(int argc, char** argv) {
                 stats.throughput_packets_per_node_cycle,
                 stats.avg_contention_per_hop, stats.drained ? "yes" : "NO");
 
-    const auto power = power::evaluate_power(design, stats.activity,
-                                             config.buffer_bits_per_router);
+    const auto power = power::evaluate_power(
+        design, stats.activity, sim::SimConfig{}.buffer_bits_per_router);
     std::printf("  router power: %.3f W total (%.3f dynamic + %.3f "
                 "static)\n",
                 power.total(), power.dynamic_total(), power.static_total());

@@ -1,5 +1,6 @@
 #include "core/drivers.hpp"
 
+#include "core/branch_bound.hpp"
 #include "topo/connection_matrix.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
@@ -64,6 +65,17 @@ PlacementResult solve_dnc_only(const RowObjective& objective, int link_limit,
                       "D&C"};
   out.status = result.status;
   return out;
+}
+
+PlacementResult solve_exact(const RowObjective& objective, int link_limit,
+                            runctl::RunControl* control) {
+  const long evals_before = objective.evaluations();
+  Stopwatch timer;
+  BranchAndBound bb(objective, link_limit, control);
+  ExactResult exact = bb.solve();
+  return {std::move(exact.placement), exact.value,
+          objective.evaluations() - evals_before, timer.seconds(), "exact",
+          exact.status, std::nullopt};
 }
 
 PlacementResult resume_sa(const RowObjective& objective,

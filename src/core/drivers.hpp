@@ -44,6 +44,12 @@ struct PlacementResult {
                                              int link_limit,
                                              const DncOptions& dnc = {});
 
+/// The exact optimum by branch and bound (small n only). `control` (may be
+/// null) can stop it early; the result is then best-so-far.
+[[nodiscard]] PlacementResult solve_exact(const RowObjective& objective,
+                                          int link_limit,
+                                          runctl::RunControl* control = nullptr);
+
 /// Continues an annealing run from a saved checkpoint. The cooling
 /// schedule is rebuilt from the checkpoint (so the trajectory matches the
 /// uninterrupted run bit-for-bit); only the runtime hooks of `hooks` —

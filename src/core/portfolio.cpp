@@ -40,12 +40,24 @@ runctl::RunStatus worse(runctl::RunStatus a, runctl::RunStatus b) noexcept {
 PortfolioResult solve_portfolio(
     int row_size, route::HopWeights hop_weights,
     const std::optional<std::vector<double>>& pair_weights, int link_limit,
-    const PortfolioOptions& options, std::uint64_t seed) {
+    const PortfolioOptions& requested, std::uint64_t seed) {
+  // A resumed portfolio is described by its checkpoint.
+  PortfolioOptions options = requested;
+  if (const runctl::PortfolioCheckpoint* pc = requested.resume) {
+    XLP_REQUIRE(pc->n == row_size && pc->link_limit == link_limit,
+                "portfolio checkpoint was taken for a different P(n, C)");
+    XLP_REQUIRE(static_cast<int>(pc->chain_states.size()) == pc->chains,
+                "portfolio checkpoint does not match its chain count");
+    options.chains = pc->chains;
+    // Only annealing portfolios write checkpoints.
+    options.solver =
+        pc->solver == "onlysa" ? Solver::kOnlySa : Solver::kDcsa;
+    options.sa.initial_temperature = pc->schedule.initial_temperature;
+    options.sa.total_moves = pc->schedule.total_moves;
+    options.sa.cool_scale = pc->schedule.cool_scale;
+    options.sa.moves_per_cool = pc->schedule.moves_per_cool;
+  }
   XLP_REQUIRE(options.chains >= 1, "portfolio needs at least one chain");
-  XLP_REQUIRE(options.resume == nullptr ||
-                  static_cast<int>(options.resume->chain_states.size()) ==
-                      options.chains,
-              "portfolio checkpoint does not match the chain count");
 
   Stopwatch timer;
   std::vector<PlacementResult> results(

@@ -47,11 +47,11 @@ struct PortfolioOptions {
   std::string checkpoint_path;
   long checkpoint_every_moves = 0;
 
-  /// Resume from a saved portfolio state. The caller must rebuild chains /
-  /// solver / sa schedule from the checkpoint so they match; chain entries
-  /// that are nullopt (the chain never reached its annealer) restart from
-  /// scratch, which is deterministic because chain RNGs are forked from
-  /// the seed. Not owned; may be null.
+  /// Resume from a saved portfolio state, which supplies chains, solver and
+  /// the sa schedule (as resume_sa does). Chain entries that are nullopt
+  /// (the chain never reached its annealer) restart from scratch, which is
+  /// deterministic because chain RNGs are forked from the seed. Not owned;
+  /// may be null.
   const runctl::PortfolioCheckpoint* resume = nullptr;
 
   /// Optional cooling-trajectory recorder (not owned; must outlive the

@@ -7,14 +7,8 @@
 
 namespace xlp::obs {
 
-std::string ledger_run_id(const std::string& subcommand, const Json& params,
-                          std::uint64_t seed, const std::string& git_sha) {
-  return fnv1a64_hex(subcommand + "\n" + canonical_json(params) + "\n" +
-                     std::to_string(seed) + "\n" + git_sha);
-}
-
 std::string LedgerEntry::run_id() const {
-  return ledger_run_id(subcommand, params, seed, git_sha);
+  return fnv1a64_hex(canonical_json(params));
 }
 
 Json LedgerEntry::to_json() const {

@@ -13,19 +13,23 @@ namespace xlp::obs {
 /// `<out-dir>/ledger.jsonl`, giving a run directory an append-only
 /// provenance log that `xlp report` and `tools/run_diff` read back.
 ///
-/// The run id is a content hash over (subcommand, canonical params, seed,
-/// git sha) — the scenario identity, deliberately excluding execution
-/// details like thread count, wall time or output paths, so the same
-/// request hashes identically everywhere. This is the stepping stone
-/// toward a content-addressed result cache (ROADMAP item 5): a cache key
-/// is exactly this hash.
+/// The run id is the content hash of `params` alone — the scenario
+/// identity, deliberately excluding execution details like thread count,
+/// wall time, output paths or the git sha, so the same work hashes
+/// identically everywhere. It is the construction svc::Request::id() uses:
+/// `xlp solve` / `xlp simulate` and xlpd record the request document as
+/// params, so a CLI run, an xlpd ledger record and an xlpd reply for the
+/// same request carry one id.
 struct LedgerEntry {
   std::string subcommand;
   /// Canonical scenario parameters, inserted by each subcommand in a fixed
-  /// order. Must not contain output paths, thread counts or time limits.
+  /// order: the svc request document for solve / simulate / xlpd, the
+  /// nested solve request plus simulate-phase fields for run, and the
+  /// flags plus "subcommand" and "seed" for every other subcommand. Must
+  /// not contain output paths, thread counts or time limits.
   Json params = Json::object();
   std::uint64_t seed = 0;
-  std::string git_sha = "unknown";
+  std::string git_sha = "unknown";  ///< provenance; not part of the run id
   std::string hostname = "unknown";
   double wall_seconds = 0.0;
   int exit_status = 0;
@@ -38,24 +42,15 @@ struct LedgerEntry {
   /// (execution detail, like wall time).
   int cache_hit = -1;
 
-  /// Content-hashed scenario identity (16 lowercase hex chars); see
-  /// ledger_run_id().
+  /// Content-hashed scenario identity: obs::fnv1a64_hex over
+  /// obs::canonical_json(params), 16 lowercase hex chars. Stable across
+  /// platforms, processes, thread counts and commits.
   [[nodiscard]] std::string run_id() const;
 
   /// {"schema":"xlp-ledger/1","run_id",...} with a fixed member order so
   /// identical runs serialize byte-identically (wall_seconds excepted).
   [[nodiscard]] Json to_json() const;
 };
-
-/// FNV-1a 64-bit over the canonical byte string
-/// `subcommand \n canonical_json(params) \n seed \n git_sha`, hex-encoded
-/// (see obs/canonical.hpp — object keys are sorted, so member insertion
-/// order never matters). Stable across platforms, processes and thread
-/// counts: it depends only on the scenario identity.
-[[nodiscard]] std::string ledger_run_id(const std::string& subcommand,
-                                        const Json& params,
-                                        std::uint64_t seed,
-                                        const std::string& git_sha);
 
 /// Appends one record to the JSONL ledger at `path`, creating it (and any
 /// parent directories) on first write. The whole file is rewritten through

@@ -241,6 +241,18 @@ void save_sa_checkpoint(const std::string& path, const SaCheckpoint& ckpt) {
   save_envelope(path, envelope("sa", ckpt.to_json()));
 }
 
+std::function<void(const SaCheckpoint&)> sa_checkpoint_file_sink(
+    std::string path) {
+  if (path.empty()) return {};
+  return [path = std::move(path)](const SaCheckpoint& ckpt) {
+    try {
+      save_sa_checkpoint(path, ckpt);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "warning: %s\n", e.what());
+    }
+  };
+}
+
 void save_portfolio_checkpoint(const std::string& path,
                                const PortfolioCheckpoint& ckpt) {
   save_envelope(path, envelope("portfolio", ckpt.to_json()));

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -83,6 +84,11 @@ struct CheckpointFile {
 void save_sa_checkpoint(const std::string& path, const SaCheckpoint& ckpt);
 void save_portfolio_checkpoint(const std::string& path,
                                const PortfolioCheckpoint& ckpt);
+
+/// Single-chain sink saving every snapshot to `path`; a failed write warns
+/// on stderr instead of killing the search. Empty when `path` is.
+[[nodiscard]] std::function<void(const SaCheckpoint&)> sa_checkpoint_file_sink(
+    std::string path);
 
 /// Loads and validates a checkpoint file. Throws xlp::Error with kIo
 /// (unreadable), kParse (not JSON / bad field), kSchema (JSON but not a

@@ -1,18 +1,16 @@
 #include "svc/request.hpp"
 
-#include <sstream>
+#include <optional>
 
-#include "core/branch_bound.hpp"
-#include "core/drivers.hpp"
 #include "core/objective.hpp"
+#include "core/portfolio.hpp"
 #include "exp/scenarios.hpp"
 #include "latency/model.hpp"
 #include "obs/canonical.hpp"
+#include "runctl/checkpoint.hpp"
 #include "runctl/control.hpp"
-#include "sim/simulator.hpp"
 #include "topo/builders.hpp"
 #include "traffic/app_models.hpp"
-#include "traffic/patterns.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -24,94 +22,25 @@ namespace {
   throw Error(ErrorCode::kParse, message);
 }
 
-/// "lo-hi,lo-hi,..."; "" and "none" mean no express links.
-std::vector<topo::RowLink> parse_links(const std::string& spec) {
-  std::vector<topo::RowLink> links;
-  if (spec.empty() || spec == "none") return links;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto dash = item.find('-');
-    if (dash == std::string::npos || dash == 0 || dash + 1 >= item.size())
-      bad_request("links entries look like lo-hi, comma separated: '" +
-                  item + "'");
-    try {
-      links.push_back({std::stoi(item.substr(0, dash)),
-                       std::stoi(item.substr(dash + 1))});
-    } catch (const std::exception&) {
-      bad_request("non-numeric links entry '" + item + "'");
-    }
-  }
-  return links;
+bool is_annealed(const std::string& method) {
+  return method == "dcsa" || method == "onlysa";
 }
 
-bool is_known_workload(const std::string& name) {
-  if (traffic::pattern_from_string(name)) return true;
-  for (const auto& model : traffic::parsec_models())
-    if (model.name == name) return true;
-  return false;
-}
-
-traffic::TrafficMatrix resolve_workload(const std::string& name, int n,
-                                        double load) {
-  if (const auto pattern = traffic::pattern_from_string(name))
-    return traffic::TrafficMatrix::from_pattern(*pattern, n, load);
-  return traffic::parsec_model(name).traffic_matrix(n);
-}
-
-/// The design point an evaluate/simulate request names: the placement row
-/// replicated over every row and column at the request's C and B.
-topo::ExpressMesh design_of(const Request& request) {
-  const topo::RowTopology row(request.n, parse_links(request.links));
-  return topo::make_design(row, request.link_limit, request.base_flit_bits);
-}
-
-obs::Json execute_solve(const Request& request, runctl::RunControl* control) {
-  const core::RowObjective objective(request.n, route::HopWeights{});
-  runctl::RunControl local;
-  if (control == nullptr) control = &local;
-
-  core::PlacementResult result;
-  if (request.method == "dcsa" || request.method == "onlysa") {
-    core::SaParams params = core::SaParams{}.with_moves(request.moves);
-    params.control = control;
-    Rng rng(request.seed);
-    result = request.method == "dcsa"
-                 ? core::solve_dcsa(objective, request.link_limit, params, rng)
-                 : core::solve_only_sa(objective, request.link_limit, params,
-                                       rng);
-  } else if (request.method == "dnc") {
-    core::DncOptions dnc;
-    dnc.control = control;
-    result = core::solve_dnc_only(objective, request.link_limit, dnc);
-  } else {
-    core::BranchAndBound bb(objective, request.link_limit, control);
-    const auto exact = bb.solve();
-    result.placement = exact.placement;
-    result.value = exact.value;
-    result.evaluations = objective.evaluations();
-    result.method = "exact";
-    result.status = exact.status;
-  }
-  if (result.status != runctl::RunStatus::kCompleted)
-    throw Error(ErrorCode::kState,
-                std::string("solve stopped early (") +
-                    runctl::to_string(result.status) + ")");
-  return obs::Json::object()
-      .set("kind", "solve")
-      .set("placement", result.placement.to_string())
-      .set("value", result.value)
-      .set("evaluations", static_cast<long>(result.evaluations))
-      .set("method", result.method);
+/// An early stop must never produce a payload (it would be cached).
+void require_completed(runctl::RunStatus status, const char* what) {
+  if (status != runctl::RunStatus::kCompleted)
+    throw Error(ErrorCode::kState, std::string(what) + " stopped early (" +
+                                       runctl::to_string(status) + ")");
 }
 
 obs::Json execute_evaluate(const Request& request) {
+  request.validate();
   const topo::ExpressMesh design = design_of(request);
   latency::LatencyParams params = latency::LatencyParams::zero_load();
   params.contention_per_hop = request.contention_per_hop;
   const latency::MeshLatencyModel model(design, params);
   const auto demand =
-      resolve_workload(request.workload, request.n, request.load);
+      traffic::resolve_workload(request.workload, request.n, request.load);
   const latency::LatencyBreakdown breakdown =
       model.weighted_average(demand.rates());
   return obs::Json::object()
@@ -124,39 +53,78 @@ obs::Json execute_evaluate(const Request& request) {
       .set("flit_bits", design.flit_bits());
 }
 
-obs::Json execute_simulate(const Request& request,
-                           runctl::RunControl* control) {
-  const topo::ExpressMesh design = design_of(request);
-  const auto demand =
-      resolve_workload(request.workload, request.n, request.load);
+}  // namespace
+
+topo::ExpressMesh design_of(const Request& request) {
+  const topo::RowTopology row(request.n, topo::parse_links(request.links));
+  return topo::make_design(row, request.link_limit, request.base_flit_bits);
+}
+
+core::PlacementResult solve(const Request& request,
+                            const core::SaParams& hooks,
+                            const std::string& checkpoint_path,
+                            long* portfolio_evaluations) {
+  request.validate();
+  core::SaParams params = core::SaParams{}.with_moves(request.moves);
+  params.observer = hooks.observer;
+  params.series = hooks.series;
+  params.control = hooks.control;
+  params.checkpoint_every_moves = hooks.checkpoint_every_moves;
+
+  if (is_annealed(request.method) && request.chains > 1) {
+    core::PortfolioOptions options;
+    options.chains = request.chains;
+    options.sa = params;
+    options.solver = request.method == "dcsa" ? core::Solver::kDcsa
+                                              : core::Solver::kOnlySa;
+    if (hooks.control != nullptr) options.control = *hooks.control;
+    options.checkpoint_path = checkpoint_path;
+    options.checkpoint_every_moves = hooks.checkpoint_every_moves;
+    options.series = hooks.series;
+    core::PortfolioResult portfolio =
+        core::solve_portfolio(request.n, route::HopWeights{}, std::nullopt,
+                              request.link_limit, options, request.seed);
+    if (portfolio_evaluations != nullptr)
+      *portfolio_evaluations = portfolio.total_evaluations;
+    core::PlacementResult result = std::move(portfolio.best);
+    result.status = portfolio.status;
+    result.seconds = portfolio.seconds;
+    return result;
+  }
+
+  const core::RowObjective objective(request.n, route::HopWeights{});
+  if (request.method == "dnc") {
+    core::DncOptions dnc;
+    dnc.control = hooks.control;
+    return core::solve_dnc_only(objective, request.link_limit, dnc);
+  }
+  if (request.method == "exact")
+    return core::solve_exact(objective, request.link_limit, hooks.control);
+  params.checkpoint_sink = runctl::sa_checkpoint_file_sink(checkpoint_path);
+  Rng rng(request.seed);
+  return request.method == "dcsa"
+             ? core::solve_dcsa(objective, request.link_limit, params, rng)
+             : core::solve_only_sa(objective, request.link_limit, params, rng);
+}
+
+sim::SimStats simulate(const Request& request, const sim::SimConfig& hooks) {
+  request.validate();
   sim::SimConfig config;
   config.measure_cycles = request.cycles;
   config.vcs_per_port = request.vcs;
   config.seed = request.seed;
-  config.control = control;
+  config.virtual_express_bypass = request.vec;
   if (request.routing == "yx") config.routing = sim::RoutingMode::kYX;
   else if (request.routing == "o1turn")
     config.routing = sim::RoutingMode::kO1Turn;
-  const sim::SimStats stats = exp::simulate_design(design, demand, config);
-  if (stats.status != runctl::RunStatus::kCompleted)
-    throw Error(ErrorCode::kState,
-                std::string("simulate stopped early (") +
-                    runctl::to_string(stats.status) + ")");
-  return obs::Json::object()
-      .set("kind", "simulate")
-      .set("packets_offered", stats.packets_offered)
-      .set("packets_finished", stats.packets_finished)
-      .set("avg_latency", stats.avg_latency)
-      .set("p50_latency", stats.p50_latency)
-      .set("p95_latency", stats.p95_latency)
-      .set("p99_latency", stats.p99_latency)
-      .set("max_latency", stats.max_latency)
-      .set("throughput", stats.throughput_packets_per_node_cycle)
-      .set("avg_hops", stats.avg_hops)
-      .set("drained", stats.drained);
+  config.trace = hooks.trace;
+  config.series = hooks.series;
+  config.control = hooks.control;
+  return exp::simulate_design(
+      design_of(request),
+      traffic::resolve_workload(request.workload, request.n, request.load),
+      config);
 }
-
-}  // namespace
 
 const char* to_string(RequestKind kind) noexcept {
   switch (kind) {
@@ -180,15 +148,20 @@ obs::Json Request::to_json() const {
   doc.set("c", link_limit).set("b", base_flit_bits);
   if (kind == RequestKind::kSolve) {
     doc.set("method", method);
-    if (method == "dcsa" || method == "onlysa") doc.set("moves", moves);
+    if (is_annealed(method)) {
+      doc.set("moves", moves);
+      if (chains != 1) doc.set("chains", chains);
+    }
   } else {
     doc.set("links", links)
         .set("workload", workload)
         .set("load", load);
-    if (kind == RequestKind::kSimulate)
+    if (kind == RequestKind::kSimulate) {
       doc.set("cycles", cycles).set("routing", routing).set("vcs", vcs);
-    else
+      if (vec) doc.set("vec", true);
+    } else {
       doc.set("contention", contention_per_hop);
+    }
   }
   // The seed only matters where randomness does: annealing and the
   // simulator's packet sampling. Evaluate is fully analytic.
@@ -215,11 +188,13 @@ void Request::validate() const {
         method != "exact")
       bad_request("method must be dcsa, onlysa, dnc or exact");
     if (moves < 0) bad_request("moves must be non-negative");
+    if (chains < 1 || chains > 256) bad_request("chains must be in [1, 256]");
   } else {
-    if (!is_known_workload(workload))
+    if (!traffic::is_known_workload(workload))
       bad_request("unknown workload '" + workload + "'");
     if (load <= 0.0 || load > 1.0) bad_request("load must be in (0, 1]");
-    parse_links(links);  // syntax check; range errors surface at execute
+    // Syntax check; range errors surface at execute.
+    (void)topo::parse_links(links);
     if (kind == RequestKind::kSimulate) {
       if (cycles < 1) bad_request("cycles must be positive");
       if (routing != "xy" && routing != "yx" && routing != "o1turn")
@@ -261,6 +236,8 @@ Request Request::from_json(const obs::Json& doc) {
         request.method = value.as_string();
       } else if (key == "moves") {
         request.moves = value.as_long();
+      } else if (key == "chains") {
+        request.chains = static_cast<int>(value.as_long());
       } else if (key == "links") {
         request.links = value.as_string();
       } else if (key == "workload") {
@@ -273,6 +250,8 @@ Request Request::from_json(const obs::Json& doc) {
         request.routing = value.as_string();
       } else if (key == "vcs") {
         request.vcs = static_cast<int>(value.as_long());
+      } else if (key == "vec") {
+        request.vec = value.as_bool();
       } else if (key == "contention") {
         request.contention_per_hop = value.as_number();
       } else if (key == "seed") {
@@ -291,11 +270,38 @@ Request Request::from_json(const obs::Json& doc) {
 
 obs::Json execute_request(const Request& request,
                           runctl::RunControl* control) {
-  request.validate();
   switch (request.kind) {
-    case RequestKind::kSolve: return execute_solve(request, control);
+    case RequestKind::kSolve: {
+      core::SaParams hooks;
+      hooks.control = control;
+      const core::PlacementResult result = solve(request, hooks);
+      require_completed(result.status, "solve");
+      return obs::Json::object()
+          .set("kind", "solve")
+          .set("placement", result.placement.to_string())
+          .set("value", result.value)
+          .set("evaluations", result.evaluations)
+          .set("method", result.method);
+    }
     case RequestKind::kEvaluate: return execute_evaluate(request);
-    case RequestKind::kSimulate: return execute_simulate(request, control);
+    case RequestKind::kSimulate: {
+      sim::SimConfig hooks;
+      hooks.control = control;
+      const sim::SimStats stats = simulate(request, hooks);
+      require_completed(stats.status, "simulate");
+      return obs::Json::object()
+          .set("kind", "simulate")
+          .set("packets_offered", stats.packets_offered)
+          .set("packets_finished", stats.packets_finished)
+          .set("avg_latency", stats.avg_latency)
+          .set("p50_latency", stats.p50_latency)
+          .set("p95_latency", stats.p95_latency)
+          .set("p99_latency", stats.p99_latency)
+          .set("max_latency", stats.max_latency)
+          .set("throughput", stats.throughput_packets_per_node_cycle)
+          .set("avg_hops", stats.avg_hops)
+          .set("drained", stats.drained);
+    }
     case RequestKind::kStats:
       // Stats requests are introspection, answered by the Server from
       // memory; they never reach the executor.

@@ -3,11 +3,11 @@
 #include <cstdint>
 #include <string>
 
+#include "core/drivers.hpp"
 #include "obs/json.hpp"
-
-namespace xlp::runctl {
-class RunControl;
-}
+#include "sim/config.hpp"
+#include "sim/stats.hpp"
+#include "topo/express_mesh.hpp"
 
 namespace xlp::svc {
 
@@ -47,6 +47,7 @@ struct Request {
   // --- kSolve ---
   std::string method = "dcsa";  ///< dcsa | onlysa | dnc | exact
   long moves = 10000;           ///< SA move budget (dcsa / onlysa)
+  int chains = 1;  ///< > 1 runs a portfolio of chains (dcsa / onlysa)
 
   // --- kEvaluate / kSimulate ---
   /// Express-link placement as "lo-hi,lo-hi,..." ("" = plain row). The
@@ -61,6 +62,7 @@ struct Request {
   long cycles = 10000;    ///< measurement window (kSimulate)
   std::string routing = "xy";  ///< xy | yx | o1turn (kSimulate)
   int vcs = 4;            ///< virtual channels per port (kSimulate)
+  bool vec = false;       ///< virtual-express bypass (kSimulate)
 
   // --- objective knobs ---
   /// Per-hop contention allowance Tc of the analytic model (kEvaluate).
@@ -88,12 +90,31 @@ struct Request {
   void validate() const;
 };
 
+/// Solves a kSolve request. Of `hooks` only the runtime hooks (observer,
+/// series, control, checkpoint_every_moves) are honoured, as in
+/// core::resume_sa; a non-empty `checkpoint_path` receives the checkpoints.
+/// An early stop returns best-so-far with its status. A portfolio run
+/// stores its all-chain evaluation count in `*portfolio_evaluations`.
+[[nodiscard]] core::PlacementResult solve(
+    const Request& request, const core::SaParams& hooks = {},
+    const std::string& checkpoint_path = {},
+    long* portfolio_evaluations = nullptr);
+
+/// Simulates a kSimulate request; of `hooks` only trace, series and
+/// control are honoured. An early stop returns the stats so far.
+[[nodiscard]] sim::SimStats simulate(const Request& request,
+                                     const sim::SimConfig& hooks = {});
+
+/// The design point an evaluate/simulate request names.
+[[nodiscard]] topo::ExpressMesh design_of(const Request& request);
+
 /// Executes one request to completion and returns its canonical result
 /// payload — a Json object with a fixed member order, byte-deterministic
 /// for a given request at any thread count (the determinism the cache
-/// relies on). `control` may stop long solves/simulations early; an early
-/// stop throws xlp::Error(kState) rather than returning a partial
-/// payload, so partial results are never cached.
+/// relies on): solve() / simulate(), then serialization. `control` may
+/// stop long solves/simulations early; an early stop throws
+/// xlp::Error(kState) rather than returning a partial payload, so partial
+/// results are never cached.
 [[nodiscard]] obs::Json execute_request(const Request& request,
                                         runctl::RunControl* control);
 

@@ -1,11 +1,11 @@
 #include "topo/row_topology.hpp"
 
 #include <algorithm>
-#include <ostream>
+#include <charconv>
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/numeric.hpp"
+#include "util/error.hpp"
 
 namespace xlp::topo {
 
@@ -128,8 +128,33 @@ std::string RowTopology::to_string() const {
   return os.str();
 }
 
-std::ostream& operator<<(std::ostream& os, const RowTopology& row) {
-  return os << row.to_string();
+std::vector<RowLink> parse_links(const std::string& spec) {
+  std::vector<RowLink> links;
+  if (spec.empty() || spec == "none") return links;
+  std::stringstream stream(spec);
+  std::string item;
+  while (std::getline(stream, item, ',')) {
+    const char* end = item.data() + item.size();
+    RowLink link;
+    const auto lo = std::from_chars(item.data(), end, link.lo);
+    const bool dash = lo.ec == std::errc() && lo.ptr != end && *lo.ptr == '-';
+    const auto hi = std::from_chars(dash ? lo.ptr + 1 : end, end, link.hi);
+    if (!dash || hi.ec != std::errc() || hi.ptr != end)
+      throw Error(ErrorCode::kParse,
+                  "links entries look like lo-hi, comma separated: '" + item +
+                      "'");
+    links.push_back(link);
+  }
+  return links;
+}
+
+std::string format_links(const RowTopology& row) {
+  std::string out;
+  for (const RowLink& link : row.express_links()) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(link.lo) + "-" + std::to_string(link.hi);
+  }
+  return out;
 }
 
 int full_link_limit(int n) {
@@ -144,10 +169,6 @@ std::vector<int> valid_link_limits(int n) {
   std::vector<int> out;
   for (int c = 1; c < c_full; c *= 2) out.push_back(c);
   out.push_back(c_full);
-  if (!is_power_of_two(static_cast<std::uint64_t>(c_full))) {
-    // keep the list sorted: c_full was appended after the largest power of
-    // two below it, so the order is already correct.
-  }
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -107,7 +106,13 @@ class RowTopology {
   std::vector<RowLink> express_;  // sorted
 };
 
-std::ostream& operator<<(std::ostream& os, const RowTopology& row);
+/// Parses express links "lo-hi,lo-hi,..." ("" and "none": no links).
+/// Strict: an entry that is not two integers joined by '-' throws
+/// xlp::Error(kParse); ranges are RowTopology's to check.
+[[nodiscard]] std::vector<RowLink> parse_links(const std::string& spec);
+
+/// Inverse of parse_links: "lo-hi,lo-hi", "" for a plain row.
+[[nodiscard]] std::string format_links(const RowTopology& row);
 
 /// The paper's C_full = n^2/4 (Eq. 4): the cross-section count of a fully
 /// connected row, attained between the two middle routers.

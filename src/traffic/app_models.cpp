@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "traffic/patterns.hpp"
 #include "util/check.hpp"
 
 namespace xlp::traffic {
@@ -101,6 +102,19 @@ TrafficMatrix parsec_average_matrix(int n) {
                            static_cast<double>(models.size()));
   }
   return avg;
+}
+
+bool is_known_workload(const std::string& name) {
+  if (pattern_from_string(name)) return true;
+  for (const AppModel& model : parsec_models())
+    if (model.name == name) return true;
+  return false;
+}
+
+TrafficMatrix resolve_workload(const std::string& name, int n, double load) {
+  if (const auto pattern = pattern_from_string(name))
+    return TrafficMatrix::from_pattern(*pattern, n, load);
+  return parsec_model(name).traffic_matrix(n);
 }
 
 }  // namespace xlp::traffic

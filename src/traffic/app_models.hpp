@@ -46,4 +46,12 @@ struct AppModel {
 /// Fig. 5: the mean of the per-benchmark traffic matrices.
 [[nodiscard]] TrafficMatrix parsec_average_matrix(int n);
 
+/// Whether `name` is a synthetic pattern or a PARSEC model name.
+[[nodiscard]] bool is_known_workload(const std::string& name);
+
+/// A workload's traffic on an n x n network: a synthetic pattern at `load`
+/// packets/node/cycle, or a PARSEC model at its own injection rate.
+[[nodiscard]] TrafficMatrix resolve_workload(const std::string& name, int n,
+                                             double load);
+
 }  // namespace xlp::traffic

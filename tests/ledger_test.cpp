@@ -1,7 +1,7 @@
 // Tests of the run ledger: the content-hashed run id depends on exactly
-// (subcommand, canonical params, seed, git sha) and nothing else, records
-// serialize with a fixed schema, and the JSONL append/read round trip is
-// crash-safe against malformed lines.
+// the canonical params (the construction svc::Request::id() uses) and
+// nothing else, records serialize with a fixed schema, and the JSONL
+// append/read round trip is crash-safe against malformed lines.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <fstream>
 #include <string>
 
+#include "obs/canonical.hpp"
 #include "obs/ledger.hpp"
 
 namespace xlp::obs {
@@ -18,8 +19,17 @@ Json sample_params() {
   return Json::object().set("n", 8).set("c", 4).set("moves", 1000L);
 }
 
+LedgerEntry entry_with(Json params) {
+  LedgerEntry entry;
+  entry.subcommand = "solve";
+  entry.params = std::move(params);
+  entry.seed = 7;
+  entry.git_sha = "abc";
+  return entry;
+}
+
 TEST(LedgerRunId, IsSixteenLowercaseHexChars) {
-  const std::string id = ledger_run_id("solve", sample_params(), 7, "abc");
+  const std::string id = entry_with(sample_params()).run_id();
   ASSERT_EQ(id.size(), 16u);
   for (const char c : id)
     EXPECT_TRUE(std::isdigit(static_cast<unsigned char>(c)) ||
@@ -27,14 +37,17 @@ TEST(LedgerRunId, IsSixteenLowercaseHexChars) {
         << id;
 }
 
-TEST(LedgerRunId, DependsOnEveryIdentityComponent) {
-  const std::string base = ledger_run_id("solve", sample_params(), 7, "abc");
-  EXPECT_EQ(base, ledger_run_id("solve", sample_params(), 7, "abc"));
-  EXPECT_NE(base, ledger_run_id("sweep", sample_params(), 7, "abc"));
-  EXPECT_NE(base, ledger_run_id("solve", sample_params().set("n", 16), 7,
-                                "abc"));
-  EXPECT_NE(base, ledger_run_id("solve", sample_params(), 8, "abc"));
-  EXPECT_NE(base, ledger_run_id("solve", sample_params(), 7, "def"));
+TEST(LedgerRunId, IsTheCanonicalParamsHash) {
+  const LedgerEntry base = entry_with(sample_params());
+  EXPECT_EQ(base.run_id(), fnv1a64_hex(canonical_json(sample_params())));
+  EXPECT_NE(base.run_id(), entry_with(sample_params().set("n", 16)).run_id());
+  // Record fields outside params are not identity: the git sha is
+  // provenance, and subcommand / seed count only through params.
+  LedgerEntry other = base;
+  other.git_sha = "def";
+  other.subcommand = "sweep";
+  other.seed = 8;
+  EXPECT_EQ(base.run_id(), other.run_id());
 }
 
 TEST(LedgerRunId, IgnoresExecutionDetails) {

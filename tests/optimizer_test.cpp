@@ -340,6 +340,19 @@ TEST(Drivers, DncOnlyReportsItsEvaluations) {
   EXPECT_EQ(result.method, "D&C");
 }
 
+TEST(Drivers, ExactMatchesBranchAndBoundAndIsTimed) {
+  const RowObjective obj(8, paper_weights());
+  BranchAndBound bb(obj, 2);
+  const ExactResult reference = bb.solve();
+  const RowObjective fresh(8, paper_weights());
+  const PlacementResult exact = solve_exact(fresh, 2);
+  EXPECT_EQ(exact.placement, reference.placement);
+  EXPECT_EQ(exact.value, reference.value);
+  EXPECT_EQ(exact.method, "exact");
+  EXPECT_GT(exact.evaluations, 0);
+  EXPECT_GT(exact.seconds, 0.0);
+}
+
 // --------------------------------------------------------------------------
 // C sweep
 

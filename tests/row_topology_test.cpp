@@ -3,6 +3,7 @@
 #include "topo/builders.hpp"
 #include "topo/row_topology.hpp"
 #include "util/check.hpp"
+#include "util/error.hpp"
 
 namespace xlp::topo {
 namespace {
@@ -267,6 +268,23 @@ TEST(ExpressMesh, WireUnitsAndLinkCount) {
   const ExpressMesh express(row, 2, 128);
   EXPECT_EQ(express.total_link_count(), 24 + 8);
   EXPECT_EQ(express.total_wire_units(), 24 + 8 * 3);
+}
+
+TEST(Links, ParseAndFormatRoundTrip) {
+  EXPECT_TRUE(parse_links("").empty());
+  EXPECT_TRUE(parse_links("none").empty());
+  const std::vector<RowLink> links = parse_links("3-7,1-3");
+  ASSERT_EQ(links.size(), 2u);
+  EXPECT_EQ(links[0], (RowLink{3, 7}));
+  const RowTopology row(8, links);
+  EXPECT_EQ(format_links(row), "1-3,3-7");  // sorted, like the row
+  EXPECT_EQ(parse_links(format_links(row)), row.express_links());
+  EXPECT_EQ(format_links(RowTopology(8)), "");
+}
+
+TEST(Links, ParseIsStrict) {
+  for (const char* bad : {"1", "1-", "-3", "1-3x", " 1-3", "a-b", "1-3,,2-4"})
+    EXPECT_THROW((void)parse_links(bad), Error) << bad;
 }
 
 }  // namespace

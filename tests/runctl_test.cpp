@@ -400,7 +400,9 @@ TEST(ResumeTest, PortfolioResumeMatchesUninterruptedRun) {
   EXPECT_EQ(file.portfolio->seed, 42u);
   EXPECT_EQ(file.portfolio->solver, "onlysa");
 
-  core::PortfolioOptions resume_options = base;
+  // The checkpoint describes the portfolio: chains, solver and schedule
+  // come from it, so default options plus `resume` replay the same run.
+  core::PortfolioOptions resume_options;
   resume_options.resume = &*file.portfolio;
   const auto resumed = core::solve_portfolio(8, route::HopWeights{},
                                              std::nullopt, 4, resume_options,

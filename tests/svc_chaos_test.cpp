@@ -396,10 +396,12 @@ TEST(QueueChaos, CorruptSubmissionIsQuarantinedWithAnErrorReply) {
 
 // -------------------------------------------------- end-to-end invariants
 
+/// `name` keeps each test's cache dir its own: ctest runs tests as
+/// parallel processes.
 std::map<std::string, std::string> baseline_payloads(
-    const std::vector<Request>& batch) {
+    const std::vector<Request>& batch, const std::string& name) {
   obs::MetricsRegistry metrics;
-  Server baseline(test_options(fresh_dir("baseline"), &metrics, 4));
+  Server baseline(test_options(fresh_dir(name), &metrics, 4));
   std::map<std::string, std::string> payloads;
   for (const Reply& reply : baseline.serve_batch(batch)) {
     EXPECT_TRUE(reply.ok);
@@ -410,7 +412,7 @@ std::map<std::string, std::string> baseline_payloads(
 
 TEST(ChaosEndToEnd, BatchRepliesMatchChaosFreeBaselineUnderInjection) {
   const auto batch = sweep_batch(8, "dcsa", 300, 11);
-  const auto baseline = baseline_payloads(batch);
+  const auto baseline = baseline_payloads(batch, "baseline1");
 
   obs::MetricsRegistry metrics;
   const std::string cache_dir = fresh_dir("chaotic");
@@ -463,7 +465,7 @@ TEST(ChaosEndToEnd, BatchRepliesMatchChaosFreeBaselineUnderInjection) {
 
 TEST(ChaosSocket, RetryingClientSurvivesFrameChaosWithoutSleeps) {
   const auto batch = sweep_batch(8, "dcsa", 200, 5);
-  const auto baseline = baseline_payloads(batch);
+  const auto baseline = baseline_payloads(batch, "baseline2");
 
   const std::string socket_path =
       ::testing::TempDir() + "xlp_chaos_sock.sock";

@@ -91,8 +91,10 @@ TEST(CanonicalJson, LedgerRunIdUsesCanonicalForm) {
   // Member insertion order must not change a ledger run id.
   const obs::Json p1 = obs::Json::object().set("n", 8).set("c", 4);
   const obs::Json p2 = obs::Json::object().set("c", 4).set("n", 8);
-  EXPECT_EQ(obs::ledger_run_id("solve", p1, 7, "sha"),
-            obs::ledger_run_id("solve", p2, 7, "sha"));
+  obs::LedgerEntry e1, e2;
+  e1.params = p1;
+  e2.params = p2;
+  EXPECT_EQ(e1.run_id(), e2.run_id());
 }
 
 // ------------------------------------------------------------------ request
@@ -147,6 +149,43 @@ TEST(Request, ValidateEnforcesRanges) {
   request.kind = RequestKind::kEvaluate;
   request.workload = "not_a_workload";
   EXPECT_THROW(request.validate(), Error);
+}
+
+TEST(Request, DefaultIdsArePinned) {
+  // Ids of default requests as served before `chains` and `vec` existed:
+  // fields at their defaults stay out of the canonical serialization, so
+  // every earlier request id and cached reply stays valid.
+  Request request;
+  EXPECT_EQ(request.id(), "3e19cef78ca13d5e");
+  request.kind = RequestKind::kEvaluate;
+  EXPECT_EQ(request.id(), "73e294c6e35ed59a");
+  request.kind = RequestKind::kSimulate;
+  EXPECT_EQ(request.id(), "3eed1cb268043f75");
+}
+
+TEST(Request, ChainsAndVecSerializeOnlyWhenSet) {
+  Request solve;
+  solve.chains = 4;
+  const obs::Json doc = solve.to_json();
+  ASSERT_NE(doc.find("chains"), nullptr);
+  EXPECT_EQ(Request::from_json(doc).id(), solve.id());
+  EXPECT_NE(solve.id(), Request{}.id());
+  // Chains only matter where annealing does.
+  solve.method = "dnc";
+  Request dnc;
+  dnc.method = "dnc";
+  EXPECT_EQ(solve.id(), dnc.id());
+
+  Request simulate;
+  simulate.kind = RequestKind::kSimulate;
+  const std::string plain = simulate.id();
+  simulate.vec = true;
+  ASSERT_NE(simulate.to_json().find("vec"), nullptr);
+  EXPECT_TRUE(Request::from_json(simulate.to_json()).vec);
+  EXPECT_NE(simulate.id(), plain);
+
+  solve.chains = 0;
+  EXPECT_THROW(solve.validate(), Error);
 }
 
 TEST(Request, EvaluateMatchesLatencyModel) {
@@ -274,6 +313,21 @@ TEST(Server, RepliesAreByteIdenticalAtAnyThreadCount) {
     EXPECT_EQ(r1[i].to_text(), r4[i].to_text()) << "reply " << i;
 }
 
+TEST(Server, PortfolioRepliesAreByteIdenticalAtAnyThreadCount) {
+  Request request;
+  request.chains = 4;
+  request.moves = 600;
+  request.seed = 5;
+  obs::MetricsRegistry m1, m4;
+  Server one(test_options(fresh_dir("chains_t1"), &m1, 1));
+  Server four(test_options(fresh_dir("chains_t4"), &m4, 4));
+  const Reply r1 = one.resolve(request);
+  const Reply r4 = four.resolve(request);
+  ASSERT_TRUE(r1.ok) << r1.to_text();
+  EXPECT_EQ(r1.to_text(), r4.to_text());
+  EXPECT_NE(r1.payload_text.find("D&C_SA-portfolio"), std::string::npos);
+}
+
 TEST(Server, CachedReplyIsByteIdenticalToExecutedReply) {
   obs::MetricsRegistry metrics;
   const std::string dir = fresh_dir("replay");
@@ -375,6 +429,9 @@ TEST(Server, AppendsOneLedgerRecordPerRequestWithCacheHit) {
     hits += hit->as_bool() ? 1 : 0;
     ASSERT_NE(record.find("subcommand"), nullptr);
     EXPECT_EQ(record.find("subcommand")->as_string(), "svc");
+    // The ledger run id is the request id the reply carries.
+    EXPECT_EQ(record.find("run_id")->as_string(),
+              duplicate_solves(1)[0].id());
   }
   EXPECT_EQ(hits, 1);  // exactly the duplicate occurrence
 }

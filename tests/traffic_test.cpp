@@ -270,5 +270,18 @@ TEST(AppModels, ParsecAverageIsTheMeanOfModels) {
   EXPECT_NEAR(avg.total_rate(), expected_total / 10.0, 1e-9);
 }
 
+TEST(Workloads, ResolvePatternsAndParsecModels) {
+  EXPECT_TRUE(is_known_workload("transpose"));
+  EXPECT_TRUE(is_known_workload("canneal"));
+  EXPECT_FALSE(is_known_workload("doom"));
+  EXPECT_EQ(resolve_workload("transpose", 4, 0.01).total_rate(),
+            TrafficMatrix::from_pattern(Pattern::kTranspose, 4, 0.01)
+                .total_rate());
+  // A PARSEC model brings its own injection rate; the load is unused.
+  EXPECT_EQ(resolve_workload("canneal", 4, 0.5).total_rate(),
+            parsec_model("canneal").traffic_matrix(4).total_rate());
+  EXPECT_THROW((void)resolve_workload("doom", 4, 0.01), PreconditionError);
+}
+
 }  // namespace
 }  // namespace xlp::traffic

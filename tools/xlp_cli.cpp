@@ -59,10 +59,14 @@
 //
 // Run ledger:
 //   every subcommand appends one JSONL record to <out-dir>/ledger.jsonl
-//   (run id = content hash over subcommand + canonical scenario params +
-//   seed + git sha; plus provenance, wall time, exit status and artifact
-//   paths). --out-dir <dir> relocates the ledger (default "."),
-//   --no-ledger disables it.
+//   (run id = content hash over the canonical scenario params; plus
+//   provenance, wall time, exit status and artifact paths). solve and
+//   simulate run an svc::Request (docs/service.md; --chains and --vec are
+//   its `chains` and `vec` fields) and record it as their params, so
+//   their run id is the request id xlpd uses for the same work; run nests
+//   its solve request; other subcommands add `subcommand` and `seed`.
+//   --out-dir <dir> relocates the ledger (default "."), --no-ledger
+//   disables it.
 //
 // Parallel execution (see docs/parallelism.md):
 //   --threads <N>          pool workers for portfolios (`solve --chains`),
@@ -94,7 +98,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -104,7 +107,6 @@
 #include "core/app_specific.hpp"
 #include "harness.hpp"
 #include "suites.hpp"
-#include "core/branch_bound.hpp"
 #include "core/c_sweep.hpp"
 #include "core/drivers.hpp"
 #include "core/portfolio.hpp"
@@ -125,9 +127,10 @@
 #include "sim/simulator.hpp"
 #include "sim/stats_json.hpp"
 #include "svc/client.hpp"
+#include "svc/request.hpp"
 #include "topo/builders.hpp"
 #include "topo/render.hpp"
-#include "traffic/patterns.hpp"
+#include "traffic/app_models.hpp"
 #include "traffic/trace.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -161,15 +164,22 @@ struct LedgerContext {
   bool filled = false;
   obs::LedgerEntry entry;
 
-  /// Declares the scenario identity. `params` must hold only inputs that
-  /// define the run (never output paths, thread counts or time limits) so
-  /// the run id is stable across machines and thread counts.
-  void describe(std::string subcommand, obs::Json params,
+  /// Declares the scenario identity; the run id hashes `params` alone, so
+  /// they hold only inputs that define the run (never output paths, thread
+  /// counts or time limits). solve/simulate pass their request document.
+  void identify(std::string subcommand, obs::Json params,
                 std::uint64_t seed) {
     filled = true;
     entry.subcommand = std::move(subcommand);
     entry.params = std::move(params);
     entry.seed = seed;
+  }
+
+  /// identify() for the other subcommands: params gain subcommand + seed.
+  void describe(const std::string& subcommand, obs::Json params,
+                std::uint64_t seed) {
+    params.set("subcommand", subcommand).set("seed", static_cast<long>(seed));
+    identify(subcommand, std::move(params), seed);
   }
 
   void artifact(const std::string& path) {
@@ -206,19 +216,17 @@ void report_status(runctl::RunStatus status, const char* phase,
                 phase, runctl::to_string(status));
 }
 
-/// Checkpoint sink for single-chain annealing runs: persists every
-/// snapshot atomically to `path`. Periodic write failures warn instead of
-/// killing the search.
-std::function<void(const runctl::SaCheckpoint&)> checkpoint_file_sink(
-    std::string path) {
-  if (path.empty()) return {};
-  return [path = std::move(path)](const runctl::SaCheckpoint& ck) {
-    try {
-      runctl::save_sa_checkpoint(path, ck);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "warning: %s\n", e.what());
-    }
-  };
+/// Runs `parse` over flag values (validating a request built from flags,
+/// parsing --links). A kParse error it raises is a bad flag value, so it
+/// is rethrown as kUsage and the process exits 2.
+template <typename Parse>
+auto from_flags(Parse&& parse) {
+  try {
+    return parse();
+  } catch (const Error& e) {
+    if (e.code() != ErrorCode::kParse) throw;
+    throw Error(ErrorCode::kUsage, e.message());
+  }
 }
 
 /// Owns the optional `--trace <file.jsonl>` output: the stream plus the
@@ -307,102 +315,40 @@ void write_stats_if_requested(const Args& args, const sim::SimStats& stats) {
   g_ledger.artifact(path);
 }
 
-std::vector<topo::RowLink> parse_links(const std::string& spec) {
-  std::vector<topo::RowLink> links;
-  if (spec.empty() || spec == "none") return links;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto dash = item.find('-');
-    XLP_REQUIRE(dash != std::string::npos,
-                "--links entries look like lo-hi, comma separated");
-    links.push_back({std::stoi(item.substr(0, dash)),
-                     std::stoi(item.substr(dash + 1))});
-  }
-  return links;
-}
-
-traffic::TrafficMatrix resolve_workload(const std::string& name, int n,
-                                        double load) {
-  if (const auto pattern = traffic::pattern_from_string(name))
-    return traffic::TrafficMatrix::from_pattern(*pattern, n, load);
-  traffic::TrafficMatrix demand =
-      traffic::parsec_model(name).traffic_matrix(n);
-  return demand;
-}
-
 int cmd_solve(const Args& args) {
-  const int n = static_cast<int>(args.get_long("n", 8));
-  const int c = static_cast<int>(args.get_long("c", 4));
-  const std::string method = args.get_or("method", "dcsa");
-  const long moves = args.get_long("moves", 10000);
-  const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  const int chains = static_cast<int>(args.get_long("chains", 1));
-  g_ledger.describe("solve",
-                    obs::Json::object()
-                        .set("n", n)
-                        .set("c", c)
-                        .set("method", method)
-                        .set("moves", moves)
-                        .set("chains", chains),
-                    seed);
+  svc::Request request;
+  request.n = static_cast<int>(args.get_long("n", 8));
+  request.link_limit = static_cast<int>(args.get_long("c", 4));
+  request.method = args.get_or("method", "dcsa");
+  request.moves = args.get_long("moves", 10000);
+  request.chains = static_cast<int>(args.get_long("chains", 1));
+  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  g_ledger.identify("solve", request.to_json(), request.seed);
+  from_flags([&] { request.validate(); });
 
-  const core::RowObjective objective(n, route::HopWeights{});
   TraceOutput trace(args);
   SeriesOutput series(args);
   runctl::RunControl control = make_run_control(args);
   const std::string checkpoint_path = args.get_or("checkpoint", "");
-  const long checkpoint_every = args.get_long("checkpoint-every", 10000);
-  core::SaParams params = core::SaParams{}.with_moves(moves);
-  params.observer = sa_trace_observer(trace.sink());
-  params.series = series.recorder_or_null();
-  params.control = &control;
-  params.checkpoint_sink = checkpoint_file_sink(checkpoint_path);
-  params.checkpoint_every_moves = checkpoint_every;
-  Rng rng(seed);
-
-  core::PlacementResult result;
-  if (chains > 1 && (method == "dcsa" || method == "onlysa")) {
-    core::PortfolioOptions options;
-    options.chains = chains;
-    options.sa = params;
-    options.sa.checkpoint_sink = {};  // the portfolio wires its own sinks
-    options.series = series.recorder_or_null();
-    options.control = control;
-    options.checkpoint_path = checkpoint_path;
-    options.checkpoint_every_moves = checkpoint_every;
-    options.solver = method == "dcsa" ? core::Solver::kDcsa
-                                      : core::Solver::kOnlySa;
-    auto portfolio = core::solve_portfolio(n, route::HopWeights{},
-                                           std::nullopt, c, options, seed);
+  core::SaParams hooks;
+  hooks.observer = sa_trace_observer(trace.sink());
+  hooks.series = series.recorder_or_null();
+  hooks.control = &control;
+  hooks.checkpoint_every_moves = args.get_long("checkpoint-every", 10000);
+  long portfolio_evaluations = -1;
+  const core::PlacementResult result =
+      svc::solve(request, hooks, checkpoint_path, &portfolio_evaluations);
+  if (portfolio_evaluations >= 0)
     std::printf("portfolio of %d chains finished in %.3f s (%ld evals)\n",
-                chains, portfolio.seconds, portfolio.total_evaluations);
-    result = std::move(portfolio.best);
-    result.status = portfolio.status;
-  } else if (method == "dcsa") {
-    result = core::solve_dcsa(objective, c, params, rng);
-  } else if (method == "onlysa") {
-    result = core::solve_only_sa(objective, c, params, rng);
-  } else if (method == "dnc") {
-    core::DncOptions dnc;
-    dnc.control = &control;
-    result = core::solve_dnc_only(objective, c, dnc);
-  } else if (method == "exact") {
-    core::BranchAndBound bb(objective, c, &control);
-    const auto exact = bb.solve();
-    result = {exact.placement, exact.value, objective.evaluations(), 0.0,
-              "exact"};
-    result.status = exact.status;
-  } else {
-    std::fprintf(stderr, "unknown --method %s\n", method.c_str());
-    return kExitUsage;
-  }
+                request.chains, result.seconds, portfolio_evaluations);
 
-  std::printf("P̄(%d,%d) via %s\n", n, c, result.method.c_str());
+  std::printf("P̄(%d,%d) via %s\n", request.n, request.link_limit,
+              result.method.c_str());
   std::printf("  placement: %s\n", result.placement.to_string().c_str());
   std::printf("%s", topo::render_row(result.placement).c_str());
   std::printf("  objective: %.4f cycles (plain row: %.4f)\n", result.value,
-              objective.evaluate(topo::RowTopology(n)));
+              core::RowObjective(request.n, route::HopWeights{})
+                  .evaluate(topo::RowTopology(request.n)));
   std::printf("  cost:      %ld evaluations, %.3f s\n", result.evaluations,
               result.seconds);
   report_status(result.status, "solve", trace.sink());
@@ -454,49 +400,37 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
-  const int n = static_cast<int>(args.get_long("n", 8));
-  const int c = static_cast<int>(args.get_long("c", 4));
-  const topo::RowTopology row(n, parse_links(args.get_or("links", "")));
-  const topo::ExpressMesh design = topo::make_design(row, c);
+  svc::Request request;
+  request.kind = svc::RequestKind::kSimulate;
+  request.n = static_cast<int>(args.get_long("n", 8));
+  request.link_limit = static_cast<int>(args.get_long("c", 4));
+  request.links = args.get_or("links", "");
+  request.workload = args.get_or("pattern", "uniform_random");
+  request.load = args.get_double("load", 0.02);
+  request.cycles = args.get_long("cycles", 10000);
+  request.routing = args.get_or("routing", "xy");
+  request.vcs = static_cast<int>(args.get_long("vcs", 4));
+  request.vec = args.has("vec");
+  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  g_ledger.identify("simulate", request.to_json(), request.seed);
+  const topo::ExpressMesh design = from_flags([&] {
+    request.validate();
+    return svc::design_of(request);
+  });
 
-  const std::string pattern = args.get_or("pattern", "uniform_random");
-  const double load = args.get_double("load", 0.02);
-  const auto demand = resolve_workload(pattern, n, load);
-
-  sim::SimConfig config;
-  config.measure_cycles = args.get_long("cycles", 10000);
-  config.vcs_per_port = static_cast<int>(args.get_long("vcs", 4));
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  config.virtual_express_bypass = args.has("vec");
-  const std::string routing = args.get_or("routing", "xy");
-  if (routing == "yx") config.routing = sim::RoutingMode::kYX;
-  else if (routing == "o1turn") config.routing = sim::RoutingMode::kO1Turn;
-  else XLP_REQUIRE(routing == "xy", "--routing must be xy, yx or o1turn");
-
-  g_ledger.describe("simulate",
-                    obs::Json::object()
-                        .set("n", n)
-                        .set("c", c)
-                        .set("links", args.get_or("links", ""))
-                        .set("pattern", pattern)
-                        .set("load", load)
-                        .set("cycles", config.measure_cycles)
-                        .set("vcs", config.vcs_per_port)
-                        .set("routing", routing)
-                        .set("vec", config.virtual_express_bypass),
-                    config.seed);
   TraceOutput trace(args);
-  config.trace = trace.sink_or_null();
   SeriesOutput series(args);
-  config.series = series.recorder_or_null();
   runctl::RunControl control = make_run_control(args);
-  config.control = &control;
-  const auto stats = exp::simulate_design(design, demand, config);
+  sim::SimConfig hooks;
+  hooks.trace = trace.sink_or_null();
+  hooks.series = series.recorder_or_null();
+  hooks.control = &control;
+  const auto stats = svc::simulate(request, hooks);
   std::printf("design %s C=%d (%d-bit flits), %s @ %.3f pkt/node/cycle, "
               "routing %s%s\n",
-              row.to_string().c_str(), c, design.flit_bits(),
-              pattern.c_str(), load, routing.c_str(),
-              config.virtual_express_bypass ? " +VEC" : "");
+              design.row(0).to_string().c_str(), request.link_limit,
+              design.flit_bits(), request.workload.c_str(), request.load,
+              request.routing.c_str(), request.vec ? " +VEC" : "");
   std::printf("  latency: avg %.2f  p50 %.0f  p95 %.0f  p99 %.0f  max %.0f "
               "cycles\n",
               stats.avg_latency, stats.p50_latency, stats.p95_latency,
@@ -507,7 +441,7 @@ int cmd_simulate(const Args& args) {
               stats.avg_contention_per_hop, stats.avg_hops,
               stats.drained ? "yes" : "NO");
   const auto power = power::evaluate_power(design, stats.activity,
-                                           config.buffer_bits_per_router);
+                                           hooks.buffer_bits_per_router);
   std::printf("  power %.3f W (%.3f dynamic, %.3f static)\n", power.total(),
               power.dynamic_total(), power.static_total());
   exp::warn_if_undrained(stats, "xlp simulate");
@@ -531,8 +465,8 @@ int cmd_trace(const Args& args) {
                         .set("cycles", args.get_long("cycles", 10000)),
                     seed);
   g_ledger.artifact(out_path);
-  const auto demand = resolve_workload(args.get_or("pattern", "transpose"),
-                                       n, args.get_double("load", 0.02));
+  const auto demand = traffic::resolve_workload(
+      args.get_or("pattern", "transpose"), n, args.get_double("load", 0.02));
   Rng rng(seed);
   const auto trace = traffic::Trace::sample(
       demand, latency::PacketMix::paper_default(),
@@ -554,8 +488,9 @@ int cmd_replay(const Args& args) {
   const auto trace = traffic::Trace::load(in);
 
   const int c = static_cast<int>(args.get_long("c", 4));
-  const topo::RowTopology row(trace.side(),
-                              parse_links(args.get_or("links", "")));
+  const topo::RowTopology row(trace.side(), from_flags([&] {
+    return topo::parse_links(args.get_or("links", ""));
+  }));
   const topo::ExpressMesh design = topo::make_design(row, c);
   g_ledger.describe("replay",
                     obs::Json::object()
@@ -577,17 +512,6 @@ int cmd_replay(const Args& args) {
   return 0;
 }
 
-/// Rebuilds core::SaParams schedule fields from a checkpoint's embedded
-/// schedule so a resumed portfolio replays the same temperature curve.
-core::SaParams schedule_from_checkpoint(const runctl::SaSchedule& s) {
-  core::SaParams params;
-  params.initial_temperature = s.initial_temperature;
-  params.total_moves = s.total_moves;
-  params.cool_scale = s.cool_scale;
-  params.moves_per_cool = s.moves_per_cool;
-  return params;
-}
-
 /// End-to-end instrumented flow: optimize a placement with D&C_SA (tracing
 /// every cooling step), then simulate the resulting design (tracing
 /// progress and the channel heatmap) — the one-command way to produce a
@@ -600,24 +524,34 @@ int cmd_run(const Args& args) {
   SeriesOutput series(args);
   runctl::RunControl control = make_run_control(args);
   const std::string checkpoint_path = args.get_or("checkpoint", "");
-  const long checkpoint_every = args.get_long("checkpoint-every", 10000);
   const std::string resume_path = args.get_or("resume", "");
 
-  int n = static_cast<int>(args.get_long("n", 8));
-  int c = static_cast<int>(args.get_long("c", 4));
-  auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  g_ledger.describe("run",
+  svc::Request solve_request;
+  solve_request.n = static_cast<int>(args.get_long("n", 8));
+  solve_request.link_limit = static_cast<int>(args.get_long("c", 4));
+  solve_request.moves = args.get_long("moves", 10000);
+  solve_request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  // The simulate phase runs on the solved P(n, C): on resume, the
+  // checkpoint's n, C (and a portfolio's seed) replace the flags'.
+  svc::Request sim_request = solve_request;
+  sim_request.kind = svc::RequestKind::kSimulate;
+  sim_request.workload = args.get_or("pattern", "uniform_random");
+  sim_request.load = args.get_double("load", 0.02);
+  sim_request.cycles = args.get_long("cycles", 10000);
+  g_ledger.identify("run",
                     obs::Json::object()
-                        .set("n", n)
-                        .set("c", c)
-                        .set("moves", args.get_long("moves", 10000))
-                        .set("pattern",
-                             args.get_or("pattern", "uniform_random"))
-                        .set("load", args.get_double("load", 0.02))
-                        .set("cycles", args.get_long("cycles", 10000))
+                        .set("solve", solve_request.to_json())
+                        .set("pattern", sim_request.workload)
+                        .set("load", sim_request.load)
+                        .set("cycles", sim_request.cycles)
                         .set("resumed", !resume_path.empty()),
-                    seed);
+                    solve_request.seed);
 
+  core::SaParams hooks;
+  hooks.observer = sa_trace_observer(trace.sink());
+  hooks.series = series.recorder_or_null();
+  hooks.control = &control;
+  hooks.checkpoint_every_moves = args.get_long("checkpoint-every", 10000);
   core::PlacementResult result;
   if (!resume_path.empty()) {
     const runctl::CheckpointFile file =
@@ -627,37 +561,30 @@ int cmd_run(const Args& args) {
     const std::string refresh =
         checkpoint_path.empty() ? resume_path : checkpoint_path;
     if (file.sa) {
-      n = file.sa->n;
-      c = file.sa->link_limit;
-      const core::RowObjective objective(n, route::HopWeights{});
-      core::SaParams hooks;
-      hooks.observer = sa_trace_observer(trace.sink());
-      hooks.series = series.recorder_or_null();
-      hooks.control = &control;
-      hooks.checkpoint_sink = checkpoint_file_sink(refresh);
-      hooks.checkpoint_every_moves = checkpoint_every;
-      result = core::resume_sa(objective, *file.sa, hooks);
+      sim_request.n = file.sa->n;
+      sim_request.link_limit = file.sa->link_limit;
+      hooks.checkpoint_sink = runctl::sa_checkpoint_file_sink(refresh);
+      result = core::resume_sa(
+          core::RowObjective(file.sa->n, route::HopWeights{}), *file.sa,
+          hooks);
       std::printf("resumed %s from %s at move %ld/%ld\n",
                   result.method.c_str(), resume_path.c_str(),
                   file.sa->next_move, file.sa->schedule.total_moves);
     } else {
       const runctl::PortfolioCheckpoint& pc = *file.portfolio;
-      n = pc.n;
-      c = pc.link_limit;
-      seed = pc.seed;
+      sim_request.n = pc.n;
+      sim_request.link_limit = pc.link_limit;
+      sim_request.seed = pc.seed;
       core::PortfolioOptions options;
-      options.chains = pc.chains;
-      options.sa = schedule_from_checkpoint(pc.schedule);
-      options.sa.observer = sa_trace_observer(trace.sink());
-      options.series = series.recorder_or_null();
-      options.solver = pc.solver == "onlysa" ? core::Solver::kOnlySa
-                                             : core::Solver::kDcsa;
+      options.sa = hooks;
+      options.series = hooks.series;
       options.control = control;
       options.checkpoint_path = refresh;
-      options.checkpoint_every_moves = checkpoint_every;
+      options.checkpoint_every_moves = hooks.checkpoint_every_moves;
       options.resume = &pc;
-      auto portfolio = core::solve_portfolio(n, route::HopWeights{},
-                                             std::nullopt, c, options, seed);
+      auto portfolio =
+          core::solve_portfolio(pc.n, route::HopWeights{}, std::nullopt,
+                                pc.link_limit, options, pc.seed);
       std::printf("resumed portfolio of %d chains from %s (%.3f s, %ld "
                   "evals)\n",
                   pc.chains, resume_path.c_str(), portfolio.seconds,
@@ -666,19 +593,11 @@ int cmd_run(const Args& args) {
       result.status = portfolio.status;
     }
   } else {
-    const core::RowObjective objective(n, route::HopWeights{});
-    core::SaParams params =
-        core::SaParams{}.with_moves(args.get_long("moves", 10000));
-    params.observer = sa_trace_observer(trace.sink());
-    params.series = series.recorder_or_null();
-    params.control = &control;
-    params.checkpoint_sink = checkpoint_file_sink(checkpoint_path);
-    params.checkpoint_every_moves = checkpoint_every;
-    Rng rng(seed);
-    result = core::solve_dcsa(objective, c, params, rng);
+    from_flags([&] { solve_request.validate(); });
+    result = svc::solve(solve_request, hooks, checkpoint_path);
   }
-  std::printf("P̄(%d,%d) via %s: %s at %.4f cycles (%ld evals, %.3f s)\n", n,
-              c, result.method.c_str(),
+  std::printf("P̄(%d,%d) via %s: %s at %.4f cycles (%ld evals, %.3f s)\n",
+              sim_request.n, sim_request.link_limit, result.method.c_str(),
               result.placement.to_string().c_str(), result.value,
               result.evaluations, result.seconds);
   report_status(result.status, "solve", trace.sink());
@@ -700,23 +619,18 @@ int cmd_run(const Args& args) {
     return 0;
   }
 
-  const topo::ExpressMesh design = topo::make_design(result.placement, c);
-  const std::string pattern = args.get_or("pattern", "uniform_random");
-  const double load = args.get_double("load", 0.02);
-  const auto demand = resolve_workload(pattern, n, load);
-
-  sim::SimConfig config;
-  config.measure_cycles = args.get_long("cycles", 10000);
-  config.seed = seed;
-  config.trace = trace.sink_or_null();
-  config.series = series.recorder_or_null();
-  config.control = &control;
-  const auto stats = exp::simulate_design(design, demand, config);
+  sim_request.links = topo::format_links(result.placement);
+  from_flags([&] { sim_request.validate(); });
+  sim::SimConfig sim_hooks;
+  sim_hooks.trace = trace.sink_or_null();
+  sim_hooks.series = series.recorder_or_null();
+  sim_hooks.control = &control;
+  const auto stats = svc::simulate(sim_request, sim_hooks);
   std::printf("simulated %s @ %.3f pkt/node/cycle: avg %.2f  p95 %.0f  p99 "
               "%.0f cycles, ci95 ±%.2f, drained %s\n",
-              pattern.c_str(), load, stats.avg_latency, stats.p95_latency,
-              stats.p99_latency, stats.ci95_latency,
-              stats.drained ? "yes" : "NO");
+              sim_request.workload.c_str(), sim_request.load,
+              stats.avg_latency, stats.p95_latency, stats.p99_latency,
+              stats.ci95_latency, stats.drained ? "yes" : "NO");
   exp::warn_if_undrained(stats, "xlp run");
   report_status(stats.status, "simulate", trace.sink());
   write_stats_if_requested(args, stats);
@@ -804,8 +718,8 @@ int cmd_appspec(const Args& args) {
                         .set("load", args.get_double("load", 0.02))
                         .set("moves", args.get_long("moves", 2000)),
                     seed);
-  const auto demand = resolve_workload(args.get_or("workload", "canneal"),
-                                       n, args.get_double("load", 0.02));
+  const auto demand = traffic::resolve_workload(
+      args.get_or("workload", "canneal"), n, args.get_double("load", 0.02));
   core::SweepOptions options;
   options.sa = core::SaParams{}.with_moves(args.get_long("moves", 2000));
   options.latency = latency::LatencyParams::zero_load();
