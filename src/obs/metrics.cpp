@@ -9,8 +9,12 @@ bool ensure_parent_dir(const std::string& path) {
 }
 
 void MetricsRegistry::add(const std::string& name, long delta) {
+  counter_handle(name).fetch_add(delta, std::memory_order_relaxed);
+}
+
+std::atomic<long>& MetricsRegistry::counter_handle(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  counters_[name] += delta;
+  return counters_.try_emplace(name, 0).first->second;
 }
 
 void MetricsRegistry::set_gauge(const std::string& name, double value) {
@@ -25,18 +29,11 @@ void MetricsRegistry::record_time(const std::string& name, double seconds) {
   ++stat.count;
 }
 
-void MetricsRegistry::record_samples(const std::string& name, double seconds,
-                                     long count) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  TimerStat& stat = timers_[name];
-  stat.seconds += seconds;
-  stat.count += count;
-}
-
 long MetricsRegistry::counter(const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  return it == counters_.end() ? 0
+                               : it->second.load(std::memory_order_relaxed);
 }
 
 double MetricsRegistry::gauge(const std::string& name) const {
@@ -51,17 +48,12 @@ TimerStat MetricsRegistry::timer(const std::string& name) const {
   return it == timers_.end() ? TimerStat{} : it->second;
 }
 
-void MetricsRegistry::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  timers_.clear();
-}
-
 Json MetricsRegistry::to_json() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Json counters = Json::object();
-  for (const auto& [name, value] : counters_) counters.set(name, value);
+  for (const auto& [name, value] : counters_)
+    if (const long count = value.load(std::memory_order_relaxed); count != 0)
+      counters.set(name, count);
   Json gauges = Json::object();
   for (const auto& [name, value] : gauges_) gauges.set(name, value);
   Json timers = Json::object();

@@ -5,8 +5,6 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/metrics.hpp"
-
 namespace xlp::obs {
 
 namespace {
@@ -199,14 +197,6 @@ std::string ProfileReport::to_collapsed() const {
     out += '\n';
   }
   return out;
-}
-
-void ProfileReport::export_to(MetricsRegistry& registry) const {
-  for (const ProfileEntry& e : entries_) {
-    std::string name = "profile." + e.path;
-    std::replace(name.begin(), name.end(), ';', '.');
-    registry.record_samples(name, e.exclusive_seconds, e.hits);
-  }
 }
 
 }  // namespace xlp::obs

@@ -9,8 +9,6 @@
 
 namespace xlp::obs {
 
-class MetricsRegistry;
-
 /// One scope of the merged profile, flattened in deterministic preorder
 /// (children sorted by name). `path` joins the ancestor chain with ';' so
 /// it doubles as a collapsed-stack frame.
@@ -49,11 +47,6 @@ class ProfileReport {
   /// exclusive time (flamegraph.pl wants integer sample counts; 1 sample
   /// == 1 usec).
   [[nodiscard]] std::string to_collapsed() const;
-
-  /// Folds every scope into `registry` as a timer named
-  /// "profile.<path with ';' replaced by '.'>" carrying the exclusive
-  /// time and hit count.
-  void export_to(MetricsRegistry& registry) const;
 
  private:
   std::vector<ProfileEntry> entries_;

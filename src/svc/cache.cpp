@@ -50,6 +50,10 @@ ResultCache::ResultCache(std::string dir, std::size_t max_entries,
       max_entries_(std::max<std::size_t>(1, max_entries)),
       metrics_(metrics != nullptr ? metrics
                                   : &obs::MetricsRegistry::global()),
+      cache_hits_(metrics_->counter_handle("svc.cache.hits")),
+      cache_misses_(metrics_->counter_handle("svc.cache.misses")),
+      cache_evictions_(metrics_->counter_handle("svc.cache.evictions")),
+      cache_corrupt_(metrics_->counter_handle("svc.cache.corrupt")),
       verify_reads_(verify_reads) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -122,7 +126,7 @@ std::optional<std::string> ResultCache::get(const std::string& id,
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(id);
   if (it == entries_.end()) {
-    metrics_->add("svc.cache.misses");
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   std::string payload = it->second.payload;
@@ -139,12 +143,12 @@ std::optional<std::string> ResultCache::get(const std::string& id,
     quarantine_locked(id, payload);
     metrics_->set_gauge("svc.cache.entries",
                         static_cast<double>(entries_.size()));
-    metrics_->add("svc.cache.misses");
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
     if (corrupted != nullptr) *corrupted = true;
     return std::nullopt;
   }
   touch_locked(id);
-  metrics_->add("svc.cache.hits");
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
   return payload;
 }
 
@@ -176,11 +180,6 @@ std::size_t ResultCache::size() {
   return entries_.size();
 }
 
-long ResultCache::corrupt_count() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return corrupt_;
-}
-
 void ResultCache::evict_if_needed_locked() {
   while (entries_.size() > max_entries_) {
     const std::string victim = lru_.back();
@@ -188,7 +187,7 @@ void ResultCache::evict_if_needed_locked() {
     entries_.erase(victim);
     std::error_code ec;
     fs::remove(fs::path(dir_) / (victim + ".json"), ec);
-    metrics_->add("svc.cache.evictions");
+    cache_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -219,8 +218,7 @@ void ResultCache::quarantine_locked(const std::string& name,
     // increment leaves exactly one quarantine file.
     (void)util::atomic_write_file(target.string(), corrupt_bytes);
   }
-  ++corrupt_;
-  metrics_->add("svc.cache.corrupt");
+  cache_corrupt_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace xlp::svc

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <list>
 #include <mutex>
@@ -42,7 +43,8 @@ namespace xlp::svc {
 ///
 /// Metrics (svc.cache.hits / misses / evictions / corrupt counters and the
 /// svc.cache.entries gauge) are recorded into the registry passed at
-/// construction, obs::MetricsRegistry::global() by default.
+/// construction, obs::MetricsRegistry::global() by default; the counters
+/// are resolved once there, so a lookup bumps them without a name search.
 class ResultCache {
  public:
   /// `verify_reads` re-checks the stored checksum on every get(); the cost
@@ -72,9 +74,6 @@ class ResultCache {
   [[nodiscard]] std::size_t size();
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
-  /// Entries quarantined since construction (rescan rejects included).
-  [[nodiscard]] long corrupt_count();
-
  private:
   void evict_if_needed_locked();
   void touch_locked(const std::string& id);
@@ -84,8 +83,11 @@ class ResultCache {
   std::string dir_;
   std::size_t max_entries_;
   obs::MetricsRegistry* metrics_;
+  std::atomic<long>& cache_hits_;
+  std::atomic<long>& cache_misses_;
+  std::atomic<long>& cache_evictions_;
+  std::atomic<long>& cache_corrupt_;
   bool verify_reads_;
-  long corrupt_ = 0;
 
   std::mutex mutex_;
   /// Most-recently-used at the front.

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <string_view>
 #include <system_error>
 #include <thread>
 #include <unordered_map>
@@ -66,6 +65,18 @@ long to_ns(double seconds) {
   return seconds > 0.0 ? static_cast<long>(seconds * 1e9) : 0;
 }
 
+/// The request kinds a server serves (stats requests are introspection).
+constexpr RequestKind kServedKinds[] = {
+    RequestKind::kSolve, RequestKind::kEvaluate, RequestKind::kSimulate};
+
+/// svc-events/1 outcome values, indexed by Server::Outcome.
+constexpr const char* kOutcomeNames[] = {"cache", "miss", "inflight",
+                                         "batch", "poisoned"};
+
+void bump(std::atomic<long>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -73,9 +84,20 @@ Server::Server(ServerOptions options)
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : &obs::MetricsRegistry::global()),
       cache_(options_.cache_dir, options_.cache_entries, metrics_),
+      requests_(metrics_->counter_handle("svc.requests")),
+      executed_(metrics_->counter_handle("svc.executed")),
+      errors_(metrics_->counter_handle("svc.errors")),
+      poisoned_(metrics_->counter_handle("svc.requests.poisoned")),
+      inflight_hits_(metrics_->counter_handle("svc.inflight.hits")),
+      batch_hits_(metrics_->counter_handle("svc.batch.hits")),
+      stats_requests_(metrics_->counter_handle("svc.stats")),
+      queue_corrupt_(metrics_->counter_handle("svc.queue.corrupt")),
       queue_wait_ns_(kLatencyHistBits),
       execute_ns_(kLatencyHistBits),
       end_to_end_ns_(kLatencyHistBits) {
+  for (const RequestKind kind : kServedKinds)
+    served_by_kind_[static_cast<int>(kind)] =
+        &metrics_->counter_handle(std::string("svc.kind.") + to_string(kind));
   const obs::Provenance prov = obs::Provenance::collect(0);
   git_sha_ = prov.git_sha;
   hostname_ = prov.hostname;
@@ -85,8 +107,7 @@ Server::Server(ServerOptions options)
 }
 
 long Server::requests_served() const noexcept {
-  std::lock_guard<std::mutex> lock(served_mutex_);
-  return requests_served_;
+  return requests_served_.load(std::memory_order_relaxed);
 }
 
 Reply Server::resolve(const Request& request) {
@@ -98,16 +119,13 @@ Reply Server::resolve_received(const Request& request, double received) {
   // cache / dedup / execution machinery, never counted as served work.
   if (request.kind == RequestKind::kStats) return stats_reply();
 
-  Stopwatch watch;
-  metrics_->add("svc.requests");
-  // Queue wait: from receipt (frame read / batch entry) to the moment a
-  // worker picked the request up — which is now.
-  const double queue_wait = std::max(uptime_.seconds() - received, 0.0);
+  // A worker picked the request up now: its queue wait ends here.
+  const double picked_up = uptime_.seconds();
   const std::string id = request.id();
 
   Reply reply;
   reply.request_id = id;
-  const char* outcome = "cache";
+  Outcome outcome = Outcome::kCache;
   std::optional<double> execute_seconds;
   bool cache_corrupt = false;
   if (auto cached = cache_.get(id, &cache_corrupt)) {
@@ -116,27 +134,16 @@ Reply Server::resolve_received(const Request& request, double received) {
   } else {
     // A corrupt entry was quarantined by the lookup itself; falling
     // through to execution here is the transparent recompute.
-    double executed = 0.0;
-    reply = execute_or_join(request, id, &outcome, &executed);
-    if (std::string_view(outcome) != "inflight") execute_seconds = executed;
+    reply = execute_or_join(request, id, &outcome, &execute_seconds);
   }
-
-  append_ledger(request, reply, watch.seconds());
-  {
-    std::lock_guard<std::mutex> lock(served_mutex_);
-    ++requests_served_;
-  }
-  observe_request(request, reply, outcome, received, queue_wait,
-                  execute_seconds, cache_corrupt);
+  record_served(request, reply, outcome, received, picked_up,
+                execute_seconds, cache_corrupt);
   return reply;
 }
 
 Reply Server::execute_or_join(const Request& request, const std::string& id,
-                              const char** outcome,
-                              double* execute_seconds) {
-  Reply reply;
-  reply.request_id = id;
-
+                              Outcome* outcome,
+                              std::optional<double>* execute_seconds) {
   std::shared_ptr<Inflight> flight;
   bool owner = false;
   {
@@ -154,73 +161,57 @@ Reply Server::execute_or_join(const Request& request, const std::string& id,
   if (!owner) {
     // Another thread is computing this exact request: wait for its answer
     // and fan it out. No second execution happens.
-    *outcome = "inflight";
-    metrics_->add("svc.inflight.hits");
+    *outcome = Outcome::kInflight;
     std::unique_lock<std::mutex> lock(flight->mutex);
     flight->done_cv.wait(lock, [&flight] { return flight->done; });
-    reply.cache_hit = true;
-    reply.ok = flight->ok;
-    reply.payload_text = flight->payload_text;
-    reply.error_kind = flight->error_kind;
-    reply.retryable = flight->retryable;
-    return reply;
+    Reply joined = flight->reply;
+    joined.cache_hit = true;
+    return joined;
   }
 
-  *outcome = "miss";
-  {
-    Stopwatch execute_watch;
-    obs::ScopedTimer timer(*metrics_, "svc.execute");
-    runctl::Deadline deadline =
-        options_.request_time_limit > 0.0
-            ? runctl::Deadline::after_seconds(options_.request_time_limit)
-            : runctl::Deadline{};
-    runctl::RunControl control(options_.cancel, deadline);
-    // The poison boundary: whatever execution does — throw a typed Error,
-    // a foreign exception, or anything else — it becomes a structured
-    // error reply, and the batch / daemon keep serving.
-    try {
-      if (ChaosPolicy::global().should(ChaosSite::kWorkerThrow))
-        throw std::runtime_error("chaos: injected worker exception");
-      reply.payload_text = execute_request(request, &control).dump();
-      metrics_->add("svc.executed");
-      cache_.put(id, reply.payload_text);
-    } catch (const Error& error) {
-      reply.ok = false;
-      reply.payload_text = error.what();
-      reply.error_kind = error_code_name(error.code());
-      // A deadline / cancel stop (kState) or an internal fault can succeed
-      // on resubmission; a request that is wrong in itself cannot.
-      reply.retryable = error.code() == ErrorCode::kState ||
-                        error.code() == ErrorCode::kInternal;
-      metrics_->add("svc.errors");
-    } catch (const std::exception& error) {
-      reply.ok = false;
-      reply.payload_text = error.what();
-      reply.error_kind = "poisoned";
-      reply.retryable = true;
-      *outcome = "poisoned";
-      metrics_->add("svc.errors");
-      metrics_->add("svc.requests.poisoned");
-    } catch (...) {
-      reply.ok = false;
-      reply.payload_text = "request execution escaped with a non-standard "
-                           "exception";
-      reply.error_kind = "poisoned";
-      reply.retryable = true;
-      *outcome = "poisoned";
-      metrics_->add("svc.errors");
-      metrics_->add("svc.requests.poisoned");
-    }
-    *execute_seconds = execute_watch.seconds();
+  *outcome = Outcome::kMiss;
+  const Stopwatch execute_watch;
+  Reply reply;
+  reply.request_id = id;
+  const auto poison = [&](const char* message) {
+    reply.ok = false;
+    reply.payload_text = message;
+    reply.error_kind = "poisoned";
+    reply.retryable = true;
+    *outcome = Outcome::kPoisoned;
+  };
+  runctl::Deadline deadline =
+      options_.request_time_limit > 0.0
+          ? runctl::Deadline::after_seconds(options_.request_time_limit)
+          : runctl::Deadline{};
+  runctl::RunControl control(options_.cancel, deadline);
+  // The poison boundary: whatever execution does — throw a typed Error,
+  // a foreign exception, or anything else — it becomes a structured
+  // error reply, and the batch / daemon keep serving.
+  try {
+    if (ChaosPolicy::global().should(ChaosSite::kWorkerThrow))
+      throw std::runtime_error("chaos: injected worker exception");
+    reply.payload_text = execute_request(request, &control).dump();
+    cache_.put(id, reply.payload_text);
+  } catch (const Error& error) {
+    reply.ok = false;
+    reply.payload_text = error.what();
+    reply.error_kind = error_code_name(error.code());
+    // A deadline / cancel stop (kState) or an internal fault can succeed
+    // on resubmission; a request that is wrong in itself cannot.
+    reply.retryable = error.code() == ErrorCode::kState ||
+                      error.code() == ErrorCode::kInternal;
+  } catch (const std::exception& error) {
+    poison(error.what());
+  } catch (...) {
+    poison("request execution escaped with a non-standard exception");
   }
+  *execute_seconds = execute_watch.seconds();
 
   {
     std::lock_guard<std::mutex> lock(flight->mutex);
     flight->done = true;
-    flight->ok = reply.ok;
-    flight->payload_text = reply.payload_text;
-    flight->error_kind = reply.error_kind;
-    flight->retryable = reply.retryable;
+    flight->reply = reply;
   }
   flight->done_cv.notify_all();
   {
@@ -275,15 +266,7 @@ std::vector<Reply> Server::serve_batch(const std::vector<Request>& requests) {
       // answer, which is by definition not a second execution. It still
       // counts as a request of its own, ledger record included.
       reply.cache_hit = true;
-      metrics_->add("svc.requests");
-      metrics_->add("svc.batch.hits");
-      append_ledger(requests[i], reply, 0.0);
-      {
-        std::lock_guard<std::mutex> lock(served_mutex_);
-        ++requests_served_;
-      }
-      observe_request(requests[i], reply, "batch", received, std::nullopt,
-                      std::nullopt);
+      record_served(requests[i], reply, Outcome::kBatch, received);
     }
     replies.push_back(std::move(reply));
   }
@@ -429,7 +412,7 @@ long Server::run_queue(const std::string& queue_dir, bool once,
         fs::create_directories(qdir, ec);
         fs::rename(inbox / name, qdir / name, ec);
         if (ec) fs::remove(inbox / name, ec);
-        metrics_->add("svc.queue.corrupt");
+        bump(queue_corrupt_);
       } else {
         fs::remove(inbox / name, ec);
       }
@@ -624,19 +607,32 @@ long Server::inflight_count() {
   return static_cast<long>(inflight_.size());
 }
 
-void Server::observe_request(const Request& request, const Reply& reply,
-                             const char* outcome, double received,
-                             std::optional<double> queue_wait_seconds,
-                             std::optional<double> execute_seconds,
-                             bool cache_corrupt) {
+void Server::record_served(const Request& request, const Reply& reply,
+                           Outcome outcome, double received,
+                           std::optional<double> picked_up,
+                           std::optional<double> execute_seconds,
+                           bool cache_corrupt) {
   const double replied = uptime_.seconds();
   const double end_to_end = std::max(replied - received, 0.0);
+  // Queue wait: from receipt (frame read / batch entry) to worker pickup.
+  std::optional<double> queue_wait;
+  if (picked_up) queue_wait = std::max(*picked_up - received, 0.0);
+
+  // A cache hit needs nothing more: the lookup counted svc.cache.hits.
+  bump(requests_);
+  bump(*served_by_kind_[static_cast<int>(request.kind)]);
+  if (outcome == Outcome::kBatch) bump(batch_hits_);
+  if (outcome == Outcome::kInflight) bump(inflight_hits_);
+  if (outcome == Outcome::kMiss && reply.ok) bump(executed_);
+  if ((outcome == Outcome::kMiss || outcome == Outcome::kPoisoned) && !reply.ok)
+    bump(errors_);
+  if (outcome == Outcome::kPoisoned) bump(poisoned_);
+  if (execute_seconds) metrics_->record_time("svc.execute", *execute_seconds);
+  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  append_ledger(request, reply, picked_up ? replied - *picked_up : 0.0);
 
   if (options_.observe) {
-    kind_counts_[static_cast<int>(request.kind)].fetch_add(
-        1, std::memory_order_relaxed);
-    if (queue_wait_seconds)
-      queue_wait_ns_.record(to_ns(*queue_wait_seconds));
+    if (queue_wait) queue_wait_ns_.record(to_ns(*queue_wait));
     if (execute_seconds) execute_ns_.record(to_ns(*execute_seconds));
     // Exactly one end-to-end sample per request served, whatever the
     // dedup outcome: the histogram's count equals requests_served().
@@ -647,22 +643,7 @@ void Server::observe_request(const Request& request, const Reply& reply,
       ++window_requests_;
       if (reply.cache_hit) ++window_cache_hits_;
       const double span = replied - window_start_;
-      if (span >= options_.series_window && span > 0.0) {
-        options_.series->append("svc.requests_per_sec", replied,
-                                static_cast<double>(window_requests_) / span);
-        options_.series->append("svc.cache_hit_rate", replied,
-                                static_cast<double>(window_cache_hits_) /
-                                    static_cast<double>(window_requests_));
-        options_.series->append(
-            "svc.queue_depth", replied,
-            static_cast<double>(
-                queue_depth_.load(std::memory_order_relaxed)));
-        options_.series->append("svc.inflight", replied,
-                                static_cast<double>(inflight_count()));
-        window_start_ = replied;
-        window_requests_ = 0;
-        window_cache_hits_ = 0;
-      }
+      if (span >= options_.series_window && span > 0.0) close_window(replied);
     }
   }
 
@@ -672,12 +653,11 @@ void Server::observe_request(const Request& request, const Reply& reply,
             .set("schema", kEventsSchema)
             .set("request_id", reply.request_id)
             .set("kind", svc::to_string(request.kind))
-            .set("outcome", outcome)
+            .set("outcome", kOutcomeNames[static_cast<int>(outcome)])
             .set("ok", reply.ok)
             .set("cache_corrupt", cache_corrupt)
             .set("received_s", received)
-            .set("queue_wait_ns",
-                 queue_wait_seconds ? to_ns(*queue_wait_seconds) : 0L)
+            .set("queue_wait_ns", queue_wait ? to_ns(*queue_wait) : 0L)
             .set("execute_ns", execute_seconds ? to_ns(*execute_seconds) : 0L)
             .set("end_to_end_ns", to_ns(end_to_end));
     std::lock_guard<std::mutex> lock(events_mutex_);
@@ -686,8 +666,25 @@ void Server::observe_request(const Request& request, const Reply& reply,
   }
 }
 
+void Server::close_window(double now) {
+  const double span = std::max(now - window_start_, 1e-9);
+  options_.series->append("svc.requests_per_sec", now,
+                          static_cast<double>(window_requests_) / span);
+  options_.series->append("svc.cache_hit_rate", now,
+                          static_cast<double>(window_cache_hits_) /
+                              static_cast<double>(window_requests_));
+  options_.series->append(
+      "svc.queue_depth", now,
+      static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));
+  options_.series->append("svc.inflight", now,
+                          static_cast<double>(inflight_count()));
+  window_start_ = now;
+  window_requests_ = 0;
+  window_cache_hits_ = 0;
+}
+
 Reply Server::stats_reply() {
-  metrics_->add("svc.stats");
+  bump(stats_requests_);
   Request probe;
   probe.kind = RequestKind::kStats;
   Reply reply;
@@ -699,6 +696,10 @@ Reply Server::stats_reply() {
 
 obs::Json Server::stats_snapshot() {
   const double uptime = uptime_.seconds();
+  obs::Json kinds = obs::Json::object();
+  for (const RequestKind kind : kServedKinds)
+    kinds.set(to_string(kind), served_by_kind_[static_cast<int>(kind)]->load(
+                                   std::memory_order_relaxed));
   const long requests = metrics_->counter("svc.requests");
   const long executed = metrics_->counter("svc.executed");
   const long errors = metrics_->counter("svc.errors");
@@ -721,17 +722,7 @@ obs::Json Server::stats_snapshot() {
       .set("stats_requests", metrics_->counter("svc.stats"))
       .set("queue_depth", queue_depth_.load(std::memory_order_relaxed))
       .set("inflight", inflight_count())
-      .set("kinds",
-           obs::Json::object()
-               .set("solve",
-                    kind_counts_[static_cast<int>(RequestKind::kSolve)].load(
-                        std::memory_order_relaxed))
-               .set("evaluate",
-                    kind_counts_[static_cast<int>(RequestKind::kEvaluate)]
-                        .load(std::memory_order_relaxed))
-               .set("simulate",
-                    kind_counts_[static_cast<int>(RequestKind::kSimulate)]
-                        .load(std::memory_order_relaxed)))
+      .set("kinds", std::move(kinds))
       .set("dedup",
            obs::Json::object()
                .set("cache_hits", cache_hits)
@@ -765,23 +756,7 @@ obs::Json Server::stats_snapshot() {
 void Server::flush_observability() {
   if (options_.observe && options_.series != nullptr) {
     std::lock_guard<std::mutex> lock(series_mutex_);
-    if (window_requests_ > 0) {
-      const double now = uptime_.seconds();
-      const double span = std::max(now - window_start_, 1e-9);
-      options_.series->append("svc.requests_per_sec", now,
-                              static_cast<double>(window_requests_) / span);
-      options_.series->append("svc.cache_hit_rate", now,
-                              static_cast<double>(window_cache_hits_) /
-                                  static_cast<double>(window_requests_));
-      options_.series->append(
-          "svc.queue_depth", now,
-          static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));
-      options_.series->append("svc.inflight", now,
-                              static_cast<double>(inflight_count()));
-      window_start_ = now;
-      window_requests_ = 0;
-      window_cache_hits_ = 0;
-    }
+    if (window_requests_ > 0) close_window(uptime_.seconds());
   }
   std::lock_guard<std::mutex> lock(events_mutex_);
   if (events_out_.is_open()) events_out_.flush();

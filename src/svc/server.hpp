@@ -77,10 +77,10 @@ struct ServerOptions {
   std::string ledger_path;
   obs::MetricsRegistry* metrics = nullptr;  ///< nullptr = global()
 
-  /// Record latency histograms (queue-wait / execution / end-to-end),
-  /// per-kind counters and the series feed — the data behind `stats`
-  /// requests. Off benchmarks the bare hot path (bench/suites.cpp pins
-  /// the recording overhead under 1%).
+  /// Record latency histograms (queue-wait / execution / end-to-end) and
+  /// the series feed — the latency data behind `stats` requests. Counters
+  /// are kept either way. Off benchmarks the bare hot path
+  /// (bench/suites.cpp pins the recording overhead under 1%).
   bool observe = true;
   /// Request lifecycle event log ("" disables): one append-only
   /// `svc-events/1` JSONL record per request served, correlated to the
@@ -103,8 +103,11 @@ struct ServerOptions {
 /// are identical at any thread count, whether executed, deduplicated or
 /// replayed from the cache (tests/svc_test.cpp pins this).
 ///
-/// Metrics: svc.requests / svc.executed / svc.errors / svc.inflight.hits
-/// counters, the svc.execute timer, plus the cache's svc.cache.* family.
+/// Metrics: svc.requests / svc.executed / svc.errors / svc.inflight.hits /
+/// svc.batch.hits / svc.requests.poisoned / svc.kind.{solve,evaluate,
+/// simulate} counters, the svc.execute timer, plus the cache's svc.cache.*
+/// family. The counters are resolved once at construction and every
+/// served request is counted in one place.
 class Server {
  public:
   explicit Server(ServerOptions options);
@@ -165,14 +168,15 @@ class Server {
   void flush_observability();
 
  private:
+  /// How a served request was answered: the one decision every counter,
+  /// histogram sample and event line of the request derives from.
+  enum class Outcome { kCache, kMiss, kInflight, kBatch, kPoisoned };
+
   struct Inflight {
     std::mutex mutex;
     std::condition_variable done_cv;
     bool done = false;
-    bool ok = false;
-    std::string payload_text;
-    std::string error_kind;
-    bool retryable = false;
+    Reply reply;  ///< the owner's reply, valid once done
   };
 
   /// resolve() with an explicit receive timestamp (seconds on the
@@ -180,25 +184,30 @@ class Server {
   /// the moment a worker picks the request up.
   Reply resolve_received(const Request& request, double received);
   /// Executes (or waits out) a request that missed the cache. Reports
-  /// the dedup outcome ("miss" when this call executed, "inflight" when
-  /// it joined another execution) and the execution wall time.
+  /// the outcome (kMiss or kPoisoned when this call executed, kInflight
+  /// when it joined another execution) and, when it executed, the
+  /// execution wall time.
   Reply execute_or_join(const Request& request, const std::string& id,
-                        const char** outcome, double* execute_seconds);
+                        Outcome* outcome,
+                        std::optional<double>* execute_seconds);
   /// Answers a stats request from memory (never cached, never ledgered,
   /// excluded from requests_served() and the latency histograms).
   Reply stats_reply();
   void append_ledger(const Request& request, const Reply& reply,
                      double wall_seconds);
-  /// Records one served request into the histograms, per-kind counters,
-  /// series windows and the events log. `received` is on the uptime
-  /// clock; nullopt stage durations are stages the request skipped.
-  /// `cache_corrupt` marks a lookup that hit a corrupt entry (quarantined,
-  /// re-executed).
-  void observe_request(const Request& request, const Reply& reply,
-                       const char* outcome, double received,
-                       std::optional<double> queue_wait_seconds,
-                       std::optional<double> execute_seconds,
-                       bool cache_corrupt = false);
+  /// The one place a served request is counted: counters, svc.execute
+  /// timer, served count, ledger, histograms, series and events line.
+  /// `picked_up` (uptime clock) is nullopt for a batch duplicate, which
+  /// no worker resolved; `cache_corrupt` marks a lookup that quarantined
+  /// a corrupt entry and re-executed.
+  void record_served(const Request& request, const Reply& reply,
+                     Outcome outcome, double received,
+                     std::optional<double> picked_up = std::nullopt,
+                     std::optional<double> execute_seconds = std::nullopt,
+                     bool cache_corrupt = false);
+  /// Appends one point per series feed for the window ending at `now` and
+  /// opens the next window. Caller holds series_mutex_.
+  void close_window(double now);
   [[nodiscard]] long inflight_count();
 
   ServerOptions options_;
@@ -211,8 +220,19 @@ class Server {
   std::map<std::string, std::shared_ptr<Inflight>> inflight_;
 
   std::mutex ledger_mutex_;
-  mutable std::mutex served_mutex_;
-  long requests_served_ = 0;
+  std::atomic<long> requests_served_{0};
+
+  // --- registry counters, resolved once ---
+  std::atomic<long>& requests_;
+  std::atomic<long>& executed_;
+  std::atomic<long>& errors_;
+  std::atomic<long>& poisoned_;
+  std::atomic<long>& inflight_hits_;
+  std::atomic<long>& batch_hits_;
+  std::atomic<long>& stats_requests_;
+  std::atomic<long>& queue_corrupt_;
+  /// svc.kind.<kind>, indexed by RequestKind (stats requests excluded).
+  std::atomic<long>* served_by_kind_[3] = {};
 
   // --- observability ---
   Stopwatch uptime_;
@@ -220,10 +240,6 @@ class Server {
   obs::ShardedHistogram execute_ns_;
   obs::ShardedHistogram end_to_end_ns_;
   std::atomic<long> queue_depth_{0};  ///< socket backlog / inbox depth
-  /// Served-request counts indexed by RequestKind. Plain atomics, not
-  /// registry counters: this is on the per-request hot path, where a
-  /// string-keyed map lookup would dominate the whole observe cost.
-  std::atomic<long> kind_counts_[4] = {};
 
   std::mutex events_mutex_;
   std::ofstream events_out_;

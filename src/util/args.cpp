@@ -1,6 +1,8 @@
 #include "util/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -44,9 +46,19 @@ long Args::get_long(const std::string& key, long fallback) const {
   const auto value = get(key);
   if (!value) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long parsed = std::strtol(value->c_str(), &end, 10);
-  XLP_REQUIRE(end && *end == '\0', "option --" + key + " needs an integer");
+  XLP_REQUIRE(end && *end == '\0' && errno != ERANGE,
+              "option --" + key + " needs an integer");
   return parsed;
+}
+
+int Args::get_int(const std::string& key, int fallback) const {
+  const long parsed = get_long(key, fallback);
+  XLP_REQUIRE(parsed >= std::numeric_limits<int>::min() &&
+                  parsed <= std::numeric_limits<int>::max(),
+              "option --" + key + " needs an integer");
+  return static_cast<int>(parsed);
 }
 
 double Args::get_double(const std::string& key, double fallback) const {

@@ -30,6 +30,9 @@ class Args {
   [[nodiscard]] std::string get_or(const std::string& key,
                                    const std::string& fallback) const;
   [[nodiscard]] long get_long(const std::string& key, long fallback) const;
+  /// get_long() narrowed to int: a value outside int's range is rejected
+  /// like a malformed one, never wrapped.
+  [[nodiscard]] int get_int(const std::string& key, int fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
 

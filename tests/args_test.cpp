@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/args.hpp"
 #include "util/check.hpp"
 
@@ -49,6 +51,21 @@ TEST(Args, RejectsMalformedNumbers) {
   const Args args = make({"--moves", "12x", "--load", "a.b"});
   EXPECT_THROW(args.get_long("moves", 0), PreconditionError);
   EXPECT_THROW(args.get_double("load", 0.0), PreconditionError);
+}
+
+TEST(Args, IntOptionsRejectValuesOutsideIntRange) {
+  // 2^32 + 8 used to wrap to 8 through a narrowing cast.
+  const Args args = make({"--n", "4294967304", "--c", "-2147483649",
+                          "--huge", "99999999999999999999", "--ok",
+                          "-2147483648"});
+  EXPECT_THROW((void)args.get_int("n", 8), PreconditionError);
+  EXPECT_THROW((void)args.get_int("c", 4), PreconditionError);
+  EXPECT_EQ(args.get_long("n", 0), 4294967304L);
+  // Past long's range strtol reports ERANGE instead of a value.
+  EXPECT_THROW((void)args.get_long("huge", 0), PreconditionError);
+  EXPECT_THROW((void)args.get_int("huge", 0), PreconditionError);
+  EXPECT_EQ(args.get_int("ok", 0), std::numeric_limits<int>::min());
+  EXPECT_EQ(args.get_int("absent", 7), 7);
 }
 
 TEST(Args, RejectsBareDoubleDash) {

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,43 +61,56 @@ TEST(Metrics, ConcurrentIncrementsAreNotLost) {
   MetricsRegistry reg;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
+  // Half the threads count through a handle resolved once, half through
+  // the named add: both reach the same atomic, so no increment is lost.
+  std::atomic<long>& hits = reg.counter_handle("hits");
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t)
-    workers.emplace_back([&reg] {
+    workers.emplace_back([&reg, &hits, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        reg.add("hits");
+        if (t % 2 == 0)
+          hits.fetch_add(1, std::memory_order_relaxed);
+        else
+          reg.add("hits");
         reg.record_time("work", 1e-6);
       }
     });
   for (auto& w : workers) w.join();
   EXPECT_EQ(reg.counter("hits"), kThreads * kPerThread);
+  EXPECT_EQ(&reg.counter_handle("hits"), &hits);
   EXPECT_EQ(reg.timer("work").count, kThreads * kPerThread);
+}
+
+TEST(Metrics, CounterHandlesSurviveLaterRegistrations) {
+  MetricsRegistry reg;
+  std::atomic<long>& first = reg.counter_handle("first");
+  // Registering many more counters must not move the one already handed
+  // out: callers keep the reference for the registry's lifetime.
+  for (int i = 0; i < 200; ++i) reg.add("other." + std::to_string(i));
+  first.fetch_add(5, std::memory_order_relaxed);
+  reg.add("first", 2);
+  EXPECT_EQ(&reg.counter_handle("first"), &first);
+  EXPECT_EQ(first.load(), 7);
+  EXPECT_EQ(reg.counter("first"), 7);
+  EXPECT_NE(&reg.counter_handle("other.0"), &first);
+  EXPECT_EQ(reg.counter("other.199"), 1);
 }
 
 TEST(Metrics, JsonSnapshotRoundTrips) {
   MetricsRegistry reg;
   reg.add("runs", 3);
+  (void)reg.counter_handle("idle");  // resolved but never bumped
   reg.set_gauge("load", 0.25);
   reg.record_time("solve", 1.25);
   const auto parsed = Json::parse(reg.to_json().dump());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->find("counters")->find("runs")->as_long(), 3);
+  EXPECT_EQ(parsed->find("counters")->find("idle"), nullptr);
   EXPECT_DOUBLE_EQ(parsed->find("gauges")->find("load")->as_number(), 0.25);
   const Json* solve = parsed->find("timers")->find("solve");
   ASSERT_NE(solve, nullptr);
   EXPECT_DOUBLE_EQ(solve->find("seconds")->as_number(), 1.25);
   EXPECT_EQ(solve->find("count")->as_long(), 1);
-}
-
-TEST(Metrics, ClearDropsEverything) {
-  MetricsRegistry reg;
-  reg.add("a");
-  reg.set_gauge("b", 1.0);
-  reg.record_time("c", 1.0);
-  reg.clear();
-  EXPECT_EQ(reg.counter("a"), 0);
-  EXPECT_DOUBLE_EQ(reg.gauge("b"), 0.0);
-  EXPECT_EQ(reg.timer("c").count, 0);
 }
 
 TEST(Json, EscapesControlAndQuoteCharacters) {

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 using namespace xlp;
@@ -164,20 +163,6 @@ TEST_F(ProfilerTest, CollapsedStackUsesSemicolonPathsAndMicroseconds) {
   EXPECT_NE(folded.find("outer;inner "), std::string::npos);
   // Every line is "path <integer>".
   EXPECT_NE(folded.find('\n'), std::string::npos);
-}
-
-TEST_F(ProfilerTest, ExportToRegistryUsesDottedNames) {
-  {
-    obs::ProfileScope outer("outer");
-    { obs::ProfileScope inner("inner"); }
-  }
-  obs::Profiler::disable();
-  obs::MetricsRegistry registry;
-  obs::Profiler::snapshot().export_to(registry);
-  const std::string json = registry.to_json().dump();
-  EXPECT_NE(json.find("profile.outer"), std::string::npos);
-  EXPECT_NE(json.find("profile.outer.inner"), std::string::npos);
-  EXPECT_EQ(json.find(';'), std::string::npos);
 }
 
 TEST_F(ProfilerTest, ResetDropsRecordedData) {

@@ -194,7 +194,6 @@ TEST(CacheQuarantine, RescanQuarantinesEveryCorruptionShape) {
   ResultCache cache(dir, 8, &metrics);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(cache.contains("00000000000000c6"));
-  EXPECT_EQ(cache.corrupt_count(), 5);
   EXPECT_EQ(metrics.counter("svc.cache.corrupt"), 5);
   EXPECT_EQ(count_entries(fs::path(dir) / "quarantine"), 5u);
   // None of the corrupt names survived in the live directory...
@@ -223,7 +222,6 @@ TEST(CacheQuarantine, InjectedReadCorruptionQuarantinesAndMisses) {
   bool corrupted = false;
   EXPECT_FALSE(cache.get(id, &corrupted).has_value());
   EXPECT_TRUE(corrupted);
-  EXPECT_EQ(cache.corrupt_count(), 1);
   EXPECT_EQ(metrics.counter("svc.cache.corrupt"), 1);
   EXPECT_EQ(count_entries(fs::path(dir) / "quarantine"), 1u);
   EXPECT_FALSE(cache.contains(id));
@@ -456,9 +454,7 @@ TEST(ChaosEndToEnd, BatchRepliesMatchChaosFreeBaselineUnderInjection) {
   // Quarantine exactly accounts every injected cache corruption.
   EXPECT_EQ(static_cast<long>(
                 count_entries(fs::path(cache_dir) / "quarantine")),
-            server.cache().corrupt_count());
-  EXPECT_EQ(metrics.counter("svc.cache.corrupt"),
-            server.cache().corrupt_count());
+            metrics.counter("svc.cache.corrupt"));
 }
 
 // ------------------------------------------------------------------ socket

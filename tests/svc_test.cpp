@@ -446,6 +446,17 @@ TEST(Server, EmitsOneLifecycleEventPerRequestWithOutcomes) {
   Server server(options);
   (void)server.serve_batch(duplicate_solves(3));   // miss + 2 batch dups
   (void)server.serve_batch(duplicate_solves(1));   // cache hit
+  // Two error replies: a typed execute error (validation rejects the
+  // cycle budget) and a poisoned one (the link range check throws a
+  // non-Error exception).
+  Request no_cycles;
+  no_cycles.kind = RequestKind::kSimulate;
+  no_cycles.cycles = 0;
+  EXPECT_EQ(server.resolve(no_cycles).error_kind, "parse error");
+  Request bad_links;
+  bad_links.kind = RequestKind::kEvaluate;
+  bad_links.links = "1-99";
+  EXPECT_EQ(server.resolve(bad_links).error_kind, "poisoned");
 
   const auto text = util::read_file(options.events_path);
   ASSERT_TRUE(text.has_value());
@@ -458,9 +469,10 @@ TEST(Server, EmitsOneLifecycleEventPerRequestWithOutcomes) {
     ASSERT_TRUE(record.has_value()) << line;
     events.push_back(std::move(*record));
   }
-  ASSERT_EQ(events.size(), 4u);  // exactly one line per request served
+  ASSERT_EQ(events.size(), 6u);  // exactly one line per request served
 
-  std::map<std::string, int> outcomes;
+  std::map<std::string, long> outcomes;  // "<outcome>/<ok>" -> lines
+  std::map<std::string, long> kinds;
   for (const obs::Json& event : events) {
     // svc-events/1 contract: every record carries the full field set.
     ASSERT_NE(event.find("schema"), nullptr);
@@ -468,14 +480,37 @@ TEST(Server, EmitsOneLifecycleEventPerRequestWithOutcomes) {
     for (const char* key : {"request_id", "kind", "outcome", "ok",
                             "cache_corrupt", "received_s", "queue_wait_ns",
                             "execute_ns", "end_to_end_ns"})
-      EXPECT_NE(event.find(key), nullptr) << key;
-    EXPECT_EQ(event.find("kind")->as_string(), "solve");
-    EXPECT_TRUE(event.find("ok")->as_bool());
-    ++outcomes[event.find("outcome")->as_string()];
+      ASSERT_NE(event.find(key), nullptr) << key;
+    ++outcomes[event.find("outcome")->as_string() +
+               (event.find("ok")->as_bool() ? "/ok" : "/error")];
+    ++kinds[event.find("kind")->as_string()];
   }
-  EXPECT_EQ(outcomes["miss"], 1);
-  EXPECT_EQ(outcomes["batch"], 2);
-  EXPECT_EQ(outcomes["cache"], 1);
+  EXPECT_EQ(outcomes["miss/ok"], 1);
+  EXPECT_EQ(outcomes["miss/error"], 1);
+  EXPECT_EQ(outcomes["poisoned/error"], 1);
+  EXPECT_EQ(outcomes["batch/ok"], 2);
+  EXPECT_EQ(outcomes["cache/ok"], 1);
+
+  // The events log and the registry are written by the one counting site,
+  // so every counter equals its matching outcome / ok lines.
+  EXPECT_EQ(metrics.counter("svc.requests"),
+            static_cast<long>(events.size()));
+  EXPECT_EQ(metrics.counter("svc.batch.hits"),
+            outcomes["batch/ok"] + outcomes["batch/error"]);
+  EXPECT_EQ(metrics.counter("svc.inflight.hits"),
+            outcomes["inflight/ok"] + outcomes["inflight/error"]);
+  EXPECT_EQ(metrics.counter("svc.cache.hits"), outcomes["cache/ok"]);
+  EXPECT_EQ(metrics.counter("svc.executed"), outcomes["miss/ok"]);
+  EXPECT_EQ(metrics.counter("svc.errors"),
+            outcomes["miss/error"] + outcomes["poisoned/error"]);
+  EXPECT_EQ(metrics.counter("svc.requests.poisoned"),
+            outcomes["poisoned/error"]);
+  for (const char* kind : {"solve", "evaluate", "simulate"})
+    EXPECT_EQ(metrics.counter(std::string("svc.kind.") + kind), kinds[kind])
+        << kind;
+  EXPECT_EQ(kinds["solve"], 4);
+  EXPECT_EQ(kinds["evaluate"], 1);
+  EXPECT_EQ(kinds["simulate"], 1);
 }
 
 TEST(Server, StatsSnapshotIsConsistentWithServedRequests) {
@@ -510,6 +545,39 @@ TEST(Server, StatsSnapshotIsConsistentWithServedRequests) {
                                   ->find("count")
                                   ->as_number()),
             1);
+}
+
+TEST(Server, CountersAreKeptWithObserveOff) {
+  obs::MetricsRegistry metrics;
+  ServerOptions options = test_options(fresh_dir("noobserve"), &metrics, 2);
+  options.observe = false;
+  Server server(options);
+  Request evaluate;
+  evaluate.kind = RequestKind::kEvaluate;
+  std::vector<Request> batch = duplicate_solves(3);
+  batch.push_back(evaluate);
+  (void)server.serve_batch(batch);
+
+  // observe only turns off histograms and the series feed: the per-kind
+  // and dedup counters still count every request served.
+  const obs::Json snapshot = server.stats_snapshot();
+  EXPECT_EQ(server.requests_served(), 4);
+  EXPECT_EQ(static_cast<long>(
+                snapshot.find("kinds")->find("solve")->as_number()),
+            3);
+  EXPECT_EQ(static_cast<long>(
+                snapshot.find("kinds")->find("evaluate")->as_number()),
+            1);
+  EXPECT_EQ(metrics.counter("svc.kind.solve"), 3);
+  EXPECT_EQ(metrics.counter("svc.kind.evaluate"), 1);
+  EXPECT_EQ(metrics.counter("svc.requests"), 4);
+  EXPECT_EQ(metrics.counter("svc.executed"), 2);
+  EXPECT_EQ(metrics.counter("svc.batch.hits"), 2);
+  EXPECT_EQ(static_cast<long>(snapshot.find("latency")
+                                  ->find("end_to_end")
+                                  ->find("count")
+                                  ->as_number()),
+            0);
 }
 
 TEST(Server, StatsRequestIsAnsweredFromMemoryOverBothEntryPoints) {

@@ -317,11 +317,11 @@ void write_stats_if_requested(const Args& args, const sim::SimStats& stats) {
 
 int cmd_solve(const Args& args) {
   svc::Request request;
-  request.n = static_cast<int>(args.get_long("n", 8));
-  request.link_limit = static_cast<int>(args.get_long("c", 4));
+  request.n = args.get_int("n", 8);
+  request.link_limit = args.get_int("c", 4);
   request.method = args.get_or("method", "dcsa");
   request.moves = args.get_long("moves", 10000);
-  request.chains = static_cast<int>(args.get_long("chains", 1));
+  request.chains = args.get_int("chains", 1);
   request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   g_ledger.identify("solve", request.to_json(), request.seed);
   from_flags([&] { request.validate(); });
@@ -364,13 +364,12 @@ int cmd_solve(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  const int n = static_cast<int>(args.get_long("n", 8));
-  const int height = static_cast<int>(args.get_long("height", n));
+  const int n = args.get_int("n", 8);
+  const int height = args.get_int("height", n);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   core::SweepOptions options;
   options.sa = core::SaParams{}.with_moves(args.get_long("moves", 10000));
-  options.base_flit_bits =
-      static_cast<int>(args.get_long("base-flit", topo::kBaseFlitBits));
+  options.base_flit_bits = args.get_int("base-flit", topo::kBaseFlitBits);
   options.latency = latency::LatencyParams::zero_load();
   g_ledger.describe("sweep",
                     obs::Json::object()
@@ -402,14 +401,14 @@ int cmd_sweep(const Args& args) {
 int cmd_simulate(const Args& args) {
   svc::Request request;
   request.kind = svc::RequestKind::kSimulate;
-  request.n = static_cast<int>(args.get_long("n", 8));
-  request.link_limit = static_cast<int>(args.get_long("c", 4));
+  request.n = args.get_int("n", 8);
+  request.link_limit = args.get_int("c", 4);
   request.links = args.get_or("links", "");
   request.workload = args.get_or("pattern", "uniform_random");
   request.load = args.get_double("load", 0.02);
   request.cycles = args.get_long("cycles", 10000);
   request.routing = args.get_or("routing", "xy");
-  request.vcs = static_cast<int>(args.get_long("vcs", 4));
+  request.vcs = args.get_int("vcs", 4);
   request.vec = args.has("vec");
   request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   g_ledger.identify("simulate", request.to_json(), request.seed);
@@ -453,7 +452,7 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  const int n = static_cast<int>(args.get_long("n", 8));
+  const int n = args.get_int("n", 8);
   const std::string out_path = args.get_or("out", "");
   XLP_REQUIRE(!out_path.empty(), "--out <file> is required");
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
@@ -487,7 +486,7 @@ int cmd_replay(const Args& args) {
   XLP_REQUIRE(in.good(), "cannot open " + path);
   const auto trace = traffic::Trace::load(in);
 
-  const int c = static_cast<int>(args.get_long("c", 4));
+  const int c = args.get_int("c", 4);
   const topo::RowTopology row(trace.side(), from_flags([&] {
     return topo::parse_links(args.get_or("links", ""));
   }));
@@ -527,8 +526,8 @@ int cmd_run(const Args& args) {
   const std::string resume_path = args.get_or("resume", "");
 
   svc::Request solve_request;
-  solve_request.n = static_cast<int>(args.get_long("n", 8));
-  solve_request.link_limit = static_cast<int>(args.get_long("c", 4));
+  solve_request.n = args.get_int("n", 8);
+  solve_request.link_limit = args.get_int("c", 4);
   solve_request.moves = args.get_long("moves", 10000);
   solve_request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   // The simulate phase runs on the solved P(n, C): on resume, the
@@ -644,14 +643,14 @@ int cmd_run(const Args& args) {
 /// mid-run (see docs/fault_tolerance.md).
 int cmd_faults(const Args& args) {
   exp::FaultCampaignConfig config;
-  config.n = static_cast<int>(args.get_long("n", 8));
-  config.link_limit = static_cast<int>(args.get_long("c", 4));
-  config.kill_links = static_cast<int>(args.get_long("kill-express", 1));
-  config.trials = static_cast<int>(args.get_long("trials", 10));
+  config.n = args.get_int("n", 8);
+  config.link_limit = args.get_int("c", 4);
+  config.kill_links = args.get_int("kill-express", 1);
+  config.trials = args.get_int("trials", 10);
   config.fault_cycle = args.get_long("at-cycle", 2000);
   config.recover_cycle = args.get_long("recover-at", -1);
   config.load = args.get_double("load", 0.02);
-  config.max_retries = static_cast<int>(args.get_long("retries", 3));
+  config.max_retries = args.get_int("retries", 3);
   config.reliability_weight = args.get_double("rel-weight", 0.3);
   config.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   const std::string policy = args.get_or("policy", "drop");
@@ -709,7 +708,7 @@ int cmd_faults(const Args& args) {
 }
 
 int cmd_appspec(const Args& args) {
-  const int n = static_cast<int>(args.get_long("n", 8));
+  const int n = args.get_int("n", 8);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   g_ledger.describe("appspec",
                     obs::Json::object()
@@ -741,9 +740,8 @@ int cmd_bench(const Args& args) {
   bench::register_all_suites();
   bench::RunnerOptions options;
   options.filter = args.get_or("filter", "");
-  options.repeats =
-      std::max(1, static_cast<int>(args.get_long("repeats", 5)));
-  options.warmup = std::max(0, static_cast<int>(args.get_long("warmup", 1)));
+  options.repeats = std::max(1, args.get_int("repeats", 5));
+  options.warmup = std::max(0, args.get_int("warmup", 1));
   options.out_dir = args.get_or("out-dir", ".");
   options.deterministic = args.has("deterministic");
   options.provenance =
@@ -849,12 +847,12 @@ int cmd_submit(const Args& args) {
     doc = obs::Json::parse(text);
     XLP_REQUIRE(doc.has_value(), "not valid JSON: " + file);
   } else {
-    const int n = static_cast<int>(args.get_long("sweep-n", 0));
+    const int n = args.get_int("sweep-n", 0);
     XLP_REQUIRE(n > 0, "either --file <batch.json> or --sweep-n <n>");
     const auto batch = svc::sweep_batch(
         n, args.get_or("method", "dcsa"), args.get_long("moves", 10000),
         static_cast<std::uint64_t>(args.get_long("seed", 1)),
-        static_cast<int>(args.get_long("base-flit", topo::kBaseFlitBits)));
+        args.get_int("base-flit", topo::kBaseFlitBits));
     text = svc::batch_to_text(batch);
     doc = obs::Json::parse(text);
   }
@@ -873,7 +871,7 @@ int cmd_submit(const Args& args) {
                     static_cast<std::uint64_t>(args.get_long("seed", 1)));
 
   svc::RetryPolicy retry;
-  retry.retries = static_cast<int>(args.get_long("retries", 5));
+  retry.retries = args.get_int("retries", 5);
   retry.base_ms = args.get_double("retry-base-ms", 50.0);
   retry.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
 
@@ -980,7 +978,7 @@ int cmd_top(const Args& args) {
   const bool once = args.has("once");
   const std::string probe = svc::stats_request_text();
   svc::RetryPolicy retry;
-  retry.retries = static_cast<int>(args.get_long("retries", 5));
+  retry.retries = args.get_int("retries", 5);
   retry.base_ms = args.get_double("retry-base-ms", 50.0);
 
   const auto num = [](const obs::Json* doc, const char* key) {

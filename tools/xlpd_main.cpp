@@ -102,7 +102,7 @@ int serve(const Args& args) {
   options.cache_dir = args.get_or("cache-dir", "xlp-cache");
   options.cache_entries =
       static_cast<std::size_t>(args.get_long("cache-entries", 4096));
-  options.threads = static_cast<int>(args.get_long("threads", 0));
+  options.threads = args.get_int("threads", 0);
   options.request_time_limit = args.get_double("request-time-limit", 0.0);
   options.cancel = &g_cancel_token;
   if (!args.has("no-ledger"))
@@ -164,19 +164,21 @@ int serve(const Args& args) {
                                server.stats_snapshot().dump() + "\n"))
     std::fprintf(stderr, "warning: could not write %s\n", stats_path.c_str());
 
+  const obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
   std::fprintf(stderr, "xlpd: %ld request%s served (%ld executed, %ld cache "
                        "hits)\n",
                server.requests_served(),
                server.requests_served() == 1 ? "" : "s",
-               obs::MetricsRegistry::global().counter("svc.executed"),
-               obs::MetricsRegistry::global().counter("svc.cache.hits"));
-  if (svc::ChaosPolicy::global().enabled())
+               metrics.counter("svc.executed"),
+               metrics.counter("svc.cache.hits"));
+  if (svc::ChaosPolicy::global().enabled()) {
+    const long quarantined = metrics.counter("svc.cache.corrupt");
     std::fprintf(stderr, "xlpd: chaos injected %ld fault%s, quarantined %ld "
                          "cache entr%s\n",
                  svc::ChaosPolicy::global().total_injected(),
                  svc::ChaosPolicy::global().total_injected() == 1 ? "" : "s",
-                 server.cache().corrupt_count(),
-                 server.cache().corrupt_count() == 1 ? "y" : "ies");
+                 quarantined, quarantined == 1 ? "y" : "ies");
+  }
   return 0;
 }
 
