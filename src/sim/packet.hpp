@@ -31,9 +31,9 @@ struct Packet {
 struct Flit {
   long packet = -1;  // index into the packet table
   int seq = 0;       // 0-based position within the packet
+  int dst = 0;       // destination node (copied for cheap route computation)
   bool is_head = false;
   bool is_tail = false;
-  int dst = 0;       // destination node (copied for cheap route computation)
   bool y_first = false;  // routing orientation (YX when true)
 
   // Per-hop bookkeeping, rewritten at each router.

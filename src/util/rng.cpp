@@ -3,10 +3,6 @@
 namespace xlp {
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = x;
@@ -20,18 +16,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t x = seed;
   for (auto& word : state_) word = splitmix64(x);
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::uniform_below(std::uint64_t bound) noexcept {
@@ -53,17 +37,6 @@ std::uint64_t Rng::uniform_below(std::uint64_t bound) noexcept {
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(uniform_below(span));
-}
-
-double Rng::uniform01() noexcept {
-  // 53 top bits → double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
 }
 
 std::array<std::uint64_t, 4> Rng::state() const noexcept {

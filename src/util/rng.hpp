@@ -26,7 +26,17 @@ class Rng {
   }
 
   /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0. Uses rejection
   /// sampling (Lemire) so the distribution is exactly uniform.
@@ -36,10 +46,17 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1).
-  double uniform01() noexcept;
+  double uniform01() noexcept {
+    // 53 top bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform01() < p;
+  }
 
   /// Forks an independent stream: deterministic function of this generator's
   /// current state and the stream id, without advancing this generator more
@@ -53,6 +70,10 @@ class Rng {
   void set_state(const std::array<std::uint64_t, 4>& words) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
 };
 
