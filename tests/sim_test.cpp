@@ -126,7 +126,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PairCase{0, 1, 128}, PairCase{0, 1, 512},
                       PairCase{0, 7, 512}, PairCase{0, 63, 512},
                       PairCase{63, 0, 128}, PairCase{9, 54, 512},
-                      PairCase{7, 56, 128}, PairCase{20, 22, 512}));
+                      PairCase{7, 56, 128}, PairCase{20, 22, 512},
+                      // Longer than any packet of the default mix: 4 and
+                      // 16 flits (the VC holds 8).
+                      PairCase{0, 63, 1024}, PairCase{9, 54, 4096}));
 
 class ZeroLoadDesigns
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
