@@ -33,7 +33,7 @@ int main() {
   core::SweepOptions gp_options = options;
   gp_options.sa = exp::paper_sa_params().with_moves(
       std::max<long>(100, static_cast<long>(10000 * scale)));
-  const auto gp_points = core::sweep_link_limits(n, gp_options, gp_rng);
+  const auto gp_points = core::sweep_link_limits(n, n, gp_options, gp_rng);
 
   Table table({"benchmark", "general-purpose", "app-specific", "extra cut",
                "C(app)"});

@@ -27,11 +27,11 @@ void run_size(int n, const obs::Provenance& provenance) {
 
   core::SweepOptions options = exp::default_sweep_options(n);
   Rng dcsa_rng(1001 + n);
-  const auto dcsa = core::sweep_link_limits(n, options, dcsa_rng);
+  const auto dcsa = core::sweep_link_limits(n, n, options, dcsa_rng);
 
   options.solver = core::Solver::kOnlySa;
   Rng only_rng(2002 + n);
-  const auto only = core::sweep_link_limits(n, options, only_rng);
+  const auto only = core::sweep_link_limits(n, n, options, only_rng);
 
   const auto fixed = exp::fixed_designs(n);
   const double mesh_total =

@@ -38,7 +38,7 @@ int main() {
     core::SweepOptions options = exp::default_sweep_options(n);
     options.base_flit_bits = bw.base_flit_bits;
     Rng rng(17);
-    const auto points = core::sweep_link_limits(n, options, rng);
+    const auto points = core::sweep_link_limits(n, n, options, rng);
 
     const auto mesh = topo::make_mesh(n, bw.base_flit_bits);
     const auto hfb = topo::make_hfb(n, bw.base_flit_bits);

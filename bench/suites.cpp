@@ -623,7 +623,7 @@ void scalability_point(int n, long moves, BenchRun& run) {
   options.latency = latency::LatencyParams::zero_load();
 
   Rng rng(static_cast<std::uint64_t>(77 + n));
-  const auto points = core::sweep_link_limits(n, options, rng);
+  const auto points = core::sweep_link_limits(n, n, options, rng);
   const auto& best = points[core::best_point(points)];
 
   long evals = 0;

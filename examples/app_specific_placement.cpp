@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
   // General-purpose design evaluated on this demand.
   Rng gp_rng(9);
-  const auto gp = core::sweep_link_limits(side, options, gp_rng);
+  const auto gp = core::sweep_link_limits(side, side, options, gp_rng);
   const auto& gp_best = gp[core::best_point(gp)];
 
   // Application-specific design.

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   options.sa = core::SaParams{}.with_moves(moves);
   options.latency = latency::LatencyParams::zero_load();
   Rng rng(seed);
-  const auto points = core::sweep_link_limits(side, options, rng);
+  const auto points = core::sweep_link_limits(side, side, options, rng);
 
   std::printf("design space of the %dx%d network (%zu feasible link "
               "limits)\n\n",

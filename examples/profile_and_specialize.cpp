@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   options.report_traffic = profile.observed;
 
   Rng gp_rng(1);
-  const auto gp = core::sweep_link_limits(kSide, options, gp_rng);
+  const auto gp = core::sweep_link_limits(kSide, kSide, options, gp_rng);
   const auto& gp_best = gp[core::best_point(gp)];
 
   Rng app_rng(2);

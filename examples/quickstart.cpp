@@ -25,7 +25,7 @@ int main() {
   core::SweepOptions options;
   options.sa = core::SaParams{};  // Table 1 schedule
   Rng rng(1);
-  const auto points = core::sweep_link_limits(kSide, options, rng);
+  const auto points = core::sweep_link_limits(kSide, kSide, options, rng);
   const auto& best = points[core::best_point(points)];
 
   std::printf("best design: C=%d, flit %d bits, row placement %s\n",

@@ -17,8 +17,8 @@ AppSpecificResult solve_app_specific_for_limit(
   auto solve_weighted = [&](int length, std::vector<double> weights) {
     const RowObjective objective(length, options.latency.hop,
                                  std::move(weights));
-    PlacementResult result =
-        solve_dcsa(objective, link_limit, options.sa, rng, options.dnc);
+    PlacementResult result = solve_row(objective, link_limit, options.solver,
+                                       options.sa, options.dnc, rng);
     evaluations += result.evaluations;
     return result.placement;
   };

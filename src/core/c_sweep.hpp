@@ -10,9 +10,6 @@
 
 namespace xlp::core {
 
-/// Which placement algorithm a sweep uses for each link limit.
-enum class Solver { kDcsa, kOnlySa, kDncOnly };
-
 /// One design point of the Fig. 5 curve: the best placement found for a
 /// given link limit C, packaged with its flit width and its analytic
 /// latency breakdown.
@@ -24,7 +21,7 @@ struct SweepPoint {
 };
 
 struct SweepOptions {
-  Solver solver = Solver::kDcsa;
+  Solver solver = Solver::kDcsa;  // the algorithm every link limit uses
   SaParams sa;
   DncOptions dnc;
   latency::LatencyParams latency = latency::LatencyParams::parsec_typical();
@@ -45,20 +42,17 @@ struct SweepOptions {
 /// The paper's overall flow (Section 4, opening): enumerate the possible
 /// link limits C, solve P̄(n, C) for each, and compare total latencies to
 /// find the best design. Limits that do not divide the baseline flit width
-/// are skipped (the flit must remain an integer number of bits).
+/// are skipped (the flit must remain an integer number of bits). A
+/// rectangular network (width != height) solves *two* 1D problems per
+/// limit — P̄(width, C) for the rows, then P̄(height, C) for the columns on
+/// the same stream, each capped at its own C_full — and the point's
+/// placement is the rows' with both solves' evaluations; a square one
+/// solves once and uses the placement for rows and columns alike.
 [[nodiscard]] std::vector<SweepPoint> sweep_link_limits(
-    int n, const SweepOptions& options, Rng& rng);
+    int width, int height, const SweepOptions& options, Rng& rng);
 
 /// Index of the sweep point with the lowest total average latency.
 [[nodiscard]] std::size_t best_point(const std::vector<SweepPoint>& points);
-
-/// Rectangular generalization of the sweep: rows and columns have
-/// different lengths, so each link limit solves *two* 1D problems —
-/// P̄(width, C) for the rows and P̄(height, C) for the columns (each
-/// dimension capped at its own C_full). Everything else (flit width,
-/// replication, reporting) works as in the square flow.
-[[nodiscard]] std::vector<SweepPoint> sweep_link_limits_rect(
-    int width, int height, const SweepOptions& options, Rng& rng);
 
 /// Evaluates a fixed design (Mesh, HFB, ...) under the same latency params
 /// and optional report weighting, so fixed topologies and sweep points are

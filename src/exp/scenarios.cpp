@@ -43,7 +43,7 @@ SolvedSweep solve_general_purpose(int n, core::Solver solver,
   options.solver = solver;
   Rng rng(seed);
   SolvedSweep solved;
-  solved.points = core::sweep_link_limits(n, options, rng);
+  solved.points = core::sweep_link_limits(n, n, options, rng);
   solved.best = core::best_point(solved.points);
   return solved;
 }

@@ -22,10 +22,6 @@ namespace {
   throw Error(ErrorCode::kParse, message);
 }
 
-bool is_annealed(const std::string& method) {
-  return method == "dcsa" || method == "onlysa";
-}
-
 /// An early stop must never produce a payload (it would be cached).
 void require_completed(runctl::RunStatus status, const char* what) {
   if (status != runctl::RunStatus::kCompleted)
@@ -63,24 +59,24 @@ topo::ExpressMesh design_of(const Request& request) {
 core::PlacementResult solve(const Request& request,
                             const core::SaParams& hooks,
                             const std::string& checkpoint_path,
-                            long* portfolio_evaluations) {
+                            long* portfolio_evaluations,
+                            const runctl::CheckpointFile* resume) {
   request.validate();
+  const core::Solver solver = *core::parse_solver(request.method);
   core::SaParams params = core::SaParams{}.with_moves(request.moves);
   params.observer = hooks.observer;
   params.series = hooks.series;
   params.control = hooks.control;
   params.checkpoint_every_moves = hooks.checkpoint_every_moves;
 
-  if (is_annealed(request.method) && request.chains > 1) {
+  if (resume != nullptr ? resume->portfolio.has_value()
+                        : core::is_annealed(solver) && request.chains > 1) {
     core::PortfolioOptions options;
     options.chains = request.chains;
     options.sa = params;
-    options.solver = request.method == "dcsa" ? core::Solver::kDcsa
-                                              : core::Solver::kOnlySa;
-    if (hooks.control != nullptr) options.control = *hooks.control;
+    options.solver = solver;
     options.checkpoint_path = checkpoint_path;
-    options.checkpoint_every_moves = hooks.checkpoint_every_moves;
-    options.series = hooks.series;
+    if (resume != nullptr) options.resume = &*resume->portfolio;
     core::PortfolioResult portfolio =
         core::solve_portfolio(request.n, route::HopWeights{}, std::nullopt,
                               request.link_limit, options, request.seed);
@@ -92,19 +88,32 @@ core::PlacementResult solve(const Request& request,
     return result;
   }
 
-  const core::RowObjective objective(request.n, route::HopWeights{});
-  if (request.method == "dnc") {
-    core::DncOptions dnc;
-    dnc.control = hooks.control;
-    return core::solve_dnc_only(objective, request.link_limit, dnc);
-  }
-  if (request.method == "exact")
-    return core::solve_exact(objective, request.link_limit, hooks.control);
   params.checkpoint_sink = runctl::sa_checkpoint_file_sink(checkpoint_path);
   Rng rng(request.seed);
-  return request.method == "dcsa"
-             ? core::solve_dcsa(objective, request.link_limit, params, rng)
-             : core::solve_only_sa(objective, request.link_limit, params, rng);
+  return core::solve_row(core::RowObjective(request.n, route::HopWeights{}),
+                         request.link_limit, solver, params, {}, rng,
+                         resume != nullptr ? &*resume->sa : nullptr);
+}
+
+Request resumed_request(const runctl::CheckpointFile& file, Request base) {
+  if (file.sa) {
+    const runctl::SaCheckpoint& ck = *file.sa;
+    base.n = ck.n;
+    base.link_limit = ck.link_limit;
+    if (const auto solver = core::parse_solver(ck.method, true))
+      base.method = core::to_string(*solver);
+    base.moves = ck.schedule.total_moves;
+    base.chains = 1;
+  } else {
+    const runctl::PortfolioCheckpoint& pc = *file.portfolio;
+    base.n = pc.n;
+    base.link_limit = pc.link_limit;
+    base.method = pc.solver;
+    base.moves = pc.schedule.total_moves;
+    base.chains = pc.chains;
+    base.seed = pc.seed;
+  }
+  return base;
 }
 
 sim::SimStats simulate(const Request& request, const sim::SimConfig& hooks) {
@@ -148,7 +157,8 @@ obs::Json Request::to_json() const {
   doc.set("c", link_limit).set("b", base_flit_bits);
   if (kind == RequestKind::kSolve) {
     doc.set("method", method);
-    if (is_annealed(method)) {
+    if (const auto solver = core::parse_solver(method);
+        solver && core::is_annealed(*solver)) {
       doc.set("moves", moves);
       if (chains != 1) doc.set("chains", chains);
     }
@@ -184,8 +194,7 @@ void Request::validate() const {
   if (base_flit_bits < 1 || base_flit_bits % link_limit != 0)
     bad_request("c must divide the base flit width b");
   if (kind == RequestKind::kSolve) {
-    if (method != "dcsa" && method != "onlysa" && method != "dnc" &&
-        method != "exact")
+    if (!core::parse_solver(method))
       bad_request("method must be dcsa, onlysa, dnc or exact");
     if (moves < 0) bad_request("moves must be non-negative");
     if (chains < 1 || chains > 256) bad_request("chains must be in [1, 256]");

@@ -5,6 +5,7 @@
 
 #include "core/drivers.hpp"
 #include "obs/json.hpp"
+#include "runctl/checkpoint.hpp"
 #include "sim/config.hpp"
 #include "sim/stats.hpp"
 #include "topo/express_mesh.hpp"
@@ -90,15 +91,26 @@ struct Request {
   void validate() const;
 };
 
-/// Solves a kSolve request. Of `hooks` only the runtime hooks (observer,
-/// series, control, checkpoint_every_moves) are honoured, as in
-/// core::resume_sa; a non-empty `checkpoint_path` receives the checkpoints.
-/// An early stop returns best-so-far with its status. A portfolio run
-/// stores its all-chain evaluation count in `*portfolio_evaluations`.
+/// Solves a kSolve request: the one solver dispatch of the CLI and the
+/// daemon. Of `hooks` only the runtime hooks (observer, series, control,
+/// checkpoint_every_moves) are honoured; a non-empty `checkpoint_path`
+/// receives the checkpoints. An early stop returns best-so-far with its
+/// status. A portfolio run stores its all-chain evaluation count in
+/// `*portfolio_evaluations`. With `resume` set the solve continues that
+/// checkpoint instead of starting fresh; `request` must then be
+/// resumed_request(*resume, ...).
 [[nodiscard]] core::PlacementResult solve(
     const Request& request, const core::SaParams& hooks = {},
     const std::string& checkpoint_path = {},
-    long* portfolio_evaluations = nullptr);
+    long* portfolio_evaluations = nullptr,
+    const runctl::CheckpointFile* resume = nullptr);
+
+/// The solve request a checkpoint continues: `base` with the checkpoint's
+/// n, C, method, move budget and chain count, and a portfolio's seed (an
+/// SA checkpoint carries its generator state instead, so `base.seed`
+/// stays).
+[[nodiscard]] Request resumed_request(const runctl::CheckpointFile& file,
+                                      Request base = {});
 
 /// Simulates a kSimulate request; of `hooks` only trace, series and
 /// control are honoured. An early stop returns the stats so far.

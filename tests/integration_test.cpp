@@ -22,7 +22,7 @@ const core::SweepPoint& optimized_8x8() {
     options.sa = core::SaParams{}.with_moves(5000);
     options.latency = latency::LatencyParams::zero_load();
     Rng rng(7);
-    auto points = core::sweep_link_limits(8, options, rng);
+    auto points = core::sweep_link_limits(8, 8, options, rng);
     return points[core::best_point(points)];
   }();
   return point;
@@ -131,7 +131,7 @@ TEST(Integration, AppSpecificImprovesOnGeneralPurpose) {
   options.report_traffic = demand;
 
   Rng rng1(5);
-  auto general = core::sweep_link_limits(8, options, rng1);
+  auto general = core::sweep_link_limits(8, 8, options, rng1);
   const double general_best =
       general[core::best_point(general)].breakdown.total();
 
@@ -145,7 +145,7 @@ TEST(Integration, SweepScalesTo16x16) {
   options.sa = core::SaParams{}.with_moves(800);
   options.latency = latency::LatencyParams::zero_load();
   Rng rng(3);
-  const auto points = core::sweep_link_limits(16, options, rng);
+  const auto points = core::sweep_link_limits(16, 16, options, rng);
   ASSERT_EQ(points.size(), 7u);  // C in {1..64}
   const auto& best = points[core::best_point(points)];
   const double mesh = latency::MeshLatencyModel(

@@ -25,7 +25,7 @@ core::SweepOptions quick_options() {
 double best_total(int n, std::uint64_t seed) {
   auto options = quick_options();
   Rng rng(seed);
-  const auto points = core::sweep_link_limits(n, options, rng);
+  const auto points = core::sweep_link_limits(n, n, options, rng);
   return points[core::best_point(points)].breakdown.total();
 }
 
@@ -85,7 +85,7 @@ TEST(PaperRegression, Fig11BandwidthScaling) {
     auto options = quick_options();
     options.base_flit_bits = base_bits;
     Rng rng(seed);
-    const auto points = core::sweep_link_limits(8, options, rng);
+    const auto points = core::sweep_link_limits(8, 8, options, rng);
     const double best = points[core::best_point(points)].breakdown.total();
     const double mesh =
         core::evaluate_design(topo::make_mesh(8, base_bits),
@@ -110,7 +110,7 @@ TEST(PaperRegression, BestCIsInteriorAndSerializationScissors) {
   // decreasing in C; L_S strictly increasing.
   auto options = quick_options();
   Rng rng(6);
-  const auto points = core::sweep_link_limits(8, options, rng);
+  const auto points = core::sweep_link_limits(8, 8, options, rng);
   const std::size_t best = core::best_point(points);
   EXPECT_GT(best, 0u);
   EXPECT_LT(best, points.size() - 1);

@@ -197,10 +197,10 @@ TEST(ParallelDeterminism, PortfolioCheckpointBytesAcrossThreadCounts) {
 
   core::PortfolioOptions a = small_portfolio(1);
   a.checkpoint_path = ck1;
-  a.checkpoint_every_moves = 100;
+  a.sa.checkpoint_every_moves = 100;
   core::PortfolioOptions b = small_portfolio(8);
   b.checkpoint_path = ck8;
-  b.checkpoint_every_moves = 100;
+  b.sa.checkpoint_every_moves = 100;
   (void)core::solve_portfolio(8, route::HopWeights{}, std::nullopt, 4, a, 7);
   (void)core::solve_portfolio(8, route::HopWeights{}, std::nullopt, 4, b, 7);
 
@@ -220,11 +220,11 @@ TEST(ParallelDeterminism, SweepIsIdenticalAcrossThreadCounts) {
 
   options.threads = 1;
   Rng rng_seq(321);
-  const auto seq = core::sweep_link_limits(8, options, rng_seq);
+  const auto seq = core::sweep_link_limits(8, 8, options, rng_seq);
 
   options.threads = 8;
   Rng rng_par(321);
-  const auto par = core::sweep_link_limits(8, options, rng_par);
+  const auto par = core::sweep_link_limits(8, 8, options, rng_par);
 
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {

@@ -166,7 +166,7 @@ TEST(RectSweep, OptimizesBothDimensions) {
   options.sa = core::SaParams{}.with_moves(500);
   options.latency = latency::LatencyParams::zero_load();
   Rng rng(9);
-  const auto points = core::sweep_link_limits_rect(8, 4, options, rng);
+  const auto points = core::sweep_link_limits(8, 4, options, rng);
   ASSERT_GE(points.size(), 3u);
   for (const auto& p : points) {
     EXPECT_EQ(p.design.width(), 8);

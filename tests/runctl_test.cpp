@@ -357,7 +357,9 @@ TEST(ResumeTest, ResumedSaRunIsBitIdenticalToUninterrupted) {
   runctl::save_sa_checkpoint(path, *stopped.checkpoint);
   const auto file = runctl::load_checkpoint_file(path);
   ASSERT_TRUE(file.sa.has_value());
-  const auto resumed = core::resume_sa(objective, *file.sa);
+  Rng resumed_rng;  // restored from the checkpoint
+  const auto resumed = core::solve_row(objective, 4, core::Solver::kOnlySa,
+                                       {}, {}, resumed_rng, &*file.sa);
 
   EXPECT_EQ(resumed.status, RunStatus::kCompleted);
   EXPECT_EQ(resumed.placement.to_string(), full.placement.to_string());
@@ -368,7 +370,10 @@ TEST(ResumeTest, ResumedSaRunIsBitIdenticalToUninterrupted) {
 TEST(ResumeTest, ResumeRejectsMismatchedInstance) {
   const core::RowObjective objective(16, route::HopWeights{});
   runctl::SaCheckpoint ck = sample_checkpoint();  // an n=8 checkpoint
-  EXPECT_THROW((void)core::resume_sa(objective, ck), PreconditionError);
+  Rng rng;
+  EXPECT_THROW((void)core::solve_row(objective, ck.link_limit,
+                                     core::Solver::kDcsa, {}, {}, rng, &ck),
+               PreconditionError);
 }
 
 TEST(ResumeTest, PortfolioResumeMatchesUninterruptedRun) {
@@ -385,8 +390,9 @@ TEST(ResumeTest, PortfolioResumeMatchesUninterruptedRun) {
   // answer.
   CancelToken token;
   token.request(RunStatus::kInterrupted);
+  RunControl control(&token);
   core::PortfolioOptions cut = base;
-  cut.control = RunControl(&token);
+  cut.sa.control = &control;
   cut.checkpoint_path = tmp_path("portfolio_ck.json");
   const auto stopped = core::solve_portfolio(8, route::HopWeights{},
                                              std::nullopt, 4, cut, 42);

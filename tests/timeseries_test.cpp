@@ -152,7 +152,7 @@ TEST(PortfolioInstrumentation, SeriesAreThreadCountInvariant) {
     options.sa.total_moves = 500;
     options.sa.moves_per_cool = 100;
     SeriesRecorder rec(32);
-    options.series = &rec;
+    options.sa.series = &rec;
     (void)core::solve_portfolio(8, route::HopWeights{}, std::nullopt, 4,
                                 options, 5);
     return rec.to_json().dump();
