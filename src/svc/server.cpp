@@ -191,8 +191,17 @@ Reply Server::execute_or_join(const Request& request, const std::string& id,
   try {
     if (ChaosPolicy::global().should(ChaosSite::kWorkerThrow))
       throw std::runtime_error("chaos: injected worker exception");
-    reply.payload_text = execute_request(request, &control).dump();
-    cache_.put(id, reply.payload_text);
+    // The previous owner of this id may have finished between this
+    // thread's cache miss and its registration above: its result is
+    // cached by then, so serve it instead of executing a second time.
+    if (auto cached = cache_.contains(id) ? cache_.get(id) : std::nullopt) {
+      *outcome = Outcome::kCache;
+      reply.cache_hit = true;
+      reply.payload_text = std::move(*cached);
+    } else {
+      reply.payload_text = execute_request(request, &control).dump();
+      cache_.put(id, reply.payload_text);
+    }
   } catch (const Error& error) {
     reply.ok = false;
     reply.payload_text = error.what();
@@ -206,7 +215,7 @@ Reply Server::execute_or_join(const Request& request, const std::string& id,
   } catch (...) {
     poison("request execution escaped with a non-standard exception");
   }
-  *execute_seconds = execute_watch.seconds();
+  if (*outcome != Outcome::kCache) *execute_seconds = execute_watch.seconds();
 
   {
     std::lock_guard<std::mutex> lock(flight->mutex);
