@@ -506,6 +506,46 @@ void register_svc() {
                    run.set_counter("payload_bytes",
                                    static_cast<double>(payload.size()));
                  });
+  // One-document warm hits through Server::serve_text: the per-frame work
+  // of the socket and queue transports when the answer is cached (parse,
+  // id hash, verified get, serialize, dispatch). The document is primed
+  // once, so every timed call is a hit on the calling thread; hit_p50_ns
+  // is the request path's floor, hit_p99_ns its gated tail.
+  register_bench("svc", "serve_text_hit", "smoke",
+                 [fresh_server](BenchRun& run) {
+                   svc::Request request;
+                   request.kind = svc::RequestKind::kSolve;
+                   request.n = 8;
+                   request.link_limit = 4;
+                   request.moves = 300;
+                   const std::string document = request.to_json().dump();
+                   obs::MetricsRegistry metrics;
+                   svc::Server server(fresh_server(
+                       (fs::temp_directory_path() / "xlp_bench_svc_hit")
+                           .string(),
+                       metrics));
+                   g_sink = static_cast<double>(
+                       server.serve_text(document).size());  // prime
+                   constexpr int kHits = 2000;
+                   obs::Histogram hit_ns(14);
+                   for (int i = 0; i < kHits; ++i) {
+                     Stopwatch hit_timer;
+                     g_sink = static_cast<double>(
+                         server.serve_text(document).size());
+                     hit_ns.record(
+                         static_cast<long>(hit_timer.seconds() * 1e9));
+                   }
+                   run.set_items(kHits);
+                   run.set_rate("requests", kHits);
+                   run.set_time_ns("hit_p50_ns",
+                                   static_cast<double>(
+                                       hit_ns.value_at_quantile(0.50)));
+                   run.set_time_ns("hit_p99_ns",
+                                   static_cast<double>(
+                                       hit_ns.value_at_quantile(0.99)));
+                   run.set_counter("executed", static_cast<double>(
+                                       metrics.counter("svc.executed")));
+                 });
 }
 
 void register_sim() {

@@ -42,10 +42,9 @@ std::vector<SweepPoint> sweep_link_limits(int width, int height,
     streams.push_back(rng.fork(static_cast<std::uint64_t>(i)));
 
   std::vector<SweepPoint> points(limits.size());
-  util::ThreadPool pool(
-      std::min(util::resolve_thread_count(options.threads),
-               static_cast<int>(limits.size())));
-  pool.parallel_for(static_cast<long>(limits.size()), [&](long i) {
+  const auto cells = static_cast<long>(limits.size());
+  util::ThreadPool pool(options.threads, cells);
+  pool.parallel_for(cells, [&](long i) {
     const auto cell = static_cast<std::size_t>(i);
     const int limit = limits[cell];
     // Per-dimension objective: its evaluation counter is not shareable

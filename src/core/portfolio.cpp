@@ -130,11 +130,11 @@ PortfolioResult solve_portfolio(
   // The pool is scoped to this call: workers are joined before we merge,
   // so the (thread-local) profiler trees they grew are stable and the
   // merge below never races a live chain.
-  const int workers = std::min(util::resolve_thread_count(options.threads),
-                               options.chains);
   bool all_ran;
+  int workers;
   {
-    util::ThreadPool pool(workers);
+    util::ThreadPool pool(options.threads, options.chains);
+    workers = pool.size();
     all_ran = pool.parallel_for(options.chains, run_chain, options.sa.control);
   }
   if (!ran[0] && options.chains >= 1) {

@@ -75,12 +75,9 @@ FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& config) {
       designs.size(),
       std::vector<FaultTrialResult>(static_cast<std::size_t>(config.trials)));
 
-  int workers = std::min(util::resolve_thread_count(config.threads),
-                         static_cast<int>(cells));
   // A shared trace sink is thread-safe but would interleave events in
   // scheduling order; keep the event stream deterministic instead.
-  if (config.trace != nullptr) workers = 1;
-  util::ThreadPool pool(workers);
+  util::ThreadPool pool(config.trace != nullptr ? 1 : config.threads, cells);
   pool.parallel_for(cells, [&](long c) {
     const std::size_t di = static_cast<std::size_t>(c / per_design);
     const long sub = c % per_design;

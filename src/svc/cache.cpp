@@ -158,21 +158,37 @@ bool ResultCache::contains(const std::string& id) {
 }
 
 bool ResultCache::put(const std::string& id, const std::string& payload) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(id);
-  if (it != entries_.end()) {
-    it->second.payload = payload;
-    it->second.checksum = obs::fnv1a64_hex(payload);
-    touch_locked(id);
-  } else {
-    lru_.push_front(id);
-    entries_[id] = Entry{payload, obs::fnv1a64_hex(payload), lru_.begin()};
-    evict_if_needed_locked();
-    metrics_->set_gauge("svc.cache.entries",
-                        static_cast<double>(entries_.size()));
+  std::string checksum = obs::fnv1a64_hex(payload);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(id);
+    if (it != entries_.end()) {
+      it->second.payload = payload;
+      it->second.checksum = std::move(checksum);
+      touch_locked(id);
+    } else {
+      lru_.push_front(id);
+      entries_[id] = Entry{payload, std::move(checksum), lru_.begin()};
+      evict_if_needed_locked();
+      metrics_->set_gauge("svc.cache.entries",
+                          static_cast<double>(entries_.size()));
+    }
   }
-  return chaos_write_file((fs::path(dir_) / (id + ".json")).string(),
-                          wrap_envelope(payload));
+  // The entry is served from memory already; the durable write (fsync,
+  // rename, directory fsync) runs outside the lock so no get() waits on
+  // another request's disk. Until it lands the entry is memory-only, the
+  // same state a failed write leaves.
+  const fs::path file = fs::path(dir_) / (id + ".json");
+  const bool written = chaos_write_file(file.string(), wrap_envelope(payload));
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (entries_.find(id) == entries_.end()) {
+    // Evicted or quarantined while the write ran: that removal found no
+    // file yet, so take back the one just written — no orphan outlives
+    // its entry.
+    std::error_code ec;
+    fs::remove(file, ec);
+  }
+  return written;
 }
 
 std::size_t ResultCache::size() {

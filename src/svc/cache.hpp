@@ -39,7 +39,8 @@ namespace xlp::svc {
 /// small JSON documents), bounded by an LRU of `max_entries`: inserting
 /// past the bound evicts the least-recently-used entry from memory *and*
 /// disk. All operations are thread-safe (one internal mutex) — pool
-/// workers share one cache.
+/// workers share one cache. The mutex guards memory only: put() writes
+/// its file with the lock released, so a hit never waits on a fsync.
 ///
 /// Metrics (svc.cache.hits / misses / evictions / corrupt counters and the
 /// svc.cache.entries gauge) are recorded into the registry passed at
@@ -66,8 +67,9 @@ class ResultCache {
   [[nodiscard]] bool contains(const std::string& id);
 
   /// Inserts (or refreshes) an entry and persists it (envelope-wrapped).
-  /// Returns false when the file write failed — the entry is still served
-  /// from memory, so a read-only cache dir degrades to a memory-only cache
+  /// The entry is visible to get() before its file is durable. Returns
+  /// false when the file write failed — the entry is still served from
+  /// memory, so a read-only cache dir degrades to a memory-only cache
   /// instead of failing requests.
   bool put(const std::string& id, const std::string& payload);
 

@@ -111,17 +111,17 @@ long Server::requests_served() const noexcept {
 }
 
 Reply Server::resolve(const Request& request) {
-  return resolve_received(request, uptime_.seconds());
-}
-
-Reply Server::resolve_received(const Request& request, double received) {
+  const double received = uptime_.seconds();
   // Stats requests are introspection: answered from memory before the
   // cache / dedup / execution machinery, never counted as served work.
   if (request.kind == RequestKind::kStats) return stats_reply();
+  return resolve_received(request, request.id(), received);
+}
 
+Reply Server::resolve_received(const Request& request, const std::string& id,
+                               double received) {
   // A worker picked the request up now: its queue wait ends here.
   const double picked_up = uptime_.seconds();
-  const std::string id = request.id();
 
   Reply reply;
   reply.request_id = id;
@@ -239,7 +239,9 @@ std::vector<Reply> Server::serve_batch(const std::vector<Request>& requests) {
   // resolves exactly once, and which occurrence carries the executed reply
   // is decided by submission order, not scheduling — so the reply document
   // is byte-identical at any thread count. Stats requests bypass the pool
-  // entirely (they are answered from memory during assembly below).
+  // entirely (they are answered from memory during assembly below). The
+  // pool is sized by the unique count, so a one-request batch resolves on
+  // the calling thread with no worker started.
   std::vector<std::string> ids;
   ids.reserve(requests.size());
   std::unordered_map<std::string, std::size_t> first_of;
@@ -254,11 +256,13 @@ std::vector<Reply> Server::serve_batch(const std::vector<Request>& requests) {
       unique_indices.push_back(i);
   }
 
+  const auto unique = static_cast<long>(unique_indices.size());
   std::vector<Reply> unique_replies(unique_indices.size());
-  util::ThreadPool pool(options_.threads);
-  pool.parallel_for(static_cast<long>(unique_indices.size()), [&](long u) {
-    unique_replies[static_cast<std::size_t>(u)] = resolve_received(
-        requests[unique_indices[static_cast<std::size_t>(u)]], received);
+  util::ThreadPool pool(options_.threads, unique);
+  pool.parallel_for(unique, [&](long u) {
+    const std::size_t i = unique_indices[static_cast<std::size_t>(u)];
+    unique_replies[static_cast<std::size_t>(u)] =
+        resolve_received(requests[i], ids[i], received);
   });
 
   std::vector<Reply> replies;

@@ -62,7 +62,10 @@ struct Reply {
 struct ServerOptions {
   std::string cache_dir = "xlp-cache";
   std::size_t cache_entries = 4096;
-  /// Pool workers for batch serving; 0 = util::default_thread_count().
+  /// Workers: the batch pool's cap (a batch never gets more workers than
+  /// it has unique requests, so a one-request batch runs on the caller's
+  /// thread) and the socket transport's connection workers;
+  /// 0 = util::default_thread_count().
   int threads = 0;
   /// Per-request wall-clock budget in seconds (0 = unlimited). A request
   /// stopped by its deadline yields an error reply and is never cached.
@@ -97,7 +100,10 @@ struct ServerOptions {
 /// The batch query server: resolves requests through a content-addressed
 /// result cache, deduplicates identical work (within a batch, across
 /// concurrent clients, and across restarts via the persisted cache), and
-/// shards execution over a util::ThreadPool.
+/// shards a batch's unique requests over a util::ThreadPool sized by
+/// their count. A one-document submission — what serve_text, the socket
+/// workers and the queue loop see from most clients — therefore resolves
+/// on the calling thread: a warm hit starts no thread at all.
 ///
 /// Determinism contract: for a given request id the served payload bytes
 /// are identical at any thread count, whether executed, deduplicated or
@@ -120,7 +126,9 @@ class Server {
   /// Answers a batch, replies in request order. Duplicate requests within
   /// the batch execute once; the first occurrence carries the executed /
   /// cache-hit flag, every later duplicate is marked cache_hit. Unique
-  /// requests run concurrently on the pool.
+  /// requests run concurrently on a pool of min(threads, unique count)
+  /// workers; a single unique request runs inline on the calling thread.
+  /// Each id is hashed once here and handed to the resolution.
   [[nodiscard]] std::vector<Reply> serve_batch(
       const std::vector<Request>& requests);
 
@@ -179,10 +187,12 @@ class Server {
     Reply reply;  ///< the owner's reply, valid once done
   };
 
-  /// resolve() with an explicit receive timestamp (seconds on the
-  /// server's uptime clock): queue-wait is measured from `received` to
-  /// the moment a worker picks the request up.
-  Reply resolve_received(const Request& request, double received);
+  /// resolve() of a non-stats request whose content id is already known,
+  /// with an explicit receive timestamp (seconds on the server's uptime
+  /// clock): queue-wait is measured from `received` to the moment a
+  /// worker picks the request up.
+  Reply resolve_received(const Request& request, const std::string& id,
+                         double received);
   /// Executes (or waits out) a request that missed the cache. Reports
   /// the outcome (kMiss or kPoisoned when this call executed, kInflight
   /// when it joined another execution) and, when it executed, the

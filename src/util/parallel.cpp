@@ -1,5 +1,6 @@
 #include "util/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -118,8 +119,9 @@ struct ThreadPool::Impl {
   }
 };
 
-ThreadPool::ThreadPool(int threads) {
-  threads_ = resolve_thread_count(threads);
+ThreadPool::ThreadPool(int threads, long items) {
+  threads_ = static_cast<int>(
+      std::min<long>(resolve_thread_count(threads), items));
   if (threads_ <= 1) {
     threads_ = 1;
     return;  // inline pool: no workers, no Impl

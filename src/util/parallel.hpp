@@ -23,7 +23,7 @@ void set_default_thread_count(int threads) noexcept;
 
 /// Maps a user-facing thread request to an actual worker count:
 /// `requested <= 0` means "use the default", anything else is clamped to
-/// at least 1. Call sites additionally cap by their own item count.
+/// at least 1. ThreadPool additionally caps it by the item count.
 [[nodiscard]] int resolve_thread_count(int requested) noexcept;
 
 /// Fixed-size pool of worker threads for embarrassingly parallel loops.
@@ -32,8 +32,10 @@ void set_default_thread_count(int threads) noexcept;
 /// count or the scheduling order influence *what* is computed — work item
 /// i always sees the same inputs and writes only its own slot. Any
 /// randomness must be forked per item *before* dispatch (see Rng::fork).
-/// A pool of size 1 spawns no threads at all and runs every item inline
-/// on the calling thread, in index order — bit-identical to a plain loop.
+/// A pool never has more workers than items: a pool of size 1 (one
+/// thread requested, or one item) spawns no threads at all and runs every
+/// item inline on the calling thread, in index order — bit-identical to a
+/// plain loop.
 ///
 /// Exceptions: if work items throw, the exception of the lowest-indexed
 /// failing item is rethrown on the calling thread after all workers have
@@ -47,10 +49,12 @@ void set_default_thread_count(int threads) noexcept;
 /// is incomplete.
 class ThreadPool {
  public:
-  /// `threads <= 0` resolves to default_thread_count(). The workers are
-  /// started eagerly and live until destruction; keep pools scoped to the
-  /// parallel phase so profiler snapshots never observe a live worker.
-  explicit ThreadPool(int threads = 0);
+  /// Sized for `items` work items: min(resolve_thread_count(threads),
+  /// items) workers, at least 1, so `threads <= 0` means
+  /// default_thread_count() and a one-item pool runs inline. The workers
+  /// are started eagerly and live until destruction; keep pools scoped to
+  /// the parallel phase so profiler snapshots never observe a live worker.
+  ThreadPool(int threads, long items);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

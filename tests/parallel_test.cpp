@@ -28,7 +28,7 @@ namespace xlp {
 namespace {
 
 TEST(ThreadPool, InlinePoolRunsInIndexOrder) {
-  util::ThreadPool pool(1);
+  util::ThreadPool pool(1, 16);
   EXPECT_EQ(pool.size(), 1);
   std::vector<long> order;
   EXPECT_TRUE(pool.parallel_for(16, [&](long i) { order.push_back(i); }));
@@ -36,15 +36,29 @@ TEST(ThreadPool, InlinePoolRunsInIndexOrder) {
   for (long i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+TEST(ThreadPool, WorkersAreCappedByTheItemCount) {
+  util::ThreadPool three(8, 3);
+  EXPECT_EQ(three.size(), 3);
+  // One item: an inline pool, whatever the thread request.
+  util::ThreadPool one(4, 1);
+  EXPECT_EQ(one.size(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  EXPECT_TRUE(one.parallel_for(1, [&](long) {
+    ran_on = std::this_thread::get_id();
+  }));
+  EXPECT_EQ(ran_on, caller);
+}
+
 TEST(ThreadPool, EmptyRangeCompletesTrivially) {
-  util::ThreadPool pool(4);
+  util::ThreadPool pool(4, 4);
   EXPECT_TRUE(pool.parallel_for(0, [](long) { FAIL(); }));
 }
 
 TEST(ThreadPool, RunsEveryItemExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
   constexpr long kCount = 5000;
+  util::ThreadPool pool(4, kCount);
+  EXPECT_EQ(pool.size(), 4);
   // The dispatch counter hands every index to exactly one claimer, so a
   // plain vector slot per item is race-free; the atomic total double-checks
   // nothing ran twice.
@@ -60,7 +74,7 @@ TEST(ThreadPool, RunsEveryItemExactlyOnce) {
 }
 
 TEST(ThreadPool, ParallelMapIsIndexOrdered) {
-  util::ThreadPool pool(3);
+  util::ThreadPool pool(3, 100);
   const std::vector<long> squares = util::parallel_map<long>(
       pool, 100, [](long i) { return i * i; });
   ASSERT_EQ(squares.size(), 100u);
@@ -69,7 +83,7 @@ TEST(ThreadPool, ParallelMapIsIndexOrdered) {
 }
 
 TEST(ThreadPool, LowestIndexExceptionWins) {
-  util::ThreadPool pool(4);
+  util::ThreadPool pool(4, 16);
   // Items 3 and 7 both throw on every run; which one is *seen* first
   // depends on scheduling, but the pool must always rethrow index 3.
   const auto body = [](long i) {
@@ -87,7 +101,7 @@ TEST(ThreadPool, LowestIndexExceptionWins) {
 
 TEST(ThreadPool, CancelledBeforeStartRunsNothing) {
   for (const int threads : {1, 4}) {
-    util::ThreadPool pool(threads);
+    util::ThreadPool pool(threads, 64);
     runctl::CancelToken token;
     token.request(runctl::RunStatus::kInterrupted);
     runctl::RunControl control(&token);
@@ -99,10 +113,10 @@ TEST(ThreadPool, CancelledBeforeStartRunsNothing) {
 }
 
 TEST(ThreadPool, CancellationMidRunSkipsTheTail) {
-  util::ThreadPool pool(2);
+  constexpr long kCount = 200000;
+  util::ThreadPool pool(2, kCount);
   runctl::CancelToken token;
   runctl::RunControl control(&token);
-  constexpr long kCount = 200000;
   std::atomic<long> executed{0};
   const bool complete = pool.parallel_for(
       kCount,
