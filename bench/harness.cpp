@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <regex>
 
 #include "obs/metrics.hpp"
@@ -226,18 +225,6 @@ std::string write_bench_json(const std::string& dir, const std::string& name,
   return path;
 }
 
-std::string write_artifact(const std::string& dir, const std::string& name,
-                           const obs::Json& data,
-                           const obs::Provenance& provenance) {
-  obs::Json doc = obs::Json::object();
-  doc.set("schema", kBenchSchema);
-  doc.set("kind", "artifact");
-  doc.set("name", name);
-  doc.set("provenance", provenance.to_json());
-  doc.set("data", data);
-  return write_bench_json(dir, name, doc);
-}
-
 int run_and_report(const RunnerOptions& options,
                    const std::string& profile_path, bool list_only) {
   if (list_only) {
@@ -264,63 +251,6 @@ int run_and_report(const RunnerOptions& options,
     std::fprintf(stderr, "[bench] wrote profile %s\n", profile_path.c_str());
   }
   return 0;
-}
-
-int run_main(int argc, char** argv, RunnerOptions defaults,
-             const char* default_filter) {
-  RunnerOptions options = std::move(defaults);
-  options.provenance = obs::Provenance::collect(options.provenance.seed);
-  std::string profile_path;
-  bool list_only = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--filter") {
-      const char* v = value();
-      if (!v) return 2;
-      options.filter = v;
-    } else if (arg == "--repeats") {
-      const char* v = value();
-      if (!v) return 2;
-      options.repeats = std::max(1, std::atoi(v));
-    } else if (arg == "--warmup") {
-      const char* v = value();
-      if (!v) return 2;
-      options.warmup = std::max(0, std::atoi(v));
-    } else if (arg == "--out-dir") {
-      const char* v = value();
-      if (!v) return 2;
-      options.out_dir = v;
-    } else if (arg == "--profile") {
-      const char* v = value();
-      if (!v) return 2;
-      profile_path = v;
-    } else if (arg == "--deterministic") {
-      options.deterministic = true;
-    } else if (arg == "--list") {
-      list_only = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--filter re] [--repeats n] [--warmup n]\n"
-          "          [--out-dir dir] [--profile out.folded]\n"
-          "          [--deterministic] [--list]\n",
-          argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (options.filter.empty() && default_filter != nullptr)
-    options.filter = default_filter;
-
-  return run_and_report(options, profile_path, list_only);
 }
 
 }  // namespace xlp::bench

@@ -149,29 +149,12 @@ class Runner {
 std::string write_bench_json(const std::string& dir, const std::string& name,
                              const obs::Json& doc);
 
-/// Wraps an experiment's structured series in the shared schema —
-/// {"schema","kind":"artifact","name","provenance","data":...} — and
-/// writes it as BENCH_<name>.json under `dir`. The figure benches use this
-/// so every perf artifact carries one provenance block. Returns the
-/// written path or empty on failure.
-std::string write_artifact(const std::string& dir, const std::string& name,
-                           const obs::Json& data,
-                           const obs::Provenance& provenance);
-
 /// Runs the registry through `options` and prints the summary table. When
 /// `profile_path` is set the hierarchical profiler records the run and its
 /// collapsed-stack dump lands there; when `list_only` is set nothing runs
 /// and the registered benchmarks are listed instead. Returns a process
-/// exit code. Shared by the standalone bench binaries and `xlp bench`.
+/// exit code; `xlp bench` is the caller.
 int run_and_report(const RunnerOptions& options,
                    const std::string& profile_path, bool list_only);
-
-/// Standalone-bench entry point: parses --filter/--repeats/--warmup/
-/// --out-dir/--deterministic/--profile/--list (the same surface `xlp
-/// bench` exposes) on top of `defaults`, forces `default_filter` when the
-/// caller gave none, then calls run_and_report(). Returns a process exit
-/// code.
-int run_main(int argc, char** argv, RunnerOptions defaults,
-             const char* default_filter);
 
 }  // namespace xlp::bench

@@ -2,7 +2,8 @@
 // micro_core carries the kernel benchmarks that used to live on
 // google-benchmark; sim measures simulator throughput; fig07_runtime,
 // scalability and fault_campaign wrap the corresponding experiments so
-// their series land in schema-versioned BENCH_*.json documents.
+// their series land in schema-versioned BENCH_*.json documents. The
+// paper and ablation suites live in paper.cpp.
 
 #include "suites.hpp"
 
@@ -820,6 +821,7 @@ void register_all_suites() {
   register_fig07();
   register_scalability();
   register_fault_campaign();
+  register_paper_suites();
 }
 
 }  // namespace xlp::bench

@@ -3,9 +3,9 @@
 namespace xlp::bench {
 
 /// Registers every benchmark suite with Registry::global(). Registration
-/// is explicit — call this from main() (the standalone bench binaries and
-/// `xlp bench` both do) — so nothing depends on static-initializer order
-/// or on the linker keeping unreferenced objects alive.
+/// is explicit — `xlp bench` and the tests call this — so nothing depends
+/// on static-initializer order or on the linker keeping unreferenced
+/// objects alive.
 ///
 /// Suites:
 ///   micro_core     — optimizer/routing kernels (ns/op), including the
@@ -16,6 +16,12 @@ namespace xlp::bench {
 ///   fig07_runtime  — Fig. 7 quality-vs-budget series (payload)
 ///   scalability    — sweep cost/benefit vs network size
 ///   fault_campaign — Monte Carlo fault-resilience campaign
+///   paper          — the paper's figures and tables (Section 5)
+///   ablation       — ablations and extensions around them
 void register_all_suites();
+
+/// Registers the paper and ablation suites (bench/paper.cpp); called by
+/// register_all_suites().
+void register_paper_suites();
 
 }  // namespace xlp::bench

@@ -19,9 +19,14 @@ core::SaParams paper_sa_params() {
 }
 
 double bench_scale() {
+  // Callers size budgets as static_cast<long>(base * scale), with bases
+  // far below 1e12 (Fig. 7's largest evaluation budget is the biggest), so
+  // every budget fits a long up to this scale. Past it the cast would
+  // overflow, so inf and 1e300 fall back to 1.0 like garbage does.
+  constexpr double kMaxScale = 1e6;
   if (const char* env = std::getenv("XLP_BENCH_SCALE")) {
     const double value = std::atof(env);
-    if (value > 0.0) return value;
+    if (value > 0.0 && value <= kMaxScale) return value;
   }
   return 1.0;
 }

@@ -30,7 +30,8 @@ struct NamedDesign {
 /// Scale factor for experiment budgets: reads the environment variable
 /// XLP_BENCH_SCALE (default 1.0). Values below 1 shrink SA budgets and
 /// simulated cycles for quick smoke runs; above 1 lengthens them toward the
-/// paper's full budgets.
+/// paper's full budgets. Anything that is not a number in (0, 1e6] —
+/// garbage, nan, inf, negatives — reads as 1.0.
 [[nodiscard]] double bench_scale();
 
 /// Default sweep options used by the reproduction benches: D&C_SA with

@@ -34,8 +34,14 @@ TEST(Scenarios, BenchScaleReadsEnvironment) {
   // setenv/unsetenv: serial test, no other thread reads the env here.
   setenv("XLP_BENCH_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(exp::bench_scale(), 0.5);
-  setenv("XLP_BENCH_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(exp::bench_scale(), 1.0);
+  // Anything outside (0, 1e6] reads as 1.0: a huge scale would overflow
+  // the callers' long budgets and end up at their floors instead.
+  for (const char* bad : {"garbage", "inf", "nan", "1e300", "-1"}) {
+    setenv("XLP_BENCH_SCALE", bad, 1);
+    EXPECT_DOUBLE_EQ(exp::bench_scale(), 1.0) << bad;
+  }
+  setenv("XLP_BENCH_SCALE", "1e6", 1);
+  EXPECT_DOUBLE_EQ(exp::bench_scale(), 1e6);
   unsetenv("XLP_BENCH_SCALE");
   EXPECT_DOUBLE_EQ(exp::bench_scale(), 1.0);
 }

@@ -1,6 +1,6 @@
 // Bench harness: deterministic BENCH_*.json emission (byte-identical
 // across runs with the same seed and pinned provenance), filtering,
-// schema/provenance stamping, and the artifact writer.
+// schema/provenance stamping, and the BENCH json writer.
 
 #include <gtest/gtest.h>
 
@@ -143,22 +143,6 @@ TEST(HarnessTest, FilterMatchesSuiteNameAndTags) {
   const auto other = bench::Runner(options).run();
   ASSERT_EQ(other.size(), 1u);
   EXPECT_EQ(other[0].suite, "other");
-}
-
-TEST(HarnessTest, WriteArtifactStampsSchemaAndProvenance) {
-  const std::string dir = ::testing::TempDir() + "xlp_bench_artifact";
-  const obs::Json data = obs::Json::object().set("x", 1);
-  const std::string path =
-      bench::write_artifact(dir, "fig_test", data, pinned_provenance());
-  ASSERT_FALSE(path.empty());
-  EXPECT_NE(path.find("BENCH_fig_test.json"), std::string::npos);
-  const auto doc = obs::Json::parse(slurp(path));
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->find("schema")->as_string(), "xlp-bench/1");
-  EXPECT_EQ(doc->find("kind")->as_string(), "artifact");
-  EXPECT_EQ(doc->find("provenance")->find("hostname")->as_string(),
-            "testhost");
-  EXPECT_EQ(doc->find("data")->find("x")->as_long(), 1);
 }
 
 TEST(HarnessTest, WriteBenchJsonCreatesMissingDirectories) {

@@ -60,8 +60,7 @@ bool load_file(const std::string& path, std::string& out) {
 }
 
 /// Parses one BENCH_*.json document into per-benchmark metric maps.
-/// Artifact documents (kind != "suite") have no benchmark list and yield
-/// an empty map. Returns false on unparseable or off-schema input.
+/// Returns false on unparseable or off-schema input.
 bool parse_suite(const std::string& path, SuiteMetrics& out) {
   std::string text;
   if (!load_file(path, text)) {
@@ -82,9 +81,6 @@ bool parse_suite(const std::string& path, SuiteMetrics& out) {
                  path.c_str());
     return false;
   }
-  const Json* kind = doc->find("kind");
-  if (kind != nullptr && kind->is_string() && kind->as_string() != "suite")
-    return true;  // artifact: nothing to gate on
   const Json* benches = doc->find("benchmarks");
   if (benches == nullptr || !benches->is_array()) {
     std::fprintf(stderr, "error: %s has no benchmark list\n", path.c_str());
