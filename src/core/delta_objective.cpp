@@ -1,7 +1,6 @@
 #include "core/delta_objective.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -89,17 +88,7 @@ void DeltaRowObjective::build_tables(const topo::RowTopology& row) {
     if (r - 1 >= 0) left_[r].push_back(r - 1);
   }
 
-  // Integer cycle weights make every monotone path sum exact, so the
-  // leftward table is the bitwise transpose of the rightward one (see the
-  // mirror_ comment in the header) and the cascade can skip the leftward
-  // direction entirely.
-  const auto is_integer = [](double w) {
-    return w >= 0.0 && w == std::floor(w) && w <= 1e9;
-  };
-  mirror_ = is_integer(hop_.router_cycles) &&
-            is_integer(hop_.link_cycles_per_unit);
-
-  XLP_REQUIRE(n_ <= 0x7fff, "row too large for worklist entry packing");
+  XLP_REQUIRE(n_ <= 0xffff, "row too large for worklist entry packing");
   buckets_full_.assign(static_cast<std::size_t>(n_), {});
   buckets_light_.assign(static_cast<std::size_t>(n_), {});
   for (int s = 0; s < n_; ++s) {
@@ -113,7 +102,8 @@ void DeltaRowObjective::build_tables(const topo::RowTopology& row) {
 
   // The same span-ordered DP as DirectionalShortestPaths::compute, down to
   // the shared relaxation — the cache must hold the exact cells the full
-  // evaluator would build.
+  // evaluator would build. Rightward cells only; each leftward (cost, hops)
+  // is their transpose (see the class comment).
   for (int i = 0; i < n_; ++i) {
     cost_[idx(i, i)] = 0.0;
     hops_[idx(i, i)] = 0;
@@ -128,13 +118,8 @@ void DeltaRowObjective::build_tables(const topo::RowTopology& row) {
                                         hops_[idx(k, j)], cost_[idx(i, j)],
                                         hops_[idx(i, j)], next_[idx(i, j)]);
       }
-      for (const int k : left_[j]) {
-        if (k < i) continue;
-        if (cost_[idx(k, i)] < kInf)
-          route::detail::relax_monotone(hop_, j, k, cost_[idx(k, i)],
-                                        hops_[idx(k, i)], cost_[idx(j, i)],
-                                        hops_[idx(j, i)], next_[idx(j, i)]);
-      }
+      cost_[idx(j, i)] = cost_[idx(i, j)];
+      hops_[idx(j, i)] = hops_[idx(i, j)];
     }
   }
 
@@ -206,55 +191,21 @@ void DeltaRowObjective::recompute_right(int i, int j) {
   // a dependent's stored maximum — which already dominated the old, better
   // value — so only dependents that stored it as their winner are affected,
   // and those need a full re-scan.
-  //
   if (cost != cost_[ij] || hops != hops_[ij]) {
     if (cost != cost_[ij]) mark_row(i);
     const bool improved = cost < cost_[ij] - 1e-12 ||
                           (cost < cost_[ij] + 1e-12 && hops < hops_[ij]);
     if (improved) {
-      propagate_light(i, j, /*leftward=*/false, cost);
+      propagate_light(i, j, cost);
     } else {
       for (const int p : left_[i])
         if (next_[idx(p, j)] == i)
-          buckets_full_[j - p].push_back(static_cast<std::uint32_t>(p) << 1);
+          buckets_full_[j - p].push_back(static_cast<std::uint32_t>(p));
     }
   }
   cost_[ij] = cost;
   hops_[ij] = hops;
   next_[ij] = next;
-}
-
-void DeltaRowObjective::recompute_left(int i, int j) {
-  const std::size_t ji = idx(j, i);
-  save_cell(ji, idx(i, j));
-  double cost = kInf;
-  int hops = -1;
-  int next = -1;
-  for (const int k : left_[j]) {
-    if (k < i) continue;
-    if (cost_[idx(k, i)] < kInf)
-      route::detail::relax_monotone(hop_, j, k, cost_[idx(k, i)],
-                                    hops_[idx(k, i)], cost, hops, next);
-  }
-  // The leftward cells that read (j, i) are (p, i) with an edge j <- p,
-  // i.e. p in right_[j] — again strictly larger spans only, with the same
-  // improved/worsened split and push-time filter as recompute_right.
-  if (cost != cost_[ji] || hops != hops_[ji]) {
-    if (cost != cost_[ji]) mark_row(j);
-    const bool improved = cost < cost_[ji] - 1e-12 ||
-                          (cost < cost_[ji] + 1e-12 && hops < hops_[ji]);
-    if (improved) {
-      propagate_light(j, i, /*leftward=*/true, cost);
-    } else {
-      for (const int p : right_[j])
-        if (next_[idx(p, i)] == j)
-          buckets_full_[p - i].push_back(
-              1u | (static_cast<std::uint32_t>(i) << 1));
-    }
-  }
-  cost_[ji] = cost;
-  hops_[ji] = hops;
-  next_[ji] = next;
 }
 
 // Queues light entries for every in-neighbor of the just-updated cell
@@ -266,29 +217,18 @@ void DeltaRowObjective::recompute_left(int i, int j) {
 // A dependent that stored this cell as its winner always passes the
 // filter: its stored value is the candidate's old contribution, and an
 // improved contribution is below it (or tied within the band).
-void DeltaRowObjective::propagate_light(int src, int dst, bool leftward,
-                                        double cost) {
-  if (leftward) {
-    for (const int p : right_[src])
-      if (hop_.link_cost(p - src) + cost < cost_[idx(p, dst)] + 1e-12)
-        buckets_light_[p - dst].push_back(
-            1u | (static_cast<std::uint32_t>(dst) << 1) |
-            (static_cast<std::uint32_t>(src) << 16));
-  } else {
-    for (const int p : left_[src])
-      if (hop_.link_cost(src - p) + cost < cost_[idx(p, dst)] + 1e-12)
-        buckets_light_[dst - p].push_back(
-            (static_cast<std::uint32_t>(p) << 1) |
-            (static_cast<std::uint32_t>(src) << 16));
-  }
+void DeltaRowObjective::propagate_light(int src, int dst, double cost) {
+  for (const int p : left_[src])
+    if (hop_.link_cost(src - p) + cost < cost_[idx(p, dst)] + 1e-12)
+      buckets_light_[dst - p].push_back(
+          static_cast<std::uint32_t>(p) |
+          (static_cast<std::uint32_t>(src) << 16));
 }
 
 void DeltaRowObjective::apply_light(std::uint32_t entry, int span) {
-  const int small = static_cast<int>((entry >> 1) & 0x7fffu);
+  const int src = static_cast<int>(entry & 0xffffu);
   const int k = static_cast<int>(entry >> 16);
-  const bool leftward = (entry & 1u) != 0;
-  const int src = leftward ? small + span : small;  // the cell's source
-  const int dst = leftward ? small : small + span;  // the cell's target
+  const int dst = src + span;
   const std::size_t at = idx(src, dst);
   const std::size_t dep = idx(k, dst);
   if (!(cost_[dep] < kInf)) return;  // mirror the full scan's guard
@@ -297,15 +237,9 @@ void DeltaRowObjective::apply_light(std::uint32_t entry, int span) {
   // one predictable comparison (same expression as relax_monotone, so the
   // bits agree). A rejected candidate still escalates when it is the
   // stored winner — its contribution moved, so the cell must re-scan.
-  const double quick =
-      hop_.link_cost(src > k ? src - k : k - src) + cost_[dep];
+  const double quick = hop_.link_cost(k - src) + cost_[dep];
   if (!(quick < cost_[at] + 1e-12)) {
-    if (next_[at] == k) {
-      if (leftward)
-        recompute_left(dst, src);
-      else
-        recompute_right(src, dst);
-    }
+    if (next_[at] == k) recompute_right(src, dst);
     return;
   }
   if (quick < cost_[at] - 1e-12) {
@@ -317,7 +251,7 @@ void DeltaRowObjective::apply_light(std::uint32_t entry, int span) {
     cost_[at] = quick;
     hops_[at] = hops_[dep] + 1;
     next_[at] = k;
-    propagate_light(src, dst, leftward, quick);
+    propagate_light(src, dst, quick);
     return;
   }
   double cost = cost_[at];
@@ -336,15 +270,12 @@ void DeltaRowObjective::apply_light(std::uint32_t entry, int span) {
     hops_[at] = hops;
     next_[at] = next;
     if (!value_changed) return;  // next-hop-only change: no one reads it
-    propagate_light(src, dst, leftward, cost);
+    propagate_light(src, dst, cost);
   } else if (next == k) {
     // The stored winner's own contribution changed (its dependency moved)
     // yet failed to beat its previous value: it got worse, and the true
     // best may now be any other candidate — re-scan the whole list.
-    if (leftward)
-      recompute_left(dst, src);
-    else
-      recompute_right(src, dst);
+    recompute_right(src, dst);
   }
 }
 
@@ -360,22 +291,17 @@ void DeltaRowObjective::recompute_affected() {
   // therefore reproduces exactly what the full re-scan would store. Only
   // when the stored winner itself is removed or got worse does the true
   // maximum hide among the other candidates, forcing a full re-scan.
-  // (With degenerate hop weights where distinct path costs differ by less
-  // than the 1e-12 tie band the order argument breaks down; every
-  // configuration in this repo uses integer-cycle weights where ties are
-  // exact, and XLP_CHECK_DELTA guards the general case.)
   if (toggled_.empty()) return;  // duplicate-only change: nothing moves
 
   // Seeds. An added link (lo, hi) inserts one candidate into every
-  // rightward cell (lo, j >= hi) and leftward cell (hi, i <= lo) — light
-  // entries. A removed link deletes a candidate: cells that did not store
-  // it as winner keep their maximum verbatim (no entry at all); cells that
-  // did must re-scan — full entries.
+  // rightward cell (lo, j >= hi) — light entries. A removed link deletes a
+  // candidate: cells that did not store it as winner keep their maximum
+  // verbatim (no entry at all); cells that did must re-scan — full
+  // entries.
   for (const LinkChange& change : toggled_) {
     const int lo = change.link.lo;
     const int hi = change.link.hi;
     const auto ulo = static_cast<std::uint32_t>(lo);
-    const auto uhi = static_cast<std::uint32_t>(hi);
     if (change.delta > 0) {
       // The new candidate for cell (lo, j) reads dependency (hi, j), which
       // is already final iff no toggled link fits inside [hi, j] — only
@@ -384,41 +310,21 @@ void DeltaRowObjective::recompute_affected() {
       // the two cost rows rejects the common lose case (same expression as
       // apply_light's fast reject), and the rare winner goes through
       // apply_light for the exact relax and its propagation. Cells past
-      // the safety threshold fall back to a queued light entry. The
-      // leftward direction ((hi, i) reading (lo, i)) is symmetric.
+      // the safety threshold fall back to a queued light entry.
       int j_unsafe = n_;  // first j whose dependency (hi, j) may still move
-      int i_unsafe = -1;  // last i whose dependency (lo, i) may still move
-      for (const LinkChange& other : toggled_) {
+      for (const LinkChange& other : toggled_)
         if (other.link.lo >= hi) j_unsafe = std::min(j_unsafe, other.link.hi);
-        if (other.link.hi <= lo) i_unsafe = std::max(i_unsafe, other.link.lo);
-      }
+      const std::uint32_t entry = ulo | (static_cast<std::uint32_t>(hi) << 16);
       const double base = hop_.link_cost(hi - lo);
-      const double* dep_r = cost_.data() + static_cast<std::size_t>(hi) * n_;
-      const double* cell_r = cost_.data() + static_cast<std::size_t>(lo) * n_;
+      const double* dep = cost_.data() + static_cast<std::size_t>(hi) * n_;
+      const double* cell = cost_.data() + static_cast<std::size_t>(lo) * n_;
       for (int j = hi; j < j_unsafe; ++j)
-        if (base + dep_r[j] < cell_r[j] + 1e-12)
-          apply_light((ulo << 1) | (uhi << 16), j - lo);
+        if (base + dep[j] < cell[j] + 1e-12) apply_light(entry, j - lo);
       for (int j = j_unsafe; j < n_; ++j)
-        buckets_light_[j - lo].push_back((ulo << 1) | (uhi << 16));
-      if (mirror_) continue;  // leftward cells arrive via the mirror pass
-      const double* dep_l = cost_.data() + static_cast<std::size_t>(lo) * n_;
-      const double* cell_l = cost_.data() + static_cast<std::size_t>(hi) * n_;
-      for (int i = lo; i > i_unsafe; --i)
-        if (base + dep_l[i] < cell_l[i] + 1e-12)
-          apply_light(1u | (static_cast<std::uint32_t>(i) << 1) | (ulo << 16),
-                      hi - i);
-      for (int i = i_unsafe; i >= 0; --i)
-        buckets_light_[hi - i].push_back(
-            1u | (static_cast<std::uint32_t>(i) << 1) | (ulo << 16));
+        buckets_light_[j - lo].push_back(entry);
     } else {
       for (int j = hi; j < n_; ++j)
-        if (next_[idx(lo, j)] == hi)
-          buckets_full_[j - lo].push_back(ulo << 1);
-      if (mirror_) continue;
-      for (int i = lo; i >= 0; --i)
-        if (next_[idx(hi, i)] == lo)
-          buckets_full_[hi - i].push_back(
-              1u | (static_cast<std::uint32_t>(i) << 1));
+        if (next_[idx(lo, j)] == hi) buckets_full_[j - lo].push_back(ulo);
     }
   }
 
@@ -434,12 +340,8 @@ void DeltaRowObjective::recompute_affected() {
   for (int span = 2; span < n_; ++span) {
     std::vector<std::uint32_t>& full = buckets_full_[span];
     for (std::size_t b = 0; b < full.size(); ++b) {
-      const std::uint32_t entry = full[b];
-      const int i = static_cast<int>(entry >> 1);
-      if ((entry & 1u) != 0)
-        recompute_left(i, i + span);
-      else
-        recompute_right(i, i + span);
+      const int i = static_cast<int>(full[b]);
+      recompute_right(i, i + span);
     }
     full.clear();
     std::vector<std::uint32_t>& light = buckets_light_[span];
@@ -448,26 +350,21 @@ void DeltaRowObjective::recompute_affected() {
     light.clear();
   }
 
-  // Mirror pass: in mirror mode only rightward cells ran through the
-  // cascade; copy each changed cell's (cost, hops) into its leftward
-  // transpose, which the symmetry argument proves is exactly what the
-  // leftward cascade would have stored. Unchanged saves (a re-scan that
-  // concluded the same triple) leave their transpose untouched. Duplicate
-  // saves are harmless: the first visit updates the transpose, later
-  // visits see it already equal. next_ is deliberately left stale — the
-  // reduction never reads it and no leftward relaxation runs in this mode.
-  if (mirror_) {
-    const std::size_t changed = saved_cells_n_;
-    for (std::size_t s = 0; s < changed; ++s) {
-      const std::size_t at = saved_cells_[s].at;
-      const std::size_t m = saved_cells_[s].mirror;
-      if (cost_[m] != cost_[at] || hops_[m] != hops_[at]) {
-        save_cell(m, at);
-        if (cost_[m] != cost_[at])
-          mark_row(static_cast<int>(m) / n_);
-        cost_[m] = cost_[at];
-        hops_[m] = hops_[at];
-      }
+  // Transpose pass: copy each changed rightward cell's (cost, hops) into
+  // its leftward transpose, which the symmetry argument (class comment)
+  // proves is exactly what a leftward cascade would have stored. Unchanged
+  // saves (a re-scan that concluded the same triple) leave their transpose
+  // untouched. Duplicate saves are harmless: the first visit updates the
+  // transpose, later visits see it already equal.
+  const std::size_t changed = saved_cells_n_;
+  for (std::size_t s = 0; s < changed; ++s) {
+    const std::size_t at = saved_cells_[s].at;
+    const std::size_t m = saved_cells_[s].transpose;
+    if (cost_[m] != cost_[at] || hops_[m] != hops_[at]) {
+      save_cell(m, at);
+      if (cost_[m] != cost_[at]) mark_row(static_cast<int>(m) / n_);
+      cost_[m] = cost_[at];
+      hops_[m] = hops_[at];
     }
   }
 }

@@ -35,10 +35,21 @@ namespace xlp::core {
 /// checkpoints and results. Set XLP_CHECK_DELTA=1 to run the full
 /// evaluator in lockstep and abort (InvariantError) on any divergence.
 ///
-/// Objectives with a secondary-metric blend (RowObjective::set_secondary)
-/// score an opaque row-level function that cannot be maintained span-wise;
-/// for those this class transparently falls back to full evaluation
-/// (incremental() reports false), so call sites stay uniform.
+/// Only the rightward cells (i < j) run through the incremental cascade.
+/// With integer-valued hop weights every leftward monotone path is the
+/// reverse of a rightward one over the same links, and every path sum is
+/// exact in a double, so the leftward (cost, hops) table is the bitwise
+/// transpose of the rightward one at every state — lexicographic
+/// (cost, hops) optimality survives reversal; only the first-hop-length
+/// tie-break (which picks next_, never read by the reduction) differs. A
+/// transpose pass copies each changed cell into its leftward slot; leftward
+/// next_ entries are never maintained.
+///
+/// Objectives RowObjective::delta_supported() rejects — a secondary-metric
+/// blend (RowObjective::set_secondary), which scores an opaque row-level
+/// function, or non-integer hop weights, where reversed sums could round
+/// differently — fall back to full evaluation (incremental() reports
+/// false), so call sites stay uniform.
 ///
 /// Evaluation accounting: every propose_* call bumps the owning
 /// objective's evaluations() counter by exactly one, the same as one
@@ -83,7 +94,7 @@ class DeltaRowObjective {
  private:
   struct CellSave {
     std::size_t at = 0;
-    std::size_t mirror = 0;  // idx of the opposite-direction cell
+    std::size_t transpose = 0;  // idx of the opposite-direction cell
     double cost = 0.0;
     int hops = 0;
     int next = 0;
@@ -107,9 +118,8 @@ class DeltaRowObjective {
   bool apply_link(topo::RowLink link, int delta);
   void recompute_affected();
   void apply_light(std::uint32_t entry, int span);
-  void propagate_light(int src, int dst, bool leftward, double cost);
+  void propagate_light(int src, int dst, double cost);
   void recompute_right(int i, int j);
-  void recompute_left(int i, int j);
   [[nodiscard]] double reduce_and_count();
   [[nodiscard]] double checked(double value) const;
   void flip_matrix_links(int flat_idx, std::vector<LinkChange>& out);
@@ -119,19 +129,6 @@ class DeltaRowObjective {
   route::HopWeights hop_;
   bool incremental_;
   bool check_;  // XLP_CHECK_DELTA lockstep mode
-  // Mirror mode (integer-valued hop weights, i.e. every configuration in
-  // this repo): every leftward monotone path is the reverse of a rightward
-  // one with the same links, and with integer cycle costs every path sum
-  // is exact in a double, so the leftward (cost, hops) table is the
-  // bitwise transpose of the rightward one at every state — lexicographic
-  // (cost, hops) optimality survives reversal; only the first-hop-length
-  // tie-break (which picks next_, never read by the reduction) differs.
-  // The incremental cascade then runs in the rightward direction only and
-  // transposes each changed cell into its leftward slot afterwards,
-  // halving the event count. Leftward next_ entries go stale in this mode;
-  // nothing reads them. Non-integer weights (where reversed FP sums could
-  // round differently) keep the full two-direction cascade.
-  bool mirror_ = false;
   bool pending_ = false;
 
   // Matrix mode: the mutable SA state; flips are applied at propose time
@@ -143,7 +140,8 @@ class DeltaRowObjective {
   int pending_bit_ = -1;
   std::optional<topo::RowLink> pending_link_;
 
-  // Span cache, same layout and contents as DirectionalShortestPaths.
+  // Span cache, same layout and (cost, hops) contents as
+  // DirectionalShortestPaths; next_ only for rightward cells.
   std::vector<double> cost_;
   std::vector<int> hops_;
   std::vector<int> next_;
@@ -159,9 +157,9 @@ class DeltaRowObjective {
   // must re-scan their whole candidate list (their stored winner was
   // removed or got worse); "light" entries carry one candidate whose value
   // changed (or that was just added) and resolve with a single relaxation
-  // against the stored cell. Entry packing: bit 0 = direction (0 rightward,
-  // 1 leftward), bits 1..15 = the cell's smaller endpoint, bits 16..31 =
-  // the candidate router (light entries only).
+  // against the stored cell. Entry packing: bits 0..15 = the cell's source
+  // i (its target is i + span), bits 16..31 = the candidate router (light
+  // entries only).
   std::vector<std::vector<std::uint32_t>> buckets_full_;
   std::vector<std::vector<std::uint32_t>> buckets_light_;
 
@@ -193,12 +191,12 @@ class DeltaRowObjective {
   std::vector<LinkChange> pending_changes_;
   std::vector<LinkChange> toggled_;
 
-  void save_cell(std::size_t at, std::size_t mirror_at) {
+  void save_cell(std::size_t at, std::size_t transpose_at) {
     if (saved_cells_n_ == saved_cells_.size())
       saved_cells_.resize(saved_cells_.size() * 2);
     CellSave& s = saved_cells_[saved_cells_n_++];
     s.at = at;
-    s.mirror = mirror_at;
+    s.transpose = transpose_at;
     s.cost = cost_[at];
     s.hops = hops_[at];
     s.next = next_[at];

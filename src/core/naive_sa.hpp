@@ -22,7 +22,7 @@ struct NaiveSaResult {
 /// selected link directly on the link set. Candidates that violate the
 /// cross-section limit are discarded — those attempts still consume move
 /// budget, which is precisely the inefficiency the connection-matrix space
-/// eliminates. Kept as an ablation baseline (bench/ablation_generators).
+/// eliminates. Kept as an ablation baseline (ablation/generators).
 [[nodiscard]] NaiveSaResult anneal_naive_links(const topo::RowTopology& initial,
                                                const RowObjective& objective,
                                                int link_limit,

@@ -1,6 +1,7 @@
 #include "core/objective.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.hpp"
 
@@ -42,6 +43,14 @@ void RowObjective::set_secondary(
               "a positive secondary weight needs a metric");
   secondary_weight_ = weight;
   secondary_ = weight > 0.0 ? std::move(metric) : nullptr;
+}
+
+bool RowObjective::delta_supported() const noexcept {
+  const auto is_integer = [](double w) {
+    return w >= 0.0 && w == std::floor(w) && w <= 1e9;
+  };
+  return secondary_weight_ <= 0.0 && is_integer(hop_.router_cycles) &&
+         is_integer(hop_.link_cycles_per_unit);
 }
 
 double RowObjective::evaluate(const topo::RowTopology& row) const {

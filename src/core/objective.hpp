@@ -51,9 +51,6 @@ class RowObjective {
   /// Sets the worst-case blend weight, in [0, 1]. 0 (the default) is the
   /// paper's pure-average objective.
   void set_worst_case_weight(double weight);
-  [[nodiscard]] double worst_case_weight() const noexcept {
-    return worst_weight_;
-  }
 
   /// Blends a secondary row metric into the score:
   ///   (1 - weight) * primary + weight * metric(row).
@@ -64,9 +61,6 @@ class RowObjective {
   /// blend; passing weight 0 clears the metric.
   void set_secondary(double weight,
                      std::function<double(const topo::RowTopology&)> metric);
-  [[nodiscard]] double secondary_weight() const noexcept {
-    return secondary_weight_;
-  }
 
   /// True when the objective weights all pairs equally (the general-purpose
   /// case); lets the divide-and-conquer initializer reuse a half-solution
@@ -91,11 +85,11 @@ class RowObjective {
 
   /// True when evaluate() can be reproduced incrementally by a
   /// DeltaRowObjective: uniform, weighted, and worst-case-blend objectives
-  /// qualify; a secondary-metric blend (set_secondary) scores an opaque
-  /// row-level function and forces full evaluation.
-  [[nodiscard]] bool delta_supported() const noexcept {
-    return secondary_weight_ <= 0.0;
-  }
+  /// over integer-valued hop weights qualify. A secondary-metric blend
+  /// (set_secondary) scores an opaque row-level function, and fractional
+  /// hop weights break the delta evaluator's transpose symmetry; both force
+  /// full evaluation.
+  [[nodiscard]] bool delta_supported() const noexcept;
 
   /// Objective for the sub-row covering positions [lo, lo+len): uniform
   /// objectives are position-independent; weighted objectives slice the

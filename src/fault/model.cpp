@@ -135,18 +135,4 @@ FaultSet sample_k_links(const topo::ExpressMesh& mesh, int k, Rng& rng,
   return faults;
 }
 
-FaultSet sample_per_link(const topo::ExpressMesh& mesh, double p_express,
-                         double p_local, Rng& rng,
-                         const SampleOptions& opts) {
-  XLP_REQUIRE(p_express >= 0.0 && p_express <= 1.0 && p_local >= 0.0 &&
-                  p_local <= 1.0,
-              "failure probabilities must be in [0, 1]");
-  FaultSet faults;
-  for (const LinkId& id : enumerate_links(mesh, /*express_only=*/false)) {
-    const double p = id.link.is_express() ? p_express : p_local;
-    if (rng.bernoulli(p)) faults.add(make_fault(id, opts, rng));
-  }
-  return faults;
-}
-
 }  // namespace xlp::fault

@@ -106,11 +106,4 @@ struct SampleOptions {
                                       Rng& rng,
                                       const SampleOptions& opts = {});
 
-/// Bernoulli per-link sampler: each express link fails independently with
-/// probability `p_express`, each local link with `p_local`.
-[[nodiscard]] FaultSet sample_per_link(const topo::ExpressMesh& mesh,
-                                       double p_express, double p_local,
-                                       Rng& rng,
-                                       const SampleOptions& opts = {});
-
 }  // namespace xlp::fault

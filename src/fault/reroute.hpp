@@ -39,12 +39,6 @@ struct RerouteResult {
   [[nodiscard]] bool deadlock_free() const noexcept {
     return acyclic_xy && acyclic_yx;
   }
-  /// True when `dst` is reachable from `src` in at least one orientation
-  /// (O1TURN traffic survives if either class of VCs still has a path).
-  [[nodiscard]] bool reachable_any(int src, int dst) const {
-    return routing.reachable(src, dst, route::Orientation::kXYFirst) ||
-           routing.reachable(src, dst, route::Orientation::kYXFirst);
-  }
 };
 
 /// Rebuilds shortest-path routing tables for `mesh` with every channel the

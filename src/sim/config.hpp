@@ -62,7 +62,7 @@ enum class RoutingMode { kXY, kYX, kO1Turn };
 ///  * kRoundRobin: classic rotating priority per output port (default);
 ///  * kOldestFirst: age-based arbitration — the eligible flit whose packet
 ///    was created earliest wins. Trades a little arbiter complexity for a
-///    tighter latency tail (compare p99 in bench/arbiter_ablation).
+///    tighter latency tail (compare p99 in ablation/arbiter).
 enum class Arbiter { kRoundRobin, kOldestFirst };
 
 /// Simulator configuration. Defaults model the paper's platform: canonical
@@ -121,7 +121,7 @@ struct SimConfig {
   /// series_interval_cycles: injected/ejected flits in the window, flits in
   /// the network, active routers, mean per-VC buffer occupancy and the
   /// stalled-cycle fraction. Null by default; the disabled path costs a
-  /// single branch per cycle (verified by bench/micro_core sim_run_8x8).
+  /// single branch per cycle (verified by micro_core/sim_run_8x8_series).
   obs::SeriesRecorder* series = nullptr;
   long series_interval_cycles = 256;
 

@@ -6,6 +6,17 @@
 
 namespace xlp::sim {
 
+namespace {
+
+/// Index of the port in `ports` facing router `peer`; -1 when none does.
+int port_facing(const std::vector<Network::Port>& ports, int peer) {
+  for (std::size_t p = 1; p < ports.size(); ++p)
+    if (ports[p].peer_router == peer) return static_cast<int>(p);
+  return -1;
+}
+
+}  // namespace
+
 Network::Network(const topo::ExpressMesh& mesh, route::HopWeights weights)
     : width_(mesh.width()),
       height_(mesh.height()),
@@ -15,8 +26,6 @@ Network::Network(const topo::ExpressMesh& mesh, route::HopWeights weights)
       routing_(mesh, weights) {
   const int nodes = node_count();
   ports_.resize(static_cast<std::size_t>(nodes));
-  port_of_peer_.assign(static_cast<std::size_t>(nodes),
-                       std::vector<int>(static_cast<std::size_t>(nodes), -1));
 
   // Port 0 everywhere: the network interface.
   for (int r = 0; r < nodes; ++r) ports_[r].push_back(Port{});
@@ -27,18 +36,16 @@ Network::Network(const topo::ExpressMesh& mesh, route::HopWeights weights)
   for (int r = 0; r < nodes; ++r) {
     const int x = r % width_;
     const int y = r / width_;
+    std::vector<Port>& ports = ports_[static_cast<std::size_t>(r)];
     auto add_neighbor = [&](int peer) {
-      auto& slot = port_of_peer_[static_cast<std::size_t>(r)]
-                                [static_cast<std::size_t>(peer)];
-      if (slot >= 0) return;
+      if (port_facing(ports, peer) >= 0) return;
       Port p;
       p.peer_router = peer;
       p.length =
           std::abs(peer % width_ - x) + std::abs(peer / width_ - y);
       p.dx = (peer % width_ > x) - (peer % width_ < x);
       p.dy = (peer / width_ > y) - (peer / width_ < y);
-      slot = static_cast<int>(ports_[static_cast<std::size_t>(r)].size());
-      ports_[static_cast<std::size_t>(r)].push_back(p);
+      ports.push_back(p);
     };
     for (int nx : mesh.row(y).neighbors_left(x))
       add_neighbor(y * width_ + nx);
@@ -58,8 +65,7 @@ Network::Network(const topo::ExpressMesh& mesh, route::HopWeights weights)
                         [static_cast<std::size_t>(p)];
       const int peer = out.peer_router;
       const int peer_port =
-          port_of_peer_[static_cast<std::size_t>(peer)]
-                       [static_cast<std::size_t>(r)];
+          port_facing(ports_[static_cast<std::size_t>(peer)], r);
       XLP_CHECK(peer_port >= 1, "links must be bidirectional");
       out.peer_port = peer_port;
 
@@ -85,27 +91,6 @@ int Network::port_count(int router) const {
 const Network::Port& Network::port(int router, int p) const {
   XLP_REQUIRE(p >= 0 && p < port_count(router), "port out of range");
   return ports_[static_cast<std::size_t>(router)][static_cast<std::size_t>(p)];
-}
-
-int Network::port_to(int router, int peer) const {
-  XLP_REQUIRE(router >= 0 && router < node_count() && peer >= 0 &&
-                  peer < node_count(),
-              "node out of range");
-  return port_of_peer_[static_cast<std::size_t>(router)]
-                      [static_cast<std::size_t>(peer)];
-}
-
-int Network::next_output_port(int router, int dst,
-                              route::Orientation orientation) const {
-  XLP_REQUIRE(router >= 0 && router < node_count() && dst >= 0 &&
-                  dst < node_count(),
-              "node out of range");
-  if (router == dst) return 0;
-  const int next = routing_.next_hop(router, dst, orientation);
-  const int p = port_of_peer_[static_cast<std::size_t>(router)]
-                             [static_cast<std::size_t>(next)];
-  XLP_CHECK(p >= 1, "routing selected a node that is not a neighbor");
-  return p;
 }
 
 }  // namespace xlp::sim

@@ -51,15 +51,6 @@ class Network {
     return channels_;
   }
 
-  /// Port of `router` facing neighbor `peer`; -1 when they are not adjacent.
-  [[nodiscard]] int port_to(int router, int peer) const;
-
-  /// Output port a packet at `router` heading for node `dst` must take
-  /// under the given dimension order; port 0 (ejection) when router == dst.
-  [[nodiscard]] int next_output_port(
-      int router, int dst,
-      route::Orientation orientation = route::Orientation::kXYFirst) const;
-
   [[nodiscard]] const route::MeshRouting& routing() const noexcept {
     return routing_;
   }
@@ -80,8 +71,7 @@ class Network {
   topo::ExpressMesh mesh_;
   route::HopWeights weights_;
   route::MeshRouting routing_;
-  std::vector<std::vector<Port>> ports_;          // [router][port]
-  std::vector<std::vector<int>> port_of_peer_;    // [router][peer] -> port
+  std::vector<std::vector<Port>> ports_;  // [router][port]
   std::vector<Channel> channels_;
 };
 

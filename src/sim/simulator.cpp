@@ -161,6 +161,7 @@ Simulator::Simulator(const Network& network,
   // routing_ aliases the network's pristine tables and extra_pipeline_ is
   // all zero, so the fault-free fast path is bit-identical to before.
   routing_ = &net_.routing();
+  build_port_table(*routing_);
   faults_enabled_ = !config_.faults.empty();
   extra_pipeline_.assign(static_cast<std::size_t>(nodes), 0);
   channel_dead_.assign(net_.channels().size(), 0);
@@ -504,13 +505,57 @@ void Simulator::deliver_credits() {
   }
 }
 
+void Simulator::build_port_table(const route::MeshRouting& routing) {
+  const int w = net_.width();
+  const int h = net_.height();
+  const auto stride = static_cast<std::size_t>(w + h);
+  port_table_.assign(static_cast<std::size_t>(net_.node_count()) * stride,
+                     -1);
+  // Scratch: router r's port facing each row peer (by column) and each
+  // column peer (by row); -1 for non-neighbors.
+  std::vector<int> row_port(static_cast<std::size_t>(w));
+  std::vector<int> col_port(static_cast<std::size_t>(h));
+  for (int r = 0; r < net_.node_count(); ++r) {
+    const int x = r % w;
+    const int y = r / w;
+    std::fill(row_port.begin(), row_port.end(), -1);
+    std::fill(col_port.begin(), col_port.end(), -1);
+    for (int p = 1; p < net_.port_count(r); ++p) {
+      const int peer = net_.port(r, p).peer_router;
+      if (peer / w == y)
+        row_port[static_cast<std::size_t>(peer % w)] = p;
+      else
+        col_port[static_cast<std::size_t>(peer / w)] = p;
+    }
+    int* entry = port_table_.data() + static_cast<std::size_t>(r) * stride;
+    // Degraded tables keep next hop -1 for severed targets, so those
+    // entries stay -1 and output_port rejects a flit routed there.
+    const route::DirectionalShortestPaths& row = routing.row_paths(y);
+    for (int tx = 0; tx < w; ++tx) {
+      const int next = tx == x ? -1 : row.next_hop(x, tx);
+      if (next >= 0) entry[tx] = row_port[static_cast<std::size_t>(next)];
+    }
+    const route::DirectionalShortestPaths& col = routing.col_paths(x);
+    for (int ty = 0; ty < h; ++ty) {
+      const int next = ty == y ? -1 : col.next_hop(y, ty);
+      if (next >= 0) entry[w + ty] = col_port[static_cast<std::size_t>(next)];
+    }
+  }
+}
+
 int Simulator::output_port(int router, int dst, bool y_first) const {
   if (router == dst) return 0;
-  const int next = routing_->next_hop(router, dst,
-                                      y_first ? route::Orientation::kYXFirst
-                                              : route::Orientation::kXYFirst);
-  const int p = net_.port_to(router, next);
-  XLP_CHECK(p >= 1, "routing selected a node that is not a neighbor");
+  const int w = net_.width();
+  const int x = router % w;
+  const int y = router / w;
+  const int tx = dst % w;
+  const int ty = dst / w;
+  // XY takes the row segment while x differs; YX only once y matches.
+  const bool row = y_first ? y == ty : x != tx;
+  const int p = port_table_[static_cast<std::size_t>(router) *
+                                static_cast<std::size_t>(w + net_.height()) +
+                            static_cast<std::size_t>(row ? tx : w + ty)];
+  XLP_CHECK(p >= 1, "no route toward the destination under the live tables");
   return p;
 }
 
@@ -878,26 +923,23 @@ void Simulator::perform_swap() {
   }
 
   // Victim selection (kDropRetransmit): every in-flight packet whose route
-  // under the OLD tables crosses a newly dead channel. Conservative — a
-  // worm that already cleared the channel is purged and retransmitted too.
+  // under the OLD tables (port_table_ still holds them) crosses a newly
+  // dead channel. Conservative — a worm that already cleared the channel
+  // is purged and retransmitted too.
   std::vector<long> victim_ids;
   if (config_.faults.policy == FaultPolicy::kDropRetransmit) {
     std::vector<char> victim(packets_.size(), 0);
     for (const Packet& pk : packets_) {
       if (pk.injected < 0 || pk.ejected >= 0 || pk.dropped) continue;
-      const std::vector<int> path =
-          routing_->path(pk.src, pk.dst,
-                         pk.y_first ? route::Orientation::kYXFirst
-                                    : route::Orientation::kXYFirst);
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const int p = net_.port_to(path[i], path[i + 1]);
-        XLP_CHECK(p >= 1, "old route left the topology");
-        const int ch = net_.port(path[i], p).out_channel;
-        if (dead[static_cast<std::size_t>(ch)]) {
+      for (int at = pk.src; at != pk.dst;) {
+        const Network::Port& port =
+            net_.port(at, output_port(at, pk.dst, pk.y_first));
+        if (dead[static_cast<std::size_t>(port.out_channel)]) {
           victim[static_cast<std::size_t>(pk.id)] = 1;
           victim_ids.push_back(pk.id);
           break;
         }
+        at = port.peer_router;
       }
     }
     if (!victim_ids.empty()) purge_packets(victim);
@@ -907,6 +949,7 @@ void Simulator::perform_swap() {
   degraded_routing_ = std::move(*pending_routing_);
   pending_routing_.reset();
   routing_ = &*degraded_routing_;
+  build_port_table(*routing_);
   channel_dead_ = std::move(dead);
   for (int r = 0; r < net_.node_count(); ++r)
     extra_pipeline_[static_cast<std::size_t>(r)] =

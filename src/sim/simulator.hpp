@@ -86,8 +86,11 @@ class Simulator {
   /// still reach dst. Returns false when no surviving orientation exists.
   [[nodiscard]] bool choose_orientation(const route::MeshRouting& routing,
                                         int src, int dst, bool* y_first);
-  /// Output port at `router` toward `dst` under the live routing tables.
+  /// Output port at `router` toward `dst` under the live routing tables:
+  /// one port_table_ load (port 0 when router == dst).
   [[nodiscard]] int output_port(int router, int dst, bool y_first) const;
+  /// Rebuilds port_table_ from `routing` (the live tables).
+  void build_port_table(const route::MeshRouting& routing);
   /// Applies every fault edge scheduled at the current cycle.
   void process_fault_edges();
   /// Reroutes around the active fault set and swaps tables (immediately
@@ -184,6 +187,12 @@ class Simulator {
   fault::FaultSet active_faults_;
   std::vector<std::pair<int, int>> pending_unreachable_xy_;
   std::vector<std::pair<int, int>> pending_unreachable_yx_;
+  // Per-hop routing under the live tables (the per-router next-hop tables
+  // of Section 4.5.1): router r's w + h entries at r * (w + h) hold its
+  // output port for a row segment toward column x (entry x) and for a
+  // column segment toward row y (entry w + y); -1 where the target is
+  // unreachable or is r's own column / row.
+  std::vector<int> port_table_;
   std::vector<char> channel_dead_;   // [channel] under the live tables
   std::vector<int> extra_pipeline_;  // [router] port-degradation cycles
   bool draining_for_swap_ = false;

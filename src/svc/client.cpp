@@ -262,13 +262,6 @@ std::optional<std::string> SocketClient::submit_with_retry(
   return last;
 }
 
-std::optional<std::string> socket_submit(const std::string& socket_path,
-                                         const std::string& text) {
-  SocketClient client(socket_path);
-  if (!client.ok()) return std::nullopt;
-  return client.submit(text);
-}
-
 std::string stats_request_text() {
   Request probe;
   probe.kind = RequestKind::kStats;

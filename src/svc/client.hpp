@@ -74,12 +74,6 @@ struct RetryPolicy {
                                      const std::string& name,
                                      double timeout_seconds);
 
-/// One round trip over the `xlpd` local socket: connect, send the
-/// submission as a length-prefixed frame, read the reply frame. nullopt
-/// when the server is unreachable or the connection breaks.
-[[nodiscard]] std::optional<std::string> socket_submit(
-    const std::string& socket_path, const std::string& text);
-
 /// A persistent connection to a socket `xlpd`: one length-prefixed frame
 /// round trip per submit() call, all over the same connection — so a
 /// client can time requests individually (`xlp submit`) or poll a stats

@@ -202,13 +202,21 @@ void Request::validate() const {
     if (!traffic::is_known_workload(workload))
       bad_request("unknown workload '" + workload + "'");
     if (load <= 0.0 || load > 1.0) bad_request("load must be in (0, 1]");
-    // Syntax check; range errors surface at execute.
-    (void)topo::parse_links(links);
+    // Everything design_of() and the simulator would reject: a request
+    // that is wrong in itself is a parse error, never a retryable one.
+    const std::vector<topo::RowLink> parsed = topo::parse_links(links);
+    for (const topo::RowLink& link : parsed)
+      if (link.lo < 0 || link.hi >= n || link.length() < 2)
+        bad_request("links must join routers in [0, n) at least two apart");
+    if (!topo::RowTopology(n, parsed).fits_link_limit(link_limit))
+      bad_request("links exceed the link limit c");
     if (kind == RequestKind::kSimulate) {
       if (cycles < 1) bad_request("cycles must be positive");
       if (routing != "xy" && routing != "yx" && routing != "o1turn")
         bad_request("routing must be xy, yx or o1turn");
       if (vcs < 1 || vcs > 16) bad_request("vcs must be in [1, 16]");
+      if (routing == "o1turn" && vcs < 2)
+        bad_request("o1turn needs at least 2 vcs (one per orientation)");
     }
     if (contention_per_hop < 0.0)
       bad_request("contention must be non-negative");

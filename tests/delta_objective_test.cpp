@@ -104,15 +104,15 @@ TEST(DeltaObjective, WeightedWorstCaseBlendMatchesFullEvaluationExactly) {
   run_flip_property(obj, 12, 3, 555, 200);
 }
 
-TEST(DeltaObjective, NonIntegerHopWeightsStayExactWithoutTheMirror) {
-  // Fractional cycle weights disable the mirror-mode shortcut (the
-  // leftward table is maintained by its own cascade instead of being
-  // transposed from the rightward one). The weights are binary-exact
-  // fractions, so path sums are still exact and the bit-identity contract
-  // must hold through the two-direction code path.
+TEST(DeltaObjective, NonIntegerHopWeightsFallBackButStayExact) {
+  // Fractional cycle weights void the transpose symmetry the incremental
+  // cascade relies on, so the evaluator takes the full-evaluation fallback;
+  // its scores must still be bit-identical.
   for (const int n : {8, 16}) {
     const RowObjective obj(n, route::HopWeights{2.75, 1.5});
-    ASSERT_TRUE(obj.delta_supported());
+    ASSERT_FALSE(obj.delta_supported());
+    const DeltaRowObjective delta(obj, topo::ConnectionMatrix(n, 4));
+    EXPECT_FALSE(delta.incremental());
     run_flip_property(obj, n, 4, 400 + n, 200);
   }
 }

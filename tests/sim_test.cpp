@@ -83,14 +83,6 @@ TEST(Network, ExpressLinksGetTheirManhattanLength) {
   EXPECT_TRUE(found);
 }
 
-TEST(Network, NextOutputPortRoutesXThenY) {
-  const Network net(topo::make_mesh(4), route::HopWeights{});
-  // From node 0 to node 15: first move +x (to node 1).
-  const int p = net.next_output_port(0, 15);
-  EXPECT_EQ(net.port(0, p).peer_router, 1);
-  EXPECT_EQ(net.next_output_port(5, 5), 0);  // eject
-}
-
 TEST(Network, DuplicateParallelLinksCollapse) {
   const topo::RowTopology row(6, {{1, 4}, {1, 4}});
   const Network net(topo::ExpressMesh(row, 3, 64), route::HopWeights{});

@@ -470,13 +470,57 @@ TEST(Server, FailedRequestsAreNotCached) {
   Server server(test_options(dir, &metrics));
   Request bad;
   bad.kind = RequestKind::kEvaluate;
-  bad.links = "1-99";  // parses, but 99 is out of range for n=8 at execute
+  bad.links = "1-99";  // 99 is out of range for n=8
   const Reply reply = server.resolve(bad);
   EXPECT_FALSE(reply.ok);
   EXPECT_EQ(metrics.counter("svc.errors"), 1);
   EXPECT_EQ(server.cache().size(), 0u);
   // The serialized reply carries the error, not a result.
   EXPECT_NE(reply.to_text().find("\"error\":"), std::string::npos);
+}
+
+TEST(Server, RequestsWrongInThemselvesAreParseErrorsNotPoisoned) {
+  // Requests the design builder or the simulator would reject must fail
+  // validation: a precondition thrown at execute time is "poisoned" and
+  // retryable, so a client would resend them with backoff.
+  obs::MetricsRegistry metrics;
+  Server server(test_options(fresh_dir("wrong"), &metrics));
+  const std::string text = server.serve_text(
+      R"([{"kind":"simulate","n":8,"routing":"o1turn","vcs":1},)"
+      R"({"kind":"evaluate","n":8,"links":"0-9"},)"
+      R"({"kind":"evaluate","n":8,"c":2,"links":"0-2,1-3,0-3"}])");
+  const auto doc = obs::Json::parse(text);
+  ASSERT_TRUE(doc.has_value() && doc->is_array()) << text;
+  ASSERT_EQ(doc->size(), 3u) << text;
+  for (std::size_t i = 0; i < doc->size(); ++i) {
+    const obs::Json* error = doc->at(i).find("error");
+    ASSERT_NE(error, nullptr) << text;
+    EXPECT_EQ(error->find("kind")->as_string(),
+              error_code_name(ErrorCode::kParse))
+        << text;
+    EXPECT_FALSE(error->find("retryable")->as_bool()) << text;
+  }
+
+  // The same requests built in process fail the execute path's validate().
+  Request o1turn;
+  o1turn.kind = RequestKind::kSimulate;
+  o1turn.routing = "o1turn";
+  o1turn.vcs = 1;
+  Request out_of_range;
+  out_of_range.kind = RequestKind::kEvaluate;
+  out_of_range.links = "0-9";
+  Request over_limit;
+  over_limit.kind = RequestKind::kEvaluate;
+  over_limit.link_limit = 2;
+  over_limit.links = "0-2,1-3,0-3";
+  for (const Request& request : {o1turn, out_of_range, over_limit}) {
+    const Reply reply = server.resolve(request);
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(reply.error_kind, error_code_name(ErrorCode::kParse))
+        << reply.payload_text;
+    EXPECT_FALSE(reply.retryable);
+  }
+  EXPECT_EQ(metrics.counter("svc.requests.poisoned"), 0);
 }
 
 TEST(Server, ServeTextHandlesObjectsArraysAndGarbage) {
@@ -531,16 +575,16 @@ TEST(Server, EmitsOneLifecycleEventPerRequestWithOutcomes) {
   (void)server.serve_batch(duplicate_solves(3));   // miss + 2 batch dups
   (void)server.serve_batch(duplicate_solves(1));   // cache hit
   // Two error replies: a typed execute error (validation rejects the
-  // cycle budget) and a poisoned one (the link range check throws a
-  // non-Error exception).
+  // cycle budget) and a poisoned one (an injected non-Error exception).
   Request no_cycles;
   no_cycles.kind = RequestKind::kSimulate;
   no_cycles.cycles = 0;
   EXPECT_EQ(server.resolve(no_cycles).error_kind, "parse error");
-  Request bad_links;
-  bad_links.kind = RequestKind::kEvaluate;
-  bad_links.links = "1-99";
-  EXPECT_EQ(server.resolve(bad_links).error_kind, "poisoned");
+  Request poisoned;
+  poisoned.kind = RequestKind::kEvaluate;
+  ChaosPolicy::global().configure("worker-throw@1");
+  EXPECT_EQ(server.resolve(poisoned).error_kind, "poisoned");
+  ChaosPolicy::global().disable();
 
   const auto text = util::read_file(options.events_path);
   ASSERT_TRUE(text.has_value());
