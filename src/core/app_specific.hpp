@@ -20,9 +20,8 @@ struct AppSpecificResult {
 
 /// Solves the application-specific problem for one link limit: 2n
 /// independent weighted 1D problems (n rows + n columns), each with
-/// `options.solver` (D&C_SA by default). The 2n solves run sequentially,
-/// whatever `options.threads` says: they all draw from the one `rng`
-/// stream, rows first, then columns.
+/// `options.solver` (D&C_SA by default). The 2n solves run sequentially:
+/// they all draw from the one `rng` stream, rows first, then columns.
 [[nodiscard]] AppSpecificResult solve_app_specific_for_limit(
     const traffic::TrafficMatrix& demand, int link_limit,
     const SweepOptions& options, Rng& rng);

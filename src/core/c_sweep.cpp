@@ -43,7 +43,7 @@ std::vector<SweepPoint> sweep_link_limits(int width, int height,
 
   std::vector<SweepPoint> points(limits.size());
   const auto cells = static_cast<long>(limits.size());
-  util::ThreadPool pool(options.threads, cells);
+  util::ThreadPool pool(0, cells);
   pool.parallel_for(cells, [&](long i) {
     const auto cell = static_cast<std::size_t>(i);
     const int limit = limits[cell];

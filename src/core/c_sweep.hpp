@@ -30,13 +30,6 @@ struct SweepOptions {
   /// matrix (e.g. the PARSEC-average workload); the *placement* is still
   /// optimized for the uniform general-purpose objective, as in the paper.
   std::optional<traffic::TrafficMatrix> report_traffic;
-  /// Pool workers for the per-limit cells (each limit is independent).
-  /// 0 = util::default_thread_count(); always additionally capped by the
-  /// number of feasible limits. Every cell draws from its own stream
-  /// forked off the caller's rng in cell order, so the sweep result and
-  /// the caller's rng state afterwards are identical for any thread count
-  /// (see docs/parallelism.md).
-  int threads = 0;
 };
 
 /// The paper's overall flow (Section 4, opening): enumerate the possible
@@ -47,7 +40,11 @@ struct SweepOptions {
 /// limit — P̄(width, C) for the rows, then P̄(height, C) for the columns on
 /// the same stream, each capped at its own C_full — and the point's
 /// placement is the rows' with both solves' evaluations; a square one
-/// solves once and uses the placement for rows and columns alike.
+/// solves once and uses the placement for rows and columns alike. The
+/// limits are independent cells on util::default_thread_count() workers;
+/// each draws from its own stream forked off `rng` in cell order, so the
+/// result and `rng`'s state afterwards are identical for any thread count
+/// (see docs/parallelism.md).
 [[nodiscard]] std::vector<SweepPoint> sweep_link_limits(
     int width, int height, const SweepOptions& options, Rng& rng);
 

@@ -37,8 +37,6 @@ core::SweepOptions default_sweep_options(int n) {
       std::max<long>(100, static_cast<long>(10000 * bench_scale())));
   options.latency = latency::LatencyParams::parsec_typical();
   options.report_traffic = traffic::parsec_average_matrix(n);
-  // options.threads stays 0: sweeps driven through here (benches, CLI,
-  // tests) inherit --threads / XLP_THREADS via util::default_thread_count.
   return options;
 }
 

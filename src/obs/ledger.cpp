@@ -1,5 +1,8 @@
 #include "obs/ledger.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <sstream>
 
 #include "obs/canonical.hpp"
@@ -29,10 +32,23 @@ Json LedgerEntry::to_json() const {
 }
 
 bool append_ledger_entry(const std::string& path, const LedgerEntry& entry) {
-  std::string content;
-  if (const auto existing = util::read_file(path)) content = *existing;
-  content += entry.to_json().dump() + "\n";
-  return util::atomic_write_file(path, content);
+  if (!util::ensure_parent_dir(path)) return false;
+  const int fd = ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT, 0644);
+  if (fd < 0) return false;
+  std::string line = entry.to_json().dump() + "\n";
+  // A crash mid-append leaves a torn last line without its newline; start
+  // on a fresh line so only that record is lost (read_ledger skips it).
+  const off_t size = ::lseek(fd, 0, SEEK_END);
+  char last = '\n';
+  if (size > 0 && ::pread(fd, &last, 1, size - 1) == 1 && last != '\n')
+    line.insert(line.begin(), '\n');
+  // One write per record: O_APPEND places it at the end atomically, so
+  // concurrent appenders — threads or processes — never overwrite each
+  // other's lines. A short write is reported as a failure.
+  const bool ok = ::write(fd, line.data(), line.size()) ==
+                      static_cast<ssize_t>(line.size()) &&
+                  ::fsync(fd) == 0;
+  return ::close(fd) == 0 && ok;
 }
 
 std::vector<Json> read_ledger(const std::string& path) {

@@ -53,10 +53,12 @@ struct LedgerEntry {
 };
 
 /// Appends one record to the JSONL ledger at `path`, creating it (and any
-/// parent directories) on first write. The whole file is rewritten through
-/// util::atomic_write_file, so a crash mid-append leaves the previous
-/// ledger intact rather than a torn line. Returns false, without throwing,
-/// when the write failed — ledger output is best-effort telemetry.
+/// parent directories) on first write: one O_APPEND write of the line,
+/// then fsync. Concurrent appenders, in one process or several, keep every
+/// record. A crash mid-append can tear only that record's line; the next
+/// append starts on a fresh line and read_ledger skips the torn one.
+/// Returns false, without throwing, when the write failed — ledger output
+/// is best-effort telemetry.
 [[nodiscard]] bool append_ledger_entry(const std::string& path,
                                        const LedgerEntry& entry);
 

@@ -6,10 +6,9 @@
 #include <vector>
 
 #include "obs/canonical.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "svc/chaos.hpp"
-#include "svc/envelope.hpp"
+#include "svc/wire.hpp"
 #include "util/fsio.hpp"
 
 namespace xlp::svc {
@@ -93,23 +92,12 @@ ResultCache::ResultCache(std::string dir, std::size_t max_entries,
       quarantine_locked(file.name, "");
       continue;
     }
+    // A bare document carries no checksum, so it is as untrusted as a
+    // torn one: quarantined, and its id recomputes on the next request.
     std::string payload;
-    switch (unwrap_envelope(*bytes, &payload)) {
-      case EnvelopeStatus::kOk:
-        break;
-      case EnvelopeStatus::kNotEnvelope:
-        // Pre-envelope entries were the bare payload JSON; accept them so
-        // an upgrade does not cold-start the cache. They are rewritten in
-        // envelope form on their next put().
-        if (!obs::Json::parse(*bytes)) {
-          quarantine_locked(file.name, "");
-          continue;
-        }
-        payload = *bytes;
-        break;
-      case EnvelopeStatus::kCorrupt:
-        quarantine_locked(file.name, "");
-        continue;
+    if (unwrap_envelope(*bytes, &payload) != EnvelopeStatus::kOk) {
+      quarantine_locked(file.name, "");
+      continue;
     }
     lru_.push_front(file.name);
     entries_[file.name] =

@@ -27,12 +27,6 @@ int site_index(const std::string& name) {
 
 }  // namespace
 
-const char* to_string(ChaosSite site) noexcept {
-  const int index = static_cast<int>(site);
-  return index >= 0 && index < kChaosSiteCount ? kSiteNames[index]
-                                               : "unknown";
-}
-
 void ChaosPolicy::configure(const std::string& spec) {
   // Parse into a scratch table first so a malformed spec leaves the
   // policy untouched (and disabled sites stay zero-cost).

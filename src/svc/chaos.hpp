@@ -28,8 +28,6 @@ enum class ChaosSite {
 };
 inline constexpr int kChaosSiteCount = 8;
 
-[[nodiscard]] const char* to_string(ChaosSite site) noexcept;
-
 /// Deterministic fault-injection policy (docs/service.md, "Failure modes
 /// and chaos testing").
 ///

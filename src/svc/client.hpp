@@ -45,10 +45,10 @@ struct RetryPolicy {
   [[nodiscard]] double backoff_ms(int attempt) const;
 };
 
-/// True when `reply_text` is a reply document (object or array) carrying
-/// at least one `error` with `"retryable":true` — the server's signal that
-/// resubmitting the identical request can succeed (deadline stops,
-/// injected faults, poisoned executions). Malformed text is not retryable.
+/// True when decode_replies(reply_text) holds at least one retryable
+/// error reply — the server's signal that resubmitting the identical
+/// request can succeed (deadline stops, injected faults, poisoned
+/// executions). A reply document that does not decode is not retryable.
 [[nodiscard]] bool reply_has_retryable_error(const std::string& reply_text);
 
 /// Drops a submission into `<queue_dir>/inbox/<name>.json`, wrapped in the
@@ -61,10 +61,9 @@ struct RetryPolicy {
 
 /// Polls `<queue_dir>/outbox/<name>.json` until a verified reply appears,
 /// then consumes (removes) the file and returns the reply document. A file
-/// that fails the envelope check is a write in progress or a torn write —
-/// it is left in place and polling continues, because the server rewrites
-/// replies atomically on its next pass. Unwrapped reply files (pre-envelope
-/// servers) are accepted as-is.
+/// that is not a verified envelope is a write in progress or a torn write
+/// — it is left in place and polling continues, because the server
+/// rewrites replies atomically on its next pass.
 ///
 /// Throws Error(kState) when `timeout_seconds` elapses, with context
 /// naming the request, the time waited, and whether the inbox submission

@@ -2,12 +2,10 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <system_error>
@@ -20,7 +18,6 @@
 #include "obs/provenance.hpp"
 #include "obs/timeseries.hpp"
 #include "svc/chaos.hpp"
-#include "svc/envelope.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
 #include "util/parallel.hpp"
@@ -29,31 +26,6 @@
 namespace xlp::svc {
 
 namespace fs = std::filesystem;
-
-std::string Reply::to_text() const {
-  std::string out;
-  out.reserve(payload_text.size() + 96);
-  out += "{\"schema\":\"";
-  out += kReplySchema;
-  out += "\",\"request_id\":\"";
-  out += obs::json_escape(request_id);
-  out += "\",\"cache_hit\":";
-  out += cache_hit ? "true" : "false";
-  if (ok) {
-    out += ",\"result\":";
-    out += payload_text;  // canonical payload bytes, spliced verbatim
-  } else {
-    out += ",\"error\":{\"kind\":\"";
-    out += obs::json_escape(error_kind);
-    out += "\",\"retryable\":";
-    out += retryable ? "true" : "false";
-    out += ",\"message\":\"";
-    out += obs::json_escape(payload_text);
-    out += "\"}";
-  }
-  out += "}";
-  return out;
-}
 
 namespace {
 
@@ -75,6 +47,16 @@ constexpr const char* kOutcomeNames[] = {"cache", "miss", "inflight",
 
 void bump(std::atomic<long>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// The serialized error reply to a submission that is wrong in itself:
+/// never retryable, since the identical bytes fail the identical way.
+std::string rejection(const std::string& message, const char* kind) {
+  Reply reply;
+  reply.ok = false;
+  reply.payload_text = message;
+  reply.error_kind = kind;
+  return reply.to_text();
 }
 
 }  // namespace
@@ -288,59 +270,37 @@ std::vector<Reply> Server::serve_batch(const std::vector<Request>& requests) {
 
 std::string Server::serve_text(const std::string& text) {
   const auto doc = obs::Json::parse(text);
-  // Malformed submissions are never retryable: the identical bytes will
-  // fail the identical way.
-  const auto error_reply = [](const std::string& message,
-                              const char* kind) {
-    Reply reply;
-    reply.ok = false;
-    reply.payload_text = message;
-    reply.error_kind = kind;
-    reply.retryable = false;
-    return reply;
-  };
-  if (!doc)
-    return error_reply("submission is not valid JSON", "parse").to_text();
+  if (!doc) return rejection("submission is not valid JSON", "parse");
 
   if (doc->is_object()) {
     try {
       return serve_batch({Request::from_json(*doc)})[0].to_text();
     } catch (const Error& error) {
-      return error_reply(error.what(), error_code_name(error.code()))
-          .to_text();
+      return rejection(error.what(), error_code_name(error.code()));
     }
   }
   if (!doc->is_array())
-    return error_reply("submission must be a request object or an array",
-                       "schema")
-        .to_text();
+    return rejection("submission must be a request object or an array",
+                     "schema");
 
   // Parse every element first (errors become in-place error replies), then
   // serve the well-formed ones as one batch so duplicates still collapse.
   std::vector<Request> good;
-  struct ParseError {
-    std::string message;
-    const char* kind;
-  };
-  std::vector<std::optional<ParseError>> parse_errors(doc->size());
+  std::vector<std::string> rejected(doc->size());  // "" = parsed
   for (std::size_t i = 0; i < doc->size(); ++i) {
     try {
       good.push_back(Request::from_json(doc->at(i)));
     } catch (const Error& error) {
-      parse_errors[i] =
-          ParseError{error.what(), error_code_name(error.code())};
+      rejected[i] = rejection(error.what(), error_code_name(error.code()));
     }
   }
   const std::vector<Reply> served = serve_batch(good);
 
   std::string out = "[";
   std::size_t next_served = 0;
-  for (std::size_t i = 0; i < parse_errors.size(); ++i) {
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
     if (i > 0) out += ",";
-    out += parse_errors[i]
-               ? error_reply(parse_errors[i]->message, parse_errors[i]->kind)
-                     .to_text()
-               : served[next_served++].to_text();
+    out += rejected[i].empty() ? served[next_served++].to_text() : rejected[i];
   }
   out += "]";
   return out;
@@ -348,11 +308,10 @@ std::string Server::serve_text(const std::string& text) {
 
 long Server::run_queue(const std::string& queue_dir, bool once,
                        double poll_seconds) {
-  const fs::path inbox = fs::path(queue_dir) / "inbox";
-  const fs::path outbox = fs::path(queue_dir) / "outbox";
+  const QueueDirs dirs(queue_dir);
   std::error_code ec;
-  fs::create_directories(inbox, ec);
-  fs::create_directories(outbox, ec);
+  fs::create_directories(dirs.inbox, ec);
+  fs::create_directories(dirs.outbox, ec);
 
   long served = 0;
   const auto cancelled = [this] {
@@ -360,7 +319,7 @@ long Server::run_queue(const std::string& queue_dir, bool once,
   };
   while (true) {
     std::vector<std::string> names;
-    for (const auto& entry : fs::directory_iterator(inbox, ec)) {
+    for (const auto& entry : fs::directory_iterator(dirs.inbox, ec)) {
       if (entry.is_regular_file(ec) && entry.path().extension() == ".json")
         names.push_back(entry.path().filename().string());
     }
@@ -370,7 +329,7 @@ long Server::run_queue(const std::string& queue_dir, bool once,
 
     for (const std::string& name : names) {
       if (cancelled()) return served;
-      const auto text = util::read_file((inbox / name).string());
+      const auto text = util::read_file((dirs.inbox / name).string());
       if (!text) continue;  // raced with a concurrent consumer
 
       // Submissions arrive envelope-wrapped (svc::queue_submit); bare
@@ -388,16 +347,11 @@ long Server::run_queue(const std::string& queue_dir, bool once,
         case EnvelopeStatus::kNotEnvelope:
           reply_text = serve_text(*text);
           break;
-        case EnvelopeStatus::kCorrupt: {
+        case EnvelopeStatus::kCorrupt:
           corrupt_submission = true;
-          Reply corrupt;
-          corrupt.ok = false;
-          corrupt.payload_text = "submission failed checksum: " + reason;
-          corrupt.error_kind = "parse";
-          corrupt.retryable = false;
-          reply_text = corrupt.to_text();
+          reply_text =
+              rejection("submission failed checksum: " + reason, "parse");
           break;
-        }
       }
 
       ChaosPolicy& chaos = ChaosPolicy::global();
@@ -407,7 +361,7 @@ long Server::run_queue(const std::string& queue_dir, bool once,
         // is kept, so the next pass overwrites the torn file via rename;
         // the client's envelope check keeps it polling until then.
         const std::string wrapped = wrap_envelope(reply_text);
-        std::ofstream torn((outbox / name).string(),
+        std::ofstream torn((dirs.outbox / name).string(),
                            std::ios::binary | std::ios::trunc);
         torn.write(wrapped.data(),
                    static_cast<std::streamsize>(wrapped.size() / 2));
@@ -415,19 +369,18 @@ long Server::run_queue(const std::string& queue_dir, bool once,
       }
       // Reply before removing the submission: a crash in between replays
       // the file on restart, and the cache makes the replay a no-op.
-      if (!chaos_write_file((outbox / name).string(),
+      if (!chaos_write_file((dirs.outbox / name).string(),
                             wrap_envelope(reply_text)))
         continue;  // keep the submission; retry on the next pass
       if (corrupt_submission) {
         // Only now that the error reply is durable does the bad
         // submission leave the inbox — into quarantine, for forensics.
-        const fs::path qdir = fs::path(queue_dir) / "quarantine";
-        fs::create_directories(qdir, ec);
-        fs::rename(inbox / name, qdir / name, ec);
-        if (ec) fs::remove(inbox / name, ec);
+        fs::create_directories(dirs.quarantine, ec);
+        fs::rename(dirs.inbox / name, dirs.quarantine / name, ec);
+        if (ec) fs::remove(dirs.inbox / name, ec);
         bump(queue_corrupt_);
       } else {
-        fs::remove(inbox / name, ec);
+        fs::remove(dirs.inbox / name, ec);
       }
       queue_depth_.fetch_sub(1, std::memory_order_relaxed);
       ++served;
@@ -446,75 +399,9 @@ long Server::run_queue(const std::string& queue_dir, bool once,
   }
 }
 
-namespace {
-
-bool read_exact(int fd, void* buffer, std::size_t bytes) {
-  auto* out = static_cast<char*>(buffer);
-  while (bytes > 0) {
-    const ssize_t got = ::read(fd, out, bytes);
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) return false;
-    out += got;
-    bytes -= static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-bool write_exact(int fd, const void* buffer, std::size_t bytes) {
-  const auto* in = static_cast<const char*>(buffer);
-  while (bytes > 0) {
-    const ssize_t put = ::write(fd, in, bytes);
-    if (put < 0 && errno == EINTR) continue;
-    if (put <= 0) return false;
-    in += put;
-    bytes -= static_cast<std::size_t>(put);
-  }
-  return true;
-}
-
-/// One frame: 4-byte little-endian byte count, then that many bytes.
-bool read_frame(int fd, std::string& out) {
-  unsigned char header[4];
-  if (!read_exact(fd, header, 4)) return false;
-  const std::uint32_t length =
-      static_cast<std::uint32_t>(header[0]) |
-      (static_cast<std::uint32_t>(header[1]) << 8) |
-      (static_cast<std::uint32_t>(header[2]) << 16) |
-      (static_cast<std::uint32_t>(header[3]) << 24);
-  if (length > (64u << 20)) return false;  // refuse absurd frames
-  out.resize(length);
-  return length == 0 || read_exact(fd, out.data(), length);
-}
-
-bool write_frame(int fd, const std::string& text) {
-  const auto length = static_cast<std::uint32_t>(text.size());
-  const unsigned char header[4] = {
-      static_cast<unsigned char>(length & 0xff),
-      static_cast<unsigned char>((length >> 8) & 0xff),
-      static_cast<unsigned char>((length >> 16) & 0xff),
-      static_cast<unsigned char>((length >> 24) & 0xff)};
-  return write_exact(fd, header, 4) &&
-         (text.empty() || write_exact(fd, text.data(), text.size()));
-}
-
-}  // namespace
-
 bool Server::run_socket(const std::string& socket_path) {
-  if (socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) return false;
-  ::unlink(socket_path.c_str());
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int listener = listen_unix(socket_path);
   if (listener < 0) return false;
-
-  sockaddr_un address{};
-  address.sun_family = AF_UNIX;
-  std::strncpy(address.sun_path, socket_path.c_str(),
-               sizeof(address.sun_path) - 1);
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&address),
-             sizeof(address)) != 0 ||
-      ::listen(listener, 64) != 0) {
-    ::close(listener);
-    return false;
-  }
 
   // Dedicated connection workers (not the batch pool): each serves whole
   // connections sequentially, so concurrent clients submitting the same
@@ -551,13 +438,7 @@ bool Server::run_socket(const std::string& socket_path) {
             // A header promising the full reply, then only half the body:
             // the client's read_frame blocks until our close, then fails
             // as a transport error and the retry path resubmits.
-            const unsigned char header[4] = {
-                static_cast<unsigned char>(reply.size() & 0xff),
-                static_cast<unsigned char>((reply.size() >> 8) & 0xff),
-                static_cast<unsigned char>((reply.size() >> 16) & 0xff),
-                static_cast<unsigned char>((reply.size() >> 24) & 0xff)};
-            (void)write_exact(fd, header, 4);
-            (void)write_exact(fd, reply.data(), reply.size() / 2);
+            (void)write_frame(fd, reply, reply.size() / 2);
             break;
           }
           if (!write_frame(fd, reply)) break;
@@ -609,9 +490,6 @@ void Server::append_ledger(const Request& request, const Reply& reply,
   entry.wall_seconds = wall_seconds;
   entry.exit_status = reply.ok ? 0 : 1;
   entry.cache_hit = reply.cache_hit ? 1 : 0;
-  // append_ledger_entry rewrites the whole file; serialize appends so
-  // concurrent pool workers never drop each other's records.
-  std::lock_guard<std::mutex> lock(ledger_mutex_);
   (void)obs::append_ledger_entry(options_.ledger_path, entry);
 }
 

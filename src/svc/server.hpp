@@ -14,6 +14,7 @@
 #include "runctl/control.hpp"
 #include "svc/cache.hpp"
 #include "svc/request.hpp"
+#include "svc/wire.hpp"
 #include "util/stopwatch.hpp"
 
 namespace xlp::obs {
@@ -23,41 +24,10 @@ class SeriesRecorder;
 
 namespace xlp::svc {
 
-/// Schema identifier of serialized replies.
-inline constexpr const char* kReplySchema = "xlp-reply/1";
-
 /// Schema identifier of request lifecycle event records
 /// (server-events.jsonl): one JSON line per request served, with the
 /// dedup outcome and per-stage durations.
 inline constexpr const char* kEventsSchema = "svc-events/1";
-
-/// The answer to one request. `payload_text` is the canonical result
-/// payload *bytes* (what the cache stores), spliced verbatim into the
-/// serialized reply — an executed result and its later cache hits are
-/// byte-identical by construction, never re-serialized.
-struct Reply {
-  std::string request_id;
-  bool ok = true;
-  /// True when the reply was served without executing: from the persisted
-  /// cache, from another request in flight, or as a duplicate within one
-  /// batch.
-  bool cache_hit = false;
-  std::string payload_text;  ///< result JSON, or the error message when !ok
-  /// Error taxonomy (!ok only): an error_code_name() — "parse", "schema",
-  /// "state", ... — or "poisoned" for a request whose execution escaped
-  /// with a non-Error exception.
-  std::string error_kind = "internal";
-  /// True when resubmitting the identical request can succeed (deadline
-  /// stops, injected faults, poisoned executions); false for requests that
-  /// are wrong in themselves (parse / schema / usage). Drives the client's
-  /// retry loop.
-  bool retryable = false;
-
-  /// {"schema":"xlp-reply/1","request_id":...,"cache_hit":...,
-  ///  "result":<payload>} — or, instead of "result",
-  ///  "error":{"kind":...,"retryable":...,"message":...}.
-  [[nodiscard]] std::string to_text() const;
-};
 
 struct ServerOptions {
   std::string cache_dir = "xlp-cache";
@@ -151,9 +121,8 @@ class Server {
                  double poll_seconds);
 
   /// Local-socket transport: a SOCK_STREAM AF_UNIX listener at
-  /// `socket_path` speaking length-prefixed JSON — each frame is a 4-byte
-  /// little-endian byte count followed by one submission document; the
-  /// reply comes back in the same framing, one round trip per connection.
+  /// `socket_path` reading one submission document per frame (read_frame)
+  /// and answering each in the same framing.
   /// Connections are handled by `threads` dedicated client workers, so
   /// concurrent identical requests hit the in-flight dedup path. Returns
   /// when the cancel token fires (accepted connections drain first);
@@ -229,7 +198,6 @@ class Server {
   std::mutex inflight_mutex_;
   std::map<std::string, std::shared_ptr<Inflight>> inflight_;
 
-  std::mutex ledger_mutex_;
   std::atomic<long> requests_served_{0};
 
   // --- registry counters, resolved once ---

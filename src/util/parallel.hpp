@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "runctl/control.hpp"
 
@@ -28,10 +27,10 @@ void set_default_thread_count(int threads) noexcept;
 
 /// Fixed-size pool of worker threads for embarrassingly parallel loops.
 ///
-/// Determinism contract: parallel_for / parallel_map never let the thread
-/// count or the scheduling order influence *what* is computed — work item
-/// i always sees the same inputs and writes only its own slot. Any
-/// randomness must be forked per item *before* dispatch (see Rng::fork).
+/// Determinism contract: parallel_for never lets the thread count or the
+/// scheduling order influence *what* is computed — work item i always sees
+/// the same inputs and writes only its own slot. Any randomness must be
+/// forked per item *before* dispatch (see Rng::fork).
 /// A pool never has more workers than items: a pool of size 1 (one
 /// thread requested, or one item) spawns no threads at all and runs every
 /// item inline on the calling thread, in index order — bit-identical to a
@@ -75,19 +74,5 @@ class ThreadPool {
   Impl* impl_ = nullptr;  // null for the inline (size-1) pool
   int threads_ = 1;
 };
-
-/// Convenience: evaluates fn(i) for i in [0, count) on `pool` and returns
-/// the results in index order, independent of scheduling. T must be
-/// default-constructible. Throws (never truncates) when a cancellation
-/// kept the map from completing, since a partial map has no meaningful
-/// result slotting.
-template <typename T>
-std::vector<T> parallel_map(ThreadPool& pool, long count,
-                            const std::function<T(long)>& fn) {
-  std::vector<T> out(static_cast<std::size_t>(count));
-  pool.parallel_for(count,
-                    [&](long i) { out[static_cast<std::size_t>(i)] = fn(i); });
-  return out;
-}
 
 }  // namespace xlp::util

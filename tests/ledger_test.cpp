@@ -1,13 +1,17 @@
 // Tests of the run ledger: the content-hashed run id depends on exactly
 // the canonical params (the construction svc::Request::id() uses) and
 // nothing else, records serialize with a fixed schema, and the JSONL
-// append/read round trip is crash-safe against malformed lines.
+// append/read round trip keeps every record under concurrent appends and
+// loses at most a torn line to a crash.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <fstream>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/canonical.hpp"
 #include "obs/ledger.hpp"
@@ -125,6 +129,51 @@ TEST(Ledger, ReadSkipsMalformedLines) {
   }
   ASSERT_TRUE(append_ledger_entry(path, entry));
   EXPECT_EQ(read_ledger(path).size(), 2u);
+}
+
+TEST(Ledger, ConcurrentAppendsKeepEveryRecord) {
+  const std::string path = ::testing::TempDir() + "/xlp_ledger_mt.jsonl";
+  std::remove(path.c_str());
+  constexpr int kThreads = 8;
+  constexpr int kAppends = 200;
+  // No lock around the appends: the ledger itself must not lose a record
+  // when writers race (xlpd pool workers, or two processes on one dir).
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&path, t] {
+      LedgerEntry entry;
+      entry.subcommand = "svc";
+      for (int i = 0; i < kAppends; ++i) {
+        entry.seed = static_cast<std::uint64_t>(t * kAppends + i);
+        EXPECT_TRUE(append_ledger_entry(path, entry));
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+
+  std::set<long> seeds;
+  for (const Json& record : read_ledger(path))
+    seeds.insert(record.find("seed")->as_long());
+  EXPECT_EQ(seeds.size(), static_cast<std::size_t>(kThreads * kAppends));
+}
+
+TEST(Ledger, AppendAfterATornLineStartsAFreshLine) {
+  const std::string path = ::testing::TempDir() + "/xlp_ledger_torn.jsonl";
+  std::remove(path.c_str());
+  LedgerEntry entry;
+  entry.subcommand = "solve";
+  ASSERT_TRUE(append_ledger_entry(path, entry));
+  {
+    // What a crash mid-append leaves: a record cut before its newline.
+    std::ofstream out(path, std::ios::app);
+    out << "{\"schema\":\"xlp-ledger/1\",\"run";
+  }
+  entry.seed = 9;
+  ASSERT_TRUE(append_ledger_entry(path, entry));
+  const auto records = read_ledger(path);
+  ASSERT_EQ(records.size(), 2u) << "only the torn record may be lost";
+  EXPECT_EQ(records[1].find("seed")->as_long(), 9);
 }
 
 TEST(Ledger, ReadMissingFileIsEmpty) {

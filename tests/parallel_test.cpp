@@ -73,15 +73,6 @@ TEST(ThreadPool, RunsEveryItemExactlyOnce) {
     ASSERT_EQ(hit[static_cast<std::size_t>(i)], 1) << "item " << i;
 }
 
-TEST(ThreadPool, ParallelMapIsIndexOrdered) {
-  util::ThreadPool pool(3, 100);
-  const std::vector<long> squares = util::parallel_map<long>(
-      pool, 100, [](long i) { return i * i; });
-  ASSERT_EQ(squares.size(), 100u);
-  for (long i = 0; i < 100; ++i)
-    EXPECT_EQ(squares[static_cast<std::size_t>(i)], i * i);
-}
-
 TEST(ThreadPool, LowestIndexExceptionWins) {
   util::ThreadPool pool(4, 16);
   // Items 3 and 7 both throw on every run; which one is *seen* first
@@ -232,13 +223,14 @@ TEST(ParallelDeterminism, SweepIsIdenticalAcrossThreadCounts) {
   options.sa = core::SaParams{}.with_moves(200);
   options.latency = latency::LatencyParams::zero_load();
 
-  options.threads = 1;
+  util::set_default_thread_count(1);
   Rng rng_seq(321);
   const auto seq = core::sweep_link_limits(8, 8, options, rng_seq);
 
-  options.threads = 8;
+  util::set_default_thread_count(8);
   Rng rng_par(321);
   const auto par = core::sweep_link_limits(8, 8, options, rng_par);
+  util::set_default_thread_count(0);
 
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {

@@ -10,6 +10,8 @@
 // every quarantined entry is accounted by the svc.cache.corrupt counter.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -23,9 +25,9 @@
 #include "svc/cache.hpp"
 #include "svc/chaos.hpp"
 #include "svc/client.hpp"
-#include "svc/envelope.hpp"
 #include "svc/request.hpp"
 #include "svc/server.hpp"
+#include "svc/wire.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
 
@@ -159,8 +161,9 @@ TEST(Envelope, DetectsEveryCorruptionShape) {
             EnvelopeStatus::kCorrupt);
   EXPECT_EQ(reason, "missing checksum field");
 
-  // Well-formed JSON of another shape is not corruption — it is the
-  // back-compat branch for bare documents.
+  // Well-formed JSON of another shape is reported apart from corruption:
+  // the queue inbox accepts such a bare document, every other reader
+  // rejects it.
   EXPECT_EQ(unwrap_envelope("{\"v\":2}", &out, &reason),
             EnvelopeStatus::kNotEnvelope);
   EXPECT_EQ(unwrap_envelope("[1,2]", &out, &reason),
@@ -173,7 +176,8 @@ TEST(CacheQuarantine, RescanQuarantinesEveryCorruptionShape) {
   const std::string dir = fresh_dir("corpus");
   fs::create_directories(dir);
   // The corpus: truncated JSON, flipped payload byte, missing checksum
-  // field, zero-length file, and a directory squatting on an entry name.
+  // field, zero-length file, a directory squatting on an entry name, and
+  // a bare document with no envelope (and so no checksum) at all.
   const std::string wrapped = wrap_envelope("{\"v\":1}");
   ASSERT_TRUE(util::atomic_write_file(
       dir + "/00000000000000c1.json", wrapped.substr(0, wrapped.size() / 2)));
@@ -186,6 +190,8 @@ TEST(CacheQuarantine, RescanQuarantinesEveryCorruptionShape) {
       R"({"schema":"xlp-envelope/1","payload":"{}"})"));
   ASSERT_TRUE(util::atomic_write_file(dir + "/00000000000000c4.json", ""));
   fs::create_directories(dir + "/00000000000000c5.json");
+  ASSERT_TRUE(util::atomic_write_file(dir + "/00000000000000c7.json",
+                                      R"({"kind":"solve","value":0})"));
   // One healthy entry proves the rescan separates wheat from chaff.
   ASSERT_TRUE(util::atomic_write_file(dir + "/00000000000000c6.json",
                                       wrap_envelope("{\"v\":6}")));
@@ -194,12 +200,12 @@ TEST(CacheQuarantine, RescanQuarantinesEveryCorruptionShape) {
   ResultCache cache(dir, 8, &metrics);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(cache.contains("00000000000000c6"));
-  EXPECT_EQ(metrics.counter("svc.cache.corrupt"), 5);
-  EXPECT_EQ(count_entries(fs::path(dir) / "quarantine"), 5u);
+  EXPECT_EQ(metrics.counter("svc.cache.corrupt"), 6);
+  EXPECT_EQ(count_entries(fs::path(dir) / "quarantine"), 6u);
   // None of the corrupt names survived in the live directory...
   for (const char* name : {"00000000000000c1", "00000000000000c2",
                            "00000000000000c3", "00000000000000c4",
-                           "00000000000000c5"}) {
+                           "00000000000000c5", "00000000000000c7"}) {
     EXPECT_FALSE(cache.contains(name)) << name;
     EXPECT_FALSE(fs::exists(fs::path(dir) / (std::string(name) + ".json")))
         << name;
@@ -281,16 +287,59 @@ TEST(RetryPolicy, BackoffIsDeterministicBoundedAndJittered) {
 }
 
 TEST(RetryPolicy, RetryableErrorRepliesAreRecognized) {
-  EXPECT_TRUE(reply_has_retryable_error(
+  Reply result;
+  result.request_id = "00000000000000e1";
+  result.payload_text = R"({"v":1})";
+  Reply poisoned;
+  poisoned.ok = false;
+  poisoned.error_kind = "poisoned";
+  poisoned.retryable = true;
+  poisoned.payload_text = "x";
+  Reply malformed = poisoned;
+  malformed.error_kind = "parse";
+  malformed.retryable = false;
+
+  EXPECT_TRUE(reply_has_retryable_error(poisoned.to_text()));
+  EXPECT_FALSE(reply_has_retryable_error(malformed.to_text()));
+  EXPECT_FALSE(reply_has_retryable_error(result.to_text()));
+  EXPECT_TRUE(reply_has_retryable_error("[" + result.to_text() + "," +
+                                        poisoned.to_text() + "]"));
+  EXPECT_FALSE(reply_has_retryable_error("not json"));
+  // Only an xlp-reply/1 document decodes: a bare error object or a
+  // string-shaped error carries no retry signal.
+  EXPECT_FALSE(reply_has_retryable_error(
       R"({"error":{"kind":"poisoned","retryable":true,"message":"x"}})"));
   EXPECT_FALSE(reply_has_retryable_error(
-      R"({"error":{"kind":"parse","retryable":false,"message":"x"}})"));
-  EXPECT_FALSE(reply_has_retryable_error(R"({"result":{"v":1}})"));
-  EXPECT_TRUE(reply_has_retryable_error(
-      R"([{"result":{}},{"error":{"kind":"state","retryable":true,"message":""}}])"));
-  EXPECT_FALSE(reply_has_retryable_error("not json"));
-  // Legacy string-shaped errors carry no retry signal.
-  EXPECT_FALSE(reply_has_retryable_error(R"({"error":"boom"})"));
+      R"({"schema":"xlp-reply/1","request_id":"","cache_hit":false,)"
+      R"("error":"boom"})"));
+}
+
+TEST(Reply, DecodeRoundTripsToText) {
+  Reply hit;
+  hit.request_id = "00000000000000e2";
+  hit.cache_hit = true;
+  hit.payload_text = R"({"kind":"solve","value":12.5})";
+  Reply failed;
+  failed.request_id = "00000000000000e3";
+  failed.ok = false;
+  failed.error_kind = "state";
+  failed.retryable = true;
+  failed.payload_text = "stopped \"early\"";
+
+  const auto decoded =
+      decode_replies("[" + hit.to_text() + "," + failed.to_text() + "]");
+  ASSERT_EQ(decoded.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Reply& expected = i == 0 ? hit : failed;
+    EXPECT_EQ(decoded[i].to_text(), expected.to_text());
+  }
+  ASSERT_EQ(decode_replies(hit.to_text()).size(), 1u);
+
+  EXPECT_THROW((void)decode_replies("{\"schema\""), Error);
+  EXPECT_THROW((void)decode_replies(R"({"schema":"xlp-reply/2"})"), Error);
+  const std::string no_result_or_error =
+      R"({"schema":"xlp-reply/1","request_id":"","cache_hit":false})";
+  EXPECT_THROW((void)decode_replies(no_result_or_error), Error);
 }
 
 // --------------------------------------------------------------- poisoning
@@ -508,6 +557,39 @@ TEST(ChaosSocket, RetryingClientSurvivesFrameChaosWithoutSleeps) {
 
   cancel.request(runctl::RunStatus::kInterrupted);
   daemon.join();
+}
+
+TEST(ChaosSocket, ClientRefusesAReplyFrameOverTheBound) {
+  // A hostile peer answers every connection with a length header of
+  // 0xFFFFFFFF: the client must refuse the frame before allocating 4 GiB.
+  const std::string socket_path =
+      ::testing::TempDir() + "xlp_chaos_huge.sock";
+  const int listener = listen_unix(socket_path);
+  ASSERT_GE(listener, 0);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const unsigned char header[4] = {0xff, 0xff, 0xff, 0xff};
+    (void)!::write(fd, header, sizeof(header));
+    // Drain until the client hangs up.
+    char sink[256];
+    while (::read(fd, sink, sizeof(sink)) > 0) {
+    }
+    ::close(fd);
+  });
+
+  {
+    RetryPolicy policy;
+    policy.retries = 0;
+    SocketClient client(socket_path, policy);
+    EXPECT_TRUE(client.ok());
+    EXPECT_FALSE(client.submit(stats_request_text()).has_value());
+    EXPECT_FALSE(client.ok()) << "the connection is dropped, not reused";
+  }
+  ::shutdown(listener, SHUT_RDWR);  // frees the peer if nothing connected
+  peer.join();
+  ::close(listener);
+  fs::remove(socket_path);
 }
 
 }  // namespace

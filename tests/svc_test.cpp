@@ -18,11 +18,13 @@
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/timeseries.hpp"
 #include "svc/cache.hpp"
 #include "svc/chaos.hpp"
 #include "svc/client.hpp"
 #include "svc/request.hpp"
 #include "svc/server.hpp"
+#include "svc/wire.hpp"
 #include "topo/builders.hpp"
 #include "traffic/matrix.hpp"
 #include "traffic/patterns.hpp"
@@ -260,7 +262,7 @@ TEST(ResultCache, IgnoresForeignFilesOnRescan) {
   ASSERT_TRUE(util::atomic_write_file(dir + "/notes.txt", "hi"));
   ASSERT_TRUE(util::atomic_write_file(dir + "/metrics.json", "{}"));
   ASSERT_TRUE(util::atomic_write_file(dir + "/00000000000000ac.json",
-                                      "{\"v\":3}"));
+                                      wrap_envelope("{\"v\":3}")));
   ResultCache cache(dir, 8, nullptr);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(cache.contains("00000000000000ac"));
@@ -708,6 +710,27 @@ TEST(Server, CountersAreKeptWithObserveOff) {
             0);
 }
 
+TEST(Server, SeriesFeedClosesItsWindowOnFlush) {
+  obs::MetricsRegistry metrics;
+  obs::SeriesRecorder series(64);
+  ServerOptions options = test_options(fresh_dir("series"), &metrics, 1);
+  options.series = &series;
+  options.series_window = 3600.0;  // one window, closed by the flush
+  Server server(options);
+  Request evaluate;
+  evaluate.kind = RequestKind::kEvaluate;
+  for (int i = 0; i < 3; ++i) (void)server.resolve(evaluate);
+  EXPECT_TRUE(series.sampled("svc.requests_per_sec").empty());
+
+  server.flush_observability();
+  for (const char* name : {"svc.requests_per_sec", "svc.cache_hit_rate",
+                           "svc.queue_depth", "svc.inflight"})
+    EXPECT_EQ(series.sampled(name).size(), 1u) << name;
+  // One execution, then two hits.
+  EXPECT_DOUBLE_EQ(series.sampled("svc.cache_hit_rate")[0].y, 2.0 / 3.0);
+  EXPECT_GT(series.sampled("svc.requests_per_sec")[0].y, 0.0);
+}
+
 TEST(Server, StatsRequestIsAnsweredFromMemoryOverBothEntryPoints) {
   obs::MetricsRegistry metrics;
   Server server(test_options(fresh_dir("statsreq"), &metrics, 2));
@@ -778,6 +801,30 @@ TEST(Client, QueueRoundTripThroughServer) {
   // The submission was consumed and the reply removed by queue_wait.
   EXPECT_FALSE(fs::exists(fs::path(queue_dir) / "inbox" / "job1.json"));
   EXPECT_FALSE(fs::exists(fs::path(queue_dir) / "outbox" / "job1.json"));
+}
+
+TEST(Client, QueueServesABareSubmissionButNeverConsumesABareReply) {
+  const std::string root = fresh_dir("queue_bare");
+  const std::string queue_dir = root + "/q";
+  obs::MetricsRegistry metrics;
+  Server server(test_options(root + "/cache", &metrics));
+
+  // The inbox is the one reader that takes a bare, hand-written document.
+  Request evaluate;
+  evaluate.kind = RequestKind::kEvaluate;
+  ASSERT_TRUE(util::atomic_write_file(
+      (fs::path(queue_dir) / "inbox" / "hand.json").string(),
+      evaluate.to_json().dump()));
+  EXPECT_EQ(server.run_queue(queue_dir, /*once=*/true, 0.01), 1);
+  const std::string reply = queue_wait(queue_dir, "hand", 5.0);
+  EXPECT_NE(reply.find("\"result\":"), std::string::npos) << reply;
+
+  // A bare outbox file carries no checksum: queue_wait keeps polling
+  // rather than consuming it, and leaves it in place.
+  const fs::path bare = fs::path(queue_dir) / "outbox" / "bare.json";
+  ASSERT_TRUE(util::atomic_write_file(bare.string(), reply));
+  EXPECT_THROW((void)queue_wait(queue_dir, "bare", 0.05), Error);
+  EXPECT_TRUE(fs::exists(bare));
 }
 
 TEST(Client, QueueWaitTimeoutNamesRequestAndInboxState) {

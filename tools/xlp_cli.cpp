@@ -128,6 +128,7 @@
 #include "sim/stats_json.hpp"
 #include "svc/client.hpp"
 #include "svc/request.hpp"
+#include "svc/wire.hpp"
 #include "topo/builders.hpp"
 #include "topo/render.hpp"
 #include "traffic/app_models.hpp"
@@ -769,38 +770,25 @@ int cmd_report(const Args& args) {
   return 0;
 }
 
-/// One stderr summary line for a reply element: request id, HIT/MISS
-/// marker, ok/error, and the wall time when the caller measured one.
-/// Returns false when the reply is an error reply.
-bool summarize_reply(const obs::Json& reply, std::size_t index,
-                     std::size_t total, double wall_seconds) {
-  const obs::Json* id = reply.find("request_id");
-  const obs::Json* hit = reply.find("cache_hit");
-  const obs::Json* error = reply.find("error");
+/// One stderr summary line per reply of a decoded reply document: request
+/// id, HIT/MISS marker, ok/error, and the wall time when the caller
+/// measured one. `index` numbers the first reply out of `total`. Adds the
+/// document's cache hits and error replies to the running tallies.
+void summarize_replies(const std::string& reply_text, std::size_t index,
+                       std::size_t total, double wall_seconds, long& hits,
+                       long& errors) {
   char wall[32] = "";
   if (wall_seconds >= 0.0)
     std::snprintf(wall, sizeof(wall), " %.1fms", wall_seconds * 1e3);
-  // Errors are structured objects ({kind, retryable, message}); a bare
-  // string is a pre-xlp-reply/1-hardening server.
-  std::string error_text;
-  if (error != nullptr) {
-    if (error->is_object()) {
-      const obs::Json* kind = error->find("kind");
-      const obs::Json* message = error->find("message");
-      if (kind != nullptr && kind->is_string())
-        error_text = kind->as_string() + ": ";
-      if (message != nullptr && message->is_string())
-        error_text += message->as_string();
-    } else if (error->is_string()) {
-      error_text = error->as_string();
-    }
+  for (const svc::Reply& reply : svc::decode_replies(reply_text)) {
+    const std::string error_text =
+        reply.ok ? "" : reply.error_kind + ": " + reply.payload_text;
+    std::fprintf(stderr, "  [%zu/%zu] %s %s%s%s%s\n", ++index, total,
+                 reply.request_id.c_str(), reply.cache_hit ? "HIT " : "MISS",
+                 wall, reply.ok ? " ok" : " ERROR: ", error_text.c_str());
+    if (reply.cache_hit) ++hits;
+    if (!reply.ok) ++errors;
   }
-  std::fprintf(stderr, "  [%zu/%zu] %s %s%s%s%s\n", index + 1, total,
-               id != nullptr && id->is_string() ? id->as_string().c_str()
-                                                : "?",
-               hit != nullptr && hit->as_bool() ? "HIT " : "MISS", wall,
-               error != nullptr ? " ERROR: " : " ok", error_text.c_str());
-  return error == nullptr;
 }
 
 /// Client side of the service (docs/service.md): builds or loads a
@@ -857,11 +845,6 @@ int cmd_submit(const Args& args) {
   std::string reply;
   long errors = 0;
   long hits = 0;
-  const auto tally = [&errors, &hits](const obs::Json& element, bool ok) {
-    if (!ok) ++errors;
-    const obs::Json* hit = element.find("cache_hit");
-    if (hit != nullptr && hit->as_bool()) ++hits;
-  };
 
   if (!socket_path.empty() && doc->is_array()) {
     // One frame per request over a single connection: every request gets
@@ -883,9 +866,7 @@ int cmd_submit(const Args& args) {
       const double seconds = request_wall.seconds();
       if (i > 0) reply += ",";
       reply += *answered;
-      const auto parsed = obs::Json::parse(*answered);
-      if (parsed)
-        tally(*parsed, summarize_reply(*parsed, i, doc->size(), seconds));
+      summarize_replies(*answered, i, doc->size(), seconds, hits, errors);
     }
     reply += "]";
   } else {
@@ -909,15 +890,8 @@ int cmd_submit(const Args& args) {
     }
     // Whole-document transports: summarize each reply element without a
     // per-request wall time (the batch is answered as one unit).
-    if (const auto parsed = obs::Json::parse(reply); parsed) {
-      if (parsed->is_array()) {
-        for (std::size_t i = 0; i < parsed->size(); ++i)
-          tally(parsed->at(i),
-                summarize_reply(parsed->at(i), i, parsed->size(), -1.0));
-      } else {
-        tally(*parsed, summarize_reply(*parsed, 0, 1, -1.0));
-      }
-    }
+    summarize_replies(reply, 0, static_cast<std::size_t>(request_count), -1.0,
+                      hits, errors);
   }
 
   std::printf("%s\n", reply.c_str());
@@ -974,20 +948,12 @@ int cmd_top(const Args& args) {
     if (client.ok()) answered = client.submit_with_retry(probe);
     if (!answered)
       throw Error(ErrorCode::kIo, "no xlpd reachable at " + socket_path);
-    const auto reply = obs::Json::parse(*answered);
-    XLP_REQUIRE(reply.has_value(), "malformed reply from " + socket_path);
-    const obs::Json* stats = reply->find("result");
-    if (stats == nullptr) {
-      const obs::Json* error = reply->find("error");
-      std::string message = "daemon did not answer the stats request";
-      if (error != nullptr && error->is_string())
-        message = error->as_string();
-      else if (error != nullptr && error->is_object())
-        if (const obs::Json* m = error->find("message");
-            m != nullptr && m->is_string())
-          message = m->as_string();
-      throw Error(ErrorCode::kState, message);
-    }
+    const std::vector<svc::Reply> replies = svc::decode_replies(*answered);
+    XLP_REQUIRE(replies.size() == 1, "malformed reply from " + socket_path);
+    if (!replies[0].ok) throw Error(ErrorCode::kState, replies[0].payload_text);
+    // decode_replies re-serialized the result, so it parses back.
+    const obs::Json snapshot = *obs::Json::parse(replies[0].payload_text);
+    const obs::Json* stats = &snapshot;
 
     const double uptime = num(stats, "uptime_seconds");
     const double served = num(stats, "requests_served");
