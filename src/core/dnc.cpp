@@ -90,9 +90,7 @@ topo::RowTopology solve_recursive(const RowObjective& objective,
 DncResult dnc_initial_solution(const RowObjective& objective, int link_limit,
                                const DncOptions& options) {
   XLP_REQUIRE(link_limit >= 1, "link limit must be at least 1");
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.add("core.dnc.runs");
-  const obs::ScopedTimer timer(metrics, "core.dnc.seconds");
+  obs::MetricsRegistry::global().add("core.dnc.runs");
   const obs::ProfileScope profile_scope("dnc.initial");
   topo::RowTopology placement =
       solve_recursive(objective, link_limit, options);

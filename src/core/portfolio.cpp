@@ -84,9 +84,6 @@ PortfolioResult solve_portfolio(
   };
 
   const auto run_chain = [&](long chain) {
-    // Per-chain wall time lands in the shared (thread-safe) registry.
-    const obs::ScopedTimer chain_timer(obs::MetricsRegistry::global(),
-                                       "core.portfolio.chain_seconds");
     // Per-chain objective (evaluation counters are not shareable across
     // threads) and a decorrelated per-chain stream: the result is a
     // function of (seed, chain index) alone, never of which pool worker
@@ -199,7 +196,6 @@ PortfolioResult solve_portfolio(
   metrics.add("core.portfolio.runs");
   metrics.add("core.portfolio.chains", options.chains);
   metrics.add("core.portfolio.threads", workers);
-  metrics.record_time("core.portfolio.seconds", portfolio.seconds);
   return portfolio;
 }
 

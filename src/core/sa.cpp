@@ -21,8 +21,6 @@ SaResult anneal_connection_matrix(const topo::ConnectionMatrix& initial,
   XLP_REQUIRE(params.cool_scale > 1.0, "cooling must reduce temperature");
   XLP_REQUIRE(params.moves_per_cool >= 1, "cooling period must be positive");
 
-  const obs::ScopedTimer run_timer(obs::MetricsRegistry::global(),
-                                   "core.sa.seconds");
   const obs::ProfileScope profile_scope("sa.anneal");
 
   topo::ConnectionMatrix current = initial;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -59,7 +60,21 @@ double Json::as_number() const {
 
 long Json::as_long() const {
   XLP_REQUIRE(type_ == Type::kNumber, "not a JSON number");
-  return static_cast<long>(std::llround(number_));
+  // Exact or nothing: a fraction, or a value past long's range (2^63 is
+  // exactly representable, so the bounds are exact too), is rejected
+  // rather than rounded or wrapped.
+  XLP_REQUIRE(std::trunc(number_) == number_ && number_ >= -0x1p63 &&
+                  number_ < 0x1p63,
+              "not an integer within the range of long");
+  return static_cast<long>(number_);
+}
+
+int Json::as_int() const {
+  const long value = as_long();
+  XLP_REQUIRE(value >= std::numeric_limits<int>::min() &&
+                  value <= std::numeric_limits<int>::max(),
+              "not an integer within the range of int");
+  return static_cast<int>(value);
 }
 
 const std::string& Json::as_string() const {

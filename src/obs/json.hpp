@@ -14,9 +14,10 @@ namespace xlp::obs {
 
 /// Minimal ordered JSON value — just enough for telemetry: build a
 /// document with set()/push(), serialize it with dump(), and parse one
-/// back with parse() (used by tools/trace_summary and the round-trip
-/// tests). Object members keep insertion order so emitted records are
-/// byte-deterministic; duplicate keys are the caller's bug, not checked.
+/// back with parse() (used by `xlp report`, the decoders of outside
+/// documents and the round-trip tests). Object members keep insertion
+/// order so emitted records are byte-deterministic; duplicate keys are the
+/// caller's bug, not checked.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -65,7 +66,10 @@ class Json {
   /// Typed accessors; each throws PreconditionError on a type mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
-  [[nodiscard]] long as_long() const;  // rounds the stored number
+  /// The stored number exactly: also throws PreconditionError when it has
+  /// a fraction or lies outside long's (as_int: int's) range.
+  [[nodiscard]] long as_long() const;
+  [[nodiscard]] int as_int() const;
   [[nodiscard]] const std::string& as_string() const;
 
   /// Array / object element count (0 for scalars).

@@ -28,7 +28,17 @@ Json LedgerEntry::to_json() const {
       .set("wall_seconds", wall_seconds)
       .set("exit_status", exit_status);
   if (cache_hit >= 0) record.set("cache_hit", cache_hit != 0);
-  return record.set("artifacts", std::move(artifact_list));
+  record.set("artifacts", std::move(artifact_list));
+  if (lifecycle)
+    record.set("lifecycle",
+               Json::object()
+                   .set("outcome", lifecycle->outcome)
+                   .set("cache_corrupt", lifecycle->cache_corrupt)
+                   .set("received_s", lifecycle->received_s)
+                   .set("queue_wait_ns", lifecycle->queue_wait_ns)
+                   .set("execute_ns", lifecycle->execute_ns)
+                   .set("end_to_end_ns", lifecycle->end_to_end_ns));
+  return record;
 }
 
 bool append_ledger_entry(const std::string& path, const LedgerEntry& entry) {

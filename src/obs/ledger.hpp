@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,17 @@ struct LedgerEntry {
   /// serialize as `"cache_hit": false / true`. Not part of the run id
   /// (execution detail, like wall time).
   int cache_hit = -1;
+  /// How xlpd served the request, timed on the server's uptime clock.
+  /// Omitted (nullopt) on CLI records; not part of the run id.
+  struct Lifecycle {
+    std::string outcome;  ///< cache | miss | inflight | batch | poisoned
+    bool cache_corrupt = false;  ///< the lookup quarantined a corrupt entry
+    double received_s = 0.0;     ///< when the request was received
+    long queue_wait_ns = 0;      ///< receipt to worker pickup
+    long execute_ns = 0;         ///< 0 unless this request executed
+    long end_to_end_ns = 0;      ///< receipt to reply
+  };
+  std::optional<Lifecycle> lifecycle;
 
   /// Content-hashed scenario identity: obs::fnv1a64_hex over
   /// obs::canonical_json(params), 16 lowercase hex chars. Stable across

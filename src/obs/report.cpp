@@ -57,11 +57,19 @@ std::string fmt_ns(double ns) {
   return buf;
 }
 
-/// Buckets one trace event into the derived series map.
+/// Buckets one trace event into its phase and the derived series map.
 void absorb_trace_event(const Json& record, RunDirData& data) {
   const Json* event = record.find("event");
   if (event == nullptr || !event->is_string()) return;
   const std::string& name = event->as_string();
+  if (const Json* ts = record.find("ts"); ts != nullptr && ts->is_number()) {
+    const Json* phase = record.find("phase");
+    auto [it, inserted] = data.trace_phases.try_emplace(
+        phase != nullptr && phase->is_string() ? phase->as_string() : name);
+    if (inserted) it->second.first_ts = ts->as_number();
+    it->second.last_ts = ts->as_number();
+    ++it->second.events;
+  }
   if (name == "sim.progress") {
     const double cycle = field_number(record, "cycle", 0.0);
     data.trace_series["trace.sim.packets_in_flight"].emplace_back(
@@ -99,7 +107,7 @@ void classify_json(Json doc, RunDirData& data) {
       if (!data.server_stats) data.server_stats = std::move(doc);
       return;
     }
-    if (doc.find("counters") != nullptr && doc.find("timers") != nullptr) {
+    if (doc.find("counters") != nullptr) {
       if (!data.metrics) data.metrics = std::move(doc);
       return;
     }
@@ -184,15 +192,9 @@ RunDirData collect_run_dir(const std::string& dir) {
       std::string line;
       while (std::getline(in, line)) {
         if (line.empty()) continue;
-        auto record = Json::parse(line);
-        if (!record || !record->is_object()) continue;
-        if (const Json* schema = record->find("schema");
-            schema != nullptr && schema->is_string() &&
-            schema->as_string() == "svc-events/1") {
-          data.server_events.push_back(std::move(*record));
-          continue;
-        }
-        absorb_trace_event(*record, data);
+        if (const auto record = Json::parse(line);
+            record && record->is_object())
+          absorb_trace_event(*record, data);
       }
     } else if (ends_with(name, ".json")) {
       const auto content = util::read_file(path);
@@ -510,7 +512,23 @@ std::string render_report_html(const RunDirData& data) {
     body += svg_channel_heatmap(*data.heatmap);
   }
 
-  if (data.server_stats || !data.server_events.empty()) {
+  // Per-request end-to-end latency over server uptime and the dedup
+  // outcome tally, from the lifecycle of xlpd's ledger records.
+  ChartSeries e2e;
+  e2e.name = "end_to_end_ms";
+  std::map<std::string, long> outcomes;
+  for (const Json& record : data.ledger) {
+    const Json* lifecycle = record.find("lifecycle");
+    if (lifecycle == nullptr || !lifecycle->is_object()) continue;
+    e2e.points.emplace_back(
+        field_number(*lifecycle, "received_s", 0.0),
+        field_number(*lifecycle, "end_to_end_ns", 0.0) / 1e6);
+    const Json* outcome = lifecycle->find("outcome");
+    ++outcomes[outcome != nullptr && outcome->is_string()
+                   ? outcome->as_string()
+                   : "?"];
+  }
+  if (data.server_stats || !outcomes.empty()) {
     body += "<h2>Server</h2>\n";
     if (data.server_stats) {
       // The dedup funnel and operational counters from the final stats
@@ -524,21 +542,7 @@ std::string render_report_html(const RunDirData& data) {
           body += svg_latency_histogram(stage, hist);
       }
     }
-    if (!data.server_events.empty()) {
-      // Per-request end-to-end latency over server uptime, from the
-      // svc-events/1 lifecycle stream.
-      ChartSeries e2e;
-      e2e.name = "end_to_end_ms";
-      std::map<std::string, long> outcomes;
-      for (const Json& event : data.server_events) {
-        e2e.points.emplace_back(
-            field_number(event, "received_s", 0.0),
-            field_number(event, "end_to_end_ns", 0.0) / 1e6);
-        const Json* outcome = event.find("outcome");
-        ++outcomes[outcome != nullptr && outcome->is_string()
-                       ? outcome->as_string()
-                       : "?"];
-      }
+    if (!outcomes.empty()) {
       body += svg_line_chart("request end-to-end latency (ms)", {e2e});
       body += "<table>\n<tr><th>outcome</th><th>requests</th></tr>\n";
       for (const auto& [outcome, n] : outcomes)
@@ -546,6 +550,19 @@ std::string render_report_html(const RunDirData& data) {
                 std::to_string(n) + "</td></tr>\n";
       body += "</table>\n";
     }
+  }
+
+  if (!data.trace_phases.empty()) {
+    body += "<h2>Trace phases</h2>\n<table>\n"
+            "<tr><th>phase</th><th>events</th><th>first s</th>"
+            "<th>last s</th><th>span s</th></tr>\n";
+    for (const auto& [phase, stat] : data.trace_phases)
+      body += "<tr><td>" + html_escape(phase) + "</td><td class=\"num\">" +
+              std::to_string(stat.events) + "</td><td class=\"num\">" +
+              fmt(stat.first_ts) + "</td><td class=\"num\">" +
+              fmt(stat.last_ts) + "</td><td class=\"num\">" +
+              fmt(stat.last_ts - stat.first_ts) + "</td></tr>\n";
+    body += "</table>\n";
   }
 
   if (data.profile && data.profile->is_array()) {
@@ -577,17 +594,6 @@ std::string render_report_html(const RunDirData& data) {
             "<tr><th>metric</th><th>value</th></tr>\n";
     if (const Json* counters = data.metrics->find("counters"))
       stats_rows(*counters, "counter", body);
-    if (const Json* gauges = data.metrics->find("gauges"))
-      stats_rows(*gauges, "gauge", body);
-    if (const Json* timers = data.metrics->find("timers");
-        timers != nullptr && timers->is_object()) {
-      for (const auto& [name, stat] : timers->members()) {
-        body += "<tr><td>timer." + html_escape(name) +
-                "</td><td class=\"num\">" +
-                fmt(field_number(stat, "seconds", 0)) + " s / " +
-                fmt(field_number(stat, "count", 0)) + "</td></tr>\n";
-      }
-    }
     body += "</table>\n";
   }
 

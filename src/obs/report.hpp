@@ -10,6 +10,14 @@
 
 namespace xlp::obs {
 
+/// Events of one trace phase: how many, and the `ts` of the first and
+/// last (seconds since the trace sink was created).
+struct TracePhase {
+  long events = 0;
+  double first_ts = 0.0;
+  double last_ts = 0.0;
+};
+
 /// One plotted line: a name (becomes the legend label) and (x, y) points.
 struct ChartSeries {
   std::string name;
@@ -28,14 +36,16 @@ struct RunDirData {
   std::optional<Json> profile;  // ProfileReport::to_json() array
   /// Final `xlpd` stats snapshot ("kind":"stats" + latency histograms).
   std::optional<Json> server_stats;
-  /// svc-events/1 request lifecycle records, file order.
-  std::vector<Json> server_events;
-  std::vector<Json> ledger;     // ledger.jsonl records, file order
+  /// ledger.jsonl records, file order; xlpd's carry a `lifecycle` member.
+  std::vector<Json> ledger;
   /// Last `sim.channel_utilization` event found in any JSONL trace.
   std::optional<Json> heatmap;
   /// Series derived from JSONL trace events (`sim.progress`, `sa.cool`),
   /// keyed by a descriptive name, in key order.
   std::map<std::string, std::vector<std::pair<double, double>>> trace_series;
+  /// Every JSONL trace event, grouped by its `phase` member (the event
+  /// name when it has none), in key order.
+  std::map<std::string, TracePhase> trace_phases;
 };
 
 /// Scans `dir` (non-recursive, entries in name order): parses every *.json
@@ -74,7 +84,9 @@ struct RunDirData {
 
 /// Renders the full single-file HTML dashboard for one run directory: line
 /// charts for every recorded and trace-derived series, the channel heatmap,
-/// the stats summary, the profiler tree table and the run ledger.
+/// the stats summary, the server section (stats snapshot plus the
+/// per-request lifecycles of the ledger), the trace phase table, the
+/// profiler tree table, the counters and the run ledger.
 [[nodiscard]] std::string render_report_html(const RunDirData& data);
 
 /// Escapes &<>" for embedding untrusted strings in HTML/SVG text.

@@ -1,5 +1,6 @@
 #include "runctl/checkpoint.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "util/check.hpp"
@@ -50,16 +51,40 @@ const obs::Json& field(const obs::Json& obj, const char* key) {
   return *f;
 }
 
+// Non-finite numbers are rejected too: a checkpoint never holds one, and
+// to_json() could not write it back (JSON has no inf).
 double number_field(const obs::Json& obj, const char* key) {
   const obs::Json& f = field(obj, key);
-  if (!f.is_number())
+  if (!f.is_number() || !std::isfinite(f.as_number()))
     throw Error(ErrorCode::kParse,
-                std::string("field '") + key + "' must be a number");
+                std::string("field '") + key + "' must be a finite number");
   return f.as_number();
 }
 
+// Integer fields are exact: a fraction, or a value outside the range of
+// the C++ type the field is read into, is a parse error — never rounded,
+// truncated or wrapped.
+[[noreturn]] void not_an_integer(const char* key) {
+  throw Error(ErrorCode::kParse, std::string("field '") + key +
+                                     "' must be an integer within range");
+}
+
 long long_field(const obs::Json& obj, const char* key) {
-  return static_cast<long>(number_field(obj, key));
+  const obs::Json& f = field(obj, key);
+  try {
+    return f.as_long();
+  } catch (const PreconditionError&) {
+    not_an_integer(key);
+  }
+}
+
+int int_field(const obs::Json& obj, const char* key) {
+  const obs::Json& f = field(obj, key);
+  try {
+    return f.as_int();
+  } catch (const PreconditionError&) {
+    not_an_integer(key);
+  }
 }
 
 const std::string& string_field(const obs::Json& obj, const char* key) {
@@ -156,8 +181,8 @@ SaCheckpoint SaCheckpoint::from_json(const obs::Json& json) {
   SaCheckpoint c;
   c.schedule = schedule_from_json(field(json, "schedule"));
   c.method = string_field(json, "method");
-  c.n = static_cast<int>(long_field(json, "n"));
-  c.link_limit = static_cast<int>(long_field(json, "link_limit"));
+  c.n = int_field(json, "n");
+  c.link_limit = int_field(json, "link_limit");
   if (c.n < 2 || c.link_limit < 1)
     throw Error(ErrorCode::kParse, "invalid problem size in checkpoint");
 
@@ -208,9 +233,9 @@ obs::Json PortfolioCheckpoint::to_json() const {
 
 PortfolioCheckpoint PortfolioCheckpoint::from_json(const obs::Json& json) {
   PortfolioCheckpoint p;
-  p.n = static_cast<int>(long_field(json, "n"));
-  p.link_limit = static_cast<int>(long_field(json, "link_limit"));
-  p.chains = static_cast<int>(long_field(json, "chains"));
+  p.n = int_field(json, "n");
+  p.link_limit = int_field(json, "link_limit");
+  p.chains = int_field(json, "chains");
   if (p.n < 2 || p.link_limit < 1 || p.chains < 1)
     throw Error(ErrorCode::kParse, "invalid portfolio shape in checkpoint");
   p.seed = parse_hex_word(string_field(json, "seed"));
@@ -258,48 +283,51 @@ void save_portfolio_checkpoint(const std::string& path,
   save_envelope(path, envelope("portfolio", ckpt.to_json()));
 }
 
+CheckpointFile parse_checkpoint(const std::string& text) {
+  std::size_t error_offset = 0;
+  const std::optional<obs::Json> doc = obs::Json::parse(text, &error_offset);
+  if (!doc)
+    throw Error(ErrorCode::kParse, "JSON syntax error at character " +
+                                       std::to_string(error_offset));
+  if (!doc->is_object())
+    throw Error(ErrorCode::kSchema, "checkpoint must be a JSON object");
+
+  const obs::Json* schema = doc->find("schema");
+  if (schema == nullptr || !schema->is_string())
+    throw Error(ErrorCode::kSchema,
+                "missing 'schema' marker — not an xlp checkpoint");
+  const std::string& tag = schema->as_string();
+  if (tag.rfind(kSchemaPrefix, 0) != 0)
+    throw Error(ErrorCode::kSchema,
+                "schema '" + tag + "' is not an xlp checkpoint");
+  if (tag != kSchemaTag)
+    throw Error(ErrorCode::kVersion,
+                "checkpoint format '" + tag +
+                    "' is not supported by this build (expected " +
+                    kSchemaTag + ")");
+
+  CheckpointFile file;
+  file.kind = string_field(*doc, "kind");
+  // Reject an unknown kind before reaching into the payload, so a
+  // foreign-but-envelope-shaped file reads as a schema problem, not a
+  // parse error inside a payload we had no business interpreting.
+  if (file.kind != "sa" && file.kind != "portfolio")
+    throw Error(ErrorCode::kSchema,
+                "unknown checkpoint kind '" + file.kind + "'");
+  const obs::Json& payload = field(*doc, "payload");
+  if (file.kind == "sa") {
+    file.sa = SaCheckpoint::from_json(payload);
+  } else {
+    file.portfolio = PortfolioCheckpoint::from_json(payload);
+  }
+  return file;
+}
+
 CheckpointFile load_checkpoint_file(const std::string& path) {
   try {
     const std::optional<std::string> text = util::read_file(path);
     if (!text) throw Error(ErrorCode::kIo, "cannot read file");
-
-    std::size_t error_offset = 0;
-    const std::optional<obs::Json> doc = obs::Json::parse(*text, &error_offset);
-    if (!doc)
-      throw Error(ErrorCode::kParse, "JSON syntax error at character " +
-                                         std::to_string(error_offset));
-    if (!doc->is_object())
-      throw Error(ErrorCode::kSchema, "checkpoint must be a JSON object");
-
-    const obs::Json* schema = doc->find("schema");
-    if (schema == nullptr || !schema->is_string())
-      throw Error(ErrorCode::kSchema,
-                  "missing 'schema' marker — not an xlp checkpoint");
-    const std::string& tag = schema->as_string();
-    if (tag.rfind(kSchemaPrefix, 0) != 0)
-      throw Error(ErrorCode::kSchema,
-                  "schema '" + tag + "' is not an xlp checkpoint");
-    if (tag != kSchemaTag)
-      throw Error(ErrorCode::kVersion,
-                  "checkpoint format '" + tag +
-                      "' is not supported by this build (expected " +
-                      kSchemaTag + ")");
-
-    CheckpointFile file;
-    file.kind = string_field(*doc, "kind");
-    // Reject an unknown kind before reaching into the payload, so a
-    // foreign-but-envelope-shaped file reads as a schema problem, not a
-    // parse error inside a payload we had no business interpreting.
-    if (file.kind != "sa" && file.kind != "portfolio")
-      throw Error(ErrorCode::kSchema,
-                  "unknown checkpoint kind '" + file.kind + "'");
-    const obs::Json& payload = field(*doc, "payload");
-    if (file.kind == "sa") {
-      file.sa = SaCheckpoint::from_json(payload);
-    } else {
-      file.portfolio = PortfolioCheckpoint::from_json(payload);
-    }
-    return file;
+    return parse_checkpoint(*text);
   } catch (Error& e) {
     e.with_context("loading checkpoint " + path);
     throw;

@@ -90,10 +90,14 @@ void save_portfolio_checkpoint(const std::string& path,
 [[nodiscard]] std::function<void(const SaCheckpoint&)> sa_checkpoint_file_sink(
     std::string path);
 
-/// Loads and validates a checkpoint file. Throws xlp::Error with kIo
-/// (unreadable), kParse (not JSON / bad field), kSchema (JSON but not a
-/// checkpoint) or kVersion (checkpoint from a newer format), each with the
-/// file path in the context chain.
+/// Parses and validates checkpoint text. Throws xlp::Error with kParse
+/// (not JSON / bad field, a fractional or out-of-range integer included),
+/// kSchema (JSON but not a checkpoint) or kVersion (checkpoint from a
+/// newer format).
+[[nodiscard]] CheckpointFile parse_checkpoint(const std::string& text);
+
+/// Reads and parse_checkpoint()s a file; kIo when it is unreadable. Every
+/// error carries the file path in its context chain.
 [[nodiscard]] CheckpointFile load_checkpoint_file(const std::string& path);
 
 }  // namespace xlp::runctl

@@ -104,8 +104,6 @@ ResultCache::ResultCache(std::string dir, std::size_t max_entries,
         Entry{payload, obs::fnv1a64_hex(payload), lru_.begin()};
     evict_if_needed_locked();
   }
-  metrics_->set_gauge("svc.cache.entries",
-                      static_cast<double>(entries_.size()));
 }
 
 std::optional<std::string> ResultCache::get(const std::string& id,
@@ -129,8 +127,6 @@ std::optional<std::string> ResultCache::get(const std::string& id,
     lru_.erase(it->second.lru_pos);
     entries_.erase(it);
     quarantine_locked(id, payload);
-    metrics_->set_gauge("svc.cache.entries",
-                        static_cast<double>(entries_.size()));
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
     if (corrupted != nullptr) *corrupted = true;
     return std::nullopt;
@@ -158,8 +154,6 @@ bool ResultCache::put(const std::string& id, const std::string& payload) {
       lru_.push_front(id);
       entries_[id] = Entry{payload, std::move(checksum), lru_.begin()};
       evict_if_needed_locked();
-      metrics_->set_gauge("svc.cache.entries",
-                          static_cast<double>(entries_.size()));
     }
   }
   // The entry is served from memory already; the durable write (fsync,

@@ -42,10 +42,11 @@ namespace xlp::svc {
 /// workers share one cache. The mutex guards memory only: put() writes
 /// its file with the lock released, so a hit never waits on a fsync.
 ///
-/// Metrics (svc.cache.hits / misses / evictions / corrupt counters and the
-/// svc.cache.entries gauge) are recorded into the registry passed at
-/// construction, obs::MetricsRegistry::global() by default; the counters
-/// are resolved once there, so a lookup bumps them without a name search.
+/// Metrics (svc.cache.hits / misses / evictions / corrupt counters) are
+/// recorded into the registry passed at construction,
+/// obs::MetricsRegistry::global() by default; the counters are resolved
+/// once there, so a lookup bumps them without a name search. size()
+/// reports the live entry count.
 class ResultCache {
  public:
   /// `verify_reads` re-checks the stored checksum on every get(); the cost

@@ -152,9 +152,7 @@ obs::Json Request::to_json() const {
   // A stats request names no work: every stats request is the same
   // request, {"schema","kind"} only.
   if (kind == RequestKind::kStats) return doc;
-  doc.set("n", n);
-  if (height > 0 && height != n) doc.set("height", height);
-  doc.set("c", link_limit).set("b", base_flit_bits);
+  doc.set("n", n).set("c", link_limit).set("b", base_flit_bits);
   if (kind == RequestKind::kSolve) {
     doc.set("method", method);
     if (const auto solver = core::parse_solver(method);
@@ -187,9 +185,6 @@ std::string Request::id() const {
 void Request::validate() const {
   if (kind == RequestKind::kStats) return;  // carries no parameters
   if (n < 2 || n > 256) bad_request("n must be in [2, 256]");
-  if (height != 0 && height != n)
-    bad_request("rectangular requests are not served yet (height must be "
-                "0 or equal to n)");
   if (link_limit < 1) bad_request("c must be at least 1");
   if (base_flit_bits < 1 || base_flit_bits % link_limit != 0)
     bad_request("c must divide the base flit width b");
@@ -242,19 +237,17 @@ Request Request::from_json(const obs::Json& doc) {
         else if (kind == "stats") request.kind = RequestKind::kStats;
         else bad_request("kind must be solve, evaluate, simulate or stats");
       } else if (key == "n") {
-        request.n = static_cast<int>(value.as_long());
-      } else if (key == "height") {
-        request.height = static_cast<int>(value.as_long());
+        request.n = value.as_int();
       } else if (key == "c") {
-        request.link_limit = static_cast<int>(value.as_long());
+        request.link_limit = value.as_int();
       } else if (key == "b") {
-        request.base_flit_bits = static_cast<int>(value.as_long());
+        request.base_flit_bits = value.as_int();
       } else if (key == "method") {
         request.method = value.as_string();
       } else if (key == "moves") {
         request.moves = value.as_long();
       } else if (key == "chains") {
-        request.chains = static_cast<int>(value.as_long());
+        request.chains = value.as_int();
       } else if (key == "links") {
         request.links = value.as_string();
       } else if (key == "workload") {
@@ -266,7 +259,7 @@ Request Request::from_json(const obs::Json& doc) {
       } else if (key == "routing") {
         request.routing = value.as_string();
       } else if (key == "vcs") {
-        request.vcs = static_cast<int>(value.as_long());
+        request.vcs = value.as_int();
       } else if (key == "vec") {
         request.vec = value.as_bool();
       } else if (key == "contention") {
@@ -277,7 +270,8 @@ Request Request::from_json(const obs::Json& doc) {
         bad_request("unknown request field '" + key + "'");
       }
     } catch (const PreconditionError&) {
-      bad_request("request field '" + key + "' has the wrong type");
+      bad_request("request field '" + key +
+                  "' has the wrong type or is out of range");
     }
   }
   if (!saw_kind) bad_request("request is missing 'kind'");

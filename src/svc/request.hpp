@@ -41,7 +41,6 @@ struct Request {
 
   // --- network shape ---
   int n = 8;            ///< routers per side (row length for kSolve)
-  int height = 0;       ///< 0 = square (height == n); schema-reserved
   int link_limit = 4;   ///< C, the cross-section link limit
   int base_flit_bits = 256;  ///< B, the baseline flit width
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <deque>
 #include <filesystem>
+#include <fstream>
 #include <system_error>
 #include <thread>
 #include <unordered_map>
@@ -41,7 +42,7 @@ long to_ns(double seconds) {
 constexpr RequestKind kServedKinds[] = {
     RequestKind::kSolve, RequestKind::kEvaluate, RequestKind::kSimulate};
 
-/// svc-events/1 outcome values, indexed by Server::Outcome.
+/// Ledger lifecycle outcome values, indexed by Server::Outcome.
 constexpr const char* kOutcomeNames[] = {"cache", "miss", "inflight",
                                          "batch", "poisoned"};
 
@@ -74,6 +75,11 @@ Server::Server(ServerOptions options)
       batch_hits_(metrics_->counter_handle("svc.batch.hits")),
       stats_requests_(metrics_->counter_handle("svc.stats")),
       queue_corrupt_(metrics_->counter_handle("svc.queue.corrupt")),
+      execute_ns_total_(metrics_->counter_handle("svc.execute_ns")),
+      cache_hits_(metrics_->counter_handle("svc.cache.hits")),
+      cache_misses_(metrics_->counter_handle("svc.cache.misses")),
+      cache_evictions_(metrics_->counter_handle("svc.cache.evictions")),
+      cache_corrupt_(metrics_->counter_handle("svc.cache.corrupt")),
       queue_wait_ns_(kLatencyHistBits),
       execute_ns_(kLatencyHistBits),
       end_to_end_ns_(kLatencyHistBits) {
@@ -83,9 +89,6 @@ Server::Server(ServerOptions options)
   const obs::Provenance prov = obs::Provenance::collect(0);
   git_sha_ = prov.git_sha;
   hostname_ = prov.hostname;
-  if (!options_.events_path.empty() &&
-      obs::ensure_parent_dir(options_.events_path))
-    events_out_.open(options_.events_path, std::ios::app);
 }
 
 long Server::requests_served() const noexcept {
@@ -478,21 +481,6 @@ bool Server::run_socket(const std::string& socket_path) {
   return true;
 }
 
-void Server::append_ledger(const Request& request, const Reply& reply,
-                           double wall_seconds) {
-  if (options_.ledger_path.empty()) return;
-  obs::LedgerEntry entry;
-  entry.subcommand = "svc";
-  entry.params = request.to_json();
-  entry.seed = request.seed;
-  entry.git_sha = git_sha_;
-  entry.hostname = hostname_;
-  entry.wall_seconds = wall_seconds;
-  entry.exit_status = reply.ok ? 0 : 1;
-  entry.cache_hit = reply.cache_hit ? 1 : 0;
-  (void)obs::append_ledger_entry(options_.ledger_path, entry);
-}
-
 long Server::inflight_count() {
   std::lock_guard<std::mutex> lock(inflight_mutex_);
   return static_cast<long>(inflight_.size());
@@ -518,9 +506,30 @@ void Server::record_served(const Request& request, const Reply& reply,
   if ((outcome == Outcome::kMiss || outcome == Outcome::kPoisoned) && !reply.ok)
     bump(errors_);
   if (outcome == Outcome::kPoisoned) bump(poisoned_);
-  if (execute_seconds) metrics_->record_time("svc.execute", *execute_seconds);
+  if (execute_seconds)
+    execute_ns_total_.fetch_add(to_ns(*execute_seconds),
+                                std::memory_order_relaxed);
   requests_served_.fetch_add(1, std::memory_order_relaxed);
-  append_ledger(request, reply, picked_up ? replied - *picked_up : 0.0);
+
+  if (!options_.ledger_path.empty()) {
+    obs::LedgerEntry entry;
+    entry.subcommand = "svc";
+    entry.params = request.to_json();
+    entry.seed = request.seed;
+    entry.git_sha = git_sha_;
+    entry.hostname = hostname_;
+    entry.wall_seconds = picked_up ? replied - *picked_up : 0.0;
+    entry.exit_status = reply.ok ? 0 : 1;
+    entry.cache_hit = reply.cache_hit ? 1 : 0;
+    entry.lifecycle = obs::LedgerEntry::Lifecycle{
+        kOutcomeNames[static_cast<int>(outcome)],
+        cache_corrupt,
+        received,
+        queue_wait ? to_ns(*queue_wait) : 0L,
+        execute_seconds ? to_ns(*execute_seconds) : 0L,
+        to_ns(end_to_end)};
+    (void)obs::append_ledger_entry(options_.ledger_path, entry);
+  }
 
   if (options_.observe) {
     if (queue_wait) queue_wait_ns_.record(to_ns(*queue_wait));
@@ -536,24 +545,6 @@ void Server::record_served(const Request& request, const Reply& reply,
       const double span = replied - window_start_;
       if (span >= options_.series_window && span > 0.0) close_window(replied);
     }
-  }
-
-  if (events_out_.is_open()) {
-    const obs::Json event =
-        obs::Json::object()
-            .set("schema", kEventsSchema)
-            .set("request_id", reply.request_id)
-            .set("kind", svc::to_string(request.kind))
-            .set("outcome", kOutcomeNames[static_cast<int>(outcome)])
-            .set("ok", reply.ok)
-            .set("cache_corrupt", cache_corrupt)
-            .set("received_s", received)
-            .set("queue_wait_ns", queue_wait ? to_ns(*queue_wait) : 0L)
-            .set("execute_ns", execute_seconds ? to_ns(*execute_seconds) : 0L)
-            .set("end_to_end_ns", to_ns(end_to_end));
-    std::lock_guard<std::mutex> lock(events_mutex_);
-    events_out_ << event.dump() << '\n';
-    events_out_.flush();
   }
 }
 
@@ -587,42 +578,43 @@ Reply Server::stats_reply() {
 
 obs::Json Server::stats_snapshot() {
   const double uptime = uptime_.seconds();
+  const auto read = [](const std::atomic<long>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
   obs::Json kinds = obs::Json::object();
   for (const RequestKind kind : kServedKinds)
-    kinds.set(to_string(kind), served_by_kind_[static_cast<int>(kind)]->load(
-                                   std::memory_order_relaxed));
-  const long requests = metrics_->counter("svc.requests");
-  const long executed = metrics_->counter("svc.executed");
-  const long errors = metrics_->counter("svc.errors");
-  const long cache_hits = metrics_->counter("svc.cache.hits");
-  const long inflight_hits = metrics_->counter("svc.inflight.hits");
-  const long batch_hits = metrics_->counter("svc.batch.hits");
+    kinds.set(to_string(kind), read(*served_by_kind_[static_cast<int>(kind)]));
+  const long requests = read(requests_);
+  const long cache_hits = read(cache_hits_);
+  const long inflight_hits = read(inflight_hits_);
+  const long batch_hits = read(batch_hits_);
   const long dedup_hits = cache_hits + inflight_hits + batch_hits;
-  const obs::TimerStat execute_timer = metrics_->timer("svc.execute");
+  const double busy_seconds =
+      static_cast<double>(read(execute_ns_total_)) / 1e9;
   const int threads = util::resolve_thread_count(options_.threads);
   const double utilization =
       uptime > 0.0 && threads > 0
-          ? std::min(1.0, execute_timer.seconds /
-                              (uptime * static_cast<double>(threads)))
+          ? std::min(1.0,
+                     busy_seconds / (uptime * static_cast<double>(threads)))
           : 0.0;
 
   return obs::Json::object()
       .set("kind", "stats")
       .set("uptime_seconds", uptime)
       .set("requests_served", requests_served())
-      .set("stats_requests", metrics_->counter("svc.stats"))
+      .set("stats_requests", read(stats_requests_))
       .set("queue_depth", queue_depth_.load(std::memory_order_relaxed))
       .set("inflight", inflight_count())
       .set("kinds", std::move(kinds))
       .set("dedup",
            obs::Json::object()
                .set("cache_hits", cache_hits)
-               .set("cache_misses", metrics_->counter("svc.cache.misses"))
+               .set("cache_misses", read(cache_misses_))
                .set("inflight_hits", inflight_hits)
                .set("batch_hits", batch_hits)
-               .set("executed", executed)
-               .set("errors", errors)
-               .set("poisoned", metrics_->counter("svc.requests.poisoned"))
+               .set("executed", read(executed_))
+               .set("errors", read(errors_))
+               .set("poisoned", read(poisoned_))
                .set("hit_rate", requests > 0 ? static_cast<double>(dedup_hits) /
                                                    static_cast<double>(requests)
                                              : 0.0))
@@ -630,11 +622,11 @@ obs::Json Server::stats_snapshot() {
            obs::Json::object()
                .set("entries", static_cast<long>(cache_.size()))
                .set("capacity", static_cast<long>(options_.cache_entries))
-               .set("evictions", metrics_->counter("svc.cache.evictions"))
-               .set("corrupt", metrics_->counter("svc.cache.corrupt")))
+               .set("evictions", read(cache_evictions_))
+               .set("corrupt", read(cache_corrupt_)))
       .set("workers", obs::Json::object()
                           .set("threads", threads)
-                          .set("busy_seconds", execute_timer.seconds)
+                          .set("busy_seconds", busy_seconds)
                           .set("utilization", utilization))
       .set("latency",
            obs::Json::object()
@@ -649,8 +641,6 @@ void Server::flush_observability() {
     std::lock_guard<std::mutex> lock(series_mutex_);
     if (window_requests_ > 0) close_window(uptime_.seconds());
   }
-  std::lock_guard<std::mutex> lock(events_mutex_);
-  if (events_out_.is_open()) events_out_.flush();
 }
 
 }  // namespace xlp::svc

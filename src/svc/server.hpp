@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,11 +23,6 @@ class SeriesRecorder;
 
 namespace xlp::svc {
 
-/// Schema identifier of request lifecycle event records
-/// (server-events.jsonl): one JSON line per request served, with the
-/// dedup outcome and per-stage durations.
-inline constexpr const char* kEventsSchema = "svc-events/1";
-
 struct ServerOptions {
   std::string cache_dir = "xlp-cache";
   std::size_t cache_entries = 4096;
@@ -46,7 +40,8 @@ struct ServerOptions {
   runctl::CancelToken* cancel = nullptr;
   /// Ledger path ("" disables). One `xlp-ledger/1` record is appended per
   /// request served, with the request's canonical params as the scenario
-  /// identity and `cache_hit` recording how it was answered.
+  /// identity, `cache_hit` recording how it was answered and `lifecycle`
+  /// its dedup outcome and per-stage durations.
   std::string ledger_path;
   obs::MetricsRegistry* metrics = nullptr;  ///< nullptr = global()
 
@@ -55,10 +50,6 @@ struct ServerOptions {
   /// are kept either way. Off benchmarks the bare hot path
   /// (bench/suites.cpp pins the recording overhead under 1%).
   bool observe = true;
-  /// Request lifecycle event log ("" disables): one append-only
-  /// `svc-events/1` JSONL record per request served, correlated to the
-  /// ledger by request id.
-  std::string events_path;
   /// Optional operational time series (svc.requests_per_sec,
   /// svc.cache_hit_rate, svc.queue_depth, svc.inflight), one point per
   /// `series_window`. Not owned; the server serializes its own appends,
@@ -81,7 +72,7 @@ struct ServerOptions {
 ///
 /// Metrics: svc.requests / svc.executed / svc.errors / svc.inflight.hits /
 /// svc.batch.hits / svc.requests.poisoned / svc.kind.{solve,evaluate,
-/// simulate} counters, the svc.execute timer, plus the cache's svc.cache.*
+/// simulate} / svc.execute_ns counters, plus the cache's svc.cache.*
 /// family. The counters are resolved once at construction and every
 /// served request is counted in one place.
 class Server {
@@ -133,20 +124,20 @@ class Server {
   [[nodiscard]] long requests_served() const noexcept;
 
   /// The live introspection snapshot a `stats` request returns, built
-  /// from memory (counters, histograms, gauges) without touching the
+  /// from memory (counters and histograms) without touching the
   /// executor pool: uptime, per-kind counts, dedup-layer hit rates, cache
   /// occupancy/evictions, worker utilization and the three latency
   /// histograms (queue-wait / execution / end-to-end).
   [[nodiscard]] obs::Json stats_snapshot();
 
   /// Flushes buffered observability: the partial series window is
-  /// appended and the events stream is flushed to disk. Called before a
-  /// drained daemon writes its final artifacts, so SIGINT loses nothing.
+  /// appended. Called before a drained daemon writes its final artifacts,
+  /// so SIGINT loses nothing.
   void flush_observability();
 
  private:
   /// How a served request was answered: the one decision every counter,
-  /// histogram sample and event line of the request derives from.
+  /// histogram sample and ledger lifecycle of the request derives from.
   enum class Outcome { kCache, kMiss, kInflight, kBatch, kPoisoned };
 
   struct Inflight {
@@ -172,10 +163,8 @@ class Server {
   /// Answers a stats request from memory (never cached, never ledgered,
   /// excluded from requests_served() and the latency histograms).
   Reply stats_reply();
-  void append_ledger(const Request& request, const Reply& reply,
-                     double wall_seconds);
-  /// The one place a served request is counted: counters, svc.execute
-  /// timer, served count, ledger, histograms, series and events line.
+  /// The one place a served request is counted: counters, served count,
+  /// ledger record, histograms and series.
   /// `picked_up` (uptime clock) is nullopt for a batch duplicate, which
   /// no worker resolved; `cache_corrupt` marks a lookup that quarantined
   /// a corrupt entry and re-executed.
@@ -209,6 +198,11 @@ class Server {
   std::atomic<long>& batch_hits_;
   std::atomic<long>& stats_requests_;
   std::atomic<long>& queue_corrupt_;
+  std::atomic<long>& execute_ns_total_;  ///< svc.execute_ns: busy time
+  std::atomic<long>& cache_hits_;
+  std::atomic<long>& cache_misses_;
+  std::atomic<long>& cache_evictions_;
+  std::atomic<long>& cache_corrupt_;
   /// svc.kind.<kind>, indexed by RequestKind (stats requests excluded).
   std::atomic<long>* served_by_kind_[3] = {};
 
@@ -218,9 +212,6 @@ class Server {
   obs::ShardedHistogram execute_ns_;
   obs::ShardedHistogram end_to_end_ns_;
   std::atomic<long> queue_depth_{0};  ///< socket backlog / inbox depth
-
-  std::mutex events_mutex_;
-  std::ofstream events_out_;
 
   std::mutex series_mutex_;
   double window_start_ = 0.0;

@@ -7,8 +7,20 @@
 #include <string>
 
 #include "util/check.hpp"
+#include "util/error.hpp"
 
 namespace xlp::traffic {
+
+namespace {
+
+/// The largest trace side load() accepts (Request's n range).
+constexpr int kMaxSide = 256;
+
+[[noreturn]] void bad_trace(const std::string& message) {
+  throw Error(ErrorCode::kParse, message);
+}
+
+}  // namespace
 
 Trace::Trace(int side, long duration_cycles, std::vector<TracePacket> packets)
     : Trace(side, side, duration_cycles, std::move(packets)) {}
@@ -118,16 +130,17 @@ void Trace::save(std::ostream& os) const {
 
 Trace Trace::load(std::istream& is) {
   std::string line;
-  XLP_REQUIRE(static_cast<bool>(std::getline(is, line)),
-              "empty trace stream");
+  if (!std::getline(is, line)) bad_trace("empty trace stream");
   std::istringstream header(line);
   std::string magic;
   int width = 0, height = 0;
   long duration = 0;
   header >> magic >> width >> height >> duration;
-  XLP_REQUIRE(magic == "xlptrace" && width >= 2 && height >= 2 &&
-                  duration >= 1,
-              "bad trace header");
+  // Each side within the request's n range: width * height then fits an
+  // int, and a replay never builds a row of millions of routers.
+  if (magic != "xlptrace" || width < 2 || width > kMaxSide || height < 2 ||
+      height > kMaxSide || duration < 1)
+    bad_trace("bad trace header: " + line);
 
   std::vector<TracePacket> packets;
   while (std::getline(is, line)) {
@@ -135,10 +148,14 @@ Trace Trace::load(std::istream& is) {
     std::istringstream row(line);
     TracePacket p;
     row >> p.cycle >> p.src >> p.dst >> p.bits;
-    XLP_REQUIRE(!row.fail(), "bad trace line: " + line);
+    if (row.fail()) bad_trace("bad trace line: " + line);
     packets.push_back(p);
   }
-  return Trace(width, height, duration, std::move(packets));
+  try {
+    return Trace(width, height, duration, std::move(packets));
+  } catch (const PreconditionError& e) {
+    bad_trace(e.what());
+  }
 }
 
 }  // namespace xlp::traffic

@@ -60,6 +60,9 @@ class Trace {
   [[nodiscard]] double offered_per_node_cycle() const;
 
   void save(std::ostream& os) const;
+  /// Reads what save() writes. Throws xlp::Error(kParse) on a malformed
+  /// header or line, a side outside [2, 256], or packets the constructor
+  /// rejects.
   static Trace load(std::istream& is);
 
   friend bool operator==(const Trace&, const Trace&) = default;

@@ -1,14 +1,16 @@
-// Mutational fuzzing of the service's decoders of outside bytes; ctest
-// label `fuzz`, run under asan-ubsan in CI.
+// Mutational fuzzing of the decoders of outside bytes: the service's wire
+// formats and requests, packet traces and checkpoints; ctest label `fuzz`,
+// run under asan-ubsan in CI.
 //
 // Each target starts from valid samples and applies a seeded stack of
-// byte mutations (flip, insert, delete, truncate, and swapping a member's
-// value for one of another JSON type) for a fixed number of iterations,
-// so every run replays the same inputs. Every input must yield a value or
-// an xlp::Error: any other exception fails the test with the offending
-// bytes, and a crash or sanitizer report fails the binary. Where
-// a decoder has an exact oracle (the frame reader, the reply and request
-// round trips) the value is checked against it too.
+// byte mutations (flip, insert, delete, truncate, turning an integer k into
+// 2^32 + k, k + 0.4 or 1e300, and swapping a member's value for one of
+// another JSON type) for a fixed number of iterations, so every run
+// replays the same inputs. Every input must yield a value or an
+// xlp::Error: any other exception fails the test with the offending
+// bytes, and a crash or sanitizer report fails the binary. Where a decoder
+// has an exact oracle (the frame reader; the reply, request, trace and
+// checkpoint round trips) the value is checked against it too.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -18,11 +20,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "latency/packet_mix.hpp"
+#include "runctl/checkpoint.hpp"
 #include "svc/request.hpp"
 #include "svc/wire.hpp"
+#include "traffic/matrix.hpp"
+#include "traffic/trace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -45,7 +52,7 @@ std::string mutate(std::string bytes, Rng& rng) {
   };
   const std::size_t steps = 1 + below(4);
   for (std::size_t step = 0; step < steps; ++step) {
-    switch (below(5)) {
+    switch (below(6)) {
       case 0:  // flip one bit
         if (!bytes.empty())
           bytes[below(bytes.size())] ^= static_cast<char>(1 << below(8));
@@ -67,6 +74,22 @@ std::string mutate(std::string bytes, Rng& rng) {
       case 3:  // truncate
         bytes.resize(below(bytes.size() + 1));
         break;
+      case 4: {  // an integer k becomes 2^32 + k, k + 0.4 or 1e300
+        constexpr const char* kDigits = "0123456789";
+        const std::size_t at =
+            bytes.find_first_of(kDigits, below(bytes.size() + 1));
+        if (at == std::string::npos) break;
+        const std::size_t end =
+            std::min(bytes.find_first_not_of(kDigits, at), bytes.size());
+        const std::string k = bytes.substr(at, end - at);
+        std::string replacement = "1e300";
+        if (const std::size_t pick = below(3); pick == 0 && k.size() < 10)
+          replacement = std::to_string((1L << 32) + std::stol(k));
+        else if (pick == 1)
+          replacement = k + ".4";
+        bytes.replace(at, end - at, replacement);
+        break;
+      }
       default: {  // replace the value after a ':' with one of another type
         const std::size_t colon = bytes.find(':', below(bytes.size() + 1));
         if (colon == std::string::npos) break;
@@ -247,6 +270,93 @@ TEST(Fuzz, RequestParserRoundTripsWhatItAccepts) {
         << printable(input);
   };
   const long errors = fuzz(sample_request_texts(), parse);
+  EXPECT_GT(errors, 0);
+  EXPECT_LT(errors, kIterations);
+}
+
+TEST(Fuzz, TraceLoaderRoundTripsWhatItAccepts) {
+  Rng rng(3);
+  std::vector<std::string> samples = {
+      "xlptrace 8 8 100\n# cycle src dst bits\n0 1 2 128\n5 3 60 64\n",
+      "xlptrace 4 2 10\n"};
+  for (const int side : {2, 4}) {
+    std::ostringstream out;
+    traffic::Trace::sample(
+        traffic::TrafficMatrix::from_pattern(traffic::Pattern::kTranspose,
+                                             side, 0.1),
+        latency::PacketMix::paper_default(), 40, rng)
+        .save(out);
+    samples.push_back(out.str());
+  }
+  const long errors = fuzz(samples, [](const std::string& input) {
+    std::istringstream in(input);
+    const traffic::Trace trace = traffic::Trace::load(in);
+    // The header bound: each side within the request's n range.
+    EXPECT_LE(std::max(trace.width(), trace.height()), 256)
+        << printable(input);
+    std::stringstream again;
+    trace.save(again);
+    EXPECT_EQ(traffic::Trace::load(again), trace) << printable(input);
+  });
+  EXPECT_GT(errors, 0);
+  EXPECT_LT(errors, kIterations);
+}
+
+/// The checkpoint document `file` serializes to (what save_*_checkpoint
+/// writes).
+std::string checkpoint_text(const runctl::CheckpointFile& file) {
+  return obs::Json::object()
+      .set("schema", "xlp-ckpt/1")
+      .set("kind", file.kind)
+      .set("payload", file.sa ? file.sa->to_json() : file.portfolio->to_json())
+      .dump();
+}
+
+TEST(Fuzz, CheckpointParserRoundTripsWhatItAccepts) {
+  runctl::SaCheckpoint sa;
+  sa.schedule = {5.0, 4000, 1.2, 400};
+  sa.method = "OnlySA";
+  sa.n = 8;
+  sa.link_limit = 4;
+  sa.next_move = 1234;
+  sa.cooling_step = 3;
+  sa.temperature = 0.625;
+  sa.moves = 1233;
+  sa.accepted = 700;
+  sa.improved = 40;
+  sa.rng_state = {1, 0xdeadbeefcafef00dULL, 3, 0xffffffffffffffffULL};
+  sa.current =
+      topo::ConnectionMatrix::from_string(8, 4, "010000|001100|000000");
+  sa.current_value = 13.5;
+  sa.best = topo::ConnectionMatrix(8, 4);
+  sa.best_value = 12.75;
+  runctl::PortfolioCheckpoint portfolio;
+  portfolio.n = 8;
+  portfolio.link_limit = 4;
+  portfolio.chains = 2;
+  portfolio.seed = 9;
+  portfolio.solver = "dcsa";
+  portfolio.schedule = sa.schedule;
+  portfolio.chain_states = {sa, std::nullopt};
+  runctl::CheckpointFile sa_file{"sa", sa, std::nullopt};
+  runctl::CheckpointFile portfolio_file{"portfolio", std::nullopt, portfolio};
+
+  const long errors =
+      fuzz({checkpoint_text(sa_file), checkpoint_text(portfolio_file)},
+           [](const std::string& input) {
+             const std::string text =
+                 checkpoint_text(runctl::parse_checkpoint(input));
+             std::string again;
+             try {
+               again = checkpoint_text(runctl::parse_checkpoint(text));
+             } catch (const Error& error) {
+               ADD_FAILURE() << "accepted " << printable(input)
+                             << " but not its own re-serialization: "
+                             << error.what();
+               return;
+             }
+             EXPECT_EQ(again, text) << printable(input);
+           });
   EXPECT_GT(errors, 0);
   EXPECT_LT(errors, kIterations);
 }

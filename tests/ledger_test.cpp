@@ -95,6 +95,32 @@ TEST(LedgerEntry, SerializesWithFixedSchemaAndOrder) {
   }
 }
 
+TEST(LedgerEntry, LifecycleIsAnOptionalTrailingMember) {
+  LedgerEntry cli = entry_with(sample_params());
+  cli.cache_hit = 0;
+  const std::string cli_dump = cli.to_json().dump();
+  EXPECT_EQ(cli_dump.find("lifecycle"), std::string::npos) << cli_dump;
+
+  // An xlpd record is the same record plus the lifecycle member, last,
+  // and the lifecycle is execution detail: the run id does not move.
+  LedgerEntry served = cli;
+  served.lifecycle = LedgerEntry::Lifecycle{"batch", true, 1.5, 20, 0, 35};
+  const std::string dump = served.to_json().dump();
+  EXPECT_EQ(dump.rfind(cli_dump.substr(0, cli_dump.size() - 1), 0), 0u)
+      << dump;
+  EXPECT_EQ(served.run_id(), cli.run_id());
+  const auto parsed = Json::parse(dump);
+  ASSERT_TRUE(parsed.has_value());
+  const Json* lifecycle = parsed->find("lifecycle");
+  ASSERT_NE(lifecycle, nullptr);
+  EXPECT_EQ(lifecycle->find("outcome")->as_string(), "batch");
+  EXPECT_TRUE(lifecycle->find("cache_corrupt")->as_bool());
+  EXPECT_DOUBLE_EQ(lifecycle->find("received_s")->as_number(), 1.5);
+  EXPECT_EQ(lifecycle->find("queue_wait_ns")->as_long(), 20);
+  EXPECT_EQ(lifecycle->find("execute_ns")->as_long(), 0);
+  EXPECT_EQ(lifecycle->find("end_to_end_ns")->as_long(), 35);
+}
+
 TEST(Ledger, AppendReadRoundTrip) {
   const std::string path = ::testing::TempDir() + "/xlp_ledger_rt.jsonl";
   std::remove(path.c_str());

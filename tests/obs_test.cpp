@@ -1,4 +1,4 @@
-// Tests of the observability layer: counter/gauge/timer semantics (incl.
+// Tests of the observability layer: counter semantics (incl.
 // thread safety), JSON escaping and parse/dump round trips, and the
 // trace-sink contract (null sink is a disabled no-op, JSONL sink writes
 // one monotonically-timestamped record per event).
@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/fsio.hpp"
 
 namespace xlp::obs {
 namespace {
@@ -28,33 +29,6 @@ TEST(Metrics, CountersAccumulateAndDefaultToZero) {
   reg.add("moves");
   reg.add("moves", 41);
   EXPECT_EQ(reg.counter("moves"), 42);
-}
-
-TEST(Metrics, GaugesKeepTheLatestValue) {
-  MetricsRegistry reg;
-  EXPECT_DOUBLE_EQ(reg.gauge("absent"), 0.0);
-  reg.set_gauge("temperature", 10.0);
-  reg.set_gauge("temperature", 2.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("temperature"), 2.5);
-}
-
-TEST(Metrics, TimersAccumulateSamples) {
-  MetricsRegistry reg;
-  reg.record_time("phase", 0.5);
-  reg.record_time("phase", 1.5);
-  const TimerStat stat = reg.timer("phase");
-  EXPECT_DOUBLE_EQ(stat.seconds, 2.0);
-  EXPECT_EQ(stat.count, 2);
-  EXPECT_DOUBLE_EQ(stat.mean_seconds(), 1.0);
-  EXPECT_DOUBLE_EQ(reg.timer("absent").mean_seconds(), 0.0);
-}
-
-TEST(Metrics, ScopedTimerRecordsOneSample) {
-  MetricsRegistry reg;
-  { const ScopedTimer t(reg, "scope"); }
-  const TimerStat stat = reg.timer("scope");
-  EXPECT_EQ(stat.count, 1);
-  EXPECT_GE(stat.seconds, 0.0);
 }
 
 TEST(Metrics, ConcurrentIncrementsAreNotLost) {
@@ -72,13 +46,11 @@ TEST(Metrics, ConcurrentIncrementsAreNotLost) {
           hits.fetch_add(1, std::memory_order_relaxed);
         else
           reg.add("hits");
-        reg.record_time("work", 1e-6);
       }
     });
   for (auto& w : workers) w.join();
   EXPECT_EQ(reg.counter("hits"), kThreads * kPerThread);
   EXPECT_EQ(&reg.counter_handle("hits"), &hits);
-  EXPECT_EQ(reg.timer("work").count, kThreads * kPerThread);
 }
 
 TEST(Metrics, CounterHandlesSurviveLaterRegistrations) {
@@ -100,17 +72,11 @@ TEST(Metrics, JsonSnapshotRoundTrips) {
   MetricsRegistry reg;
   reg.add("runs", 3);
   (void)reg.counter_handle("idle");  // resolved but never bumped
-  reg.set_gauge("load", 0.25);
-  reg.record_time("solve", 1.25);
   const auto parsed = Json::parse(reg.to_json().dump());
   ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->size(), 1u);  // counters are the only instrument
   EXPECT_EQ(parsed->find("counters")->find("runs")->as_long(), 3);
   EXPECT_EQ(parsed->find("counters")->find("idle"), nullptr);
-  EXPECT_DOUBLE_EQ(parsed->find("gauges")->find("load")->as_number(), 0.25);
-  const Json* solve = parsed->find("timers")->find("solve");
-  ASSERT_NE(solve, nullptr);
-  EXPECT_DOUBLE_EQ(solve->find("seconds")->as_number(), 1.25);
-  EXPECT_EQ(solve->find("count")->as_long(), 1);
 }
 
 TEST(Json, EscapesControlAndQuoteCharacters) {
@@ -244,8 +210,9 @@ TEST(Metrics, WriteJsonFileCreatesMissingParentDirectories) {
 
 TEST(Metrics, EnsureParentDirHandlesPlainFilenames) {
   // No directory component: nothing to create, must succeed.
-  EXPECT_TRUE(ensure_parent_dir("just_a_name.json"));
-  EXPECT_TRUE(ensure_parent_dir(::testing::TempDir() + "xlp_obs_flat.json"));
+  EXPECT_TRUE(util::ensure_parent_dir("just_a_name.json"));
+  EXPECT_TRUE(
+      util::ensure_parent_dir(::testing::TempDir() + "xlp_obs_flat.json"));
 }
 
 TEST(Trace, NullSinkIsDisabledNoOp) {

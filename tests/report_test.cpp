@@ -9,6 +9,7 @@
 #include <fstream>
 #include <string>
 
+#include "obs/histogram.hpp"
 #include "obs/ledger.hpp"
 #include "obs/report.hpp"
 #include "obs/timeseries.hpp"
@@ -127,6 +128,72 @@ TEST(CollectRunDir, ClassifiesFilesByContent) {
   EXPECT_FALSE(data.trace_series.empty());
   EXPECT_DOUBLE_EQ(data.stats->find("latency")->find("avg")->as_number(),
                    2.0);
+}
+
+TEST(CollectRunDir, GroupsTraceEventsByPhase) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "xlp_phase_dir";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    std::ofstream out(dir / "trace.jsonl");
+    out << "{\"ts\":0.5,\"event\":\"sa.cool\",\"phase\":\"anneal\"}\n"
+        << "{\"ts\":1.5,\"event\":\"sa.cool\",\"phase\":\"anneal\"}\n"
+        << "{\"ts\":2.0,\"event\":\"sim.progress\",\"phase\":\"measure\"}\n"
+        << "{\"ts\":3.0,\"event\":\"sim.done\"}\n"
+        << "{\"event\":\"no.timestamp\"}\n";
+  }
+  const RunDirData data = collect_run_dir(dir.string());
+  ASSERT_EQ(data.trace_phases.size(), 3u);
+  const TracePhase& anneal = data.trace_phases.at("anneal");
+  EXPECT_EQ(anneal.events, 2);
+  EXPECT_DOUBLE_EQ(anneal.first_ts, 0.5);
+  EXPECT_DOUBLE_EQ(anneal.last_ts, 1.5);
+  EXPECT_EQ(data.trace_phases.at("measure").events, 1);
+  // No phase member: grouped under the event name.
+  EXPECT_EQ(data.trace_phases.at("sim.done").events, 1);
+
+  const std::string html = render_report_html(data);
+  EXPECT_NE(html.find("Trace phases"), std::string::npos);
+  EXPECT_NE(html.find("<tr><td>anneal</td><td class=\"num\">2</td>"),
+            std::string::npos)
+      << html;
+}
+
+TEST(Report, ServerSectionComesFromLedgerLifecycles) {
+  RunDirData data;
+  data.dir = "svc";
+  LedgerEntry served;
+  served.subcommand = "svc";
+  for (const char* outcome : {"miss", "batch", "batch", "cache"}) {
+    served.lifecycle = LedgerEntry::Lifecycle{outcome, false, 0.25, 0, 0,
+                                              2'000'000};
+    data.ledger.push_back(served.to_json());
+  }
+  LedgerEntry cli;  // a CLI record has no lifecycle and is not tallied
+  cli.subcommand = "solve";
+  data.ledger.push_back(cli.to_json());
+  // The final `xlpd --stats-json` snapshot adds one chart per histogram.
+  Histogram end_to_end;
+  for (long ns = 1000; ns <= 4'000'000; ns *= 2) end_to_end.record(ns);
+  data.server_stats = Json::object().set("kind", "stats").set(
+      "latency", Json::object().set("end_to_end", end_to_end.to_json()));
+
+  const std::string html = render_report_html(data);
+  EXPECT_NE(html.find("<h2>Server</h2>"), std::string::npos);
+  EXPECT_NE(html.find("request end-to-end latency (ms)"), std::string::npos);
+  EXPECT_NE(html.find("end_to_end &mdash; 12 samples, p50 "),
+            std::string::npos)
+      << html;
+  for (const char* row :
+       {"<tr><td>batch</td><td class=\"num\">2</td></tr>",
+        "<tr><td>cache</td><td class=\"num\">1</td></tr>",
+        "<tr><td>miss</td><td class=\"num\">1</td></tr>"})
+    EXPECT_NE(html.find(row), std::string::npos) << row;
+
+  data.ledger = {cli.to_json()};
+  data.server_stats.reset();
+  EXPECT_EQ(render_report_html(data).find("<h2>Server</h2>"),
+            std::string::npos);
 }
 
 TEST(CollectRunDir, MissingDirectoryIsEmptyNotFatal) {

@@ -14,6 +14,7 @@
 #include "topo/builders.hpp"
 #include "traffic/trace.hpp"
 #include "util/check.hpp"
+#include "util/error.hpp"
 
 namespace xlp {
 namespace {
@@ -210,11 +211,20 @@ TEST(Trace, SaveLoadRoundTrip) {
 
 TEST(Trace, LoadRejectsGarbage) {
   std::stringstream empty;
-  EXPECT_THROW(traffic::Trace::load(empty), PreconditionError);
-  std::stringstream bad("not_a_trace 8 100\n");
-  EXPECT_THROW(traffic::Trace::load(bad), PreconditionError);
-  std::stringstream bad_line("xlptrace 4 100\n1 2 x 128\n");
-  EXPECT_THROW(traffic::Trace::load(bad_line), PreconditionError);
+  EXPECT_THROW(traffic::Trace::load(empty), Error);
+  // A bad magic or line, a self-directed packet, and header sides outside
+  // [2, 256]: 65536 * 65536 overflows an int, 300 is past the request's
+  // n range.
+  for (const char* text :
+       {"not_a_trace 8 100\n", "xlptrace 4 100\n1 2 x 128\n",
+        "xlptrace 4 4 100\n1 2 2 128\n", "xlptrace 65536 65536 10\n",
+        "xlptrace 300 300 10\n", "xlptrace 8 257 10\n",
+        "xlptrace 1 8 10\n"}) {
+    std::stringstream in(text);
+    EXPECT_THROW(traffic::Trace::load(in), Error) << text;
+  }
+  std::stringstream largest("xlptrace 256 256 10\n0 0 65535 128\n");
+  EXPECT_EQ(traffic::Trace::load(largest).side(), 256);
 }
 
 TEST(Trace, ReplayMeasuresEveryPacket) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/branch_bound.hpp"
@@ -227,6 +228,26 @@ TEST(CheckpointTest, LoadRejectsForeignAndPartialFiles) {
       path,
       "{\"schema\": \"xlp-ckpt/1\", \"kind\": \"sa\", \"payload\": {}}"));
   EXPECT_EQ(load_failure_code(path), ErrorCode::kParse);
+
+  // Numbers are exact integers where the field is one, and finite: n
+  // wrapped or truncated to 8 used to resume P(8, 4), 1e300 moves was an
+  // undefined double-to-long conversion, and an infinite temperature could
+  // not be written back.
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"n\":8,", "\"n\":4294967304,"},
+           {"\"n\":8,", "\"n\":8.4,"},
+           {"\"link_limit\":4,", "\"link_limit\":4294967300,"},
+           {"\"total_moves\":4000,", "\"total_moves\":1e300,"},
+           {"\"next_move\":1234,", "\"next_move\":1234.5,"},
+           {"\"temperature\":0.625,", "\"temperature\":1e999,"}}) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    ASSERT_TRUE(util::atomic_write_file(path, text));
+    EXPECT_EQ(load_failure_code(path), ErrorCode::kParse) << to;
+  }
 }
 
 // ------------------------------------------------------- search loops stop

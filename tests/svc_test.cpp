@@ -141,6 +141,32 @@ TEST(Request, FromJsonRejectsUnknownAndMalformedFields) {
   EXPECT_THROW((void)Request::from_json(*wrong_type), Error);
 }
 
+TEST(Request, IntegerFieldsAreExactOrAParseError) {
+  // Each of these used to wrap or round onto a valid request (n = 2^32 + 8
+  // and n = 8.4 both hashed as the default n = 8 evaluate request);
+  // "height" is no request field at all.
+  for (const char* text :
+       {R"({"kind":"evaluate","n":4294967304})",
+        R"({"kind":"evaluate","n":8.4})", R"({"kind":"solve","moves":1e300})",
+        R"({"kind":"solve","c":4.5})",
+        R"({"kind":"simulate","vcs":4294967300})",
+        R"({"kind":"simulate","cycles":-1e300})",
+        R"({"kind":"solve","n":8,"height":8})"}) {
+    const auto doc = obs::Json::parse(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    try {
+      (void)Request::from_json(*doc);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const Error& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kParse) << text;
+    }
+  }
+  // An integral value spelled as a double is that integer.
+  const auto spelled = obs::Json::parse(R"({"kind":"evaluate","n":8.0})");
+  ASSERT_TRUE(spelled.has_value());
+  EXPECT_EQ(Request::from_json(*spelled).id(), "73e294c6e35ed59a");
+}
+
 TEST(Request, ValidateEnforcesRanges) {
   Request request;
   request.link_limit = 3;  // does not divide 256
@@ -543,6 +569,21 @@ TEST(Server, ServeTextHandlesObjectsArraysAndGarbage) {
   EXPECT_NE(array_reply.find("\"error\":"), std::string::npos);
 }
 
+TEST(Server, WrappedOrRoundedIntegersAreRejectedNotServed) {
+  obs::MetricsRegistry metrics;
+  Server server(test_options(fresh_dir("exact_ints"), &metrics));
+  for (const char* text : {R"({"kind":"evaluate","n":4294967304})",
+                           R"({"kind":"evaluate","n":8.4})"}) {
+    const std::vector<Reply> replies = decode_replies(server.serve_text(text));
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_FALSE(replies[0].ok) << text;
+    EXPECT_EQ(replies[0].error_kind, error_code_name(ErrorCode::kParse))
+        << text;
+    EXPECT_EQ(replies[0].request_id, "") << text;
+  }
+  EXPECT_EQ(metrics.counter("svc.requests"), 0);
+}
+
 TEST(Server, AppendsOneLedgerRecordPerRequestWithCacheHit) {
   const std::string dir = fresh_dir("ledger");
   obs::MetricsRegistry metrics;
@@ -568,11 +609,11 @@ TEST(Server, AppendsOneLedgerRecordPerRequestWithCacheHit) {
 
 // ------------------------------------------------------------ observability
 
-TEST(Server, EmitsOneLifecycleEventPerRequestWithOutcomes) {
+TEST(Server, LedgersOneLifecyclePerRequestWithOutcomes) {
   const std::string dir = fresh_dir("events");
   obs::MetricsRegistry metrics;
   ServerOptions options = test_options(dir + "/cache", &metrics, 2);
-  options.events_path = dir + "/server-events.jsonl";
+  options.ledger_path = dir + "/ledger.jsonl";
   Server server(options);
   (void)server.serve_batch(duplicate_solves(3));   // miss + 2 batch dups
   (void)server.serve_batch(duplicate_solves(1));   // cache hit
@@ -588,32 +629,23 @@ TEST(Server, EmitsOneLifecycleEventPerRequestWithOutcomes) {
   EXPECT_EQ(server.resolve(poisoned).error_kind, "poisoned");
   ChaosPolicy::global().disable();
 
-  const auto text = util::read_file(options.events_path);
-  ASSERT_TRUE(text.has_value());
-  std::vector<obs::Json> events;
-  std::istringstream in(*text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto record = obs::Json::parse(line);
-    ASSERT_TRUE(record.has_value()) << line;
-    events.push_back(std::move(*record));
-  }
-  ASSERT_EQ(events.size(), 6u);  // exactly one line per request served
+  const std::vector<obs::Json> records = obs::read_ledger(options.ledger_path);
+  ASSERT_EQ(records.size(), 6u);  // exactly one record per request served
 
-  std::map<std::string, long> outcomes;  // "<outcome>/<ok>" -> lines
+  std::map<std::string, long> outcomes;  // "<outcome>/<ok>" -> records
   std::map<std::string, long> kinds;
-  for (const obs::Json& event : events) {
-    // svc-events/1 contract: every record carries the full field set.
-    ASSERT_NE(event.find("schema"), nullptr);
-    EXPECT_EQ(event.find("schema")->as_string(), kEventsSchema);
-    for (const char* key : {"request_id", "kind", "outcome", "ok",
-                            "cache_corrupt", "received_s", "queue_wait_ns",
-                            "execute_ns", "end_to_end_ns"})
-      ASSERT_NE(event.find(key), nullptr) << key;
-    ++outcomes[event.find("outcome")->as_string() +
-               (event.find("ok")->as_bool() ? "/ok" : "/error")];
-    ++kinds[event.find("kind")->as_string()];
+  for (const obs::Json& record : records) {
+    // Every xlpd record carries the full lifecycle field set.
+    const obs::Json* lifecycle = record.find("lifecycle");
+    ASSERT_NE(lifecycle, nullptr);
+    for (const char* key : {"outcome", "cache_corrupt", "received_s",
+                            "queue_wait_ns", "execute_ns", "end_to_end_ns"})
+      ASSERT_NE(lifecycle->find(key), nullptr) << key;
+    EXPECT_FALSE(lifecycle->find("cache_corrupt")->as_bool());
+    ++outcomes[lifecycle->find("outcome")->as_string() +
+               (record.find("exit_status")->as_long() == 0 ? "/ok"
+                                                           : "/error")];
+    ++kinds[record.find("params")->find("kind")->as_string()];
   }
   EXPECT_EQ(outcomes["miss/ok"], 1);
   EXPECT_EQ(outcomes["miss/error"], 1);
@@ -621,10 +653,10 @@ TEST(Server, EmitsOneLifecycleEventPerRequestWithOutcomes) {
   EXPECT_EQ(outcomes["batch/ok"], 2);
   EXPECT_EQ(outcomes["cache/ok"], 1);
 
-  // The events log and the registry are written by the one counting site,
-  // so every counter equals its matching outcome / ok lines.
+  // The ledger and the registry are written by the one counting site, so
+  // every counter equals its matching outcome / ok records.
   EXPECT_EQ(metrics.counter("svc.requests"),
-            static_cast<long>(events.size()));
+            static_cast<long>(records.size()));
   EXPECT_EQ(metrics.counter("svc.batch.hits"),
             outcomes["batch/ok"] + outcomes["batch/error"]);
   EXPECT_EQ(metrics.counter("svc.inflight.hits"),

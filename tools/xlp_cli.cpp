@@ -242,7 +242,7 @@ class TraceOutput {
  public:
   explicit TraceOutput(const Args& args) : path_(args.get_or("trace", "")) {
     if (path_.empty()) return;
-    obs::ensure_parent_dir(path_);
+    util::ensure_parent_dir(path_);
     stream_.open(path_);
     XLP_REQUIRE(stream_.good(), "cannot open " + path_);
     sink_ = std::make_unique<obs::JsonlTraceSink>(stream_);

@@ -26,12 +26,11 @@
 //   --metrics <file.json>        dump the metrics registry on exit
 //   --out-dir <dir>              ledger location (default "."); one
 //                                xlp-ledger/1 record per request served,
-//                                with cache_hit
+//                                with cache_hit and its lifecycle (dedup
+//                                outcome + stage durations)
 //   --no-ledger                  disable the ledger
 //
 // Observability (docs/observability.md, docs/service.md):
-//   --events <file.jsonl>        append one svc-events/1 lifecycle record
-//                                per request served (stages + durations)
 //   --series <file.json>         operational time series (requests/sec,
 //                                queue depth, in-flight, cache hit rate),
 //                                written on exit
@@ -80,10 +79,9 @@ int usage() {
                "<path>) [--cache-dir <dir>] [--cache-entries <n>] "
                "[--threads <n>] [--request-time-limit <sec>] [--once] "
                "[--poll-seconds <sec>] [--out <file>] [--metrics <file>] "
-               "[--out-dir <dir>] [--no-ledger] [--events <file.jsonl>] "
-               "[--series <file.json>] [--series-window <sec>] "
-               "[--stats-json <file.json>] [--no-observe] "
-               "[--chaos <spec>]\n");
+               "[--out-dir <dir>] [--no-ledger] [--series <file.json>] "
+               "[--series-window <sec>] [--stats-json <file.json>] "
+               "[--no-observe] [--chaos <spec>]\n");
   return kExitUsage;
 }
 
@@ -111,7 +109,6 @@ int serve(const Args& args) {
                               .string();
 
   options.observe = !args.has("no-observe");
-  options.events_path = args.get_or("events", "");
   options.series_window = args.get_double("series-window", 1.0);
   const std::string series_path = args.get_or("series", "");
   const std::string stats_path = args.get_or("stats-json", "");
@@ -155,7 +152,7 @@ int serve(const Args& args) {
 
   // Final artifacts are written on every serve() return, including the
   // SIGINT drain (run_queue / run_socket return normally after draining):
-  // a killed daemon still leaves complete series / stats / events files.
+  // a killed daemon still leaves complete series / stats files.
   server.flush_observability();
   if (!series_path.empty() && !series.write_json_file(series_path))
     std::fprintf(stderr, "warning: could not write %s\n", series_path.c_str());
