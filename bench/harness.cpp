@@ -219,7 +219,7 @@ std::string write_bench_json(const std::string& dir, const std::string& name,
   std::string path = dir.empty() ? std::string(".") : dir;
   if (path.back() != '/') path += '/';
   path += "BENCH_" + name + ".json";
-  // Atomic write: bench_diff and CI gates read these files, and a run
+  // Atomic write: `xlp diff` and CI gates read these files, and a run
   // killed mid-write must not leave a truncated baseline behind.
   if (!util::atomic_write_file(path, doc.dump() + "\n")) return {};
   return path;

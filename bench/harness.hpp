@@ -7,6 +7,7 @@
 
 #include "obs/json.hpp"
 #include "obs/provenance.hpp"
+#include "util/check.hpp"
 
 namespace xlp::bench {
 
@@ -20,9 +21,9 @@ namespace xlp::bench {
 ///     finished) recorded verbatim — these must not depend on wall time
 ///   - set_time_ns(name, ns): a wall-derived latency the body measured
 ///     itself (tail quantiles, sub-phase timings). Reported as the median
-///     across repeats and zeroed under --deterministic, like rates. By
-///     convention tail latencies are named "<stage>_p99_ns" so bench_diff
-///     treats them as lower-is-better.
+///     across repeats and zeroed under --deterministic, like rates. The
+///     name must end in "_ns": that suffix is how `xlp diff` knows the
+///     metric is a lower-is-better timing, skipped in exact comparisons.
 ///   - set_payload(json): arbitrary structured series attached to the
 ///     result (the figure benches park their plot points here)
 class BenchRun {
@@ -35,6 +36,8 @@ class BenchRun {
     counters_.emplace_back(std::move(name), value);
   }
   void set_time_ns(std::string name, double ns) {
+    XLP_REQUIRE(name.ends_with("_ns"),
+                "timing metric '" + name + "' must end in _ns");
     times_.emplace_back(std::move(name), ns);
   }
   void set_payload(obs::Json payload) { payload_ = std::move(payload); }

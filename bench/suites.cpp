@@ -187,12 +187,12 @@ void register_micro_core() {
       if (full_scores[m] != delta_scores[m]) match = false;
     g_sink = delta_scores.back();
     run.set_items(kMoves);
-    run.set_time_ns("full_move",
+    run.set_time_ns("full_move_ns",
                     std::chrono::duration<double, std::nano>(full_end -
                                                              full_start)
                             .count() /
                         kMoves);
-    run.set_time_ns("delta_move",
+    run.set_time_ns("delta_move_ns",
                     std::chrono::duration<double, std::nano>(delta_end -
                                                              delta_start)
                             .count() /
@@ -371,7 +371,7 @@ void register_svc() {
   // The hot path is serve_text one document at a time: the exact per-frame
   // work of the socket and queue transports (parse, resolve, serialize)
   // on a warm cache, where the relative cost of observe_request() is at
-  // its worst. observed_p99_ns / unobserved_p99_ns land in bench_diff's
+  // its worst. observed_p99_ns / unobserved_p99_ns land in `xlp diff`'s
   // regression gate as lower-is-better tails; the p50 gap is the
   // per-request recording overhead docs/observability.md quotes (<1%).
   register_bench("svc", "observe_overhead_pair", "smoke",

@@ -12,7 +12,7 @@ namespace xlp::obs {
 /// One run-ledger record: what ran, under which scenario, what it wrote
 /// and how it ended. Every `xlp` subcommand appends one of these to
 /// `<out-dir>/ledger.jsonl`, giving a run directory an append-only
-/// provenance log that `xlp report` and `tools/run_diff` read back.
+/// provenance log that `xlp report` and `xlp diff` read back.
 ///
 /// The run id is the content hash of `params` alone — the scenario
 /// identity, deliberately excluding execution details like thread count,

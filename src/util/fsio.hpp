@@ -15,7 +15,7 @@ bool ensure_parent_dir(const std::string& path) noexcept;
 /// and the parent directory is fsync'd so the rename itself is durable.
 /// A crash (or kill) at any point leaves either the old file or the new
 /// one — never a truncated hybrid that would poison a reader like
-/// bench_diff or a checkpoint load.
+/// `xlp diff` or a checkpoint load.
 ///
 /// Durability contract: when this returns true, `path` holds the complete
 /// new content and survives an immediate power loss; when it returns

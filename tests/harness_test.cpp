@@ -127,6 +127,14 @@ TEST(HarnessTest, TimedRunRecordsPositiveDurations) {
   EXPECT_GT(r.rates[0].second, 0.0);
 }
 
+// `xlp diff` recognizes a timing by its _ns suffix (lower is better,
+// skipped in exact comparisons), so a timing without one is refused.
+TEST(HarnessTest, TimingNamesMustEndInNs) {
+  bench::BenchRun run;
+  EXPECT_NO_THROW(run.set_time_ns("stage_p99_ns", 1.0));
+  EXPECT_THROW(run.set_time_ns("full_move", 1.0), PreconditionError);
+}
+
 TEST(HarnessTest, FilterMatchesSuiteNameAndTags) {
   register_test_suite();
   bench::RunnerOptions options;

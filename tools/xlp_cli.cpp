@@ -25,6 +25,12 @@
 //   xlp report    <run-dir> [--out report.html]
 //                 (renders a dependency-free single-file HTML dashboard
 //                 from the telemetry files found in <run-dir>)
+//   xlp diff      <old> <new> [--threshold 10] [--html diff.html]
+//                 (compares two BENCH_*.json files, two directories of
+//                 them or two run directories; a tracked metric worse by
+//                 more than --threshold percent fails, and so does any
+//                 difference from a --deterministic document. Exit 0
+//                 clean, 1 failed rows, 2 unreadable or empty inputs)
 //   xlp submit    (--file batch.json | --sweep-n 8 [--method dcsa]
 //                 [--moves 10000] [--base-flit 256] [--seed 1])
 //                 (--queue <dir> [--wait 60] [--name <id>] | --socket <path>)
@@ -113,6 +119,7 @@
 #include "exp/fault_campaign.hpp"
 #include "exp/scenarios.hpp"
 #include "latency/model.hpp"
+#include "obs/diff.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -150,7 +157,7 @@ constexpr int kExitInterrupted = 130;
 int usage() {
   std::fprintf(stderr,
                "usage: xlp <solve|sweep|simulate|trace|replay|appspec|run|"
-               "faults|bench|report|submit|top> "
+               "faults|bench|report|diff|submit|top> "
                "[options]\n(see the header of tools/xlp_cli.cpp for the "
                "full option list)\n");
   return kExitUsage;
@@ -770,6 +777,23 @@ int cmd_report(const Args& args) {
   return 0;
 }
 
+/// Compares two outputs through obs::diff_inputs. Its exit 1 means failed
+/// rows, so an input it cannot compare exits 2, not the CLI's usual 1.
+int cmd_diff(const Args& args) {
+  XLP_REQUIRE(args.positional().size() == 2,
+              "usage: xlp diff <old> <new> [--threshold <pct>] "
+              "[--html <file>]");
+  const double threshold = args.get_double("threshold", 10.0);
+  XLP_REQUIRE(threshold >= 0.0, "option --threshold needs a percentage >= 0");
+  try {
+    return obs::diff_inputs(args.positional()[0], args.positional()[1],
+                            threshold, args.get_or("html", ""));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitUsage;
+  }
+}
+
 /// One stderr summary line per reply of a decoded reply document: request
 /// id, HIT/MISS marker, ok/error, and the wall time when the caller
 /// measured one. `index` numbers the first reply out of `total`. Adds the
@@ -1065,6 +1089,7 @@ int main(int argc, char** argv) {
     else if (command == "faults") rc = cmd_faults(args);
     else if (command == "bench") rc = cmd_bench(args);
     else if (command == "report") rc = cmd_report(args);
+    else if (command == "diff") rc = cmd_diff(args);
     else if (command == "submit") rc = cmd_submit(args);
     else if (command == "top") rc = cmd_top(args);
     else return usage();
