@@ -103,10 +103,7 @@ PlacementResult solve_row(const RowObjective& objective, int link_limit,
                 "checkpoint was taken for a different P(n, C)");
     // The schedule comes from the checkpoint, so the trajectory matches the
     // uninterrupted run bit for bit; the annealer restores `rng` from it.
-    params.initial_temperature = resume->schedule.initial_temperature;
-    params.total_moves = resume->schedule.total_moves;
-    params.cool_scale = resume->schedule.cool_scale;
-    params.moves_per_cool = resume->schedule.moves_per_cool;
+    params.set_schedule(resume->schedule);
     params.method_label =
         resume->method.empty() ? "SA-resumed" : resume->method;
     params.resume = resume;

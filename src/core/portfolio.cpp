@@ -41,10 +41,7 @@ PortfolioResult solve_portfolio(
                 "portfolio checkpoint names an unknown solver");
     options.chains = pc->chains;
     options.solver = *solver;
-    options.sa.initial_temperature = pc->schedule.initial_temperature;
-    options.sa.total_moves = pc->schedule.total_moves;
-    options.sa.cool_scale = pc->schedule.cool_scale;
-    options.sa.moves_per_cool = pc->schedule.moves_per_cool;
+    options.sa.set_schedule(pc->schedule);
   }
   XLP_REQUIRE(options.chains >= 1, "portfolio needs at least one chain");
 
@@ -77,8 +74,7 @@ PortfolioResult solve_portfolio(
     pc.chains = options.chains;
     pc.seed = seed;
     pc.solver = to_string(options.solver);
-    pc.schedule = {options.sa.initial_temperature, options.sa.total_moves,
-                   options.sa.cool_scale, options.sa.moves_per_cool};
+    pc.schedule = options.sa.schedule();
     pc.chain_states = latest;
     return pc;
   };

@@ -76,8 +76,7 @@ SaResult anneal_connection_matrix(const topo::ConnectionMatrix& initial,
   // trajectory the uninterrupted run would have taken.
   const auto capture = [&](long next_move, bool complete) {
     runctl::SaCheckpoint ck;
-    ck.schedule = {params.initial_temperature, params.total_moves,
-                   params.cool_scale, params.moves_per_cool};
+    ck.schedule = params.schedule();
     ck.method = params.method_label;
     ck.n = initial.row_size();
     ck.link_limit = initial.link_limit();
@@ -142,17 +141,6 @@ SaResult anneal_connection_matrix(const topo::ConnectionMatrix& initial,
 
     ++result.moves;
     if ((move + 1) % params.moves_per_cool == 0) {
-      if (params.observer) {
-        SaCoolingStep snapshot;
-        snapshot.step = cooling_step;
-        snapshot.moves_done = move + 1;
-        snapshot.temperature = temperature;
-        snapshot.current_value = current_value;
-        snapshot.best_value = result.best_value;
-        snapshot.window_moves = (move + 1) - window_start_move;
-        snapshot.window_accepted = result.accepted - window_start_accepted;
-        params.observer(snapshot);
-      }
       if (params.series != nullptr) {
         const double x = static_cast<double>(move + 1);
         const long window_moves = (move + 1) - window_start_move;

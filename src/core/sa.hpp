@@ -17,28 +17,6 @@ class SeriesRecorder;
 
 namespace xlp::core {
 
-/// Snapshot handed to the optional SaParams::observer at the end of every
-/// cooling window (just before the temperature is divided): the telemetry
-/// behind a per-run cooling trajectory.
-struct SaCoolingStep {
-  int step = 0;                // 0-based cooling-step index
-  long moves_done = 0;         // moves completed so far, including this window
-  double temperature = 0.0;    // temperature the window ran at
-  double current_value = 0.0;  // objective of the current state
-  double best_value = 0.0;     // best objective seen so far
-  long window_moves = 0;       // moves in this cooling window
-  long window_accepted = 0;    // accepted moves in this window
-  [[nodiscard]] double window_acceptance_rate() const noexcept {
-    return window_moves > 0
-               ? static_cast<double>(window_accepted) / window_moves
-               : 0.0;
-  }
-};
-
-/// Per-cooling-step observer; called synchronously from the annealing
-/// loop, so it must be cheap (or buffer internally). Empty by default.
-using SaObserver = std::function<void(const SaCoolingStep&)>;
-
 /// Simulated-annealing schedule, Table 1 of the paper: exponential
 /// acceptance exp(-dL/T), linear cooling implemented as T <- T / cool_scale
 /// every moves_per_cool moves, starting from T0.
@@ -47,9 +25,6 @@ struct SaParams {
   long total_moves = 10000;           // m
   double cool_scale = 2.0;            // Sc
   long moves_per_cool = 1000;         // mc
-
-  /// Invoked once per cooling step when set; see SaCoolingStep.
-  SaObserver observer;
 
   /// Optional bounded-memory recorder (not owned; must outlive the run).
   /// When set, the annealer appends objective / best-so-far / temperature /
@@ -92,6 +67,17 @@ struct SaParams {
   /// it at runtime). Objectives a delta evaluator cannot reproduce
   /// (secondary-metric blends) fall back to full evaluation internally.
   bool delta_eval = true;
+
+  /// The schedule fields a checkpoint carries, and their restore.
+  [[nodiscard]] runctl::SaSchedule schedule() const {
+    return {initial_temperature, total_moves, cool_scale, moves_per_cool};
+  }
+  void set_schedule(const runctl::SaSchedule& s) {
+    initial_temperature = s.initial_temperature;
+    total_moves = s.total_moves;
+    cool_scale = s.cool_scale;
+    moves_per_cool = s.moves_per_cool;
+  }
 
   /// Scales the move budget while keeping the same cooling profile shape
   /// (used by the runtime-comparison experiment, Fig. 7).

@@ -30,13 +30,14 @@ FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& config) {
   XLP_REQUIRE(config.fault_cycle >= 0, "fault cycle must be non-negative");
   XLP_REQUIRE(config.load > 0.0, "need a positive load");
   XLP_REQUIRE(config.max_retries >= 0, "retry budget must be non-negative");
+  XLP_REQUIRE(config.scale > 0.0, "budget scale must be positive");
   XLP_REQUIRE(
       config.reliability_weight >= 0.0 && config.reliability_weight <= 1.0,
       "reliability weight must be in [0, 1]");
 
   const route::HopWeights weights{};
   const core::SaParams sa = paper_sa_params().with_moves(
-      std::max<long>(100, static_cast<long>(10000 * bench_scale())));
+      std::max<long>(100, static_cast<long>(10000 * config.scale)));
 
   // The four competitors. The optimized placements are solved here so the
   // campaign is self-contained and deterministic.
@@ -83,8 +84,8 @@ FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& config) {
     const long sub = c % per_design;
     const NamedDesign& named = designs[di];
 
-    sim::SimConfig sim_config =
-        default_sim_config(config.seed + static_cast<std::uint64_t>(di));
+    sim::SimConfig sim_config = default_sim_config(
+        config.seed + static_cast<std::uint64_t>(di), config.scale);
     sim_config.trace = config.trace;
 
     if (sub == 0) {

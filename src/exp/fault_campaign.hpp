@@ -29,6 +29,10 @@ struct FaultCampaignConfig {
   /// D&C_SA objective.
   double reliability_weight = 0.3;
   std::uint64_t seed = 1;
+  /// Budget scale: the D&C_SA solves make 10000 * scale moves (at least
+  /// 100) and every simulation runs default_sim_config's cycles at this
+  /// scale. 1 is the paper's budget; the bench suites pass bench_scale().
+  double scale = 1.0;
   /// Pool workers for the simulation cells (per-design baselines and
   /// trials are all independent: every trial is explicitly seeded from
   /// `seed`). 0 = util::default_thread_count(); capped by the cell count.

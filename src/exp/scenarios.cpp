@@ -149,22 +149,11 @@ bool warn_if_undrained(const sim::SimStats& stats,
                "are lower bounds, not steady-state values\n",
                context.c_str(), in_flight, stats.packets_offered,
                stats.last_ejection_cycle);
-  if (stats.last_progress_cycle >= 0) {
-    // Tracing was on: point at the last sim.progress snapshot so the
-    // reader can see where the run stood without re-parsing the trace.
-    // Unlike the measured count above, this mirrors the trace's
-    // packets_in_flight field: network-wide, all phases.
-    std::fprintf(stderr,
-                 "         last progress snapshot: cycle %ld, %ld packets "
-                 "in flight network-wide\n",
-                 stats.last_progress_cycle, stats.last_progress_in_flight);
-  }
   return false;
 }
 
-sim::SimConfig default_sim_config(std::uint64_t seed) {
+sim::SimConfig default_sim_config(std::uint64_t seed, double scale) {
   sim::SimConfig config;
-  const double scale = bench_scale();
   config.warmup_cycles = std::max<long>(200, static_cast<long>(1000 * scale));
   config.measure_cycles =
       std::max<long>(1000, static_cast<long>(10000 * scale));

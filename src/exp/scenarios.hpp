@@ -53,8 +53,9 @@ struct SolvedSweep {
                                             const traffic::TrafficMatrix& demand,
                                             const sim::SimConfig& config);
 
-/// SimConfig with cycle counts scaled by bench_scale().
-[[nodiscard]] sim::SimConfig default_sim_config(std::uint64_t seed = 1);
+/// SimConfig with cycle counts scaled by `scale`.
+[[nodiscard]] sim::SimConfig default_sim_config(std::uint64_t seed = 1,
+                                                double scale = bench_scale());
 
 /// Trace-driven run: replays every packet of the trace on the design (no
 /// stochastic background traffic) and measures all of them. The

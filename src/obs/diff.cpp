@@ -135,15 +135,12 @@ std::map<std::string, double> flat_stats(const std::optional<Json>& stats) {
   return out;
 }
 
-/// Every plottable series of a run: recorded xlp-series/1 documents plus
-/// the trace-derived ones, keyed by name.
+/// Every recorded series of a run, keyed by name.
 std::map<std::string, ChartSeries> all_series(const RunDirData& data) {
   std::map<std::string, ChartSeries> out;
   if (data.series)
     for (ChartSeries& s : chart_series_from_json(*data.series))
       out[s.name] = std::move(s);
-  for (const auto& [name, points] : data.trace_series)
-    out[name] = ChartSeries{name, points};
   return out;
 }
 
@@ -332,8 +329,7 @@ int diff_inputs(const std::string& old_path, const std::string& new_path,
     const RunDirData a = collect_run_dir(old_path);
     const RunDirData b = collect_run_dir(new_path);
     for (const RunDirData* data : {&a, &b})
-      if (!data->stats && !data->series && data->trace_series.empty() &&
-          data->ledger.empty())
+      if (!data->stats && !data->series && data->ledger.empty())
         throw Error(ErrorCode::kIo, "no telemetry found in " + data->dir);
     rows = diff_run_dirs(a, b, threshold_pct);
     const auto series_a = all_series(a);

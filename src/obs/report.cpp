@@ -57,7 +57,7 @@ std::string fmt_ns(double ns) {
   return buf;
 }
 
-/// Buckets one trace event into its phase and the derived series map.
+/// Buckets one trace event into its phase; keeps the heatmap event.
 void absorb_trace_event(const Json& record, RunDirData& data) {
   const Json* event = record.find("event");
   if (event == nullptr || !event->is_string()) return;
@@ -70,25 +70,8 @@ void absorb_trace_event(const Json& record, RunDirData& data) {
     it->second.last_ts = ts->as_number();
     ++it->second.events;
   }
-  if (name == "sim.progress") {
-    const double cycle = field_number(record, "cycle", 0.0);
-    data.trace_series["trace.sim.packets_in_flight"].emplace_back(
-        cycle, field_number(record, "packets_in_flight", 0.0));
-    data.trace_series["trace.sim.ejection_rate"].emplace_back(
-        cycle, field_number(record, "ejection_rate", 0.0));
-  } else if (name == "sa.cool") {
-    const double moves = field_number(record, "moves", 0.0);
-    data.trace_series["trace.sa.best"].emplace_back(
-        moves, field_number(record, "best", 0.0));
-    data.trace_series["trace.sa.current"].emplace_back(
-        moves, field_number(record, "current", 0.0));
-    data.trace_series["trace.sa.temperature"].emplace_back(
-        moves, field_number(record, "temperature", 0.0));
-    data.trace_series["trace.sa.acceptance"].emplace_back(
-        moves, field_number(record, "acceptance", 0.0));
-  } else if (name == "sim.channel_utilization") {
+  if (name == "sim.channel_utilization")
     data.heatmap = record;  // keep the last one found
-  }
 }
 
 /// Buckets one parsed .json document by content shape.
@@ -499,12 +482,10 @@ std::string render_report_html(const RunDirData& data) {
 
   std::vector<ChartSeries> recorded;
   if (data.series) recorded = chart_series_from_json(*data.series);
-  if (!recorded.empty() || !data.trace_series.empty()) {
+  if (!recorded.empty()) {
     body += "<h2>Time series</h2>\n";
     for (const ChartSeries& s : recorded)
       body += svg_line_chart(s.name, {s});
-    for (const auto& [name, points] : data.trace_series)
-      body += svg_line_chart(name, {{name, points}});
   }
 
   if (data.heatmap) {

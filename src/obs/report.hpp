@@ -40,9 +40,6 @@ struct RunDirData {
   std::vector<Json> ledger;
   /// Last `sim.channel_utilization` event found in any JSONL trace.
   std::optional<Json> heatmap;
-  /// Series derived from JSONL trace events (`sim.progress`, `sa.cool`),
-  /// keyed by a descriptive name, in key order.
-  std::map<std::string, std::vector<std::pair<double, double>>> trace_series;
   /// Every JSONL trace event, grouped by its `phase` member (the event
   /// name when it has none), in key order.
   std::map<std::string, TracePhase> trace_phases;
@@ -83,7 +80,7 @@ struct RunDirData {
                                     const std::string& body);
 
 /// Renders the full single-file HTML dashboard for one run directory: line
-/// charts for every recorded and trace-derived series, the channel heatmap,
+/// charts for every recorded series, the channel heatmap,
 /// the stats summary, the server section (stats snapshot plus the
 /// per-request lifecycles of the ledger), the trace phase table, the
 /// profiler tree table, the counters and the run ledger.

@@ -10,7 +10,7 @@
 namespace xlp::obs {
 
 /// Destination for structured trace events. Instrumented code calls
-/// `sink.emit("sa.cool", fields)` where `fields` is a JSON object payload;
+/// `sink.emit("sim.done", fields)` where `fields` is a JSON object payload;
 /// what happens next depends on the sink. Call sites that would pay to
 /// build the payload should guard on `enabled()` so the default null sink
 /// makes instrumentation cost ~nothing.

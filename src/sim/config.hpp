@@ -109,12 +109,12 @@ struct SimConfig {
   latency::PacketMix mix = latency::PacketMix::paper_default();
 
   /// Optional structured trace sink (not owned; must outlive the run).
-  /// When set and enabled, the simulator emits periodic `sim.progress`
-  /// snapshots every trace_interval_cycles plus a final
+  /// When set and enabled, the simulator emits its discrete events: fault
+  /// injections and reroutes as they happen, then a final
   /// `sim.channel_utilization` heatmap derived from the per-channel flit
-  /// counts. Null by default so instrumentation costs nothing.
+  /// counts and `sim.done`. Trajectories are the series recorder's (below).
+  /// Null by default so instrumentation costs nothing.
   obs::TraceSink* trace = nullptr;
-  long trace_interval_cycles = 1000;
 
   /// Optional bounded-memory time-series recorder (not owned; must outlive
   /// the run). When set, the simulator appends one sample per series every

@@ -721,7 +721,6 @@ void Simulator::arbitrate(int router) {
       if (f.is_head) pk.head_ejected = cycle_ + 1;
       if (f.is_tail) {
         pk.ejected = cycle_ + 1;
-        ++ejected_total_;
         last_ejection_cycle_ = cycle_ + 1;
         if (pk.measured) --outstanding_measured_;
       }
@@ -749,8 +748,6 @@ SimStats Simulator::run() {
   const long measure_end = config_.warmup_cycles + config_.measure_cycles;
   const long hard_end = measure_end + config_.drain_cycles;
   const int nodes = net_.node_count();
-  const bool tracing = config_.trace != nullptr && config_.trace->enabled() &&
-                       config_.trace_interval_cycles > 0;
   const bool recording =
       config_.series != nullptr && config_.series_interval_cycles > 0;
 
@@ -777,8 +774,6 @@ SimStats Simulator::run() {
       status = config_.control->status();
       break;
     }
-    if (tracing && cycle_ > 0 && cycle_ % config_.trace_interval_cycles == 0)
-      emit_progress();
     // Single branch on the disabled path (bench/micro_core sim_run_8x8
     // gates this at <1% overhead); everything else happens inside.
     if (recording) {
@@ -1300,33 +1295,6 @@ void Simulator::check_invariants() const {
              std::to_string(vc_depth_[static_cast<std::size_t>(r)]));
 }
 
-const char* Simulator::phase_name(long cycle) const noexcept {
-  if (cycle < config_.warmup_cycles) return "warmup";
-  if (cycle < config_.warmup_cycles + config_.measure_cycles)
-    return "measure";
-  return "drain";
-}
-
-void Simulator::emit_progress() {
-  const long in_flight = static_cast<long>(packets_.size()) - ejected_total_;
-  const long interval = config_.trace_interval_cycles;
-  const double ejection_rate =
-      static_cast<double>(ejected_total_ - last_snapshot_ejected_) /
-      static_cast<double>(interval);
-  last_snapshot_ejected_ = ejected_total_;
-  last_progress_cycle_ = cycle_;
-  last_progress_in_flight_ = in_flight;
-  config_.trace->emit("sim.progress",
-                      obs::Json::object()
-                          .set("cycle", cycle_)
-                          .set("phase", phase_name(cycle_))
-                          .set("packets_created",
-                               static_cast<long>(packets_.size()))
-                          .set("packets_in_flight", in_flight)
-                          .set("outstanding_measured", outstanding_measured_)
-                          .set("ejection_rate", ejection_rate));
-}
-
 void Simulator::record_series() {
   obs::SeriesRecorder& rec = *config_.series;
   const double x = static_cast<double>(cycle_);
@@ -1399,8 +1367,6 @@ SimStats Simulator::finalize() const {
   stats.activity = activity_;
   stats.channel_flits = channel_flits_measured_;
   stats.last_ejection_cycle = last_ejection_cycle_;
-  stats.last_progress_cycle = last_progress_cycle_;
-  stats.last_progress_in_flight = last_progress_in_flight_;
   stats.reroutes = reroutes_;
   stats.packets_dropped = packets_dropped_;
   stats.packets_retransmitted = packets_retransmitted_;

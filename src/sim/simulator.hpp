@@ -158,10 +158,6 @@ class Simulator {
   }
   [[nodiscard]] int pick_packet_bits();
   [[nodiscard]] SimStats finalize() const;
-  /// Name of the run phase the given cycle falls into.
-  [[nodiscard]] const char* phase_name(long cycle) const noexcept;
-  /// Emits one `sim.progress` trace snapshot for the current cycle.
-  void emit_progress();
   /// Appends one sample per telemetry series to config_.series for the
   /// window ending at the current cycle.
   void record_series();
@@ -266,11 +262,6 @@ class Simulator {
   std::deque<std::tuple<long, int, Flit>> ni_arrivals_;
   // Measured packets created but not yet fully ejected.
   long outstanding_measured_ = 0;
-  // Lifetime ejection counters, for the progress telemetry.
-  long ejected_total_ = 0;
-  long last_snapshot_ejected_ = 0;
-  long last_progress_cycle_ = -1;
-  long last_progress_in_flight_ = -1;
 
   // Lifetime flit counters for the series recorder. Maintained
   // unconditionally: an increment on an already-hot line is cheaper than a

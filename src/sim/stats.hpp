@@ -77,12 +77,6 @@ struct SimStats {
   /// continue to the end) from a fault-severed route (ejections stop).
   long last_ejection_cycle = -1;
 
-  /// Last `sim.progress` trace snapshot, kept so undrained-run diagnostics
-  /// (exp::warn_if_undrained) can say where the run stood without re-parsing
-  /// the trace. Both -1 when tracing was off or no snapshot fired.
-  long last_progress_cycle = -1;
-  long last_progress_in_flight = -1;
-
   // Fault-injection outcome counters (lifetime, all zero without faults).
   long reroutes = 0;               // routing-table swaps performed
   long packets_dropped = 0;        // purged mid-flight by a fault

@@ -64,7 +64,6 @@ core::PlacementResult solve(const Request& request,
   request.validate();
   const core::Solver solver = *core::parse_solver(request.method);
   core::SaParams params = core::SaParams{}.with_moves(request.moves);
-  params.observer = hooks.observer;
   params.series = hooks.series;
   params.control = hooks.control;
   params.checkpoint_every_moves = hooks.checkpoint_every_moves;
@@ -184,6 +183,9 @@ std::string Request::id() const {
 
 void Request::validate() const {
   if (kind == RequestKind::kStats) return;  // carries no parameters
+  // to_json() writes the seed as a JSON number, a double: past 2^53 two
+  // seeds would share one id, one cache entry and one ledger record.
+  if (seed > (std::uint64_t{1} << 53)) bad_request("seed must be at most 2^53");
   if (n < 2 || n > 256) bad_request("n must be in [2, 256]");
   if (link_limit < 1) bad_request("c must be at least 1");
   if (base_flit_bits < 1 || base_flit_bits % link_limit != 0)

@@ -91,7 +91,7 @@ struct Request {
 };
 
 /// Solves a kSolve request: the one solver dispatch of the CLI and the
-/// daemon. Of `hooks` only the runtime hooks (observer, series, control,
+/// daemon. Of `hooks` only the runtime hooks (series, control,
 /// checkpoint_every_moves) are honoured; a non-empty `checkpoint_path`
 /// receives the checkpoints. An early stop returns best-so-far with its
 /// status. A portfolio run stores its all-chain evaluation count in

@@ -404,28 +404,42 @@ TEST(ReliabilityObjective, BlendsInTheDegradedCost) {
 // Campaign determinism
 
 TEST(Campaign, SameSeedProducesByteIdenticalJson) {
-  // Shrink the solver/simulator budgets so two full campaigns stay cheap;
-  // restore the env afterwards so later tests are unaffected.
-  const char* old_scale = std::getenv("XLP_BENCH_SCALE");
-  setenv("XLP_BENCH_SCALE", "0.02", 1);
-
+  // Shrink the solver/simulator budgets so two full campaigns stay cheap.
   exp::FaultCampaignConfig config;
   config.n = 4;
   config.link_limit = 2;
   config.trials = 2;
   config.fault_cycle = 600;
   config.seed = 9;
+  config.scale = 0.02;
 
   const exp::FaultCampaignResult once = exp::run_fault_campaign(config);
   const std::string first = once.to_json().dump();
   const std::string second =
       exp::run_fault_campaign(config).to_json().dump();
-  if (old_scale) setenv("XLP_BENCH_SCALE", old_scale, 1);
-  else unsetenv("XLP_BENCH_SCALE");
 
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("\"designs\""), std::string::npos);
   EXPECT_EQ(once.designs.size(), 4u);
+}
+
+TEST(Campaign, BudgetComesFromTheConfigNotTheEnvironment) {
+  // XLP_BENCH_SCALE sizes the bench suites only: the same config must give
+  // the same campaign with and without it (restored afterwards).
+  exp::FaultCampaignConfig config;
+  config.n = 4;
+  config.link_limit = 2;
+  config.trials = 1;
+  config.fault_cycle = 500;
+  const char* old_scale = std::getenv("XLP_BENCH_SCALE");
+  const std::string saved = old_scale != nullptr ? old_scale : "";
+  unsetenv("XLP_BENCH_SCALE");
+  const std::string plain = exp::run_fault_campaign(config).to_json().dump();
+  setenv("XLP_BENCH_SCALE", "0.02", 1);
+  const std::string scaled = exp::run_fault_campaign(config).to_json().dump();
+  if (old_scale != nullptr) setenv("XLP_BENCH_SCALE", saved.c_str(), 1);
+  else unsetenv("XLP_BENCH_SCALE");
+  EXPECT_EQ(plain, scaled);
 }
 
 }  // namespace

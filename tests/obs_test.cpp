@@ -107,7 +107,7 @@ TEST(Json, DumpsScalarsCompactly) {
 
 TEST(Json, NestedDocumentRoundTrips) {
   Json doc = Json::object()
-                 .set("name", "sa.cool")
+                 .set("name", "run.status")
                  .set("step", 3)
                  .set("temperature", 1.25)
                  .set("drained", false)
@@ -115,7 +115,7 @@ TEST(Json, NestedDocumentRoundTrips) {
                  .set("nested", Json::object().set("k", Json()));
   const auto parsed = Json::parse(doc.dump());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->find("name")->as_string(), "sa.cool");
+  EXPECT_EQ(parsed->find("name")->as_string(), "run.status");
   EXPECT_EQ(parsed->find("step")->as_long(), 3);
   EXPECT_DOUBLE_EQ(parsed->find("temperature")->as_number(), 1.25);
   EXPECT_FALSE(parsed->find("drained")->as_bool());

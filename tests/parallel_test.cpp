@@ -247,19 +247,18 @@ TEST(ParallelDeterminism, SweepIsIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminism, CampaignJsonIsByteIdenticalAcrossThreadCounts) {
   // Tiny scaled campaign, as in the fault determinism test.
-  ::setenv("XLP_BENCH_SCALE", "0.02", 1);
   exp::FaultCampaignConfig config;
   config.n = 4;
   config.link_limit = 2;
   config.trials = 3;
   config.fault_cycle = 100;
   config.seed = 17;
+  config.scale = 0.02;
 
   config.threads = 1;
   const std::string seq = exp::run_fault_campaign(config).to_json().dump();
   config.threads = 8;
   const std::string par = exp::run_fault_campaign(config).to_json().dump();
-  ::unsetenv("XLP_BENCH_SCALE");
   EXPECT_EQ(seq, par);
 }
 

@@ -116,8 +116,8 @@ TEST(CollectRunDir, ClassifiesFilesByContent) {
       append_ledger_entry((dir / "ledger.jsonl").string(), entry));
   {
     std::ofstream out(dir / "trace.jsonl");
-    out << "{\"ts\":0,\"event\":\"sim.progress\",\"cycle\":100,"
-           "\"packets_in_flight\":7,\"ejection_rate\":0.3}\n"
+    out << "{\"ts\":0,\"event\":\"sim.channel_utilization\","
+           "\"width\":2,\"channels\":[]}\n"
         << "not json at all\n";
   }
 
@@ -125,7 +125,8 @@ TEST(CollectRunDir, ClassifiesFilesByContent) {
   ASSERT_TRUE(data.series.has_value());
   ASSERT_TRUE(data.stats.has_value());
   EXPECT_EQ(data.ledger.size(), 1u);
-  EXPECT_FALSE(data.trace_series.empty());
+  ASSERT_TRUE(data.heatmap.has_value());
+  EXPECT_EQ(data.heatmap->find("width")->as_number(), 2.0);
   EXPECT_DOUBLE_EQ(data.stats->find("latency")->find("avg")->as_number(),
                    2.0);
 }
@@ -136,25 +137,25 @@ TEST(CollectRunDir, GroupsTraceEventsByPhase) {
   fs::create_directories(dir);
   {
     std::ofstream out(dir / "trace.jsonl");
-    out << "{\"ts\":0.5,\"event\":\"sa.cool\",\"phase\":\"anneal\"}\n"
-        << "{\"ts\":1.5,\"event\":\"sa.cool\",\"phase\":\"anneal\"}\n"
-        << "{\"ts\":2.0,\"event\":\"sim.progress\",\"phase\":\"measure\"}\n"
+    out << "{\"ts\":0.5,\"event\":\"run.status\",\"phase\":\"solve\"}\n"
+        << "{\"ts\":1.5,\"event\":\"run.status\",\"phase\":\"solve\"}\n"
+        << "{\"ts\":2.0,\"event\":\"run.status\",\"phase\":\"simulate\"}\n"
         << "{\"ts\":3.0,\"event\":\"sim.done\"}\n"
         << "{\"event\":\"no.timestamp\"}\n";
   }
   const RunDirData data = collect_run_dir(dir.string());
   ASSERT_EQ(data.trace_phases.size(), 3u);
-  const TracePhase& anneal = data.trace_phases.at("anneal");
-  EXPECT_EQ(anneal.events, 2);
-  EXPECT_DOUBLE_EQ(anneal.first_ts, 0.5);
-  EXPECT_DOUBLE_EQ(anneal.last_ts, 1.5);
-  EXPECT_EQ(data.trace_phases.at("measure").events, 1);
+  const TracePhase& solve = data.trace_phases.at("solve");
+  EXPECT_EQ(solve.events, 2);
+  EXPECT_DOUBLE_EQ(solve.first_ts, 0.5);
+  EXPECT_DOUBLE_EQ(solve.last_ts, 1.5);
+  EXPECT_EQ(data.trace_phases.at("simulate").events, 1);
   // No phase member: grouped under the event name.
   EXPECT_EQ(data.trace_phases.at("sim.done").events, 1);
 
   const std::string html = render_report_html(data);
   EXPECT_NE(html.find("Trace phases"), std::string::npos);
-  EXPECT_NE(html.find("<tr><td>anneal</td><td class=\"num\">2</td>"),
+  EXPECT_NE(html.find("<tr><td>solve</td><td class=\"num\">2</td>"),
             std::string::npos)
       << html;
 }

@@ -11,6 +11,7 @@
 #include "core/dnc.hpp"
 #include "core/naive_sa.hpp"
 #include "core/sa.hpp"
+#include "obs/timeseries.hpp"
 #include "util/check.hpp"
 
 namespace xlp::core {
@@ -71,40 +72,45 @@ TEST(SaBehavior, AcceptanceRateFallsAsTheScheduleCools) {
             static_cast<double>(cold_result.accepted) / cold_result.moves);
 }
 
-TEST(SaBehavior, ObserverSeesEveryCoolingStep) {
+TEST(SaBehavior, SeriesRecordsEveryCoolingStep) {
   const RowObjective obj(8, paper_weights());
   SaParams params;
   params.initial_temperature = 10.0;
   params.total_moves = 2000;
   params.moves_per_cool = 250;
   params.cool_scale = 2.0;
-  std::vector<SaCoolingStep> steps;
-  params.observer = [&steps](const SaCoolingStep& s) { steps.push_back(s); };
+  obs::SeriesRecorder series;
+  params.series = &series;
   Rng rng(7);
   const SaResult result = anneal_connection_matrix(
       topo::ConnectionMatrix(8, 4), obj, params, rng);
 
-  // One event per cooling step, in order.
-  ASSERT_EQ(steps.size(),
-            static_cast<std::size_t>(params.total_moves /
-                                     params.moves_per_cool));
-  long window_sum = 0;
-  long accepted_sum = 0;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    EXPECT_EQ(steps[i].step, static_cast<int>(i));
-    EXPECT_EQ(steps[i].window_moves, params.moves_per_cool);
-    EXPECT_EQ(steps[i].moves_done,
-              static_cast<long>(i + 1) * params.moves_per_cool);
-    EXPECT_LE(steps[i].best_value, steps[i].current_value + 1e-12);
-    window_sum += steps[i].window_moves;
-    accepted_sum += steps[i].window_accepted;
+  // One sample per cooling step, at the move count that closes its window.
+  const auto objective = series.sampled("sa.objective");
+  const auto best = series.sampled("sa.best");
+  const auto temperature = series.sampled("sa.temperature");
+  const auto acceptance = series.sampled("sa.acceptance");
+  const auto steps =
+      static_cast<std::size_t>(params.total_moves / params.moves_per_cool);
+  ASSERT_EQ(objective.size(), steps);
+  ASSERT_EQ(best.size(), steps);
+  ASSERT_EQ(temperature.size(), steps);
+  ASSERT_EQ(acceptance.size(), steps);
+  double accepted_sum = 0.0;
+  for (std::size_t i = 0; i < steps; ++i) {
+    const double moves_done =
+        static_cast<double>((i + 1) * params.moves_per_cool);
+    for (const auto* s : {&objective, &best, &temperature, &acceptance})
+      EXPECT_EQ((*s)[i].x, moves_done);
+    EXPECT_LE(best[i].y, objective[i].y + 1e-12);
+    accepted_sum += acceptance[i].y * params.moves_per_cool;
     if (i > 0)
-      EXPECT_LT(steps[i].temperature, steps[i - 1].temperature)
+      EXPECT_LT(temperature[i].y, temperature[i - 1].y)
           << "temperature must be strictly decreasing";
   }
-  EXPECT_EQ(window_sum, result.moves);
-  EXPECT_EQ(accepted_sum, result.accepted);
-  EXPECT_DOUBLE_EQ(steps.front().temperature, params.initial_temperature);
+  EXPECT_NEAR(accepted_sum, static_cast<double>(result.accepted), 1e-6);
+  EXPECT_DOUBLE_EQ(temperature.front().y, params.initial_temperature);
+  EXPECT_DOUBLE_EQ(best.back().y, result.best_value);
 }
 
 TEST(SaBehavior, ResultExposesAcceptanceRateAndFinalTemperature) {

@@ -95,20 +95,26 @@ core::SaParams sink_hooks() {
   return hooks;
 }
 
-/// A single-chain D&C_SA solve interrupted once it has made kMidpoint
-/// moves: its early-stop checkpoint is the midpoint snapshot.
+/// A single-chain D&C_SA solve, as svc::solve runs it, interrupted by its
+/// checkpoint sink once it has made kMidpoint moves: its early-stop
+/// checkpoint is the midpoint snapshot.
 std::string sa_midpoint(const std::string& path) {
   runctl::CancelToken token;
   runctl::RunControl control(&token);
-  core::SaParams hooks = sink_hooks();
-  hooks.control = &control;
-  hooks.observer = [&token](const core::SaCoolingStep& step) {
-    if (step.moves_done == kMidpoint)
+  core::SaParams params = core::SaParams{}.with_moves(kMoves);
+  params.control = &control;
+  params.checkpoint_every_moves = kSinkEvery;
+  const auto write = runctl::sa_checkpoint_file_sink(path);
+  params.checkpoint_sink = [&write, &token](const runctl::SaCheckpoint& ck) {
+    write(ck);
+    if (ck.next_move == kMidpoint)
       token.request(runctl::RunStatus::kInterrupted);
   };
   std::remove(path.c_str());
-  const core::PlacementResult result =
-      svc::solve(solve_request("dcsa", 1), hooks, path);
+  Rng rng(kSeed);
+  const core::PlacementResult result = core::solve_row(
+      core::RowObjective(kN, route::HopWeights{}), kC, core::Solver::kDcsa,
+      params, {}, rng);
   return describe(result) + read_file(path);
 }
 
@@ -116,17 +122,16 @@ std::string sa_midpoint(const std::string& path) {
 /// 1 at their kMidpoint snapshot, chain 2 never started (it restarts from
 /// scratch on resume).
 runctl::PortfolioCheckpoint portfolio_midpoint() {
-  const core::SaParams schedule = core::SaParams{}.with_moves(kMoves);
+  const core::SaParams base = core::SaParams{}.with_moves(kMoves);
   runctl::PortfolioCheckpoint pc;
   pc.n = kN;
   pc.link_limit = kC;
   pc.chains = 3;
   pc.seed = kSeed;
   pc.solver = "onlysa";
-  pc.schedule = {schedule.initial_temperature, schedule.total_moves,
-                 schedule.cool_scale, schedule.moves_per_cool};
+  pc.schedule = base.schedule();
   for (std::uint64_t chain = 0; chain < 2; ++chain) {
-    core::SaParams params = schedule;
+    core::SaParams params = base;
     params.checkpoint_every_moves = kSinkEvery;
     std::optional<runctl::SaCheckpoint> midpoint;
     params.checkpoint_sink = [&midpoint](const runctl::SaCheckpoint& ck) {

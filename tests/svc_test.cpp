@@ -551,6 +551,29 @@ TEST(Server, RequestsWrongInThemselvesAreParseErrorsNotPoisoned) {
   EXPECT_EQ(metrics.counter("svc.requests.poisoned"), 0);
 }
 
+TEST(Server, SeedsPastTwoToThe53AreParseErrors) {
+  // A request's JSON number is a double: 2^53 + 1 would be served, cached
+  // and ledgered as 2^53, so every seed above 2^53 is refused up front.
+  obs::MetricsRegistry metrics;
+  Server server(test_options(fresh_dir("big_seed"), &metrics));
+  Request request;
+  request.moves = 300;
+  request.seed = (std::uint64_t{1} << 53) + 1;
+  const Reply reply = server.resolve(request);
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.error_kind, error_code_name(ErrorCode::kParse))
+      << reply.payload_text;
+  EXPECT_FALSE(reply.retryable);
+  const std::vector<Reply> replies = decode_replies(server.serve_text(
+      R"({"kind":"solve","moves":300,"seed":18014398509481984})"));
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].error_kind, error_code_name(ErrorCode::kParse));
+  EXPECT_EQ(server.cache().size(), 0u);
+
+  request.seed = std::uint64_t{1} << 53;  // the largest seed still exact
+  EXPECT_NO_THROW(request.validate());
+}
+
 TEST(Server, ServeTextHandlesObjectsArraysAndGarbage) {
   obs::MetricsRegistry metrics;
   Server server(test_options(fresh_dir("text"), &metrics));

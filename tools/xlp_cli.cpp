@@ -51,10 +51,11 @@
 //                 quantiles, polled via `stats` requests)
 //
 // Telemetry (see docs/observability.md):
-//   --trace <file.jsonl>   structured JSONL trace (SA cooling steps on
-//                          solve/run, simulator progress + channel heatmap
-//                          on simulate/run); not available on `replay`,
-//                          whose --trace names the input packet trace
+//   --trace <file.jsonl>   structured JSONL trace of discrete events (run
+//                          status on solve/simulate/run, channel heatmap
+//                          and sim.done on simulate/run, fault events on
+//                          faults); not available on `replay`, whose
+//                          --trace names the input packet trace
 //   --metrics <file.json>  dump the global metrics registry after the run
 //   --stats-json <file>    full SimStats serialization (simulate/replay/run)
 //   --series <file.json>   bounded-memory time-series recording (simulator
@@ -303,23 +304,6 @@ class SeriesOutput {
   obs::SeriesRecorder recorder_;
 };
 
-/// Observer that forwards every SA cooling step to the trace sink as an
-/// `sa.cool` event; empty (and free) when tracing is off.
-core::SaObserver sa_trace_observer(obs::TraceSink& sink) {
-  if (!sink.enabled()) return {};
-  return [&sink](const core::SaCoolingStep& step) {
-    sink.emit("sa.cool",
-              obs::Json::object()
-                  .set("phase", "anneal")
-                  .set("step", step.step)
-                  .set("moves", step.moves_done)
-                  .set("temperature", step.temperature)
-                  .set("current", step.current_value)
-                  .set("best", step.best_value)
-                  .set("acceptance", step.window_acceptance_rate()));
-  };
-}
-
 void write_stats_if_requested(const Args& args, const sim::SimStats& stats) {
   const std::string path = args.get_or("stats-json", "");
   if (path.empty()) return;
@@ -344,7 +328,6 @@ int cmd_solve(const Args& args) {
   runctl::RunControl control = make_run_control(args);
   const std::string checkpoint_path = args.get_or("checkpoint", "");
   core::SaParams hooks;
-  hooks.observer = sa_trace_observer(trace.sink());
   hooks.series = series.recorder_or_null();
   hooks.control = &control;
   hooks.checkpoint_every_moves = args.get_long("checkpoint-every", 10000);
@@ -562,7 +545,6 @@ int cmd_run(const Args& args) {
   from_flags([&] { solve_request.validate(); });
 
   core::SaParams hooks;
-  hooks.observer = sa_trace_observer(trace.sink());
   hooks.series = series.recorder_or_null();
   hooks.control = &control;
   hooks.checkpoint_every_moves = args.get_long("checkpoint-every", 10000);
@@ -745,11 +727,10 @@ int cmd_bench(const Args& args) {
 }
 
 /// Renders the single-file HTML dashboard for a run directory: line charts
-/// for every recorded series (xlp-series/1 documents plus series derived
-/// from JSONL traces), the channel-utilization heatmap, stats, profiler
-/// and ledger tables. The output embeds everything inline — no scripts, no
-/// external resources — so it can be archived or attached to CI artifacts
-/// as one file.
+/// for every series of the xlp-series/1 document, the channel-utilization
+/// heatmap, stats, profiler and ledger tables. The output embeds
+/// everything inline — no scripts, no external resources — so it can be
+/// archived or attached to CI artifacts as one file.
 int cmd_report(const Args& args) {
   XLP_REQUIRE(!args.positional().empty(),
               "usage: xlp report <run-dir> [--out <file.html>]");
@@ -766,9 +747,8 @@ int cmd_report(const Args& args) {
     throw Error(ErrorCode::kIo, "cannot write " + out_path);
   g_ledger.artifact(out_path);
 
-  std::size_t chart_count = data.trace_series.size();
-  if (data.series)
-    chart_count += obs::chart_series_from_json(*data.series).size();
+  const std::size_t chart_count =
+      data.series ? obs::chart_series_from_json(*data.series).size() : 0;
   std::printf("report: %s (%zu charts%s%s%s, %zu ledger records) -> %s\n",
               dir.c_str(), chart_count, data.stats ? ", stats" : "",
               data.heatmap ? ", heatmap" : "",
@@ -818,9 +798,11 @@ void summarize_replies(const std::string& reply_text, std::size_t index,
 /// Client side of the service (docs/service.md): builds or loads a
 /// submission document and sends it to a running `xlpd` over the file
 /// queue or the local socket, then prints the reply document. The
-/// canonical driver-as-client flow is `--sweep-n`, which submits the same
-/// per-limit solves `xlp sweep` would run in-process — resubmitting the
-/// sweep is answered from the server's cache without re-annealing.
+/// canonical driver-as-client flow is `--sweep-n`, which submits one solve
+/// per link limit `xlp sweep` visits, each seeded with `--seed` itself
+/// (`xlp sweep` forks one stream per limit, so its placements differ) —
+/// resubmitting the sweep is answered from the server's cache without
+/// re-annealing.
 ///
 /// The reply document goes to stdout (pipeable); a per-request summary
 /// with HIT/MISS markers goes to stderr. Over the socket, each request of
