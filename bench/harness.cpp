@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <regex>
+#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "util/error.hpp"
 #include "util/fsio.hpp"
 
 namespace xlp::bench {
@@ -14,6 +17,25 @@ namespace xlp::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// The registered benchmarks `filter` selects, in registration order: it
+/// is matched against "suite/name" and against each tag on its own, so an
+/// anchored pattern means the same on both. An empty filter selects all.
+std::vector<const BenchSpec*> selected_specs(const std::string& filter) {
+  std::optional<std::regex> pattern;
+  if (!filter.empty()) pattern.emplace(filter, std::regex::ECMAScript);
+  const auto matches = [&](const std::string& text) {
+    return !pattern || std::regex_search(text, *pattern);
+  };
+  std::vector<const BenchSpec*> selected;
+  for (const auto& spec : Registry::global().specs()) {
+    bool hit = matches(spec.suite + "/" + spec.name);
+    std::istringstream tags(spec.tags);
+    for (std::string tag; !hit && tags >> tag;) hit = matches(tag);
+    if (hit) selected.push_back(&spec);
+  }
+  return selected;
+}
 
 double median_of(std::vector<double> values) {
   if (values.empty()) return 0.0;
@@ -121,17 +143,9 @@ BenchResult Runner::run_one(const BenchSpec& spec) const {
 }
 
 std::vector<SuiteReport> Runner::run() const {
-  std::optional<std::regex> filter;
-  if (!options_.filter.empty())
-    filter.emplace(options_.filter, std::regex::ECMAScript);
-
   std::vector<SuiteReport> reports;
-  for (const auto& spec : Registry::global().specs()) {
-    if (filter) {
-      const std::string haystack =
-          spec.suite + "/" + spec.name + " " + spec.tags;
-      if (!std::regex_search(haystack, *filter)) continue;
-    }
+  for (const BenchSpec* selected : selected_specs(options_.filter)) {
+    const BenchSpec& spec = *selected;
     auto it = std::find_if(reports.begin(), reports.end(),
                            [&](const SuiteReport& r) {
                              return r.suite == spec.suite;
@@ -227,10 +241,14 @@ std::string write_bench_json(const std::string& dir, const std::string& name,
 
 int run_and_report(const RunnerOptions& options,
                    const std::string& profile_path, bool list_only) {
+  const std::vector<const BenchSpec*> specs = selected_specs(options.filter);
+  if (specs.empty())
+    throw Error(ErrorCode::kUsage,
+                "--filter '" + options.filter + "' selects no benchmark");
   if (list_only) {
-    for (const auto& spec : Registry::global().specs())
-      std::printf("%s/%s %s\n", spec.suite.c_str(), spec.name.c_str(),
-                  spec.tags.c_str());
+    for (const BenchSpec* spec : specs)
+      std::printf("%s/%s %s\n", spec->suite.c_str(), spec->name.c_str(),
+                  spec->tags.c_str());
     return 0;
   }
 

@@ -56,8 +56,8 @@ using BenchFn = std::function<void(BenchRun&)>;
 
 /// One registered benchmark. `suite` groups benchmarks into one
 /// BENCH_<suite>.json document; `name` identifies it within the suite;
-/// `tags` is a space-separated label list ("smoke") the filter also
-/// matches against.
+/// `tags` is a space-separated label list ("smoke"); the filter also
+/// matches against each tag.
 struct BenchSpec {
   std::string suite;
   std::string name;
@@ -89,7 +89,8 @@ void register_bench(std::string suite, std::string name, std::string tags,
 struct RunnerOptions {
   int warmup = 1;    // untimed calls before measuring
   int repeats = 5;   // timed calls; statistics are over these
-  /// Regex filtered against "suite/name tags"; empty = run everything.
+  /// Regex matched against "suite/name" and against each tag; a benchmark
+  /// runs when either matches. Empty = run everything.
   std::string filter;
   /// Directory for BENCH_<suite>.json; empty = don't write files.
   std::string out_dir = ".";
@@ -155,8 +156,9 @@ std::string write_bench_json(const std::string& dir, const std::string& name,
 /// Runs the registry through `options` and prints the summary table. When
 /// `profile_path` is set the hierarchical profiler records the run and its
 /// collapsed-stack dump lands there; when `list_only` is set nothing runs
-/// and the registered benchmarks are listed instead. Returns a process
-/// exit code; `xlp bench` is the caller.
+/// and the selected benchmarks are listed instead. A filter that selects
+/// nothing throws Error(kUsage). Returns a process exit code; `xlp bench`
+/// is the caller.
 int run_and_report(const RunnerOptions& options,
                    const std::string& profile_path, bool list_only);
 

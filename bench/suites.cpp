@@ -32,7 +32,7 @@
 #include "obs/timeseries.hpp"
 #include "route/directional_paths.hpp"
 #include "svc/cache.hpp"
-#include "svc/client.hpp"
+#include "svc/request.hpp"
 #include "svc/server.hpp"
 #include "topo/builders.hpp"
 #include "topo/connection_matrix.hpp"
@@ -297,6 +297,19 @@ void register_micro_core() {
 
 // Serves one batch on a fresh server + cache rooted at `dir` and returns
 // the served-requests/sec the caller should report (requests / seconds).
+// The svc suite's batch of distinct requests: one 300-move dcsa solve
+// (seed 1) per feasible link limit of an 8-router row.
+std::vector<svc::Request> distinct_solves8() {
+  std::vector<svc::Request> batch;
+  for (const int limit : topo::valid_link_limits(8)) {
+    svc::Request request;
+    request.link_limit = limit;
+    request.moves = 300;
+    batch.push_back(request);
+  }
+  return batch;
+}
+
 void register_svc() {
   namespace fs = std::filesystem;
   const auto fresh_server = [](const std::string& dir,
@@ -307,11 +320,11 @@ void register_svc() {
     options.metrics = &metrics;
     return options;
   };
-  // 0% duplicates: every request of an 8x8 C-sweep batch is unique, so the
+  // 0% duplicates: every request of the batch is unique, so the
   // server executes all of them — the no-benefit floor of the cache.
   register_bench("svc", "serve_sweep8_unique", "smoke",
                  [fresh_server](BenchRun& run) {
-                   const auto batch = svc::sweep_batch(8, "dcsa", 300, 1);
+                   const auto batch = distinct_solves8();
                    obs::MetricsRegistry metrics;
                    svc::Server server(fresh_server(
                        (fs::temp_directory_path() / "xlp_bench_svc_u")
@@ -325,11 +338,11 @@ void register_svc() {
                    run.set_counter("executed", static_cast<double>(
                                        metrics.counter("svc.executed")));
                  });
-  // 90% duplicates: the same sweep batch submitted ten times over — the
+  // 90% duplicates: the same batch submitted ten times over — the
   // shape of a parameter-sweep campaign. Only the first tenth executes.
   register_bench("svc", "serve_sweep8_dup90", "smoke",
                  [fresh_server](BenchRun& run) {
-                   const auto unique = svc::sweep_batch(8, "dcsa", 300, 1);
+                   const auto unique = distinct_solves8();
                    std::vector<svc::Request> batch;
                    for (int copy = 0; copy < 10; ++copy)
                      batch.insert(batch.end(), unique.begin(), unique.end());
@@ -346,12 +359,12 @@ void register_svc() {
                    run.set_counter("executed", static_cast<double>(
                                        metrics.counter("svc.executed")));
                  });
-  // The acceptance scenario (docs/service.md): an 8x8 C-sweep submitted
-  // twice end to end. The second submission is answered entirely from the
-  // cache; the recorded speedup is cold/warm wall time.
+  // The acceptance scenario (docs/service.md): a batch of distinct
+  // solves submitted twice end to end. The second submission is answered
+  // entirely from the cache; the recorded speedup is cold/warm wall time.
   register_bench("svc", "sweep8_resubmit_speedup", "smoke",
                  [fresh_server](BenchRun& run) {
-                   const auto batch = svc::sweep_batch(8, "dcsa", 300, 1);
+                   const auto batch = distinct_solves8();
                    obs::MetricsRegistry metrics;
                    svc::Server server(fresh_server(
                        (fs::temp_directory_path() / "xlp_bench_svc_r")
@@ -388,7 +401,7 @@ void register_svc() {
   // per-request recording overhead docs/observability.md quotes (<1%).
   register_bench("svc", "observe_overhead_pair", "smoke",
                  [fresh_server](BenchRun& run) {
-                   const auto batch = svc::sweep_batch(8, "dcsa", 300, 1);
+                   const auto batch = distinct_solves8();
                    std::vector<std::string> documents;
                    for (const svc::Request& request : batch)
                      documents.push_back(request.to_json().dump());

@@ -4,11 +4,6 @@
 
 namespace xlp::obs {
 
-TraceSink& null_trace_sink() noexcept {
-  static NullTraceSink sink;
-  return sink;
-}
-
 void JsonlTraceSink::emit(const std::string& event, Json fields) {
   Json record = Json::object();
   // ts is read under the lock so it is monotone in file order even when

@@ -10,28 +10,15 @@
 namespace xlp::obs {
 
 /// Destination for structured trace events. Instrumented code calls
-/// `sink.emit("sim.done", fields)` where `fields` is a JSON object payload;
-/// what happens next depends on the sink. Call sites that would pay to
-/// build the payload should guard on `enabled()` so the default null sink
-/// makes instrumentation cost ~nothing.
+/// `sink->emit("sim.done", fields)` where `fields` is a JSON object
+/// payload; what happens next depends on the sink. An optional sink is a
+/// pointer, and nullptr means "no trace": call sites skip building the
+/// payload entirely.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void emit(const std::string& event, Json fields) = 0;
-  [[nodiscard]] virtual bool enabled() const noexcept { return true; }
 };
-
-/// Swallows every event; `enabled()` is false so call sites skip building
-/// payloads entirely.
-class NullTraceSink final : public TraceSink {
- public:
-  void emit(const std::string&, Json) override {}
-  [[nodiscard]] bool enabled() const noexcept override { return false; }
-};
-
-/// The process-wide null sink, usable as a default for optional sink
-/// parameters.
-[[nodiscard]] TraceSink& null_trace_sink() noexcept;
 
 /// Writes one JSON object per event to an ostream (JSONL). Each record is
 /// `{"ts": <seconds since sink construction>, "event": <name>, ...payload

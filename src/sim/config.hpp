@@ -109,7 +109,7 @@ struct SimConfig {
   latency::PacketMix mix = latency::PacketMix::paper_default();
 
   /// Optional structured trace sink (not owned; must outlive the run).
-  /// When set and enabled, the simulator emits its discrete events: fault
+  /// When set, the simulator emits its discrete events: fault
   /// injections and reroutes as they happen, then a final
   /// `sim.channel_utilization` heatmap derived from the per-channel flit
   /// counts and `sim.done`. Trajectories are the series recorder's (below).
@@ -118,12 +118,11 @@ struct SimConfig {
 
   /// Optional bounded-memory time-series recorder (not owned; must outlive
   /// the run). When set, the simulator appends one sample per series every
-  /// series_interval_cycles: injected/ejected flits in the window, flits in
+  /// 256 cycles: injected/ejected flits in the window, flits in
   /// the network, active routers, mean per-VC buffer occupancy and the
   /// stalled-cycle fraction. Null by default; the disabled path costs a
   /// single branch per cycle (verified by micro_core/sim_run_8x8_series).
   obs::SeriesRecorder* series = nullptr;
-  long series_interval_cycles = 256;
 
   /// Cooperative stop polled once per simulated cycle. When a deadline or
   /// interrupt fires, the run ends at that cycle boundary, statistics are

@@ -23,6 +23,9 @@ namespace xlp::sim {
 
 namespace {
 
+/// Cycles between two samples of every `sim.*` series.
+constexpr long kSeriesIntervalCycles = 256;
+
 bool check_sim_enabled() {
   const char* env = std::getenv("XLP_CHECK_SIM");
   return env != nullptr && env[0] != '\0' &&
@@ -748,8 +751,7 @@ SimStats Simulator::run() {
   const long measure_end = config_.warmup_cycles + config_.measure_cycles;
   const long hard_end = measure_end + config_.drain_cycles;
   const int nodes = net_.node_count();
-  const bool recording =
-      config_.series != nullptr && config_.series_interval_cycles > 0;
+  const bool recording = config_.series != nullptr;
 
   std::sort(scheduled_.begin(), scheduled_.end());
   // A VC holds the flits of one packet at a time (it is released when the
@@ -778,7 +780,7 @@ SimStats Simulator::run() {
     // gates this at <1% overhead); everything else happens inside.
     if (recording) {
       window_flit_cycles_ += in_network_flits_;
-      if (cycle_ > 0 && cycle_ % config_.series_interval_cycles == 0)
+      if (cycle_ > 0 && cycle_ % kSeriesIntervalCycles == 0)
         record_series();
     }
     if (faults_enabled_) {
@@ -828,7 +830,7 @@ SimStats Simulator::run() {
   }
   SimStats stats = finalize();
   stats.status = status;
-  if (config_.trace != nullptr && config_.trace->enabled()) {
+  if (config_.trace != nullptr) {
     emit_channel_heatmap(stats);
     config_.trace->emit(
         "sim.done",
@@ -851,7 +853,7 @@ void Simulator::process_fault_edges() {
     const bool is_recovery = order == 0;
     event_active_[ev] = is_recovery ? 0 : 1;
     changed = true;
-    if (config_.trace != nullptr && config_.trace->enabled())
+    if (config_.trace != nullptr)
       config_.trace->emit(
           is_recovery ? "fault.recovered" : "fault.injected",
           obs::Json::object()
@@ -1031,7 +1033,7 @@ void Simulator::perform_swap() {
   }
 
   ++reroutes_;
-  if (config_.trace != nullptr && config_.trace->enabled())
+  if (config_.trace != nullptr)
     config_.trace->emit(
         "fault.rerouted",
         obs::Json::object()

@@ -10,8 +10,8 @@
 #include <system_error>
 #include <thread>
 
+#include "svc/request.hpp"
 #include "svc/wire.hpp"
-#include "topo/row_topology.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
 #include "util/rng.hpp"
@@ -19,35 +19,6 @@
 namespace xlp::svc {
 
 namespace fs = std::filesystem;
-
-std::vector<Request> sweep_batch(int n, const std::string& method,
-                                 long moves, std::uint64_t seed,
-                                 int base_flit_bits) {
-  std::vector<Request> batch;
-  for (const int limit : topo::valid_link_limits(n)) {
-    if (base_flit_bits % limit != 0) continue;
-    Request request;
-    request.kind = RequestKind::kSolve;
-    request.n = n;
-    request.link_limit = limit;
-    request.base_flit_bits = base_flit_bits;
-    request.method = method;
-    request.moves = moves;
-    request.seed = seed;
-    batch.push_back(std::move(request));
-  }
-  return batch;
-}
-
-std::string batch_to_text(const std::vector<Request>& batch) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (i > 0) out += ",";
-    out += batch[i].to_json().dump();
-  }
-  out += "]";
-  return out;
-}
 
 double RetryPolicy::backoff_ms(int attempt) const {
   const int step = std::max(attempt, 1);

@@ -3,31 +3,13 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
-
-#include "svc/request.hpp"
 
 namespace xlp::svc {
 
-/// Client-side helpers for talking to `xlpd`: batch construction plus the
-/// two transports (file queue, local socket). The drivers that used to run
-/// solves in-process — the C sweep, fault campaigns — build their work as
-/// Request batches and submit through these, so repeated design points are
+/// Client-side helpers for talking to `xlpd`: the retry policy and the
+/// two transports (file queue, local socket). A client submits its work as
+/// request documents through these, so repeated design points are
 /// answered by the server's content-addressed cache instead of re-solved.
-
-/// The C-sweep as a request batch: one kSolve request per feasible link
-/// limit of an n-router row (limits that do not divide `base_flit_bits`
-/// are skipped, exactly like core::sweep_link_limits).
-[[nodiscard]] std::vector<Request> sweep_batch(int n,
-                                               const std::string& method,
-                                               long moves,
-                                               std::uint64_t seed,
-                                               int base_flit_bits = 256);
-
-/// Serializes a batch as the submission document `xlpd` ingests: a JSON
-/// array of request objects (a single-element batch still serializes as an
-/// array — the reply shape then tells object from array submissions).
-[[nodiscard]] std::string batch_to_text(const std::vector<Request>& batch);
 
 /// Bounded exponential backoff with deterministic jitter — the retry
 /// schedule behind `xlp submit --retries/--retry-base-ms` and the socket

@@ -115,6 +115,19 @@ Request resumed_request(const runctl::CheckpointFile& file, Request base) {
   return base;
 }
 
+std::vector<core::SweepPoint> sweep(const Request& request,
+                                    runctl::RunControl* control) {
+  request.validate();
+  core::SweepOptions options;
+  options.solver = *core::parse_solver(request.method);
+  options.sa = core::SaParams{}.with_moves(request.moves);
+  options.sa.control = control;
+  options.base_flit_bits = request.base_flit_bits;
+  options.latency = latency::LatencyParams::zero_load();
+  Rng rng(request.seed);
+  return core::sweep_link_limits(request.n, request.n, options, rng);
+}
+
 sim::SimStats simulate(const Request& request, const sim::SimConfig& hooks) {
   request.validate();
   sim::SimConfig config;
@@ -139,6 +152,7 @@ const char* to_string(RequestKind kind) noexcept {
     case RequestKind::kSolve: return "solve";
     case RequestKind::kEvaluate: return "evaluate";
     case RequestKind::kSimulate: return "simulate";
+    case RequestKind::kSweep: return "sweep";
     case RequestKind::kStats: return "stats";
   }
   return "unknown";
@@ -151,13 +165,17 @@ obs::Json Request::to_json() const {
   // A stats request names no work: every stats request is the same
   // request, {"schema","kind"} only.
   if (kind == RequestKind::kStats) return doc;
-  doc.set("n", n).set("c", link_limit).set("b", base_flit_bits);
-  if (kind == RequestKind::kSolve) {
+  // A sweep enumerates C itself and runs one chain per C.
+  doc.set("n", n);
+  if (kind != RequestKind::kSweep) doc.set("c", link_limit);
+  doc.set("b", base_flit_bits);
+  if (kind == RequestKind::kSolve || kind == RequestKind::kSweep) {
     doc.set("method", method);
     if (const auto solver = core::parse_solver(method);
         solver && core::is_annealed(*solver)) {
       doc.set("moves", moves);
-      if (chains != 1) doc.set("chains", chains);
+      if (chains != 1 && kind == RequestKind::kSolve)
+        doc.set("chains", chains);
     }
   } else {
     doc.set("links", links)
@@ -187,14 +205,20 @@ void Request::validate() const {
   // seeds would share one id, one cache entry and one ledger record.
   if (seed > (std::uint64_t{1} << 53)) bad_request("seed must be at most 2^53");
   if (n < 2 || n > 256) bad_request("n must be in [2, 256]");
-  if (link_limit < 1) bad_request("c must be at least 1");
-  if (base_flit_bits < 1 || base_flit_bits % link_limit != 0)
-    bad_request("c must divide the base flit width b");
-  if (kind == RequestKind::kSolve) {
+  // A sweep has no c: it visits the limits that divide b itself.
+  if (kind != RequestKind::kSweep) {
+    if (link_limit < 1) bad_request("c must be at least 1");
+    if (base_flit_bits < 1 || base_flit_bits % link_limit != 0)
+      bad_request("c must divide the base flit width b");
+  } else if (base_flit_bits < 1) {
+    bad_request("b must be at least 1");
+  }
+  if (kind == RequestKind::kSolve || kind == RequestKind::kSweep) {
     if (!core::parse_solver(method))
       bad_request("method must be dcsa, onlysa, dnc or exact");
     if (moves < 0) bad_request("moves must be non-negative");
-    if (chains < 1 || chains > 256) bad_request("chains must be in [1, 256]");
+    if (kind == RequestKind::kSolve && (chains < 1 || chains > 256))
+      bad_request("chains must be in [1, 256]");
   } else {
     if (!traffic::is_known_workload(workload))
       bad_request("unknown workload '" + workload + "'");
@@ -236,8 +260,10 @@ Request Request::from_json(const obs::Json& doc) {
         if (kind == "solve") request.kind = RequestKind::kSolve;
         else if (kind == "evaluate") request.kind = RequestKind::kEvaluate;
         else if (kind == "simulate") request.kind = RequestKind::kSimulate;
+        else if (kind == "sweep") request.kind = RequestKind::kSweep;
         else if (kind == "stats") request.kind = RequestKind::kStats;
-        else bad_request("kind must be solve, evaluate, simulate or stats");
+        else
+          bad_request("kind must be solve, evaluate, simulate, sweep or stats");
       } else if (key == "n") {
         request.n = value.as_int();
       } else if (key == "c") {
@@ -314,6 +340,26 @@ obs::Json execute_request(const Request& request,
           .set("throughput", stats.throughput_packets_per_node_cycle)
           .set("avg_hops", stats.avg_hops)
           .set("drained", stats.drained);
+    }
+    case RequestKind::kSweep: {
+      const std::vector<core::SweepPoint> points = sweep(request, control);
+      obs::Json serialized = obs::Json::array();
+      for (const core::SweepPoint& point : points) {
+        require_completed(point.placement.status, "sweep");
+        serialized.push(
+            obs::Json::object()
+                .set("c", point.link_limit)
+                .set("flit_bits", point.design.flit_bits())
+                .set("total", point.breakdown.total())
+                .set("head", point.breakdown.head)
+                .set("serialization", point.breakdown.serialization)
+                .set("placement", point.placement.placement.to_string())
+                .set("evaluations", point.placement.evaluations));
+      }
+      return obs::Json::object()
+          .set("kind", "sweep")
+          .set("points", std::move(serialized))
+          .set("best", points[core::best_point(points)].link_limit);
     }
     case RequestKind::kStats:
       // Stats requests are introspection, answered by the Server from

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "core/c_sweep.hpp"
 #include "core/drivers.hpp"
 #include "obs/json.hpp"
 #include "runctl/checkpoint.hpp"
@@ -20,10 +22,12 @@ inline constexpr const char* kRequestSchema = "xlp-request/1";
 ///  * kSolve: anneal P̄(n, C) and return the placement + objective;
 ///  * kEvaluate: analytic latency breakdown of a fixed design point;
 ///  * kSimulate: flit-level simulation of a fixed design point;
+///  * kSweep: the paper's outer loop — solve P̄(n, C) for every feasible
+///    link limit C and keep the design with the lowest total latency;
 ///  * kStats: a live introspection snapshot of the serving process,
 ///    answered by the server from memory (never executed, never cached,
 ///    never ledgered — see Server::stats_snapshot()).
-enum class RequestKind { kSolve, kEvaluate, kSimulate, kStats };
+enum class RequestKind { kSolve, kEvaluate, kSimulate, kSweep, kStats };
 
 [[nodiscard]] const char* to_string(RequestKind kind) noexcept;
 
@@ -41,13 +45,13 @@ struct Request {
 
   // --- network shape ---
   int n = 8;            ///< routers per side (row length for kSolve)
-  int link_limit = 4;   ///< C, the cross-section link limit
+  int link_limit = 4;   ///< C, the cross-section link limit (not kSweep)
   int base_flit_bits = 256;  ///< B, the baseline flit width
 
-  // --- kSolve ---
+  // --- kSolve / kSweep ---
   std::string method = "dcsa";  ///< dcsa | onlysa | dnc | exact
   long moves = 10000;           ///< SA move budget (dcsa / onlysa)
-  int chains = 1;  ///< > 1 runs a portfolio of chains (dcsa / onlysa)
+  int chains = 1;  ///< > 1 runs a portfolio of chains (kSolve: dcsa / onlysa)
 
   // --- kEvaluate / kSimulate ---
   /// Express-link placement as "lo-hi,lo-hi,..." ("" = plain row). The
@@ -116,16 +120,23 @@ struct Request {
 [[nodiscard]] sim::SimStats simulate(const Request& request,
                                      const sim::SimConfig& hooks = {});
 
+/// Runs a kSweep request: core::sweep_link_limits over the n x n network
+/// on Rng(seed) with the zero-load latency model, one point per feasible
+/// link limit. `control` (may be null) stops every cell's search; a
+/// stopped point carries its best-so-far placement and its status.
+[[nodiscard]] std::vector<core::SweepPoint> sweep(
+    const Request& request, runctl::RunControl* control = nullptr);
+
 /// The design point an evaluate/simulate request names.
 [[nodiscard]] topo::ExpressMesh design_of(const Request& request);
 
 /// Executes one request to completion and returns its canonical result
 /// payload — a Json object with a fixed member order, byte-deterministic
 /// for a given request at any thread count (the determinism the cache
-/// relies on): solve() / simulate(), then serialization. `control` may
-/// stop long solves/simulations early; an early stop throws
-/// xlp::Error(kState) rather than returning a partial payload, so partial
-/// results are never cached.
+/// relies on): solve() / simulate() / sweep(), then serialization.
+/// `control` may stop long solves, sweeps and simulations early; an early
+/// stop throws xlp::Error(kState) rather than returning a partial payload,
+/// so partial results are never cached.
 [[nodiscard]] obs::Json execute_request(const Request& request,
                                         runctl::RunControl* control);
 

@@ -40,7 +40,8 @@ long to_ns(double seconds) {
 
 /// The request kinds a server serves (stats requests are introspection).
 constexpr RequestKind kServedKinds[] = {
-    RequestKind::kSolve, RequestKind::kEvaluate, RequestKind::kSimulate};
+    RequestKind::kSolve, RequestKind::kEvaluate, RequestKind::kSimulate,
+    RequestKind::kSweep};
 
 /// Ledger lifecycle outcome values, indexed by Server::Outcome.
 constexpr const char* kOutcomeNames[] = {"cache", "miss", "inflight",

@@ -72,7 +72,7 @@ struct ServerOptions {
 ///
 /// Metrics: svc.requests / svc.executed / svc.errors / svc.inflight.hits /
 /// svc.batch.hits / svc.requests.poisoned / svc.kind.{solve,evaluate,
-/// simulate} / svc.execute_ns counters, plus the cache's svc.cache.*
+/// simulate,sweep} / svc.execute_ns counters, plus the cache's svc.cache.*
 /// family. The counters are resolved once at construction and every
 /// served request is counted in one place.
 class Server {
@@ -204,7 +204,7 @@ class Server {
   std::atomic<long>& cache_evictions_;
   std::atomic<long>& cache_corrupt_;
   /// svc.kind.<kind>, indexed by RequestKind (stats requests excluded).
-  std::atomic<long>* served_by_kind_[3] = {};
+  std::atomic<long>* served_by_kind_[4] = {};
 
   // --- observability ---
   Stopwatch uptime_;

@@ -112,6 +112,7 @@ bool is_known_workload(const std::string& name) {
 }
 
 TrafficMatrix resolve_workload(const std::string& name, int n, double load) {
+  XLP_REQUIRE(load > 0.0 && load <= 1.0, "load must be in (0, 1]");
   if (const auto pattern = pattern_from_string(name))
     return TrafficMatrix::from_pattern(*pattern, n, load);
   return parsec_model(name).traffic_matrix(n);

@@ -50,7 +50,8 @@ struct AppModel {
 [[nodiscard]] bool is_known_workload(const std::string& name);
 
 /// A workload's traffic on an n x n network: a synthetic pattern at `load`
-/// packets/node/cycle, or a PARSEC model at its own injection rate.
+/// packets/node/cycle, or a PARSEC model at its own injection rate. Throws
+/// PreconditionError when `load` is outside (0, 1], for either kind.
 [[nodiscard]] TrafficMatrix resolve_workload(const std::string& name, int n,
                                              double load);
 

@@ -156,9 +156,12 @@ std::vector<Request> sample_requests() {
   simulate.kind = RequestKind::kSimulate;
   simulate.links = "1-3";
   simulate.vec = true;
+  Request sweep;
+  sweep.kind = RequestKind::kSweep;
+  sweep.moves = 300;
   Request stats;
   stats.kind = RequestKind::kStats;
-  return {solve, evaluate, simulate, stats};
+  return {solve, evaluate, simulate, sweep, stats};
 }
 
 std::vector<std::string> sample_request_texts() {

@@ -153,6 +153,21 @@ TEST(HarnessTest, FilterMatchesSuiteNameAndTags) {
   EXPECT_EQ(other[0].suite, "other");
 }
 
+TEST(HarnessTest, AnchoredFilterMatchesNameAndEachTagOnItsOwn) {
+  register_test_suite();
+  bench::RunnerOptions options;
+  options.warmup = 0;
+  options.repeats = 1;
+  options.out_dir.clear();
+  for (const char* filter : {"^tsuite/alpha$", "^smoke$"}) {
+    options.filter = filter;
+    const auto reports = bench::Runner(options).run();
+    ASSERT_EQ(reports.size(), 1u) << filter;
+    ASSERT_EQ(reports[0].results.size(), 1u) << filter;
+    EXPECT_EQ(reports[0].results[0].name, "alpha") << filter;
+  }
+}
+
 TEST(HarnessTest, WriteBenchJsonCreatesMissingDirectories) {
   const std::string dir =
       ::testing::TempDir() + "xlp_bench_deep/nested/dirs";

@@ -215,17 +215,9 @@ TEST(Metrics, EnsureParentDirHandlesPlainFilenames) {
       util::ensure_parent_dir(::testing::TempDir() + "xlp_obs_flat.json"));
 }
 
-TEST(Trace, NullSinkIsDisabledNoOp) {
-  NullTraceSink sink;
-  EXPECT_FALSE(sink.enabled());
-  sink.emit("anything", Json::object().set("k", 1));  // must not crash
-  EXPECT_FALSE(null_trace_sink().enabled());
-}
-
 TEST(Trace, JsonlSinkWritesOneParsableRecordPerEvent) {
   std::ostringstream os;
   JsonlTraceSink sink(os);
-  EXPECT_TRUE(sink.enabled());
   sink.emit("first", Json::object().set("value", 1));
   sink.emit("second", Json::object().set("text", "a\nb"));
   EXPECT_EQ(sink.events_written(), 2);

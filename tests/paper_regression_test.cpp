@@ -153,7 +153,7 @@ bench::BenchResult run_paper(const std::string& name) {
   options.repeats = 1;
   options.out_dir.clear();
   options.deterministic = true;
-  options.filter = "^paper/" + name + " ";
+  options.filter = "^paper/" + name + "$";
   const auto reports = bench::Runner(options).run();
   if (reports.size() != 1 || reports[0].results.size() != 1) {
     ADD_FAILURE() << "paper/" << name << " is not registered exactly once";

@@ -73,7 +73,6 @@ SimConfig base_config() {
   config.measure_cycles = 2500;
   config.drain_cycles = 5000;
   config.seed = 11;
-  config.series_interval_cycles = 256;
   return config;
 }
 

@@ -28,6 +28,7 @@
 #include "svc/request.hpp"
 #include "svc/server.hpp"
 #include "svc/wire.hpp"
+#include "test_util.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
 
@@ -396,8 +397,8 @@ TEST(QueueChaos, TornReplyIsRetriedNextPassAndClientConverges) {
   const std::string queue_dir = root + "/q";
   obs::MetricsRegistry metrics;
   Server server(test_options(root + "/cache", &metrics));
-  ASSERT_TRUE(queue_submit(queue_dir, "job",
-                           batch_to_text(sweep_batch(4, "dcsa", 200, 1))));
+  ASSERT_TRUE(queue_submit(
+      queue_dir, "job", test::batch_text(test::distinct_solves(4, 200, 1))));
 
   ChaosGuard guard("seed=4,queue-partial@1");
   // First pass: the reply is torn by a non-atomic half-write and the
@@ -458,7 +459,7 @@ std::map<std::string, std::string> baseline_payloads(
 }
 
 TEST(ChaosEndToEnd, BatchRepliesMatchChaosFreeBaselineUnderInjection) {
-  const auto batch = sweep_batch(8, "dcsa", 300, 11);
+  const auto batch = test::distinct_solves(8, 300, 11);
   const auto baseline = baseline_payloads(batch, "baseline1");
 
   obs::MetricsRegistry metrics;
@@ -509,7 +510,7 @@ TEST(ChaosEndToEnd, BatchRepliesMatchChaosFreeBaselineUnderInjection) {
 // ------------------------------------------------------------------ socket
 
 TEST(ChaosSocket, RetryingClientSurvivesFrameChaosWithoutSleeps) {
-  const auto batch = sweep_batch(8, "dcsa", 200, 5);
+  const auto batch = test::distinct_solves(8, 200, 5);
   const auto baseline = baseline_payloads(batch, "baseline2");
 
   const std::string socket_path =

@@ -19,17 +19,21 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
+#include "runctl/control.hpp"
 #include "svc/cache.hpp"
 #include "svc/chaos.hpp"
 #include "svc/client.hpp"
 #include "svc/request.hpp"
 #include "svc/server.hpp"
 #include "svc/wire.hpp"
+#include "test_util.hpp"
 #include "topo/builders.hpp"
 #include "traffic/matrix.hpp"
 #include "traffic/patterns.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace xlp::svc {
@@ -191,6 +195,83 @@ TEST(Request, DefaultIdsArePinned) {
   EXPECT_EQ(request.id(), "73e294c6e35ed59a");
   request.kind = RequestKind::kSimulate;
   EXPECT_EQ(request.id(), "3eed1cb268043f75");
+}
+
+TEST(Request, SweepIdKeepsOnlyTheFieldsASweepReads) {
+  Request sweep;
+  sweep.kind = RequestKind::kSweep;
+  EXPECT_EQ(sweep.to_json().dump(),
+            R"({"schema":"xlp-request/1","kind":"sweep","n":8,"b":256,)"
+            R"("method":"dcsa","moves":10000,"seed":1})");
+  EXPECT_EQ(Request::from_json(sweep.to_json()).id(), sweep.id());
+  EXPECT_NE(sweep.id(), Request{}.id());
+  // A sweep enumerates C and runs one chain per C, so neither (nor any
+  // traffic field) reaches its id; c = 3 need not divide b either.
+  Request ignored = sweep;
+  ignored.link_limit = 3;
+  ignored.chains = 4;
+  ignored.load = 0.5;
+  ignored.links = "0-2";
+  EXPECT_EQ(ignored.id(), sweep.id());
+  EXPECT_NO_THROW(ignored.validate());
+  // Moves only matter where annealing does.
+  Request dnc = sweep;
+  dnc.method = "dnc";
+  Request dnc_moves = dnc;
+  dnc_moves.moves = 5;
+  EXPECT_EQ(dnc.id(), dnc_moves.id());
+  EXPECT_EQ(dnc.to_json().find("moves"), nullptr);
+}
+
+TEST(Request, SweepValidatesEverythingButC) {
+  const auto rejects = [](void (*edit)(Request&)) {
+    Request sweep;
+    sweep.kind = RequestKind::kSweep;
+    edit(sweep);
+    try {
+      sweep.validate();
+    } catch (const Error& e) {
+      return e.code() == ErrorCode::kParse;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects([](Request& r) { r.n = 1; }));
+  EXPECT_TRUE(rejects([](Request& r) { r.n = 300; }));
+  EXPECT_TRUE(rejects([](Request& r) { r.base_flit_bits = 0; }));
+  EXPECT_TRUE(rejects([](Request& r) { r.method = "bogus"; }));
+  EXPECT_TRUE(rejects([](Request& r) { r.moves = -5; }));
+  EXPECT_TRUE(rejects([](Request& r) { r.seed = (1ULL << 53) + 1; }));
+  EXPECT_FALSE(rejects([](Request& r) { r.link_limit = 0; }));
+}
+
+TEST(Request, SweepCoversFeasibleLimitsOnly) {
+  // Of n = 8's limits 1, 2, 4, 8 and 16 only 1, 2 and 4 keep a 12-bit
+  // flit an integer number of bits.
+  Request sweep;
+  sweep.kind = RequestKind::kSweep;
+  sweep.moves = 200;
+  sweep.base_flit_bits = 12;
+  const obs::Json payload = execute_request(sweep, nullptr);
+  const obs::Json& points = *payload.find("points");
+  ASSERT_EQ(points.size(), 3u);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points.at(i).find("c")->as_int(), 1 << i);
+    EXPECT_EQ(points.at(i).find("flit_bits")->as_int(), 12 >> i);
+  }
+}
+
+TEST(Request, StoppedSweepIsNeverAPayload) {
+  runctl::CancelToken token;
+  ASSERT_TRUE(token.request(runctl::RunStatus::kInterrupted));
+  runctl::RunControl control(&token);
+  Request sweep;
+  sweep.kind = RequestKind::kSweep;
+  try {
+    (void)execute_request(sweep, &control);
+    FAIL() << "a stopped sweep returned a payload";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kState);
+  }
 }
 
 TEST(Request, ChainsAndVecSerializeOnlyWhenSet) {
@@ -391,7 +472,7 @@ TEST(Server, RepliesAreByteIdenticalAtAnyThreadCount) {
   obs::MetricsRegistry m1, m4;
   Server one(test_options(fresh_dir("t1"), &m1, 1));
   Server four(test_options(fresh_dir("t4"), &m4, 4));
-  const auto batch = sweep_batch(8, "dcsa", 400, 7);
+  const auto batch = test::distinct_solves(8, 400, 7);
   const auto r1 = one.serve_batch(batch);
   const auto r4 = four.serve_batch(batch);
   ASSERT_EQ(r1.size(), r4.size());
@@ -472,24 +553,80 @@ TEST(Server, OneDocumentSubmissionRunsOnTheCallingThread) {
 }
 
 TEST(Server, ResubmittedSweepIsAtLeastTwiceAsFast) {
-  // The acceptance scenario: an 8x8 C-sweep submitted twice. The second
-  // pass is pure cache hits, but it still starts the server's ThreadPool,
-  // which can take milliseconds on a saturated machine. 20000 moves per
-  // solve keep the cold pass far above that, so the 2x bound has margin
-  // under load too.
+  // The acceptance scenario: an 8x8 C-sweep submitted twice. It is one
+  // sweep request, so the second pass is a single cache hit resolved on
+  // the calling thread, with no pool to start; 20000 moves per link limit
+  // keep the cold pass far above it.
   obs::MetricsRegistry metrics;
   Server server(test_options(fresh_dir("speedup"), &metrics));
-  const auto batch = sweep_batch(8, "dcsa", 20000, 1);
+  Request sweep;
+  sweep.kind = RequestKind::kSweep;
+  sweep.moves = 20000;
+  const std::vector<Request> batch{sweep};
   Stopwatch cold_timer;
-  (void)server.serve_batch(batch);
+  const auto cold_replies = server.serve_batch(batch);
   const double cold = cold_timer.seconds();
   Stopwatch warm_timer;
   const auto warm_replies = server.serve_batch(batch);
   const double warm = warm_timer.seconds();
-  EXPECT_EQ(metrics.counter("svc.executed"),
-            static_cast<long>(batch.size()));
-  for (const auto& reply : warm_replies) EXPECT_TRUE(reply.cache_hit);
+  ASSERT_TRUE(cold_replies[0].ok) << cold_replies[0].to_text();
+  EXPECT_EQ(metrics.counter("svc.executed"), 1);
+  EXPECT_TRUE(warm_replies[0].cache_hit);
+  EXPECT_EQ(warm_replies[0].payload_text, cold_replies[0].payload_text);
   EXPECT_GE(cold, 2.0 * warm) << "cold=" << cold << "s warm=" << warm << "s";
+}
+
+TEST(Server, SweepRequestServesTheCliSweepsPoints) {
+  // `xlp sweep --n 8 --moves 2000 --seed 1` and `xlp submit --sweep-n 8
+  // --moves 2000 --seed 1` both run this request: one
+  // core::sweep_link_limits on Rng(seed) under the zero-load model.
+  const std::string text = R"({"kind":"sweep","n":8,"moves":2000,"seed":1})";
+  Request flags;
+  flags.kind = RequestKind::kSweep;
+  flags.moves = 2000;
+  EXPECT_EQ(Request::from_json(*obs::Json::parse(text)).id(), flags.id());
+
+  obs::MetricsRegistry m1, m4;
+  Server one(test_options(fresh_dir("sweep_t1"), &m1, 1));
+  Server four(test_options(fresh_dir("sweep_t4"), &m4, 4));
+  util::set_default_thread_count(1);  // the sweep's own cell pool
+  const std::string reply = one.serve_text(text);
+  util::set_default_thread_count(4);
+  EXPECT_EQ(four.serve_text(text), reply);
+  util::set_default_thread_count(0);
+
+  const std::vector<Reply> replies = decode_replies(reply);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_TRUE(replies[0].ok) << reply;
+  EXPECT_EQ(replies[0].request_id, flags.id());
+  const obs::Json payload = *obs::Json::parse(replies[0].payload_text);
+  EXPECT_EQ(payload.find("best")->as_int(), 4);
+
+  core::SweepOptions options;
+  options.sa = core::SaParams{}.with_moves(2000);
+  options.latency = latency::LatencyParams::zero_load();
+  Rng rng(1);
+  const auto points = core::sweep_link_limits(8, 8, options, rng);
+  const obs::Json& served = *payload.find("points");
+  ASSERT_EQ(served.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const obs::Json& point = served.at(i);
+    EXPECT_EQ(point.find("c")->as_int(), points[i].link_limit);
+    EXPECT_EQ(point.find("flit_bits")->as_int(), points[i].design.flit_bits());
+    EXPECT_EQ(point.find("total")->as_number(), points[i].breakdown.total());
+    EXPECT_EQ(point.find("placement")->as_string(),
+              points[i].placement.placement.to_string());
+    EXPECT_EQ(point.find("evaluations")->as_long(),
+              points[i].placement.evaluations);
+  }
+  EXPECT_EQ(served.at(2).find("placement")->as_string(),
+            "8:[(0,2)(0,4)(1,4)(2,4)(4,6)(4,7)(5,7)]");
+
+  const std::vector<Reply> again = decode_replies(one.serve_text(text));
+  EXPECT_TRUE(again[0].cache_hit);
+  EXPECT_EQ(again[0].payload_text, replies[0].payload_text);
+  EXPECT_EQ(m1.counter("svc.executed"), 1);
+  EXPECT_EQ(m1.counter("svc.kind.sweep"), 2);
 }
 
 TEST(Server, FailedRequestsAreNotCached) {
@@ -830,16 +967,6 @@ TEST(Server, StatsRequestIsAnsweredFromMemoryOverBothEntryPoints) {
 
 // ------------------------------------------------------------------- client
 
-TEST(Client, SweepBatchCoversFeasibleLimitsOnly) {
-  const auto batch = sweep_batch(8, "dcsa", 500, 1);
-  ASSERT_FALSE(batch.empty());
-  for (const auto& request : batch) {
-    EXPECT_EQ(request.kind, RequestKind::kSolve);
-    EXPECT_EQ(256 % request.link_limit, 0);
-    EXPECT_NO_THROW(request.validate());
-  }
-}
-
 TEST(Client, QueueRoundTripThroughServer) {
   const std::string root = fresh_dir("queue");
   const std::string queue_dir = root + "/q";
@@ -847,8 +974,8 @@ TEST(Client, QueueRoundTripThroughServer) {
   ServerOptions options = test_options(root + "/cache", &metrics);
   Server server(options);
 
-  const auto batch = sweep_batch(4, "dcsa", 200, 1);
-  ASSERT_TRUE(queue_submit(queue_dir, "job1", batch_to_text(batch)));
+  const auto batch = test::distinct_solves(4, 200, 1);
+  ASSERT_TRUE(queue_submit(queue_dir, "job1", test::batch_text(batch)));
   EXPECT_EQ(server.run_queue(queue_dir, /*once=*/true, 0.01), 1);
   const std::string reply = queue_wait(queue_dir, "job1", 5.0);
   EXPECT_NE(reply.find("\"result\":"), std::string::npos);

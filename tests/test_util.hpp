@@ -1,9 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "route/directional_paths.hpp"
+#include "svc/request.hpp"
 #include "topo/connection_matrix.hpp"
 #include "topo/row_topology.hpp"
 #include "util/rng.hpp"
@@ -69,6 +72,32 @@ class ReferenceDirectionalPaths {
 inline topo::RowTopology random_valid_row(int n, int link_limit, Rng& rng,
                                           double density = 0.5) {
   return topo::ConnectionMatrix::random(n, link_limit, rng, density).decode();
+}
+
+/// A batch of distinct service requests: one solve per feasible link limit
+/// of an n-router row, all with the same dcsa move budget and seed.
+inline std::vector<svc::Request> distinct_solves(int n, long moves,
+                                                 std::uint64_t seed) {
+  std::vector<svc::Request> batch;
+  for (const int limit : topo::valid_link_limits(n)) {
+    svc::Request request;
+    request.n = n;
+    request.link_limit = limit;
+    request.moves = moves;
+    request.seed = seed;
+    batch.push_back(request);
+  }
+  return batch;
+}
+
+/// A batch as the submission document xlpd ingests: a JSON array.
+inline std::string batch_text(const std::vector<svc::Request>& batch) {
+  std::string out = "[";
+  for (const svc::Request& request : batch) {
+    if (out.size() > 1) out += ",";
+    out += request.to_json().dump();
+  }
+  return out + "]";
 }
 
 }  // namespace xlp::test

@@ -283,5 +283,14 @@ TEST(Workloads, ResolvePatternsAndParsecModels) {
   EXPECT_THROW((void)resolve_workload("doom", 4, 0.01), PreconditionError);
 }
 
+TEST(Workloads, LoadOutsideZeroToOneIsRejected) {
+  for (const char* name : {"transpose", "canneal"}) {
+    EXPECT_THROW((void)resolve_workload(name, 4, -1.0), PreconditionError);
+    EXPECT_THROW((void)resolve_workload(name, 4, 0.0), PreconditionError);
+    EXPECT_THROW((void)resolve_workload(name, 4, 5.0), PreconditionError);
+    EXPECT_NO_THROW((void)resolve_workload(name, 4, 1.0));
+  }
+}
+
 }  // namespace
 }  // namespace xlp::traffic

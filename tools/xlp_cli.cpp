@@ -33,6 +33,8 @@
 //                 clean, 1 failed rows, 2 unreadable or empty inputs)
 //   xlp submit    (--file batch.json | --sweep-n 8 [--method dcsa]
 //                 [--moves 10000] [--base-flit 256] [--seed 1])
+//                 (--sweep-n submits the C-sweep as one `sweep` request,
+//                 the one `xlp sweep` runs for the same flags)
 //                 (--queue <dir> [--wait 60] [--name <id>] | --socket <path>)
 //                 [--retries 5] [--retry-base-ms 50]
 //                 (submits a request batch to a running `xlpd` — see
@@ -67,11 +69,12 @@
 // Run ledger:
 //   every subcommand appends one JSONL record to <out-dir>/ledger.jsonl
 //   (run id = content hash over the canonical scenario params; plus
-//   provenance, wall time, exit status and artifact paths). solve and
-//   simulate run an svc::Request (docs/service.md; --chains and --vec are
-//   its `chains` and `vec` fields) and record it as their params, so
-//   their run id is the request id xlpd uses for the same work; run nests
-//   its solve request; other subcommands add `subcommand` and `seed`.
+//   provenance, wall time, exit status and artifact paths). solve,
+//   simulate and sweep run an svc::Request (docs/service.md; --chains and
+//   --vec are its `chains` and `vec` fields) and record it as their
+//   params, so their run id is the request id xlpd uses for the same work;
+//   run nests its solve request; other subcommands add `subcommand` and
+//   `seed`.
 //   --out-dir <dir> relocates the ledger (default "."), --no-ledger
 //   disables it.
 //
@@ -84,8 +87,9 @@
 //                          --threads 1 just runs them sequentially.
 //
 // Run control (see docs/resilience.md):
-//   --time-limit <seconds>     wall-clock budget; searches and simulations
-//                              stop at the deadline and report best-so-far
+//   --time-limit <seconds>     wall-clock budget; searches, sweeps and
+//                              simulations stop at the deadline and report
+//                              best-so-far
 //   --checkpoint <file.json>   (solve/run) periodically persist annealer
 //                              state, atomically, plus once on any early stop
 //   --checkpoint-every <moves> sink cadence in SA moves (default 10000)
@@ -215,11 +219,11 @@ runctl::RunControl make_run_control(const Args& args) {
 /// normal completion. A stopped phase also names `checkpoint`, the state
 /// it saved (when non-empty), as the file to resume from.
 void report_status(runctl::RunStatus status, const char* phase,
-                   obs::TraceSink& sink, const std::string& checkpoint = {}) {
-  if (sink.enabled())
-    sink.emit("run.status", obs::Json::object()
-                                .set("phase", phase)
-                                .set("status", runctl::to_string(status)));
+                   obs::TraceSink* sink, const std::string& checkpoint = {}) {
+  if (sink != nullptr)
+    sink->emit("run.status", obs::Json::object()
+                                 .set("phase", phase)
+                                 .set("status", runctl::to_string(status)));
   if (status == runctl::RunStatus::kCompleted) return;
   std::printf("  status:    %s stopped early (%s); results are "
               "best-so-far\n",
@@ -244,8 +248,8 @@ auto from_flags(Parse&& parse) {
 }
 
 /// Owns the optional `--trace <file.jsonl>` output: the stream plus the
-/// JSONL sink writing to it. When the flag is absent every accessor
-/// degrades to the null sink, so instrumented paths cost nothing.
+/// JSONL sink writing to it. When the flag is absent the sink is nullptr,
+/// which every instrumented path reads as "off".
 class TraceOutput {
  public:
   explicit TraceOutput(const Args& args) : path_(args.get_or("trace", "")) {
@@ -256,11 +260,6 @@ class TraceOutput {
     sink_ = std::make_unique<obs::JsonlTraceSink>(stream_);
   }
 
-  [[nodiscard]] obs::TraceSink& sink() {
-    return sink_ ? static_cast<obs::TraceSink&>(*sink_)
-                 : obs::null_trace_sink();
-  }
-  /// For SimConfig::trace, which treats nullptr as "off".
   [[nodiscard]] obs::TraceSink* sink_or_null() { return sink_.get(); }
 
   void report() const {
@@ -347,42 +346,50 @@ int cmd_solve(const Args& args) {
                   .evaluate(topo::RowTopology(request.n)));
   std::printf("  cost:      %ld evaluations, %.3f s\n", result.evaluations,
               result.seconds);
-  report_status(result.status, "solve", trace.sink(), checkpoint_path);
+  report_status(result.status, "solve", trace.sink_or_null(),
+                checkpoint_path);
   trace.report();
   series.report();
   return 0;
 }
 
-int cmd_sweep(const Args& args) {
-  const int n = args.get_int("n", 8);
-  const int height = args.get_int("height", n);
-  const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  core::SweepOptions options;
-  options.sa = core::SaParams{}.with_moves(args.get_long("moves", 10000));
-  options.base_flit_bits = args.get_int("base-flit", topo::kBaseFlitBits);
-  options.latency = latency::LatencyParams::zero_load();
-  g_ledger.describe("sweep",
-                    obs::Json::object()
-                        .set("n", n)
-                        .set("height", height)
-                        .set("moves", options.sa.total_moves)
-                        .set("base_flit", options.base_flit_bits),
-                    seed);
-  Rng rng(seed);
-  const auto points = core::sweep_link_limits(n, height, options, rng);
+/// The sweep request `xlp sweep --n <n>` runs and `xlp submit --sweep-n
+/// <n>` sends, from the flags both take.
+svc::Request sweep_request(const Args& args, int n) {
+  svc::Request request;
+  request.kind = svc::RequestKind::kSweep;
+  request.n = n;
+  request.moves = args.get_long("moves", 10000);
+  request.base_flit_bits = args.get_int("base-flit", topo::kBaseFlitBits);
+  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  return request;
+}
 
+/// The paper's outer loop as one svc::Request of kind sweep: the table
+/// holds the points xlpd serves for the same request document.
+int cmd_sweep(const Args& args) {
+  const svc::Request request = sweep_request(args, args.get_int("n", 8));
+  g_ledger.identify("sweep", request.to_json(), request.seed);
+  from_flags([&] { request.validate(); });
+
+  runctl::RunControl control = make_run_control(args);
+  const auto points = svc::sweep(request, &control);
+  runctl::RunStatus status = runctl::RunStatus::kCompleted;
   Table table({"C", "flit", "total", "head", "serialization", "placement"});
-  for (const auto& p : points)
+  for (const auto& p : points) {
     table.add_row({std::to_string(p.link_limit),
                    std::to_string(p.design.flit_bits()),
                    Table::fmt(p.breakdown.total()),
                    Table::fmt(p.breakdown.head),
                    Table::fmt(p.breakdown.serialization),
                    p.placement.placement.to_string()});
+    if (status == runctl::RunStatus::kCompleted) status = p.placement.status;
+  }
   table.print(std::cout);
   const auto& best = points[core::best_point(points)];
   std::printf("best: C=%d at %.2f cycles\n", best.link_limit,
               best.breakdown.total());
+  report_status(status, "sweep", nullptr);
   return 0;
 }
 
@@ -432,7 +439,7 @@ int cmd_simulate(const Args& args) {
   std::printf("  power %.3f W (%.3f dynamic, %.3f static)\n", power.total(),
               power.dynamic_total(), power.static_total());
   exp::warn_if_undrained(stats, "xlp simulate");
-  report_status(stats.status, "simulate", trace.sink());
+  report_status(stats.status, "simulate", trace.sink_or_null());
   write_stats_if_requested(args, stats);
   trace.report();
   series.report();
@@ -569,7 +576,7 @@ int cmd_run(const Args& args) {
               solve_request.n, solve_request.link_limit,
               result.method.c_str(), result.placement.to_string().c_str(),
               result.value, result.evaluations, result.seconds);
-  report_status(result.status, "solve", trace.sink(), saved);
+  report_status(result.status, "solve", trace.sink_or_null(), saved);
   if (result.status != runctl::RunStatus::kCompleted) {
     // The search was cut short: skip the simulation phase (its input is
     // only the best-so-far placement).
@@ -597,7 +604,7 @@ int cmd_run(const Args& args) {
               stats.avg_latency, stats.p95_latency, stats.p99_latency,
               stats.ci95_latency, stats.drained ? "yes" : "NO");
   exp::warn_if_undrained(stats, "xlp run");
-  report_status(stats.status, "simulate", trace.sink());
+  report_status(stats.status, "simulate", trace.sink_or_null());
   write_stats_if_requested(args, stats);
   trace.report();
   series.report();
@@ -798,11 +805,9 @@ void summarize_replies(const std::string& reply_text, std::size_t index,
 /// Client side of the service (docs/service.md): builds or loads a
 /// submission document and sends it to a running `xlpd` over the file
 /// queue or the local socket, then prints the reply document. The
-/// canonical driver-as-client flow is `--sweep-n`, which submits one solve
-/// per link limit `xlp sweep` visits, each seeded with `--seed` itself
-/// (`xlp sweep` forks one stream per limit, so its placements differ) —
-/// resubmitting the sweep is answered from the server's cache without
-/// re-annealing.
+/// canonical driver-as-client flow is `--sweep-n`, which submits the sweep
+/// request `xlp sweep` runs for the same flags — resubmitting it is
+/// answered from the server's cache without re-annealing.
 ///
 /// The reply document goes to stdout (pipeable); a per-request summary
 /// with HIT/MISS markers goes to stderr. Over the socket, each request of
@@ -821,12 +826,11 @@ int cmd_submit(const Args& args) {
   } else {
     const int n = args.get_int("sweep-n", 0);
     XLP_REQUIRE(n > 0, "either --file <batch.json> or --sweep-n <n>");
-    const auto batch = svc::sweep_batch(
-        n, args.get_or("method", "dcsa"), args.get_long("moves", 10000),
-        static_cast<std::uint64_t>(args.get_long("seed", 1)),
-        args.get_int("base-flit", topo::kBaseFlitBits));
-    text = svc::batch_to_text(batch);
-    doc = obs::Json::parse(text);
+    svc::Request request = sweep_request(args, n);
+    request.method = args.get_or("method", "dcsa");
+    from_flags([&] { request.validate(); });
+    doc = request.to_json();
+    text = doc->dump();
   }
   const long request_count =
       doc->is_array() ? static_cast<long>(doc->size()) : 1;
@@ -982,9 +986,10 @@ int cmd_top(const Args& args) {
         "%.0f   in-flight %.0f\n",
         served, rate, num(stats, "stats_requests"),
         num(stats, "queue_depth"), num(stats, "inflight"));
-    std::printf("kinds     solve %.0f   evaluate %.0f   simulate %.0f\n",
+    std::printf("kinds     solve %.0f   evaluate %.0f   simulate %.0f   "
+                "sweep %.0f\n",
                 num(kinds, "solve"), num(kinds, "evaluate"),
-                num(kinds, "simulate"));
+                num(kinds, "simulate"), num(kinds, "sweep"));
     std::printf(
         "dedup     cache %.0f   inflight %.0f   batch %.0f   executed %.0f "
         "  errors %.0f   poisoned %.0f   hit rate %.1f%%\n",
