@@ -195,6 +195,25 @@ obs::Json Request::to_json() const {
   return doc;
 }
 
+obs::Json Request::fields() const {
+  return obs::Json::object()
+      .set("n", n)
+      .set("c", link_limit)
+      .set("b", base_flit_bits)
+      .set("method", method)
+      .set("moves", moves)
+      .set("chains", chains)
+      .set("links", links)
+      .set("workload", workload)
+      .set("load", load)
+      .set("cycles", cycles)
+      .set("routing", routing)
+      .set("vcs", vcs)
+      .set("vec", vec)
+      .set("contention", contention_per_hop)
+      .set("seed", static_cast<long>(seed));
+}
+
 std::string Request::id() const {
   return obs::fnv1a64_hex(obs::canonical_json(to_json()));
 }

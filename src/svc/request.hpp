@@ -79,6 +79,10 @@ struct Request {
   /// obs::canonical_json for the hashable byte string.
   [[nodiscard]] obs::Json to_json() const;
 
+  /// Every parameter under its request-document name, whatever the kind
+  /// consumes; a default Request's fields() are the request defaults.
+  [[nodiscard]] obs::Json fields() const;
+
   /// The content-addressed identity: obs::fnv1a64_hex over the canonical
   /// serialization of to_json(). Thread-count and machine invariant; this
   /// is the cache key and the reply correlation id.

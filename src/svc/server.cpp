@@ -51,14 +51,11 @@ void bump(std::atomic<long>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// The serialized error reply to a submission that is wrong in itself:
-/// never retryable, since the identical bytes fail the identical way.
-std::string rejection(const std::string& message, const char* kind) {
-  Reply reply;
-  reply.ok = false;
-  reply.payload_text = message;
-  reply.error_kind = kind;
-  return reply.to_text();
+/// The serialized error reply to a submission that is wrong in itself
+/// (kParse / kSchema, so never retryable: the identical bytes fail the
+/// identical way).
+std::string rejection(const Error& error) {
+  return error_reply(error).to_text();
 }
 
 }  // namespace
@@ -162,7 +159,7 @@ Reply Server::execute_or_join(const Request& request, const std::string& id,
   const auto poison = [&](const char* message) {
     reply.ok = false;
     reply.payload_text = message;
-    reply.error_kind = "poisoned";
+    reply.error_kind = kPoisonedKind;
     reply.retryable = true;
     *outcome = Outcome::kPoisoned;
   };
@@ -189,13 +186,7 @@ Reply Server::execute_or_join(const Request& request, const std::string& id,
       cache_.put(id, reply.payload_text);
     }
   } catch (const Error& error) {
-    reply.ok = false;
-    reply.payload_text = error.what();
-    reply.error_kind = error_code_name(error.code());
-    // A deadline / cancel stop (kState) or an internal fault can succeed
-    // on resubmission; a request that is wrong in itself cannot.
-    reply.retryable = error.code() == ErrorCode::kState ||
-                      error.code() == ErrorCode::kInternal;
+    reply = error_reply(error, id);
   } catch (const std::exception& error) {
     poison(error.what());
   } catch (...) {
@@ -274,18 +265,19 @@ std::vector<Reply> Server::serve_batch(const std::vector<Request>& requests) {
 
 std::string Server::serve_text(const std::string& text) {
   const auto doc = obs::Json::parse(text);
-  if (!doc) return rejection("submission is not valid JSON", "parse");
+  if (!doc)
+    return rejection(Error(ErrorCode::kParse, "submission is not valid JSON"));
 
   if (doc->is_object()) {
     try {
       return serve_batch({Request::from_json(*doc)})[0].to_text();
     } catch (const Error& error) {
-      return rejection(error.what(), error_code_name(error.code()));
+      return rejection(error);
     }
   }
   if (!doc->is_array())
-    return rejection("submission must be a request object or an array",
-                     "schema");
+    return rejection(Error(ErrorCode::kSchema,
+                           "submission must be a request object or an array"));
 
   // Parse every element first (errors become in-place error replies), then
   // serve the well-formed ones as one batch so duplicates still collapse.
@@ -295,7 +287,7 @@ std::string Server::serve_text(const std::string& text) {
     try {
       good.push_back(Request::from_json(doc->at(i)));
     } catch (const Error& error) {
-      rejected[i] = rejection(error.what(), error_code_name(error.code()));
+      rejected[i] = rejection(error);
     }
   }
   const std::vector<Reply> served = serve_batch(good);
@@ -353,8 +345,8 @@ long Server::run_queue(const std::string& queue_dir, bool once,
           break;
         case EnvelopeStatus::kCorrupt:
           corrupt_submission = true;
-          reply_text =
-              rejection("submission failed checksum: " + reason, "parse");
+          reply_text = rejection(Error(
+              ErrorCode::kParse, "submission failed checksum: " + reason));
           break;
       }
 

@@ -107,6 +107,30 @@ bool write_frame(int fd, const std::string& text, std::size_t body_bytes) {
          write_exact(fd, text.data(), std::min(body_bytes, text.size()));
 }
 
+const char* reply_error_kind(ErrorCode code) noexcept {
+  switch (code) {
+    case ErrorCode::kUsage: return "usage";
+    case ErrorCode::kIo: return "io";
+    case ErrorCode::kParse: return "parse";
+    case ErrorCode::kSchema: return "schema";
+    case ErrorCode::kVersion: return "version";
+    case ErrorCode::kState: return "state";
+    case ErrorCode::kInternal: return "internal";
+  }
+  return "internal";
+}
+
+Reply error_reply(const Error& error, std::string request_id) {
+  Reply reply;
+  reply.request_id = std::move(request_id);
+  reply.ok = false;
+  reply.payload_text = error.detail();
+  reply.error_kind = reply_error_kind(error.code());
+  reply.retryable = error.code() == ErrorCode::kState ||
+                    error.code() == ErrorCode::kInternal;
+  return reply;
+}
+
 std::string Reply::to_text() const {
   std::string out;
   out.reserve(payload_text.size() + 96);

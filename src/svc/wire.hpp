@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace xlp::svc {
 
 /// The service's wire formats, each encoded and decoded here and nowhere
@@ -59,9 +61,8 @@ struct Reply {
   /// batch.
   bool cache_hit = false;
   std::string payload_text;  ///< result JSON, or the error message when !ok
-  /// Error taxonomy (!ok only): an error_code_name() — "parse", "schema",
-  /// "state", ... — or "poisoned" for a request whose execution escaped
-  /// with a non-Error exception.
+  /// Error taxonomy (!ok only): a reply_error_kind() — "parse",
+  /// "schema", "state", ... — or kPoisonedKind.
   std::string error_kind = "internal";
   /// True when resubmitting the identical request can succeed (deadline
   /// stops, injected faults, poisoned executions); false for requests that
@@ -74,6 +75,20 @@ struct Reply {
   ///  "error":{"kind":...,"retryable":...,"message":...}.
   [[nodiscard]] std::string to_text() const;
 };
+
+/// The documented `kind` of an error reply (docs/service.md), one short
+/// name per ErrorCode: usage, io, parse, schema, version, state, internal.
+[[nodiscard]] const char* reply_error_kind(ErrorCode code) noexcept;
+
+/// The error kind of a request whose execution escaped with an exception
+/// that is not an xlp::Error.
+inline constexpr const char* kPoisonedKind = "poisoned";
+
+/// The error reply `error` becomes: its reply_error_kind(), its message
+/// without the kind prefix, and retryable for kState (deadline / cancel
+/// stops) and kInternal, the errors a resubmission can outlive.
+[[nodiscard]] Reply error_reply(const Error& error,
+                                std::string request_id = {});
 
 /// Decodes a reply document: one Reply for an object, one per element,
 /// in order, for an array. A decoded success carries the result

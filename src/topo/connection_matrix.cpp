@@ -1,7 +1,6 @@
 #include "topo/connection_matrix.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 #include "util/check.hpp"
 
@@ -145,10 +144,6 @@ ConnectionMatrix ConnectionMatrix::from_string(int n, int link_limit,
     }
   }
   return m;
-}
-
-std::ostream& operator<<(std::ostream& os, const ConnectionMatrix& m) {
-  return os << m.to_string();
 }
 
 }  // namespace xlp::topo

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -85,7 +84,5 @@ class ConnectionMatrix {
   int c_;
   std::vector<std::uint8_t> bits_;  // layer-major, layers() * interior()
 };
-
-std::ostream& operator<<(std::ostream& os, const ConnectionMatrix& m);
 
 }  // namespace xlp::topo

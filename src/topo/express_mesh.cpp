@@ -1,7 +1,6 @@
 #include "topo/express_mesh.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 #include "util/check.hpp"
 
@@ -108,12 +107,6 @@ long ExpressMesh::total_link_count() const {
   for (const auto& c : cols_)
     count += static_cast<long>(c.all_links().size());
   return count;
-}
-
-std::ostream& operator<<(std::ostream& os, const ExpressMesh& mesh) {
-  os << mesh.width() << 'x' << mesh.height() << " C=" << mesh.link_limit()
-     << " b=" << mesh.flit_bits() << "b row0=" << mesh.row(0).to_string();
-  return os;
 }
 
 }  // namespace xlp::topo

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "topo/row_topology.hpp"
@@ -96,7 +95,5 @@ class ExpressMesh {
   std::vector<RowTopology> rows_;  // height_ entries, indexed by y
   std::vector<RowTopology> cols_;  // width_ entries, indexed by x
 };
-
-std::ostream& operator<<(std::ostream& os, const ExpressMesh& mesh);
 
 }  // namespace xlp::topo

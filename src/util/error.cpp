@@ -28,19 +28,22 @@ Error& Error::with_context(std::string frame) {
   return *this;
 }
 
-void Error::rebuild_what() {
-  what_ = error_code_name(code_);
-  what_ += ": ";
-  what_ += message_;
+std::string Error::detail() const {
+  std::string out = message_;
   if (!context_.empty()) {
-    what_ += " (";
+    out += " (";
     for (std::size_t i = 0; i < context_.size(); ++i) {
-      if (i > 0) what_ += "; ";
-      what_ += "while ";
-      what_ += context_[i];
+      if (i > 0) out += "; ";
+      out += "while ";
+      out += context_[i];
     }
-    what_ += ")";
+    out += ")";
   }
+  return out;
+}
+
+void Error::rebuild_what() {
+  what_ = std::string(error_code_name(code_)) + ": " + detail();
 }
 
 }  // namespace xlp

@@ -41,6 +41,9 @@ class Error : public std::exception {
   [[nodiscard]] const std::vector<std::string>& context() const noexcept {
     return context_;
   }
+  /// what() without its error_code_name() prefix: the message plus the
+  /// context chain.
+  [[nodiscard]] std::string detail() const;
 
   /// Appends one frame to the context chain (innermost first); returns
   /// *this so a catch block can annotate and rethrow in one expression.

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 
 #include "util/args.hpp"
 #include "util/check.hpp"
+#include "util/error.hpp"
 
 namespace xlp {
 namespace {
@@ -78,6 +80,88 @@ TEST(Args, TracksUnknownKeys) {
   const auto unknown = args.unknown_keys();
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "typo");
+}
+
+// ------------------------------------------------------------ table mode
+
+const std::vector<Args::Flag> kTable = {
+    {"n", Args::Type::kInt, "8", "routers per side"},
+    {"moves", Args::Type::kLong, "10000", "SA move budget"},
+    {"load", Args::Type::kDouble, "0.02", "offered load"},
+    {"pattern", Args::Type::kString, "uniform_random", "traffic"},
+    {"trace", Args::Type::kString, "", "trace file"},
+    {"once", Args::Type::kBool, "", "one snapshot"}};
+
+Args table(std::initializer_list<const char*> tokens) {
+  std::vector<const char*> argv{"prog"};
+  argv.insert(argv.end(), tokens.begin(), tokens.end());
+  return Args(static_cast<int>(argv.size()), argv.data(), kTable);
+}
+
+/// The ErrorCode `tokens` fail to parse with.
+std::optional<ErrorCode> table_error(
+    std::initializer_list<const char*> tokens) {
+  try {
+    (void)table(tokens);
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
+TEST(ArgsTable, UndeclaredFlagIsAUsageErrorAtParse) {
+  EXPECT_EQ(table_error({"--n", "8", "--mvoes", "50"}), ErrorCode::kUsage);
+  EXPECT_EQ(table_error({"--bogus"}), ErrorCode::kUsage);
+  EXPECT_EQ(table_error({"--"}), ErrorCode::kUsage);
+  EXPECT_EQ(table_error({"--n", "8"}), std::nullopt);
+}
+
+TEST(ArgsTable, BooleanLeavesTheNextPositionalInPlace) {
+  const Args args = table({"--once", "svc.sock", "--n", "4"});
+  EXPECT_TRUE(args.has("once"));
+  EXPECT_EQ(args.positional(), (std::vector<std::string>{"svc.sock"}));
+  EXPECT_EQ(args.get_int("n"), 4);
+}
+
+TEST(ArgsTable, ValueFlagWithoutAValueOrWithABadOneIsAUsageError) {
+  EXPECT_EQ(table_error({"--n"}), ErrorCode::kUsage);
+  EXPECT_EQ(table_error({"--trace", "--once"}), ErrorCode::kUsage);
+  EXPECT_EQ(table_error({"--n", "8x"}), ErrorCode::kUsage);
+  EXPECT_EQ(table_error({"--n", "4294967304"}), ErrorCode::kUsage);
+  EXPECT_EQ(table_error({"--moves", "1e3"}), ErrorCode::kUsage);
+  EXPECT_EQ(table_error({"--load", "a.b"}), ErrorCode::kUsage);
+  // A single-dash value is a value, not a flag.
+  EXPECT_EQ(table({"--n", "-3"}).get_int("n"), -3);
+  EXPECT_EQ(table({"--moves", "4294967304"}).get_long("moves"), 4294967304L);
+}
+
+TEST(ArgsTable, AbsentFlagReadsItsTableDefault) {
+  const Args args = table({"--load", "0.5"});
+  EXPECT_EQ(args.get_int("n"), 8);
+  EXPECT_EQ(args.get_long("moves"), 10000);
+  EXPECT_DOUBLE_EQ(args.get_double("load"), 0.5);
+  EXPECT_EQ(args.get_string("pattern"), "uniform_random");
+  EXPECT_EQ(args.get_string("trace"), "");
+  EXPECT_FALSE(args.has("n"));  // a default is not a given flag
+  EXPECT_FALSE(args.has("once"));
+  // Reading a flag the table does not declare is the caller's bug.
+  EXPECT_THROW((void)args.get_string("bogus"), PreconditionError);
+  EXPECT_THROW((void)args.get_long("trace"), PreconditionError);
+}
+
+TEST(ArgsTable, HelpListsEveryFlagWithItsDefault) {
+  const Args args = table({"--help"});
+  EXPECT_TRUE(args.help_requested());
+  EXPECT_FALSE(table({}).help_requested());
+  const std::string help = args.help();
+  for (const Args::Flag& flag : kTable) {
+    EXPECT_NE(help.find("--" + flag.name), std::string::npos) << help;
+    if (!flag.fallback.empty())
+      EXPECT_NE(help.find("(default " + flag.fallback + ")"),
+                std::string::npos)
+          << help;
+  }
+  EXPECT_NE(help.find("--help"), std::string::npos);
 }
 
 TEST(Args, NegativeNumbersAreValuesNotFlags) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -660,9 +661,7 @@ TEST(Server, RequestsWrongInThemselvesAreParseErrorsNotPoisoned) {
   for (std::size_t i = 0; i < doc->size(); ++i) {
     const obs::Json* error = doc->at(i).find("error");
     ASSERT_NE(error, nullptr) << text;
-    EXPECT_EQ(error->find("kind")->as_string(),
-              error_code_name(ErrorCode::kParse))
-        << text;
+    EXPECT_EQ(error->find("kind")->as_string(), "parse") << text;
     EXPECT_FALSE(error->find("retryable")->as_bool()) << text;
   }
 
@@ -681,8 +680,7 @@ TEST(Server, RequestsWrongInThemselvesAreParseErrorsNotPoisoned) {
   for (const Request& request : {o1turn, out_of_range, over_limit}) {
     const Reply reply = server.resolve(request);
     EXPECT_FALSE(reply.ok);
-    EXPECT_EQ(reply.error_kind, error_code_name(ErrorCode::kParse))
-        << reply.payload_text;
+    EXPECT_EQ(reply.error_kind, "parse") << reply.payload_text;
     EXPECT_FALSE(reply.retryable);
   }
   EXPECT_EQ(metrics.counter("svc.requests.poisoned"), 0);
@@ -698,17 +696,55 @@ TEST(Server, SeedsPastTwoToThe53AreParseErrors) {
   request.seed = (std::uint64_t{1} << 53) + 1;
   const Reply reply = server.resolve(request);
   EXPECT_FALSE(reply.ok);
-  EXPECT_EQ(reply.error_kind, error_code_name(ErrorCode::kParse))
-      << reply.payload_text;
+  EXPECT_EQ(reply.error_kind, "parse") << reply.payload_text;
   EXPECT_FALSE(reply.retryable);
   const std::vector<Reply> replies = decode_replies(server.serve_text(
       R"({"kind":"solve","moves":300,"seed":18014398509481984})"));
   ASSERT_EQ(replies.size(), 1u);
-  EXPECT_EQ(replies[0].error_kind, error_code_name(ErrorCode::kParse));
+  EXPECT_EQ(replies[0].error_kind, "parse");
   EXPECT_EQ(server.cache().size(), 0u);
 
   request.seed = std::uint64_t{1} << 53;  // the largest seed still exact
   EXPECT_NO_THROW(request.validate());
+}
+
+TEST(Server, ErrorRepliesCarryTheDocumentedKind) {
+  // docs/service.md ("Replies") lists the kinds a client may match on.
+  const std::vector<std::string> documented = {
+      "parse", "schema", "usage", "io", "version", "state", "internal",
+      "poisoned"};
+  const std::pair<ErrorCode, const char*> codes[] = {
+      {ErrorCode::kUsage, "usage"},   {ErrorCode::kIo, "io"},
+      {ErrorCode::kParse, "parse"},   {ErrorCode::kSchema, "schema"},
+      {ErrorCode::kVersion, "version"}, {ErrorCode::kState, "state"},
+      {ErrorCode::kInternal, "internal"}};
+  for (const auto& [code, kind] : codes) {
+    Error error(code, "boom");
+    error.with_context("serving r1");
+    const std::vector<Reply> replies =
+        decode_replies(error_reply(error, "r1").to_text());
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].error_kind, kind);
+    EXPECT_NE(std::find(documented.begin(), documented.end(),
+                        replies[0].error_kind),
+              documented.end());
+    // The kind is not repeated as a message prefix.
+    EXPECT_EQ(replies[0].payload_text, "boom (while serving r1)");
+    EXPECT_EQ(replies[0].retryable,
+              code == ErrorCode::kState || code == ErrorCode::kInternal);
+  }
+  EXPECT_NE(std::find(documented.begin(), documented.end(), kPoisonedKind),
+            documented.end());
+
+  // The server's own rejections take the same names.
+  obs::MetricsRegistry metrics;
+  Server server(test_options(fresh_dir("kinds"), &metrics));
+  EXPECT_EQ(decode_replies(server.serve_text("not json"))[0].error_kind,
+            "parse");
+  EXPECT_EQ(decode_replies(server.serve_text("7"))[0].error_kind, "schema");
+  const Reply bad = decode_replies(server.serve_text(R"({"kind":"bogus"})"))[0];
+  EXPECT_EQ(bad.error_kind, "parse");
+  EXPECT_EQ(bad.payload_text.rfind("kind must be", 0), 0u) << bad.payload_text;
 }
 
 TEST(Server, ServeTextHandlesObjectsArraysAndGarbage) {
@@ -737,8 +773,7 @@ TEST(Server, WrappedOrRoundedIntegersAreRejectedNotServed) {
     const std::vector<Reply> replies = decode_replies(server.serve_text(text));
     ASSERT_EQ(replies.size(), 1u);
     EXPECT_FALSE(replies[0].ok) << text;
-    EXPECT_EQ(replies[0].error_kind, error_code_name(ErrorCode::kParse))
-        << text;
+    EXPECT_EQ(replies[0].error_kind, "parse") << text;
     EXPECT_EQ(replies[0].request_id, "") << text;
   }
   EXPECT_EQ(metrics.counter("svc.requests"), 0);
@@ -782,7 +817,7 @@ TEST(Server, LedgersOneLifecyclePerRequestWithOutcomes) {
   Request no_cycles;
   no_cycles.kind = RequestKind::kSimulate;
   no_cycles.cycles = 0;
-  EXPECT_EQ(server.resolve(no_cycles).error_kind, "parse error");
+  EXPECT_EQ(server.resolve(no_cycles).error_kind, "parse");
   Request poisoned;
   poisoned.kind = RequestKind::kEvaluate;
   ChaosPolicy::global().configure("worker-throw@1");

@@ -1,108 +1,22 @@
 // xlp — command-line front end to the express-link placement toolkit.
 //
-//   xlp solve     --n 8 --c 4 [--method dcsa|onlysa|dnc|exact]
-//                 [--moves 10000] [--seed 1]
-//   xlp sweep     --n 8 [--moves 10000] [--seed 1] [--base-flit 256]
-//   xlp simulate  --links 1-3,3-7 --c 4 [--n 8] [--pattern uniform_random]
-//                 [--load 0.02] [--cycles 10000] [--routing xy|yx|o1turn]
-//                 [--vec] [--vcs 4] [--seed 1]
-//   xlp trace     --out trace.txt [--n 8] [--pattern transpose]
-//                 [--load 0.02] [--cycles 10000] [--seed 1]
-//   xlp replay    --trace trace.txt --links 1-3,3-7 --c 4
-//   xlp appspec   --workload canneal [--n 8] [--moves 2000] [--seed 1]
-//   xlp run       --n 8 --c 4 [--moves 10000] [--pattern uniform_random]
-//                 [--load 0.02] [--cycles 10000] [--seed 1]
-//                 [--checkpoint ck.json] [--checkpoint-every 10000]
-//                 [--resume ck.json]
-//   xlp faults    --n 8 --c 4 [--kill-express 1] [--at-cycle 2000]
-//                 [--recover-at -1] [--trials 10] [--load 0.02]
-//                 [--policy drop|drain] [--retries 3] [--rel-weight 0.3]
-//                 [--seed 1] [--json campaign.json]
-//   xlp bench     [--filter re] [--repeats 5] [--warmup 1] [--out-dir .]
-//                 [--profile out.folded] [--deterministic] [--list]
-//                 (runs the registered benchmark suites, writes one
-//                 schema-versioned BENCH_<suite>.json per suite)
-//   xlp report    <run-dir> [--out report.html]
-//                 (renders a dependency-free single-file HTML dashboard
-//                 from the telemetry files found in <run-dir>)
-//   xlp diff      <old> <new> [--threshold 10] [--html diff.html]
-//                 (compares two BENCH_*.json files, two directories of
-//                 them or two run directories; a tracked metric worse by
-//                 more than --threshold percent fails, and so does any
-//                 difference from a --deterministic document. Exit 0
-//                 clean, 1 failed rows, 2 unreadable or empty inputs)
-//   xlp submit    (--file batch.json | --sweep-n 8 [--method dcsa]
-//                 [--moves 10000] [--base-flit 256] [--seed 1])
-//                 (--sweep-n submits the C-sweep as one `sweep` request,
-//                 the one `xlp sweep` runs for the same flags)
-//                 (--queue <dir> [--wait 60] [--name <id>] | --socket <path>)
-//                 [--retries 5] [--retry-base-ms 50]
-//                 (submits a request batch to a running `xlpd` — see
-//                 docs/service.md — and prints the reply document; a
-//                 per-request summary with wall time and HIT/MISS markers
-//                 goes to stderr, and the exit code is 1 when any request
-//                 in the batch errored. Socket transport errors and
-//                 retryable error replies are resubmitted with bounded
-//                 exponential backoff — which also covers racing a daemon
-//                 that has not bound its socket yet)
-//   xlp top       <socket> [--interval 1] [--once] [--retries 5]
-//                 [--retry-base-ms 50]
-//                 (live refreshing view of a running `xlpd`: uptime,
-//                 request counts, dedup funnel, cache occupancy, worker
-//                 utilization and queue-wait/execution/end-to-end latency
-//                 quantiles, polled via `stats` requests)
+// `xlp --help` lists the commands and `xlp <command> --help` a command's
+// flags with their types, defaults and help: each flag is declared once,
+// in the command table above main(). A flag the command does not declare,
+// or a value of the wrong type, is a usage error before any work.
 //
-// Telemetry (see docs/observability.md):
-//   --trace <file.jsonl>   structured JSONL trace of discrete events (run
-//                          status on solve/simulate/run, channel heatmap
-//                          and sim.done on simulate/run, fault events on
-//                          faults); not available on `replay`, whose
-//                          --trace names the input packet trace
-//   --metrics <file.json>  dump the global metrics registry after the run
-//   --stats-json <file>    full SimStats serialization (simulate/replay/run)
-//   --series <file.json>   bounded-memory time-series recording (simulator
-//                          cycle telemetry on simulate/run, SA cooling
-//                          trajectories on solve/run), schema xlp-series/1
-//   --profile-json <file>  enable the hierarchical profiler and dump the
-//                          merged scope tree as JSON after the run
+// solve, simulate, sweep and run turn their request flags into an
+// xlp-request/1 document and parse it with svc::Request::from_json
+// (docs/service.md), so the request defaults are svc::Request's and a run
+// id is the request id xlpd uses for the same work. Every command that
+// records a run appends one JSONL record to <out-dir>/ledger.jsonl
+// (docs/observability.md). SIGINT/SIGTERM request a cooperative stop that
+// reports (and checkpoints) the best solution so far (docs/resilience.md).
 //
-// Run ledger:
-//   every subcommand appends one JSONL record to <out-dir>/ledger.jsonl
-//   (run id = content hash over the canonical scenario params; plus
-//   provenance, wall time, exit status and artifact paths). solve,
-//   simulate and sweep run an svc::Request (docs/service.md; --chains and
-//   --vec are its `chains` and `vec` fields) and record it as their
-//   params, so their run id is the request id xlpd uses for the same work;
-//   run nests its solve request; other subcommands add `subcommand` and
-//   `seed`.
-//   --out-dir <dir> relocates the ledger (default "."), --no-ledger
-//   disables it.
-//
-// Parallel execution (see docs/parallelism.md):
-//   --threads <N>          pool workers for portfolios (`solve --chains`),
-//                          sweeps and fault campaigns; overrides the
-//                          XLP_THREADS environment variable (default: all
-//                          hardware threads). Determinism contract: results
-//                          and checkpoints are byte-identical for every N —
-//                          --threads 1 just runs them sequentially.
-//
-// Run control (see docs/resilience.md):
-//   --time-limit <seconds>     wall-clock budget; searches, sweeps and
-//                              simulations stop at the deadline and report
-//                              best-so-far
-//   --checkpoint <file.json>   (solve/run) periodically persist annealer
-//                              state, atomically, plus once on any early stop
-//   --checkpoint-every <moves> sink cadence in SA moves (default 10000)
-//   --resume <file.json>       (run) continue from a checkpoint; with the
-//                              same seed the result is bit-identical to an
-//                              uninterrupted run
-//   SIGINT/SIGTERM request a cooperative stop: the current best solution is
-//   reported (and checkpointed) before exit; a second signal kills outright.
-//
-// Every subcommand prints a short human-readable report. Exit codes:
+// Exit codes:
 //   0    success (including runs stopped gracefully by --time-limit)
 //   1    domain failure (I/O, malformed input, simulation error)
-//   2    usage error (unknown command/flag values, bad preconditions)
+//   2    usage error (unknown command or flag, bad flag values)
 //   130  interrupted by SIGINT/SIGTERM (best-effort results were saved)
 
 #include <algorithm>
@@ -159,14 +73,37 @@ namespace {
 constexpr int kExitUsage = 2;
 constexpr int kExitInterrupted = 130;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: xlp <solve|sweep|simulate|trace|replay|appspec|run|"
-               "faults|bench|report|diff|submit|top> "
-               "[options]\n(see the header of tools/xlp_cli.cpp for the "
-               "full option list)\n");
-  return kExitUsage;
+using Flags = std::vector<Args::Flag>;
+using enum Args::Type;
+
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
 }
+
+// Flag groups, each listed by the commands that read it. main() reads the
+// ledger, output and thread flags; `bench` also writes its BENCH_*.json
+// files into --out-dir.
+const Flags kLedgerFlags = {
+    {"out-dir", kString, ".", "directory of ledger.jsonl"},
+    {"no-ledger", kBool, "", "append no ledger record"}};
+const Flags kOutputFlags = {
+    {"metrics", kString, "", "write the metrics registry to this file"},
+    {"profile-json", kString, "", "profile, write the scope tree here"}};
+const Flags kThreadFlags = {
+    {"threads", kInt, "0", "pool workers (0: XLP_THREADS or all cores)"}};
+const Flags kRunControlFlags = {
+    {"time-limit", kDouble, "0",
+     "wall seconds, then stop with best-so-far (0: none)"}};
+const Flags kCheckpointFlags = {
+    {"checkpoint", kString, "", "annealer state file, kept up to date"},
+    {"checkpoint-every", kLong, "10000", "checkpoint cadence in SA moves"}};
+const Flags kRetryFlags = {
+    {"retries", kInt, "5", "resubmissions of a failed round trip"},
+    {"retry-base-ms", kDouble, "50", "first backoff in ms, then doubled"}};
+const Args::Flag kTraceFlag = {"trace", kString, "", "JSONL event trace"};
+const Args::Flag kSeriesFlag = {"series", kString, "", "xlp-series/1 file"};
+const Args::Flag kStatsFlag = {"stats-json", kString, "", "SimStats file"};
 
 /// What the running subcommand contributes to its run-ledger record.
 /// Commands fill the scenario identity (subcommand, canonical params,
@@ -210,7 +147,7 @@ runctl::CancelToken g_cancel_token;
 /// signal token plus the optional `--time-limit <seconds>` deadline.
 runctl::RunControl make_run_control(const Args& args) {
   runctl::Deadline deadline;
-  const double limit = args.get_double("time-limit", 0.0);
+  const double limit = args.get_double("time-limit");
   if (limit > 0.0) deadline = runctl::Deadline::after_seconds(limit);
   return runctl::RunControl(&g_cancel_token, deadline);
 }
@@ -247,12 +184,89 @@ auto from_flags(Parse&& parse) {
   }
 }
 
+/// A flag that sets a member of the xlp-request/1 document; its default is
+/// that member's default in svc::Request.
+struct RequestFlag {
+  const char* flag;
+  const char* member;
+  Args::Type type;
+  const char* help;
+};
+
+constexpr RequestFlag kRequestFlags[] = {
+    {"n", "n", kInt, "routers per side"},
+    {"c", "c", kInt, "link limit C"},
+    {"base-flit", "b", kInt, "baseline flit width B in bits"},
+    {"method", "method", kString, "dcsa | onlysa | dnc | exact"},
+    {"moves", "moves", kLong, "SA move budget"},
+    {"chains", "chains", kInt, "annealing chains (> 1: a portfolio)"},
+    {"links", "links", kString, "row/column express links lo-hi,lo-hi,..."},
+    {"pattern", "workload", kString, "synthetic pattern or PARSEC model"},
+    {"load", "load", kDouble, "offered packets/node/cycle"},
+    {"cycles", "cycles", kLong, "measurement window in cycles"},
+    {"routing", "routing", kString, "xy | yx | o1turn"},
+    {"vcs", "vcs", kInt, "virtual channels per port"},
+    {"vec", "vec", kBool, "virtual-express bypass"},
+    {"seed", "seed", kLong, "random seed"}};
+
+const RequestFlag& request_flag(const std::string& name) {
+  for (const RequestFlag& flag : kRequestFlags)
+    if (name == flag.flag) return flag;
+  XLP_FAIL("no request flag --" + name);
+}
+
+/// Declares the request flags `names`, with svc::Request's defaults.
+Flags request_flags(std::initializer_list<const char*> names) {
+  const obs::Json defaults = svc::Request{}.fields();
+  Flags flags;
+  for (const char* name : names) {
+    const RequestFlag& flag = request_flag(name);
+    const obs::Json& value = *defaults.find(flag.member);
+    const std::string fallback = value.is_string()   ? value.as_string()
+                                 : value.is_number() ? value.dump()
+                                                     : "";
+    flags.push_back({flag.flag, flag.type, fallback, flag.help});
+  }
+  return flags;
+}
+
+/// The request of `kind` that `members` and the command's given request
+/// flags describe (a member the caller sets wins over its flag), parsed by
+/// svc::Request::from_json, the daemon's parser: an absent flag keeps the
+/// request default, and a kParse error is a bad flag value (exit 2).
+svc::Request request_from_flags(const Args& args, const char* kind,
+                                obs::Json members = obs::Json::object()) {
+  members.set("kind", kind);
+  for (const RequestFlag& flag : kRequestFlags) {
+    const std::string name = flag.flag;
+    if (!args.declares(name) || !args.has(name) ||
+        members.find(flag.member) != nullptr)
+      continue;
+    switch (flag.type) {
+      case kBool: members.set(flag.member, true); break;
+      case kInt:
+      case kLong: {
+        // A request's numbers are doubles, exact only up to 2^53.
+        const long value = args.get_long(name);
+        if (value > (1L << 53) || value < -(1L << 53))
+          throw Error(ErrorCode::kUsage,
+                      "option --" + name + " must be within +-2^53");
+        members.set(flag.member, value);
+        break;
+      }
+      case kDouble: members.set(flag.member, args.get_double(name)); break;
+      case kString: members.set(flag.member, args.get_string(name)); break;
+    }
+  }
+  return from_flags([&] { return svc::Request::from_json(members); });
+}
+
 /// Owns the optional `--trace <file.jsonl>` output: the stream plus the
 /// JSONL sink writing to it. When the flag is absent the sink is nullptr,
 /// which every instrumented path reads as "off".
 class TraceOutput {
  public:
-  explicit TraceOutput(const Args& args) : path_(args.get_or("trace", "")) {
+  explicit TraceOutput(const Args& args) : path_(args.get_string("trace")) {
     if (path_.empty()) return;
     util::ensure_parent_dir(path_);
     stream_.open(path_);
@@ -283,7 +297,7 @@ class TraceOutput {
 class SeriesOutput {
  public:
   explicit SeriesOutput(const Args& args)
-      : path_(args.get_or("series", "")) {}
+      : path_(args.get_string("series")) {}
 
   /// For SimConfig::series / SaParams::series, which treat nullptr as off.
   [[nodiscard]] obs::SeriesRecorder* recorder_or_null() {
@@ -304,7 +318,7 @@ class SeriesOutput {
 };
 
 void write_stats_if_requested(const Args& args, const sim::SimStats& stats) {
-  const std::string path = args.get_or("stats-json", "");
+  const std::string path = args.get_string("stats-json");
   if (path.empty()) return;
   std::printf("  stats-json: %s %s\n", path.c_str(),
               sim::write_stats_json(stats, path) ? "written" : "NOT WRITTEN");
@@ -312,24 +326,17 @@ void write_stats_if_requested(const Args& args, const sim::SimStats& stats) {
 }
 
 int cmd_solve(const Args& args) {
-  svc::Request request;
-  request.n = args.get_int("n", 8);
-  request.link_limit = args.get_int("c", 4);
-  request.method = args.get_or("method", "dcsa");
-  request.moves = args.get_long("moves", 10000);
-  request.chains = args.get_int("chains", 1);
-  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  const svc::Request request = request_from_flags(args, "solve");
   g_ledger.identify("solve", request.to_json(), request.seed);
-  from_flags([&] { request.validate(); });
 
   TraceOutput trace(args);
   SeriesOutput series(args);
   runctl::RunControl control = make_run_control(args);
-  const std::string checkpoint_path = args.get_or("checkpoint", "");
+  const std::string checkpoint_path = args.get_string("checkpoint");
   core::SaParams hooks;
   hooks.series = series.recorder_or_null();
   hooks.control = &control;
-  hooks.checkpoint_every_moves = args.get_long("checkpoint-every", 10000);
+  hooks.checkpoint_every_moves = args.get_long("checkpoint-every");
   long portfolio_evaluations = -1;
   const core::PlacementResult result =
       svc::solve(request, hooks, checkpoint_path, &portfolio_evaluations);
@@ -353,24 +360,11 @@ int cmd_solve(const Args& args) {
   return 0;
 }
 
-/// The sweep request `xlp sweep --n <n>` runs and `xlp submit --sweep-n
-/// <n>` sends, from the flags both take.
-svc::Request sweep_request(const Args& args, int n) {
-  svc::Request request;
-  request.kind = svc::RequestKind::kSweep;
-  request.n = n;
-  request.moves = args.get_long("moves", 10000);
-  request.base_flit_bits = args.get_int("base-flit", topo::kBaseFlitBits);
-  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  return request;
-}
-
 /// The paper's outer loop as one svc::Request of kind sweep: the table
 /// holds the points xlpd serves for the same request document.
 int cmd_sweep(const Args& args) {
-  const svc::Request request = sweep_request(args, args.get_int("n", 8));
+  const svc::Request request = request_from_flags(args, "sweep");
   g_ledger.identify("sweep", request.to_json(), request.seed);
-  from_flags([&] { request.validate(); });
 
   runctl::RunControl control = make_run_control(args);
   const auto points = svc::sweep(request, &control);
@@ -394,23 +388,9 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
-  svc::Request request;
-  request.kind = svc::RequestKind::kSimulate;
-  request.n = args.get_int("n", 8);
-  request.link_limit = args.get_int("c", 4);
-  request.links = args.get_or("links", "");
-  request.workload = args.get_or("pattern", "uniform_random");
-  request.load = args.get_double("load", 0.02);
-  request.cycles = args.get_long("cycles", 10000);
-  request.routing = args.get_or("routing", "xy");
-  request.vcs = args.get_int("vcs", 4);
-  request.vec = args.has("vec");
-  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  const svc::Request request = request_from_flags(args, "simulate");
   g_ledger.identify("simulate", request.to_json(), request.seed);
-  const topo::ExpressMesh design = from_flags([&] {
-    request.validate();
-    return svc::design_of(request);
-  });
+  const topo::ExpressMesh design = svc::design_of(request);
 
   TraceOutput trace(args);
   SeriesOutput series(args);
@@ -447,13 +427,13 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  const int n = args.get_int("n", 8);
-  const std::string out_path = args.get_or("out", "");
+  const int n = args.get_int("n");
+  const std::string out_path = args.get_string("out");
   XLP_REQUIRE(!out_path.empty(), "--out <file> is required");
-  const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  const std::string pattern = args.get_or("pattern", "transpose");
-  const double load = args.get_double("load", 0.02);
-  const long cycles = args.get_long("cycles", 10000);
+  const auto seed = static_cast<std::uint64_t>(args.get_long("seed"));
+  const std::string pattern = args.get_string("pattern");
+  const double load = args.get_double("load");
+  const long cycles = args.get_long("cycles");
   g_ledger.describe("trace",
                     obs::Json::object()
                         .set("n", n)
@@ -476,21 +456,22 @@ int cmd_trace(const Args& args) {
 }
 
 int cmd_replay(const Args& args) {
-  const std::string path = args.get_or("trace", "");
+  const std::string path = args.get_string("trace");
   XLP_REQUIRE(!path.empty(), "--trace <file> is required");
   std::ifstream in(path);
   XLP_REQUIRE(in.good(), "cannot open " + path);
   const auto trace = traffic::Trace::load(in);
 
-  const int c = args.get_int("c", 4);
+  const int c = args.get_int("c");
+  const std::string links = args.get_string("links");
   const topo::RowTopology row(trace.side(), from_flags([&] {
-    return topo::parse_links(args.get_or("links", ""));
+    return topo::parse_links(links);
   }));
   const topo::ExpressMesh design = topo::make_design(row, c);
   g_ledger.describe("replay",
                     obs::Json::object()
                         .set("trace", path)
-                        .set("links", args.get_or("links", ""))
+                        .set("links", links)
                         .set("c", c),
                     0);
   runctl::RunControl control = make_run_control(args);
@@ -518,24 +499,29 @@ int cmd_run(const Args& args) {
   TraceOutput trace(args);
   SeriesOutput series(args);
   runctl::RunControl control = make_run_control(args);
-  const std::string checkpoint_path = args.get_or("checkpoint", "");
-  const std::string resume_path = args.get_or("resume", "");
+  const std::string checkpoint_path = args.get_string("checkpoint");
+  const std::string resume_path = args.get_string("resume");
 
-  svc::Request solve_request;
-  solve_request.n = args.get_int("n", 8);
-  solve_request.link_limit = args.get_int("c", 4);
-  solve_request.moves = args.get_long("moves", 10000);
-  solve_request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  const std::string pattern = args.get_or("pattern", "uniform_random");
-  const double load = args.get_double("load", 0.02);
-  const long cycles = args.get_long("cycles", 10000);
+  svc::Request solve_request = request_from_flags(args, "solve");
+  // The simulate phase runs on the solve's instance and placement; its
+  // own flags are parsed up front, before any work.
+  const auto simulate_request = [&](const std::string& links) {
+    return request_from_flags(
+        args, "simulate",
+        obs::Json::object()
+            .set("n", solve_request.n)
+            .set("c", solve_request.link_limit)
+            .set("seed", static_cast<long>(solve_request.seed))
+            .set("links", links));
+  };
+  const svc::Request simulate_flags = simulate_request("");
   const auto identify = [&] {
     g_ledger.identify("run",
                       obs::Json::object()
                           .set("solve", solve_request.to_json())
-                          .set("pattern", pattern)
-                          .set("load", load)
-                          .set("cycles", cycles)
+                          .set("pattern", simulate_flags.workload)
+                          .set("load", simulate_flags.load)
+                          .set("cycles", simulate_flags.cycles)
                           .set("resumed", !resume_path.empty()),
                       solve_request.seed);
   };
@@ -554,7 +540,7 @@ int cmd_run(const Args& args) {
   core::SaParams hooks;
   hooks.series = series.recorder_or_null();
   hooks.control = &control;
-  hooks.checkpoint_every_moves = args.get_long("checkpoint-every", 10000);
+  hooks.checkpoint_every_moves = args.get_long("checkpoint-every");
   // Where the checkpoint is (re)written: an explicit --checkpoint wins; a
   // resumed run otherwise keeps writing the file it resumed from.
   const std::string saved =
@@ -586,13 +572,8 @@ int cmd_run(const Args& args) {
     return 0;
   }
 
-  svc::Request sim_request = solve_request;
-  sim_request.kind = svc::RequestKind::kSimulate;
-  sim_request.workload = pattern;
-  sim_request.load = load;
-  sim_request.cycles = cycles;
-  sim_request.links = topo::format_links(result.placement);
-  from_flags([&] { sim_request.validate(); });
+  const svc::Request sim_request =
+      simulate_request(topo::format_links(result.placement));
   sim::SimConfig sim_hooks;
   sim_hooks.trace = trace.sink_or_null();
   sim_hooks.series = series.recorder_or_null();
@@ -616,17 +597,17 @@ int cmd_run(const Args& args) {
 /// mid-run (see docs/fault_tolerance.md).
 int cmd_faults(const Args& args) {
   exp::FaultCampaignConfig config;
-  config.n = args.get_int("n", 8);
-  config.link_limit = args.get_int("c", 4);
-  config.kill_links = args.get_int("kill-express", 1);
-  config.trials = args.get_int("trials", 10);
-  config.fault_cycle = args.get_long("at-cycle", 2000);
-  config.recover_cycle = args.get_long("recover-at", -1);
-  config.load = args.get_double("load", 0.02);
-  config.max_retries = args.get_int("retries", 3);
-  config.reliability_weight = args.get_double("rel-weight", 0.3);
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  const std::string policy = args.get_or("policy", "drop");
+  config.n = args.get_int("n");
+  config.link_limit = args.get_int("c");
+  config.kill_links = args.get_int("kill-express");
+  config.trials = args.get_int("trials");
+  config.fault_cycle = args.get_long("at-cycle");
+  config.recover_cycle = args.get_long("recover-at");
+  config.load = args.get_double("load");
+  config.max_retries = args.get_int("retries");
+  config.reliability_weight = args.get_double("rel-weight");
+  config.seed = static_cast<std::uint64_t>(args.get_long("seed"));
+  const std::string policy = args.get_string("policy");
   if (policy == "drain") config.policy = sim::FaultPolicy::kDrainThenSwap;
   else XLP_REQUIRE(policy == "drop", "--policy must be drop or drain");
   g_ledger.describe("faults",
@@ -669,7 +650,7 @@ int cmd_faults(const Args& args) {
   std::printf("  latencies in cycles; degraded = mean over trials after "
               "rerouting\n");
 
-  if (const std::string json_path = args.get_or("json", "");
+  if (const std::string json_path = args.get_string("json");
       !json_path.empty()) {
     if (!util::atomic_write_file(json_path, result.to_json().dump() + "\n"))
       throw Error(ErrorCode::kIo, "cannot write " + json_path);
@@ -681,11 +662,11 @@ int cmd_faults(const Args& args) {
 }
 
 int cmd_appspec(const Args& args) {
-  const int n = args.get_int("n", 8);
-  const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
-  const std::string workload = args.get_or("workload", "canneal");
-  const double load = args.get_double("load", 0.02);
-  const long moves = args.get_long("moves", 2000);
+  const int n = args.get_int("n");
+  const auto seed = static_cast<std::uint64_t>(args.get_long("seed"));
+  const std::string workload = args.get_string("workload");
+  const double load = args.get_double("load");
+  const long moves = args.get_long("moves");
   g_ledger.describe("appspec",
                     obs::Json::object()
                         .set("n", n)
@@ -714,14 +695,13 @@ int cmd_appspec(const Args& args) {
 int cmd_bench(const Args& args) {
   bench::register_all_suites();
   bench::RunnerOptions options;
-  options.filter = args.get_or("filter", "");
-  options.repeats = std::max(1, args.get_int("repeats", 5));
-  options.warmup = std::max(0, args.get_int("warmup", 1));
-  options.out_dir = args.get_or("out-dir", ".");
+  options.filter = args.get_string("filter");
+  options.repeats = std::max(1, args.get_int("repeats"));
+  options.warmup = std::max(0, args.get_int("warmup"));
+  options.out_dir = args.get_string("out-dir");
   options.deterministic = args.has("deterministic");
-  options.provenance =
-      obs::Provenance::collect(static_cast<std::uint64_t>(
-          args.get_long("seed", 0)));
+  options.provenance = obs::Provenance::collect(
+      static_cast<std::uint64_t>(args.get_long("seed")));
   g_ledger.describe("bench",
                     obs::Json::object()
                         .set("filter", options.filter)
@@ -729,7 +709,7 @@ int cmd_bench(const Args& args) {
                         .set("warmup", options.warmup)
                         .set("deterministic", options.deterministic),
                     options.provenance.seed);
-  return bench::run_and_report(options, args.get_or("profile", ""),
+  return bench::run_and_report(options, args.get_string("profile"),
                                args.has("list"));
 }
 
@@ -739,16 +719,14 @@ int cmd_bench(const Args& args) {
 /// everything inline — no scripts, no external resources — so it can be
 /// archived or attached to CI artifacts as one file.
 int cmd_report(const Args& args) {
-  XLP_REQUIRE(!args.positional().empty(),
-              "usage: xlp report <run-dir> [--out <file.html>]");
   const std::string dir = args.positional().front();
   XLP_REQUIRE(std::filesystem::is_directory(dir),
               "not a directory: " + dir);
   g_ledger.describe("report", obs::Json::object().set("dir", dir), 0);
 
   const obs::RunDirData data = obs::collect_run_dir(dir);
-  const std::string out_path = args.get_or(
-      "out", (std::filesystem::path(dir) / "report.html").string());
+  const std::string out_path =
+      args.get_or("out", (std::filesystem::path(dir) / "report.html").string());
   const std::string html = obs::render_report_html(data);
   if (!util::atomic_write_file(out_path, html))
     throw Error(ErrorCode::kIo, "cannot write " + out_path);
@@ -767,14 +745,11 @@ int cmd_report(const Args& args) {
 /// Compares two outputs through obs::diff_inputs. Its exit 1 means failed
 /// rows, so an input it cannot compare exits 2, not the CLI's usual 1.
 int cmd_diff(const Args& args) {
-  XLP_REQUIRE(args.positional().size() == 2,
-              "usage: xlp diff <old> <new> [--threshold <pct>] "
-              "[--html <file>]");
-  const double threshold = args.get_double("threshold", 10.0);
+  const double threshold = args.get_double("threshold");
   XLP_REQUIRE(threshold >= 0.0, "option --threshold needs a percentage >= 0");
   try {
     return obs::diff_inputs(args.positional()[0], args.positional()[1],
-                            threshold, args.get_or("html", ""));
+                            threshold, args.get_string("html"));
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return kExitUsage;
@@ -817,26 +792,25 @@ void summarize_replies(const std::string& reply_text, std::size_t index,
 int cmd_submit(const Args& args) {
   std::string text;
   std::optional<obs::Json> doc;
-  if (const std::string file = args.get_or("file", ""); !file.empty()) {
+  if (const std::string file = args.get_string("file"); !file.empty()) {
     const auto loaded = util::read_file(file);
     XLP_REQUIRE(loaded.has_value(), "cannot read " + file);
     text = *loaded;
     doc = obs::Json::parse(text);
     XLP_REQUIRE(doc.has_value(), "not valid JSON: " + file);
   } else {
-    const int n = args.get_int("sweep-n", 0);
-    XLP_REQUIRE(n > 0, "either --file <batch.json> or --sweep-n <n>");
-    svc::Request request = sweep_request(args, n);
-    request.method = args.get_or("method", "dcsa");
-    from_flags([&] { request.validate(); });
+    XLP_REQUIRE(args.has("sweep-n"),
+                "either --file <batch.json> or --sweep-n <n>");
+    const svc::Request request = request_from_flags(
+        args, "sweep", obs::Json::object().set("n", args.get_int("sweep-n")));
     doc = request.to_json();
     text = doc->dump();
   }
   const long request_count =
       doc->is_array() ? static_cast<long>(doc->size()) : 1;
 
-  const std::string queue_dir = args.get_or("queue", "");
-  const std::string socket_path = args.get_or("socket", "");
+  const std::string queue_dir = args.get_string("queue");
+  const std::string socket_path = args.get_string("socket");
   XLP_REQUIRE(queue_dir.empty() != socket_path.empty(),
               "exactly one of --queue <dir> or --socket <path>");
   g_ledger.describe("submit",
@@ -844,12 +818,12 @@ int cmd_submit(const Args& args) {
                         .set("transport", queue_dir.empty() ? "socket"
                                                             : "queue")
                         .set("requests", request_count),
-                    static_cast<std::uint64_t>(args.get_long("seed", 1)));
+                    static_cast<std::uint64_t>(args.get_long("seed")));
 
   svc::RetryPolicy retry;
-  retry.retries = args.get_int("retries", 5);
-  retry.base_ms = args.get_double("retry-base-ms", 50.0);
-  retry.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  retry.retries = args.get_int("retries");
+  retry.base_ms = args.get_double("retry-base-ms");
+  retry.seed = static_cast<std::uint64_t>(args.get_long("seed"));
 
   Stopwatch wall;
   std::string reply;
@@ -890,13 +864,11 @@ int cmd_submit(const Args& args) {
     } else {
       // Name the submission by its content hash so resubmitting the same
       // batch never piles up distinct queue files.
-      const std::string name =
-          args.get_or("name", obs::fnv1a64_hex(text));
+      const std::string name = args.get_or("name", obs::fnv1a64_hex(text));
       if (!svc::queue_submit(queue_dir, name, text))
         throw Error(ErrorCode::kIo, "cannot submit into " + queue_dir);
       // Throws with request / elapsed / inbox-state context on timeout.
-      reply = svc::queue_wait(queue_dir, name,
-                              args.get_double("wait", 60.0));
+      reply = svc::queue_wait(queue_dir, name, args.get_double("wait"));
     }
     // Whole-document transports: summarize each reply element without a
     // per-request wall time (the batch is answered as one unit).
@@ -932,16 +904,13 @@ std::string format_ns(double ns) {
 /// smoke tests); otherwise the view refreshes every `--interval` seconds
 /// until SIGINT.
 int cmd_top(const Args& args) {
-  XLP_REQUIRE(!args.positional().empty(),
-              "usage: xlp top <socket> [--interval <sec>] [--once] "
-              "[--retries <n>] [--retry-base-ms <ms>]");
   const std::string socket_path = args.positional().front();
-  const double interval = std::max(args.get_double("interval", 1.0), 0.05);
+  const double interval = std::max(args.get_double("interval"), 0.05);
   const bool once = args.has("once");
   const std::string probe = svc::stats_request_text();
   svc::RetryPolicy retry;
-  retry.retries = args.get_int("retries", 5);
-  retry.base_ms = args.get_double("retry-base-ms", 50.0);
+  retry.retries = args.get_int("retries");
+  retry.base_ms = args.get_double("retry-base-ms");
 
   const auto num = [](const obs::Json* doc, const char* key) {
     const obs::Json* value = doc != nullptr ? doc->find(key) : nullptr;
@@ -1042,60 +1011,189 @@ int cmd_top(const Args& args) {
   }
 }
 
+/// One subcommand: its positional arguments, a one-line summary, its
+/// handler and every flag it reads.
+struct Command {
+  const char* name;
+  const char* positionals;  // as shown in its usage line
+  std::size_t positional_count;
+  const char* summary;
+  int (*run)(const Args&);
+  Flags flags;
+};
+
+const std::vector<Command>& commands() {
+  // The request flags `xlp sweep` and `xlp submit --sweep-n` share; each
+  // names n its own way.
+  static const Flags kSweepFlags =
+      request_flags({"base-flit", "method", "moves", "seed"});
+  static const std::vector<Command> table = {
+      {"solve", "", 0, "anneal or solve exactly one row placement P̄(n, C)",
+       cmd_solve,
+       request_flags({"n", "c", "method", "moves", "chains", "seed"}) +
+           Flags{kTraceFlag, kSeriesFlag} + kRunControlFlags +
+           kCheckpointFlags + kThreadFlags + kLedgerFlags + kOutputFlags},
+      {"sweep", "", 0, "best design over every link limit C of an n x n mesh",
+       cmd_sweep,
+       request_flags({"n"}) + kSweepFlags + kRunControlFlags +
+           kThreadFlags + kLedgerFlags + kOutputFlags},
+      {"simulate", "", 0, "simulate one design point cycle by cycle",
+       cmd_simulate,
+       request_flags({"n", "c", "links", "pattern", "load", "cycles",
+                      "routing", "vcs", "vec", "seed"}) +
+           Flags{kTraceFlag, kSeriesFlag, kStatsFlag} + kRunControlFlags +
+           kLedgerFlags + kOutputFlags},
+      {"trace", "", 0, "sample a workload's packets into a trace file",
+       cmd_trace,
+       Flags{{"out", kString, "", "trace file to write (required)"},
+             {"n", kInt, "8", "routers per side"},
+             {"pattern", kString, "transpose", "pattern or PARSEC model"},
+             {"load", kDouble, "0.02", "offered packets/node/cycle"},
+             {"cycles", kLong, "10000", "trace length in cycles"},
+             {"seed", kLong, "1", "random seed"}} +
+           kLedgerFlags + kOutputFlags},
+      {"replay", "", 0, "replay a trace file on one design", cmd_replay,
+       Flags{{"trace", kString, "", "trace file from xlp trace (required)"},
+             {"links", kString, "", "row/column express links lo-hi,..."},
+             {"c", kInt, "4", "link limit C"},
+             kStatsFlag} +
+           kRunControlFlags + kLedgerFlags + kOutputFlags},
+      {"appspec", "", 0, "design for one application's traffic", cmd_appspec,
+       Flags{{"workload", kString, "canneal", "PARSEC model or pattern"},
+             {"n", kInt, "8", "routers per side"},
+             {"load", kDouble, "0.02", "offered packets/node/cycle"},
+             {"moves", kLong, "2000", "SA move budget per link limit"},
+             {"seed", kLong, "1", "random seed"}} +
+           kThreadFlags + kLedgerFlags + kOutputFlags},
+      {"run", "", 0, "solve P̄(n, C), then simulate the design found", cmd_run,
+       request_flags({"n", "c", "moves", "seed", "pattern", "load", "cycles"}) +
+           Flags{kTraceFlag, kSeriesFlag, kStatsFlag} + kRunControlFlags +
+           kCheckpointFlags +
+           Flags{{"resume", kString, "",
+                  "checkpoint to continue; its n, C, moves and seed win"}} +
+           kThreadFlags + kLedgerFlags + kOutputFlags},
+      {"faults", "", 0, "express-link failure campaign over four designs",
+       cmd_faults,
+       Flags{{"n", kInt, "8", "routers per side"},
+             {"c", kInt, "4", "link limit C"},
+             {"kill-express", kInt, "1", "express links killed"},
+             {"at-cycle", kLong, "2000", "cycle of the failure"},
+             {"recover-at", kLong, "-1", "cycle of the repair (-1: none)"},
+             {"trials", kInt, "10", "trials per design"},
+             {"load", kDouble, "0.02", "offered packets/node/cycle"},
+             {"policy", kString, "drop", "drop | drain"},
+             {"retries", kInt, "3", "retransmissions of a lost packet"},
+             {"rel-weight", kDouble, "0.3", "reliability weight"},
+             {"seed", kLong, "1", "random seed"},
+             {"json", kString, "", "campaign result file"},
+             kTraceFlag} +
+           kThreadFlags + kLedgerFlags + kOutputFlags},
+      {"bench", "", 0, "run the benchmarks into BENCH_<suite>.json files",
+       cmd_bench,
+       Flags{{"filter", kString, "", "regex over suite/name and each tag"},
+             {"repeats", kInt, "5", "timed repeats per benchmark"},
+             {"warmup", kInt, "1", "untimed runs first"},
+             {"deterministic", kBool, "", "zero the timings"},
+             {"list", kBool, "", "list the selection, run nothing"},
+             {"profile", kString, "", "collapsed-stack profile file"},
+             {"seed", kLong, "0", "provenance seed"}} +
+           kThreadFlags + kLedgerFlags + kOutputFlags},
+      {"report", "<run-dir>", 1, "render a run directory as one HTML page",
+       cmd_report,
+       Flags{{"out", kString, "", "HTML file (default <run-dir>/report.html)"}}
+           + kLedgerFlags + kOutputFlags},
+      {"diff", "<old> <new>", 2, "compare two BENCH files or run directories",
+       cmd_diff,
+       Flags{{"threshold", kDouble, "10", "percent a metric may worsen"},
+             {"html", kString, "", "also write the table as HTML"}} +
+           kOutputFlags},
+      {"submit", "", 0, "send requests to a running xlpd, print the replies",
+       cmd_submit,
+       Flags{{"file", kString, "", "submission document to send"},
+             {"sweep-n", kInt, "", "send the sweep `xlp sweep --n` runs"}} +
+           kSweepFlags +
+           Flags{{"queue", kString, "", "xlpd queue directory"},
+                 {"socket", kString, "", "xlpd socket"},
+                 {"wait", kDouble, "60", "seconds to wait for a queue reply"},
+                 {"name", kString, "", "queue file name (default: hash)"}} +
+           kRetryFlags + kLedgerFlags + kOutputFlags},
+      {"top", "<socket>", 1, "live view of a running socket xlpd", cmd_top,
+       Flags{{"interval", kDouble, "1", "seconds between refreshes"},
+             {"once", kBool, "", "print one snapshot and exit"}} +
+           kRetryFlags + kOutputFlags},
+  };
+  return table;
+}
+
+/// The command list: on stdout for `xlp --help`, else on stderr (exit 2).
+int usage(std::FILE* out, int rc) {
+  std::fprintf(out,
+               "usage: xlp <command> [flags]  (`xlp <command> --help` lists "
+               "its flags)\n");
+  for (const Command& command : commands())
+    std::fprintf(out, "  %-9s %s\n", command.name, command.summary);
+  return rc;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  const Args args(argc - 1, argv + 1);
+  if (argc < 2) return usage(stderr, kExitUsage);
+  const std::string name = argv[1];
+  if (name == "--help") return usage(stdout, 0);
+  const auto& table = commands();
+  const auto command =
+      std::find_if(table.begin(), table.end(),
+                   [&](const Command& c) { return name == c.name; });
+  if (command == table.end()) return usage(stderr, kExitUsage);
+
+  // Every flag is checked against the command's table before any work.
+  std::optional<Args> parsed;
+  try {
+    parsed.emplace(argc - 1, argv + 1, command->flags);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s (see xlp %s --help)\n", e.what(),
+                 command->name);
+    return kExitUsage;
+  }
+  const Args& args = *parsed;
+  const std::string usage_line = std::string("usage: xlp ") + command->name +
+                                 (*command->positionals ? " " : "") +
+                                 command->positionals + " [flags]";
+  if (args.help_requested()) {
+    std::printf("%s\n%s\n\n%s", usage_line.c_str(), command->summary,
+                args.help().c_str());
+    return 0;
+  }
+  if (args.positional().size() != command->positional_count) {
+    std::fprintf(stderr, "%s\n", usage_line.c_str());
+    return kExitUsage;
+  }
+
   runctl::install_signal_handlers(g_cancel_token);
   // Resolved once, before dispatch: every ThreadPool the command builds
   // (portfolio chains, sweep cells, campaign trials) sizes itself from
   // this default unless its options name an explicit count.
-  if (const long threads = args.get_long("threads", 0); threads > 0)
-    util::set_default_thread_count(static_cast<int>(threads));
-
-  // Global ledger / profiler flags, queried before dispatch so the
-  // unknown-option check below never flags them. (`bench` shares --out-dir
-  // with its BENCH_*.json documents: the ledger lands next to them.)
-  const std::string out_dir = args.get_or("out-dir", ".");
-  const bool no_ledger = args.has("no-ledger");
-  const std::string profile_path = args.get_or("profile-json", "");
+  if (args.declares("threads") && args.get_int("threads") > 0)
+    util::set_default_thread_count(args.get_int("threads"));
+  const bool ledger = args.declares("out-dir") && !args.has("no-ledger");
+  const std::string profile_path = args.get_string("profile-json");
   if (!profile_path.empty()) obs::Profiler::enable();
   Stopwatch wall;
 
   int rc;
   try {
-    if (command == "solve") rc = cmd_solve(args);
-    else if (command == "sweep") rc = cmd_sweep(args);
-    else if (command == "simulate") rc = cmd_simulate(args);
-    else if (command == "trace") rc = cmd_trace(args);
-    else if (command == "replay") rc = cmd_replay(args);
-    else if (command == "appspec") rc = cmd_appspec(args);
-    else if (command == "run") rc = cmd_run(args);
-    else if (command == "faults") rc = cmd_faults(args);
-    else if (command == "bench") rc = cmd_bench(args);
-    else if (command == "report") rc = cmd_report(args);
-    else if (command == "diff") rc = cmd_diff(args);
-    else if (command == "submit") rc = cmd_submit(args);
-    else if (command == "top") rc = cmd_top(args);
-    else return usage();
+    rc = command->run(args);
 
-    // Global telemetry flag: dump the process-wide metrics registry
-    // (optimizer timers/counters accumulated during the command).
-    if (const std::string metrics_path = args.get_or("metrics", "");
+    // Dump the process-wide metrics registry (optimizer timers/counters
+    // accumulated during the command).
+    if (const std::string metrics_path = args.get_string("metrics");
         !metrics_path.empty()) {
       const bool written =
           obs::MetricsRegistry::global().write_json_file(metrics_path);
       std::printf("  metrics: %s %s\n", metrics_path.c_str(),
                   written ? "written" : "NOT WRITTEN");
       if (written) g_ledger.artifact(metrics_path);
-    }
-
-    const auto unknown = args.unknown_keys();
-    if (!unknown.empty()) {
-      for (const auto& key : unknown)
-        std::fprintf(stderr, "warning: unused option --%s\n", key.c_str());
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
@@ -1133,14 +1231,15 @@ int main(int argc, char** argv) {
   // One ledger record per invocation, failures included (the exit status
   // is part of the record). Best-effort: a read-only out-dir must not
   // change the command's outcome.
-  if (g_ledger.filled && !no_ledger) {
+  if (g_ledger.filled && ledger) {
     const obs::Provenance prov = obs::Provenance::collect(g_ledger.entry.seed);
     g_ledger.entry.git_sha = prov.git_sha;
     g_ledger.entry.hostname = prov.hostname;
     g_ledger.entry.wall_seconds = wall.seconds();
     g_ledger.entry.exit_status = rc;
     const std::string ledger_path =
-        (std::filesystem::path(out_dir) / "ledger.jsonl").string();
+        (std::filesystem::path(args.get_string("out-dir")) / "ledger.jsonl")
+            .string();
     if (!obs::append_ledger_entry(ledger_path, g_ledger.entry))
       std::fprintf(stderr, "warning: could not append to %s\n",
                    ledger_path.c_str());

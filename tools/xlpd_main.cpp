@@ -5,49 +5,11 @@
 // after (including across restarts — the cache is persisted), and deduped
 // while in flight.
 //
-//   xlpd --batch <file.json>  [--out <file.json>]
-//        serve one submission document (a request object or an array of
-//        them), write the reply document, exit. The workhorse mode for
-//        drivers: a C-sweep is one batch file.
-//   xlpd --queue <dir>        [--once] [--poll-seconds 0.2]
-//        file-queue transport: serve every <dir>/inbox/*.json into
-//        <dir>/outbox/<same-name>; --once drains and exits, otherwise
-//        polls until SIGINT.
-//   xlpd --socket <path>
-//        local-socket transport: length-prefixed JSON frames over an
-//        AF_UNIX stream socket, one frame per submission document.
-//
-// Common options:
-//   --cache-dir <dir>            result cache location (default xlp-cache)
-//   --cache-entries <n>          LRU bound (default 4096)
-//   --threads <n>                pool workers / connection workers
-//   --request-time-limit <sec>   per-request deadline; a timed-out request
-//                                yields an error reply and is not cached
-//   --metrics <file.json>        dump the metrics registry on exit
-//   --out-dir <dir>              ledger location (default "."); one
-//                                xlp-ledger/1 record per request served,
-//                                with cache_hit and its lifecycle (dedup
-//                                outcome + stage durations)
-//   --no-ledger                  disable the ledger
-//
-// Observability (docs/observability.md, docs/service.md):
-//   --series <file.json>         operational time series (requests/sec,
-//                                queue depth, in-flight, cache hit rate),
-//                                written on exit
-//   --series-window <sec>        seconds per series sample (default 1)
-//   --stats-json <file.json>     final stats snapshot (the same document
-//                                a `stats` request returns), written on
-//                                exit
-//   --no-observe                 disable latency histograms / series
-//
-// All exit artifacts (metrics, series, stats snapshot) are flushed on the
+// One of --batch, --queue or --socket picks the transport; `xlpd --help`
+// lists every flag with its default. A flag xlpd does not declare, or a
+// value of the wrong type, is a usage error before the server starts. All
+// exit artifacts (metrics, series, stats snapshot) are flushed on the
 // SIGINT drain path too, so a killed daemon leaves complete telemetry.
-//
-// Chaos testing (docs/service.md, "Failure modes and chaos testing"):
-//   --chaos <spec>               arm deterministic fault injection, e.g.
-//                                "seed=7,cache-flip=0.05,worker-throw@3";
-//                                the XLP_CHAOS environment variable is the
-//                                flagless equivalent (the flag wins)
 //
 // Exit codes: 0 success, 1 domain failure, 2 usage error, 130 when a
 // SIGINT/SIGTERM drained the server.
@@ -55,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -73,49 +36,55 @@ namespace {
 constexpr int kExitUsage = 2;
 constexpr int kExitInterrupted = 130;
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: xlpd (--batch <file> | --queue <dir> | --socket "
-               "<path>) [--cache-dir <dir>] [--cache-entries <n>] "
-               "[--threads <n>] [--request-time-limit <sec>] [--once] "
-               "[--poll-seconds <sec>] [--out <file>] [--metrics <file>] "
-               "[--out-dir <dir>] [--no-ledger] [--series <file.json>] "
-               "[--series-window <sec>] [--stats-json <file.json>] "
-               "[--no-observe] [--chaos <spec>]\n");
-  return kExitUsage;
-}
+using enum Args::Type;
+
+const std::vector<Args::Flag> kFlags = {
+    {"batch", kString, "", "serve this submission file, then exit"},
+    {"out", kString, "", "--batch: reply file (default stdout)"},
+    {"queue", kString, "", "serve <dir>/inbox/ into <dir>/outbox/"},
+    {"once", kBool, "", "--queue: drain the inbox once, then exit"},
+    {"poll-seconds", kDouble, "0.2", "--queue: inbox poll interval"},
+    {"socket", kString, "", "serve frames on this AF_UNIX socket"},
+    {"cache-dir", kString, "xlp-cache", "result cache directory"},
+    {"cache-entries", kLong, "4096", "result cache LRU bound"},
+    {"threads", kInt, "0", "workers (0: XLP_THREADS or all cores)"},
+    {"request-time-limit", kDouble, "0", "per-request deadline in seconds"},
+    {"out-dir", kString, ".", "directory of ledger.jsonl"},
+    {"no-ledger", kBool, "", "append no ledger records"},
+    {"metrics", kString, "", "write the metrics registry here on exit"},
+    {"series", kString, "", "operational time series, written on exit"},
+    {"series-window", kDouble, "1", "seconds per series sample"},
+    {"stats-json", kString, "", "final stats snapshot, written on exit"},
+    {"no-observe", kBool, "", "record no latency histograms or series"},
+    {"chaos", kString, "", "fault injection spec (overrides XLP_CHAOS)"}};
 
 runctl::CancelToken g_cancel_token;
 
 int serve(const Args& args) {
-  const std::string batch_path = args.get_or("batch", "");
-  const std::string queue_dir = args.get_or("queue", "");
-  const std::string socket_path = args.get_or("socket", "");
-  const int modes = (batch_path.empty() ? 0 : 1) +
-                    (queue_dir.empty() ? 0 : 1) +
-                    (socket_path.empty() ? 0 : 1);
-  if (modes != 1) return usage();
+  const std::string batch_path = args.get_string("batch");
+  const std::string queue_dir = args.get_string("queue");
+  const std::string socket_path = args.get_string("socket");
 
   svc::ServerOptions options;
-  options.cache_dir = args.get_or("cache-dir", "xlp-cache");
+  options.cache_dir = args.get_string("cache-dir");
   options.cache_entries =
-      static_cast<std::size_t>(args.get_long("cache-entries", 4096));
-  options.threads = args.get_int("threads", 0);
-  options.request_time_limit = args.get_double("request-time-limit", 0.0);
+      static_cast<std::size_t>(args.get_long("cache-entries"));
+  options.threads = args.get_int("threads");
+  options.request_time_limit = args.get_double("request-time-limit");
   options.cancel = &g_cancel_token;
   if (!args.has("no-ledger"))
-    options.ledger_path = (std::filesystem::path(args.get_or("out-dir", ".")) /
-                           "ledger.jsonl")
-                              .string();
+    options.ledger_path =
+        (std::filesystem::path(args.get_string("out-dir")) / "ledger.jsonl")
+            .string();
 
   options.observe = !args.has("no-observe");
-  options.series_window = args.get_double("series-window", 1.0);
-  const std::string series_path = args.get_or("series", "");
-  const std::string stats_path = args.get_or("stats-json", "");
+  options.series_window = args.get_double("series-window");
+  const std::string series_path = args.get_string("series");
+  const std::string stats_path = args.get_string("stats-json");
   obs::SeriesRecorder series;
   if (!series_path.empty()) options.series = &series;
 
-  std::string chaos_spec = args.get_or("chaos", "");
+  std::string chaos_spec = args.get_string("chaos");
   if (chaos_spec.empty())
     if (const char* env = std::getenv("XLP_CHAOS"); env != nullptr)
       chaos_spec = env;
@@ -133,7 +102,7 @@ int serve(const Args& args) {
     const auto text = util::read_file(batch_path);
     if (!text) throw Error(ErrorCode::kIo, "cannot read " + batch_path);
     const std::string reply = server.serve_text(*text);
-    if (const std::string out = args.get_or("out", ""); !out.empty()) {
+    if (const std::string out = args.get_string("out"); !out.empty()) {
       if (!util::atomic_write_file(out, reply + "\n"))
         throw Error(ErrorCode::kIo, "cannot write " + out);
     } else {
@@ -141,7 +110,7 @@ int serve(const Args& args) {
     }
   } else if (!queue_dir.empty()) {
     const long served = server.run_queue(queue_dir, args.has("once"),
-                                         args.get_double("poll-seconds", 0.2));
+                                         args.get_double("poll-seconds"));
     std::fprintf(stderr, "xlpd: served %ld submission file%s from %s\n",
                  served, served == 1 ? "" : "s", queue_dir.c_str());
   } else {
@@ -182,7 +151,29 @@ int serve(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  // Every flag is checked against kFlags before the server starts.
+  std::optional<Args> parsed;
+  try {
+    parsed.emplace(argc, argv, kFlags);
+    const Args& args = *parsed;
+    const int modes = static_cast<int>(!args.get_string("batch").empty()) +
+                      static_cast<int>(!args.get_string("queue").empty()) +
+                      static_cast<int>(!args.get_string("socket").empty());
+    if (!args.help_requested() && (modes != 1 || !args.positional().empty()))
+      throw Error(ErrorCode::kUsage,
+                  "exactly one of --batch, --queue or --socket");
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s (see xlpd --help)\n", e.what());
+    return kExitUsage;
+  }
+  const Args& args = *parsed;
+  if (args.help_requested()) {
+    std::printf("usage: xlpd (--batch <file> | --queue <dir> | --socket "
+                "<path>) [flags]\nserve xlp-request/1 documents through a "
+                "content-addressed result cache\n\n%s",
+                args.help().c_str());
+    return 0;
+  }
   runctl::install_signal_handlers(g_cancel_token);
 
   int rc;
@@ -196,7 +187,7 @@ int main(int argc, char** argv) {
     rc = 1;
   }
 
-  if (const std::string metrics_path = args.get_or("metrics", "");
+  if (const std::string metrics_path = args.get_string("metrics");
       !metrics_path.empty()) {
     if (!obs::MetricsRegistry::global().write_json_file(metrics_path))
       std::fprintf(stderr, "warning: could not write %s\n",
