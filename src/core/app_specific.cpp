@@ -14,12 +14,14 @@ AppSpecificResult solve_app_specific_for_limit(
               "link limit must divide the baseline flit width");
 
   long evaluations = 0;
+  runctl::RunStatus status = runctl::RunStatus::kCompleted;
   auto solve_weighted = [&](int length, std::vector<double> weights) {
     const RowObjective objective(length, options.latency.hop,
                                  std::move(weights));
     PlacementResult result = solve_row(objective, link_limit, options.solver,
                                        options.sa, options.dnc, rng);
     evaluations += result.evaluations;
+    if (status == runctl::RunStatus::kCompleted) status = result.status;
     return result.placement;
   };
 
@@ -38,7 +40,7 @@ AppSpecificResult solve_app_specific_for_limit(
 
   latency::LatencyBreakdown breakdown =
       evaluate_design(design, options.latency, demand);
-  return {std::move(design), breakdown, link_limit, evaluations};
+  return {std::move(design), breakdown, link_limit, evaluations, status};
 }
 
 AppSpecificResult solve_app_specific(const traffic::TrafficMatrix& demand,
@@ -47,16 +49,19 @@ AppSpecificResult solve_app_specific(const traffic::TrafficMatrix& demand,
   const int n = std::min(demand.width(), demand.height());
   AppSpecificResult best;
   bool first = true;
+  runctl::RunStatus status = runctl::RunStatus::kCompleted;
   for (const int limit : topo::valid_link_limits(n)) {
     if (options.base_flit_bits % limit != 0) continue;
     AppSpecificResult candidate =
         solve_app_specific_for_limit(demand, limit, options, rng);
+    if (status == runctl::RunStatus::kCompleted) status = candidate.status;
     if (first || candidate.breakdown.total() < best.breakdown.total()) {
       best = std::move(candidate);
       first = false;
     }
   }
   XLP_CHECK(!first, "no feasible link limit found");
+  best.status = status;
   return best;
 }
 

@@ -16,6 +16,9 @@ struct AppSpecificResult {
   latency::LatencyBreakdown breakdown;  // weighted by the traffic matrix
   int link_limit = 1;
   long evaluations = 0;
+  /// kCompleted, or how the first of the 2n solves that stopped early
+  /// (options.sa.control) ended; a stopped design is best-so-far.
+  runctl::RunStatus status = runctl::RunStatus::kCompleted;
 };
 
 /// Solves the application-specific problem for one link limit: 2n
@@ -27,7 +30,8 @@ struct AppSpecificResult {
     const SweepOptions& options, Rng& rng);
 
 /// Full flow: sweep every feasible link limit and keep the design with the
-/// lowest demand-weighted average latency.
+/// lowest demand-weighted average latency. Its status is the first early
+/// stop of any limit's solves.
 [[nodiscard]] AppSpecificResult solve_app_specific(
     const traffic::TrafficMatrix& demand, const SweepOptions& options,
     Rng& rng);

@@ -22,6 +22,36 @@ namespace {
   throw Error(ErrorCode::kParse, message);
 }
 
+/// Kinds that search for a placement: they read method and moves.
+bool searches(RequestKind kind) {
+  return kind == RequestKind::kSolve || kind == RequestKind::kSweep ||
+         kind == RequestKind::kAppspec;
+}
+
+/// Kinds that visit every feasible link limit themselves: they have no c.
+bool enumerates_c(RequestKind kind) {
+  return kind == RequestKind::kSweep || kind == RequestKind::kAppspec;
+}
+
+/// Kinds that read a traffic demand: workload and load.
+bool has_demand(RequestKind kind) {
+  return kind == RequestKind::kEvaluate || kind == RequestKind::kSimulate ||
+         kind == RequestKind::kAppspec;
+}
+
+/// The options of a sweep or appspec request's solves: its solver and
+/// move budget under `control`, its b, and the zero-load latency model.
+core::SweepOptions sweep_options(const Request& request,
+                                 runctl::RunControl* control) {
+  core::SweepOptions options;
+  options.solver = *core::parse_solver(request.method);
+  options.sa = core::SaParams{}.with_moves(request.moves);
+  options.sa.control = control;
+  options.base_flit_bits = request.base_flit_bits;
+  options.latency = latency::LatencyParams::zero_load();
+  return options;
+}
+
 /// An early stop must never produce a payload (it would be cached).
 void require_completed(runctl::RunStatus status, const char* what) {
   if (status != runctl::RunStatus::kCompleted)
@@ -118,14 +148,18 @@ Request resumed_request(const runctl::CheckpointFile& file, Request base) {
 std::vector<core::SweepPoint> sweep(const Request& request,
                                     runctl::RunControl* control) {
   request.validate();
-  core::SweepOptions options;
-  options.solver = *core::parse_solver(request.method);
-  options.sa = core::SaParams{}.with_moves(request.moves);
-  options.sa.control = control;
-  options.base_flit_bits = request.base_flit_bits;
-  options.latency = latency::LatencyParams::zero_load();
   Rng rng(request.seed);
-  return core::sweep_link_limits(request.n, request.n, options, rng);
+  return core::sweep_link_limits(request.n, request.n,
+                                 sweep_options(request, control), rng);
+}
+
+core::AppSpecificResult appspec(const Request& request,
+                                runctl::RunControl* control) {
+  request.validate();
+  Rng rng(request.seed);
+  return core::solve_app_specific(
+      traffic::resolve_workload(request.workload, request.n, request.load),
+      sweep_options(request, control), rng);
 }
 
 sim::SimStats simulate(const Request& request, const sim::SimConfig& hooks) {
@@ -153,6 +187,7 @@ const char* to_string(RequestKind kind) noexcept {
     case RequestKind::kEvaluate: return "evaluate";
     case RequestKind::kSimulate: return "simulate";
     case RequestKind::kSweep: return "sweep";
+    case RequestKind::kAppspec: return "appspec";
     case RequestKind::kStats: return "stats";
   }
   return "unknown";
@@ -165,26 +200,26 @@ obs::Json Request::to_json() const {
   // A stats request names no work: every stats request is the same
   // request, {"schema","kind"} only.
   if (kind == RequestKind::kStats) return doc;
-  // A sweep enumerates C itself and runs one chain per C.
   doc.set("n", n);
-  if (kind != RequestKind::kSweep) doc.set("c", link_limit);
+  if (!enumerates_c(kind)) doc.set("c", link_limit);
   doc.set("b", base_flit_bits);
-  if (kind == RequestKind::kSolve || kind == RequestKind::kSweep) {
+  if (searches(kind)) {
     doc.set("method", method);
     if (const auto solver = core::parse_solver(method);
         solver && core::is_annealed(*solver)) {
       doc.set("moves", moves);
+      // A sweep or appspec runs one chain per solve.
       if (chains != 1 && kind == RequestKind::kSolve)
         doc.set("chains", chains);
     }
-  } else {
-    doc.set("links", links)
-        .set("workload", workload)
-        .set("load", load);
+  }
+  if (has_demand(kind)) {
+    if (!searches(kind)) doc.set("links", links);
+    doc.set("workload", workload).set("load", load);
     if (kind == RequestKind::kSimulate) {
       doc.set("cycles", cycles).set("routing", routing).set("vcs", vcs);
       if (vec) doc.set("vec", true);
-    } else {
+    } else if (kind == RequestKind::kEvaluate) {
       doc.set("contention", contention_per_hop);
     }
   }
@@ -224,24 +259,28 @@ void Request::validate() const {
   // seeds would share one id, one cache entry and one ledger record.
   if (seed > (std::uint64_t{1} << 53)) bad_request("seed must be at most 2^53");
   if (n < 2 || n > 256) bad_request("n must be in [2, 256]");
-  // A sweep has no c: it visits the limits that divide b itself.
-  if (kind != RequestKind::kSweep) {
+  // A sweep or appspec has no c: it visits the limits that divide b
+  // itself.
+  if (!enumerates_c(kind)) {
     if (link_limit < 1) bad_request("c must be at least 1");
     if (base_flit_bits < 1 || base_flit_bits % link_limit != 0)
       bad_request("c must divide the base flit width b");
   } else if (base_flit_bits < 1) {
     bad_request("b must be at least 1");
   }
-  if (kind == RequestKind::kSolve || kind == RequestKind::kSweep) {
+  if (searches(kind)) {
     if (!core::parse_solver(method))
       bad_request("method must be dcsa, onlysa, dnc or exact");
     if (moves < 0) bad_request("moves must be non-negative");
     if (kind == RequestKind::kSolve && (chains < 1 || chains > 256))
       bad_request("chains must be in [1, 256]");
-  } else {
+  }
+  if (has_demand(kind)) {
     if (!traffic::is_known_workload(workload))
       bad_request("unknown workload '" + workload + "'");
     if (load <= 0.0 || load > 1.0) bad_request("load must be in (0, 1]");
+  }
+  if (!searches(kind)) {
     // Everything design_of() and the simulator would reject: a request
     // that is wrong in itself is a parse error, never a retryable one.
     const std::vector<topo::RowLink> parsed = topo::parse_links(links);
@@ -280,9 +319,12 @@ Request Request::from_json(const obs::Json& doc) {
         else if (kind == "evaluate") request.kind = RequestKind::kEvaluate;
         else if (kind == "simulate") request.kind = RequestKind::kSimulate;
         else if (kind == "sweep") request.kind = RequestKind::kSweep;
+        else if (kind == "appspec") request.kind = RequestKind::kAppspec;
         else if (kind == "stats") request.kind = RequestKind::kStats;
         else
-          bad_request("kind must be solve, evaluate, simulate, sweep or stats");
+          bad_request(
+              "kind must be solve, evaluate, simulate, sweep, appspec or "
+              "stats");
       } else if (key == "n") {
         request.n = value.as_int();
       } else if (key == "c") {
@@ -379,6 +421,26 @@ obs::Json execute_request(const Request& request,
           .set("kind", "sweep")
           .set("points", std::move(serialized))
           .set("best", points[core::best_point(points)].link_limit);
+    }
+    case RequestKind::kAppspec: {
+      const core::AppSpecificResult result = appspec(request, control);
+      require_completed(result.status, "appspec");
+      obs::Json rows = obs::Json::array();
+      obs::Json cols = obs::Json::array();
+      for (int i = 0; i < request.n; ++i) {
+        rows.push(result.design.row(i).to_string());
+        cols.push(result.design.col(i).to_string());
+      }
+      return obs::Json::object()
+          .set("kind", "appspec")
+          .set("c", result.link_limit)
+          .set("flit_bits", result.design.flit_bits())
+          .set("total", result.breakdown.total())
+          .set("head", result.breakdown.head)
+          .set("serialization", result.breakdown.serialization)
+          .set("rows", std::move(rows))
+          .set("cols", std::move(cols))
+          .set("evaluations", result.evaluations);
     }
     case RequestKind::kStats:
       // Stats requests are introspection, answered by the Server from

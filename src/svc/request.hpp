@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/app_specific.hpp"
 #include "core/c_sweep.hpp"
 #include "core/drivers.hpp"
 #include "obs/json.hpp"
@@ -24,10 +25,19 @@ inline constexpr const char* kRequestSchema = "xlp-request/1";
 ///  * kSimulate: flit-level simulation of a fixed design point;
 ///  * kSweep: the paper's outer loop — solve P̄(n, C) for every feasible
 ///    link limit C and keep the design with the lowest total latency;
+///  * kAppspec: the same loop for a known demand (Section 5.6.4) — every
+///    row and column gets its own placement for the workload's traffic;
 ///  * kStats: a live introspection snapshot of the serving process,
 ///    answered by the server from memory (never executed, never cached,
 ///    never ledgered — see Server::stats_snapshot()).
-enum class RequestKind { kSolve, kEvaluate, kSimulate, kSweep, kStats };
+enum class RequestKind {
+  kSolve,
+  kEvaluate,
+  kSimulate,
+  kSweep,
+  kAppspec,
+  kStats
+};
 
 [[nodiscard]] const char* to_string(RequestKind kind) noexcept;
 
@@ -45,15 +55,16 @@ struct Request {
 
   // --- network shape ---
   int n = 8;            ///< routers per side (row length for kSolve)
-  int link_limit = 4;   ///< C, the cross-section link limit (not kSweep)
+  int link_limit = 4;   ///< C, the cross-section link limit (not kSweep,
+                        ///< kAppspec)
   int base_flit_bits = 256;  ///< B, the baseline flit width
 
-  // --- kSolve / kSweep ---
+  // --- kSolve / kSweep / kAppspec ---
   std::string method = "dcsa";  ///< dcsa | onlysa | dnc | exact
   long moves = 10000;           ///< SA move budget (dcsa / onlysa)
   int chains = 1;  ///< > 1 runs a portfolio of chains (kSolve: dcsa / onlysa)
 
-  // --- kEvaluate / kSimulate ---
+  // --- kEvaluate / kSimulate (workload and load: also kAppspec) ---
   /// Express-link placement as "lo-hi,lo-hi,..." ("" = plain row). The
   /// homogeneous design replicates it over every row and column.
   std::string links;
@@ -131,16 +142,23 @@ struct Request {
 [[nodiscard]] std::vector<core::SweepPoint> sweep(
     const Request& request, runctl::RunControl* control = nullptr);
 
+/// Runs a kAppspec request: core::solve_app_specific for the workload's
+/// demand on Rng(seed), with the options svc::sweep uses. `control` (may
+/// be null) stops the 2n solves of every limit; a stopped design is
+/// best-so-far and carries its status.
+[[nodiscard]] core::AppSpecificResult appspec(
+    const Request& request, runctl::RunControl* control = nullptr);
+
 /// The design point an evaluate/simulate request names.
 [[nodiscard]] topo::ExpressMesh design_of(const Request& request);
 
 /// Executes one request to completion and returns its canonical result
 /// payload — a Json object with a fixed member order, byte-deterministic
 /// for a given request at any thread count (the determinism the cache
-/// relies on): solve() / simulate() / sweep(), then serialization.
-/// `control` may stop long solves, sweeps and simulations early; an early
-/// stop throws xlp::Error(kState) rather than returning a partial payload,
-/// so partial results are never cached.
+/// relies on): solve() / simulate() / sweep() / appspec(), then
+/// serialization. `control` may stop every kind but evaluate early; an
+/// early stop throws xlp::Error(kState) rather than returning a partial
+/// payload, so partial results are never cached.
 [[nodiscard]] obs::Json execute_request(const Request& request,
                                         runctl::RunControl* control);
 

@@ -38,10 +38,14 @@ long to_ns(double seconds) {
   return seconds > 0.0 ? static_cast<long>(seconds * 1e9) : 0;
 }
 
-/// The request kinds a server serves (stats requests are introspection).
-constexpr RequestKind kServedKinds[] = {
-    RequestKind::kSolve, RequestKind::kEvaluate, RequestKind::kSimulate,
-    RequestKind::kSweep};
+// Server::served_by_kind_ is indexed by the kind itself.
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kServedKinds); ++i)
+        if (static_cast<std::size_t>(kServedKinds[i]) != i) return false;
+      return true;
+    }(),
+    "kServedKinds must list the served kinds in RequestKind order");
 
 /// Ledger lifecycle outcome values, indexed by Server::Outcome.
 constexpr const char* kOutcomeNames[] = {"cache", "miss", "inflight",

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +23,12 @@ class SeriesRecorder;
 }  // namespace xlp::obs
 
 namespace xlp::svc {
+
+/// The request kinds a server serves (stats requests are introspection),
+/// in RequestKind order: each is its own index into the per-kind counters.
+inline constexpr RequestKind kServedKinds[] = {
+    RequestKind::kSolve, RequestKind::kEvaluate, RequestKind::kSimulate,
+    RequestKind::kSweep, RequestKind::kAppspec};
 
 struct ServerOptions {
   std::string cache_dir = "xlp-cache";
@@ -71,9 +78,9 @@ struct ServerOptions {
 /// replayed from the cache (tests/svc_test.cpp pins this).
 ///
 /// Metrics: svc.requests / svc.executed / svc.errors / svc.inflight.hits /
-/// svc.batch.hits / svc.requests.poisoned / svc.kind.{solve,evaluate,
-/// simulate,sweep} / svc.execute_ns counters, plus the cache's svc.cache.*
-/// family. The counters are resolved once at construction and every
+/// svc.batch.hits / svc.requests.poisoned / svc.kind.<kind> (one per
+/// kServedKinds entry) / svc.execute_ns counters, plus the cache's
+/// svc.cache.* family. The counters are resolved once at construction and every
 /// served request is counted in one place.
 class Server {
  public:
@@ -204,7 +211,7 @@ class Server {
   std::atomic<long>& cache_evictions_;
   std::atomic<long>& cache_corrupt_;
   /// svc.kind.<kind>, indexed by RequestKind (stats requests excluded).
-  std::atomic<long>* served_by_kind_[4] = {};
+  std::atomic<long>* served_by_kind_[std::size(kServedKinds)] = {};
 
   // --- observability ---
   Stopwatch uptime_;

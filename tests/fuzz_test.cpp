@@ -159,9 +159,13 @@ std::vector<Request> sample_requests() {
   Request sweep;
   sweep.kind = RequestKind::kSweep;
   sweep.moves = 300;
+  Request appspec;
+  appspec.kind = RequestKind::kAppspec;
+  appspec.moves = 300;
+  appspec.workload = "canneal";
   Request stats;
   stats.kind = RequestKind::kStats;
-  return {solve, evaluate, simulate, sweep, stats};
+  return {solve, evaluate, simulate, sweep, appspec, stats};
 }
 
 std::vector<std::string> sample_request_texts() {

@@ -224,25 +224,34 @@ TEST(Request, SweepIdKeepsOnlyTheFieldsASweepReads) {
   EXPECT_EQ(dnc.to_json().find("moves"), nullptr);
 }
 
+/// Whether validate() rejects a default request of `kind` after `edit`,
+/// as a parse error.
+bool rejects(RequestKind kind, void (*edit)(Request&)) {
+  Request request;
+  request.kind = kind;
+  edit(request);
+  try {
+    request.validate();
+  } catch (const Error& e) {
+    return e.code() == ErrorCode::kParse;
+  }
+  return false;
+}
+
+/// Out-of-range values of the fields a sweep reads.
+const std::vector<void (*)(Request&)> kBadSweepFields = {
+    [](Request& r) { r.n = 1; },
+    [](Request& r) { r.n = 300; },
+    [](Request& r) { r.base_flit_bits = 0; },
+    [](Request& r) { r.method = "bogus"; },
+    [](Request& r) { r.moves = -5; },
+    [](Request& r) { r.seed = (1ULL << 53) + 1; }};
+
 TEST(Request, SweepValidatesEverythingButC) {
-  const auto rejects = [](void (*edit)(Request&)) {
-    Request sweep;
-    sweep.kind = RequestKind::kSweep;
-    edit(sweep);
-    try {
-      sweep.validate();
-    } catch (const Error& e) {
-      return e.code() == ErrorCode::kParse;
-    }
-    return false;
-  };
-  EXPECT_TRUE(rejects([](Request& r) { r.n = 1; }));
-  EXPECT_TRUE(rejects([](Request& r) { r.n = 300; }));
-  EXPECT_TRUE(rejects([](Request& r) { r.base_flit_bits = 0; }));
-  EXPECT_TRUE(rejects([](Request& r) { r.method = "bogus"; }));
-  EXPECT_TRUE(rejects([](Request& r) { r.moves = -5; }));
-  EXPECT_TRUE(rejects([](Request& r) { r.seed = (1ULL << 53) + 1; }));
-  EXPECT_FALSE(rejects([](Request& r) { r.link_limit = 0; }));
+  for (const auto edit : kBadSweepFields)
+    EXPECT_TRUE(rejects(RequestKind::kSweep, edit));
+  EXPECT_FALSE(
+      rejects(RequestKind::kSweep, [](Request& r) { r.link_limit = 0; }));
 }
 
 TEST(Request, SweepCoversFeasibleLimitsOnly) {
@@ -270,6 +279,79 @@ TEST(Request, StoppedSweepIsNeverAPayload) {
   try {
     (void)execute_request(sweep, &control);
     FAIL() << "a stopped sweep returned a payload";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kState);
+  }
+}
+
+TEST(Request, AppspecIdKeepsOnlyTheFieldsItReads) {
+  Request appspec;
+  appspec.kind = RequestKind::kAppspec;
+  EXPECT_EQ(appspec.to_json().dump(),
+            R"({"schema":"xlp-request/1","kind":"appspec","n":8,"b":256,)"
+            R"("method":"dcsa","moves":10000,"workload":"uniform_random",)"
+            R"("load":0.02,"seed":1})");
+  EXPECT_EQ(Request::from_json(appspec.to_json()).id(), appspec.id());
+  // It visits every feasible C itself, solves one chain per row and
+  // column, and simulates nothing.
+  Request ignored = appspec;
+  ignored.link_limit = 3;
+  ignored.links = "0-2";
+  ignored.cycles = 50;
+  ignored.chains = 4;
+  ignored.routing = "yx";
+  ignored.contention_per_hop = 1.0;
+  EXPECT_EQ(ignored.id(), appspec.id());
+  EXPECT_NO_THROW(ignored.validate());
+  // The demand and the flit width define the design.
+  for (void (*edit)(Request&) :
+       {+[](Request& r) { r.workload = "canneal"; },
+        +[](Request& r) { r.load = 0.5; },
+        +[](Request& r) { r.base_flit_bits = 128; }}) {
+    Request changed = appspec;
+    edit(changed);
+    EXPECT_NE(changed.id(), appspec.id());
+  }
+  // Same fields as a sweep plus its demand: a different kind, a new id.
+  Request sweep = appspec;
+  sweep.kind = RequestKind::kSweep;
+  EXPECT_NE(sweep.id(), appspec.id());
+  Request dnc = appspec;
+  dnc.method = "dnc";
+  EXPECT_EQ(dnc.to_json().find("moves"), nullptr);
+}
+
+TEST(Request, AppspecValidatesLikeASweepPlusItsDemand) {
+  constexpr RequestKind kAppspec = RequestKind::kAppspec;
+  for (const auto edit : kBadSweepFields) EXPECT_TRUE(rejects(kAppspec, edit));
+  EXPECT_TRUE(rejects(kAppspec, [](Request& r) { r.workload = "bogus"; }));
+  EXPECT_TRUE(rejects(kAppspec, [](Request& r) { r.load = 0.0; }));
+  EXPECT_TRUE(rejects(kAppspec, [](Request& r) { r.load = 5.0; }));
+  // A PARSEC model has its own rate, but the load is still checked.
+  EXPECT_TRUE(rejects(kAppspec, [](Request& r) {
+    r.workload = "canneal";
+    r.load = -1.0;
+  }));
+  // Like a sweep it has no c, and it reads no links.
+  EXPECT_FALSE(rejects(kAppspec, [](Request& r) { r.link_limit = 0; }));
+  EXPECT_FALSE(rejects(kAppspec, [](Request& r) { r.links = "0-99"; }));
+  EXPECT_FALSE(rejects(kAppspec, [](Request& r) { r.workload = "canneal"; }));
+  const auto doc = obs::Json::parse(R"({"kind":"appspec","n":4,"c":3})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(Request::from_json(*doc).kind, RequestKind::kAppspec);
+}
+
+TEST(Request, StoppedAppspecIsNeverAPayload) {
+  runctl::CancelToken token;
+  ASSERT_TRUE(token.request(runctl::RunStatus::kInterrupted));
+  runctl::RunControl control(&token);
+  Request appspec;
+  appspec.kind = RequestKind::kAppspec;
+  EXPECT_NE(svc::appspec(appspec, &control).status,
+            runctl::RunStatus::kCompleted);
+  try {
+    (void)execute_request(appspec, &control);
+    FAIL() << "a stopped appspec returned a payload";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kState);
   }
@@ -628,6 +710,67 @@ TEST(Server, SweepRequestServesTheCliSweepsPoints) {
   EXPECT_EQ(again[0].payload_text, replies[0].payload_text);
   EXPECT_EQ(m1.counter("svc.executed"), 1);
   EXPECT_EQ(m1.counter("svc.kind.sweep"), 2);
+}
+
+TEST(Server, AppspecRequestServesTheCliDesign) {
+  // `xlp appspec --pattern transpose --n 4 --moves 500 --seed 3` runs this
+  // request: one core::solve_app_specific on Rng(seed) for the pattern's
+  // demand under the zero-load model.
+  const std::string text =
+      R"({"kind":"appspec","n":4,"moves":500,"workload":"transpose",)"
+      R"("seed":3})";
+  Request flags;
+  flags.kind = RequestKind::kAppspec;
+  flags.n = 4;
+  flags.moves = 500;
+  flags.workload = "transpose";
+  flags.seed = 3;
+  EXPECT_EQ(Request::from_json(*obs::Json::parse(text)).id(), flags.id());
+
+  obs::MetricsRegistry m1, m4;
+  Server one(test_options(fresh_dir("appspec_t1"), &m1, 1));
+  Server four(test_options(fresh_dir("appspec_t4"), &m4, 4));
+  util::set_default_thread_count(1);
+  const std::string reply = one.serve_text(text);
+  util::set_default_thread_count(4);
+  EXPECT_EQ(four.serve_text(text), reply);
+  util::set_default_thread_count(0);
+
+  const std::vector<Reply> replies = decode_replies(reply);
+  ASSERT_EQ(replies.size(), 1u);
+  ASSERT_TRUE(replies[0].ok) << reply;
+  EXPECT_EQ(replies[0].request_id, flags.id());
+  const obs::Json payload = *obs::Json::parse(replies[0].payload_text);
+
+  core::SweepOptions options;
+  options.sa = core::SaParams{}.with_moves(500);
+  options.latency = latency::LatencyParams::zero_load();
+  Rng rng(3);
+  const core::AppSpecificResult direct = core::solve_app_specific(
+      traffic::TrafficMatrix::from_pattern(traffic::Pattern::kTranspose, 4,
+                                           0.02),
+      options, rng);
+  EXPECT_EQ(payload.find("c")->as_int(), direct.link_limit);
+  EXPECT_EQ(payload.find("flit_bits")->as_int(), direct.design.flit_bits());
+  EXPECT_EQ(payload.find("total")->as_number(), direct.breakdown.total());
+  EXPECT_EQ(payload.find("evaluations")->as_long(), direct.evaluations);
+  const obs::Json& rows = *payload.find("rows");
+  const obs::Json& cols = *payload.find("cols");
+  ASSERT_EQ(rows.size(), 4u);
+  ASSERT_EQ(cols.size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    const auto at = static_cast<std::size_t>(i);
+    EXPECT_EQ(rows.at(at).as_string(), direct.design.row(i).to_string());
+    EXPECT_EQ(cols.at(at).as_string(), direct.design.col(i).to_string());
+  }
+
+  const std::vector<Reply> again = decode_replies(one.serve_text(text));
+  EXPECT_TRUE(again[0].cache_hit);
+  EXPECT_EQ(again[0].payload_text, replies[0].payload_text);
+  EXPECT_EQ(m1.counter("svc.executed"), 1);
+  EXPECT_EQ(m1.counter("svc.kind.appspec"), 2);
+  EXPECT_EQ(one.stats_snapshot().find("kinds")->find("appspec")->as_long(),
+            2);
 }
 
 TEST(Server, FailedRequestsAreNotCached) {

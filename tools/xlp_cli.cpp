@@ -5,7 +5,7 @@
 // in the command table above main(). A flag the command does not declare,
 // or a value of the wrong type, is a usage error before any work.
 //
-// solve, simulate, sweep and run turn their request flags into an
+// solve, simulate, sweep, appspec and run turn their request flags into an
 // xlp-request/1 document and parse it with svc::Request::from_json
 // (docs/service.md), so the request defaults are svc::Request's and a run
 // id is the request id xlpd uses for the same work. Every command that
@@ -270,7 +270,7 @@ class TraceOutput {
     if (path_.empty()) return;
     util::ensure_parent_dir(path_);
     stream_.open(path_);
-    XLP_REQUIRE(stream_.good(), "cannot open " + path_);
+    if (!stream_.good()) throw Error(ErrorCode::kIo, "cannot open " + path_);
     sink_ = std::make_unique<obs::JsonlTraceSink>(stream_);
   }
 
@@ -429,11 +429,19 @@ int cmd_simulate(const Args& args) {
 int cmd_trace(const Args& args) {
   const int n = args.get_int("n");
   const std::string out_path = args.get_string("out");
-  XLP_REQUIRE(!out_path.empty(), "--out <file> is required");
+  if (out_path.empty())
+    throw Error(ErrorCode::kUsage, "--out <file> is required");
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed"));
   const std::string pattern = args.get_string("pattern");
   const double load = args.get_double("load");
   const long cycles = args.get_long("cycles");
+  // Checked before the ledger record opens, as a request's fields are.
+  if (n < 2 || n > 256)
+    throw Error(ErrorCode::kUsage, "--n must be in [2, 256]");
+  if (!traffic::is_known_workload(pattern))
+    throw Error(ErrorCode::kUsage, "unknown --pattern '" + pattern + "'");
+  if (load <= 0.0 || load > 1.0)
+    throw Error(ErrorCode::kUsage, "--load must be in (0, 1]");
   g_ledger.describe("trace",
                     obs::Json::object()
                         .set("n", n)
@@ -441,7 +449,6 @@ int cmd_trace(const Args& args) {
                         .set("load", load)
                         .set("cycles", cycles),
                     seed);
-  g_ledger.artifact(out_path);
   const auto demand = traffic::resolve_workload(pattern, n, load);
   Rng rng(seed);
   const auto trace = traffic::Trace::sample(
@@ -450,6 +457,7 @@ int cmd_trace(const Args& args) {
   trace.save(out);
   if (!util::atomic_write_file(out_path, out.str()))
     throw Error(ErrorCode::kIo, "cannot write " + out_path);
+  g_ledger.artifact(out_path);
   std::printf("wrote %zu packets over %ld cycles to %s\n",
               trace.packets().size(), trace.duration(), out_path.c_str());
   return 0;
@@ -457,9 +465,10 @@ int cmd_trace(const Args& args) {
 
 int cmd_replay(const Args& args) {
   const std::string path = args.get_string("trace");
-  XLP_REQUIRE(!path.empty(), "--trace <file> is required");
+  if (path.empty())
+    throw Error(ErrorCode::kUsage, "--trace <file> is required");
   std::ifstream in(path);
-  XLP_REQUIRE(in.good(), "cannot open " + path);
+  if (!in.good()) throw Error(ErrorCode::kIo, "cannot open " + path);
   const auto trace = traffic::Trace::load(in);
 
   const int c = args.get_int("c");
@@ -609,7 +618,8 @@ int cmd_faults(const Args& args) {
   config.seed = static_cast<std::uint64_t>(args.get_long("seed"));
   const std::string policy = args.get_string("policy");
   if (policy == "drain") config.policy = sim::FaultPolicy::kDrainThenSwap;
-  else XLP_REQUIRE(policy == "drop", "--policy must be drop or drain");
+  else if (policy != "drop")
+    throw Error(ErrorCode::kUsage, "--policy must be drop or drain");
   g_ledger.describe("faults",
                     obs::Json::object()
                         .set("n", config.n)
@@ -661,34 +671,24 @@ int cmd_faults(const Args& args) {
   return 0;
 }
 
+/// Section 5.6.4's design for a known demand as one svc::Request of kind
+/// appspec: the rows and columns are the ones xlpd serves for the same
+/// request document.
 int cmd_appspec(const Args& args) {
-  const int n = args.get_int("n");
-  const auto seed = static_cast<std::uint64_t>(args.get_long("seed"));
-  const std::string workload = args.get_string("workload");
-  const double load = args.get_double("load");
-  const long moves = args.get_long("moves");
-  g_ledger.describe("appspec",
-                    obs::Json::object()
-                        .set("n", n)
-                        .set("workload", workload)
-                        .set("load", load)
-                        .set("moves", moves),
-                    seed);
-  const auto demand = traffic::resolve_workload(workload, n, load);
-  core::SweepOptions options;
-  options.sa = core::SaParams{}.with_moves(moves);
-  options.latency = latency::LatencyParams::zero_load();
-  options.report_traffic = demand;
-  Rng rng(seed);
-  const auto result = core::solve_app_specific(demand, options, rng);
+  const svc::Request request = request_from_flags(args, "appspec");
+  g_ledger.identify("appspec", request.to_json(), request.seed);
+
+  runctl::RunControl control(&g_cancel_token);
+  const core::AppSpecificResult result = svc::appspec(request, &control);
   std::printf("app-specific design: C=%d, weighted latency %.2f cycles\n",
               result.link_limit, result.breakdown.total());
-  for (int y = 0; y < n; ++y)
+  for (int y = 0; y < request.n; ++y)
     std::printf("  row %2d: %s\n", y,
                 result.design.row(y).to_string().c_str());
-  for (int x = 0; x < n; ++x)
+  for (int x = 0; x < request.n; ++x)
     std::printf("  col %2d: %s\n", x,
                 result.design.col(x).to_string().c_str());
+  report_status(result.status, "appspec", nullptr);
   return 0;
 }
 
@@ -720,8 +720,8 @@ int cmd_bench(const Args& args) {
 /// archived or attached to CI artifacts as one file.
 int cmd_report(const Args& args) {
   const std::string dir = args.positional().front();
-  XLP_REQUIRE(std::filesystem::is_directory(dir),
-              "not a directory: " + dir);
+  if (!std::filesystem::is_directory(dir))
+    throw Error(ErrorCode::kUsage, "not a directory: " + dir);
   g_ledger.describe("report", obs::Json::object().set("dir", dir), 0);
 
   const obs::RunDirData data = obs::collect_run_dir(dir);
@@ -746,7 +746,9 @@ int cmd_report(const Args& args) {
 /// rows, so an input it cannot compare exits 2, not the CLI's usual 1.
 int cmd_diff(const Args& args) {
   const double threshold = args.get_double("threshold");
-  XLP_REQUIRE(threshold >= 0.0, "option --threshold needs a percentage >= 0");
+  if (threshold < 0.0)
+    throw Error(ErrorCode::kUsage,
+                "option --threshold needs a percentage >= 0");
   try {
     return obs::diff_inputs(args.positional()[0], args.positional()[1],
                             threshold, args.get_string("html"));
@@ -790,17 +792,24 @@ void summarize_replies(const std::string& reply_text, std::size_t index,
 /// every summary line carries that request's true wall time. Exits 1 when
 /// any request in the batch errored.
 int cmd_submit(const Args& args) {
+  const std::string file = args.get_string("file");
+  const std::string queue_dir = args.get_string("queue");
+  const std::string socket_path = args.get_string("socket");
+  if (file.empty() != args.has("sweep-n"))
+    throw Error(ErrorCode::kUsage,
+                "exactly one of --file <batch.json> or --sweep-n <n>");
+  if (queue_dir.empty() == socket_path.empty())
+    throw Error(ErrorCode::kUsage,
+                "exactly one of --queue <dir> or --socket <path>");
   std::string text;
   std::optional<obs::Json> doc;
-  if (const std::string file = args.get_string("file"); !file.empty()) {
+  if (!file.empty()) {
     const auto loaded = util::read_file(file);
-    XLP_REQUIRE(loaded.has_value(), "cannot read " + file);
+    if (!loaded) throw Error(ErrorCode::kIo, "cannot read " + file);
     text = *loaded;
     doc = obs::Json::parse(text);
-    XLP_REQUIRE(doc.has_value(), "not valid JSON: " + file);
+    if (!doc) throw Error(ErrorCode::kParse, "not valid JSON: " + file);
   } else {
-    XLP_REQUIRE(args.has("sweep-n"),
-                "either --file <batch.json> or --sweep-n <n>");
     const svc::Request request = request_from_flags(
         args, "sweep", obs::Json::object().set("n", args.get_int("sweep-n")));
     doc = request.to_json();
@@ -808,11 +817,6 @@ int cmd_submit(const Args& args) {
   }
   const long request_count =
       doc->is_array() ? static_cast<long>(doc->size()) : 1;
-
-  const std::string queue_dir = args.get_string("queue");
-  const std::string socket_path = args.get_string("socket");
-  XLP_REQUIRE(queue_dir.empty() != socket_path.empty(),
-              "exactly one of --queue <dir> or --socket <path>");
   g_ledger.describe("submit",
                     obs::Json::object()
                         .set("transport", queue_dir.empty() ? "socket"
@@ -928,7 +932,8 @@ int cmd_top(const Args& args) {
     if (!answered)
       throw Error(ErrorCode::kIo, "no xlpd reachable at " + socket_path);
     const std::vector<svc::Reply> replies = svc::decode_replies(*answered);
-    XLP_REQUIRE(replies.size() == 1, "malformed reply from " + socket_path);
+    if (replies.size() != 1)
+      throw Error(ErrorCode::kParse, "malformed reply from " + socket_path);
     if (!replies[0].ok) throw Error(ErrorCode::kState, replies[0].payload_text);
     // decode_replies re-serialized the result, so it parses back.
     const obs::Json snapshot = *obs::Json::parse(replies[0].payload_text);
@@ -955,10 +960,16 @@ int cmd_top(const Args& args) {
         "%.0f   in-flight %.0f\n",
         served, rate, num(stats, "stats_requests"),
         num(stats, "queue_depth"), num(stats, "inflight"));
-    std::printf("kinds     solve %.0f   evaluate %.0f   simulate %.0f   "
-                "sweep %.0f\n",
-                num(kinds, "solve"), num(kinds, "evaluate"),
-                num(kinds, "simulate"), num(kinds, "sweep"));
+    // One column per served kind, in the snapshot's order.
+    std::printf("kinds    ");
+    const char* separator = " ";
+    if (kinds != nullptr && kinds->is_object())
+      for (const auto& member : kinds->members()) {
+        std::printf("%s%s %.0f", separator, member.first.c_str(),
+                    num(kinds, member.first.c_str()));
+        separator = "   ";
+      }
+    std::printf("\n");
     std::printf(
         "dedup     cache %.0f   inflight %.0f   batch %.0f   executed %.0f "
         "  errors %.0f   poisoned %.0f   hit rate %.1f%%\n",
@@ -1059,12 +1070,9 @@ const std::vector<Command>& commands() {
              kStatsFlag} +
            kRunControlFlags + kLedgerFlags + kOutputFlags},
       {"appspec", "", 0, "design for one application's traffic", cmd_appspec,
-       Flags{{"workload", kString, "canneal", "PARSEC model or pattern"},
-             {"n", kInt, "8", "routers per side"},
-             {"load", kDouble, "0.02", "offered packets/node/cycle"},
-             {"moves", kLong, "2000", "SA move budget per link limit"},
-             {"seed", kLong, "1", "random seed"}} +
-           kThreadFlags + kLedgerFlags + kOutputFlags},
+       request_flags({"n", "base-flit", "method", "moves", "pattern", "load",
+                      "seed"}) +
+           kLedgerFlags + kOutputFlags},
       {"run", "", 0, "solve P̄(n, C), then simulate the design found", cmd_run,
        request_flags({"n", "c", "moves", "seed", "pattern", "load", "cycles"}) +
            Flags{kTraceFlag, kSeriesFlag, kStatsFlag} + kRunControlFlags +
