@@ -249,6 +249,27 @@ void register_micro_core() {
                    sim_run(&recorder, run);
                    g_sink = static_cast<double>(recorder.names().size());
                  });
+  // The evaluate request's whole execution (routing tables, demand rows,
+  // the latency model's one pass) on a 16-router C = 4 design: one
+  // svc::execute_request per op, once under each traffic model. Each
+  // model's `total` is a counter, so a change that moves the model's answer
+  // shows up in the deterministic pass too.
+  register_bench("micro_core", "evaluate_16", "", [](BenchRun& run) {
+    svc::Request request;
+    request.kind = svc::RequestKind::kEvaluate;
+    request.n = 16;
+    request.link_limit = 4;
+    request.links = topo::format_links(sample_row(16, 4));
+    constexpr const char* kWorkloads[] = {"uniform_random", "transpose",
+                                          "canneal", "hotspot"};
+    for (const char* workload : kWorkloads) {
+      request.workload = workload;
+      const obs::Json payload = svc::execute_request(request, nullptr);
+      run.set_counter(std::string("total_") + workload,
+                      payload.find("total")->as_number());
+    }
+    run.set_items(std::size(kWorkloads));
+  });
   // Service-path kernels: the request content hash (canonical JSON +
   // FNV-1a) and an in-memory cache hit — the two operations every request
   // pays before any real work happens.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "latency/packet_mix.hpp"
@@ -39,6 +40,17 @@ struct LatencyBreakdown {
   [[nodiscard]] double total() const noexcept { return head + serialization; }
 };
 
+/// Running sums of one pass over every ordered pair src != dst.
+struct PairSums {
+  double weighted_head = 0.0;  ///< sum of w * head latency
+  double weight = 0.0;         ///< sum of w
+  double worst = 0.0;          ///< largest head latency + serialization
+};
+
+/// Where sum_pairs() reads source `src`'s demand: N rates, one per
+/// destination node, valid until the next call.
+using RowSource = std::function<const double*(int src)>;
+
 /// Analytic zero-/low-load latency evaluator for a 2D design point. All
 /// averages are over ordered source/destination pairs with src != dst (a
 /// core never sends packets to itself through the network).
@@ -52,6 +64,18 @@ class MeshLatencyModel {
 
   /// Mix-averaged total latency of one pair (head + serialization).
   [[nodiscard]] double pair_latency(int src, int dst) const;
+
+  /// The one pass every average below is made of: visits each ordered pair
+  /// once, sources in id order and each source's destinations in id order,
+  /// asking `demand` for a source's row once. A pair's head latency is
+  /// computed once from per-row and per-column cost and hop tables, and
+  /// feeds the weighted sums and the worst case. Every rate must be
+  /// non-negative, the diagonal included.
+  [[nodiscard]] PairSums sum_pairs(const RowSource& demand) const;
+
+  /// The weighted average breakdown of a pass; its weight must be
+  /// positive.
+  [[nodiscard]] LatencyBreakdown weighted_average(const PairSums& sums) const;
 
   /// Average breakdown over all ordered pairs (Eq. 2 with uniform weights).
   [[nodiscard]] LatencyBreakdown average() const;
@@ -80,6 +104,9 @@ class MeshLatencyModel {
   }
 
  private:
+  /// sum_pairs() with weight 1 on every pair.
+  [[nodiscard]] PairSums uniform_sums() const;
+
   int nodes_;
   LatencyParams params_;
   route::MeshRouting routing_;

@@ -108,6 +108,16 @@ int DirectionalShortestPaths::next_hop(int i, int j) const {
   return next_[idx(i, j)];
 }
 
+const double* DirectionalShortestPaths::cost_row(int i) const {
+  XLP_REQUIRE(i >= 0 && i < n_, "index out of range");
+  return cost_.data() + idx(i, 0);
+}
+
+const int* DirectionalShortestPaths::hops_row(int i) const {
+  XLP_REQUIRE(i >= 0 && i < n_, "index out of range");
+  return hops_.data() + idx(i, 0);
+}
+
 std::vector<int> DirectionalShortestPaths::path(int i, int j) const {
   XLP_REQUIRE(i >= 0 && i < n_ && j >= 0 && j < n_, "index out of range");
   XLP_REQUIRE(cost_[idx(i, j)] < kInf,
@@ -167,12 +177,16 @@ double DirectionalShortestPaths::weighted_average_cost(
   return total / wsum;
 }
 
-double DirectionalShortestPaths::average_hops() const {
+long DirectionalShortestPaths::total_hops() const {
   long total = 0;
   for (int i = 0; i < n_; ++i)
     for (int j = 0; j < n_; ++j)
       if (i != j) total += hops_[idx(i, j)];
-  return static_cast<double>(total) /
+  return total;
+}
+
+double DirectionalShortestPaths::average_hops() const {
+  return static_cast<double>(total_hops()) /
          (static_cast<double>(n_) * (n_ - 1));
 }
 

@@ -93,6 +93,11 @@ class DirectionalShortestPaths {
   /// -1 when unreachable. Requires i != j.
   [[nodiscard]] int next_hop(int i, int j) const;
 
+  /// Row i of the cost and hop tables: cost(i, j) and hops(i, j) for every
+  /// j in [0, size()), for loops that read a whole row.
+  [[nodiscard]] const double* cost_row(int i) const;
+  [[nodiscard]] const int* hops_row(int i) const;
+
   /// Full router sequence i, ..., j (inclusive). Requires reachable(i, j).
   [[nodiscard]] std::vector<int> path(int i, int j) const;
 
@@ -106,6 +111,9 @@ class DirectionalShortestPaths {
   /// non-negative with a positive sum.
   [[nodiscard]] double weighted_average_cost(
       const std::vector<double>& weight) const;
+
+  /// Hop count summed over all ordered pairs i != j.
+  [[nodiscard]] long total_hops() const;
 
   /// Average hop count over all ordered pairs i != j.
   [[nodiscard]] double average_hops() const;

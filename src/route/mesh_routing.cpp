@@ -9,15 +9,26 @@ MeshRouting::MeshRouting(const topo::ExpressMesh& mesh, HopWeights weights)
     : width_(mesh.width()), height_(mesh.height()) {
   row_paths_.reserve(static_cast<std::size_t>(height_));
   col_paths_.reserve(static_cast<std::size_t>(width_));
+  // A homogeneous design repeats one placement in every row and column, so
+  // a line equal to the one before it copies that line's tables.
+  const topo::RowTopology* prev_line = nullptr;
+  const DirectionalShortestPaths* prev_paths = nullptr;
+  const auto add = [&](std::vector<DirectionalShortestPaths>& tables,
+                       const topo::RowTopology& line) {
+    if (prev_line != nullptr && *prev_line == line)
+      tables.push_back(*prev_paths);
+    else
+      tables.emplace_back(line, weights);
+    prev_line = &line;
+    prev_paths = &tables.back();
+  };
   {
     const obs::ProfileScope rows_scope("route.fw_rows");
-    for (int y = 0; y < height_; ++y)
-      row_paths_.emplace_back(mesh.row(y), weights);
+    for (int y = 0; y < height_; ++y) add(row_paths_, mesh.row(y));
   }
   {
     const obs::ProfileScope cols_scope("route.fw_cols");
-    for (int x = 0; x < width_; ++x)
-      col_paths_.emplace_back(mesh.col(x), weights);
+    for (int x = 0; x < width_; ++x) add(col_paths_, mesh.col(x));
   }
 }
 

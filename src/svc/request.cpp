@@ -11,6 +11,7 @@
 #include "runctl/control.hpp"
 #include "topo/builders.hpp"
 #include "traffic/app_models.hpp"
+#include "traffic/demand.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -65,16 +66,22 @@ obs::Json execute_evaluate(const Request& request) {
   latency::LatencyParams params = latency::LatencyParams::zero_load();
   params.contention_per_hop = request.contention_per_hop;
   const latency::MeshLatencyModel model(design, params);
-  const auto demand =
-      traffic::resolve_workload(request.workload, request.n, request.load);
-  const latency::LatencyBreakdown breakdown =
-      model.weighted_average(demand.rates());
+  // One pass over the pairs, each source's demand generated into one
+  // reused row: the dense N x N matrix is never built.
+  const traffic::DemandRows demand =
+      traffic::workload_rows(request.workload, request.n, request.load);
+  std::vector<double> row(static_cast<std::size_t>(demand.node_count()));
+  const latency::PairSums sums = model.sum_pairs([&demand, &row](int src) {
+    demand.fill(src, row);
+    return row.data();
+  });
+  const latency::LatencyBreakdown breakdown = model.weighted_average(sums);
   return obs::Json::object()
       .set("kind", "evaluate")
       .set("total", breakdown.total())
       .set("head", breakdown.head)
       .set("serialization", breakdown.serialization)
-      .set("worst_case", model.worst_case())
+      .set("worst_case", sums.worst)
       .set("avg_hops", model.average_hops())
       .set("flit_bits", design.flit_bits());
 }
@@ -278,7 +285,16 @@ void Request::validate() const {
   if (has_demand(kind)) {
     if (!traffic::is_known_workload(workload))
       bad_request("unknown workload '" + workload + "'");
+    if (const char* unfit = traffic::workload_unfit(workload, n))
+      bad_request("workload '" + workload + "' has no demand at n = " +
+                  std::to_string(n) + ": " + unfit);
     if (load <= 0.0 || load > 1.0) bad_request("load must be in (0, 1]");
+    // Evaluate streams its demand row by row; the other kinds build the
+    // dense (n^2)^2 matrix.
+    if (kind != RequestKind::kEvaluate && n > traffic::kDenseDemandMaxSide)
+      bad_request(std::string(svc::to_string(kind)) + " needs n in [2, " +
+                  std::to_string(traffic::kDenseDemandMaxSide) +
+                  "]: its demand is a dense (n^2)^2 matrix");
   }
   if (!searches(kind)) {
     // Everything design_of() and the simulator would reject: a request

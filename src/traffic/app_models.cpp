@@ -1,65 +1,13 @@
 #include "traffic/app_models.hpp"
 
-#include <cmath>
-#include <cstdlib>
-
+#include "traffic/demand.hpp"
 #include "traffic/patterns.hpp"
 #include "util/check.hpp"
 
 namespace xlp::traffic {
 
 TrafficMatrix AppModel::traffic_matrix(int n) const {
-  XLP_REQUIRE(injection_rate >= 0.0, "injection rate must be non-negative");
-  XLP_REQUIRE(locality >= 0.0 && hotspot_share >= 0.0 &&
-                  locality + hotspot_share <= 1.0,
-              "traffic shares must be non-negative and sum to at most 1");
-  TrafficMatrix m(n);
-  const int nodes = n * n;
-
-  // Hubs are a deterministic function of the benchmark name so that each
-  // workload has a stable personality across runs and network sizes.
-  std::uint64_t name_hash = 1469598103934665603ULL;
-  for (const char ch : name) {
-    name_hash ^= static_cast<unsigned char>(ch);
-    name_hash *= 1099511628211ULL;
-  }
-  Rng hub_rng(name_hash);
-  std::vector<int> hubs;
-  for (int h = 0; h < hub_count; ++h)
-    hubs.push_back(static_cast<int>(hub_rng.uniform_below(nodes)));
-
-  const double uniform_share = 1.0 - locality - hotspot_share;
-  for (int src = 0; src < nodes; ++src) {
-    const int sx = src % n;
-    const int sy = src / n;
-
-    // Locality component: weights decay exponentially in Manhattan distance.
-    double local_norm = 0.0;
-    for (int dst = 0; dst < nodes; ++dst) {
-      if (dst == src) continue;
-      const int d = std::abs(dst % n - sx) + std::abs(dst / n - sy);
-      local_norm += std::exp(-static_cast<double>(d) / locality_scale);
-    }
-    for (int dst = 0; dst < nodes; ++dst) {
-      if (dst == src) continue;
-      const int d = std::abs(dst % n - sx) + std::abs(dst / n - sy);
-      const double local_w =
-          std::exp(-static_cast<double>(d) / locality_scale) / local_norm;
-      double r = injection_rate * (locality * local_w +
-                                   uniform_share / (nodes - 1));
-      m.add_rate(src, dst, r);
-    }
-    if (!hubs.empty() && hotspot_share > 0.0) {
-      // Count how many hub slots point away from src; traffic to a hub that
-      // happens to equal src stays off the network.
-      for (int hub : hubs)
-        if (hub != src)
-          m.add_rate(src, hub,
-                     injection_rate * hotspot_share /
-                         static_cast<double>(hubs.size()));
-    }
-  }
-  return m;
+  return DemandRows(*this, n).matrix();
 }
 
 const std::vector<AppModel>& parsec_models() {
@@ -111,11 +59,15 @@ bool is_known_workload(const std::string& name) {
   return false;
 }
 
-TrafficMatrix resolve_workload(const std::string& name, int n, double load) {
-  XLP_REQUIRE(load > 0.0 && load <= 1.0, "load must be in (0, 1]");
+const char* workload_unfit(const std::string& name, int n) {
   if (const auto pattern = pattern_from_string(name))
-    return TrafficMatrix::from_pattern(*pattern, n, load);
-  return parsec_model(name).traffic_matrix(n);
+    return pattern_unfit(*pattern, n);
+  (void)parsec_model(name);  // throws on an unknown name
+  return nullptr;
+}
+
+TrafficMatrix resolve_workload(const std::string& name, int n, double load) {
+  return workload_rows(name, n, load).matrix();
 }
 
 }  // namespace xlp::traffic

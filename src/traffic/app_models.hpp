@@ -32,7 +32,8 @@ struct AppModel {
   int hub_count = 2;
   double locality_scale = 2.0;   // Manhattan e-folding distance (hops)
 
-  /// Expected traffic matrix on an n x n network.
+  /// Expected traffic matrix on an n x n network: the rows of
+  /// DemandRows(*this, n).
   [[nodiscard]] TrafficMatrix traffic_matrix(int n) const;
 };
 
@@ -49,9 +50,13 @@ struct AppModel {
 /// Whether `name` is a synthetic pattern or a PARSEC model name.
 [[nodiscard]] bool is_known_workload(const std::string& name);
 
-/// A workload's traffic on an n x n network: a synthetic pattern at `load`
-/// packets/node/cycle, or a PARSEC model at its own injection rate. Throws
-/// PreconditionError when `load` is outside (0, 1], for either kind.
+/// Why known workload `name` has no demand on an n x n network, or nullptr
+/// when it has: pattern_unfit() for a pattern; a PARSEC model always has.
+[[nodiscard]] const char* workload_unfit(const std::string& name, int n);
+
+/// The dense matrix of workload_rows(name, n, load) (traffic/demand.hpp):
+/// a synthetic pattern at `load` packets/node/cycle, or a PARSEC model at
+/// its own injection rate.
 [[nodiscard]] TrafficMatrix resolve_workload(const std::string& name, int n,
                                              double load);
 

@@ -1,7 +1,9 @@
 #include "traffic/matrix.hpp"
 
+#include <algorithm>
 #include <numeric>
 
+#include "traffic/demand.hpp"
 #include "util/check.hpp"
 
 namespace xlp::traffic {
@@ -41,6 +43,16 @@ void TrafficMatrix::add_rate(int src, int dst, double packets_per_cycle) {
   set_rate(src, dst, rate(src, dst) + packets_per_cycle);
 }
 
+void TrafficMatrix::set_row(int src, std::span<const double> row) {
+  XLP_REQUIRE(src >= 0 && src < node_count(), "node out of range");
+  XLP_REQUIRE(row.size() == static_cast<std::size_t>(node_count()),
+              "a row has one rate per node");
+  for (const double r : row)
+    XLP_REQUIRE(r >= 0.0, "rates must be non-negative");
+  XLP_REQUIRE(row[src] == 0.0, "self-traffic does not enter the network");
+  std::copy(row.begin(), row.end(), rates_.begin() + idx(src, 0));
+}
+
 double TrafficMatrix::total_rate() const {
   return std::accumulate(rates_.begin(), rates_.end(), 0.0);
 }
@@ -62,42 +74,7 @@ void TrafficMatrix::scale_total(double target) {
 
 TrafficMatrix TrafficMatrix::from_pattern(Pattern p, int n,
                                           double per_node_packets_per_cycle) {
-  XLP_REQUIRE(per_node_packets_per_cycle >= 0.0,
-              "injection rate must be non-negative");
-  TrafficMatrix m(n);
-  const int nodes = n * n;
-  Rng unused(0);
-  for (int src = 0; src < nodes; ++src) {
-    switch (p) {
-      case Pattern::kUniformRandom:
-        for (int dst = 0; dst < nodes; ++dst)
-          if (dst != src)
-            m.set_rate(src, dst, per_node_packets_per_cycle / (nodes - 1));
-        break;
-      case Pattern::kHotspot: {
-        // Mirror pattern_destination(): 20% to four hubs, 80% uniform over
-        // all nodes (self-directed draws are dropped, so slightly less than
-        // the nominal rate enters the network — same as the sampler).
-        const int q = n / 4;
-        const int hubs[4] = {q * n + q, q * n + (n - 1 - q),
-                             (n - 1 - q) * n + q,
-                             (n - 1 - q) * n + (n - 1 - q)};
-        for (int hub : hubs)
-          if (hub != src)
-            m.add_rate(src, hub, per_node_packets_per_cycle * 0.2 / 4.0);
-        for (int dst = 0; dst < nodes; ++dst)
-          if (dst != src)
-            m.add_rate(src, dst, per_node_packets_per_cycle * 0.8 / nodes);
-        break;
-      }
-      default: {
-        const auto dest = pattern_destination(p, src, n, unused);
-        if (dest) m.set_rate(src, *dest, per_node_packets_per_cycle);
-        break;
-      }
-    }
-  }
-  return m;
+  return DemandRows(p, n, per_node_packets_per_cycle).matrix();
 }
 
 TrafficMatrix TrafficMatrix::concentrate(int block) const {

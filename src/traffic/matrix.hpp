@@ -1,11 +1,17 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "traffic/patterns.hpp"
 #include "util/rng.hpp"
 
 namespace xlp::traffic {
+
+/// Largest network side whose dense matrix a request may build: 64^4
+/// rates are 134 MB. Kinds that stream the demand row by row (evaluate)
+/// are not bound by it.
+inline constexpr int kDenseDemandMaxSide = 64;
 
 /// Long-run traffic-rate matrix gamma: rates[src*N + dst] is the expected
 /// packet injection rate (packets/cycle) from node src to node dst on an
@@ -30,6 +36,9 @@ class TrafficMatrix {
   [[nodiscard]] double rate(int src, int dst) const;
   void set_rate(int src, int dst, double packets_per_cycle);
   void add_rate(int src, int dst, double packets_per_cycle);
+  /// Sets every rate from `src`: `row` holds node_count() non-negative
+  /// rates and row[src] is zero.
+  void set_row(int src, std::span<const double> row);
 
   /// Flattened N*N row-major copy (what MeshLatencyModel::weighted_average
   /// and the row/column decompositions consume).
@@ -47,8 +56,7 @@ class TrafficMatrix {
   void scale_total(double target);
 
   /// Expected long-run rate matrix of a synthetic pattern at the given
-  /// per-node injection rate. Stochastic patterns (UR, hotspot) use their
-  /// exact expected distribution, not a sampled one.
+  /// per-node injection rate: the rows of DemandRows(p, n, rate).
   static TrafficMatrix from_pattern(Pattern p, int n,
                                     double per_node_packets_per_cycle);
 

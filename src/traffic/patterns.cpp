@@ -31,12 +31,23 @@ std::optional<Pattern> pattern_from_string(const std::string& name) {
   return std::nullopt;
 }
 
+const char* pattern_unfit(Pattern p, int n) {
+  const bool bit_permutation = p == Pattern::kBitReverse ||
+                               p == Pattern::kBitComplement ||
+                               p == Pattern::kShuffle;
+  if (bit_permutation && !is_power_of_two(static_cast<std::uint64_t>(n) * n))
+    return "bit-permutation patterns need a power-of-two node count";
+  if (p == Pattern::kTornado && n < 3)
+    return "tornado sends every node to itself below n = 3";
+  return nullptr;
+}
+
 namespace {
 
-int id_bits(int node_count) {
-  XLP_REQUIRE(is_power_of_two(static_cast<std::uint64_t>(node_count)),
-              "bit-permutation patterns need a power-of-two node count");
-  return std::countr_zero(static_cast<unsigned>(node_count));
+/// Bits of a node id under bit permutation `p` on an n x n network.
+int id_bits(Pattern p, int n) {
+  if (const char* unfit = pattern_unfit(p, n)) XLP_FAIL(unfit);
+  return std::countr_zero(static_cast<unsigned>(n * n));
 }
 
 int reverse_bits(int value, int bits) {
@@ -67,14 +78,14 @@ std::optional<int> pattern_destination(Pattern p, int src, int n, Rng& rng) {
       dest = sx * n + sy;  // (x,y) -> (y,x)
       break;
     case Pattern::kBitReverse:
-      dest = reverse_bits(src, id_bits(nodes));
+      dest = reverse_bits(src, id_bits(p, n));
       break;
     case Pattern::kBitComplement:
-      id_bits(nodes);  // validates the power-of-two requirement
+      id_bits(p, n);  // validates the power-of-two requirement
       dest = (~src) & (nodes - 1);
       break;
     case Pattern::kShuffle: {
-      const int bits = id_bits(nodes);
+      const int bits = id_bits(p, n);
       dest = ((src << 1) | (src >> (bits - 1))) & (nodes - 1);
       break;
     }

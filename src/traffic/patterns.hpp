@@ -25,6 +25,12 @@ enum class Pattern {
 [[nodiscard]] std::optional<Pattern> pattern_from_string(
     const std::string& name);
 
+/// Why pattern `p` has no demand on an n x n network, or nullptr when it
+/// has: the bit permutations need a power-of-two node count, and tornado's
+/// shift is zero below n = 3, so every node would send to itself. The
+/// demand generators and request validation share this one rule.
+[[nodiscard]] const char* pattern_unfit(Pattern p, int n);
+
 /// Destination of a packet injected at `src` on an n x n network (node ids
 /// are y*n + x). For the deterministic permutation patterns the result is a
 /// function of `src` alone and `rng` is unused; UniformRandom draws any node

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "latency/model.hpp"
 #include "latency/packet_mix.hpp"
+#include "test_util.hpp"
 #include "topo/builders.hpp"
+#include "traffic/app_models.hpp"
+#include "traffic/demand.hpp"
 #include "traffic/matrix.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace xlp::latency {
 namespace {
@@ -165,6 +173,123 @@ TEST(MeshLatencyModel, WeightedAverageValidation) {
   std::vector<double> negative(256, 1.0);
   negative[1] = -1.0;
   EXPECT_THROW(model.weighted_average(negative), PreconditionError);
+}
+
+/// What the one pass must reproduce bit for bit: the loop over
+/// pair_head_latency() that every average used to run, one pair at a time.
+struct PairReference {
+  double head = 0.0;
+  double worst = 0.0;
+  double hops = 0.0;
+};
+
+PairReference per_pair_reference(const MeshLatencyModel& model,
+                                 const std::vector<double>& rates) {
+  const int nodes = model.routing().width() * model.routing().height();
+  double head_total = 0.0;
+  double weight_total = 0.0;
+  double worst = 0.0;
+  long hops = 0;
+  for (int src = 0; src < nodes; ++src) {
+    for (int dst = 0; dst < nodes; ++dst) {
+      if (src == dst) continue;
+      const double w = rates[static_cast<std::size_t>(src) * nodes + dst];
+      const double head = model.pair_head_latency(src, dst);
+      head_total += w * head;
+      weight_total += w;
+      worst = std::max(worst, head + model.serialization_cycles());
+      hops += model.routing().hops(src, dst);
+    }
+  }
+  return {head_total / weight_total, worst,
+          static_cast<double>(hops) /
+              (static_cast<double>(nodes) * (nodes - 1))};
+}
+
+/// The one pass over `stream`'s rows, over the dense `rates` and the
+/// unweighted passes against the per-pair reference, with EXPECT_EQ on
+/// doubles: equal bits, not nearly equal values.
+void expect_one_pass_matches(const MeshLatencyModel& model,
+                             const std::vector<double>& rates,
+                             const RowSource& stream,
+                             const std::string& what) {
+  const PairReference reference = per_pair_reference(model, rates);
+  const PairSums sums = model.sum_pairs(stream);
+  const LatencyBreakdown streamed = model.weighted_average(sums);
+  EXPECT_EQ(streamed.head, reference.head) << what;
+  EXPECT_EQ(streamed.total(),
+            reference.head + model.serialization_cycles())
+      << what;
+  EXPECT_EQ(model.weighted_average(rates).head, reference.head) << what;
+  EXPECT_EQ(sums.worst, reference.worst) << what;
+  EXPECT_EQ(model.worst_case(), reference.worst) << what;
+  EXPECT_EQ(model.average_hops(), reference.hops) << what;
+}
+
+TEST(Latency, OnePassEqualsPerPairReference) {
+  std::vector<std::string> workloads;
+  for (const traffic::Pattern p :
+       {traffic::Pattern::kUniformRandom, traffic::Pattern::kTranspose,
+        traffic::Pattern::kBitReverse, traffic::Pattern::kBitComplement,
+        traffic::Pattern::kShuffle, traffic::Pattern::kTornado,
+        traffic::Pattern::kNeighbor, traffic::Pattern::kHotspot})
+    workloads.push_back(traffic::to_string(p));
+  for (const traffic::AppModel& model : traffic::parsec_models())
+    workloads.push_back(model.name);
+
+  Rng rng(29);
+  for (const int n : {3, 4, 8, 16}) {
+    // A heterogeneous design: every row and column its own placement.
+    const int limit = n == 3 ? 2 : 4;
+    std::vector<topo::RowTopology> rows;
+    std::vector<topo::RowTopology> cols;
+    for (int i = 0; i < n; ++i) {
+      rows.push_back(test::random_valid_row(n, limit, rng));
+      cols.push_back(test::random_valid_row(n, limit, rng));
+    }
+    const topo::ExpressMesh design(rows, cols, limit, 256 / limit);
+    for (const double contention : {0.0, 0.5}) {
+      LatencyParams params;
+      params.contention_per_hop = contention;
+      const MeshLatencyModel model(design, params);
+      for (const std::string& workload : workloads) {
+        if (traffic::workload_unfit(workload, n) != nullptr) continue;
+        const traffic::DemandRows demand =
+            traffic::workload_rows(workload, n, 0.02);
+        std::vector<double> row(static_cast<std::size_t>(demand.node_count()));
+        expect_one_pass_matches(
+            model, demand.matrix().rates(),
+            [&demand, &row](int src) {
+              demand.fill(src, row);
+              return row.data();
+            },
+            workload + " n=" + std::to_string(n) +
+                " contention=" + std::to_string(contention));
+      }
+    }
+  }
+
+  // A rectangular mesh under a random matrix with zero entries.
+  const topo::ExpressMesh rect =
+      topo::make_rect_design(test::random_valid_row(8, 4, rng),
+                             test::random_valid_row(4, 4, rng), 4);
+  const std::size_t nodes = 32;
+  std::vector<double> rates(nodes * nodes, 0.0);
+  for (std::size_t src = 0; src < nodes; ++src)
+    for (std::size_t dst = 0; dst < nodes; ++dst)
+      if (src != dst && rng.uniform01() < 0.7)
+        rates[src * nodes + dst] = rng.uniform01();
+  for (const double contention : {0.0, 0.5}) {
+    LatencyParams params;
+    params.contention_per_hop = contention;
+    const MeshLatencyModel model(rect, params);
+    expect_one_pass_matches(
+        model, rates,
+        [&rates, nodes](int src) {
+          return rates.data() + static_cast<std::size_t>(src) * nodes;
+        },
+        "rect 8x4 contention=" + std::to_string(contention));
+  }
 }
 
 TEST(LatencyBreakdown, TotalIsSum) {

@@ -186,6 +186,37 @@ TEST(Request, ValidateEnforcesRanges) {
   EXPECT_THROW(request.validate(), Error);
 }
 
+TEST(Request, DenseDemandKindsStopAt64) {
+  // simulate and appspec build the dense (n^2)^2 demand matrix, so they
+  // stop at n = 64; evaluate streams its demand row by row and keeps the
+  // whole [2, 256] range.
+  for (const RequestKind kind :
+       {RequestKind::kSimulate, RequestKind::kAppspec}) {
+    Request request;
+    request.kind = kind;
+    request.n = traffic::kDenseDemandMaxSide;
+    EXPECT_NO_THROW(request.validate()) << to_string(kind);
+    request.n = traffic::kDenseDemandMaxSide + 1;
+    try {
+      request.validate();
+      ADD_FAILURE() << to_string(kind) << " accepted n = 65";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParse) << e.what();
+    }
+  }
+  Request evaluate;
+  evaluate.kind = RequestKind::kEvaluate;
+  evaluate.n = 256;
+  EXPECT_NO_THROW(evaluate.validate());
+  evaluate.n = 257;
+  EXPECT_THROW(evaluate.validate(), Error);
+  // Past the dense cap an evaluate still runs, without the matrix.
+  evaluate.n = traffic::kDenseDemandMaxSide + 1;
+  const obs::Json payload = execute_request(evaluate, nullptr);
+  ASSERT_NE(payload.find("total"), nullptr);
+  EXPECT_GT(payload.find("total")->as_number(), 0.0);
+}
+
 TEST(Request, DefaultIdsArePinned) {
   // Ids of default requests as served before `chains` and `vec` existed:
   // fields at their defaults stay out of the canonical serialization, so
@@ -827,6 +858,37 @@ TEST(Server, RequestsWrongInThemselvesAreParseErrorsNotPoisoned) {
     EXPECT_FALSE(reply.retryable);
   }
   EXPECT_EQ(metrics.counter("svc.requests.poisoned"), 0);
+}
+
+TEST(Server, WorkloadsWithoutDemandAtTheirNAreParseErrors) {
+  // A bit permutation needs a power-of-two node count, and tornado at
+  // n = 2 sends every node to itself: validation rejects these before
+  // the demand generator's precondition would poison the request.
+  obs::MetricsRegistry metrics;
+  Server server(test_options(fresh_dir("unfit"), &metrics));
+  std::vector<std::string> docs;
+  for (const char* kind : {"evaluate", "simulate"})
+    for (const char* workload : {"bit_complement", "bit_reverse", "shuffle"})
+      docs.push_back(std::string(R"({"kind":")") + kind +
+                     R"(","n":3,"c":2,"workload":")" + workload + R"("})");
+  docs.push_back(R"({"kind":"evaluate","n":2,"c":2,"workload":"tornado"})");
+  docs.push_back(R"({"kind":"appspec","n":2,"workload":"tornado"})");
+  for (const std::string& doc : docs) {
+    const std::vector<Reply> replies = decode_replies(server.serve_text(doc));
+    ASSERT_EQ(replies.size(), 1u) << doc;
+    EXPECT_FALSE(replies[0].ok) << doc;
+    EXPECT_EQ(replies[0].error_kind, "parse") << replies[0].payload_text;
+    EXPECT_FALSE(replies[0].retryable) << doc;
+  }
+  EXPECT_EQ(metrics.counter("svc.requests.poisoned"), 0);
+  // The same patterns where they have demand are served.
+  for (const char* doc :
+       {R"({"kind":"evaluate","n":4,"c":2,"workload":"shuffle"})",
+        R"({"kind":"evaluate","n":3,"c":2,"workload":"tornado"})"}) {
+    const std::vector<Reply> replies = decode_replies(server.serve_text(doc));
+    ASSERT_EQ(replies.size(), 1u) << doc;
+    EXPECT_TRUE(replies[0].ok) << replies[0].payload_text;
+  }
 }
 
 TEST(Server, SeedsPastTwoToThe53AreParseErrors) {

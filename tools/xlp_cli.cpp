@@ -436,10 +436,17 @@ int cmd_trace(const Args& args) {
   const double load = args.get_double("load");
   const long cycles = args.get_long("cycles");
   // Checked before the ledger record opens, as a request's fields are.
-  if (n < 2 || n > 256)
-    throw Error(ErrorCode::kUsage, "--n must be in [2, 256]");
+  // The trace samples a dense (n^2)^2 matrix.
+  if (n < 2 || n > traffic::kDenseDemandMaxSide)
+    throw Error(ErrorCode::kUsage,
+                "--n must be in [2, " +
+                    std::to_string(traffic::kDenseDemandMaxSide) + "]");
   if (!traffic::is_known_workload(pattern))
     throw Error(ErrorCode::kUsage, "unknown --pattern '" + pattern + "'");
+  if (const char* unfit = traffic::workload_unfit(pattern, n))
+    throw Error(ErrorCode::kUsage, "--pattern '" + pattern +
+                                       "' has no demand at this --n: " +
+                                       unfit);
   if (load <= 0.0 || load > 1.0)
     throw Error(ErrorCode::kUsage, "--load must be in (0, 1]");
   g_ledger.describe("trace",
