@@ -47,10 +47,16 @@ void RowObjective::set_secondary(
 
 bool RowObjective::delta_supported() const noexcept {
   const auto is_integer = [](double w) {
-    return w >= 0.0 && w == std::floor(w) && w <= 1e9;
+    return w >= 0.0 && w == std::floor(w);
   };
-  return secondary_weight_ <= 0.0 && is_integer(hop_.router_cycles) &&
-         is_integer(hop_.link_cycles_per_unit);
+  if (secondary_weight_ > 0.0 || !is_integer(hop_.router_cycles) ||
+      !is_integer(hop_.link_cycles_per_unit))
+    return false;
+  // Any monotone path, shortest or not, has at most n - 1 hops costing at
+  // most link_cost(n - 1) each. The delta evaluator sums n^2 such costs,
+  // which stay exact integers in a double only below 2^53.
+  const double n = n_;
+  return n * n * (n - 1) * hop_.link_cost(n_ - 1) < 9007199254740992.0;
 }
 
 double RowObjective::evaluate(const topo::RowTopology& row) const {

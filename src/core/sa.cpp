@@ -63,9 +63,9 @@ SaResult anneal_connection_matrix(const topo::ConnectionMatrix& initial,
   // row is the only state.
   if (initial.bit_count() == 0) return result;
 
-  // The incremental evaluator scores each flip in O(affected spans) with
+  // The incremental evaluator scores each flip in O(affected pairs) with
   // bit-identical values (see DeltaRowObjective). Built after any resume
-  // restore so its span cache describes the restored matrix; its copy of
+  // restore so its cost table describes the restored matrix; its copy of
   // the state advances in lockstep with `current` via commit/revert.
   std::optional<DeltaRowObjective> delta;
   if (params.delta_eval) delta.emplace(objective, current);

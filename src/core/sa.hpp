@@ -59,7 +59,7 @@ struct SaParams {
   std::string method_label;
 
   /// Score each move with the incremental evaluator (DeltaRowObjective):
-  /// O(affected spans) per flipped connection point instead of a full
+  /// O(affected pairs) per flipped connection point instead of a full
   /// shortest-paths rebuild, with bit-identical values — the trajectory,
   /// checkpoints and SaResult are byte-for-byte the same either way, so
   /// this is a pure speed knob. Off is the reference path (benchmarks

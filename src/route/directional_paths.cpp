@@ -9,8 +9,34 @@
 namespace xlp::route {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// One relaxation step of the monotone shortest-path DP: candidate path
+/// from `i` through neighbor `via` with tail cost/hops `base_cost` /
+/// `base_hops`, against the incumbent cell (cur_cost, cur_hops, cur_next).
+/// Tie-break: lower cost, then fewer hops, then the longest first hop (take
+/// the express link as early as possible — deterministic and keeps packets
+/// off local links that shorter-haul traffic needs).
+inline void relax_monotone(const HopWeights& weights, int i, int via,
+                           double base_cost, int base_hops, double& cur_cost,
+                           int& cur_hops, int& cur_next) {
+  const int len = via > i ? via - i : i - via;
+  const double c = weights.link_cost(len) + base_cost;
+  const int h = 1 + base_hops;
+  const int cur_len = cur_next > i ? cur_next - i : i - cur_next;
+  const bool better =
+      c < cur_cost - 1e-12 ||
+      (c < cur_cost + 1e-12 &&
+       (h < cur_hops || (h == cur_hops && cur_next >= 0 && len > cur_len)));
+  if (cur_next < 0 || better) {
+    cur_cost = c;
+    cur_hops = h;
+    cur_next = via;
+  }
 }
+
+}  // namespace
 
 DirectionalShortestPaths::DirectionalShortestPaths(
     const topo::RowTopology& row, HopWeights weights)
@@ -60,12 +86,9 @@ void DirectionalShortestPaths::compute(
   }
 
   // Monotone paths form a DAG in each direction; fill by increasing span.
-  // The relaxation (and its tie-break) lives in detail::relax_monotone,
-  // shared with the incremental evaluator.
   auto relax = [&](int i, int j, int via, double base_cost, int base_hops) {
-    detail::relax_monotone(weights_, i, via, base_cost, base_hops,
-                           cost_[idx(i, j)], hops_[idx(i, j)],
-                           next_[idx(i, j)]);
+    relax_monotone(weights_, i, via, base_cost, base_hops, cost_[idx(i, j)],
+                   hops_[idx(i, j)], next_[idx(i, j)]);
   };
 
   for (int span = 1; span < n_; ++span) {
@@ -134,13 +157,13 @@ std::vector<int> DirectionalShortestPaths::path(int i, int j) const {
 }
 
 // Both averages accumulate one partial sum per source row and then sum the
-// row partials. The two-level order matters twice over: the independent row
-// chains pipeline on the FP units instead of serializing 240+ dependent
-// additions, and core::DeltaRowObjective reproduces the exact same bits by
-// refreshing only the row partials its incremental update touched (a row
-// whose cells kept their values bitwise yields a bitwise-identical
-// partial). Changing the summation order here changes last-ULP results —
-// keep the two implementations in lockstep.
+// row partials, so the independent row chains pipeline on the FP units
+// instead of serializing 240+ dependent additions. The weighted order is a
+// contract: core::DeltaRowObjective reproduces its bits by refreshing only
+// the row partials whose costs changed, so changing the weighted summation
+// order here means changing it there too. The uniform sum needs no such
+// care: the delta evaluator only runs where every cost is an exact integer
+// (RowObjective::delta_supported), and there any order gives the same sum.
 double DirectionalShortestPaths::average_cost() const {
   double total = 0.0;
   for (int i = 0; i < n_; ++i) {

@@ -6,39 +6,6 @@
 
 namespace xlp::route {
 
-namespace detail {
-
-/// One relaxation step of the monotone shortest-path DP: candidate path
-/// from `i` through neighbor `via` with tail cost/hops `base_cost` /
-/// `base_hops`, against the incumbent cell (cur_cost, cur_hops, cur_next).
-/// Tie-break: lower cost, then fewer hops, then the longest first hop (take
-/// the express link as early as possible — deterministic and keeps packets
-/// off local links that shorter-haul traffic needs).
-///
-/// Shared by the full DP (DirectionalShortestPaths) and the incremental
-/// re-evaluation in core::DeltaRowObjective so the two can never disagree
-/// on a cell — the delta evaluator's exactness contract depends on it.
-template <typename Weights>
-inline void relax_monotone(const Weights& weights, int i, int via,
-                           double base_cost, int base_hops, double& cur_cost,
-                           int& cur_hops, int& cur_next) {
-  const int len = via > i ? via - i : i - via;
-  const double c = weights.link_cost(len) + base_cost;
-  const int h = 1 + base_hops;
-  const int cur_len = cur_next > i ? cur_next - i : i - cur_next;
-  const bool better =
-      c < cur_cost - 1e-12 ||
-      (c < cur_cost + 1e-12 &&
-       (h < cur_hops || (h == cur_hops && cur_next >= 0 && len > cur_len)));
-  if (cur_next < 0 || better) {
-    cur_cost = c;
-    cur_hops = h;
-    cur_next = via;
-  }
-}
-
-}  // namespace detail
-
 /// Per-hop cost model for within-row paths: traversing a link (a,b) costs
 /// `router_cycles + |b-a| * link_cycles_per_unit` (one router pipeline plus
 /// a repeated/pipelined wire of |b-a| unit segments, Section 2.2).

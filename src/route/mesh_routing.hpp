@@ -75,10 +75,20 @@ class MeshRouting {
   [[nodiscard]] const DirectionalShortestPaths& col_paths(int x) const;
 
  private:
+  [[nodiscard]] const DirectionalShortestPaths& row(int y) const {
+    return tables_[row_table_[static_cast<std::size_t>(y)]];
+  }
+  [[nodiscard]] const DirectionalShortestPaths& col(int x) const {
+    return tables_[col_table_[static_cast<std::size_t>(x)]];
+  }
+
   int width_;
   int height_;
-  std::vector<DirectionalShortestPaths> row_paths_;  // height entries, by y
-  std::vector<DirectionalShortestPaths> col_paths_;  // width entries, by x
+  // One table per distinct line; row_table_[y] / col_table_[x] index the
+  // table of row y / column x.
+  std::vector<DirectionalShortestPaths> tables_;
+  std::vector<std::size_t> row_table_;  // height entries, by y
+  std::vector<std::size_t> col_table_;  // width entries, by x
 };
 
 }  // namespace xlp::route

@@ -41,10 +41,10 @@ std::vector<double> random_pair_weights(int n, Rng& rng) {
 // equals the full evaluation of the mutated placement exactly (no
 // tolerance: the contract is bit-identity).
 void run_flip_property(const RowObjective& objective, int n, int limit,
-                       std::uint64_t seed, int moves) {
+                       std::uint64_t seed, int moves, double density = 0.5) {
   Rng rng(seed);
   topo::ConnectionMatrix reference =
-      topo::ConnectionMatrix::random(n, limit, rng, 0.5);
+      topo::ConnectionMatrix::random(n, limit, rng, density);
   DeltaRowObjective delta(objective, reference);
   for (int m = 0; m < moves; ++m) {
     const int bit = static_cast<int>(rng.uniform_below(
@@ -105,15 +105,94 @@ TEST(DeltaObjective, WeightedWorstCaseBlendMatchesFullEvaluationExactly) {
 }
 
 TEST(DeltaObjective, NonIntegerHopWeightsFallBackButStayExact) {
-  // Fractional cycle weights void the transpose symmetry the incremental
-  // cascade relies on, so the evaluator takes the full-evaluation fallback;
-  // its scores must still be bit-identical.
+  // Fractional cycle weights make path sums inexact, voiding the
+  // last-hop/first-hop and transpose equalities the incremental update
+  // relies on, so the evaluator takes the full-evaluation fallback; its
+  // scores must still be bit-identical.
   for (const int n : {8, 16}) {
     const RowObjective obj(n, route::HopWeights{2.75, 1.5});
     ASSERT_FALSE(obj.delta_supported());
     const DeltaRowObjective delta(obj, topo::ConnectionMatrix(n, 4));
     EXPECT_FALSE(delta.incremental());
     run_flip_property(obj, n, 4, 400 + n, 200);
+  }
+}
+
+TEST(DeltaObjective, HopWeightsPastTheExactSumBoundFallBackButStayExact) {
+  // At n = 64 a path of 63 hops can cost up to 63 * 64e9 cycles, and n^2
+  // such costs pass 2^53, where doubles stop being exact integers: the
+  // objective must refuse the incremental path.
+  const int n = 64;
+  const RowObjective obj(n, route::HopWeights{1e9, 1e9});
+  ASSERT_FALSE(obj.delta_supported());
+  const DeltaRowObjective delta(obj, topo::ConnectionMatrix(n, 4));
+  EXPECT_FALSE(delta.incremental());
+  run_flip_property(obj, n, 4, 64, 200);
+  EXPECT_TRUE(RowObjective(256, paper_weights()).delta_supported());
+}
+
+// Rows far longer than the small-n tests above: one flip at n = 256 can
+// change a rectangle of ~n^2/4 pairs. C = 2 at density 0.9 keeps one
+// layer of long runs, so most flips split or fuse a long link; C = 8 packs
+// many short ones. Every propose is checked against the full evaluator.
+constexpr int kLargeRows[] = {64, 128, 256};
+
+int large_row_moves(int n) { return 16000 / n; }  // 250, 125, 62
+
+TEST(DeltaObjective, LargeRowUniformFlipsMatchFullEvaluationExactly) {
+  for (const int n : kLargeRows) {
+    const RowObjective obj(n, paper_weights());
+    ASSERT_TRUE(obj.delta_supported());
+    run_flip_property(obj, n, 2, 600 + n, large_row_moves(n), 0.9);
+    run_flip_property(obj, n, 8, 700 + n, large_row_moves(n));
+  }
+}
+
+TEST(DeltaObjective, LargeRowWeightedFlipsMatchFullEvaluationExactly) {
+  for (const int n : kLargeRows) {
+    Rng wrng(31u + static_cast<std::uint64_t>(n));
+    const RowObjective obj(n, paper_weights(), random_pair_weights(n, wrng));
+    ASSERT_TRUE(obj.delta_supported());
+    run_flip_property(obj, n, 2, 800 + n, large_row_moves(n), 0.9);
+    run_flip_property(obj, n, 8, 900 + n, large_row_moves(n));
+  }
+}
+
+TEST(DeltaObjective, LargeRowWorstCaseBlendFlipsMatchFullEvaluationExactly) {
+  for (const int n : kLargeRows) {
+    RowObjective obj(n, paper_weights());
+    obj.set_worst_case_weight(0.25);
+    ASSERT_TRUE(obj.delta_supported());
+    run_flip_property(obj, n, 2, 1000 + n, large_row_moves(n), 0.9);
+    run_flip_property(obj, n, 8, 1100 + n, large_row_moves(n));
+  }
+}
+
+TEST(DeltaObjective, LargeRowNestedAddsMatchFullEvaluationExactly) {
+  // Topology mode with commits: concentric links (c - d, c + d) around the
+  // row's middle, each kept or dropped at random, so later candidates nest
+  // around and inside links the cache already holds.
+  for (const int n : kLargeRows) {
+    const RowObjective obj(n, paper_weights());
+    topo::RowTopology reference(n, {{0, n - 1}, {n / 4, n / 2}});
+    DeltaRowObjective delta(obj, reference);
+    ASSERT_TRUE(delta.incremental());
+    Rng rng(1200u + static_cast<std::uint64_t>(n));
+    const int c = n / 2;
+    for (int d = 1; c + d < n && c - d >= 0; d += 1 + d / 8) {
+      const topo::RowLink link{c - d, c + d};
+      const double incremental = delta.propose_add(link);
+      topo::RowTopology candidate = reference;
+      candidate.add_express(link);
+      ASSERT_EQ(incremental, obj.evaluate(candidate))
+          << "n=" << n << " link (" << link.lo << ", " << link.hi << ")";
+      if (rng.uniform01() < 0.5) {
+        delta.commit();
+        reference = std::move(candidate);
+      } else {
+        delta.revert();
+      }
+    }
   }
 }
 

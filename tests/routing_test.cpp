@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "route/deadlock.hpp"
 #include "route/directional_paths.hpp"
@@ -205,6 +206,29 @@ TEST(MeshRouting, ExpressRowsAndColumnsCompose) {
   EXPECT_EQ(path.back(), 63);
   // The turning point is (7, 0) = node 7.
   EXPECT_NE(std::find(path.begin(), path.end(), 7), path.end());
+}
+
+TEST(MeshRouting, EqualLinesShareOneTable) {
+  // A homogeneous square design repeats one placement in every row and
+  // column: one table serves them all. A heterogeneous design keeps one
+  // table per distinct line.
+  const RowTopology row(8, {{1, 3}, {3, 7}});
+  const MeshRouting homogeneous(topo::ExpressMesh(row, 4, 64), HopWeights{});
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(&homogeneous.row_paths(i), &homogeneous.row_paths(0));
+    EXPECT_EQ(&homogeneous.col_paths(i), &homogeneous.row_paths(0));
+  }
+
+  std::vector<RowTopology> rows(8, RowTopology(8));
+  rows[3] = row;
+  const MeshRouting mixed(
+      topo::ExpressMesh(rows, std::vector<RowTopology>(8, row), 4, 64),
+      HopWeights{});
+  EXPECT_EQ(&mixed.row_paths(1), &mixed.row_paths(0));
+  EXPECT_NE(&mixed.row_paths(3), &mixed.row_paths(0));
+  EXPECT_EQ(&mixed.col_paths(5), &mixed.row_paths(3));
+  EXPECT_EQ(mixed.row_paths(3).cost(0, 7), homogeneous.row_paths(0).cost(0, 7));
+  EXPECT_GT(mixed.row_paths(0).cost(0, 7), mixed.row_paths(3).cost(0, 7));
 }
 
 TEST(MeshRouting, HopsMatchPathLengthEverywhere) {
