@@ -11,13 +11,8 @@ latency::LatencyBreakdown evaluate_design(
     const topo::ExpressMesh& design, const latency::LatencyParams& params,
     const std::optional<traffic::TrafficMatrix>& report_traffic) {
   const latency::MeshLatencyModel model(design, params);
-  if (report_traffic) {
-    XLP_REQUIRE(report_traffic->width() == design.width() &&
-                    report_traffic->height() == design.height(),
-                "traffic matrix dimensions do not match the design");
-    return model.weighted_average(report_traffic->rates());
-  }
-  return model.average();
+  return report_traffic ? model.weighted_average(*report_traffic)
+                        : model.average();
 }
 
 std::vector<SweepPoint> sweep_link_limits(int width, int height,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -28,93 +30,173 @@ double MeshLatencyModel::pair_latency(int src, int dst) const {
   return pair_head_latency(src, dst) + serialization_;
 }
 
-PairSums MeshLatencyModel::sum_pairs(const RowSource& demand) const {
-  const int width = routing_.width();
-  const int height = routing_.height();
-  const double router = params_.hop.router_cycles;
-  const double contention = params_.contention_per_hop;
-  // A pair's column segment runs in the destination's column from the
-  // source's row, so one table per source row, indexed by destination,
-  // serves every source in that row.
-  std::vector<double> col_cost(static_cast<std::size_t>(nodes_));
-  std::vector<int> col_hops(static_cast<std::size_t>(nodes_));
-  double weighted_head = 0.0;
-  double weight = 0.0;
-  double worst = 0.0;
-  for (int sy = 0; sy < height; ++sy) {
-    for (int dx = 0; dx < width; ++dx) {
-      const route::DirectionalShortestPaths& col = routing_.col_paths(dx);
-      const double* cost = col.cost_row(sy);
-      const int* hops = col.hops_row(sy);
-      for (int dy = 0; dy < height; ++dy) {
-        col_cost[static_cast<std::size_t>(dy) * width + dx] = cost[dy];
-        col_hops[static_cast<std::size_t>(dy) * width + dx] = hops[dy];
-      }
+namespace {
+
+using route::DirectionalShortestPaths;
+
+/// The segment latency cost + Tc * hops of every pair of one line,
+/// row-major, kept for the next line while it shares the same table
+/// (MeshRouting gives equal lines one table).
+class SegmentLatencies {
+ public:
+  explicit SegmentLatencies(double contention) : contention_(contention) {}
+
+  std::span<const double> of(const DirectionalShortestPaths& paths) {
+    if (&paths == tabled_) return values_;
+    tabled_ = &paths;
+    const int size = paths.size();
+    values_.resize(static_cast<std::size_t>(size) * size);
+    for (int i = 0; i < size; ++i) {
+      const double* cost = paths.cost_row(i);
+      const int* hops = paths.hops_row(i);
+      double* out = values_.data() + static_cast<std::size_t>(i) * size;
+      for (int j = 0; j < size; ++j) out[j] = cost[j] + contention_ * hops[j];
     }
-    const route::DirectionalShortestPaths& row = routing_.row_paths(sy);
-    for (int sx = 0; sx < width; ++sx) {
-      const int src = sy * width + sx;
-      const double* rates = demand(src);
-      const double* row_cost = row.cost_row(sx);
-      const int* row_hops = row.hops_row(sx);
-      int dst = 0;
-      for (int dy = 0; dy < height; ++dy) {
-        for (int dx = 0; dx < width; ++dx, ++dst) {
-          const double w = rates[dst];
-          XLP_REQUIRE(w >= 0.0, "traffic rates must be non-negative");
-          if (dst == src) continue;
-          // pair_head_latency(src, dst), term for term and in its order.
-          const double head = row_cost[dx] + col_cost[dst] + router +
-                              contention * (row_hops[dx] + col_hops[dst]);
-          weighted_head += w * head;
-          weight += w;
-          worst = std::max(worst, head + serialization_);
-        }
-      }
-    }
+    return values_;
   }
-  return {weighted_head, weight, worst};
+
+ private:
+  double contention_;
+  const DirectionalShortestPaths* tabled_ = nullptr;
+  std::vector<double> values_;
+};
+
+/// One line's demand-weighted segment latency and its demand total.
+struct LineFold {
+  double latency = 0.0;
+  double weight = 0.0;
+};
+
+/// Sums demand * latency over one line's block in four interleaved partial
+/// sums, which keep the adds independent. The order moves only a weighted
+/// sum's rounding: integer and half-integer sums are exact in any order.
+LineFold fold_line(std::span<const double> block,
+                   std::span<const double> latencies) {
+  double latency[4] = {};
+  double weight[4] = {};
+  bool negative = false;
+  const auto add = [&](std::size_t lane, std::size_t k) {
+    const double w = block[k];
+    negative |= !(w >= 0.0);
+    latency[lane] += w * latencies[k];
+    weight[lane] += w;
+  };
+  std::size_t k = 0;
+  for (; k + 4 <= block.size(); k += 4)
+    for (std::size_t lane = 0; lane < 4; ++lane) add(lane, k + lane);
+  for (; k < block.size(); ++k) add(0, k);
+  XLP_REQUIRE(!negative, "traffic rates must be non-negative");
+  return {(latency[0] + latency[1]) + (latency[2] + latency[3]),
+          (weight[0] + weight[1]) + (weight[2] + weight[3])};
 }
 
-PairSums MeshLatencyModel::uniform_sums() const {
-  const std::vector<double> ones(static_cast<std::size_t>(nodes_), 1.0);
-  return sum_pairs([&ones](int) { return ones.data(); });
-}
+}  // namespace
 
 LatencyBreakdown MeshLatencyModel::weighted_average(
-    const PairSums& sums) const {
-  XLP_REQUIRE(sums.weight > 0.0,
+    const LineDemand& demand) const {
+  const int width = routing_.width();
+  const int height = routing_.height();
+  XLP_REQUIRE(demand.width() == width && demand.height() == height,
+              "traffic matrix dimensions do not match the design");
+  SegmentLatencies latencies(params_.contention_per_hop);
+  std::vector<double> block(static_cast<std::size_t>(width) * width);
+  double segments = 0.0;
+  double weight = 0.0;
+  // Every pair's row segment, in its source's row; the row blocks' total
+  // is the whole demand, the diagonals' pairs included.
+  for (int y = 0; y < height; ++y) {
+    demand.row_block(y, block);
+    const LineFold row = fold_line(block, latencies.of(routing_.row_paths(y)));
+    segments += row.latency;
+    weight += row.weight;
+  }
+  // Every pair's column segment, in its destination's column.
+  block.resize(static_cast<std::size_t>(height) * height);
+  for (int x = 0; x < width; ++x) {
+    demand.col_block(x, block);
+    segments += fold_line(block, latencies.of(routing_.col_paths(x))).latency;
+  }
+  XLP_REQUIRE(weight > 0.0,
               "traffic matrix must carry some off-diagonal traffic");
-  return {sums.weighted_head / sums.weight, serialization_};
+  // One more Tr per pair for the destination router (pair_head_latency).
+  const double head = segments + params_.hop.router_cycles * weight;
+  return {head / weight, serialization_};
 }
 
 LatencyBreakdown MeshLatencyModel::average() const {
-  const double pairs = static_cast<double>(nodes_) * (nodes_ - 1);
-  return {uniform_sums().weighted_head / pairs, serialization_};
+  return weighted_average(
+      UniformDemand(routing_.width(), routing_.height()));
 }
 
-LatencyBreakdown MeshLatencyModel::weighted_average(
-    const std::vector<double>& rates) const {
-  const std::size_t nodes = static_cast<std::size_t>(nodes_);
-  XLP_REQUIRE(rates.size() == nodes * nodes,
-              "traffic matrix must be N*N, flattened row-major");
-  return weighted_average(sum_pairs(
-      [&rates, nodes](int src) {
-        return rates.data() + static_cast<std::size_t>(src) * nodes;
-      }));
+double MeshLatencyModel::worst_case() const {
+  const int width = routing_.width();
+  const int height = routing_.height();
+  SegmentLatencies latencies(params_.contention_per_hop);
+  // from_col[dx * height + sy]: the dearest column segment from row sy in
+  // column dx, over every destination row; a column sharing the previous
+  // column's table shares its values.
+  std::vector<double> from_col(static_cast<std::size_t>(nodes_));
+  const DirectionalShortestPaths* last = nullptr;
+  for (int dx = 0; dx < width; ++dx) {
+    const DirectionalShortestPaths& paths = routing_.col_paths(dx);
+    const auto out =
+        from_col.begin() + static_cast<std::ptrdiff_t>(dx) * height;
+    if (&paths == last) {
+      std::copy(out - height, out, out);
+      continue;
+    }
+    last = &paths;
+    const std::span<const double> col = latencies.of(paths);
+    for (int sy = 0; sy < height; ++sy)
+      out[sy] = *std::max_element(
+          col.begin() + static_cast<std::ptrdiff_t>(sy) * height,
+          col.begin() + static_cast<std::ptrdiff_t>(sy + 1) * height);
+  }
+  // into_row[dx]: the dearest row segment into turning point (sy, dx) over
+  // every source column. A pair never has both segments empty, since every
+  // line has at least two routers.
+  std::vector<double> into_row(static_cast<std::size_t>(width));
+  last = nullptr;
+  double worst = 0.0;
+  for (int sy = 0; sy < height; ++sy) {
+    const DirectionalShortestPaths& paths = routing_.row_paths(sy);
+    if (&paths != last) {
+      last = &paths;
+      const std::span<const double> row = latencies.of(paths);
+      std::copy(row.begin(), row.begin() + width, into_row.begin());
+      for (int sx = 1; sx < width; ++sx)
+        for (int dx = 0; dx < width; ++dx)
+          into_row[static_cast<std::size_t>(dx)] =
+              std::max(into_row[static_cast<std::size_t>(dx)],
+                       row[static_cast<std::size_t>(sx) * width + dx]);
+    }
+    for (int dx = 0; dx < width; ++dx)
+      worst = std::max(
+          worst, into_row[static_cast<std::size_t>(dx)] +
+                     from_col[static_cast<std::size_t>(dx) * height + sy]);
+  }
+  return worst + params_.hop.router_cycles + serialization_;
 }
-
-double MeshLatencyModel::worst_case() const { return uniform_sums().worst; }
 
 double MeshLatencyModel::average_hops() const {
   // Every row segment is shared by the `height` destinations of its end
   // column, every column segment by the `width` sources of its start row.
+  // Equal lines share one table, and so one total.
+  const DirectionalShortestPaths* last = nullptr;
+  long last_hops = 0;
+  const auto total_hops = [&](const DirectionalShortestPaths& paths) {
+    if (&paths != last) {
+      last = &paths;
+      last_hops = paths.total_hops();
+    }
+    return last_hops;
+  };
   long row_hops = 0;
   for (int y = 0; y < routing_.height(); ++y)
-    row_hops += routing_.row_paths(y).total_hops();
+    row_hops += total_hops(routing_.row_paths(y));
   long col_hops = 0;
   for (int x = 0; x < routing_.width(); ++x)
-    col_hops += routing_.col_paths(x).total_hops();
+    col_hops += total_hops(routing_.col_paths(x));
   const long total = routing_.height() * row_hops + routing_.width() * col_hops;
   return static_cast<double>(total) /
          (static_cast<double>(nodes_) * (nodes_ - 1));

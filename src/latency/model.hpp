@@ -1,8 +1,6 @@
 #pragma once
 
-#include <functional>
-#include <vector>
-
+#include "latency/line_demand.hpp"
 #include "latency/packet_mix.hpp"
 #include "route/mesh_routing.hpp"
 #include "topo/express_mesh.hpp"
@@ -40,17 +38,6 @@ struct LatencyBreakdown {
   [[nodiscard]] double total() const noexcept { return head + serialization; }
 };
 
-/// Running sums of one pass over every ordered pair src != dst.
-struct PairSums {
-  double weighted_head = 0.0;  ///< sum of w * head latency
-  double weight = 0.0;         ///< sum of w
-  double worst = 0.0;          ///< largest head latency + serialization
-};
-
-/// Where sum_pairs() reads source `src`'s demand: N rates, one per
-/// destination node, valid until the next call.
-using RowSource = std::function<const double*(int src)>;
-
 /// Analytic zero-/low-load latency evaluator for a 2D design point. All
 /// averages are over ordered source/destination pairs with src != dst (a
 /// core never sends packets to itself through the network).
@@ -65,29 +52,25 @@ class MeshLatencyModel {
   /// Mix-averaged total latency of one pair (head + serialization).
   [[nodiscard]] double pair_latency(int src, int dst) const;
 
-  /// The one pass every average below is made of: visits each ordered pair
-  /// once, sources in id order and each source's destinations in id order,
-  /// asking `demand` for a source's row once. A pair's head latency is
-  /// computed once from per-row and per-column cost and hop tables, and
-  /// feeds the weighted sums and the worst case. Every rate must be
-  /// non-negative, the diagonal included.
-  [[nodiscard]] PairSums sum_pairs(const RowSource& demand) const;
-
-  /// The weighted average breakdown of a pass; its weight must be
-  /// positive.
-  [[nodiscard]] LatencyBreakdown weighted_average(const PairSums& sums) const;
-
-  /// Average breakdown over all ordered pairs (Eq. 2 with uniform weights).
-  [[nodiscard]] LatencyBreakdown average() const;
-
-  /// Average breakdown weighted by a flattened N*N traffic-rate matrix
-  /// (Section 5.6.4). Rates must be non-negative with positive off-diagonal
-  /// sum.
+  /// The one fold every average is made of (Section 4.2's 2D->1D
+  /// reduction): with W the demand's total, the weighted head sum is
+  /// sum A_y * (row cost + Tc * row hops) over every row block, plus
+  /// sum B_x * (column cost + Tc * column hops) over every column block,
+  /// plus Tr * W for the destination router; O(n^3) for an n x n design.
+  /// Throws PreconditionError when the demand's dimensions differ from the
+  /// design's, an entry is negative or W is zero.
   [[nodiscard]] LatencyBreakdown weighted_average(
-      const std::vector<double>& rates) const;
+      const LineDemand& demand) const;
+
+  /// Average breakdown over all ordered pairs (Eq. 2 with uniform weights):
+  /// the fold over pair counts, exact for integer and half-integer costs.
+  [[nodiscard]] LatencyBreakdown average() const;
 
   /// Maximum zero-load packet latency over all pairs (Table 2). Includes the
   /// mix-averaged serialization term, matching how the paper reports it.
+  /// Independent of demand: the dearest row segment into each (source row,
+  /// destination column) turning point plus the dearest column segment out
+  /// of it, O(n^3).
   [[nodiscard]] double worst_case() const;
 
   /// Average hop (link) count over all ordered pairs.
@@ -104,9 +87,6 @@ class MeshLatencyModel {
   }
 
  private:
-  /// sum_pairs() with weight 1 on every pair.
-  [[nodiscard]] PairSums uniform_sums() const;
-
   int nodes_;
   LatencyParams params_;
   route::MeshRouting routing_;

@@ -66,22 +66,16 @@ obs::Json execute_evaluate(const Request& request) {
   latency::LatencyParams params = latency::LatencyParams::zero_load();
   params.contention_per_hop = request.contention_per_hop;
   const latency::MeshLatencyModel model(design, params);
-  // One pass over the pairs, each source's demand generated into one
-  // reused row: the dense N x N matrix is never built.
-  const traffic::DemandRows demand =
-      traffic::workload_rows(request.workload, request.n, request.load);
-  std::vector<double> row(static_cast<std::size_t>(demand.node_count()));
-  const latency::PairSums sums = model.sum_pairs([&demand, &row](int src) {
-    demand.fill(src, row);
-    return row.data();
-  });
-  const latency::LatencyBreakdown breakdown = model.weighted_average(sums);
+  // The demand's line blocks, made in closed form and folded onto the
+  // routing tables: the dense N x N matrix is never built.
+  const latency::LatencyBreakdown breakdown = model.weighted_average(
+      traffic::workload_rows(request.workload, request.n, request.load));
   return obs::Json::object()
       .set("kind", "evaluate")
       .set("total", breakdown.total())
       .set("head", breakdown.head)
       .set("serialization", breakdown.serialization)
-      .set("worst_case", sums.worst)
+      .set("worst_case", model.worst_case())
       .set("avg_hops", model.average_hops())
       .set("flit_bits", design.flit_bits());
 }
@@ -289,8 +283,8 @@ void Request::validate() const {
       bad_request("workload '" + workload + "' has no demand at n = " +
                   std::to_string(n) + ": " + unfit);
     if (load <= 0.0 || load > 1.0) bad_request("load must be in (0, 1]");
-    // Evaluate streams its demand row by row; the other kinds build the
-    // dense (n^2)^2 matrix.
+    // Evaluate folds its demand's closed-form line blocks; the other kinds
+    // build the dense (n^2)^2 matrix.
     if (kind != RequestKind::kEvaluate && n > traffic::kDenseDemandMaxSide)
       bad_request(std::string(svc::to_string(kind)) + " needs n in [2, " +
                   std::to_string(traffic::kDenseDemandMaxSide) +

@@ -5,17 +5,26 @@
 #include <string>
 #include <vector>
 
+#include "latency/line_demand.hpp"
 #include "traffic/app_models.hpp"
 #include "traffic/matrix.hpp"
 #include "traffic/patterns.hpp"
 
 namespace xlp::traffic {
 
-/// A workload's demand generated one source row at a time. This is the one
+/// A workload's demand, generated without the dense matrix. This is the one
 /// generator of every pattern's and PARSEC model's rates: TrafficMatrix
-/// fills itself from these rows, and a consumer that needs one row at a
-/// time streams them in O(N) memory instead of the matrix's O(N^2).
-class DemandRows {
+/// fills itself from the source rows (fill()), and the latency model folds
+/// the line blocks, each made in closed form in O(n^2) time and memory:
+///   - UR's blocks are exact pair counts (the common scale is dropped);
+///   - hotspot's and a PARSEC model's uniform share is a pair count times
+///     a rate, and each hub adds one point mass per source;
+///   - a permutation adds one entry per source;
+///   - a PARSEC model's locality decay exp(-(|dx| + |dy|) / s) factors into
+///     an x and a y term, and its per-source normalization is a product of
+///     two 1-D sums less the self term.
+/// A block agrees with the same block of matrix() to rounding.
+class DemandRows final : public latency::LineDemand {
  public:
   /// Expected rates of a synthetic pattern at the given per-node injection
   /// rate. Stochastic patterns (UR, hotspot) use their exact expected
@@ -27,6 +36,8 @@ class DemandRows {
   DemandRows(const AppModel& model, int n);
 
   [[nodiscard]] int node_count() const noexcept { return n_ * n_; }
+  [[nodiscard]] int width() const override { return n_; }
+  [[nodiscard]] int height() const override { return n_; }
 
   /// Writes the rates from `src` to every node into `row`, which holds
   /// node_count() entries; row[src] is zero.
@@ -35,8 +46,32 @@ class DemandRows {
   /// The dense matrix of these rows.
   [[nodiscard]] TrafficMatrix matrix() const;
 
+  void row_block(int y, std::span<double> block) const override;
+  void col_block(int x, std::span<double> block) const override;
+
  private:
+  /// Per-pair shares of a non-permutation demand: `pair` on every ordered
+  /// pair, `local` times the normalized decay, `hub` on each hub.
+  struct Shares {
+    double pair = 0.0;
+    double local = 0.0;
+    double hub = 0.0;
+  };
+
+  /// A node's coordinates.
+  struct Node {
+    int x;
+    int y;
+  };
+
   void fill_model(int src, std::span<double> row) const;
+  [[nodiscard]] Shares shares() const;
+  /// Row a of a line block, out[b] for every b: the uniform share of the n
+  /// pairs across the line (n - 1 on the diagonal, where the line's own
+  /// node is), plus coef * decay(|b - a|) * across, less coef * self on the
+  /// diagonal.
+  void line_entries(int a, const Shares& share, double coef, double across,
+                    double self, double* out) const;
 
   int n_;
   std::optional<Pattern> pattern_;  ///< unset: the PARSEC model's rows
@@ -45,6 +80,14 @@ class DemandRows {
   std::vector<int> hubs_;       ///< hotspot pattern or model hub nodes
   std::vector<double> decay_;   ///< model: exp(-d / locality_scale) by d
   double uniform_ = 0.0;        ///< model: uniform share per destination
+  std::vector<double> line_decay_;  ///< model: sum_j decay(|j - i|) by i
+  /// model: decay(|j - (n - 1)|) by j in [0, 2n - 2], so that
+  /// mirrored_decay_[n - 1 - a + b] is decay(|b - a|)
+  std::vector<double> mirrored_decay_;
+  /// model: 1 / (the decay from (sx, sy) to every other node) by sy * n + sx
+  std::vector<double> inv_norm_;
+  /// permutation: each source's destination, x = -1 for none
+  std::vector<Node> dest_;
 };
 
 /// A workload's rows on an n x n network: a synthetic pattern at `load`

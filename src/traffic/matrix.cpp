@@ -101,31 +101,45 @@ TrafficMatrix TrafficMatrix::concentrate(int block) const {
   return routers;
 }
 
-std::vector<double> TrafficMatrix::row_weights(int y) const {
+void TrafficMatrix::row_block(int y, std::span<double> block) const {
   XLP_REQUIRE(y >= 0 && y < height_, "row out of range");
-  std::vector<double> w(static_cast<std::size_t>(width_) * width_, 0.0);
+  XLP_REQUIRE(block.size() == static_cast<std::size_t>(width_) * width_,
+              "a row block has width * width entries");
+  std::fill(block.begin(), block.end(), 0.0);
   for (int a = 0; a < width_; ++a) {
-    const int src = y * width_ + a;
-    for (int dst = 0; dst < node_count(); ++dst) {
-      const int b = dst % width_;
-      if (b == a) continue;  // no row segment when x coordinates match
-      w[static_cast<std::size_t>(a) * width_ + b] += rates_[idx(src, dst)];
-    }
+    const double* rates = rates_.data() + idx(y * width_ + a, 0);
+    double* out = block.data() + static_cast<std::size_t>(a) * width_;
+    for (int dst = 0; dst < node_count(); ++dst)
+      out[dst % width_] += rates[dst];
   }
+}
+
+void TrafficMatrix::col_block(int x, std::span<double> block) const {
+  XLP_REQUIRE(x >= 0 && x < width_, "column out of range");
+  XLP_REQUIRE(block.size() == static_cast<std::size_t>(height_) * height_,
+              "a column block has height * height entries");
+  std::fill(block.begin(), block.end(), 0.0);
+  for (int v = 0; v < height_; ++v) {
+    const int dst = v * width_ + x;
+    for (int src = 0; src < node_count(); ++src)
+      block[static_cast<std::size_t>(src / width_) * height_ + v] +=
+          rates_[idx(src, dst)];
+  }
+}
+
+std::vector<double> TrafficMatrix::row_weights(int y) const {
+  std::vector<double> w(static_cast<std::size_t>(width_) * width_);
+  row_block(y, w);
+  for (int a = 0; a < width_; ++a)
+    w[static_cast<std::size_t>(a) * width_ + a] = 0.0;  // x coordinates match
   return w;
 }
 
 std::vector<double> TrafficMatrix::col_weights(int x) const {
-  XLP_REQUIRE(x >= 0 && x < width_, "column out of range");
-  std::vector<double> w(static_cast<std::size_t>(height_) * height_, 0.0);
-  for (int v = 0; v < height_; ++v) {
-    const int dst = v * width_ + x;
-    for (int src = 0; src < node_count(); ++src) {
-      const int u = src / width_;
-      if (u == v) continue;  // no column segment when y coordinates match
-      w[static_cast<std::size_t>(u) * height_ + v] += rates_[idx(src, dst)];
-    }
-  }
+  std::vector<double> w(static_cast<std::size_t>(height_) * height_);
+  col_block(x, w);
+  for (int u = 0; u < height_; ++u)
+    w[static_cast<std::size_t>(u) * height_ + u] = 0.0;  // y coordinates match
   return w;
 }
 

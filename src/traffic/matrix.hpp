@@ -3,22 +3,24 @@
 #include <span>
 #include <vector>
 
+#include "latency/line_demand.hpp"
 #include "traffic/patterns.hpp"
 #include "util/rng.hpp"
 
 namespace xlp::traffic {
 
 /// Largest network side whose dense matrix a request may build: 64^4
-/// rates are 134 MB. Kinds that stream the demand row by row (evaluate)
-/// are not bound by it.
+/// rates are 134 MB. Evaluate, which folds closed-form line blocks, is not
+/// bound by it.
 inline constexpr int kDenseDemandMaxSide = 64;
 
 /// Long-run traffic-rate matrix gamma: rates[src*N + dst] is the expected
 /// packet injection rate (packets/cycle) from node src to node dst on an
 /// n x n network. The diagonal is always zero. This is the gamma_ij of
 /// Section 5.6.4 and the offered-load description the simulator samples
-/// from.
-class TrafficMatrix {
+/// from. Its line blocks are sums of its rates, so the latency model folds a
+/// dense matrix the way it folds DemandRows.
+class TrafficMatrix final : public latency::LineDemand {
  public:
   /// All-zero matrix for an n x n network.
   explicit TrafficMatrix(int n);
@@ -26,8 +28,8 @@ class TrafficMatrix {
   /// All-zero matrix for a rectangular width x height network.
   TrafficMatrix(int width, int height);
 
-  [[nodiscard]] int width() const noexcept { return width_; }
-  [[nodiscard]] int height() const noexcept { return height_; }
+  [[nodiscard]] int width() const noexcept override { return width_; }
+  [[nodiscard]] int height() const noexcept override { return height_; }
   [[nodiscard]] bool is_square() const noexcept { return width_ == height_; }
   /// Routers per side; only valid for square networks (throws otherwise).
   [[nodiscard]] int side() const;
@@ -40,8 +42,7 @@ class TrafficMatrix {
   /// rates and row[src] is zero.
   void set_row(int src, std::span<const double> row);
 
-  /// Flattened N*N row-major copy (what MeshLatencyModel::weighted_average
-  /// and the row/column decompositions consume).
+  /// Flattened N*N row-major rates.
   [[nodiscard]] const std::vector<double>& rates() const noexcept {
     return rates_;
   }
@@ -60,15 +61,20 @@ class TrafficMatrix {
   static TrafficMatrix from_pattern(Pattern p, int n,
                                     double per_node_packets_per_cycle);
 
-  /// Row decomposition for the application-specific objective: under XY
-  /// routing, the row-segment demand of row y between in-row positions
-  /// (a, b) is the total rate from node (a, y) to any node with x = b.
-  /// Returns the flattened width*width weight matrix for that row.
+  /// Line blocks (latency::LineDemand): the total rate from node (a, y) to
+  /// every node with x = b, each destination added in id order; and the
+  /// total rate from every node with y = u to node (x, v), each source
+  /// added in id order.
+  void row_block(int y, std::span<double> block) const override;
+  void col_block(int x, std::span<double> block) const override;
+
+  /// Row decomposition for the application-specific objective: row_block(y)
+  /// without its diagonal, which has no row segment. Returns the flattened
+  /// width*width weight matrix for that row.
   [[nodiscard]] std::vector<double> row_weights(int y) const;
 
-  /// Column decomposition: the column-segment demand of column x between
-  /// in-column positions (u, v) is the total rate from any node with y = u
-  /// to node (x, v); a flattened height*height matrix.
+  /// Column decomposition: col_block(x) without its diagonal; a flattened
+  /// height*height matrix.
   [[nodiscard]] std::vector<double> col_weights(int x) const;
 
   /// Concentration: maps a core-level matrix onto a router grid where each

@@ -84,7 +84,7 @@ TEST(Integration, SimulationMatchesAnalyticWithinTolerance) {
 
   const latency::MeshLatencyModel model(best.design,
                                         latency::LatencyParams::zero_load());
-  const auto analytic = model.weighted_average(demand.rates());
+  const auto analytic = model.weighted_average(demand);
   EXPECT_GE(stats.avg_latency, analytic.total() * 0.98);
   EXPECT_LE(stats.avg_latency, analytic.total() * 1.20);
 }

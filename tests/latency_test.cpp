@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "latency/model.hpp"
@@ -146,84 +148,173 @@ TEST(MeshLatencyModel, WorstCaseOrderingMatchesTable2) {
 TEST(MeshLatencyModel, WeightedAverageWithUniformMatrixEqualsAverage) {
   const topo::ExpressMesh design = topo::make_hfb(8);
   const MeshLatencyModel model(design, LatencyParams::zero_load());
-  std::vector<double> rates(64 * 64, 1.0);
-  for (int i = 0; i < 64; ++i) rates[static_cast<std::size_t>(i) * 64 + i] = 0.0;
-  const LatencyBreakdown weighted = model.weighted_average(rates);
+  traffic::TrafficMatrix demand(8);
+  for (int src = 0; src < 64; ++src)
+    for (int dst = 0; dst < 64; ++dst)
+      if (src != dst) demand.set_rate(src, dst, 1.0);
+  const LatencyBreakdown weighted = model.weighted_average(demand);
   const LatencyBreakdown uniform = model.average();
-  EXPECT_NEAR(weighted.head, uniform.head, 1e-9);
+  // Unit rates are the pair counts average() folds: the same exact sums.
+  EXPECT_EQ(weighted.head, uniform.head);
   EXPECT_DOUBLE_EQ(weighted.serialization, uniform.serialization);
 }
 
 TEST(MeshLatencyModel, WeightedAverageSinglePair) {
   const MeshLatencyModel model(topo::make_mesh(4),
                                LatencyParams::zero_load());
-  std::vector<double> rates(16 * 16, 0.0);
-  rates[0 * 16 + 15] = 2.5;  // only corner-to-corner
-  const LatencyBreakdown w = model.weighted_average(rates);
+  traffic::TrafficMatrix demand(4);
+  demand.set_rate(0, 15, 2.5);  // only corner-to-corner
+  const LatencyBreakdown w = model.weighted_average(demand);
   EXPECT_DOUBLE_EQ(w.head, model.pair_head_latency(0, 15));
 }
+
+/// A demand whose row blocks carry one negative entry.
+class NegativeDemand final : public LineDemand {
+ public:
+  [[nodiscard]] int width() const override { return 4; }
+  [[nodiscard]] int height() const override { return 4; }
+  void row_block(int, std::span<double> block) const override {
+    std::fill(block.begin(), block.end(), 1.0);
+    block[1] = -1.0;
+  }
+  void col_block(int, std::span<double> block) const override {
+    std::fill(block.begin(), block.end(), 1.0);
+  }
+};
 
 TEST(MeshLatencyModel, WeightedAverageValidation) {
   const MeshLatencyModel model(topo::make_mesh(4),
                                LatencyParams::zero_load());
-  EXPECT_THROW(model.weighted_average(std::vector<double>(10, 1.0)),
+  EXPECT_THROW((void)model.weighted_average(traffic::TrafficMatrix(3)),
                PreconditionError);
-  EXPECT_THROW(model.weighted_average(std::vector<double>(256, 0.0)),
+  EXPECT_THROW((void)model.weighted_average(traffic::TrafficMatrix(4, 2)),
                PreconditionError);
-  std::vector<double> negative(256, 1.0);
-  negative[1] = -1.0;
-  EXPECT_THROW(model.weighted_average(negative), PreconditionError);
+  EXPECT_THROW((void)model.weighted_average(traffic::TrafficMatrix(4)),
+               PreconditionError);
+  EXPECT_THROW((void)model.weighted_average(NegativeDemand()),
+               PreconditionError);
 }
 
-/// What the one pass must reproduce bit for bit: the loop over
-/// pair_head_latency() that every average used to run, one pair at a time.
+/// The oracle the fold must agree with: the loop over pair_head_latency()
+/// every average used to run, one pair at a time. Its weighted sums are
+/// long double: in double, UR's 65280 pairs at n = 16 alone drift 1e-12
+/// relative from the exact quotient, which is the tolerance below.
 struct PairReference {
-  double head = 0.0;
+  double head = 0.0;          ///< weighted by the demand's rates
+  double uniform_head = 0.0;  ///< weight 1 on every pair
   double worst = 0.0;
   double hops = 0.0;
 };
 
 PairReference per_pair_reference(const MeshLatencyModel& model,
-                                 const std::vector<double>& rates) {
+                                 const traffic::TrafficMatrix& demand) {
   const int nodes = model.routing().width() * model.routing().height();
-  double head_total = 0.0;
-  double weight_total = 0.0;
+  long double head_total = 0.0;
+  long double weight_total = 0.0;
+  double uniform_total = 0.0;
   double worst = 0.0;
   long hops = 0;
   for (int src = 0; src < nodes; ++src) {
     for (int dst = 0; dst < nodes; ++dst) {
       if (src == dst) continue;
-      const double w = rates[static_cast<std::size_t>(src) * nodes + dst];
+      const double w = demand.rate(src, dst);
       const double head = model.pair_head_latency(src, dst);
-      head_total += w * head;
+      head_total += static_cast<long double>(w) * head;
       weight_total += w;
+      uniform_total += head;
       worst = std::max(worst, head + model.serialization_cycles());
       hops += model.routing().hops(src, dst);
     }
   }
-  return {head_total / weight_total, worst,
-          static_cast<double>(hops) /
-              (static_cast<double>(nodes) * (nodes - 1))};
+  const double pairs = static_cast<double>(nodes) * (nodes - 1);
+  return {static_cast<double>(head_total / weight_total),
+          uniform_total / pairs, worst,
+          static_cast<double>(hops) / pairs};
 }
 
-/// The one pass over `stream`'s rows, over the dense `rates` and the
-/// unweighted passes against the per-pair reference, with EXPECT_EQ on
-/// doubles: equal bits, not nearly equal values.
-void expect_one_pass_matches(const MeshLatencyModel& model,
-                             const std::vector<double>& rates,
-                             const RowSource& stream,
-                             const std::string& what) {
-  const PairReference reference = per_pair_reference(model, rates);
-  const PairSums sums = model.sum_pairs(stream);
-  const LatencyBreakdown streamed = model.weighted_average(sums);
-  EXPECT_EQ(streamed.head, reference.head) << what;
-  EXPECT_EQ(streamed.total(),
-            reference.head + model.serialization_cycles())
+/// The fold of `demand` and of its dense `matrix` against the per-pair
+/// reference over `matrix`: weighted heads to 1e-12 relative, and the
+/// uniform average, the worst case and the hop average with EXPECT_EQ on
+/// doubles (equal bits: their sums are exact).
+void expect_fold_matches(const MeshLatencyModel& model,
+                         const LineDemand& demand,
+                         const traffic::TrafficMatrix& matrix,
+                         const std::string& what) {
+  const PairReference reference = per_pair_reference(model, matrix);
+  const double tolerance = 1e-12 * reference.head;
+  const LatencyBreakdown folded = model.weighted_average(demand);
+  EXPECT_NEAR(folded.head, reference.head, tolerance) << what;
+  EXPECT_EQ(folded.serialization, model.serialization_cycles()) << what;
+  EXPECT_NEAR(model.weighted_average(matrix).head, reference.head, tolerance)
       << what;
-  EXPECT_EQ(model.weighted_average(rates).head, reference.head) << what;
-  EXPECT_EQ(sums.worst, reference.worst) << what;
+  EXPECT_EQ(model.average().head, reference.uniform_head) << what;
   EXPECT_EQ(model.worst_case(), reference.worst) << what;
   EXPECT_EQ(model.average_hops(), reference.hops) << what;
+}
+
+/// Every line block of `demand` against the same block of its dense
+/// `matrix`, up to the one scale the blocks may drop (UR's are pair
+/// counts), to 1e-12 of the block's largest entry.
+void expect_blocks_match(const LineDemand& demand,
+                         const traffic::TrafficMatrix& matrix,
+                         const std::string& what) {
+  const int n = demand.width();
+  std::vector<double> ours(static_cast<std::size_t>(n) * n);
+  std::vector<double> dense(ours.size());
+  double our_total = 0.0;
+  double dense_total = 0.0;
+  for (int y = 0; y < n; ++y) {
+    demand.row_block(y, ours);
+    matrix.row_block(y, dense);
+    for (std::size_t i = 0; i < ours.size(); ++i) {
+      our_total += ours[i];
+      dense_total += dense[i];
+    }
+  }
+  const double scale = dense_total / our_total;
+  for (const bool rows : {true, false}) {
+    for (int line = 0; line < n; ++line) {
+      if (rows) {
+        demand.row_block(line, ours);
+        matrix.row_block(line, dense);
+      } else {
+        demand.col_block(line, ours);
+        matrix.col_block(line, dense);
+      }
+      const double peak = *std::max_element(dense.begin(), dense.end());
+      for (std::size_t i = 0; i < ours.size(); ++i)
+        ASSERT_NEAR(ours[i] * scale, dense[i], 1e-12 * peak)
+            << what << (rows ? " row " : " column ") << line << " entry "
+            << i;
+    }
+  }
+}
+
+/// A heterogeneous width x height design: every row and column its own
+/// random placement.
+topo::ExpressMesh random_heterogeneous(int width, int height, int limit,
+                                       Rng& rng) {
+  std::vector<topo::RowTopology> rows;
+  std::vector<topo::RowTopology> cols;
+  for (int y = 0; y < height; ++y)
+    rows.push_back(test::random_valid_row(width, limit, rng));
+  for (int x = 0; x < width; ++x)
+    cols.push_back(test::random_valid_row(height, limit, rng));
+  return topo::ExpressMesh(rows, cols, limit, 256 / limit);
+}
+
+/// Random rates with about 30% zero entries.
+traffic::TrafficMatrix random_dense(int width, int height, Rng& rng) {
+  traffic::TrafficMatrix demand(width, height);
+  for (int src = 0; src < demand.node_count(); ++src)
+    for (int dst = 0; dst < demand.node_count(); ++dst)
+      if (src != dst && rng.uniform01() < 0.7)
+        demand.set_rate(src, dst, rng.uniform01());
+  return demand;
+}
+
+std::string contention_tag(double contention) {
+  return contention > 0.0 ? " contention=0.5" : " contention=0";
 }
 
 TEST(Latency, OnePassEqualsPerPairReference) {
@@ -238,57 +329,104 @@ TEST(Latency, OnePassEqualsPerPairReference) {
     workloads.push_back(model.name);
 
   Rng rng(29);
+  // Every workload's closed-form blocks on heterogeneous square designs.
   for (const int n : {3, 4, 8, 16}) {
-    // A heterogeneous design: every row and column its own placement.
-    const int limit = n == 3 ? 2 : 4;
-    std::vector<topo::RowTopology> rows;
-    std::vector<topo::RowTopology> cols;
-    for (int i = 0; i < n; ++i) {
-      rows.push_back(test::random_valid_row(n, limit, rng));
-      cols.push_back(test::random_valid_row(n, limit, rng));
-    }
-    const topo::ExpressMesh design(rows, cols, limit, 256 / limit);
-    for (const double contention : {0.0, 0.5}) {
-      LatencyParams params;
-      params.contention_per_hop = contention;
-      const MeshLatencyModel model(design, params);
-      for (const std::string& workload : workloads) {
-        if (traffic::workload_unfit(workload, n) != nullptr) continue;
-        const traffic::DemandRows demand =
-            traffic::workload_rows(workload, n, 0.02);
-        std::vector<double> row(static_cast<std::size_t>(demand.node_count()));
-        expect_one_pass_matches(
-            model, demand.matrix().rates(),
-            [&demand, &row](int src) {
-              demand.fill(src, row);
-              return row.data();
-            },
-            workload + " n=" + std::to_string(n) +
-                " contention=" + std::to_string(contention));
+    const topo::ExpressMesh design =
+        random_heterogeneous(n, n, n == 3 ? 2 : 4, rng);
+    for (const std::string& workload : workloads) {
+      if (traffic::workload_unfit(workload, n) != nullptr) continue;
+      const traffic::DemandRows demand =
+          traffic::workload_rows(workload, n, 0.02);
+      const traffic::TrafficMatrix matrix = demand.matrix();
+      const std::string what = workload + " n=" + std::to_string(n);
+      expect_blocks_match(demand, matrix, what);
+      for (const double contention : {0.0, 0.5}) {
+        LatencyParams params;
+        params.contention_per_hop = contention;
+        const MeshLatencyModel model(design, params);
+        expect_fold_matches(model, demand, matrix,
+                            what + contention_tag(contention));
+        // UR's blocks are the pair counts average() folds.
+        if (workload == "uniform_random")
+          EXPECT_EQ(model.weighted_average(demand).head,
+                    model.average().head)
+              << what;
       }
     }
   }
 
-  // A rectangular mesh under a random matrix with zero entries.
-  const topo::ExpressMesh rect =
-      topo::make_rect_design(test::random_valid_row(8, 4, rng),
-                             test::random_valid_row(4, 4, rng), 4);
-  const std::size_t nodes = 32;
-  std::vector<double> rates(nodes * nodes, 0.0);
-  for (std::size_t src = 0; src < nodes; ++src)
-    for (std::size_t dst = 0; dst < nodes; ++dst)
-      if (src != dst && rng.uniform01() < 0.7)
-        rates[src * nodes + dst] = rng.uniform01();
-  for (const double contention : {0.0, 0.5}) {
-    LatencyParams params;
-    params.contention_per_hop = contention;
-    const MeshLatencyModel model(rect, params);
-    expect_one_pass_matches(
-        model, rates,
-        [&rates, nodes](int src) {
-          return rates.data() + static_cast<std::size_t>(src) * nodes;
-        },
-        "rect 8x4 contention=" + std::to_string(contention));
+  // Random dense demands, zero entries included, on heterogeneous square
+  // designs and an 8x4 rectangular one.
+  for (const auto& [width, height] :
+       {std::pair{4, 4}, std::pair{6, 6}, std::pair{8, 8}, std::pair{8, 4}}) {
+    const topo::ExpressMesh design =
+        random_heterogeneous(width, height, 4, rng);
+    const traffic::TrafficMatrix matrix = random_dense(width, height, rng);
+    for (const double contention : {0.0, 0.5}) {
+      LatencyParams params;
+      params.contention_per_hop = contention;
+      const MeshLatencyModel model(design, params);
+      expect_fold_matches(model, matrix, matrix,
+                          "random " + std::to_string(width) + "x" +
+                              std::to_string(height) +
+                              contention_tag(contention));
+    }
+  }
+}
+
+/// `row` mirrored: link (i, j) becomes (n-1-j, n-1-i).
+topo::RowTopology reflect(const topo::RowTopology& row) {
+  const int n = row.size();
+  std::vector<topo::RowLink> links;
+  for (const topo::RowLink& link : row.express_links())
+    links.push_back({n - 1 - link.hi, n - 1 - link.lo});
+  return topo::RowTopology(n, links);
+}
+
+TEST(Latency, ReflectionInBothAxesKeepsTheWeightedHead) {
+  // Node (x, y) becomes (n-1-x, n-1-y): row y's placement moves to row
+  // n-1-y mirrored, column x's to column n-1-x mirrored, and node id i to
+  // N-1-i. A pair keeps its row segment in its source's row and its column
+  // segment in its destination's column, so XY routing sees every segment
+  // mirrored and the weighted head cannot change: the fold's 2D->1D
+  // reduction, checked from outside the code.
+  Rng rng(31);
+  for (const int n : {4, 7, 8}) {
+    const topo::ExpressMesh design = random_heterogeneous(n, n, 4, rng);
+    std::vector<topo::RowTopology> rows;
+    std::vector<topo::RowTopology> cols;
+    for (int i = 0; i < n; ++i) {
+      rows.push_back(reflect(design.row(n - 1 - i)));
+      cols.push_back(reflect(design.col(n - 1 - i)));
+    }
+    const topo::ExpressMesh mirrored(rows, cols, design.link_limit(),
+                                     design.flit_bits());
+    const traffic::TrafficMatrix demand = random_dense(n, n, rng);
+    const int last = demand.node_count() - 1;
+    traffic::TrafficMatrix reflected(n);
+    for (int src = 0; src <= last; ++src)
+      for (int dst = 0; dst <= last; ++dst)
+        if (src != dst)
+          reflected.set_rate(last - src, last - dst, demand.rate(src, dst));
+    for (const double contention : {0.0, 0.5}) {
+      LatencyParams params;
+      params.contention_per_hop = contention;
+      const MeshLatencyModel model(design, params);
+      const MeshLatencyModel mirror(mirrored, params);
+      const std::string what =
+          "n=" + std::to_string(n) + contention_tag(contention);
+      EXPECT_EQ(mirror.average().head, model.average().head) << what;
+      const traffic::DemandRows uniform(traffic::Pattern::kUniformRandom, n,
+                                        0.02);
+      EXPECT_EQ(mirror.weighted_average(uniform).head,
+                model.weighted_average(uniform).head)
+          << what;
+      EXPECT_EQ(mirror.worst_case(), model.worst_case()) << what;
+      const double head = model.weighted_average(demand).head;
+      EXPECT_NEAR(mirror.weighted_average(reflected).head, head,
+                  1e-12 * head)
+          << what;
+    }
   }
 }
 

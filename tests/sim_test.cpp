@@ -226,7 +226,7 @@ TEST(Load, HopsMatchRoutingTables) {
   const latency::MeshLatencyModel model(design,
                                         latency::LatencyParams::zero_load());
   // Transpose's average hops under the tables, weighted by the pattern.
-  const auto breakdown = model.weighted_average(demand.rates());
+  const auto breakdown = model.weighted_average(demand);
   (void)breakdown;
   double expect_hops = 0.0;
   int flows = 0;

@@ -14,6 +14,7 @@
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 #include "topo/builders.hpp"
+#include "traffic/matrix.hpp"
 #include "util/check.hpp"
 
 namespace xlp {
@@ -223,22 +224,20 @@ TEST(Differential, WeightedAverageMatchesBruteForce) {
   const latency::MeshLatencyModel model(mesh,
                                         latency::LatencyParams::zero_load());
   const int nodes = mesh.node_count();
-  std::vector<double> rates(static_cast<std::size_t>(nodes) * nodes, 0.0);
+  traffic::TrafficMatrix demand(6);
   for (int s = 0; s < nodes; ++s)
     for (int d = 0; d < nodes; ++d)
-      if (s != d)
-        rates[static_cast<std::size_t>(s) * nodes + d] =
-            rng.uniform01() * 0.01;
+      if (s != d) demand.set_rate(s, d, rng.uniform01() * 0.01);
 
   double num = 0.0, den = 0.0;
   for (int s = 0; s < nodes; ++s)
     for (int d = 0; d < nodes; ++d) {
       if (s == d) continue;
-      const double w = rates[static_cast<std::size_t>(s) * nodes + d];
+      const double w = demand.rate(s, d);
       num += w * model.pair_head_latency(s, d);
       den += w;
     }
-  EXPECT_NEAR(model.weighted_average(rates).head, num / den, 1e-9);
+  EXPECT_NEAR(model.weighted_average(demand).head, num / den, 1e-9);
 }
 
 TEST(Differential, RowWeightsMatchFlowEnumeration) {

@@ -428,9 +428,28 @@ TEST(Request, EvaluateMatchesLatencyModel) {
                                         latency::LatencyParams::zero_load());
   const auto demand = traffic::TrafficMatrix::from_pattern(
       traffic::Pattern::kUniformRandom, 8, 0.02);
-  const auto expected = model.weighted_average(demand.rates());
+  const auto expected = model.weighted_average(demand);
   ASSERT_NE(payload.find("total"), nullptr);
   EXPECT_DOUBLE_EQ(payload.find("total")->as_number(), expected.total());
+}
+
+TEST(Request, UniformMeshEvaluateIsExact) {
+  // On a link-less n x n mesh the mean Manhattan distance over ordered
+  // pairs is 2n/3 and a pair's head is 4 * distance + 3 (Tr = 3 per router
+  // traversed, Tl = 1 per unit), so UR's head is (8n + 9) / 3. The fold
+  // sums UR's pair counts exactly, so the reply is that quotient rounded
+  // once, up to the largest accepted n.
+  for (const int n : {4, 16, 64, 128, 256}) {
+    Request request;
+    request.kind = RequestKind::kEvaluate;
+    request.n = n;
+    request.link_limit = 1;
+    request.workload = "uniform_random";
+    const obs::Json payload = execute_request(request, nullptr);
+    ASSERT_NE(payload.find("head"), nullptr);
+    EXPECT_EQ(payload.find("head")->as_number(), (8.0 * n + 9) / 3)
+        << "n=" << n;
+  }
 }
 
 // -------------------------------------------------------------------- cache
