@@ -17,7 +17,7 @@
 #include "core/app_specific.hpp"
 #include "core/c_sweep.hpp"
 #include "exp/scenarios.hpp"
-#include "traffic/app_models.hpp"
+#include "traffic/demand.hpp"
 
 using namespace xlp;
 
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const long cycles = argc > 2 ? std::atol(argv[2]) : 20000;
   constexpr int kSide = 8;
 
-  const auto demand = traffic::resolve_workload(workload, kSide, 0.02);
+  const auto demand = traffic::workload_rows(workload, kSide, 0.02).matrix();
 
   // 1. Profile on the mesh.
   std::printf("profiling '%s' on the baseline mesh for %ld cycles...\n",

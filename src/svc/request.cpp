@@ -159,7 +159,7 @@ core::AppSpecificResult appspec(const Request& request,
   request.validate();
   Rng rng(request.seed);
   return core::solve_app_specific(
-      traffic::resolve_workload(request.workload, request.n, request.load),
+      traffic::workload_rows(request.workload, request.n, request.load),
       sweep_options(request, control), rng);
 }
 
@@ -178,7 +178,8 @@ sim::SimStats simulate(const Request& request, const sim::SimConfig& hooks) {
   config.control = hooks.control;
   return exp::simulate_design(
       design_of(request),
-      traffic::resolve_workload(request.workload, request.n, request.load),
+      traffic::workload_rows(request.workload, request.n, request.load)
+          .matrix(),
       config);
 }
 
@@ -283,10 +284,10 @@ void Request::validate() const {
       bad_request("workload '" + workload + "' has no demand at n = " +
                   std::to_string(n) + ": " + unfit);
     if (load <= 0.0 || load > 1.0) bad_request("load must be in (0, 1]");
-    // Evaluate folds its demand's closed-form line blocks; the other kinds
-    // build the dense (n^2)^2 matrix.
-    if (kind != RequestKind::kEvaluate && n > traffic::kDenseDemandMaxSide)
-      bad_request(std::string(svc::to_string(kind)) + " needs n in [2, " +
+    // Evaluate and appspec read their demand's closed-form line blocks;
+    // the simulator samples the dense (n^2)^2 matrix.
+    if (kind == RequestKind::kSimulate && n > traffic::kDenseDemandMaxSide)
+      bad_request("simulate needs n in [2, " +
                   std::to_string(traffic::kDenseDemandMaxSide) +
                   "]: its demand is a dense (n^2)^2 matrix");
   }

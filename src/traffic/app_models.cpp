@@ -66,8 +66,4 @@ const char* workload_unfit(const std::string& name, int n) {
   return nullptr;
 }
 
-TrafficMatrix resolve_workload(const std::string& name, int n, double load) {
-  return workload_rows(name, n, load).matrix();
-}
-
 }  // namespace xlp::traffic

@@ -54,10 +54,4 @@ struct AppModel {
 /// when it has: pattern_unfit() for a pattern; a PARSEC model always has.
 [[nodiscard]] const char* workload_unfit(const std::string& name, int n);
 
-/// The dense matrix of workload_rows(name, n, load) (traffic/demand.hpp):
-/// a synthetic pattern at `load` packets/node/cycle, or a PARSEC model at
-/// its own injection rate.
-[[nodiscard]] TrafficMatrix resolve_workload(const std::string& name, int n,
-                                             double load);
-
 }  // namespace xlp::traffic

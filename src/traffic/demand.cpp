@@ -17,15 +17,14 @@ DemandRows::DemandRows(Pattern pattern, int n,
               "injection rate must be non-negative");
   if (const char* unfit = pattern_unfit(pattern, n)) XLP_FAIL(unfit);
   if (pattern == Pattern::kHotspot) {
-    // Mirror pattern_destination(): four hubs at the quarter points.
+    // Four hubs at the quarter points absorb 20% of the traffic.
     const int q = n / 4;
     hubs_ = {q * n + q, q * n + (n - 1 - q), (n - 1 - q) * n + q,
              (n - 1 - q) * n + (n - 1 - q)};
   } else if (pattern != Pattern::kUniformRandom) {
-    Rng unused(0);
     dest_.reserve(static_cast<std::size_t>(node_count()));
     for (int src = 0; src < node_count(); ++src) {
-      const auto dest = pattern_destination(pattern, src, n, unused);
+      const auto dest = pattern_destination(pattern, src, n);
       dest_.push_back(dest ? Node{*dest % n, *dest / n} : Node{-1, -1});
     }
   }
@@ -87,18 +86,17 @@ void DemandRows::fill(int src, std::span<double> row) const {
     for (int dst = 0; dst < nodes; ++dst)
       if (dst != src) row[dst] = rate;
   } else if (*pattern_ == Pattern::kHotspot) {
-    // 20% to the four hubs, 80% uniform over all nodes (self-directed
-    // draws are dropped, so slightly less than the nominal rate enters the
-    // network — same as the sampler). Hub adds come first.
+    // 20% to the four hubs, 80% uniform over all nodes (the self-directed
+    // share is dropped, so slightly less than the nominal rate enters the
+    // network). Hub adds come first.
     for (const int hub : hubs_)
       if (hub != src) row[hub] += rate_ * 0.2 / 4.0;
     const double uniform = rate_ * 0.8 / nodes;
     for (int dst = 0; dst < nodes; ++dst)
       if (dst != src) row[dst] += uniform;
-  } else {
-    Rng unused(0);
-    if (const auto dest = pattern_destination(*pattern_, src, n_, unused))
-      row[*dest] = rate_;
+  } else if (const Node dest = dest_[static_cast<std::size_t>(src)];
+             dest.x >= 0) {
+    row[static_cast<std::size_t>(dest.y) * n_ + dest.x] = rate_;
   }
   XLP_CHECK(row[src] == 0.0, "self-traffic does not enter the network");
 }

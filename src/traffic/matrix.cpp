@@ -127,20 +127,4 @@ void TrafficMatrix::col_block(int x, std::span<double> block) const {
   }
 }
 
-std::vector<double> TrafficMatrix::row_weights(int y) const {
-  std::vector<double> w(static_cast<std::size_t>(width_) * width_);
-  row_block(y, w);
-  for (int a = 0; a < width_; ++a)
-    w[static_cast<std::size_t>(a) * width_ + a] = 0.0;  // x coordinates match
-  return w;
-}
-
-std::vector<double> TrafficMatrix::col_weights(int x) const {
-  std::vector<double> w(static_cast<std::size_t>(height_) * height_);
-  col_block(x, w);
-  for (int u = 0; u < height_; ++u)
-    w[static_cast<std::size_t>(u) * height_ + u] = 0.0;  // y coordinates match
-  return w;
-}
-
 }  // namespace xlp::traffic

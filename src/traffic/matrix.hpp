@@ -9,9 +9,9 @@
 
 namespace xlp::traffic {
 
-/// Largest network side whose dense matrix a request may build: 64^4
-/// rates are 134 MB. Evaluate, which folds closed-form line blocks, is not
-/// bound by it.
+/// Largest network side whose dense matrix a simulate request or
+/// `xlp trace` may build: 64^4 rates are 134 MB. Evaluate and appspec,
+/// which read closed-form line blocks, are not bound by it.
 inline constexpr int kDenseDemandMaxSide = 64;
 
 /// Long-run traffic-rate matrix gamma: rates[src*N + dst] is the expected
@@ -67,15 +67,6 @@ class TrafficMatrix final : public latency::LineDemand {
   /// added in id order.
   void row_block(int y, std::span<double> block) const override;
   void col_block(int x, std::span<double> block) const override;
-
-  /// Row decomposition for the application-specific objective: row_block(y)
-  /// without its diagonal, which has no row segment. Returns the flattened
-  /// width*width weight matrix for that row.
-  [[nodiscard]] std::vector<double> row_weights(int y) const;
-
-  /// Column decomposition: col_block(x) without its diagonal; a flattened
-  /// height*height matrix.
-  [[nodiscard]] std::vector<double> col_weights(int x) const;
 
   /// Concentration: maps a core-level matrix onto a router grid where each
   /// router serves a `block` x `block` tile of cores (e.g. block=2 is the

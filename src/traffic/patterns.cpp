@@ -59,7 +59,7 @@ int reverse_bits(int value, int bits) {
 
 }  // namespace
 
-std::optional<int> pattern_destination(Pattern p, int src, int n, Rng& rng) {
+std::optional<int> pattern_destination(Pattern p, int src, int n) {
   XLP_REQUIRE(n >= 2, "network side must be at least 2");
   const int nodes = n * n;
   XLP_REQUIRE(src >= 0 && src < nodes, "source out of range");
@@ -68,12 +68,9 @@ std::optional<int> pattern_destination(Pattern p, int src, int n, Rng& rng) {
 
   int dest = src;
   switch (p) {
-    case Pattern::kUniformRandom: {
-      dest = static_cast<int>(rng.uniform_below(
-          static_cast<std::uint64_t>(nodes - 1)));
-      if (dest >= src) ++dest;  // uniform over nodes != src
-      break;
-    }
+    case Pattern::kUniformRandom:
+    case Pattern::kHotspot:
+      XLP_FAIL("uniform-random and hotspot are not permutations");
     case Pattern::kTranspose:
       dest = sx * n + sy;  // (x,y) -> (y,x)
       break;
@@ -98,19 +95,6 @@ std::optional<int> pattern_destination(Pattern p, int src, int n, Rng& rng) {
     case Pattern::kNeighbor:
       dest = sy * n + ((sx + 1) % n);
       break;
-    case Pattern::kHotspot: {
-      // Four hubs at the quarter points absorb 20% of the traffic.
-      if (rng.uniform01() < 0.2) {
-        const int q = n / 4;
-        const int hubs[4] = {q * n + q, q * n + (n - 1 - q),
-                             (n - 1 - q) * n + q, (n - 1 - q) * n + (n - 1 - q)};
-        dest = hubs[rng.uniform_below(4)];
-      } else {
-        dest = static_cast<int>(rng.uniform_below(
-            static_cast<std::uint64_t>(nodes)));
-      }
-      break;
-    }
   }
   if (dest == src) return std::nullopt;
   return dest;

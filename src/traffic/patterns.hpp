@@ -3,8 +3,6 @@
 #include <optional>
 #include <string>
 
-#include "util/rng.hpp"
-
 namespace xlp::traffic {
 
 /// Synthetic traffic patterns. UR, TP (transpose) and BR (bit-reverse) are
@@ -31,16 +29,14 @@ enum class Pattern {
 /// demand generators and request validation share this one rule.
 [[nodiscard]] const char* pattern_unfit(Pattern p, int n);
 
-/// Destination of a packet injected at `src` on an n x n network (node ids
-/// are y*n + x). For the deterministic permutation patterns the result is a
-/// function of `src` alone and `rng` is unused; UniformRandom draws any node
-/// != src; Hotspot sends 20% of packets to one of four fixed hub nodes and
-/// the rest uniformly. Returns nullopt when the pattern maps `src` onto
-/// itself (such sources inject no traffic, the usual convention).
-///
-/// The bit-permutation patterns (bit-reverse, bit-complement, shuffle)
-/// require the node count n*n to be a power of two.
+/// Destination of source `src` under permutation pattern `p` (every pattern
+/// but uniform-random and hotspot, whose demand is a distribution) on an
+/// n x n network (node ids are y*n + x), or nullopt when the pattern maps
+/// `src` onto itself (such sources inject no traffic, the usual
+/// convention). Throws PreconditionError for uniform-random or hotspot,
+/// and for a bit permutation (bit-reverse, bit-complement, shuffle) when
+/// the node count n*n is not a power of two.
 [[nodiscard]] std::optional<int> pattern_destination(Pattern p, int src,
-                                                     int n, Rng& rng);
+                                                     int n);
 
 }  // namespace xlp::traffic

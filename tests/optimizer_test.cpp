@@ -457,24 +457,29 @@ TEST(AppSpecific, FullSweepPicksFeasibleBest) {
 
 TEST(AppSpecific, SolvesEveryRowWithTheSweepSolver) {
   // With kDncOnly each row and column gets exactly the D&C placement for
-  // its own demand weights, and no row draws from the shared stream.
+  // its own demand weights (its line block without the diagonal), and no
+  // row draws from the shared stream.
+  constexpr int kN = 6;
   const traffic::TrafficMatrix demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kTranspose, 6, 0.05);
+      traffic::Pattern::kTranspose, kN, 0.05);
   SweepOptions options;
   options.solver = Solver::kDncOnly;
   Rng rng(5);
   const AppSpecificResult app =
       solve_app_specific_for_limit(demand, 4, options, rng);
-  for (int y = 0; y < demand.height(); ++y) {
-    const RowObjective objective(demand.width(), options.latency.hop,
-                                 demand.row_weights(y));
-    EXPECT_EQ(app.design.row(y), solve_dnc_only(objective, 4).placement)
+  std::vector<double> weights(kN * kN);
+  const auto objective = [&] {
+    for (int a = 0; a < kN; ++a) weights[a * kN + a] = 0.0;
+    return RowObjective(kN, options.latency.hop, weights);
+  };
+  for (int y = 0; y < kN; ++y) {
+    demand.row_block(y, weights);
+    EXPECT_EQ(app.design.row(y), solve_dnc_only(objective(), 4).placement)
         << "row " << y;
   }
-  for (int x = 0; x < demand.width(); ++x) {
-    const RowObjective objective(demand.height(), options.latency.hop,
-                                 demand.col_weights(x));
-    EXPECT_EQ(app.design.col(x), solve_dnc_only(objective, 4).placement)
+  for (int x = 0; x < kN; ++x) {
+    demand.col_block(x, weights);
+    EXPECT_EQ(app.design.col(x), solve_dnc_only(objective(), 4).placement)
         << "col " << x;
   }
   EXPECT_EQ(rng(), Rng(5)());

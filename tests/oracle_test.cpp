@@ -2,23 +2,36 @@
 // optimizer scores. For every ordered pair of a design, one packet alone in
 // the network takes Tr·(hops+1) + Manhattan distance + flits cycles from
 // creation to tail ejection, with hops read from route::MeshRouting under
-// the packet's orientation. `ctest -L oracle` runs this suite; the
-// asan-ubsan CI lane runs it again with XLP_CHECK_SIM=1.
+// the packet's orientation.
+//
+// Separability oracle: application-specific placement solves one weighted
+// 1D problem per row and per column, so its per-line exact optima must
+// together be the best of every 2D design, found here by exhaustive search.
+//
+// `ctest -L oracle` runs this suite; the asan-ubsan CI lane runs it again
+// with XLP_CHECK_SIM=1.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <initializer_list>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/app_specific.hpp"
+#include "latency/model.hpp"
 #include "latency/packet_mix.hpp"
 #include "route/mesh_routing.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 #include "topo/builders.hpp"
+#include "topo/connection_matrix.hpp"
 #include "topo/express_mesh.hpp"
+#include "traffic/demand.hpp"
 #include "traffic/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -139,3 +152,73 @@ INSTANTIATE_TEST_SUITE_P(
 
 }  // namespace
 }  // namespace xlp::sim
+
+namespace xlp::core {
+namespace {
+
+constexpr int kSide = 4;
+constexpr int kLimit = 2;
+
+/// The lowest demand-weighted zero-load latency of any 4x4 design at C = 2
+/// whose 8 lines each take one connection-matrix decode: 4^8 designs, each
+/// scored by the 2D model with no per-line decomposition.
+double exhaustive_best(const latency::LineDemand& demand) {
+  // P(4, 2)'s matrix has one layer over the two interior routers: its four
+  // settings decode to no link, (0,2), (1,3) and (0,3).
+  topo::ConnectionMatrix matrix(kSide, kLimit);
+  std::vector<topo::RowTopology> decodes;
+  for (int bits = 0; bits < 1 << matrix.bit_count(); ++bits) {
+    for (int i = 0; i < matrix.bit_count(); ++i)
+      matrix.set_bit(0, i, (bits >> i & 1) != 0);
+    decodes.push_back(matrix.decode());
+  }
+  const auto choices = static_cast<long>(decodes.size());
+  long designs = 1;
+  for (int line = 0; line < 2 * kSide; ++line) designs *= choices;
+
+  double best = std::numeric_limits<double>::infinity();
+  for (long code = 0; code < designs; ++code) {
+    std::vector<topo::RowTopology> rows;
+    std::vector<topo::RowTopology> cols;
+    long rest = code;
+    for (int line = 0; line < 2 * kSide; ++line, rest /= choices)
+      (line < kSide ? rows : cols)
+          .push_back(decodes[static_cast<std::size_t>(rest % choices)]);
+    const topo::ExpressMesh design(std::move(rows), std::move(cols), kLimit,
+                                   topo::flit_bits_for_limit(kLimit));
+    best = std::min(best, latency::MeshLatencyModel(
+                              design, latency::LatencyParams::zero_load())
+                              .weighted_average(demand)
+                              .total());
+  }
+  return best;
+}
+
+TEST(SeparabilityOracle, PerLineExactSolvesMatchExhaustive2DSearch) {
+  // A skewed gamma: light random rates under three heavy flows.
+  Rng rng(43);
+  traffic::TrafficMatrix skewed(kSide);
+  const int nodes = skewed.node_count();
+  for (int src = 0; src < nodes; ++src)
+    for (int dst = 0; dst < nodes; ++dst)
+      if (src != dst) skewed.set_rate(src, dst, 0.01 * rng.uniform01());
+  skewed.add_rate(0, nodes - 1, 1.0);
+  skewed.add_rate(kSide - 1, nodes - kSide, 0.6);
+  skewed.add_rate(1, 2 * kSide + 3, 0.3);
+  const traffic::DemandRows canneal(traffic::parsec_model("canneal"), kSide);
+
+  SweepOptions options;
+  options.solver = Solver::kExact;
+  options.latency = latency::LatencyParams::zero_load();
+  for (const latency::LineDemand* demand :
+       std::initializer_list<const latency::LineDemand*>{&skewed, &canneal}) {
+    Rng unused(1);
+    const AppSpecificResult app =
+        solve_app_specific_for_limit(*demand, kLimit, options, unused);
+    const double best = exhaustive_best(*demand);
+    EXPECT_NEAR(app.breakdown.total(), best, 1e-12 * best);
+  }
+}
+
+}  // namespace
+}  // namespace xlp::core

@@ -1,10 +1,11 @@
 // Golden-output contract for the solve layer: for a fixed set of solves —
 // every method through the request executor at one and three chains, the
 // checkpoints a 500-move sink leaves behind, a resume of each checkpoint
-// kind from its midpoint, a portfolio's series document and the square and
-// rectangular C-sweeps — the bytes must match the checked-in files under
-// tests/data/solve_golden/. Any change to the solver dispatch, the chain
-// wiring or the sweep cells that moves a single draw shows up here.
+// kind from its midpoint, a portfolio's series document, the square and
+// rectangular C-sweeps and two app-specific placements — the bytes must
+// match the checked-in files under tests/data/solve_golden/. Any change to
+// the solver dispatch, the chain wiring, the sweep cells or the
+// app-specific line weights that moves a single draw shows up here.
 
 #include <gtest/gtest.h>
 
@@ -229,6 +230,19 @@ std::vector<GoldenCase> golden_cases() {
                    }});
   cases.push_back({"sweep_8x8", [] { return sweep(8, 8); }});
   cases.push_back({"sweep_8x4", [] { return sweep(8, 4); }});
+  for (const char* workload : {"canneal", "uniform_random"}) {
+    cases.push_back({std::string("appspec_") + workload + "_8", [workload] {
+                       svc::Request request;
+                       request.kind = svc::RequestKind::kAppspec;
+                       request.n = kN;
+                       request.moves = kMoves;
+                       request.workload = workload;
+                       request.seed = kSeed;
+                       return request.id() + "\n" +
+                              svc::execute_request(request, nullptr).dump() +
+                              "\n";
+                     }});
+  }
   return cases;
 }
 

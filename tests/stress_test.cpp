@@ -240,15 +240,16 @@ TEST(Differential, WeightedAverageMatchesBruteForce) {
   EXPECT_NEAR(model.weighted_average(demand).head, num / den, 1e-9);
 }
 
-TEST(Differential, RowWeightsMatchFlowEnumeration) {
+TEST(Differential, RowBlocksMatchFlowEnumeration) {
   Rng rng(29);
   traffic::TrafficMatrix demand(4);
   for (int s = 0; s < 16; ++s)
     for (int d = 0; d < 16; ++d)
       if (s != d) demand.set_rate(s, d, rng.uniform01() * 0.01);
 
+  std::vector<double> w(16);
   for (int y = 0; y < 4; ++y) {
-    const auto w = demand.row_weights(y);
+    demand.row_block(y, w);
     for (int a = 0; a < 4; ++a)
       for (int b = 0; b < 4; ++b) {
         if (a == b) continue;

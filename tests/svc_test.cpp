@@ -29,6 +29,7 @@
 #include "svc/wire.hpp"
 #include "test_util.hpp"
 #include "topo/builders.hpp"
+#include "traffic/demand.hpp"
 #include "traffic/matrix.hpp"
 #include "traffic/patterns.hpp"
 #include "util/error.hpp"
@@ -187,30 +188,39 @@ TEST(Request, ValidateEnforcesRanges) {
 }
 
 TEST(Request, DenseDemandKindsStopAt64) {
-  // simulate and appspec build the dense (n^2)^2 demand matrix, so they
-  // stop at n = 64; evaluate streams its demand row by row and keeps the
+  // simulate samples the dense (n^2)^2 demand matrix, so it stops at
+  // n = 64; evaluate and appspec read closed-form line blocks and keep the
   // whole [2, 256] range.
+  Request simulate;
+  simulate.kind = RequestKind::kSimulate;
+  simulate.n = traffic::kDenseDemandMaxSide;
+  EXPECT_NO_THROW(simulate.validate());
+  simulate.n = traffic::kDenseDemandMaxSide + 1;
+  try {
+    simulate.validate();
+    ADD_FAILURE() << "simulate accepted n = 65";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kParse) << e.what();
+  }
   for (const RequestKind kind :
-       {RequestKind::kSimulate, RequestKind::kAppspec}) {
+       {RequestKind::kEvaluate, RequestKind::kAppspec}) {
     Request request;
     request.kind = kind;
-    request.n = traffic::kDenseDemandMaxSide;
-    EXPECT_NO_THROW(request.validate()) << to_string(kind);
-    request.n = traffic::kDenseDemandMaxSide + 1;
+    for (const int n : {traffic::kDenseDemandMaxSide + 1, 256}) {
+      request.n = n;
+      EXPECT_NO_THROW(request.validate()) << to_string(kind) << " n " << n;
+    }
+    request.n = 257;
     try {
       request.validate();
-      ADD_FAILURE() << to_string(kind) << " accepted n = 65";
+      ADD_FAILURE() << to_string(kind) << " accepted n = 257";
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kParse) << e.what();
     }
   }
+  // Past the dense cap an evaluate still runs, without the matrix.
   Request evaluate;
   evaluate.kind = RequestKind::kEvaluate;
-  evaluate.n = 256;
-  EXPECT_NO_THROW(evaluate.validate());
-  evaluate.n = 257;
-  EXPECT_THROW(evaluate.validate(), Error);
-  // Past the dense cap an evaluate still runs, without the matrix.
   evaluate.n = traffic::kDenseDemandMaxSide + 1;
   const obs::Json payload = execute_request(evaluate, nullptr);
   ASSERT_NE(payload.find("total"), nullptr);
@@ -797,9 +807,8 @@ TEST(Server, AppspecRequestServesTheCliDesign) {
   options.latency = latency::LatencyParams::zero_load();
   Rng rng(3);
   const core::AppSpecificResult direct = core::solve_app_specific(
-      traffic::TrafficMatrix::from_pattern(traffic::Pattern::kTranspose, 4,
-                                           0.02),
-      options, rng);
+      traffic::DemandRows(traffic::Pattern::kTranspose, 4, 0.02), options,
+      rng);
   EXPECT_EQ(payload.find("c")->as_int(), direct.link_limit);
   EXPECT_EQ(payload.find("flit_bits")->as_int(), direct.design.flit_bits());
   EXPECT_EQ(payload.find("total")->as_number(), direct.breakdown.total());

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
+#include <vector>
 
 #include "traffic/app_models.hpp"
+#include "traffic/demand.hpp"
 #include "traffic/matrix.hpp"
 #include "traffic/patterns.hpp"
 #include "util/check.hpp"
@@ -24,70 +25,58 @@ TEST(Patterns, NamesRoundTrip) {
 }
 
 TEST(Patterns, TransposeSwapsCoordinates) {
-  Rng rng(1);
   // (x,y)=(3,1) on 8x8 is node 11; transpose target (1,3) is node 25.
-  EXPECT_EQ(pattern_destination(Pattern::kTranspose, 11, 8, rng), 25);
+  EXPECT_EQ(pattern_destination(Pattern::kTranspose, 11, 8), 25);
   // Diagonal nodes map to themselves -> no traffic.
-  EXPECT_FALSE(
-      pattern_destination(Pattern::kTranspose, 9, 8, rng).has_value());
+  EXPECT_FALSE(pattern_destination(Pattern::kTranspose, 9, 8).has_value());
 }
 
 TEST(Patterns, BitComplementInvertsBits) {
-  Rng rng(1);
-  EXPECT_EQ(pattern_destination(Pattern::kBitComplement, 0, 8, rng), 63);
-  EXPECT_EQ(pattern_destination(Pattern::kBitComplement, 21, 8, rng),
-            63 - 21);
+  EXPECT_EQ(pattern_destination(Pattern::kBitComplement, 0, 8), 63);
+  EXPECT_EQ(pattern_destination(Pattern::kBitComplement, 21, 8), 63 - 21);
 }
 
 TEST(Patterns, BitReverseReversesIdBits) {
-  Rng rng(1);
   // 64 nodes -> 6 bits; 0b000001 -> 0b100000 = 32.
-  EXPECT_EQ(pattern_destination(Pattern::kBitReverse, 1, 8, rng), 32);
-  EXPECT_EQ(pattern_destination(Pattern::kBitReverse, 32, 8, rng), 1);
+  EXPECT_EQ(pattern_destination(Pattern::kBitReverse, 1, 8), 32);
+  EXPECT_EQ(pattern_destination(Pattern::kBitReverse, 32, 8), 1);
   // Palindromic ids self-map.
   EXPECT_FALSE(
-      pattern_destination(Pattern::kBitReverse, 0b100001, 8, rng).has_value());
+      pattern_destination(Pattern::kBitReverse, 0b100001, 8).has_value());
 }
 
 TEST(Patterns, ShuffleRotatesLeft) {
-  Rng rng(1);
-  EXPECT_EQ(pattern_destination(Pattern::kShuffle, 1, 8, rng), 2);
-  EXPECT_EQ(pattern_destination(Pattern::kShuffle, 32, 8, rng), 1);
-  EXPECT_FALSE(pattern_destination(Pattern::kShuffle, 63, 8, rng).has_value());
+  EXPECT_EQ(pattern_destination(Pattern::kShuffle, 1, 8), 2);
+  EXPECT_EQ(pattern_destination(Pattern::kShuffle, 32, 8), 1);
+  EXPECT_FALSE(pattern_destination(Pattern::kShuffle, 63, 8).has_value());
 }
 
 TEST(Patterns, TornadoShiftsBothDimensions) {
-  Rng rng(1);
   // n=8: shift 3; (0,0) -> (3,3) = 27.
-  EXPECT_EQ(pattern_destination(Pattern::kTornado, 0, 8, rng), 27);
+  EXPECT_EQ(pattern_destination(Pattern::kTornado, 0, 8), 27);
 }
 
 TEST(Patterns, NeighborSendsRight) {
-  Rng rng(1);
-  EXPECT_EQ(pattern_destination(Pattern::kNeighbor, 0, 8, rng), 1);
-  EXPECT_EQ(pattern_destination(Pattern::kNeighbor, 7, 8, rng), 0);  // wraps
-}
-
-TEST(Patterns, UniformRandomNeverSelfAndCoversNodes) {
-  Rng rng(9);
-  std::map<int, int> seen;
-  for (int i = 0; i < 5000; ++i) {
-    const auto d = pattern_destination(Pattern::kUniformRandom, 5, 4, rng);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_NE(*d, 5);
-    ++seen[*d];
-  }
-  EXPECT_EQ(seen.size(), 15u);  // all nodes except the source
+  EXPECT_EQ(pattern_destination(Pattern::kNeighbor, 0, 8), 1);
+  EXPECT_EQ(pattern_destination(Pattern::kNeighbor, 7, 8), 0);  // wraps
 }
 
 TEST(Patterns, BitPatternsRequirePowerOfTwoNodes) {
-  Rng rng(1);
-  EXPECT_THROW(pattern_destination(Pattern::kBitReverse, 0, 6, rng),
+  EXPECT_THROW(pattern_destination(Pattern::kBitReverse, 0, 6),
                PreconditionError);
-  EXPECT_THROW(pattern_destination(Pattern::kBitComplement, 0, 6, rng),
+  EXPECT_THROW(pattern_destination(Pattern::kBitComplement, 0, 6),
                PreconditionError);
   // Position-based patterns are fine on any size.
-  EXPECT_NO_THROW(pattern_destination(Pattern::kTranspose, 0, 6, rng));
+  EXPECT_NO_THROW(pattern_destination(Pattern::kTranspose, 0, 6));
+}
+
+TEST(Patterns, OnlyPermutationsHaveOneDestination) {
+  // Uniform-random and hotspot demand is a distribution, given by
+  // DemandRows, not a per-source map.
+  EXPECT_THROW((void)pattern_destination(Pattern::kUniformRandom, 0, 4),
+               PreconditionError);
+  EXPECT_THROW((void)pattern_destination(Pattern::kHotspot, 0, 4),
+               PreconditionError);
 }
 
 // --------------------------------------------------------------------------
@@ -152,45 +141,63 @@ TEST(TrafficMatrix, FromHotspotPatternFavorsHubs) {
   EXPECT_GT(hub_in, 3.0 * ordinary_in);
 }
 
-TEST(TrafficMatrix, RowWeightsCaptureRowSegments) {
+/// Row block (or column block) `index` of `m` as a vector.
+std::vector<double> block_of(const TrafficMatrix& m, bool row, int index) {
+  const int length = row ? m.width() : m.height();
+  std::vector<double> block(static_cast<std::size_t>(length) * length);
+  if (row)
+    m.row_block(index, block);
+  else
+    m.col_block(index, block);
+  return block;
+}
+
+/// Sum of a length x length block without its diagonal.
+double off_diagonal_sum(const std::vector<double>& block, int length) {
+  double total = 0.0;
+  for (int a = 0; a < length; ++a)
+    for (int b = 0; b < length; ++b)
+      if (a != b) total += block[static_cast<std::size_t>(a) * length + b];
+  return total;
+}
+
+TEST(TrafficMatrix, RowBlocksCaptureRowSegments) {
   TrafficMatrix m(4);
   // Flow (1,0) -> (3,2): row 0 segment from x=1 to x=3.
   m.set_rate(1, 2 * 4 + 3, 0.5);
-  // Flow (2,0) -> (2,3): x equal -> no row segment.
+  // Flow (2,0) -> (2,3): x equal -> no row segment, on the diagonal.
   m.set_rate(2, 3 * 4 + 2, 0.7);
-  const auto w0 = m.row_weights(0);
-  EXPECT_DOUBLE_EQ(w0[1 * 4 + 3], 0.5);
-  double total = 0.0;
-  for (double x : w0) total += x;
-  EXPECT_DOUBLE_EQ(total, 0.5);
+  const auto a0 = block_of(m, true, 0);
+  EXPECT_DOUBLE_EQ(a0[1 * 4 + 3], 0.5);
+  EXPECT_DOUBLE_EQ(off_diagonal_sum(a0, 4), 0.5);
+  EXPECT_DOUBLE_EQ(a0[2 * 4 + 2], 0.7);
   // Row 1 has no sources.
-  const auto w1 = m.row_weights(1);
-  for (double x : w1) EXPECT_DOUBLE_EQ(x, 0.0);
+  for (double x : block_of(m, true, 1)) EXPECT_DOUBLE_EQ(x, 0.0);
 }
 
-TEST(TrafficMatrix, ColWeightsCaptureColumnSegments) {
+TEST(TrafficMatrix, ColBlocksCaptureColumnSegments) {
   TrafficMatrix m(4);
   // Flow (1,0) -> (3,2): column 3 segment from y=0 to y=2.
   m.set_rate(1, 2 * 4 + 3, 0.5);
-  // Flow (0,2) -> (3,2): y equal -> no column segment.
+  // Flow (0,2) -> (3,2): y equal -> no column segment, on the diagonal.
   m.set_rate(2 * 4 + 0, 2 * 4 + 3, 0.7);
-  const auto w3 = m.col_weights(3);
-  EXPECT_DOUBLE_EQ(w3[0 * 4 + 2], 0.5);
-  double total = 0.0;
-  for (double x : w3) total += x;
-  EXPECT_DOUBLE_EQ(total, 0.5);
+  const auto b3 = block_of(m, false, 3);
+  EXPECT_DOUBLE_EQ(b3[0 * 4 + 2], 0.5);
+  EXPECT_DOUBLE_EQ(off_diagonal_sum(b3, 4), 0.5);
+  EXPECT_DOUBLE_EQ(b3[2 * 4 + 2], 0.7);
 }
 
-TEST(TrafficMatrix, RowAndColumnWeightsConserveDemand) {
-  // Every flow with dx != 0 contributes its rate once to some row matrix;
-  // every flow with dy != 0 once to some column matrix.
+TEST(TrafficMatrix, RowAndColumnBlocksConserveDemand) {
+  // Every flow with dx != 0 contributes its rate once off the diagonal of
+  // some row block; every flow with dy != 0 once off the diagonal of some
+  // column block.
   const auto m = TrafficMatrix::from_pattern(Pattern::kUniformRandom, 8,
                                              0.05);
   double row_total = 0.0, col_total = 0.0;
   for (int y = 0; y < 8; ++y)
-    for (double x : m.row_weights(y)) row_total += x;
+    row_total += off_diagonal_sum(block_of(m, true, y), 8);
   for (int x = 0; x < 8; ++x)
-    for (double w : m.col_weights(x)) col_total += w;
+    col_total += off_diagonal_sum(block_of(m, false, x), 8);
 
   double expect_row = 0.0, expect_col = 0.0;
   for (int s = 0; s < 64; ++s)
@@ -274,21 +281,21 @@ TEST(Workloads, ResolvePatternsAndParsecModels) {
   EXPECT_TRUE(is_known_workload("transpose"));
   EXPECT_TRUE(is_known_workload("canneal"));
   EXPECT_FALSE(is_known_workload("doom"));
-  EXPECT_EQ(resolve_workload("transpose", 4, 0.01).total_rate(),
+  EXPECT_EQ(workload_rows("transpose", 4, 0.01).matrix().total_rate(),
             TrafficMatrix::from_pattern(Pattern::kTranspose, 4, 0.01)
                 .total_rate());
   // A PARSEC model brings its own injection rate; the load is unused.
-  EXPECT_EQ(resolve_workload("canneal", 4, 0.5).total_rate(),
+  EXPECT_EQ(workload_rows("canneal", 4, 0.5).matrix().total_rate(),
             parsec_model("canneal").traffic_matrix(4).total_rate());
-  EXPECT_THROW((void)resolve_workload("doom", 4, 0.01), PreconditionError);
+  EXPECT_THROW((void)workload_rows("doom", 4, 0.01), PreconditionError);
 }
 
 TEST(Workloads, LoadOutsideZeroToOneIsRejected) {
   for (const char* name : {"transpose", "canneal"}) {
-    EXPECT_THROW((void)resolve_workload(name, 4, -1.0), PreconditionError);
-    EXPECT_THROW((void)resolve_workload(name, 4, 0.0), PreconditionError);
-    EXPECT_THROW((void)resolve_workload(name, 4, 5.0), PreconditionError);
-    EXPECT_NO_THROW((void)resolve_workload(name, 4, 1.0));
+    EXPECT_THROW((void)workload_rows(name, 4, -1.0), PreconditionError);
+    EXPECT_THROW((void)workload_rows(name, 4, 0.0), PreconditionError);
+    EXPECT_THROW((void)workload_rows(name, 4, 5.0), PreconditionError);
+    EXPECT_NO_THROW((void)workload_rows(name, 4, 1.0));
   }
 }
 

@@ -58,6 +58,7 @@
 #include "topo/builders.hpp"
 #include "topo/render.hpp"
 #include "traffic/app_models.hpp"
+#include "traffic/demand.hpp"
 #include "traffic/trace.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -456,7 +457,7 @@ int cmd_trace(const Args& args) {
                         .set("load", load)
                         .set("cycles", cycles),
                     seed);
-  const auto demand = traffic::resolve_workload(pattern, n, load);
+  const auto demand = traffic::workload_rows(pattern, n, load).matrix();
   Rng rng(seed);
   const auto trace = traffic::Trace::sample(
       demand, latency::PacketMix::paper_default(), cycles, rng);
