@@ -628,10 +628,9 @@ void virtual_vs_physical(BenchRun& run) {
   zl.measure_cycles = 1000;
   sim::SimConfig zl_vec = zl;
   zl_vec.virtual_express_bypass = true;
-  const traffic::TrafficMatrix idle(8);
   auto one = [&](const topo::ExpressMesh& design, const sim::SimConfig& cfg) {
     const sim::Network net(design, route::HopWeights{});
-    sim::Simulator s(net, idle, cfg);
+    sim::Simulator s(net, cfg);
     s.schedule_packet(0, 63, 512, 150);
     (void)s.run();
     return static_cast<double>(s.packet_latency(0));

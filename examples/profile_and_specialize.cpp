@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const long cycles = argc > 2 ? std::atol(argv[2]) : 20000;
   constexpr int kSide = 8;
 
-  const auto demand = traffic::workload_rows(workload, kSide, 0.02).matrix();
+  const auto demand = traffic::workload_rows(workload, kSide, 0.02);
 
   // 1. Profile on the mesh.
   std::printf("profiling '%s' on the baseline mesh for %ld cycles...\n",
@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
 
   // 3. Replay the same offered workload on both designs.
   Rng trace_rng(5);
-  const auto trace = traffic::Trace::sample(
-      demand, latency::PacketMix::paper_default(), cycles, trace_rng);
+  const auto trace = traffic::Trace::sample(demand, cycles, trace_rng);
   const auto gp_stats = exp::replay_trace(gp_best.design, trace,
                                           sim::SimConfig{});
   const auto app_stats = exp::replay_trace(app.design, trace,

@@ -52,7 +52,7 @@ SolvedSweep solve_general_purpose(int n, core::Solver solver,
 }
 
 sim::SimStats simulate_design(const topo::ExpressMesh& design,
-                              const traffic::TrafficMatrix& demand,
+                              const traffic::Demand& demand,
                               const sim::SimConfig& config) {
   const sim::Network network(design, route::HopWeights{});
   sim::Simulator simulator(network, demand, config);
@@ -68,19 +68,16 @@ sim::SimStats replay_trace(const topo::ExpressMesh& design,
   config.drain_cycles = trace.duration() + 10000;
 
   const sim::Network network(design, route::HopWeights{});
-  sim::Simulator simulator(
-      network, traffic::TrafficMatrix(design.width(), design.height()),
-      config);
+  sim::Simulator simulator(network, config);
   for (const traffic::TracePacket& p : trace.packets())
     simulator.schedule_packet(p.src, p.dst, p.bits, p.cycle);
   return simulator.run();
 }
 
-ProfileResult profile_on_mesh(const traffic::TrafficMatrix& demand,
-                              long cycles, std::uint64_t seed) {
+ProfileResult profile_on_mesh(const traffic::Demand& demand, long cycles,
+                              std::uint64_t seed) {
   Rng rng(seed);
-  const traffic::Trace trace = traffic::Trace::sample(
-      demand, latency::PacketMix::paper_default(), cycles, rng);
+  const traffic::Trace trace = traffic::Trace::sample(demand, cycles, rng);
   const auto mesh = topo::make_rect_mesh(demand.width(), demand.height());
   sim::SimStats stats = replay_trace(mesh, trace, sim::SimConfig{});
   return {trace.empirical_matrix(), std::move(stats)};

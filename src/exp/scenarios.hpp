@@ -48,9 +48,9 @@ struct SolvedSweep {
 [[nodiscard]] SolvedSweep solve_general_purpose(int n, core::Solver solver,
                                                 std::uint64_t seed);
 
-/// Runs the flit-level simulator for a design under a demand matrix.
+/// Runs the flit-level simulator for a design under a demand.
 [[nodiscard]] sim::SimStats simulate_design(const topo::ExpressMesh& design,
-                                            const traffic::TrafficMatrix& demand,
+                                            const traffic::Demand& demand,
                                             const sim::SimConfig& config);
 
 /// SimConfig with cycle counts scaled by `scale`.
@@ -72,7 +72,7 @@ struct ProfileResult {
   traffic::TrafficMatrix observed;
   sim::SimStats stats;
 };
-[[nodiscard]] ProfileResult profile_on_mesh(const traffic::TrafficMatrix& demand,
+[[nodiscard]] ProfileResult profile_on_mesh(const traffic::Demand& demand,
                                             long cycles, std::uint64_t seed);
 
 /// Measured use of one vertical cross-section (between columns `cut` and

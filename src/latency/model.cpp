@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "latency/packet_mix.hpp"
 #include "util/check.hpp"
 
 namespace xlp::latency {
@@ -12,9 +13,9 @@ namespace xlp::latency {
 MeshLatencyModel::MeshLatencyModel(const topo::ExpressMesh& mesh,
                                    LatencyParams params)
     : nodes_(mesh.node_count()),
-      params_(std::move(params)),
+      params_(params),
       routing_(mesh, params_.hop),
-      serialization_(params_.mix.serialization_cycles(mesh.flit_bits())) {}
+      serialization_(PacketMix::serialization_cycles(mesh.flit_bits())) {}
 
 double MeshLatencyModel::pair_head_latency(int src, int dst) const {
   if (src == dst) return 0.0;

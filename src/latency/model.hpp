@@ -1,7 +1,6 @@
 #pragma once
 
 #include "latency/line_demand.hpp"
-#include "latency/packet_mix.hpp"
 #include "route/mesh_routing.hpp"
 #include "topo/express_mesh.hpp"
 
@@ -18,7 +17,6 @@ namespace xlp::latency {
 struct LatencyParams {
   route::HopWeights hop;              // Tr (per router) and Tl (per unit)
   double contention_per_hop = 0.0;    // Tc: average per-hop contention
-  PacketMix mix = PacketMix::paper_default();
 
   [[nodiscard]] static LatencyParams zero_load() { return {}; }
   /// The empirical PARSEC operating point: Section 4.2 reports average

@@ -1,24 +1,9 @@
 #include "latency/packet_mix.hpp"
 
-#include <cmath>
+#include "util/check.hpp"
+#include "util/numeric.hpp"
 
 namespace xlp::latency {
-
-PacketMix::PacketMix(std::vector<PacketClass> classes)
-    : classes_(std::move(classes)) {
-  XLP_REQUIRE(!classes_.empty(), "packet mix needs at least one class");
-  double sum = 0.0;
-  for (const PacketClass& pc : classes_) {
-    XLP_REQUIRE(pc.bits > 0, "packet size must be positive");
-    XLP_REQUIRE(pc.fraction > 0.0, "packet fraction must be positive");
-    sum += pc.fraction;
-  }
-  XLP_REQUIRE(std::abs(sum - 1.0) < 1e-9, "packet fractions must sum to 1");
-}
-
-PacketMix PacketMix::paper_default() {
-  return PacketMix({{128, 0.8}, {512, 0.2}});
-}
 
 int PacketMix::flits_for(int bits, int flit_bits) {
   XLP_REQUIRE(bits > 0, "packet size must be positive");
@@ -26,21 +11,11 @@ int PacketMix::flits_for(int bits, int flit_bits) {
   return static_cast<int>(ceil_div(bits, flit_bits));
 }
 
-double PacketMix::serialization_cycles(int flit_bits) const {
+double PacketMix::serialization_cycles(int flit_bits) {
   double total = 0.0;
-  for (const PacketClass& pc : classes_)
+  for (const PacketClass& pc : kClasses)
     total += pc.fraction * flits_for(pc.bits, flit_bits);
   return total;
-}
-
-double PacketMix::average_bits() const {
-  double total = 0.0;
-  for (const PacketClass& pc : classes_) total += pc.fraction * pc.bits;
-  return total;
-}
-
-double PacketMix::average_flits(int flit_bits) const {
-  return serialization_cycles(flit_bits);
 }
 
 }  // namespace xlp::latency

@@ -1,9 +1,6 @@
 #pragma once
 
-#include <vector>
-
-#include "util/check.hpp"
-#include "util/numeric.hpp"
+#include <array>
 
 namespace xlp::latency {
 
@@ -19,33 +16,18 @@ struct PacketClass {
 /// `sum_k p_k * ceil(S_k / b)` — ceil, because a packet smaller than one
 /// flit still occupies a whole flit; this convention makes the model land
 /// exactly on the paper's Table 2 mesh values.
-class PacketMix {
- public:
-  /// Fractions must be positive and sum to 1 (±1e-9); sizes positive.
-  explicit PacketMix(std::vector<PacketClass> classes);
-
+struct PacketMix {
   /// The paper's mix (Section 5.1, after [19]): long 512-bit to short
-  /// 128-bit packets in ratio 1:4.
-  static PacketMix paper_default();
-
-  [[nodiscard]] const std::vector<PacketClass>& classes() const noexcept {
-    return classes_;
-  }
+  /// 128-bit packets in ratio 1:4. A sampled size walks these classes in
+  /// order, so the short class comes first.
+  static constexpr std::array<PacketClass, 2> kClasses{{{128, 0.8},
+                                                        {512, 0.2}}};
 
   /// Flits needed for a `bits`-sized packet on links `flit_bits` wide.
   [[nodiscard]] static int flits_for(int bits, int flit_bits);
 
   /// Mix-averaged serialization latency in cycles on `flit_bits`-wide links.
-  [[nodiscard]] double serialization_cycles(int flit_bits) const;
-
-  /// Mix-averaged packet size in bits.
-  [[nodiscard]] double average_bits() const;
-
-  /// Mix-averaged flits per packet at the given width.
-  [[nodiscard]] double average_flits(int flit_bits) const;
-
- private:
-  std::vector<PacketClass> classes_;
+  [[nodiscard]] static double serialization_cycles(int flit_bits);
 };
 
 }  // namespace xlp::latency

@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "fault/model.hpp"
-#include "latency/packet_mix.hpp"
 
 namespace xlp::obs {
 class SeriesRecorder;
@@ -105,8 +105,6 @@ struct SimConfig {
   long drain_cycles = 20000;
 
   std::uint64_t seed = 1;
-
-  latency::PacketMix mix = latency::PacketMix::paper_default();
 
   /// Optional structured trace sink (not owned; must outlive the run).
   /// When set, the simulator emits its discrete events: fault

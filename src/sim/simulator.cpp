@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "fault/reroute.hpp"
+#include "latency/packet_mix.hpp"
 #include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
@@ -34,13 +35,11 @@ bool check_sim_enabled() {
 
 }  // namespace
 
-Simulator::Simulator(const Network& network,
-                     const traffic::TrafficMatrix& demand,
-                     const SimConfig& config)
-    : net_(network), config_(config), rng_(config.seed) {
-  XLP_REQUIRE(demand.width() == net_.width() &&
-                  demand.height() == net_.height(),
-              "traffic matrix dimensions do not match the network");
+Simulator::Simulator(const Network& network, const SimConfig& config)
+    : net_(network),
+      config_(config),
+      rng_(config.seed),
+      injection_(network.node_count()) {
   XLP_REQUIRE(config_.vcs_per_port >= 1, "need at least one VC per port");
   XLP_REQUIRE(config_.routing != RoutingMode::kO1Turn ||
                   config_.vcs_per_port >= 2,
@@ -128,35 +127,7 @@ Simulator::Simulator(const Network& network,
   chan_size_.assign(channels, 0);
   channel_flits_measured_.assign(channels, 0);
 
-  // Per-node destination distributions.
   nodes_.resize(static_cast<std::size_t>(nodes));
-  for (int node = 0; node < nodes; ++node) {
-    auto& st = nodes_[static_cast<std::size_t>(node)];
-    st.rate = demand.node_rate(node);
-    XLP_REQUIRE(st.rate <= 1.0,
-                "per-node injection above one packet per cycle is not "
-                "representable by Bernoulli injection");
-    if (st.rate <= 0.0) continue;
-    double cum = 0.0;
-    for (int dst = 0; dst < nodes; ++dst) {
-      const double r = demand.rate(node, dst);
-      if (r <= 0.0) continue;
-      cum += r / st.rate;
-      st.dest_cdf.push_back(cum);
-      st.dest_node.push_back(dst);
-    }
-    XLP_CHECK(!st.dest_cdf.empty(), "positive rate needs destinations");
-    st.dest_cdf.back() = 1.0;  // guard against rounding
-  }
-
-  // Packet-size mix CDF.
-  double cum = 0.0;
-  for (const auto& pc : config_.mix.classes()) {
-    cum += pc.fraction;
-    mix_cdf_.push_back(cum);
-    mix_bits_.push_back(pc.bits);
-  }
-  mix_cdf_.back() = 1.0;
 
   activity_.flit_bits = net_.flit_bits();
 
@@ -197,11 +168,13 @@ Simulator::Simulator(const Network& network,
   }
 }
 
-int Simulator::pick_packet_bits() {
-  const double u = rng_.uniform01();
-  for (std::size_t k = 0; k < mix_cdf_.size(); ++k)
-    if (u <= mix_cdf_[k]) return mix_bits_[k];
-  return mix_bits_.back();
+Simulator::Simulator(const Network& network, const traffic::Demand& demand,
+                     const SimConfig& config)
+    : Simulator(network, config) {
+  XLP_REQUIRE(demand.width() == net_.width() &&
+                  demand.height() == net_.height(),
+              "demand dimensions do not match the network");
+  injection_ = traffic::Injection(demand);
 }
 
 std::pair<int, int> Simulator::vc_class(bool y_first) const {
@@ -287,17 +260,6 @@ long Simulator::packet_latency(long packet_id) const {
               "unknown packet id");
   const Packet& pk = packets_[static_cast<std::size_t>(packet_id)];
   return pk.ejected < 0 ? -1 : pk.ejected - pk.created;
-}
-
-void Simulator::generate_traffic(int node) {
-  auto& st = nodes_[static_cast<std::size_t>(node)];
-  if (st.rate <= 0.0 || !rng_.bernoulli(st.rate)) return;
-
-  const double u = rng_.uniform01();
-  const auto it = std::lower_bound(st.dest_cdf.begin(), st.dest_cdf.end(), u);
-  const int dst =
-      st.dest_node[static_cast<std::size_t>(it - st.dest_cdf.begin())];
-  create_packet(node, dst, pick_packet_bits());
 }
 
 void Simulator::layout_vc_rings(int longest_packet_flits) {
@@ -758,9 +720,10 @@ SimStats Simulator::run() {
   // tail leaves), so its ring never needs more slots than the longest
   // packet of the run. Non-positive sizes fail in create_packet as before.
   int longest = 1;
-  for (const latency::PacketClass& pc : config_.mix.classes())
-    longest = std::max(
-        longest, latency::PacketMix::flits_for(pc.bits, net_.flit_bits()));
+  if (!injection_.empty())
+    for (const latency::PacketClass& pc : latency::PacketMix::kClasses)
+      longest = std::max(
+          longest, latency::PacketMix::flits_for(pc.bits, net_.flit_bits()));
   for (const auto& [when, src, dst, bits] : scheduled_)
     if (bits > 0)
       longest = std::max(
@@ -803,7 +766,8 @@ SimStats Simulator::run() {
         create_packet(src, dst, bits);
       }
       for (int node = 0; node < nodes; ++node) {
-        generate_traffic(node);
+        if (const auto packet = injection_.draw(node, rng_))
+          create_packet(node, packet->dst, packet->bits);
         inject(node);
       }
     }

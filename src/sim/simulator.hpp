@@ -14,7 +14,7 @@
 #include "sim/network.hpp"
 #include "sim/packet.hpp"
 #include "sim/stats.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/injection.hpp"
 #include "util/rng.hpp"
 
 namespace xlp::sim {
@@ -32,21 +32,25 @@ namespace xlp::sim {
 ///    narrow-flit designs get proportionally deeper VCs;
 ///  * table-driven deadlock-free DOR routing from route::MeshRouting — the
 ///    simulator routes exactly what the optimizer optimized;
-///  * Bernoulli injection per node from a TrafficMatrix, packet sizes drawn
-///    from the configured PacketMix.
+///  * Bernoulli injection per node, drawn from a traffic::Demand by
+///    traffic::Injection.
 ///
 /// At zero load the end-to-end latency reproduces the analytic model
 /// exactly: (hops+1)*3 + distance + flits, measured creation -> tail eject.
 class Simulator {
  public:
-  Simulator(const Network& network, const traffic::TrafficMatrix& demand,
+  /// A network with no stochastic traffic: only scheduled packets run.
+  Simulator(const Network& network, const SimConfig& config);
+
+  /// Stochastic traffic at `demand`'s rates.
+  Simulator(const Network& network, const traffic::Demand& demand,
             const SimConfig& config);
 
   /// Runs warmup + measurement + drain and returns the statistics.
   [[nodiscard]] SimStats run();
 
   /// Trace-driven injection: queues one packet for creation at the given
-  /// cycle, in addition to any stochastic matrix traffic. Must be called
+  /// cycle, in addition to any stochastic demand traffic. Must be called
   /// before run(). Useful for replaying traces and for exact zero-load
   /// latency measurements.
   void schedule_packet(int src, int dst, int bits, long create_cycle);
@@ -60,9 +64,6 @@ class Simulator {
     std::deque<Flit> source_queue;  // flits of queued packets, in order
     int active_vc = -1;             // port-0 VC owned by the packet being sent
     long active_packet = -1;        // the packet mid-injection on active_vc
-    double rate = 0.0;              // packets/cycle offered by this node
-    std::vector<double> dest_cdf;   // cumulative over destinations
-    std::vector<int> dest_node;
   };
 
   /// One switch request: a live input VC whose front flit is ready and has
@@ -75,7 +76,6 @@ class Simulator {
   };
 
   long create_packet(int src, int dst, int bits);
-  void generate_traffic(int node);
   /// Routing table new packets will travel under: the pending rerouted
   /// tables while a drain-then-swap is in progress, the live ones otherwise.
   [[nodiscard]] const route::MeshRouting& admission_routing() const noexcept {
@@ -156,7 +156,6 @@ class Simulator {
     return cycle_ >= config_.warmup_cycles &&
            cycle_ < config_.warmup_cycles + config_.measure_cycles;
   }
-  [[nodiscard]] int pick_packet_bits();
   [[nodiscard]] SimStats finalize() const;
   /// Appends one sample per telemetry series to config_.series for the
   /// window ending at the current cycle.
@@ -167,6 +166,7 @@ class Simulator {
   const Network& net_;
   SimConfig config_;
   Rng rng_;
+  traffic::Injection injection_;
 
   // Fault-injection state. With an empty schedule: faults_enabled_ is
   // false, routing_ stays &net_.routing() and none of the machinery below
@@ -295,8 +295,6 @@ class Simulator {
   long grants_measured_ = 0;
   ActivityCounters activity_;
   std::vector<long> channel_flits_measured_;
-  std::vector<double> mix_cdf_;
-  std::vector<int> mix_bits_;
 };
 
 }  // namespace xlp::sim

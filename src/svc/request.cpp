@@ -12,6 +12,7 @@
 #include "topo/builders.hpp"
 #include "traffic/app_models.hpp"
 #include "traffic/demand.hpp"
+#include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -178,8 +179,7 @@ sim::SimStats simulate(const Request& request, const sim::SimConfig& hooks) {
   config.control = hooks.control;
   return exp::simulate_design(
       design_of(request),
-      traffic::workload_rows(request.workload, request.n, request.load)
-          .matrix(),
+      traffic::workload_rows(request.workload, request.n, request.load),
       config);
 }
 
@@ -285,11 +285,11 @@ void Request::validate() const {
                   std::to_string(n) + ": " + unfit);
     if (load <= 0.0 || load > 1.0) bad_request("load must be in (0, 1]");
     // Evaluate and appspec read their demand's closed-form line blocks;
-    // the simulator samples the dense (n^2)^2 matrix.
+    // the simulator's sampler holds one flow per positive-rate pair.
     if (kind == RequestKind::kSimulate && n > traffic::kDenseDemandMaxSide)
       bad_request("simulate needs n in [2, " +
                   std::to_string(traffic::kDenseDemandMaxSide) +
-                  "]: its demand is a dense (n^2)^2 matrix");
+                  "]: its sampler holds one flow per node pair");
   }
   if (!searches(kind)) {
     // Everything design_of() and the simulator would reject: a request

@@ -14,8 +14,9 @@ namespace xlp::traffic {
 
 /// A workload's demand, generated without the dense matrix. This is the one
 /// generator of every pattern's and PARSEC model's rates: TrafficMatrix
-/// fills itself from the source rows (fill()), and the latency model folds
-/// the line blocks, each made in closed form in O(n^2) time and memory:
+/// fills itself from the source rows (fill()), the packet sampler draws
+/// from them, and the latency model folds the line blocks, each made in
+/// closed form in O(n^2) time and memory:
 ///   - UR's blocks are exact pair counts (the common scale is dropped);
 ///   - hotspot's and a PARSEC model's uniform share is a pair count times
 ///     a rate, and each hub adds one point mass per source;
@@ -24,7 +25,7 @@ namespace xlp::traffic {
 ///     an x and a y term, and its per-source normalization is a product of
 ///     two 1-D sums less the self term.
 /// A block agrees with the same block of matrix() to rounding.
-class DemandRows final : public latency::LineDemand {
+class DemandRows final : public Demand {
  public:
   /// Expected rates of a synthetic pattern at the given per-node injection
   /// rate. Stochastic patterns (UR, hotspot) use their exact expected
@@ -41,7 +42,7 @@ class DemandRows final : public latency::LineDemand {
 
   /// Writes the rates from `src` to every node into `row`, which holds
   /// node_count() entries; row[src] is zero.
-  void fill(int src, std::span<double> row) const;
+  void fill(int src, std::span<double> row) const override;
 
   /// The dense matrix of these rows.
   [[nodiscard]] TrafficMatrix matrix() const;

@@ -18,7 +18,7 @@ TrafficMatrix::TrafficMatrix(int width, int height)
 }
 
 int TrafficMatrix::side() const {
-  XLP_REQUIRE(is_square(), "side() called on a rectangular matrix");
+  XLP_REQUIRE(width_ == height_, "side() called on a rectangular matrix");
   return width_;
 }
 
@@ -53,15 +53,15 @@ void TrafficMatrix::set_row(int src, std::span<const double> row) {
   std::copy(row.begin(), row.end(), rates_.begin() + idx(src, 0));
 }
 
-double TrafficMatrix::total_rate() const {
-  return std::accumulate(rates_.begin(), rates_.end(), 0.0);
+void TrafficMatrix::fill(int src, std::span<double> row) const {
+  XLP_REQUIRE(src >= 0 && src < node_count(), "node out of range");
+  XLP_REQUIRE(row.size() == static_cast<std::size_t>(node_count()),
+              "a row has one rate per node");
+  std::copy_n(rates_.begin() + idx(src, 0), node_count(), row.begin());
 }
 
-double TrafficMatrix::node_rate(int src) const {
-  XLP_REQUIRE(src >= 0 && src < node_count(), "node out of range");
-  double total = 0.0;
-  for (int dst = 0; dst < node_count(); ++dst) total += rates_[idx(src, dst)];
-  return total;
+double TrafficMatrix::total_rate() const {
+  return std::accumulate(rates_.begin(), rates_.end(), 0.0);
 }
 
 void TrafficMatrix::scale_total(double target) {

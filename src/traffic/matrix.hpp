@@ -9,10 +9,20 @@
 
 namespace xlp::traffic {
 
-/// Largest network side whose dense matrix a simulate request or
-/// `xlp trace` may build: 64^4 rates are 134 MB. Evaluate and appspec,
-/// which read closed-form line blocks, are not bound by it.
+/// Largest side a simulate request or `xlp trace` may take: their sampler
+/// (traffic::Injection) holds one flow per pair with traffic, ~200 MB for
+/// UR at 64. Evaluate and appspec read line blocks and are not bound by it.
 inline constexpr int kDenseDemandMaxSide = 64;
+
+/// A workload's demand: its source rows, which the packet sampler
+/// (traffic::Injection) draws from, and its line blocks, which the latency
+/// model folds.
+class Demand : public latency::LineDemand {
+ public:
+  /// Writes the rates from `src` to every node into `row`, which holds
+  /// width() * height() entries.
+  virtual void fill(int src, std::span<double> row) const = 0;
+};
 
 /// Long-run traffic-rate matrix gamma: rates[src*N + dst] is the expected
 /// packet injection rate (packets/cycle) from node src to node dst on an
@@ -20,7 +30,7 @@ inline constexpr int kDenseDemandMaxSide = 64;
 /// Section 5.6.4 and the offered-load description the simulator samples
 /// from. Its line blocks are sums of its rates, so the latency model folds a
 /// dense matrix the way it folds DemandRows.
-class TrafficMatrix final : public latency::LineDemand {
+class TrafficMatrix final : public Demand {
  public:
   /// All-zero matrix for an n x n network.
   explicit TrafficMatrix(int n);
@@ -30,7 +40,6 @@ class TrafficMatrix final : public latency::LineDemand {
 
   [[nodiscard]] int width() const noexcept override { return width_; }
   [[nodiscard]] int height() const noexcept override { return height_; }
-  [[nodiscard]] bool is_square() const noexcept { return width_ == height_; }
   /// Routers per side; only valid for square networks (throws otherwise).
   [[nodiscard]] int side() const;
   [[nodiscard]] int node_count() const noexcept { return width_ * height_; }
@@ -41,17 +50,10 @@ class TrafficMatrix final : public latency::LineDemand {
   /// Sets every rate from `src`: `row` holds node_count() non-negative
   /// rates and row[src] is zero.
   void set_row(int src, std::span<const double> row);
-
-  /// Flattened N*N row-major rates.
-  [[nodiscard]] const std::vector<double>& rates() const noexcept {
-    return rates_;
-  }
+  void fill(int src, std::span<double> row) const override;
 
   /// Sum of all rates: aggregate offered load in packets/cycle.
   [[nodiscard]] double total_rate() const;
-
-  /// Offered load of one source node (row sum), packets/cycle.
-  [[nodiscard]] double node_rate(int src) const;
 
   /// Scales every entry so that total_rate() becomes `target`.
   void scale_total(double target);

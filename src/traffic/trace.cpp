@@ -1,11 +1,12 @@
 #include "traffic/trace.hpp"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
+#include "traffic/injection.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
@@ -48,57 +49,14 @@ Trace::Trace(int width, int height, long duration_cycles,
   }
 }
 
-Trace Trace::sample(const TrafficMatrix& demand,
-                    const latency::PacketMix& mix, long cycles, Rng& rng) {
-  XLP_REQUIRE(cycles >= 1, "trace must span at least one cycle");
-  const int nodes = demand.node_count();
-
-  // Per-node destination CDFs, as the simulator builds them.
-  std::vector<double> node_rate(static_cast<std::size_t>(nodes), 0.0);
-  std::vector<std::vector<std::pair<double, int>>> cdf(
-      static_cast<std::size_t>(nodes));
-  for (int src = 0; src < nodes; ++src) {
-    node_rate[src] = demand.node_rate(src);
-    if (node_rate[src] <= 0.0) continue;
-    double cum = 0.0;
-    for (int dst = 0; dst < nodes; ++dst) {
-      const double r = demand.rate(src, dst);
-      if (r <= 0.0) continue;
-      cum += r / node_rate[src];
-      cdf[src].emplace_back(cum, dst);
-    }
-    cdf[src].back().first = 1.0;
-  }
-  std::vector<double> mix_cdf;
-  std::vector<int> mix_bits;
-  {
-    double cum = 0.0;
-    for (const auto& pc : mix.classes()) {
-      cum += pc.fraction;
-      mix_cdf.push_back(cum);
-      mix_bits.push_back(pc.bits);
-    }
-    mix_cdf.back() = 1.0;
-  }
-
+Trace Trace::sample(const Demand& demand, long cycles, Rng& rng) {
+  const Injection injection(demand);
+  const int nodes = demand.width() * demand.height();
   std::vector<TracePacket> packets;
-  for (long cycle = 0; cycle < cycles; ++cycle) {
-    for (int src = 0; src < nodes; ++src) {
-      if (node_rate[src] <= 0.0 || !rng.bernoulli(node_rate[src])) continue;
-      const double u = rng.uniform01();
-      const auto it = std::lower_bound(
-          cdf[src].begin(), cdf[src].end(), u,
-          [](const auto& entry, double v) { return entry.first < v; });
-      const double w = rng.uniform01();
-      int bits = mix_bits.back();
-      for (std::size_t k = 0; k < mix_cdf.size(); ++k)
-        if (w <= mix_cdf[k]) {
-          bits = mix_bits[k];
-          break;
-        }
-      packets.push_back({cycle, src, it->second, bits});
-    }
-  }
+  for (long cycle = 0; cycle < cycles; ++cycle)
+    for (int src = 0; src < nodes; ++src)
+      if (const auto packet = injection.draw(src, rng))
+        packets.push_back({cycle, src, packet->dst, packet->bits});
   return Trace(demand.width(), demand.height(), cycles,
                std::move(packets));
 }
@@ -136,8 +94,9 @@ Trace Trace::load(std::istream& is) {
   int width = 0, height = 0;
   long duration = 0;
   header >> magic >> width >> height >> duration;
-  // Each side within the request's n range: width * height then fits an
-  // int, and a replay never builds a row of millions of routers.
+  // Each side within the request's n range, so width * height fits an
+  // int. A replay keeps state per router and per channel, none per pair
+  // of nodes.
   if (magic != "xlptrace" || width < 2 || width > kMaxSide || height < 2 ||
       height > kMaxSide || duration < 1)
     bad_trace("bad trace header: " + line);

@@ -3,7 +3,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "latency/packet_mix.hpp"
 #include "traffic/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -47,10 +46,9 @@ class Trace {
     return packets_;
   }
 
-  /// Samples a trace from the Bernoulli process the simulator would use at
-  /// this demand (one draw per node per cycle; sizes from the mix).
-  static Trace sample(const TrafficMatrix& demand,
-                      const latency::PacketMix& mix, long cycles, Rng& rng);
+  /// Samples a trace from the process the simulator injects at this
+  /// demand (traffic::Injection: one draw per node per cycle).
+  static Trace sample(const Demand& demand, long cycles, Rng& rng);
 
   /// The measured long-run rate matrix: packets per cycle for each pair.
   /// This is the gamma_ij a profiling run observes.

@@ -20,10 +20,9 @@ SimConfig config_with(Arbiter arbiter) {
 TEST(Arbiter, ZeroLoadLatencyIsArbiterIndependent) {
   const auto mesh = topo::make_mesh(8);
   const Network net(mesh, route::HopWeights{});
-  const traffic::TrafficMatrix idle(8);
   for (const auto arbiter : {Arbiter::kRoundRobin, Arbiter::kOldestFirst}) {
     auto config = config_with(arbiter);
-    Simulator simulator(net, idle, config);
+    Simulator simulator(net, config);
     simulator.schedule_packet(0, 63, 512, 300);
     (void)simulator.run();
     EXPECT_EQ(simulator.packet_latency(0), 15 * 3 + 14 + 2);

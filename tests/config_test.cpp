@@ -43,13 +43,12 @@ TEST(NetworkSide, ThrowsForRectangular) {
 
 TEST(SimConfigValidation, PipelineAndVcBounds) {
   const Network net(topo::make_mesh(4), route::HopWeights{});
-  const traffic::TrafficMatrix idle(4);
   SimConfig config;
   config.pipeline_stages = 0;
-  EXPECT_THROW(Simulator(net, idle, config), PreconditionError);
+  EXPECT_THROW(Simulator(net, config), PreconditionError);
   config = SimConfig{};
   config.vcs_per_port = 0;
-  EXPECT_THROW(Simulator(net, idle, config), PreconditionError);
+  EXPECT_THROW(Simulator(net, config), PreconditionError);
 }
 
 }  // namespace

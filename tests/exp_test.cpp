@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdlib>
+#include <sstream>
 
 #include "exp/scenarios.hpp"
 #include "test_util.hpp"
@@ -63,7 +66,7 @@ TEST(VerticalCutUse, HandComputedCase) {
   sim::SimConfig config;
   config.warmup_cycles = 50;
   config.measure_cycles = 500;
-  sim::Simulator simulator(net, traffic::TrafficMatrix(4), config);
+  sim::Simulator simulator(net, config);
   simulator.schedule_packet(0, 3, 128, 60);  // one flit
   const auto stats = simulator.run();
 
@@ -84,7 +87,7 @@ TEST(VerticalCutUse, Validation) {
   sim::SimConfig config;
   config.warmup_cycles = 50;
   config.measure_cycles = 200;
-  sim::Simulator simulator(net, traffic::TrafficMatrix(4), config);
+  sim::Simulator simulator(net, config);
   const auto stats = simulator.run();
   EXPECT_THROW(exp::vertical_cut_use(net, stats, 3, true),
                PreconditionError);
@@ -101,7 +104,7 @@ TEST(VerticalCutUse, ExpressLinksCountOncePerCrossedCut) {
   sim::SimConfig config;
   config.warmup_cycles = 50;
   config.measure_cycles = 500;
-  sim::Simulator simulator(net, traffic::TrafficMatrix(4), config);
+  sim::Simulator simulator(net, config);
   simulator.schedule_packet(0, 3, 128, 60);  // rides the express link
   const auto stats = simulator.run();
   for (int cut = 0; cut < 3; ++cut) {
@@ -142,14 +145,31 @@ TEST(TraceRect, RoundTripsThroughTheTextFormat) {
   traffic::TrafficMatrix demand(6, 3);
   demand.set_rate(0, 17, 0.02);
   Rng rng(3);
-  const auto trace = traffic::Trace::sample(
-      demand, latency::PacketMix::paper_default(), 1000, rng);
+  const auto trace = traffic::Trace::sample(demand, 1000, rng);
   EXPECT_EQ(trace.width(), 6);
   EXPECT_EQ(trace.height(), 3);
   EXPECT_THROW(trace.side(), PreconditionError);
   std::stringstream buffer;
   trace.save(buffer);
   EXPECT_EQ(traffic::Trace::load(buffer), trace);
+}
+
+// A replay keeps no state per pair of nodes: a header-only 128 x 128 trace
+// (16384 routers, 2^28 pairs) delivers nothing in far less memory than a
+// dense rate matrix's 2 GB. gtest_discover_tests runs each test in its own
+// process, so the peak is this test's alone.
+TEST(ReplayTrace, LargeEmptyTraceKeepsNoPerPairState) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory inflates the peak RSS";
+#else
+  std::istringstream in("xlptrace 128 128 100\n");
+  const auto stats = exp::replay_trace(
+      topo::make_mesh(128), traffic::Trace::load(in), sim::SimConfig{});
+  EXPECT_EQ(stats.packets_finished, 0);
+  rusage usage{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  EXPECT_LT(usage.ru_maxrss, 512L * 1024) << "peak RSS in KiB";
+#endif
 }
 
 }  // namespace

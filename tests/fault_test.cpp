@@ -15,6 +15,7 @@
 #include "fault/objective.hpp"
 #include "fault/reroute.hpp"
 #include "latency/model.hpp"
+#include "latency/packet_mix.hpp"
 #include "route/deadlock.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -230,7 +231,6 @@ TEST(DegradedZeroLoad, AnalyticCostMatchesSimulatedLatency) {
     const RerouteResult rr = reroute(design, faults, route::HopWeights{});
 
     const sim::Network network(design, route::HopWeights{});
-    const traffic::TrafficMatrix idle(design.side());
     const int bits = 512;
     const int flits =
         latency::PacketMix::flits_for(bits, design.flit_bits());
@@ -241,7 +241,7 @@ TEST(DegradedZeroLoad, AnalyticCostMatchesSimulatedLatency) {
         continue;
       sim::SimConfig config = quiet_config();
       config.faults.events.push_back({0, faults, -1});
-      sim::Simulator sim(network, idle, config);
+      sim::Simulator sim(network, config);
       sim.schedule_packet(src, dst, bits, config.warmup_cycles + 10);
       const sim::SimStats stats = sim.run();
       ASSERT_EQ(stats.packets_finished, 1)
@@ -262,12 +262,11 @@ TEST(DegradedZeroLoad, PortFaultAddsItsExtraPipelineCycles) {
   // `extra_cycles` later than on the healthy mesh.
   const auto design = topo::make_mesh(4);
   const sim::Network network(design, route::HopWeights{});
-  const traffic::TrafficMatrix idle(design.side());
 
   auto latency_with = [&](const FaultSet& faults) {
     sim::SimConfig config = quiet_config();
     if (!faults.empty()) config.faults.events.push_back({0, faults, -1});
-    sim::Simulator sim(network, idle, config);
+    sim::Simulator sim(network, config);
     sim.schedule_packet(0, 2, 512, config.warmup_cycles + 10);
     const sim::SimStats stats = sim.run();
     EXPECT_EQ(stats.packets_finished, 1);

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "latency/packet_mix.hpp"
 #include "runctl/checkpoint.hpp"
 #include "svc/request.hpp"
 #include "svc/wire.hpp"
@@ -291,7 +290,7 @@ TEST(Fuzz, TraceLoaderRoundTripsWhatItAccepts) {
     traffic::Trace::sample(
         traffic::TrafficMatrix::from_pattern(traffic::Pattern::kTranspose,
                                              side, 0.1),
-        latency::PacketMix::paper_default(), 40, rng)
+        40, rng)
         .save(out);
     samples.push_back(out.str());
   }

@@ -20,21 +20,12 @@ namespace xlp::latency {
 namespace {
 
 TEST(PacketMix, PaperDefaultRatio) {
-  const PacketMix mix = PacketMix::paper_default();
-  ASSERT_EQ(mix.classes().size(), 2u);
+  const auto& classes = PacketMix::kClasses;
   // 1:4 long(512) to short(128).
-  EXPECT_EQ(mix.classes()[0].bits, 128);
-  EXPECT_DOUBLE_EQ(mix.classes()[0].fraction, 0.8);
-  EXPECT_EQ(mix.classes()[1].bits, 512);
-  EXPECT_DOUBLE_EQ(mix.classes()[1].fraction, 0.2);
-}
-
-TEST(PacketMix, ValidatesInput) {
-  EXPECT_THROW(PacketMix({}), PreconditionError);
-  EXPECT_THROW(PacketMix({{128, 0.5}}), PreconditionError);  // sum != 1
-  EXPECT_THROW(PacketMix({{0, 1.0}}), PreconditionError);
-  EXPECT_THROW(PacketMix({{128, -0.2}, {512, 1.2}}), PreconditionError);
-  EXPECT_NO_THROW(PacketMix({{128, 0.5}, {512, 0.5}}));
+  EXPECT_EQ(classes[0].bits, 128);
+  EXPECT_DOUBLE_EQ(classes[0].fraction, 0.8);
+  EXPECT_EQ(classes[1].bits, 512);
+  EXPECT_DOUBLE_EQ(classes[1].fraction, 0.2);
 }
 
 TEST(PacketMix, FlitsForRoundsUp) {
@@ -47,19 +38,16 @@ TEST(PacketMix, FlitsForRoundsUp) {
 }
 
 TEST(PacketMix, SerializationAcrossWidths) {
-  const PacketMix mix = PacketMix::paper_default();
   // Figure 1's example: 256-bit flits -> 512-bit packet takes 2 flits.
-  EXPECT_DOUBLE_EQ(mix.serialization_cycles(256), 0.8 * 1 + 0.2 * 2);  // 1.2
-  EXPECT_DOUBLE_EQ(mix.serialization_cycles(128), 0.8 * 1 + 0.2 * 4);  // 1.6
-  EXPECT_DOUBLE_EQ(mix.serialization_cycles(64), 0.8 * 2 + 0.2 * 8);   // 3.2
-  EXPECT_DOUBLE_EQ(mix.serialization_cycles(16), 0.8 * 8 + 0.2 * 32);  // 12.8
-  EXPECT_DOUBLE_EQ(mix.serialization_cycles(512), 1.0);
-}
-
-TEST(PacketMix, Averages) {
-  const PacketMix mix = PacketMix::paper_default();
-  EXPECT_DOUBLE_EQ(mix.average_bits(), 0.8 * 128 + 0.2 * 512);
-  EXPECT_DOUBLE_EQ(mix.average_flits(64), 3.2);
+  EXPECT_DOUBLE_EQ(PacketMix::serialization_cycles(256),
+                   0.8 * 1 + 0.2 * 2);  // 1.2
+  EXPECT_DOUBLE_EQ(PacketMix::serialization_cycles(128),
+                   0.8 * 1 + 0.2 * 4);  // 1.6
+  EXPECT_DOUBLE_EQ(PacketMix::serialization_cycles(64),
+                   0.8 * 2 + 0.2 * 8);  // 3.2
+  EXPECT_DOUBLE_EQ(PacketMix::serialization_cycles(16),
+                   0.8 * 8 + 0.2 * 32);  // 12.8
+  EXPECT_DOUBLE_EQ(PacketMix::serialization_cycles(512), 1.0);
 }
 
 TEST(LatencyParams, Defaults) {

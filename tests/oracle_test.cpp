@@ -74,7 +74,6 @@ int check_every_pair(const topo::ExpressMesh& design, RoutingMode mode) {
   const route::MeshRouting& routing = network.routing();
   const int w = design.width();
   const int nodes = design.node_count();
-  const traffic::TrafficMatrix idle(w, design.height());
   SimConfig config;
   config.routing = mode;
   config.warmup_cycles = 0;
@@ -106,7 +105,7 @@ int check_every_pair(const topo::ExpressMesh& design, RoutingMode mode) {
       at += sent.back().latency + w + design.height();
     }
   config.measure_cycles = at;
-  Simulator sim(network, idle, config);
+  Simulator sim(network, config);
   for (const Sent& s : sent)
     sim.schedule_packet(s.src, s.dst, s.bits, s.created);
   const SimStats stats = sim.run();

@@ -8,6 +8,7 @@
 #include "core/c_sweep.hpp"
 #include "exp/scenarios.hpp"
 #include "latency/model.hpp"
+#include "latency/packet_mix.hpp"
 #include "route/deadlock.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
@@ -117,11 +118,10 @@ TEST(RectSim, ZeroLoadMatchesAnalytic) {
                                         latency::LatencyParams::zero_load());
 
   const sim::Network network(design, route::HopWeights{});
-  const traffic::TrafficMatrix idle(8, 4);
   sim::SimConfig config;
   config.warmup_cycles = 100;
   config.measure_cycles = 2000;
-  sim::Simulator simulator(network, idle, config);
+  sim::Simulator simulator(network, config);
   simulator.schedule_packet(0, 31, 512, 150);
   simulator.schedule_packet(31, 0, 128, 600);
   const auto stats = simulator.run();

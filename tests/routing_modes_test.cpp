@@ -93,9 +93,8 @@ sim::SimConfig quiet_config(sim::RoutingMode mode) {
 long one_packet_latency(const topo::ExpressMesh& design, int src, int dst,
                         int bits, sim::RoutingMode mode) {
   const sim::Network network(design, route::HopWeights{});
-  const traffic::TrafficMatrix idle(design.side());
   const auto config = quiet_config(mode);
-  sim::Simulator simulator(network, idle, config);
+  sim::Simulator simulator(network, config);
   simulator.schedule_packet(src, dst, bits, config.warmup_cycles + 10);
   const auto stats = simulator.run();
   EXPECT_EQ(stats.packets_finished, 1);
@@ -119,7 +118,7 @@ TEST(SimRoutingModes, O1TurnRequiresTwoVcs) {
   const sim::Network net(topo::make_mesh(4), route::HopWeights{});
   sim::SimConfig config = quiet_config(sim::RoutingMode::kO1Turn);
   config.vcs_per_port = 1;
-  EXPECT_THROW(sim::Simulator(net, traffic::TrafficMatrix(4), config),
+  EXPECT_THROW(sim::Simulator(net, config),
                PreconditionError);
 }
 
@@ -189,8 +188,7 @@ TEST(Trace, SampleMatchesDemandStatistically) {
   const auto demand = traffic::TrafficMatrix::from_pattern(
       traffic::Pattern::kUniformRandom, 4, 0.1);
   Rng rng(7);
-  const auto trace = traffic::Trace::sample(
-      demand, latency::PacketMix::paper_default(), 20000, rng);
+  const auto trace = traffic::Trace::sample(demand, 20000, rng);
   EXPECT_NEAR(trace.offered_per_node_cycle(), 0.1, 0.01);
   const auto empirical = trace.empirical_matrix();
   EXPECT_NEAR(empirical.total_rate(), demand.total_rate(),
@@ -201,8 +199,7 @@ TEST(Trace, SaveLoadRoundTrip) {
   const auto demand = traffic::TrafficMatrix::from_pattern(
       traffic::Pattern::kTranspose, 4, 0.05);
   Rng rng(9);
-  const auto trace = traffic::Trace::sample(
-      demand, latency::PacketMix::paper_default(), 500, rng);
+  const auto trace = traffic::Trace::sample(demand, 500, rng);
   std::stringstream buffer;
   trace.save(buffer);
   const auto loaded = traffic::Trace::load(buffer);
@@ -231,8 +228,7 @@ TEST(Trace, ReplayMeasuresEveryPacket) {
   const auto demand = traffic::TrafficMatrix::from_pattern(
       traffic::Pattern::kUniformRandom, 4, 0.03);
   Rng rng(11);
-  const auto trace = traffic::Trace::sample(
-      demand, latency::PacketMix::paper_default(), 2000, rng);
+  const auto trace = traffic::Trace::sample(demand, 2000, rng);
   const auto stats =
       exp::replay_trace(topo::make_mesh(4), trace, sim::SimConfig{});
   EXPECT_EQ(stats.packets_offered,
@@ -246,8 +242,7 @@ TEST(Trace, ReplayIsDeterministic) {
   const auto demand = traffic::TrafficMatrix::from_pattern(
       traffic::Pattern::kTranspose, 4, 0.02);
   Rng rng(13);
-  const auto trace = traffic::Trace::sample(
-      demand, latency::PacketMix::paper_default(), 1000, rng);
+  const auto trace = traffic::Trace::sample(demand, 1000, rng);
   const auto a = exp::replay_trace(topo::make_mesh(4), trace,
                                    sim::SimConfig{});
   const auto b = exp::replay_trace(topo::make_mesh(4), trace,

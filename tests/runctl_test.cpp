@@ -19,6 +19,7 @@
 #include "sim/stats_json.hpp"
 #include "topo/builders.hpp"
 #include "traffic/matrix.hpp"
+#include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
 

@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "latency/model.hpp"
+#include "latency/packet_mix.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
@@ -12,6 +13,7 @@
 #include "test_util.hpp"
 #include "topo/builders.hpp"
 #include "traffic/app_models.hpp"
+#include "traffic/trace.hpp"
 #include "util/check.hpp"
 
 namespace xlp::sim {
@@ -30,9 +32,8 @@ SimConfig quiet_config() {
 long one_packet_latency(const topo::ExpressMesh& design, int src, int dst,
                         int bits) {
   const Network network(design, route::HopWeights{});
-  const traffic::TrafficMatrix idle(design.side());
   SimConfig config = quiet_config();
-  Simulator sim(network, idle, config);
+  Simulator sim(network, config);
   sim.schedule_packet(src, dst, bits, config.warmup_cycles + 10);
   const SimStats stats = sim.run();
   EXPECT_EQ(stats.packets_offered, 1);
@@ -263,8 +264,7 @@ TEST(Load, ActivityCountersAreConsistent) {
 
 TEST(Load, SchedulePacketValidation) {
   const Network net(topo::make_mesh(4), route::HopWeights{});
-  const traffic::TrafficMatrix idle(4);
-  Simulator sim(net, idle, quiet_config());
+  Simulator sim(net, quiet_config());
   EXPECT_THROW(sim.schedule_packet(0, 0, 128, 10), PreconditionError);
   EXPECT_THROW(sim.schedule_packet(-1, 3, 128, 10), PreconditionError);
   EXPECT_THROW(sim.packet_latency(0), PreconditionError);
@@ -275,6 +275,10 @@ TEST(Load, RejectsOverUnityInjection) {
   traffic::TrafficMatrix demand(4);
   demand.set_rate(0, 1, 1.5);
   EXPECT_THROW(Simulator(net, demand, quiet_config()), PreconditionError);
+  // A sampled trace draws from the same sampler, so it refuses too.
+  Rng rng(1);
+  EXPECT_THROW((void)traffic::Trace::sample(demand, 10, rng),
+               PreconditionError);
 }
 
 // --------------------------------------------------------------------------

@@ -188,9 +188,10 @@ TEST(Request, ValidateEnforcesRanges) {
 }
 
 TEST(Request, DenseDemandKindsStopAt64) {
-  // simulate samples the dense (n^2)^2 demand matrix, so it stops at
-  // n = 64; evaluate and appspec read closed-form line blocks and keep the
-  // whole [2, 256] range.
+  // simulate's packet sampler holds one flow per pair of nodes with
+  // traffic, (n^2)^2 of them under uniform random, so it stops at n = 64;
+  // evaluate and appspec read closed-form line blocks and keep the whole
+  // [2, 256] range.
   Request simulate;
   simulate.kind = RequestKind::kSimulate;
   simulate.n = traffic::kDenseDemandMaxSide;

@@ -1,16 +1,28 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "traffic/app_models.hpp"
 #include "traffic/demand.hpp"
+#include "traffic/injection.hpp"
 #include "traffic/matrix.hpp"
 #include "traffic/patterns.hpp"
+#include "traffic/trace.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace xlp::traffic {
 namespace {
+
+/// Offered load of one source node, packets/cycle.
+double row_sum(const TrafficMatrix& m, int src) {
+  double total = 0.0;
+  for (int dst = 0; dst < m.node_count(); ++dst) total += m.rate(src, dst);
+  return total;
+}
 
 TEST(Patterns, NamesRoundTrip) {
   for (Pattern p :
@@ -90,8 +102,8 @@ TEST(TrafficMatrix, BasicAccounting) {
   m.set_rate(1, 0, 0.1);
   EXPECT_DOUBLE_EQ(m.rate(0, 5), 0.5);
   EXPECT_DOUBLE_EQ(m.total_rate(), 0.6);
-  EXPECT_DOUBLE_EQ(m.node_rate(0), 0.5);
-  EXPECT_DOUBLE_EQ(m.node_rate(1), 0.1);
+  EXPECT_DOUBLE_EQ(row_sum(m, 0), 0.5);
+  EXPECT_DOUBLE_EQ(row_sum(m, 1), 0.1);
 }
 
 TEST(TrafficMatrix, RejectsSelfTrafficAndNegatives) {
@@ -117,14 +129,14 @@ TEST(TrafficMatrix, FromDeterministicPattern) {
   EXPECT_DOUBLE_EQ(m.rate(11, 25), 0.02);
   EXPECT_DOUBLE_EQ(m.rate(11, 12), 0.0);
   // Diagonal sources inject nothing.
-  EXPECT_DOUBLE_EQ(m.node_rate(9), 0.0);
+  EXPECT_DOUBLE_EQ(row_sum(m, 9), 0.0);
 }
 
 TEST(TrafficMatrix, FromUniformRandomPattern) {
   const auto m = TrafficMatrix::from_pattern(Pattern::kUniformRandom, 4,
                                              0.1);
   for (int src = 0; src < 16; ++src) {
-    EXPECT_NEAR(m.node_rate(src), 0.1, 1e-12);
+    EXPECT_NEAR(row_sum(m, src), 0.1, 1e-12);
     EXPECT_DOUBLE_EQ(m.rate(src, src), 0.0);
   }
 }
@@ -237,8 +249,8 @@ TEST(AppModels, NodeRatesMatchInjectionRate) {
     for (int src = 0; src < 64; ++src) {
       // Hub self-traffic is dropped, so node rate is at most the nominal
       // injection rate and within hotspot_share of it.
-      EXPECT_LE(m.node_rate(src), model.injection_rate + 1e-12);
-      EXPECT_GE(m.node_rate(src),
+      EXPECT_LE(row_sum(m, src), model.injection_rate + 1e-12);
+      EXPECT_GE(row_sum(m, src),
                 model.injection_rate * (1.0 - model.hotspot_share) - 1e-12);
     }
   }
@@ -296,6 +308,45 @@ TEST(Workloads, LoadOutsideZeroToOneIsRejected) {
     EXPECT_THROW((void)workload_rows(name, 4, 0.0), PreconditionError);
     EXPECT_THROW((void)workload_rows(name, 4, 5.0), PreconditionError);
     EXPECT_NO_THROW((void)workload_rows(name, 4, 1.0));
+  }
+}
+
+/// A 2 x 2 demand whose node 0 sends `row` and every other node nothing,
+/// unchecked, as a source other than TrafficMatrix may produce.
+class RawDemand final : public Demand {
+ public:
+  explicit RawDemand(std::vector<double> row) : row_(std::move(row)) {}
+  [[nodiscard]] int width() const override { return 2; }
+  [[nodiscard]] int height() const override { return 2; }
+  void fill(int src, std::span<double> row) const override {
+    for (std::size_t dst = 0; dst < row.size(); ++dst)
+      row[dst] = src == 0 ? row_[dst] : 0.0;
+  }
+  void row_block(int, std::span<double>) const override {}
+  void col_block(int, std::span<double>) const override {}
+
+ private:
+  std::vector<double> row_;
+};
+
+TEST(Injection, RejectsRowsBernoulliInjectionCannotDraw) {
+  EXPECT_THROW(Injection(RawDemand({0.0, -0.1, 0.2, 0.0})),
+               PreconditionError);
+  EXPECT_THROW(Injection(RawDemand({0.1, 0.2, 0.0, 0.0})),
+               PreconditionError);  // self-traffic
+  EXPECT_THROW(Injection(RawDemand({0.0, 0.9, 0.6, 0.0})),
+               PreconditionError);  // 1.5 packets per cycle
+  EXPECT_NO_THROW(Injection(RawDemand({0.0, 0.5, 0.5, 0.0})));
+}
+
+TEST(Injection, RowsSampleAsTheirMatrixDoes) {
+  for (const char* name : {"hotspot", "transpose", "canneal"}) {
+    const DemandRows rows = workload_rows(name, 4, 0.2);
+    Rng from_rows(9);
+    Rng from_matrix(9);
+    EXPECT_EQ(Trace::sample(rows, 200, from_rows),
+              Trace::sample(rows.matrix(), 200, from_matrix))
+        << name;
   }
 }
 

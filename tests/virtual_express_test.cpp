@@ -22,9 +22,8 @@ SimConfig vec_config(bool bypass) {
 long one_packet_latency(const topo::ExpressMesh& design, int src, int dst,
                         int bits, bool bypass) {
   const Network network(design, route::HopWeights{});
-  const traffic::TrafficMatrix idle(design.side());
   const auto config = vec_config(bypass);
-  Simulator simulator(network, idle, config);
+  Simulator simulator(network, config);
   simulator.schedule_packet(src, dst, bits, config.warmup_cycles + 10);
   const auto stats = simulator.run();
   EXPECT_EQ(stats.packets_finished, 1);

@@ -437,7 +437,7 @@ int cmd_trace(const Args& args) {
   const double load = args.get_double("load");
   const long cycles = args.get_long("cycles");
   // Checked before the ledger record opens, as a request's fields are.
-  // The trace samples a dense (n^2)^2 matrix.
+  // The sampler holds one flow per pair of nodes with traffic.
   if (n < 2 || n > traffic::kDenseDemandMaxSide)
     throw Error(ErrorCode::kUsage,
                 "--n must be in [2, " +
@@ -457,10 +457,9 @@ int cmd_trace(const Args& args) {
                         .set("load", load)
                         .set("cycles", cycles),
                     seed);
-  const auto demand = traffic::workload_rows(pattern, n, load).matrix();
   Rng rng(seed);
   const auto trace = traffic::Trace::sample(
-      demand, latency::PacketMix::paper_default(), cycles, rng);
+      traffic::workload_rows(pattern, n, load), cycles, rng);
   std::ostringstream out;
   trace.save(out);
   if (!util::atomic_write_file(out_path, out.str()))
