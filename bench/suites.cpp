@@ -128,9 +128,18 @@ void register_micro_core() {
                      run.set_counter("best_value", result.best_value);
                    });
   }
+  // sa_delta_moves_* also report the delta layer's work per move, from the
+  // counters every delta-driven anneal adds to the global registry: they
+  // read the same on any host, so the --deterministic document keeps them.
   for (const int n : {8, 16, 32}) {
     register_bench("micro_core", "sa_delta_moves_" + std::to_string(n),
                    n == 8 ? "smoke" : "", [n](BenchRun& run) {
+                     obs::MetricsRegistry& metrics =
+                         obs::MetricsRegistry::global();
+                     const long columns_before =
+                         metrics.counter("core.delta.columns");
+                     const long restored_before =
+                         metrics.counter("core.delta.restored_bytes");
                      const core::RowObjective obj(n, route::HopWeights{});
                      Rng rng(3);
                      core::SaParams params;
@@ -147,12 +156,28 @@ void register_micro_core() {
                      run.set_rate("moves",
                                   static_cast<double>(params.total_moves));
                      run.set_counter("best_value", result.best_value);
+                     const double moves =
+                         static_cast<double>(params.total_moves);
+                     run.set_counter(
+                         "columns_per_move",
+                         static_cast<double>(
+                             metrics.counter("core.delta.columns") -
+                             columns_before) /
+                             moves);
+                     run.set_counter(
+                         "restored_bytes_per_move",
+                         static_cast<double>(
+                             metrics.counter("core.delta.restored_bytes") -
+                             restored_before) /
+                             moves);
                    });
   }
   // Head-to-head single-pair timing: the same 200-flip random walk scored
   // by the full evaluator and by the delta evaluator, interleaved into one
   // bench so both times come from the same process state. value_match is 1
-  // only when every one of the 200 scores agreed bit-for-bit.
+  // only when every one of the 200 scores agreed bit-for-bit, and
+  // columns_per_move is the delta walk's hop-table work (every move is
+  // committed, so nothing is restored).
   register_bench("micro_core", "delta_vs_full_pair", "", [](BenchRun& run) {
     const int n = 16;
     const core::RowObjective obj(n, route::HopWeights{});
@@ -199,6 +224,8 @@ void register_micro_core() {
                             .count() /
                         kMoves);
     run.set_counter("value_match", match ? 1.0 : 0.0);
+    run.set_counter("columns_per_move",
+                    static_cast<double>(delta.work().columns) / kMoves);
   });
   for (const int n : {8, 16, 32}) {
     register_bench("micro_core", "dnc_initializer_" + std::to_string(n),

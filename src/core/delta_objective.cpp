@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "route/directional_paths.hpp"
@@ -10,6 +11,45 @@
 namespace xlp::core {
 
 namespace {
+
+// The column kernel's byte loops. Every pointer is a distinct column, so
+// the loops vectorize with no overlap checks.
+
+// out = min(a, b) over len bytes.
+void min_of(std::uint8_t* __restrict out, const std::uint8_t* __restrict a,
+            const std::uint8_t* __restrict b, int len) {
+  for (int i = 0; i < len; ++i) out[i] = std::min(a[i], b[i]);
+}
+
+// acc = min(acc, b) over len bytes.
+void min_into(std::uint8_t* __restrict acc, const std::uint8_t* __restrict b,
+              int len) {
+  for (int i = 0; i < len; ++i) acc[i] = std::min(acc[i], b[i]);
+}
+
+// col = in + 1, one more hop into the target column: sources past the
+// target stay 0xFF, and the diagonal's 0xFF + 1 wraps to its 0. Every byte
+// that differs from `old` is ORed into its source row's mark and the
+// change is added to `sum`; returns the OR of all differences.
+unsigned add_hop(std::uint8_t* __restrict col,
+                 const std::uint8_t* __restrict in,
+                 const std::uint8_t* __restrict old,
+                 const std::uint8_t* __restrict iota, std::uint8_t target,
+                 std::uint8_t* __restrict row_changed, int len, int& sum) {
+  unsigned diff = 0;
+  int change = 0;
+  for (int i = 0; i < len; ++i) {
+    const auto v = static_cast<std::uint8_t>(
+        (in[i] + 1) | (iota[i] > target ? 0xFF : 0));
+    col[i] = v;
+    const auto x = static_cast<std::uint8_t>(v ^ old[i]);
+    diff |= x;
+    row_changed[i] |= x;
+    change += v - old[i];
+  }
+  sum = change;
+  return diff;
+}
 
 bool check_delta_enabled() {
   const char* env = std::getenv("XLP_CHECK_DELTA");
@@ -45,149 +85,223 @@ DeltaRowObjective::DeltaRowObjective(const RowObjective& objective,
 }
 
 void DeltaRowObjective::build_tables(const topo::RowTopology& row) {
-  const std::size_t cells = static_cast<std::size_t>(n_) * n_;
+  stride_ = lanes_for(n_);
+  words_ = (n_ + 63) / 64;
   const route::HopWeights& hop = objective_->hop_weights();
-  link_cost_.resize(static_cast<std::size_t>(n_));
-  for (int len = 0; len < n_; ++len) link_cost_[len] = hop.link_cost(len);
-  link_count_.assign(cells, 0);
-  pred_.assign(static_cast<std::size_t>(n_), {});
+  tr_ = hop.router_cycles;
+  hop_cost_.resize(256);  // every byte value
+  for (int h = 0; h < 256; ++h) hop_cost_[h] = tr_ * h;
+  wire_cost_.resize(2 * static_cast<std::size_t>(n_) - 1);
+  for (int d = 1 - n_; d < n_; ++d)
+    wire_cost_[d + n_ - 1] = hop.link_cycles_per_unit * (d < 0 ? -d : d);
+  link_count_.assign(static_cast<std::size_t>(n_) * n_, 0);
+  sources_.assign(static_cast<std::size_t>(n_) * words_, 0);
+  changed_.assign(static_cast<std::size_t>(words_), 0);
   for (const topo::RowLink& link : row.express_links())
     apply_link(link, +1);
-  // One propose logs each rightward pair at most once.
-  saved_cells_.resize(cells / 2 + 1);
-  saved_cells_n_ = 0;
+  scratch_.assign(static_cast<std::size_t>(stride_), 0);
+  iota_.resize(static_cast<std::size_t>(stride_));
+  for (int i = 0; i < stride_; ++i)
+    iota_[i] = static_cast<std::uint8_t>(i);
+  row_changed_.assign(static_cast<std::size_t>(stride_), 0);
   saved_rows_.resize(static_cast<std::size_t>(n_));
   saved_rows_n_ = 0;
-
-  // One forward pass per source row over all its targets: the whole table
-  // is the affected rectangle of toggling every link at once.
-  cost_.assign(cells, 0.0);
-  for (int i = 0; i < n_; ++i) {
-    double* from_i = cost_.data() + idx(i, 0);
-    for (int j = i + 1; j < n_; ++j) {
-      from_i[j] = best_into(from_i, i, j);
-      cost_[idx(j, i)] = from_i[j];
-    }
-  }
-
-  const std::vector<double>& weights = objective_->pair_weights_;
   uniform_ = objective_->is_uniform();
-  total_ = 0.0;
+  worst_ = objective_->worst_weight_ > 0.0;
+  col_max_.assign(static_cast<std::size_t>(n_), 0.0);
+
+  // Every column in order over all its sources: the whole table is what
+  // toggling every link at once would recompute.
+  hops_.assign(at(n_), 0xFF);
+  for (int j = 0; j < n_; ++j) hops_[at(j) + static_cast<std::size_t>(j)] = 0;
+  committed_ = hops_;
+  for (int j = 1; j < n_; ++j) (void)recompute_column(j, lanes_for(j));
+  committed_ = hops_;
+  committed_col_max_ = col_max_;
+  hop_sum_ = 0;
+  long dist_sum = 0;
+  for (int j = 1; j < n_; ++j)
+    for (int i = 0; i < j; ++i) {
+      hop_sum_ += hops(i, j);
+      dist_sum += j - i;
+    }
+  dist_term_ = hop.link_cycles_per_unit * static_cast<double>(dist_sum);
+
   wsum_ = 0.0;
   row_part_.assign(static_cast<std::size_t>(n_), 0.0);
-  row_dirty_.assign(static_cast<std::size_t>((n_ + 63) / 64), 0);
-  for (int i = 0; i < n_; ++i) {
-    const std::size_t base = idx(i, 0);
-    double row_total = 0.0;
-    double row_wsum = 0.0;
-    for (int j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      if (uniform_) {
-        total_ += cost_[base + j];
-      } else {
-        // DirectionalShortestPaths::weighted_average_cost's per-row order.
-        row_total += weights[base + j] * cost_[base + j];
-        row_wsum += weights[base + j];
-      }
+  if (!uniform_) {
+    const std::vector<double>& weights = objective_->pair_weights_;
+    for (int i = 0; i < n_; ++i) {
+      // DirectionalShortestPaths::weighted_average_cost's per-row order.
+      double row_wsum = 0.0;
+      for (int j = 0; j < n_; ++j)
+        if (i != j) row_wsum += weights[static_cast<std::size_t>(i) * n_ + j];
+      wsum_ += row_wsum;
+      saved_rows_[saved_rows_n_++] = {i, 0.0};
     }
-    row_part_[i] = row_total;
-    wsum_ += row_wsum;
+    refresh_partials();
+    saved_rows_n_ = 0;
   }
   XLP_REQUIRE(uniform_ || wsum_ > 0.0, "weights must have a positive sum");
 }
 
 bool DeltaRowObjective::apply_link(topo::RowLink link, int delta) {
-  int& count = link_count_[idx(link.lo, link.hi)];
-  std::vector<int>& pred = pred_[static_cast<std::size_t>(link.hi)];
-  const auto at = std::lower_bound(pred.begin(), pred.end(), link.lo);
+  int& count = link_count_[static_cast<std::size_t>(link.lo) * n_ +
+                           static_cast<std::size_t>(link.hi)];
+  std::uint64_t& word =
+      sources_[static_cast<std::size_t>(link.hi) * words_ +
+               static_cast<std::size_t>(link.lo >> 6)];
+  const std::uint64_t bit = std::uint64_t{1} << (link.lo & 63);
   if (delta > 0) {
     if (++count == 1) {
-      pred.insert(at, link.lo);
+      word |= bit;
       return true;
     }
   } else {
     XLP_CHECK(count > 0, "removing an express link that is not present");
     if (--count == 0) {
-      pred.erase(at);
+      word &= ~bit;
       return true;
     }
   }
   return false;  // a duplicate link: routing is unchanged
 }
 
-double DeltaRowObjective::best_into(const double* from_i, int i,
-                                    int j) const {
-  double best = from_i[j - 1] + link_cost_[1];
-  for (const int k : pred_[j])
-    if (k >= i) best = std::min(best, from_i[k] + link_cost_[j - k]);
+bool DeltaRowObjective::recompute_column(int j, int len) {
+  // `in` is min(col_{j-1}, col_k for the sources so far): column j - 1
+  // itself until the first source, then the scratch column.
+  const std::uint8_t* in = hops_.data() + at(j - 1);
+  const std::uint64_t* src = sources_.data() + static_cast<std::size_t>(j) *
+                                                   words_;
+  for (int w = 0; w < words_; ++w)
+    for (std::uint64_t bits = src[w]; bits != 0; bits &= bits - 1) {
+      const std::uint8_t* from =
+          hops_.data() + at(w * 64 + __builtin_ctzll(bits));
+      if (in == scratch_.data())
+        min_into(scratch_.data(), from, len);
+      else
+        min_of(scratch_.data(), in, from, len);
+      in = scratch_.data();
+    }
+  int sum = 0;
+  const unsigned diff =
+      add_hop(hops_.data() + at(j), in, committed_.data() + at(j),
+              iota_.data(), static_cast<std::uint8_t>(j),
+              row_changed_.data(), len, sum);
+  if (diff == 0) return false;
+  hop_sum_ += sum;
+  row_changed_[j] = 1;
+  if (worst_) col_max_[j] = column_max_cost(j);
+  return true;
+}
+
+double DeltaRowObjective::column_max_cost(int j) const {
+  const std::uint8_t* col = hops_.data() + at(j);
+  const double* wire = wire_cost_.data() + (n_ - 1) - j;
+  double best = 0.0;  // the diagonal
+  for (int i = 0; i < j; ++i)
+    best = std::max(best, wire[i] + hop_cost_[col[i]]);
   return best;
 }
 
-void DeltaRowObjective::recompute_affected() {
-  saved_total_ = total_;
-  if (toggled_.empty()) return;  // duplicate-only change: nothing moves
-  const auto mark_row = [&](int r) {
-    row_dirty_[static_cast<std::size_t>(r) >> 6] |= std::uint64_t{1}
-                                                    << (r & 63);
-  };
-  int max_lo = -1;
-  for (const LinkChange& change : toggled_)
-    max_lo = std::max(max_lo, change.link.lo);
-  for (int i = 0; i <= max_lo; ++i) {
-    int from = n_;
-    for (const LinkChange& change : toggled_)
-      if (change.link.lo >= i) from = std::min(from, change.link.hi);
-    double* from_i = cost_.data() + idx(i, 0);
-    bool row_changed = false;
-    for (int j = from; j < n_; ++j) {
-      const double best = best_into(from_i, i, j);
-      const double old = from_i[j];
-      if (best == old) continue;
-      saved_cells_[saved_cells_n_++] = {i, j, old};
-      from_i[j] = best;
-      cost_[idx(j, i)] = best;
-      // Both directions; exact in integers (see the class comment).
-      total_ += 2.0 * (best - old);
-      row_changed = true;
-      if (!uniform_) mark_row(j);
+void DeltaRowObjective::refresh_partials() {
+  // Each row's partial is weighted_average_cost's sum over j in order, a
+  // chain of dependent adds. The products are independent, so a first pass
+  // writes them; then kBlock rows' chains run side by side, each still in
+  // that order. The diagonal's product is +0.0, which leaves a sum that
+  // started at +0.0 bit for bit unchanged.
+  constexpr std::size_t kBlock = 4;
+  const std::size_t n = static_cast<std::size_t>(n_);
+  products_.resize(kBlock * n);
+  for (std::size_t s = 0; s < saved_rows_n_; s += kBlock) {
+    int rows[kBlock];
+    for (std::size_t r = 0; r < kBlock; ++r) {
+      const int i = saved_rows_[std::min(s + r, saved_rows_n_ - 1)].row;
+      rows[r] = i;
+      const double* weights = objective_->pair_weights_.data() + i * n;
+      const double* wire = wire_cost_.data() + (n - 1) - i;
+      const std::uint8_t* col_i = hops_.data() + at(i);
+      double* out = products_.data() + r * n;
+      for (int j = 0; j < i; ++j)
+        out[j] = weights[j] * (wire[j] + hop_cost_[col_i[j]]);
+      out[i] = 0.0;
+      for (int j = i + 1; j < n_; ++j)
+        out[j] = weights[j] * (wire[j] + hop_cost_[hops(i, j)]);
     }
-    if (row_changed && !uniform_) mark_row(i);
+    double total[kBlock] = {};
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t r = 0; r < kBlock; ++r)
+        total[r] += products_[r * n + j];
+    for (std::size_t r = 0; r < kBlock && s + r < saved_rows_n_; ++r)
+      row_part_[rows[r]] = total[r];
+  }
+}
+
+void DeltaRowObjective::recompute_affected() {
+  saved_hop_sum_ = hop_sum_;
+  // Only the weighted reduction reads the row marks.
+  if (!uniform_) std::fill(row_changed_.begin(), row_changed_.end(), 0);
+  span_lo_ = span_hi_ = 0;
+  if (toggled_.empty()) return;  // duplicate-only change: nothing moves
+  int from = n_;
+  int last_hi = 0;
+  for (const LinkChange& change : toggled_) {
+    from = std::min(from, change.link.hi);
+    last_hi = std::max(last_hi, change.link.hi);
+  }
+  std::fill(changed_.begin(), changed_.end(), 0);
+  const auto is_changed = [&](int c) {
+    return ((changed_[static_cast<std::size_t>(c) >> 6] >> (c & 63)) & 1) !=
+           0;
+  };
+  bool any_changed = false;
+  int rows = 0;
+  span_lo_ = span_hi_ = from;
+  for (int j = from; j < n_; ++j) {
+    if (j > last_hi && !any_changed) break;  // nothing left to propagate
+    bool stale = is_changed(j - 1);
+    for (const LinkChange& change : toggled_) {
+      if (change.link.hi > j) continue;
+      rows = std::max(rows, change.link.lo + 1);
+      stale = stale || change.link.hi == j;
+    }
+    const std::uint64_t* src =
+        sources_.data() + static_cast<std::size_t>(j) * words_;
+    for (int w = 0; w < words_ && !stale; ++w)
+      stale = (src[w] & changed_[w]) != 0;
+    if (!stale) continue;
+    ++work_.columns;
+    span_hi_ = j + 1;
+    if (recompute_column(j, lanes_for(rows))) {
+      changed_[static_cast<std::size_t>(j) >> 6] |= std::uint64_t{1}
+                                                    << (j & 63);
+      any_changed = true;
+    }
   }
 }
 
 double DeltaRowObjective::reduce_and_count() {
   objective_->count_evaluation();
+  const double pairs = static_cast<double>(n_) * (n_ - 1);
   double average;
   if (uniform_) {
-    average = total_ / (static_cast<double>(n_) * (n_ - 1));
+    // The exact integer DirectionalShortestPaths::average_cost sums.
+    average = 2.0 * (dist_term_ + tr_ * static_cast<double>(hop_sum_)) / pairs;
   } else {
     // Mirrors DirectionalShortestPaths::weighted_average_cost bit-for-bit:
     // both sides sum one partial per source row and then sum the partials,
-    // so only rows whose costs changed need a fresh partial.
-    const std::vector<double>& weights = objective_->pair_weights_;
-    for (std::size_t w = 0; w < row_dirty_.size(); ++w) {
-      std::uint64_t bits = row_dirty_[w];
-      row_dirty_[w] = 0;
-      while (bits != 0) {
-        const int i = static_cast<int>(w * 64) + __builtin_ctzll(bits);
-        bits &= bits - 1;
+    // so only rows whose hops changed need a fresh partial.
+    for (int i = 0; i < n_; ++i)
+      if (row_changed_[i] != 0)
         saved_rows_[saved_rows_n_++] = {i, row_part_[i]};
-        const std::size_t base = idx(i, 0);
-        double row_total = 0.0;
-        for (int j = 0; j < n_; ++j) {
-          if (i == j) continue;
-          row_total += weights[base + j] * cost_[base + j];
-        }
-        row_part_[i] = row_total;
-      }
-    }
+    refresh_partials();
     double total = 0.0;
     for (int i = 0; i < n_; ++i) total += row_part_[i];
     average = total / wsum_;
   }
+  if (!worst_) return average;
+  const double max_cost = *std::max_element(col_max_.begin(), col_max_.end());
   const double worst_weight = objective_->worst_weight_;
-  if (worst_weight <= 0.0) return average;
-  const double max_cost = *std::max_element(cost_.begin(), cost_.end());
   return (1.0 - worst_weight) * average + worst_weight * max_cost;
 }
 
@@ -211,7 +325,8 @@ void DeltaRowObjective::flip_matrix_links(int flat_idx) {
   const int interior = matrix_->interior();
   const int layer = flat_idx / interior;
   const int r = flat_idx % interior;
-  const auto set = [&](int i) { return matrix_->bit(layer, i); };
+  const std::uint8_t* bits = matrix_->layer_bits(layer);
+  const auto set = [&](int i) { return bits[i] != 0; };
   // decode() turns a maximal run of set bits over interior indices [a, b]
   // into the express link (a, b+2) in physical-router coordinates. One
   // flipped bit therefore merges, splits, extends, shrinks, creates or
@@ -271,6 +386,14 @@ double DeltaRowObjective::propose_add(topo::RowLink link) {
 
 void DeltaRowObjective::commit() {
   XLP_REQUIRE(pending_, "no pending proposal to commit");
+  if (incremental_) {
+    const std::size_t lo = at(span_lo_);
+    std::copy(hops_.begin() + lo, hops_.begin() + at(span_hi_),
+              committed_.begin() + lo);
+    if (worst_)
+      std::copy(col_max_.begin() + span_lo_, col_max_.begin() + span_hi_,
+                committed_col_max_.begin() + span_lo_);
+  }
   clear_pending();
 }
 
@@ -278,8 +401,8 @@ void DeltaRowObjective::clear_pending() {
   pending_ = false;
   pending_bit_ = -1;
   pending_link_.reset();
-  saved_cells_n_ = 0;
   saved_rows_n_ = 0;
+  span_lo_ = span_hi_ = 0;
   pending_changes_.clear();
   toggled_.clear();
 }
@@ -296,12 +419,16 @@ void DeltaRowObjective::revert() {
     for (auto it = pending_changes_.rbegin(); it != pending_changes_.rend();
          ++it)
       apply_link(it->link, -it->delta);
-    for (std::size_t s = 0; s < saved_cells_n_; ++s) {
-      const CellSave& save = saved_cells_[s];
-      cost_[idx(save.i, save.j)] = save.cost;
-      cost_[idx(save.j, save.i)] = save.cost;
-    }
-    total_ = saved_total_;
+    const std::size_t lo = at(span_lo_);
+    const std::size_t hi = at(span_hi_);
+    std::copy(committed_.begin() + lo, committed_.begin() + hi,
+              hops_.begin() + lo);
+    work_.restored_bytes += static_cast<long>(hi - lo);
+    if (worst_)
+      std::copy(committed_col_max_.begin() + span_lo_,
+                committed_col_max_.begin() + span_hi_,
+                col_max_.begin() + span_lo_);
+    hop_sum_ = saved_hop_sum_;
     for (std::size_t s = 0; s < saved_rows_n_; ++s)
       row_part_[saved_rows_[s].row] = saved_rows_[s].part;
   }

@@ -17,40 +17,57 @@ namespace xlp::core {
 ///
 /// RowObjective::evaluate rebuilds DirectionalShortestPaths from scratch:
 /// O(n^2 · degree) relaxations plus a decode and per-router adjacency
-/// allocations, on every move. This class caches only the per-pair cost
-/// table of the *current* placement — the one quantity the objective's
-/// reductions read — and, when links are toggled, recomputes the pairs
-/// whose span contains a toggled link: a monotone path from i to j never
-/// leaves [i, j], so every other pair keeps its cached cost. For a source i
-/// the affected targets are j >= from(i), the smallest hi of a toggled link
-/// (lo, hi) with lo >= i, and one forward pass over them rebuilds row i:
-///   cost(i, j) = min over predecessors k of j, k >= i, of
-///                cost(i, k) + link_cost(j - k).
+/// allocations, on every move. This class keeps only the hop count of every
+/// pair's shortest monotone path. The paper's head latency is
+/// H·Tr + D·Tl (Eq. 1), and a monotone path from i to j covers exactly
+/// |j - i| units of wire, so
+///   cost(i, j) = Tl·|j - i| + Tr·hops(i, j)
+/// and the cheapest path is the one with the fewest hops. The table is one
+/// byte per pair, stored by target column: column j holds hops(i, j) for
+/// every source i < j contiguously, 0 at i == j and 0xFF (no path) for
+/// i > j, padded to a stride of kLanes bytes. With no U-turns the last hop into j
+/// comes from j - 1 or from the source k of an express link (k, j), so
+///   col_j = min(col_{j-1}, col_k for each express source k) + 1
+/// over the sources i < j, where col_k's 0xFF cells drop the sources an
+/// express link (k, j) cannot serve. Each column is one byte loop per
+/// source and one more, over whole lanes, which the compiler vectorizes.
+///
+/// When links are toggled, column j can change only in the rows i <= lo of
+/// a toggled link (lo, hi <= j): a monotone path never leaves [i, j]. The
+/// evaluator recomputes, from the smallest toggled hi on, each column whose
+/// inputs moved — a toggled link ends there, or column j - 1 or an express
+/// source's column changed — over those rows rounded up to kLanes. Cells
+/// outside them recompute to their stored value, so the result is exact.
+/// revert() restores the touched columns with one contiguous block copy from
+/// a mirror of the committed table; commit() refreshes the mirror the same
+/// way.
 ///
 /// Exactness contract: every score this class returns is bit-identical to
 /// what RowObjective::evaluate would return on the same placement, so an
 /// anneal driven by it accepts the same moves, visits the same states, and
 /// emits byte-identical checkpoints and results. It holds because
 /// RowObjective::delta_supported() admits only integer hop weights whose
-/// costs stay below 2^53 even summed over all n^2 pairs: every path sum is
-/// then an exact integer, so
-///  - the minimum over last hops equals the full DP's minimum over first
-///    hops (both are the exact shortest-path cost; the DP's hop and
-///    first-hop tie-breaks pick among equal costs and never move a cost),
-///  - the leftward table is the transpose of the rightward one (a leftward
-///    monotone path is a rightward one reversed), written in the same pass,
-///  - the uniform objective's running sum of all cells is exact, as is the
-///    full evaluator's two-level sum, so both divide the same integer.
-/// The weighted objective refreshes a per-row partial for every row whose
-/// costs changed and sums the partials in the full evaluator's order; the
-/// worst-case blend rescans the table for its maximum. Set
-/// XLP_CHECK_DELTA=1 to run the full evaluator in lockstep and abort
+/// costs stay below 2^53 even summed over all n^2 pairs: every cost is then
+/// an exact integer, the same one the full DP finds, and
+///  - the uniform objective's total 2·(Tl·ΣD + Tr·ΣH) over pairs i < j is
+///    the exact integer DirectionalShortestPaths::average_cost sums (a
+///    leftward monotone path is a rightward one reversed), so both divide
+///    the same integer;
+///  - the weighted objective rebuilds cost(i, j) from hops for every row
+///    whose hops changed (found by a per-column byte compare against the
+///    mirror), refreshes that row's partial in weighted_average_cost's
+///    order and sums the partials in the full evaluator's order;
+///  - the worst-case blend keeps each column's largest cost and takes the
+///    maximum over columns.
+/// Set XLP_CHECK_DELTA=1 to run the full evaluator in lockstep and abort
 /// (InvariantError) on any divergence.
 ///
 /// Objectives delta_supported() rejects — a secondary-metric blend
 /// (RowObjective::set_secondary), which scores an opaque row-level function,
-/// or hop weights outside the exact-integer bound — fall back to full
-/// evaluation (incremental() reports false), so call sites stay uniform.
+/// hop weights outside the exact-integer bound, or rows longer than 256
+/// routers, whose hop counts (up to n - 1) no longer fit a byte — fall back
+/// to full evaluation (incremental() reports false), so call sites stay
+/// uniform.
 ///
 /// Evaluation accounting: every propose_* call bumps the owning
 /// objective's evaluations() counter by exactly one, the same as one
@@ -61,13 +78,13 @@ namespace xlp::core {
 /// build their own, sharing only the atomic counter).
 class DeltaRowObjective {
  public:
-  /// Cost cache over `state.decode()` for the SA connection-matrix loop.
+  /// Hop table over `state.decode()` for the SA connection-matrix loop.
   /// The matrix is copied; drive it exclusively through propose_flip /
   /// commit / revert.
   DeltaRowObjective(const RowObjective& objective,
                     const topo::ConnectionMatrix& state);
 
-  /// Cost cache over an explicit placement for the D&C merge scan.
+  /// Hop table over an explicit placement for the D&C merge scan.
   DeltaRowObjective(const RowObjective& objective, topo::RowTopology base);
 
   [[nodiscard]] int row_size() const noexcept { return n_; }
@@ -88,16 +105,24 @@ class DeltaRowObjective {
   /// Accepts the pending proposal: the proposed placement becomes current.
   void commit();
 
-  /// Rejects the pending proposal: restores every cached cost, row partial
+  /// Rejects the pending proposal: restores every hop column, row partial
   /// and adjacency entry the proposal touched.
   void revert();
 
- private:
-  struct CellSave {
-    int i = 0;  // the rightward cell (i, j); its transpose holds the same
-    int j = 0;
-    double cost = 0.0;
+  /// Work of the incremental path since construction, host-independent:
+  /// hop columns recomputed by proposals, and bytes revert() copied back
+  /// from the mirror. Zero on the full-evaluation fallback.
+  struct Work {
+    long columns = 0;
+    long restored_bytes = 0;
   };
+  [[nodiscard]] const Work& work() const noexcept { return work_; }
+
+  /// Bytes one vector lane covers: column lengths are padded to it, and
+  /// recomputed row ranges are rounded up to it.
+  static constexpr int kLanes = 16;
+
+ private:
   struct RowSave {
     int row = 0;
     double part = 0.0;
@@ -107,16 +132,33 @@ class DeltaRowObjective {
     int delta = 0;  // +1 added, -1 removed
   };
 
-  [[nodiscard]] std::size_t idx(int i, int j) const noexcept {
-    return static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(j);
+  [[nodiscard]] std::size_t at(int column) const noexcept {
+    return static_cast<std::size_t>(column) *
+           static_cast<std::size_t>(stride_);
+  }
+  /// `rows` rounded up to whole lanes.
+  [[nodiscard]] static int lanes_for(int rows) noexcept {
+    return (rows + kLanes - 1) / kLanes * kLanes;
+  }
+  [[nodiscard]] int hops(int i, int j) const noexcept {
+    return i < j ? hops_[at(j) + static_cast<std::size_t>(i)]
+                 : hops_[at(i) + static_cast<std::size_t>(j)];
+  }
+  /// Tl·|j - i| + Tr·hops(i, j), from the two lookup tables: exact, as
+  /// both terms are integers.
+  [[nodiscard]] double cost(int i, int j) const noexcept {
+    return wire_cost_[static_cast<std::size_t>(j - i + n_ - 1)] +
+           hop_cost_[static_cast<std::size_t>(hops(i, j))];
   }
 
   void build_tables(const topo::RowTopology& row);
   bool apply_link(topo::RowLink link, int delta);
-  /// cost(i, j) from row i's cells (i, k < j), `from_i` pointing at row i:
-  /// the cheapest last hop into j from a predecessor k >= i.
-  [[nodiscard]] double best_into(const double* from_i, int i, int j) const;
+  /// Recomputes column j over its first `len` sources; returns whether any
+  /// hop changed against the mirror, folding the change into the reductions.
+  bool recompute_column(int j, int len);
+  [[nodiscard]] double column_max_cost(int j) const;
+  /// Recomputes the partial of every row saved_rows_ lists.
+  void refresh_partials();
   void recompute_affected();
   [[nodiscard]] double reduce_and_count();
   [[nodiscard]] double checked(double value) const;
@@ -138,41 +180,56 @@ class DeltaRowObjective {
   int pending_bit_ = -1;
   std::optional<topo::RowLink> pending_link_;
 
-  // cost_[i*n + j] is DirectionalShortestPaths::cost(i, j), both
-  // directions. link_cost_[len] is HopWeights::link_cost(len).
-  std::vector<double> cost_;
-  std::vector<double> link_cost_;
+  // hops_[at(j) + i] is hops(i, j) for i < j (see the class comment);
+  // committed_ mirrors it outside a pending proposal. iota_[i] == i.
+  int stride_ = 0;
+  int words_ = 0;  // 64-bit words per router bitset
+  // hop_cost_[h] is Tr·h; wire_cost_[d + n - 1] is Tl·|d|.
+  double tr_ = 0.0;
+  std::vector<double> hop_cost_;
+  std::vector<double> wire_cost_;
+  std::vector<std::uint8_t> hops_;
+  std::vector<std::uint8_t> committed_;
+  std::vector<std::uint8_t> iota_;
+  std::vector<std::uint8_t> scratch_;  // recompute_column's running min
   // Express-link multiplicity per (lo, hi) pair, and for each router hi the
-  // sorted lo of every express link (lo, hi) present: its rightward
-  // predecessors besides hi - 1.
+  // bitset of sources lo of the express links (lo, hi) present.
   std::vector<int> link_count_;
-  std::vector<std::vector<int>> pred_;
+  std::vector<std::uint64_t> sources_;
+  // The pending proposal: a bitset of the columns whose hops changed, and
+  // the column block [span_lo_, span_hi_) it recomputed.
+  std::vector<std::uint64_t> changed_;
+  int span_lo_ = 0;
+  int span_hi_ = 0;
 
-  // Reduction state. Uniform: total_ is the exact sum of every off-diagonal
-  // cost. Weighted: one partial per source row (sum of w * cost in the full
-  // evaluator's order), the constant weight sum, and a dirty-row bitmask so
-  // each propose refreshes only the partials of rows whose costs changed.
+  // Reduction state. Uniform: hop_sum_ is ΣH over pairs i < j, dist_term_
+  // the constant Tl·ΣD. Weighted: one partial per source row (sum of
+  // w * cost in the full evaluator's order), the constant weight sum, and
+  // a per-row byte that is non-zero when the row's hops changed. Worst
+  // case: each column's largest cost, mirrored like the hop table.
   bool uniform_ = true;
-  double total_ = 0.0;
-  double saved_total_ = 0.0;
+  bool worst_ = false;
+  long hop_sum_ = 0;
+  long saved_hop_sum_ = 0;
+  double dist_term_ = 0.0;
   double wsum_ = 0.0;
   std::vector<double> row_part_;
-  std::vector<std::uint64_t> row_dirty_;
+  std::vector<double> products_;  // refresh_partials' scratch
+  std::vector<std::uint8_t> row_changed_;
+  std::vector<double> col_max_;
+  std::vector<double> committed_col_max_;
   // Preallocated to n_ entries (one propose saves each row at most once);
   // saved_rows_n_ is the bump index.
   std::vector<RowSave> saved_rows_;
   std::size_t saved_rows_n_ = 0;
 
-  // Undo log of the pending proposal: one (cell, old cost) entry per
-  // changed pair, in a preallocated buffer indexed by saved_cells_n_ (the
-  // hot path bumps an index instead of paying push_back's grow check).
   // pending_changes_ is the proposal's link changes; toggled_ the subset
   // that changed adjacency (multiplicity crossed 0 <-> 1) — a duplicate
   // link routes nothing differently and triggers no recomputation.
-  std::vector<CellSave> saved_cells_;
-  std::size_t saved_cells_n_ = 0;
   std::vector<LinkChange> pending_changes_;
   std::vector<LinkChange> toggled_;
+
+  Work work_;
 };
 
 }  // namespace xlp::core

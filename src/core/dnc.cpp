@@ -79,6 +79,11 @@ topo::RowTopology solve_recursive(const RowObjective& objective,
       }
     }
   }
+  if (scan.has_value()) {
+    auto& metrics = obs::MetricsRegistry::global();
+    metrics.add("core.delta.columns", scan->work().columns);
+    metrics.add("core.delta.restored_bytes", scan->work().restored_bytes);
+  }
   if (!best_link.has_value()) return base;
   topo::RowTopology best = base;
   best.add_express(*best_link);

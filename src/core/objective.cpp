@@ -52,6 +52,8 @@ bool RowObjective::delta_supported() const noexcept {
   if (secondary_weight_ > 0.0 || !is_integer(hop_.router_cycles) ||
       !is_integer(hop_.link_cycles_per_unit))
     return false;
+  // The delta evaluator stores hop counts, at most n - 1, in bytes.
+  if (n_ > 256) return false;
   // Any monotone path, shortest or not, has at most n - 1 hops costing at
   // most link_cost(n - 1) each. The delta evaluator sums n^2 such costs,
   // which stay exact integers in a double only below 2^53.

@@ -87,10 +87,12 @@ class RowObjective {
   /// DeltaRowObjective: uniform, weighted, and worst-case-blend objectives
   /// over integer-valued hop weights qualify while n^2 times the largest
   /// possible path cost, (n - 1) * link_cost(n - 1), stays below 2^53, so
-  /// every path cost and the sum of all pair costs are exact doubles. A
-  /// secondary-metric blend (set_secondary) scores an opaque row-level
-  /// function, and fractional or oversized hop weights void the delta
-  /// evaluator's exactness; all of them force full evaluation.
+  /// every path cost and the sum of all pair costs are exact doubles, and
+  /// while n <= 256, so every hop count fits the delta evaluator's byte
+  /// table. A secondary-metric blend (set_secondary) scores an opaque
+  /// row-level function, and fractional or oversized hop weights void the
+  /// delta evaluator's exactness; all of them, and longer rows, force full
+  /// evaluation.
   [[nodiscard]] bool delta_supported() const noexcept;
 
   /// Objective for the sub-row covering positions [lo, lo+len): uniform

@@ -63,10 +63,11 @@ SaResult anneal_connection_matrix(const topo::ConnectionMatrix& initial,
   // row is the only state.
   if (initial.bit_count() == 0) return result;
 
-  // The incremental evaluator scores each flip in O(affected pairs) with
-  // bit-identical values (see DeltaRowObjective). Built after any resume
-  // restore so its cost table describes the restored matrix; its copy of
-  // the state advances in lockstep with `current` via commit/revert.
+  // The incremental evaluator scores each flip from the affected hop
+  // columns with bit-identical values (see DeltaRowObjective). Built after
+  // any resume restore so its hop table describes the restored matrix; its
+  // copy of the state advances in lockstep with `current` via
+  // commit/revert.
   std::optional<DeltaRowObjective> delta;
   if (params.delta_eval) delta.emplace(objective, current);
 
@@ -184,6 +185,10 @@ SaResult anneal_connection_matrix(const topo::ConnectionMatrix& initial,
   metrics.add("core.sa.runs");
   metrics.add("core.sa.moves", result.moves);
   metrics.add("core.sa.accepted", result.accepted);
+  if (delta.has_value()) {
+    metrics.add("core.delta.columns", delta->work().columns);
+    metrics.add("core.delta.restored_bytes", delta->work().restored_bytes);
+  }
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -59,7 +60,7 @@ struct SaParams {
   std::string method_label;
 
   /// Score each move with the incremental evaluator (DeltaRowObjective):
-  /// O(affected pairs) per flipped connection point instead of a full
+  /// the hop columns a flipped connection point reaches instead of a full
   /// shortest-paths rebuild, with bit-identical values — the trajectory,
   /// checkpoints and SaResult are byte-for-byte the same either way, so
   /// this is a pure speed knob. Off is the reference path (benchmarks
@@ -85,9 +86,13 @@ struct SaParams {
     SaParams p = *this;
     p.total_moves = moves;
     // Keep the number of cooling steps constant so the temperature profile
-    // is the same function of move fraction.
-    p.moves_per_cool = std::max<long>(1, (moves * moves_per_cool) /
-                                             std::max<long>(1, total_moves));
+    // is the same function of move fraction. The product is taken in 128
+    // bits: moves * moves_per_cool overflows a long past ~9.2e15 moves.
+    const __int128_t period = static_cast<__int128_t>(moves) *
+                              moves_per_cool /
+                              std::max<long>(1, total_moves);
+    p.moves_per_cool = static_cast<long>(std::clamp<__int128_t>(
+        period, 1, std::numeric_limits<long>::max()));
     return p;
   }
 };

@@ -44,6 +44,12 @@ class ConnectionMatrix {
   [[nodiscard]] bool bit(int layer, int interior_idx) const;
   void set_bit(int layer, int interior_idx, bool value);
   void flip_bit(int layer, int interior_idx);
+  /// The interior() connection points of `layer` (in [0, layers())), one
+  /// 0/1 byte each: for loops that scan runs without a checked call per
+  /// point.
+  [[nodiscard]] const std::uint8_t* layer_bits(int layer) const noexcept {
+    return bits_.data() + static_cast<std::size_t>(layer) * interior();
+  }
   /// Flat accessors over [0, bit_count()): used by the SA move generator.
   [[nodiscard]] bool bit_flat(int idx) const;
   void flip_flat(int idx);

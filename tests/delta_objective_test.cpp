@@ -132,7 +132,7 @@ TEST(DeltaObjective, HopWeightsPastTheExactSumBoundFallBackButStayExact) {
 }
 
 // Rows far longer than the small-n tests above: one flip at n = 256 can
-// change a rectangle of ~n^2/4 pairs. C = 2 at density 0.9 keeps one
+// change ~n^2/4 pairs across ~n/2 hop columns. C = 2 at density 0.9 keeps one
 // layer of long runs, so most flips split or fuse a long link; C = 8 packs
 // many short ones. Every propose is checked against the full evaluator.
 constexpr int kLargeRows[] = {64, 128, 256};
@@ -166,6 +166,97 @@ TEST(DeltaObjective, LargeRowWorstCaseBlendFlipsMatchFullEvaluationExactly) {
     run_flip_property(obj, n, 2, 1000 + n, large_row_moves(n), 0.9);
     run_flip_property(obj, n, 8, 1100 + n, large_row_moves(n));
   }
+}
+
+// Topology mode over random cross links: each add is scored against the
+// full evaluator and kept or dropped at random, so later candidates land on
+// columns earlier commits rewrote.
+void run_add_property(const RowObjective& objective, int n,
+                      std::uint64_t seed, int moves) {
+  Rng rng(seed);
+  topo::RowTopology reference(n);
+  DeltaRowObjective delta(objective, reference);
+  for (int m = 0; m < moves; ++m) {
+    const int lo = static_cast<int>(
+        rng.uniform_below(static_cast<std::uint64_t>(n - 2)));
+    const int hi = lo + 2 +
+                   static_cast<int>(rng.uniform_below(
+                       static_cast<std::uint64_t>(n - lo - 2)));
+    const double incremental = delta.propose_add({lo, hi});
+    topo::RowTopology candidate = reference;
+    candidate.add_express({lo, hi});
+    ASSERT_EQ(incremental, objective.evaluate(candidate))
+        << "move " << m << " n=" << n << " link (" << lo << ", " << hi
+        << ")";
+    if (rng.uniform01() < 0.3) {
+      delta.commit();
+      reference = std::move(candidate);
+    } else {
+      delta.revert();
+    }
+  }
+}
+
+// The byte table's edges: rows shorter and just longer than one kLanes
+// column (3, 17, 33), and 255 / 256, where the plain row's hop count
+// reaches n - 1 = 255, the largest a byte holds. Walks from the plain row
+// (density 0) keep long hop counts in play. Every objective the evaluator
+// reduces: uniform, weighted, and the worst-case blend.
+TEST(DeltaObjective, KernelEdgeSizesMatchFullEvaluationExactly) {
+  for (const int n : {3, 17, 33, 255, 256}) {
+    const int moves = n < 255 ? 300 : 20;
+    Rng wrng(41u + static_cast<std::uint64_t>(n));
+    RowObjective uniform(n, paper_weights());
+    RowObjective weighted(n, paper_weights(), random_pair_weights(n, wrng));
+    RowObjective worst(n, paper_weights());
+    worst.set_worst_case_weight(0.25);
+    for (const RowObjective* obj : {&uniform, &weighted, &worst}) {
+      ASSERT_TRUE(obj->delta_supported()) << "n=" << n;
+      ASSERT_TRUE(DeltaRowObjective(*obj, topo::RowTopology(n)).incremental());
+      SCOPED_TRACE("n=" + std::to_string(n));
+      // The plain row, where hops(0, n - 1) = n - 1: set one connection
+      // point, then score clearing it again.
+      DeltaRowObjective plain(*obj, topo::ConnectionMatrix(n, 2));
+      (void)plain.propose_flip(0);
+      plain.commit();
+      ASSERT_EQ(plain.propose_flip(0), obj->evaluate(topo::RowTopology(n)));
+      plain.commit();
+      run_flip_property(*obj, n, 2, 1300 + n, moves, 0.0);
+      run_flip_property(*obj, n, 8, 1400 + n, moves, 0.5);
+      run_add_property(*obj, n, 1500 + n, moves);
+    }
+  }
+}
+
+TEST(DeltaObjective, RowsPastTheByteTableFallBackButStayExact) {
+  // n = 257 has hop counts up to 256, past a byte: the objective refuses
+  // the incremental path, and the fallback still scores exactly.
+  const int n = 257;
+  const RowObjective obj(n, paper_weights());
+  ASSERT_FALSE(obj.delta_supported());
+  const DeltaRowObjective delta(obj, topo::ConnectionMatrix(n, 4));
+  EXPECT_FALSE(delta.incremental());
+  run_flip_property(obj, n, 4, 257, 20, 0.0);
+  run_add_property(obj, n, 258, 20);
+}
+
+TEST(DeltaObjective, WorkCountsColumnsAndRestoredBytes) {
+  // Adding (0, 2) to the plain 8-router row rewrites columns 2..7 (every
+  // later column's source 0 gains a shortcut); revert copies those six
+  // 16-byte columns back. A duplicate link routes nothing differently.
+  const RowObjective obj(8, paper_weights());
+  DeltaRowObjective delta(obj, topo::RowTopology(8));
+  EXPECT_EQ(delta.work().columns, 0) << "construction counts nothing";
+  (void)delta.propose_add({0, 2});
+  delta.revert();
+  EXPECT_EQ(delta.work().columns, 6);
+  EXPECT_EQ(delta.work().restored_bytes, 6 * DeltaRowObjective::kLanes);
+  (void)delta.propose_add({0, 2});
+  delta.commit();
+  (void)delta.propose_add({0, 2});
+  delta.revert();
+  EXPECT_EQ(delta.work().columns, 12);
+  EXPECT_EQ(delta.work().restored_bytes, 6 * DeltaRowObjective::kLanes);
 }
 
 TEST(DeltaObjective, LargeRowNestedAddsMatchFullEvaluationExactly) {

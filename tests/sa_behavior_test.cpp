@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/branch_bound.hpp"
@@ -144,6 +145,26 @@ TEST(SaBehavior, MovesEqualTheConfiguredBudget) {
   const SaResult result = anneal_connection_matrix(
       topo::ConnectionMatrix(8, 4), obj, SaParams{}.with_moves(777), rng);
   EXPECT_EQ(result.moves, 777);
+}
+
+TEST(SaBehavior, WithMovesKeepsTheCoolingStepsPastLongOverflow) {
+  // The default schedule cools every 1000 of 10000 moves; any budget keeps
+  // those 10 steps. moves * moves_per_cool passes 2^63 from ~9.2e15 moves
+  // (which requests accept); the period must still be a tenth of the
+  // budget, not collapse to one move (UBSan flags the old overflow).
+  const SaParams base;
+  EXPECT_EQ(base.with_moves(20000).moves_per_cool, 2000);
+  EXPECT_EQ(base.with_moves(5).moves_per_cool, 1);
+  EXPECT_EQ(base.with_moves(0).moves_per_cool, 1);
+  EXPECT_EQ(base.with_moves(10'000'000'000'000'000).moves_per_cool,
+            1'000'000'000'000'000);
+  const long most = std::numeric_limits<long>::max();
+  EXPECT_EQ(base.with_moves(most).moves_per_cool, most / 10);
+  SaParams every_move = base;
+  every_move.total_moves = 1;
+  every_move.moves_per_cool = 1000;
+  EXPECT_EQ(every_move.with_moves(most).moves_per_cool, most)
+      << "a period past a long clamps to the largest one";
 }
 
 TEST(NaiveSaBehavior, WasteGrowsAsTheLimitTightens) {
