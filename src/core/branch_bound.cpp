@@ -24,14 +24,12 @@ BranchAndBound::BranchAndBound(const RowObjective& objective, int link_limit,
 }
 
 double BranchAndBound::direct_connection_bound() const {
-  // If every ordered pair were one hop apart, the head cost of (i,j) would
-  // be Tr + Tl*|i-j|; no placement can beat the (weighted) average of that.
-  const auto& w = objective_.hop_weights();
-  // Evaluate through a fully connected row: a single evaluation, exact.
+  // The objective of the clique, the row with every possible express link:
+  // adding a link never makes a path longer, so no placement scores below
+  // it. One evaluation, exact.
   std::vector<topo::RowLink> full;
   for (int i = 0; i < n_; ++i)
     for (int j = i + 2; j < n_; ++j) full.push_back({i, j});
-  (void)w;
   const topo::RowTopology clique(n_, std::move(full));
   return objective_.evaluate(clique);
 }

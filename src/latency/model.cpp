@@ -40,7 +40,8 @@ using route::DirectionalShortestPaths;
 /// (MeshRouting gives equal lines one table).
 class SegmentLatencies {
  public:
-  explicit SegmentLatencies(double contention) : contention_(contention) {}
+  explicit SegmentLatencies(const LatencyParams& params)
+      : hop_(params.hop), contention_(params.contention_per_hop) {}
 
   std::span<const double> of(const DirectionalShortestPaths& paths) {
     if (&paths == tabled_) return values_;
@@ -48,15 +49,18 @@ class SegmentLatencies {
     const int size = paths.size();
     values_.resize(static_cast<std::size_t>(size) * size);
     for (int i = 0; i < size; ++i) {
-      const double* cost = paths.cost_row(i);
       const int* hops = paths.hops_row(i);
       double* out = values_.data() + static_cast<std::size_t>(i) * size;
-      for (int j = 0; j < size; ++j) out[j] = cost[j] + contention_ * hops[j];
+      for (int j = 0; j < size; ++j) {
+        const double cost = hop_.path_cost(std::abs(j - i), hops[j]);
+        out[j] = cost + contention_ * hops[j];
+      }
     }
     return values_;
   }
 
  private:
+  route::HopWeights hop_;
   double contention_;
   const DirectionalShortestPaths* tabled_ = nullptr;
   std::vector<double> values_;
@@ -99,7 +103,7 @@ LatencyBreakdown MeshLatencyModel::weighted_average(
   const int height = routing_.height();
   XLP_REQUIRE(demand.width() == width && demand.height() == height,
               "traffic matrix dimensions do not match the design");
-  SegmentLatencies latencies(params_.contention_per_hop);
+  SegmentLatencies latencies(params_);
   std::vector<double> block(static_cast<std::size_t>(width) * width);
   double segments = 0.0;
   double weight = 0.0;
@@ -132,7 +136,7 @@ LatencyBreakdown MeshLatencyModel::average() const {
 double MeshLatencyModel::worst_case() const {
   const int width = routing_.width();
   const int height = routing_.height();
-  SegmentLatencies latencies(params_.contention_per_hop);
+  SegmentLatencies latencies(params_);
   // from_col[dx * height + sy]: the dearest column segment from row sy in
   // column dx, over every destination row; a column sharing the previous
   // column's table shares its values.

@@ -1,50 +1,15 @@
 #include "route/directional_paths.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "obs/profiler.hpp"
 #include "util/check.hpp"
 
 namespace xlp::route {
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// One relaxation step of the monotone shortest-path DP: candidate path
-/// from `i` through neighbor `via` with tail cost/hops `base_cost` /
-/// `base_hops`, against the incumbent cell (cur_cost, cur_hops, cur_next).
-/// Tie-break: lower cost, then fewer hops, then the longest first hop (take
-/// the express link as early as possible — deterministic and keeps packets
-/// off local links that shorter-haul traffic needs).
-inline void relax_monotone(const HopWeights& weights, int i, int via,
-                           double base_cost, int base_hops, double& cur_cost,
-                           int& cur_hops, int& cur_next) {
-  const int len = via > i ? via - i : i - via;
-  const double c = weights.link_cost(len) + base_cost;
-  const int h = 1 + base_hops;
-  const int cur_len = cur_next > i ? cur_next - i : i - cur_next;
-  const bool better =
-      c < cur_cost - 1e-12 ||
-      (c < cur_cost + 1e-12 &&
-       (h < cur_hops || (h == cur_hops && cur_next >= 0 && len > cur_len)));
-  if (cur_next < 0 || better) {
-    cur_cost = c;
-    cur_hops = h;
-    cur_next = via;
-  }
-}
-
-}  // namespace
-
 DirectionalShortestPaths::DirectionalShortestPaths(
     const topo::RowTopology& row, HopWeights weights)
-    : n_(row.size()),
-      weights_(weights),
-      cost_(static_cast<std::size_t>(n_) * n_, kInf),
-      hops_(static_cast<std::size_t>(n_) * n_, -1),
-      next_(static_cast<std::size_t>(n_) * n_, -1) {
+    : n_(row.size()), weights_(weights) {
   // Adjacency by direction. neighbors_right/left are sorted and de-duped.
   std::vector<std::vector<int>> right(static_cast<std::size_t>(n_));
   std::vector<std::vector<int>> left(static_cast<std::size_t>(n_));
@@ -55,20 +20,14 @@ DirectionalShortestPaths::DirectionalShortestPaths(
   compute(right, left);
 
   // Local links guarantee connectivity in both directions.
-  for (int i = 0; i < n_; ++i)
-    for (int j = 0; j < n_; ++j)
-      XLP_CHECK(cost_[idx(i, j)] < kInf,
-                "row with local links must be fully connected");
+  XLP_CHECK(std::find(hops_.begin(), hops_.end(), -1) == hops_.end(),
+            "row with local links must be fully connected");
 }
 
 DirectionalShortestPaths::DirectionalShortestPaths(
     int n, const std::vector<std::vector<int>>& right,
     const std::vector<std::vector<int>>& left, HopWeights weights)
-    : n_(n),
-      weights_(weights),
-      cost_(static_cast<std::size_t>(n_) * n_, kInf),
-      hops_(static_cast<std::size_t>(n_) * n_, -1),
-      next_(static_cast<std::size_t>(n_) * n_, -1) {
+    : n_(n), weights_(weights) {
   XLP_REQUIRE(n >= 2, "a row needs at least two routers");
   XLP_REQUIRE(right.size() == static_cast<std::size_t>(n) &&
                   left.size() == static_cast<std::size_t>(n),
@@ -80,44 +39,45 @@ void DirectionalShortestPaths::compute(
     const std::vector<std::vector<int>>& right,
     const std::vector<std::vector<int>>& left) {
   const obs::ProfileScope profile_scope("route.monotone_sp");
-  for (int i = 0; i < n_; ++i) {
-    cost_[idx(i, i)] = 0.0;
-    hops_[idx(i, i)] = 0;
-  }
-
-  // Monotone paths form a DAG in each direction; fill by increasing span.
-  auto relax = [&](int i, int j, int via, double base_cost, int base_hops) {
-    relax_monotone(weights_, i, via, base_cost, base_hops, cost_[idx(i, j)],
-                   hops_[idx(i, j)], next_[idx(i, j)]);
-  };
-
-  for (int span = 1; span < n_; ++span) {
-    for (int i = 0; i + span < n_; ++i) {
-      const int j = i + span;
-      // Rightward: i -> j via any right neighbor k <= j.
-      for (int k : right[i]) {
-        if (k > j) break;
-        if (cost_[idx(k, j)] < kInf) relax(i, j, k, cost_[idx(k, j)],
-                                           hops_[idx(k, j)]);
-      }
-      // Leftward: j -> i via any left neighbor k >= i.
-      for (int k : left[j]) {
-        if (k < i) continue;
-        if (cost_[idx(k, i)] < kInf) relax(j, i, k, cost_[idx(k, i)],
-                                           hops_[idx(k, i)]);
-      }
+  XLP_REQUIRE(weights_.router_cycles >= 0.0,
+              "the fewest hops are the cheapest only while Tr >= 0");
+  // Fewest hops over the monotone DAG. A path has at most n - 1 hops, so
+  // n stands for "no path" until the end, and 1 + n never wins a minimum.
+  const int none = n_;
+  hops_.assign(static_cast<std::size_t>(n_) * n_, none);
+  for (int i = 0; i < n_; ++i) hops_[idx(i, i)] = 0;
+  // Rightward: a path i -> j takes its first link to some k <= j, so row i
+  // right of i is 1 + the minimum of those rows k from k on. Rows below i
+  // are complete by then.
+  for (int i = n_ - 2; i >= 0; --i) {
+    int* row = hops_.data() + idx(i, 0);
+    for (const int k : right[static_cast<std::size_t>(i)]) {
+      XLP_REQUIRE(k > i && k < n_, "a right neighbor must lie right of it");
+      const int* via = hops_.data() + idx(k, 0);
+      for (int j = k; j < n_; ++j) row[j] = std::min(row[j], via[j] + 1);
     }
   }
+  // Leftward, mirrored: a path j -> i takes its first link to some k >= i,
+  // so row j left of j is 1 + the minimum of those rows k up to k. Rows
+  // above j are complete by then.
+  for (int j = 1; j < n_; ++j) {
+    int* row = hops_.data() + idx(j, 0);
+    for (const int k : left[static_cast<std::size_t>(j)]) {
+      XLP_REQUIRE(k >= 0 && k < j, "a left neighbor must lie left of it");
+      const int* via = hops_.data() + idx(k, 0);
+      for (int i = 0; i <= k; ++i) row[i] = std::min(row[i], via[i] + 1);
+    }
+  }
+  std::replace(hops_.begin(), hops_.end(), none, -1);
 }
 
 bool DirectionalShortestPaths::reachable(int i, int j) const {
-  XLP_REQUIRE(i >= 0 && i < n_ && j >= 0 && j < n_, "index out of range");
-  return cost_[idx(i, j)] < kInf;
+  return hops(i, j) >= 0;
 }
 
 double DirectionalShortestPaths::cost(int i, int j) const {
   XLP_REQUIRE(i >= 0 && i < n_ && j >= 0 && j < n_, "index out of range");
-  return cost_[idx(i, j)];
+  return cost_at(i, j);
 }
 
 int DirectionalShortestPaths::hops(int i, int j) const {
@@ -128,12 +88,17 @@ int DirectionalShortestPaths::hops(int i, int j) const {
 int DirectionalShortestPaths::next_hop(int i, int j) const {
   XLP_REQUIRE(i >= 0 && i < n_ && j >= 0 && j < n_, "index out of range");
   XLP_REQUIRE(i != j, "no next hop from a router to itself");
-  return next_[idx(i, j)];
-}
-
-const double* DirectionalShortestPaths::cost_row(int i) const {
-  XLP_REQUIRE(i >= 0 && i < n_, "index out of range");
-  return cost_.data() + idx(i, 0);
+  const int h = hops_[idx(i, j)];
+  if (h < 0) return -1;
+  // The longest first hop among the shortest paths: take the express link
+  // as early as possible (deterministic, and keeps packets off the local
+  // links that shorter-haul traffic needs). hops(i, k) == 1 exactly when i
+  // links straight to k.
+  const int step = j > i ? -1 : 1;
+  for (int k = j; k != i; k += step)
+    if (hops_[idx(i, k)] == 1 && hops_[idx(k, j)] == h - 1) return k;
+  XLP_CHECK(false, "a reachable pair must have a neighbor one hop closer");
+  return -1;
 }
 
 const int* DirectionalShortestPaths::hops_row(int i) const {
@@ -142,17 +107,10 @@ const int* DirectionalShortestPaths::hops_row(int i) const {
 }
 
 std::vector<int> DirectionalShortestPaths::path(int i, int j) const {
-  XLP_REQUIRE(i >= 0 && i < n_ && j >= 0 && j < n_, "index out of range");
-  XLP_REQUIRE(cost_[idx(i, j)] < kInf,
+  XLP_REQUIRE(reachable(i, j),
               "no surviving monotone path between these routers");
   std::vector<int> out{i};
-  int cur = i;
-  while (cur != j) {
-    cur = next_hop(cur, j);
-    out.push_back(cur);
-    XLP_CHECK(out.size() <= static_cast<std::size_t>(n_),
-              "routing table produced a path longer than the row");
-  }
+  while (out.back() != j) out.push_back(next_hop(out.back(), j));
   return out;
 }
 
@@ -167,10 +125,9 @@ std::vector<int> DirectionalShortestPaths::path(int i, int j) const {
 double DirectionalShortestPaths::average_cost() const {
   double total = 0.0;
   for (int i = 0; i < n_; ++i) {
-    const std::size_t base = static_cast<std::size_t>(i) * n_;
     double row = 0.0;
-    for (int j = 0; j < i; ++j) row += cost_[base + j];
-    for (int j = i + 1; j < n_; ++j) row += cost_[base + j];
+    for (int j = 0; j < i; ++j) row += cost_at(i, j);
+    for (int j = i + 1; j < n_; ++j) row += cost_at(i, j);
     total += row;
   }
   return total / (static_cast<double>(n_) * (n_ - 1));
@@ -178,19 +135,18 @@ double DirectionalShortestPaths::average_cost() const {
 
 double DirectionalShortestPaths::weighted_average_cost(
     const std::vector<double>& weight) const {
-  XLP_REQUIRE(weight.size() == cost_.size(),
+  XLP_REQUIRE(weight.size() == hops_.size(),
               "weight matrix must be n*n, flattened row-major");
   double total = 0.0;
   double wsum = 0.0;
   for (int i = 0; i < n_; ++i) {
-    const std::size_t base = static_cast<std::size_t>(i) * n_;
     double row_total = 0.0;
     double row_wsum = 0.0;
     for (int j = 0; j < n_; ++j) {
-      const double w = weight[base + j];
+      const double w = weight[idx(i, j)];
       XLP_REQUIRE(w >= 0.0, "weights must be non-negative");
       if (i == j) continue;
-      row_total += w * cost_[base + j];
+      row_total += w * cost_at(i, j);
       row_wsum += w;
     }
     total += row_total;
@@ -214,7 +170,10 @@ double DirectionalShortestPaths::average_hops() const {
 }
 
 double DirectionalShortestPaths::max_cost() const {
-  return *std::max_element(cost_.begin(), cost_.end());
+  double worst = 0.0;
+  for (int i = 0; i < n_; ++i)
+    for (int j = 0; j < n_; ++j) worst = std::max(worst, cost_at(i, j));
+  return worst;
 }
 
 }  // namespace xlp::route

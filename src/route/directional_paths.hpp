@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "topo/row_topology.hpp"
@@ -16,6 +17,15 @@ struct HopWeights {
   [[nodiscard]] double link_cost(int length) const noexcept {
     return router_cycles + link_cycles_per_unit * length;
   }
+
+  /// Head cost of a monotone path of `hops` links between routers
+  /// `distance` apart (Eq. 1, H·Tr + D·Tl): a path that never turns back
+  /// covers exactly `distance` units of wire, so its hop count fixes its
+  /// cost. Infinite when `hops` is negative (no path).
+  [[nodiscard]] double path_cost(int distance, int hops) const noexcept {
+    if (hops < 0) return std::numeric_limits<double>::infinity();
+    return link_cycles_per_unit * distance + router_cycles * hops;
+  }
 };
 
 /// Directional all-pairs shortest paths within one row under the paper's
@@ -23,22 +33,24 @@ struct HopWeights {
 /// a left-to-right packet may only use links in the rightward direction and
 /// never overshoots its target ("no U-turns"). Equivalent to the paper's two
 /// Floyd–Warshall passes with the opposite direction's edges set to infinite
-/// weight; implemented as a DP over increasing span since the monotone
-/// subgraph is a DAG.
+/// weight; implemented as a DP since the monotone subgraph is a DAG.
 ///
-/// `cost(i,j)` is the head-flit cost of the row segment, `hops(i,j)` the
-/// number of links traversed, and `next_hop(i,j)` the router after `i` on
-/// the selected path (deterministic; this is what the per-router lookup
-/// tables of Section 4.5.2 store).
+/// The one table is `hops(i,j)`, the fewest links from i to j. Every
+/// monotone path from i to j covers |j-i| units of wire, so the cheapest
+/// path is the one with the fewest hops, and `cost(i,j)` follows from the
+/// hop count (HopWeights::path_cost). `next_hop(i,j)` is the router after
+/// `i` on the selected path (deterministic; this is what the per-router
+/// lookup tables of Section 4.5.2 store): the farthest neighbor one hop
+/// closer to j, i.e. the longest first hop among the shortest paths.
 class DirectionalShortestPaths {
  public:
   DirectionalShortestPaths(const topo::RowTopology& row, HopWeights weights);
 
   /// Shortest paths over an explicit monotone adjacency: `right[r]` /
-  /// `left[r]` are the sorted surviving neighbors of router r in each
-  /// direction. Used by the fault subsystem to route around dead links, so
-  /// unlike the RowTopology constructor this one tolerates severed
-  /// directions: an unreachable pair keeps infinite cost, hops() == -1 and
+  /// `left[r]` are the surviving neighbors of router r in each direction.
+  /// Used by the fault subsystem to route around dead links, so unlike the
+  /// RowTopology constructor this one tolerates severed directions: an
+  /// unreachable pair keeps infinite cost, hops() == -1 and
   /// next_hop() == -1 — check reachable() before following the table.
   DirectionalShortestPaths(int n, const std::vector<std::vector<int>>& right,
                            const std::vector<std::vector<int>>& left,
@@ -60,9 +72,8 @@ class DirectionalShortestPaths {
   /// -1 when unreachable. Requires i != j.
   [[nodiscard]] int next_hop(int i, int j) const;
 
-  /// Row i of the cost and hop tables: cost(i, j) and hops(i, j) for every
-  /// j in [0, size()), for loops that read a whole row.
-  [[nodiscard]] const double* cost_row(int i) const;
+  /// Row i of the hop table: hops(i, j) for every j in [0, size()), for
+  /// loops that read a whole row.
   [[nodiscard]] const int* hops_row(int i) const;
 
   /// Full router sequence i, ..., j (inclusive). Requires reachable(i, j).
@@ -93,14 +104,15 @@ class DirectionalShortestPaths {
     return static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
            static_cast<std::size_t>(j);
   }
+  [[nodiscard]] double cost_at(int i, int j) const {
+    return weights_.path_cost(i < j ? j - i : i - j, hops_[idx(i, j)]);
+  }
   void compute(const std::vector<std::vector<int>>& right,
                const std::vector<std::vector<int>>& left);
 
   int n_;
   HopWeights weights_;
-  std::vector<double> cost_;
   std::vector<int> hops_;
-  std::vector<int> next_;
 };
 
 }  // namespace xlp::route

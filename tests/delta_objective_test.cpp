@@ -18,6 +18,7 @@
 #include "core/objective.hpp"
 #include "core/portfolio.hpp"
 #include "core/sa.hpp"
+#include "route/directional_paths.hpp"
 #include "topo/connection_matrix.hpp"
 #include "topo/row_topology.hpp"
 #include "util/check.hpp"
@@ -102,6 +103,69 @@ TEST(DeltaObjective, WeightedWorstCaseBlendMatchesFullEvaluationExactly) {
   RowObjective obj(12, paper_weights(), random_pair_weights(12, wrng));
   obj.set_worst_case_weight(0.5);
   run_flip_property(obj, 12, 3, 555, 200);
+}
+
+// Reflection, a metamorphic relation: mapping every link (i, j) to
+// (n-1-j, n-1-i) mirrors the row, so hops'(n-1-i, n-1-j) == hops(i, j),
+// and the uniform and worst-case objectives, sums of exact integer costs,
+// keep their bits. Mirroring every layer of a connection matrix mirrors
+// its decode, so a flip walk and its mirror image must score alike in
+// both evaluators.
+TEST(DeltaObjective, ReflectedRowsScoreTheSame) {
+  const auto reflect = [](const topo::RowTopology& row) {
+    const int n = row.size();
+    std::vector<topo::RowLink> links;
+    for (const topo::RowLink& link : row.express_links())
+      links.push_back({n - 1 - link.hi, n - 1 - link.lo});
+    return topo::RowTopology(n, std::move(links));
+  };
+  for (const int n : {5, 8, 13, 16}) {
+    for (const int limit : {2, 4}) {
+      for (const double worst : {0.0, 0.5}) {
+        RowObjective obj(n, paper_weights());
+        obj.set_worst_case_weight(worst);
+        Rng rng(900u + static_cast<std::uint64_t>(n * limit));
+        topo::ConnectionMatrix matrix =
+            topo::ConnectionMatrix::random(n, limit, rng, 0.5);
+        const int interior = matrix.interior();
+        // The flat bit of the same layer at the mirrored interior router.
+        const auto mirror_bit = [interior](int bit) {
+          return bit - bit % interior + (interior - 1 - bit % interior);
+        };
+        topo::ConnectionMatrix mirrored(n, limit);
+        for (int bit = 0; bit < matrix.bit_count(); ++bit)
+          if (matrix.bit_flat(bit)) mirrored.flip_flat(mirror_bit(bit));
+        DeltaRowObjective delta(obj, matrix);
+        DeltaRowObjective mirrored_delta(obj, mirrored);
+        for (int m = 0; m < 60; ++m) {
+          const int bit = static_cast<int>(rng.uniform_below(
+              static_cast<std::uint64_t>(matrix.bit_count())));
+          const double score = delta.propose_flip(bit);
+          const double mirrored_score =
+              mirrored_delta.propose_flip(mirror_bit(bit));
+          delta.commit();
+          mirrored_delta.commit();
+          matrix.flip_flat(bit);
+          mirrored.flip_flat(mirror_bit(bit));
+
+          const topo::RowTopology row = matrix.decode();
+          const topo::RowTopology reflected = reflect(row);
+          ASSERT_EQ(mirrored.decode(), reflected) << row.to_string();
+          const route::DirectionalShortestPaths paths(row, paper_weights());
+          const route::DirectionalShortestPaths mirror(reflected,
+                                                       paper_weights());
+          for (int i = 0; i < n; ++i)
+            for (int j = 0; j < n; ++j)
+              ASSERT_EQ(mirror.hops(n - 1 - i, n - 1 - j), paths.hops(i, j))
+                  << row.to_string() << " pair " << i << "->" << j;
+          const double full = obj.evaluate(row);
+          ASSERT_EQ(obj.evaluate(reflected), full) << row.to_string();
+          ASSERT_EQ(score, full) << row.to_string();
+          ASSERT_EQ(mirrored_score, full) << row.to_string();
+        }
+      }
+    }
+  }
 }
 
 TEST(DeltaObjective, NonIntegerHopWeightsFallBackButStayExact) {

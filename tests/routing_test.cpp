@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "fault/model.hpp"
 #include "route/deadlock.hpp"
 #include "route/directional_paths.hpp"
 #include "route/mesh_routing.hpp"
@@ -85,6 +88,85 @@ TEST(DirectionalPaths, MatchesReferenceFloydWarshall) {
               << row.to_string() << " pair " << i << "->" << j;
     }
   }
+}
+
+using Adjacency = std::vector<std::vector<int>>;
+
+// Checks `paths` against the reference over the same monotone adjacency:
+// the same hop counts, -1 and an infinite cost where a direction is
+// severed, the same costs, and next_hop(i, j) the farthest neighbor of i
+// one hop closer to j, the longest first hop on some shortest path.
+void expect_matches_reference(const DirectionalShortestPaths& paths,
+                              const Adjacency& right, const Adjacency& left,
+                              const std::string& label) {
+  const int n = paths.size();
+  const test::ReferenceDirectionalPaths ref(n, right, left, HopWeights{});
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) {
+      const int h = ref.hops(i, j);
+      ASSERT_EQ(paths.hops(i, j), h) << label << " pair " << i << "->" << j;
+      EXPECT_EQ(paths.cost(i, j), ref.cost(i, j)) << label;
+      EXPECT_EQ(paths.reachable(i, j), h >= 0) << label;
+      if (i == j) continue;
+      int farthest = -1;
+      for (const int k : (j > i ? right : left)[static_cast<std::size_t>(i)])
+        if ((j > i ? k <= j : k >= j) && h > 0 && ref.hops(k, j) == h - 1 &&
+            (farthest < 0 || std::abs(k - i) > std::abs(farthest - i)))
+          farthest = k;
+      EXPECT_EQ(paths.next_hop(i, j), farthest)
+          << label << " pair " << i << "->" << j;
+    }
+}
+
+TEST(DirectionalPaths, NextHopIsTheLongestFirstHopOnRandomRows) {
+  Rng rng(31);
+  for (const auto& [n, limit] :
+       {std::pair{2, 2}, std::pair{3, 2}, std::pair{5, 3}, std::pair{8, 4},
+        std::pair{13, 2}, std::pair{16, 8}, std::pair{24, 4}}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const RowTopology row = test::random_valid_row(n, limit, rng);
+      expect_matches_reference(DirectionalShortestPaths(row, HopWeights{}),
+                               test::monotone_neighbors(row, true),
+                               test::monotone_neighbors(row, false),
+                               row.to_string());
+    }
+  }
+}
+
+TEST(DirectionalPaths, DegradedAdjacencyMatchesReference) {
+  // The fault subsystem's rerouted tables: dead directed channels, local
+  // ones included, filtered out of the monotone adjacency as
+  // fault::reroute does, so some directions are severed.
+  Rng rng(47);
+  long severed = 0;
+  for (const int n : {3, 6, 9, 16}) {
+    for (int trial = 0; trial < 30; ++trial) {
+      const RowTopology row = test::random_valid_row(n, 4, rng);
+      fault::FaultSet faults;
+      for (const topo::RowLink& link : row.all_links()) {
+        if (rng.uniform01() >= 0.2) continue;
+        const auto dirs = rng.uniform_below(3);  // both, forward, backward
+        faults.add(fault::LinkFault{{fault::Dim::kRow, 0, link}, dirs != 2,
+                                    dirs != 1});
+      }
+      Adjacency right(static_cast<std::size_t>(n));
+      Adjacency left(static_cast<std::size_t>(n));
+      for (int r = 0; r < n; ++r) {
+        for (const int k : row.neighbors_right(r))
+          if (!faults.kills(fault::Dim::kRow, 0, r, k))
+            right[static_cast<std::size_t>(r)].push_back(k);
+        for (const int k : row.neighbors_left(r))
+          if (!faults.kills(fault::Dim::kRow, 0, r, k))
+            left[static_cast<std::size_t>(r)].push_back(k);
+      }
+      const DirectionalShortestPaths paths(n, right, left, HopWeights{});
+      expect_matches_reference(paths, right, left,
+                               row.to_string() + " " + faults.to_string());
+      for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j) severed += paths.hops(i, j) < 0;
+    }
+  }
+  EXPECT_GT(severed, 0) << "no trial severed a direction";
 }
 
 TEST(DirectionalPaths, PathsAreMonotoneAndConsistent) {

@@ -13,58 +13,94 @@
 
 namespace xlp::test {
 
+/// Every router's neighbors in one direction, straight from the row's links
+/// (local ones included): out[r] lists the far ends of r's rightward links,
+/// or of its leftward ones.
+inline std::vector<std::vector<int>> monotone_neighbors(
+    const topo::RowTopology& row, bool rightward) {
+  std::vector<std::vector<int>> out(static_cast<std::size_t>(row.size()));
+  for (const topo::RowLink& link : row.all_links()) {
+    if (rightward)
+      out[static_cast<std::size_t>(link.lo)].push_back(link.hi);
+    else
+      out[static_cast<std::size_t>(link.hi)].push_back(link.lo);
+  }
+  return out;
+}
+
 /// Reference implementation of the paper's routing computation: two
 /// Floyd–Warshall passes over the full row graph, each with the opposite
 /// direction's edges set to infinite weight (Section 4.5.1 verbatim).
-/// O(n^3) and obviously correct; production code uses a DAG DP instead.
+/// Among equally cheap paths it keeps the fewest hops. O(n^3) and obviously
+/// correct; production code uses a DAG DP instead.
 class ReferenceDirectionalPaths {
  public:
   ReferenceDirectionalPaths(const topo::RowTopology& row,
                             route::HopWeights weights)
-      : n_(row.size()),
+      : ReferenceDirectionalPaths(row.size(), monotone_neighbors(row, true),
+                                  monotone_neighbors(row, false), weights) {}
+
+  /// Over an explicit monotone adjacency, as the fault subsystem builds it:
+  /// `right[r]` / `left[r]` are router r's surviving neighbors in each
+  /// direction. Unreachable pairs keep infinite cost and -1 hops.
+  ReferenceDirectionalPaths(int n, const std::vector<std::vector<int>>& right,
+                            const std::vector<std::vector<int>>& left,
+                            route::HopWeights weights)
+      : n_(n),
         cost_(static_cast<std::size_t>(n_) * n_,
-              std::numeric_limits<double>::infinity()) {
-    // Rightward pass.
-    run_pass(row, weights, /*rightward=*/true);
-    run_pass(row, weights, /*rightward=*/false);
-    for (int i = 0; i < n_; ++i) at(i, i) = 0.0;
+              std::numeric_limits<double>::infinity()),
+        hops_(static_cast<std::size_t>(n_) * n_, -1) {
+    run_pass(right, weights);
+    run_pass(left, weights);
+    for (int i = 0; i < n_; ++i) {
+      cost_[at(i, i)] = 0.0;
+      hops_[at(i, i)] = 0;
+    }
   }
 
-  [[nodiscard]] double cost(int i, int j) const {
-    return cost_[static_cast<std::size_t>(i) * n_ + j];
-  }
+  [[nodiscard]] double cost(int i, int j) const { return cost_[at(i, j)]; }
+  [[nodiscard]] int hops(int i, int j) const { return hops_[at(i, j)]; }
 
  private:
-  double& at(int i, int j) {
-    return cost_[static_cast<std::size_t>(i) * n_ + j];
+  [[nodiscard]] std::size_t at(int i, int j) const {
+    return static_cast<std::size_t>(i) * n_ + j;
   }
 
-  void run_pass(const topo::RowTopology& row, route::HopWeights weights,
-                bool rightward) {
+  // One direction's edges only: adjacency[r] lists r's neighbors in it.
+  void run_pass(const std::vector<std::vector<int>>& adjacency,
+                route::HopWeights weights) {
     const double inf = std::numeric_limits<double>::infinity();
-    std::vector<double> d(static_cast<std::size_t>(n_) * n_, inf);
-    auto dd = [&](int i, int j) -> double& {
-      return d[static_cast<std::size_t>(i) * n_ + j];
-    };
-    for (int i = 0; i < n_; ++i) dd(i, i) = 0.0;
-    for (const topo::RowLink& link : row.all_links()) {
-      const double w = weights.link_cost(link.length());
-      if (rightward)
-        dd(link.lo, link.hi) = std::min(dd(link.lo, link.hi), w);
-      else
-        dd(link.hi, link.lo) = std::min(dd(link.hi, link.lo), w);
+    std::vector<double> d(cost_.size(), inf);
+    std::vector<int> h(cost_.size(), 0);
+    for (int r = 0; r < n_; ++r) {
+      d[at(r, r)] = 0.0;
+      for (const int nbr : adjacency[static_cast<std::size_t>(r)]) {
+        d[at(r, nbr)] = weights.link_cost(nbr > r ? nbr - r : r - nbr);
+        h[at(r, nbr)] = 1;
+      }
     }
     for (int k = 0; k < n_; ++k)
       for (int i = 0; i < n_; ++i)
-        for (int j = 0; j < n_; ++j)
-          if (dd(i, k) + dd(k, j) < dd(i, j)) dd(i, j) = dd(i, k) + dd(k, j);
+        for (int j = 0; j < n_; ++j) {
+          const double via = d[at(i, k)] + d[at(k, j)];
+          const int via_hops = h[at(i, k)] + h[at(k, j)];
+          if (via < d[at(i, j)] ||
+              (via == d[at(i, j)] && via < inf && via_hops < h[at(i, j)])) {
+            d[at(i, j)] = via;
+            h[at(i, j)] = via_hops;
+          }
+        }
     for (int i = 0; i < n_; ++i)
       for (int j = 0; j < n_; ++j)
-        if (rightward ? i < j : i > j) at(i, j) = dd(i, j);
+        if (i != j && d[at(i, j)] < inf) {
+          cost_[at(i, j)] = d[at(i, j)];
+          hops_[at(i, j)] = h[at(i, j)];
+        }
   }
 
   int n_;
   std::vector<double> cost_;
+  std::vector<int> hops_;
 };
 
 /// Random valid placement for P̄(n, C): decode of a random connection
