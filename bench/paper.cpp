@@ -33,6 +33,8 @@
 #include "sim/throughput.hpp"
 #include "suites.hpp"
 #include "topo/builders.hpp"
+#include "traffic/demand.hpp"
+#include "traffic/flows.hpp"
 #include "util/numeric.hpp"
 #include "util/stopwatch.hpp"
 
@@ -130,6 +132,66 @@ void fig05(int n, BenchRun& run) {
                       .set("points", std::move(points)));
 }
 
+// Fig. 7: placement quality vs normalized runtime at 8x8 and 16x16. Each
+// point is the PARSEC-average latency of D&C_SA and OnlySA at an equal
+// budget of objective evaluations (so the series is deterministic), in
+// units of the initializer cost I(n,4), averaged over three seeds.
+void fig07(BenchRun& run) {
+  constexpr int kLimit = 4;
+  constexpr int kSeeds = 3;
+  const auto params = latency::LatencyParams::parsec_typical();
+  const auto sa = exp::paper_sa_params();
+  obs::Json series = obs::Json::array();
+  for (const int n : {8, 16}) {
+    const core::RowObjective objective(n, route::HopWeights{});
+    const long unit = core::solve_dnc_only(objective, kLimit).evaluations;
+    const traffic::Flows average = traffic::parsec_average(n);
+    const auto latency = [&](const core::PlacementResult& solved) {
+      const auto design = topo::make_design(solved.placement, kLimit);
+      return latency::MeshLatencyModel(design, params)
+          .weighted_average(average)
+          .total();
+    };
+    obs::Json points = obs::Json::array();
+    double ends[2][2] = {};  // [first, last point][D&C_SA, OnlySA]
+    for (const double units :
+         {1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0}) {
+      const long budget = std::max<long>(
+          1, static_cast<long>(units * unit * exp::bench_scale()));
+      double sums[2] = {0, 0};
+      for (int seed = 0; seed < kSeeds; ++seed) {
+        Rng r1(static_cast<std::uint64_t>(seed * 17 + n));
+        Rng r2(static_cast<std::uint64_t>(seed * 31 + n + 1));
+        sums[0] += latency(core::solve_dcsa(
+            objective, kLimit, sa.with_moves(std::max<long>(1, budget - unit)),
+            r1));
+        sums[1] += latency(
+            core::solve_only_sa(objective, kLimit, sa.with_moves(budget), r2));
+      }
+      for (int i = 0; i < 2; ++i) {
+        if (points.size() == 0) ends[0][i] = sums[i] / kSeeds;
+        ends[1][i] = sums[i] / kSeeds;
+      }
+      points.push(obs::Json::object()
+                      .set("runtime_units", units)
+                      .set("budget_evals", budget)
+                      .set("dcsa_latency", sums[0] / kSeeds)
+                      .set("onlysa_latency", sums[1] / kSeeds));
+    }
+    const std::string size = size_label(n);
+    run.set_counter("unit_evals_" + size, static_cast<double>(unit));
+    run.set_counter("dcsa_first_" + size, ends[0][0]);
+    run.set_counter("dcsa_last_" + size, ends[1][0]);
+    run.set_counter("onlysa_first_" + size, ends[0][1]);
+    run.set_counter("onlysa_last_" + size, ends[1][1]);
+    series.push(obs::Json::object()
+                    .set("n", n)
+                    .set("unit_evals", unit)
+                    .set("points", std::move(points)));
+  }
+  run.set_payload(obs::Json::object().set("series", std::move(series)));
+}
+
 // Fig. 6: simulated latency of the three schemes on each PARSEC model.
 void fig06(BenchRun& run) {
   const Schemes8 schemes = schemes_8x8();
@@ -137,7 +199,7 @@ void fig06(BenchRun& run) {
   int ordered_rows = 0;
   obs::Json rows = obs::Json::array();
   for (const auto& model : traffic::parsec_models()) {
-    const auto demand = model.traffic_matrix(8);
+    const traffic::DemandRows demand(model, 8);
     const auto config = exp::default_sim_config(7);
     double latency[3];
     for (int i = 0; i < 3; ++i) {
@@ -189,7 +251,7 @@ void fig08(BenchRun& run) {
        {std::pair{"UR", traffic::Pattern::kUniformRandom},
         std::pair{"TP", traffic::Pattern::kTranspose},
         std::pair{"BR", traffic::Pattern::kBitReverse}}) {
-    const auto shape = traffic::TrafficMatrix::from_pattern(pattern, 8, 1.0);
+    const traffic::DemandRows shape(pattern, 8, 1.0);
     double row_lat[3];
     double row_thr[3];
     for (int i = 0; i < 3; ++i) {
@@ -228,7 +290,7 @@ void fig09(BenchRun& run) {
   double statics[3] = {0, 0, 0};
   obs::Json rows = obs::Json::array();
   for (const auto& model : traffic::parsec_models()) {
-    const auto demand = model.traffic_matrix(8);
+    const traffic::DemandRows demand(model, 8);
     const auto config = exp::default_sim_config(11);
     power::PowerReport reports[3];
     for (int i = 0; i < 3; ++i) {
@@ -430,13 +492,15 @@ void app_specific(BenchRun& run) {
   // One row: best general-purpose point on `demand` vs the app-specific
   // design; returns the extra cut in percent.
   auto compare = [&](const std::string& name,
-                     const traffic::TrafficMatrix& demand, Rng& rng,
+                     const traffic::DemandRows& demand, Rng& rng,
                      obs::Json& rows) {
     double gp_best = 0.0;
     bool first = true;
     for (const auto& p : gp_points) {
       const double value =
-          core::evaluate_design(p.design, options.latency, demand).total();
+          latency::MeshLatencyModel(p.design, options.latency)
+              .weighted_average(demand)
+              .total();
       if (first || value < gp_best) gp_best = value;
       first = false;
     }
@@ -455,7 +519,8 @@ void app_specific(BenchRun& run) {
   double parsec_total = 0.0;
   for (const auto& model : traffic::parsec_models()) {
     Rng rng(static_cast<std::uint64_t>(std::hash<std::string>{}(model.name)));
-    parsec_total += compare(model.name, model.traffic_matrix(n), rng, parsec);
+    parsec_total +=
+        compare(model.name, traffic::DemandRows(model, n), rng, parsec);
   }
   obs::Json skewed = obs::Json::array();
   double skewed_total = 0.0;
@@ -464,9 +529,9 @@ void app_specific(BenchRun& run) {
        {traffic::Pattern::kTranspose, traffic::Pattern::kBitReverse,
         traffic::Pattern::kHotspot, traffic::Pattern::kNeighbor}) {
     Rng rng(static_cast<std::uint64_t>(17 + static_cast<int>(pattern)));
-    skewed_total += compare(
-        traffic::to_string(pattern),
-        traffic::TrafficMatrix::from_pattern(pattern, n, 0.02), rng, skewed);
+    skewed_total += compare(traffic::to_string(pattern),
+                            traffic::DemandRows(pattern, n, 0.02), rng,
+                            skewed);
     ++skewed_count;
   }
   run.set_counter("avg_extra_cut_pct",
@@ -526,7 +591,7 @@ void routing_comparison(BenchRun& run) {
   double worst_contention = 0.0;
   obs::Json rows = obs::Json::array();
   for (const auto& model : traffic::parsec_models()) {
-    const auto demand = model.traffic_matrix(8);
+    const traffic::DemandRows demand(model, 8);
     const sim::SimConfig xy_cfg = exp::default_sim_config(3);
     sim::SimConfig o1_cfg = xy_cfg;
     o1_cfg.routing = sim::RoutingMode::kO1Turn;
@@ -558,7 +623,7 @@ void routing_comparison(BenchRun& run) {
   for (const auto& [key, pattern] :
        {std::pair{"ur", traffic::Pattern::kUniformRandom},
         std::pair{"tp", traffic::Pattern::kTranspose}}) {
-    const auto shape = traffic::TrafficMatrix::from_pattern(pattern, 8, 1.0);
+    const traffic::DemandRows shape(pattern, 8, 1.0);
     run.set_counter(std::string("saturation_xy_") + key,
                     sim::find_saturation(net, shape, sat_xy, 0.04, 0.5)
                         .saturation_throughput);
@@ -583,7 +648,7 @@ void virtual_vs_physical(BenchRun& run) {
   double power_vec = 0.0, power_phys = 0.0;
   obs::Json rows = obs::Json::array();
   for (const auto& model : traffic::parsec_models()) {
-    const auto demand = model.traffic_matrix(8);
+    const traffic::DemandRows demand(model, 8);
     const sim::SimConfig plain = exp::default_sim_config(21);
     sim::SimConfig vec = plain;
     vec.virtual_express_bypass = true;
@@ -657,8 +722,8 @@ void bandwidth_utilization(BenchRun& run) {
     config.warmup_cycles = 300;
     config.measure_cycles = 3000;
     config.drain_cycles = 1000;  // saturated runs will not drain; that's fine
-    const auto shape = traffic::TrafficMatrix::from_pattern(
-        traffic::Pattern::kUniformRandom, design.side(), 1.0);
+    const traffic::DemandRows shape(traffic::Pattern::kUniformRandom,
+                                    design.side(), 1.0);
     const auto stats = sim::simulate_at_load(net, shape, loads[i], config);
 
     obs::Json cuts = obs::Json::array();
@@ -766,8 +831,7 @@ void worst_case_objective(BenchRun& run) {
 void arbiter(BenchRun& run) {
   const Schemes8 schemes = schemes_8x8();
   const sim::Network net(schemes.designs[2].design, route::HopWeights{});
-  const auto shape = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 1.0);
+  const traffic::DemandRows shape(traffic::Pattern::kUniformRandom, 8, 1.0);
   obs::Json rows = obs::Json::array();
   for (const double load : {0.05, 0.12, 0.18}) {
     for (const auto& [name, policy] :
@@ -799,6 +863,7 @@ void register_paper_suites() {
   for (const int n : {4, 8, 16})
     register_bench("paper", "fig05_" + size_label(n), "full",
                    [n](BenchRun& run) { fig05(n, run); });
+  register_bench("paper", "fig07", "full", fig07);
   register_bench("paper", "fig06", "full", fig06);
   register_bench("paper", "fig08", "full", fig08);
   register_bench("paper", "fig09", "full", fig09);

@@ -1,9 +1,9 @@
 // All benchmark suites, registered explicitly via register_all_suites().
 // micro_core carries the kernel benchmarks that used to live on
-// google-benchmark; sim measures simulator throughput; fig07_runtime,
-// scalability and fault_campaign wrap the corresponding experiments so
-// their series land in schema-versioned BENCH_*.json documents. The
-// paper and ablation suites live in paper.cpp.
+// google-benchmark; sim measures simulator throughput; scalability and
+// fault_campaign wrap the corresponding experiments so their series land
+// in schema-versioned BENCH_*.json documents. The paper and ablation
+// suites live in paper.cpp.
 
 #include "suites.hpp"
 
@@ -36,8 +36,7 @@
 #include "svc/server.hpp"
 #include "topo/builders.hpp"
 #include "topo/connection_matrix.hpp"
-#include "traffic/app_models.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/demand.hpp"
 #include "util/numeric.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -277,8 +276,8 @@ void register_micro_core() {
     config.drain_cycles = 8000;
     config.seed = 11;
     config.series = recorder;
-    const auto demand = traffic::TrafficMatrix::from_pattern(
-        traffic::Pattern::kUniformRandom, 8, 0.02);
+    const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8,
+                                     0.02);
     const auto stats =
         exp::simulate_design(topo::make_mesh(8), demand, config);
     run.set_items(config.warmup_cycles + config.measure_cycles);
@@ -656,8 +655,8 @@ void register_sim() {
     config.warmup_cycles = 500;
     config.measure_cycles = 2000;
     config.drain_cycles = 8000;
-    const auto demand = traffic::TrafficMatrix::from_pattern(
-        traffic::Pattern::kUniformRandom, n, 0.02);
+    const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, n,
+                                     0.02);
     const auto stats = exp::simulate_design(design, demand, config);
     const long cycles = config.warmup_cycles + config.measure_cycles;
     run.set_rate("simulated_cycles", static_cast<double>(cycles));
@@ -678,75 +677,6 @@ void register_sim() {
     register_bench("sim", name, "large", [simulate, n](BenchRun& run) {
       simulate(topo::make_mesh(n), n, run);
     });
-  }
-}
-
-double design_latency(const topo::RowTopology& row, int limit, int n) {
-  const auto design = topo::make_design(row, limit);
-  return core::evaluate_design(design,
-                               latency::LatencyParams::parsec_typical(),
-                               traffic::parsec_average_matrix(n))
-      .total();
-}
-
-// One Fig. 7 series: latency of D&C_SA vs OnlySA at equal evaluation
-// budgets, normalized to the initializer cost I(n,4). The whole series is
-// the benchmark's payload; the timed quantity is the full experiment.
-void fig07_series(int n, const std::vector<double>& budgets, double scale,
-                  int seeds, BenchRun& run) {
-  constexpr int kLimit = 4;
-  const core::RowObjective objective(n, route::HopWeights{});
-  const core::PlacementResult dnc = core::solve_dnc_only(objective, kLimit);
-  const double unit = static_cast<double>(dnc.evaluations);
-
-  obs::Json points = obs::Json::array();
-  for (const double budget_units : budgets) {
-    const long budget_evals =
-        std::max<long>(1, static_cast<long>(budget_units * unit * scale));
-    const long dcsa_moves =
-        std::max<long>(0, budget_evals - dnc.evaluations);
-    const long only_moves = budget_evals;
-
-    double dcsa_sum = 0.0, only_sum = 0.0;
-    for (int seed = 0; seed < seeds; ++seed) {
-      Rng r1(static_cast<std::uint64_t>(seed * 17 + n));
-      Rng r2(static_cast<std::uint64_t>(seed * 31 + n + 1));
-      const auto dcsa = core::solve_dcsa(
-          objective, kLimit,
-          exp::paper_sa_params().with_moves(std::max<long>(1, dcsa_moves)),
-          r1);
-      const auto only = core::solve_only_sa(
-          objective, kLimit, exp::paper_sa_params().with_moves(only_moves),
-          r2);
-      dcsa_sum += design_latency(dcsa.placement, kLimit, n);
-      only_sum += design_latency(only.placement, kLimit, n);
-    }
-    points.push(obs::Json::object()
-                    .set("runtime_units", budget_units)
-                    .set("budget_evals", budget_evals)
-                    .set("dcsa_latency", dcsa_sum / seeds)
-                    .set("onlysa_latency", only_sum / seeds));
-  }
-  run.set_counter("unit_evals", unit);
-  run.set_payload(obs::Json::object()
-                      .set("figure", "fig07")
-                      .set("n", n)
-                      .set("unit_evals", static_cast<long>(unit))
-                      .set("points", std::move(points)));
-}
-
-void register_fig07() {
-  register_bench("fig07_runtime", "smoke_8x8", "smoke", [](BenchRun& run) {
-    fig07_series(8, {1.0, 5.0, 30.0}, 0.05, 1, run);
-  });
-  const std::vector<double> full = {1.0,   2.0,   5.0,   10.0,
-                                    30.0, 100.0, 300.0, 1000.0};
-  for (const int n : {8, 16}) {
-    register_bench("fig07_runtime",
-                   std::to_string(n) + "x" + std::to_string(n), "full",
-                   [n, full](BenchRun& run) {
-                     fig07_series(n, full, exp::bench_scale(), 3, run);
-                   });
   }
 }
 
@@ -915,7 +845,6 @@ void register_all_suites() {
   register_micro_core();
   register_sim();
   register_svc();
-  register_fig07();
   register_scalability();
   register_fault_campaign();
   register_paper_suites();

@@ -13,7 +13,6 @@ namespace xlp::bench {
 ///   sim            — flit simulator throughput (cycles/sec, packets/sec)
 ///   svc            — batch server served-requests/sec at 0% / 90%
 ///                    duplicates, plus the sweep-resubmit cache speedup
-///   fig07_runtime  — Fig. 7 quality-vs-budget series (payload)
 ///   scalability    — sweep cost/benefit vs network size
 ///   fault_campaign — Monte Carlo fault-resilience campaign
 ///   paper          — the paper's figures and tables (Section 5)

@@ -3,7 +3,7 @@
 //   1. run the workload once on the baseline mesh and *measure* its traffic
 //      (the profiling pass — here a sampled trace replayed on the mesh,
 //      with the observed gamma_ij reconstructed from the packets);
-//   2. feed the measured matrix to the application-specific optimizer
+//   2. feed the measured flows to the application-specific optimizer
 //      (per-row / per-column weighted D&C_SA);
 //   3. replay the *same trace* on the general-purpose design and on the
 //      specialized design and compare measured latencies.
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
               profile.stats.avg_latency);
 
   // 2. Optimize: general-purpose (uniform objective) and specialized (the
-  //    *measured* matrix as the objective weights).
+  //    *measured* flows as the objective weights).
   core::SweepOptions options;
   options.sa = core::SaParams{}.with_moves(2000);
   options.latency = latency::LatencyParams::zero_load();

@@ -13,7 +13,7 @@
 #include "latency/model.hpp"
 #include "sim/simulator.hpp"
 #include "topo/builders.hpp"
-#include "traffic/app_models.hpp"
+#include "traffic/demand.hpp"
 
 using namespace xlp;
 
@@ -39,7 +39,7 @@ int main() {
               mesh_model.average().total(), best.breakdown.total());
 
   // 3. Confirm in the flit-level simulator under a PARSEC-like workload.
-  const auto demand = traffic::parsec_model("canneal").traffic_matrix(kSide);
+  const traffic::DemandRows demand(traffic::parsec_model("canneal"), kSide);
   sim::SimConfig config;
   const auto mesh_stats =
       exp::simulate_design(topo::make_mesh(kSide), demand, config);

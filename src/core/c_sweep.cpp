@@ -9,7 +9,7 @@ namespace xlp::core {
 
 latency::LatencyBreakdown evaluate_design(
     const topo::ExpressMesh& design, const latency::LatencyParams& params,
-    const std::optional<traffic::TrafficMatrix>& report_traffic) {
+    const std::optional<traffic::Flows>& report_traffic) {
   const latency::MeshLatencyModel model(design, params);
   return report_traffic ? model.weighted_average(*report_traffic)
                         : model.average();

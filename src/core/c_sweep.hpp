@@ -6,7 +6,7 @@
 #include "core/drivers.hpp"
 #include "latency/model.hpp"
 #include "topo/builders.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 
 namespace xlp::core {
 
@@ -26,10 +26,10 @@ struct SweepOptions {
   DncOptions dnc;
   latency::LatencyParams latency = latency::LatencyParams::parsec_typical();
   int base_flit_bits = topo::kBaseFlitBits;
-  /// When set, the reported latency breakdown is weighted by this traffic
-  /// matrix (e.g. the PARSEC-average workload); the *placement* is still
-  /// optimized for the uniform general-purpose objective, as in the paper.
-  std::optional<traffic::TrafficMatrix> report_traffic;
+  /// When set, the reported latency breakdown is weighted by this demand
+  /// (e.g. the PARSEC-average workload); the *placement* is still optimized
+  /// for the uniform general-purpose objective, as in the paper.
+  std::optional<traffic::Flows> report_traffic;
 };
 
 /// The paper's overall flow (Section 4, opening): enumerate the possible
@@ -56,6 +56,6 @@ struct SweepOptions {
 /// comparable.
 [[nodiscard]] latency::LatencyBreakdown evaluate_design(
     const topo::ExpressMesh& design, const latency::LatencyParams& params,
-    const std::optional<traffic::TrafficMatrix>& report_traffic);
+    const std::optional<traffic::Flows>& report_traffic);
 
 }  // namespace xlp::core

@@ -8,7 +8,7 @@
 #include "fault/objective.hpp"
 #include "fault/reroute.hpp"
 #include "topo/builders.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/demand.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -60,8 +60,8 @@ FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& config) {
         {"DC_SA_rel", topo::make_design(solved.placement, config.link_limit)});
   }
 
-  const traffic::TrafficMatrix demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, config.n, config.load);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, config.n,
+                                   config.load);
 
   // Every simulation cell — each design's fault-free baseline and each of
   // its trials — is independent: trials are explicitly seeded from the

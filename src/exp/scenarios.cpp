@@ -36,7 +36,7 @@ core::SweepOptions default_sweep_options(int n) {
   options.sa = paper_sa_params().with_moves(
       std::max<long>(100, static_cast<long>(10000 * bench_scale())));
   options.latency = latency::LatencyParams::parsec_typical();
-  options.report_traffic = traffic::parsec_average_matrix(n);
+  options.report_traffic = traffic::parsec_average(n);
   return options;
 }
 
@@ -80,7 +80,7 @@ ProfileResult profile_on_mesh(const traffic::Demand& demand, long cycles,
   const traffic::Trace trace = traffic::Trace::sample(demand, cycles, rng);
   const auto mesh = topo::make_rect_mesh(demand.width(), demand.height());
   sim::SimStats stats = replay_trace(mesh, trace, sim::SimConfig{});
-  return {trace.empirical_matrix(), std::move(stats)};
+  return {trace.observed(), std::move(stats)};
 }
 
 CutUse vertical_cut_use(const sim::Network& network,

@@ -36,7 +36,7 @@ struct NamedDesign {
 
 /// Default sweep options used by the reproduction benches: D&C_SA with
 /// Table 1's schedule (scaled by bench_scale()), PARSEC-typical latency
-/// parameters, reporting weighted by the PARSEC-average traffic matrix.
+/// parameters, reporting weighted by the PARSEC-average demand.
 [[nodiscard]] core::SweepOptions default_sweep_options(int n);
 
 /// Convenience: solves the full general-purpose flow for one network size
@@ -67,9 +67,9 @@ struct SolvedSweep {
 
 /// The profiling half of Section 5.6.4's flow: sample a trace of the given
 /// workload, replay it on the baseline mesh (the profiling platform), and
-/// return the observed rate matrix together with the profiling stats.
+/// return the observed flows together with the profiling stats.
 struct ProfileResult {
-  traffic::TrafficMatrix observed;
+  traffic::Flows observed;
   sim::SimStats stats;
 };
 [[nodiscard]] ProfileResult profile_on_mesh(const traffic::Demand& demand,

@@ -3,22 +3,38 @@
 #include <algorithm>
 
 #include "sim/simulator.hpp"
+#include "traffic/flows.hpp"
 #include "util/check.hpp"
 
 namespace xlp::sim {
 
 SimStats simulate_at_load(const Network& network,
-                          const traffic::TrafficMatrix& shape,
+                          const traffic::Demand& shape,
                           double per_node_rate, const SimConfig& config) {
   XLP_REQUIRE(per_node_rate > 0.0, "offered load must be positive");
-  traffic::TrafficMatrix demand = shape;
-  demand.scale_total(per_node_rate * network.node_count());
+  const int nodes = shape.width() * shape.height();
+  std::vector<double> row(static_cast<std::size_t>(nodes));
+  std::vector<traffic::Flow> flows;
+  double total = 0.0;
+  for (int src = 0; src < nodes; ++src) {
+    shape.fill(src, row);
+    for (int dst = 0; dst < nodes; ++dst) {
+      const double r = row[static_cast<std::size_t>(dst)];
+      total += r;
+      if (r > 0.0) flows.push_back({src, dst, r});
+    }
+  }
+  XLP_REQUIRE(total > 0.0, "cannot scale an all-zero demand");
+  const double factor = per_node_rate * network.node_count() / total;
+  for (traffic::Flow& flow : flows) flow.rate *= factor;
+  const traffic::Flows demand(shape.width(), shape.height(),
+                              std::move(flows));
   Simulator sim(network, demand, config);
   return sim.run();
 }
 
 SaturationResult find_saturation(const Network& network,
-                                 const traffic::TrafficMatrix& shape,
+                                 const traffic::Demand& shape,
                                  const SimConfig& config, double step,
                                  double max_rate, double latency_blowup) {
   XLP_REQUIRE(step > 0.0 && max_rate >= step, "bad sweep range");

@@ -5,7 +5,7 @@
 #include "sim/config.hpp"
 #include "sim/network.hpp"
 #include "sim/stats.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/demand.hpp"
 
 namespace xlp::sim {
 
@@ -25,9 +25,11 @@ struct SaturationResult {
 };
 
 /// Runs one simulation with the traffic `shape` rescaled so that the mean
-/// per-node injection rate is `per_node_rate`.
+/// per-node injection rate is `per_node_rate`: each positive rate r of its
+/// rows becomes r * (target / total), a traffic::Flows entry, where total
+/// is the sum of its rows in node id order.
 [[nodiscard]] SimStats simulate_at_load(const Network& network,
-                                        const traffic::TrafficMatrix& shape,
+                                        const traffic::Demand& shape,
                                         double per_node_rate,
                                         const SimConfig& config);
 
@@ -36,7 +38,7 @@ struct SaturationResult {
 /// counts as saturated when measured packets fail to drain or the average
 /// latency exceeds `latency_blowup` times the first point's latency.
 [[nodiscard]] SaturationResult find_saturation(
-    const Network& network, const traffic::TrafficMatrix& shape,
+    const Network& network, const traffic::Demand& shape,
     const SimConfig& config, double step = 0.02, double max_rate = 0.6,
     double latency_blowup = 6.0);
 

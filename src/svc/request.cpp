@@ -12,6 +12,7 @@
 #include "topo/builders.hpp"
 #include "traffic/app_models.hpp"
 #include "traffic/demand.hpp"
+#include "traffic/injection.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -68,7 +69,7 @@ obs::Json execute_evaluate(const Request& request) {
   params.contention_per_hop = request.contention_per_hop;
   const latency::MeshLatencyModel model(design, params);
   // The demand's line blocks, made in closed form and folded onto the
-  // routing tables: the dense N x N matrix is never built.
+  // routing tables: no per-pair table is built.
   const latency::LatencyBreakdown breakdown = model.weighted_average(
       traffic::workload_rows(request.workload, request.n, request.load));
   return obs::Json::object()
@@ -286,9 +287,9 @@ void Request::validate() const {
     if (load <= 0.0 || load > 1.0) bad_request("load must be in (0, 1]");
     // Evaluate and appspec read their demand's closed-form line blocks;
     // the simulator's sampler holds one flow per positive-rate pair.
-    if (kind == RequestKind::kSimulate && n > traffic::kDenseDemandMaxSide)
+    if (kind == RequestKind::kSimulate && n > traffic::kFlowTableMaxSide)
       bad_request("simulate needs n in [2, " +
-                  std::to_string(traffic::kDenseDemandMaxSide) +
+                  std::to_string(traffic::kFlowTableMaxSide) +
                   "]: its sampler holds one flow per node pair");
   }
   if (!searches(kind)) {

@@ -70,8 +70,8 @@ struct Request {
   std::string links;
   /// Scenario identity of the traffic: a synthetic pattern name
   /// (uniform_random, transpose, ...) or a PARSEC model name (canneal,
-  /// ...). Deterministically expands to a rate matrix, so the name is the
-  /// traffic-matrix hash.
+  /// ...). Deterministically expands to its demand rows
+  /// (traffic::DemandRows), so the name is the demand's hash.
   std::string workload = "uniform_random";
   double load = 0.02;     ///< packets/node/cycle offered
   long cycles = 10000;    ///< measurement window (kSimulate)

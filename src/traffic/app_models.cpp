@@ -1,14 +1,9 @@
 #include "traffic/app_models.hpp"
 
-#include "traffic/demand.hpp"
 #include "traffic/patterns.hpp"
 #include "util/check.hpp"
 
 namespace xlp::traffic {
-
-TrafficMatrix AppModel::traffic_matrix(int n) const {
-  return DemandRows(*this, n).matrix();
-}
 
 const std::vector<AppModel>& parsec_models() {
   // Injection rates and traffic shapes are synthetic but differentiated:
@@ -35,21 +30,6 @@ const AppModel& parsec_model(const std::string& name) {
   for (const AppModel& m : parsec_models())
     if (m.name == name) return m;
   XLP_FAIL("unknown PARSEC model: " + name);
-}
-
-TrafficMatrix parsec_average_matrix(int n) {
-  const auto& models = parsec_models();
-  TrafficMatrix avg(n);
-  for (const AppModel& m : models) {
-    const TrafficMatrix tm = m.traffic_matrix(n);
-    for (int src = 0; src < avg.node_count(); ++src)
-      for (int dst = 0; dst < avg.node_count(); ++dst)
-        if (src != dst)
-          avg.add_rate(src, dst,
-                       tm.rate(src, dst) /
-                           static_cast<double>(models.size()));
-  }
-  return avg;
 }
 
 bool is_known_workload(const std::string& name) {

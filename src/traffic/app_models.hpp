@@ -3,9 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "traffic/matrix.hpp"
-#include "util/rng.hpp"
-
 namespace xlp::traffic {
 
 /// Parameterized stand-in for a PARSEC 2.0 benchmark running on a CMP.
@@ -31,10 +28,6 @@ struct AppModel {
   double hotspot_share = 0.1;    // fraction to hub nodes
   int hub_count = 2;
   double locality_scale = 2.0;   // Manhattan e-folding distance (hops)
-
-  /// Expected traffic matrix on an n x n network: the rows of
-  /// DemandRows(*this, n).
-  [[nodiscard]] TrafficMatrix traffic_matrix(int n) const;
 };
 
 /// The ten PARSEC 2.0 workloads of Fig. 6, in the paper's order.
@@ -42,10 +35,6 @@ struct AppModel {
 
 /// Lookup by name; throws PreconditionError when unknown.
 [[nodiscard]] const AppModel& parsec_model(const std::string& name);
-
-/// The "average over the ten benchmarks" workload the paper uses for
-/// Fig. 5: the mean of the per-benchmark traffic matrices.
-[[nodiscard]] TrafficMatrix parsec_average_matrix(int n);
 
 /// Whether `name` is a synthetic pattern or a PARSEC model name.
 [[nodiscard]] bool is_known_workload(const std::string& name);

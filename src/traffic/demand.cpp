@@ -130,16 +130,6 @@ void DemandRows::fill_model(int src, std::span<double> row) const {
   }
 }
 
-TrafficMatrix DemandRows::matrix() const {
-  TrafficMatrix m(n_);
-  std::vector<double> row(static_cast<std::size_t>(node_count()));
-  for (int src = 0; src < node_count(); ++src) {
-    fill(src, row);
-    m.set_row(src, row);
-  }
-  return m;
-}
-
 DemandRows::Shares DemandRows::shares() const {
   if (!pattern_) {
     Shares model{model_.injection_rate * uniform_,

@@ -7,16 +7,24 @@
 
 #include "latency/line_demand.hpp"
 #include "traffic/app_models.hpp"
-#include "traffic/matrix.hpp"
 #include "traffic/patterns.hpp"
 
 namespace xlp::traffic {
 
-/// A workload's demand, generated without the dense matrix. This is the one
-/// generator of every pattern's and PARSEC model's rates: TrafficMatrix
-/// fills itself from the source rows (fill()), the packet sampler draws
-/// from them, and the latency model folds the line blocks, each made in
-/// closed form in O(n^2) time and memory:
+/// A workload's demand: its source rows, which the packet sampler
+/// (traffic::Injection) draws from, and its line blocks, which the latency
+/// model folds.
+class Demand : public latency::LineDemand {
+ public:
+  /// Writes the rates from `src` to every node into `row`, which holds
+  /// width() * height() entries.
+  virtual void fill(int src, std::span<double> row) const = 0;
+};
+
+/// A workload's demand, generated without a per-pair table. This is the one
+/// generator of every pattern's and PARSEC model's rates: the packet
+/// sampler draws from the source rows (fill()), and the latency model folds
+/// the line blocks, each made in closed form in O(n^2) time and memory:
 ///   - UR's blocks are exact pair counts (the common scale is dropped);
 ///   - hotspot's and a PARSEC model's uniform share is a pair count times
 ///     a rate, and each hub adds one point mass per source;
@@ -24,7 +32,7 @@ namespace xlp::traffic {
 ///   - a PARSEC model's locality decay exp(-(|dx| + |dy|) / s) factors into
 ///     an x and a y term, and its per-source normalization is a product of
 ///     two 1-D sums less the self term.
-/// A block agrees with the same block of matrix() to rounding.
+/// A block agrees to rounding with the same block folded from fill()'s rows.
 class DemandRows final : public Demand {
  public:
   /// Expected rates of a synthetic pattern at the given per-node injection
@@ -43,9 +51,6 @@ class DemandRows final : public Demand {
   /// Writes the rates from `src` to every node into `row`, which holds
   /// node_count() entries; row[src] is zero.
   void fill(int src, std::span<double> row) const override;
-
-  /// The dense matrix of these rows.
-  [[nodiscard]] TrafficMatrix matrix() const;
 
   void row_block(int y, std::span<double> block) const override;
   void col_block(int x, std::span<double> block) const override;

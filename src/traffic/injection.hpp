@@ -4,10 +4,16 @@
 #include <optional>
 #include <vector>
 
-#include "traffic/matrix.hpp"
+#include "traffic/demand.hpp"
 #include "util/rng.hpp"
 
 namespace xlp::traffic {
+
+/// Largest side a simulate request or `xlp trace` may take: Injection's
+/// flow table holds one flow per pair with traffic, 16.7M flows (~200 MB)
+/// for UR at 64. Evaluate and appspec read line blocks and are not bound by
+/// it.
+inline constexpr int kFlowTableMaxSide = 64;
 
 /// Section 5.1's offered traffic, the one packet sampler the simulator and
 /// Trace::sample share. Each node-cycle is a Bernoulli trial at the node's

@@ -66,11 +66,12 @@ int Trace::side() const {
   return width_;
 }
 
-TrafficMatrix Trace::empirical_matrix() const {
-  TrafficMatrix m(width_, height_);
+Flows Trace::observed() const {
   const double inv = 1.0 / static_cast<double>(duration_);
-  for (const TracePacket& p : packets_) m.add_rate(p.src, p.dst, inv);
-  return m;
+  std::vector<Flow> flows;
+  flows.reserve(packets_.size());
+  for (const TracePacket& p : packets_) flows.push_back({p.src, p.dst, inv});
+  return Flows(width_, height_, std::move(flows));
 }
 
 double Trace::offered_per_node_cycle() const {

@@ -3,7 +3,7 @@
 #include <iosfwd>
 #include <vector>
 
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 #include "util/rng.hpp"
 
 namespace xlp::traffic {
@@ -22,7 +22,7 @@ struct TracePacket {
 /// An explicit packet trace for trace-driven simulation and for the
 /// profile-then-specialize flow of Section 5.6.4 (the paper runs each
 /// benchmark once on the baseline mesh to collect traffic statistics; here
-/// the profiling run yields a Trace whose empirical rate matrix feeds the
+/// the profiling run yields a Trace whose observed flows feed the
 /// application-specific optimizer).
 ///
 /// The text format is one packet per line, `cycle src dst bits`, with `#`
@@ -50,9 +50,10 @@ class Trace {
   /// demand (traffic::Injection: one draw per node per cycle).
   static Trace sample(const Demand& demand, long cycles, Rng& rng);
 
-  /// The measured long-run rate matrix: packets per cycle for each pair.
-  /// This is the gamma_ij a profiling run observes.
-  [[nodiscard]] TrafficMatrix empirical_matrix() const;
+  /// The measured long-run rates: packets per cycle for each pair that
+  /// sent any, each packet's 1 / duration() added in packet order. This is
+  /// the gamma_ij a profiling run observes, O(packets) at any side.
+  [[nodiscard]] Flows observed() const;
 
   /// Total offered load in packets per node per cycle.
   [[nodiscard]] double offered_per_node_cycle() const;

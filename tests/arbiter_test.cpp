@@ -31,8 +31,7 @@ TEST(Arbiter, ZeroLoadLatencyIsArbiterIndependent) {
 
 TEST(Arbiter, OldestFirstDrainsAndConserves) {
   const auto mesh = topo::make_mesh(8);
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.05);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.05);
   const auto stats =
       exp::simulate_design(mesh, demand, config_with(Arbiter::kOldestFirst));
   EXPECT_TRUE(stats.drained);
@@ -44,8 +43,7 @@ TEST(Arbiter, OldestFirstDoesNotHurtTheTailUnderLoad) {
   // at a moderately loaded operating point (allowing simulation noise).
   const auto mesh = topo::make_mesh(8);
   const Network net(mesh, route::HopWeights{});
-  const auto shape = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 1.0);
+  const traffic::DemandRows shape(traffic::Pattern::kUniformRandom, 8, 1.0);
   const auto rr =
       simulate_at_load(net, shape, 0.15, config_with(Arbiter::kRoundRobin));
   const auto oldest =

@@ -5,15 +5,16 @@
 
 #include "exp/scenarios.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 #include "topo/builders.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 #include "util/check.hpp"
 
 namespace xlp {
 namespace {
 
 TEST(Concentrate, ValidatesArguments) {
-  const traffic::TrafficMatrix cores(8);
+  const traffic::Flows cores(8, 8, {});
   EXPECT_THROW(cores.concentrate(0), PreconditionError);
   EXPECT_THROW(cores.concentrate(3), PreconditionError);  // 8 % 3 != 0
   EXPECT_THROW(cores.concentrate(8), PreconditionError);  // 1x1 routers
@@ -21,46 +22,48 @@ TEST(Concentrate, ValidatesArguments) {
 }
 
 TEST(Concentrate, MapsTilesOntoRouters) {
-  traffic::TrafficMatrix cores(8);
   // Core (1,1) -> core (6,6): tiles (0,0) -> (3,3) on the 4x4 router grid.
-  cores.set_rate(1 * 8 + 1, 6 * 8 + 6, 0.4);
+  const traffic::Flows cores(8, 8, {{1 * 8 + 1, 6 * 8 + 6, 0.4}});
   const auto routers = cores.concentrate(2);
-  EXPECT_EQ(routers.side(), 4);
-  EXPECT_DOUBLE_EQ(routers.rate(0, 15), 0.4);
+  EXPECT_EQ(routers.width(), 4);
+  EXPECT_EQ(routers.height(), 4);
+  EXPECT_EQ(routers.entries()[0], (traffic::Flow{0, 15, 0.4}));
   EXPECT_DOUBLE_EQ(routers.total_rate(), 0.4);
 }
 
 TEST(Concentrate, IntraTileTrafficLeavesTheNetwork) {
-  traffic::TrafficMatrix cores(8);
-  cores.set_rate(0, 1, 0.7);         // (0,0) -> (1,0): same 2x2 tile
-  cores.set_rate(0, 8 * 1 + 1, 0.2);  // (0,0) -> (1,1): same tile
-  cores.set_rate(0, 2, 0.1);         // (0,0) -> (2,0): next tile
+  const traffic::Flows cores(8, 8,
+                             {{0, 1, 0.7},          // (0,0) -> (1,0): same tile
+                              {0, 8 * 1 + 1, 0.2},  // (0,0) -> (1,1): same tile
+                              {0, 2, 0.1}});        // (0,0) -> (2,0): next tile
   const auto routers = cores.concentrate(2);
-  EXPECT_DOUBLE_EQ(routers.total_rate(), 0.1);
-  EXPECT_DOUBLE_EQ(routers.rate(0, 1), 0.1);
+  ASSERT_EQ(routers.entries().size(), 1u);
+  EXPECT_EQ(routers.entries()[0], (traffic::Flow{0, 1, 0.1}));
 }
 
 TEST(Concentrate, AggregatesMultipleCores) {
   // Two cores of one tile both send to the same remote tile: rates add.
-  traffic::TrafficMatrix cores(4);
-  cores.set_rate(0, 3, 0.1);          // (0,0) -> (3,0)
-  cores.set_rate(4 + 1, 3, 0.15);     // (1,1) -> (3,0)
+  const traffic::Flows cores(4, 4,
+                             {{0, 3, 0.1},        // (0,0) -> (3,0)
+                              {4 + 1, 3, 0.15}});  // (1,1) -> (3,0)
   const auto routers = cores.concentrate(2);
-  EXPECT_DOUBLE_EQ(routers.rate(0, 1), 0.25);
+  ASSERT_EQ(routers.entries().size(), 1u);
+  EXPECT_DOUBLE_EQ(routers.entries()[0].rate, 0.25);
 }
 
 TEST(Concentrate, ConcentratedUniformStaysBalanced) {
-  const auto cores = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.02);
-  const auto routers = cores.concentrate(2);
+  const traffic::DemandRows cores(traffic::Pattern::kUniformRandom, 8,
+                                  0.02);
+  const auto routers = test::flows_of(cores).concentrate(2);
   // 4 cores per router; 12/15 of each core's uniform traffic leaves the
   // tile (48 of the 63 destinations are remote tiles' cores... exactly:
   // 60 of 63 destinations are outside the sender's tile).
   const double expected_per_router = 4 * 0.02 * 60.0 / 63.0;
-  for (int r = 0; r < routers.node_count(); ++r) {
+  const test::DenseDemand dense(routers);
+  for (int r = 0; r < 16; ++r) {
     double offered = 0.0;
-    for (int dst = 0; dst < routers.node_count(); ++dst)
-      offered += routers.rate(r, dst);
+    for (int dst = 0; dst < 16; ++dst)
+      offered += dense.rate(r, dst);
     EXPECT_NEAR(offered, expected_per_router, 1e-9);
   }
 }
@@ -68,9 +71,9 @@ TEST(Concentrate, ConcentratedUniformStaysBalanced) {
 TEST(Concentrate, EnablesConcentratedButterflyFlow) {
   // The [17]-style flow: 16x16 cores, 4-way concentration, flattened
   // butterfly on the 8x8 router grid — end-to-end through the simulator.
-  const auto cores = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 16, 0.008);
-  const auto routers = cores.concentrate(2);
+  const traffic::DemandRows cores(traffic::Pattern::kUniformRandom, 16,
+                                  0.008);
+  const auto routers = test::flows_of(cores).concentrate(2);
   const auto fb = topo::make_flattened_butterfly(8);
   sim::SimConfig config;
   config.warmup_cycles = 200;
@@ -87,8 +90,7 @@ TEST(Concentrate, EnablesConcentratedButterflyFlow) {
 
 TEST(SimStatsExtended, PercentilesAreOrdered) {
   const auto mesh = topo::make_mesh(8);
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.05);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.05);
   sim::SimConfig config;
   config.warmup_cycles = 200;
   config.measure_cycles = 3000;

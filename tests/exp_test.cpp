@@ -115,14 +115,12 @@ TEST(VerticalCutUse, ExpressLinksCountOncePerCrossedCut) {
 }
 
 TEST(ProfileOnMesh, RectangularWorkloads) {
-  traffic::TrafficMatrix demand(4, 6);
-  demand.set_rate(0, 23, 0.01);
-  demand.set_rate(23, 0, 0.01);
+  const traffic::Flows demand(4, 6, {{0, 23, 0.01}, {23, 0, 0.01}});
   const auto profile = exp::profile_on_mesh(demand, 4000, 5);
   EXPECT_TRUE(profile.stats.drained);
   EXPECT_EQ(profile.observed.width(), 4);
   EXPECT_EQ(profile.observed.height(), 6);
-  EXPECT_GT(profile.observed.rate(0, 23), 0.0);
+  EXPECT_GT(test::DenseDemand(profile.observed).rate(0, 23), 0.0);
 }
 
 TEST(DirectionalSymmetry, CostsAreDirectionSymmetric) {
@@ -142,8 +140,7 @@ TEST(DirectionalSymmetry, CostsAreDirectionSymmetric) {
 }
 
 TEST(TraceRect, RoundTripsThroughTheTextFormat) {
-  traffic::TrafficMatrix demand(6, 3);
-  demand.set_rate(0, 17, 0.02);
+  const traffic::Flows demand(6, 3, {{0, 17, 0.02}});
   Rng rng(3);
   const auto trace = traffic::Trace::sample(demand, 1000, rng);
   EXPECT_EQ(trace.width(), 6);

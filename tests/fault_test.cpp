@@ -284,8 +284,7 @@ TEST(DegradedZeroLoad, PortFaultAddsItsExtraPipelineCycles) {
 sim::SimStats run_with_fault(sim::FaultPolicy policy, long recover_cycle) {
   const auto design = topo::make_hfb(8);
   const sim::Network network(design, route::HopWeights{});
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.02);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.02);
   sim::SimConfig config = quiet_config();
   config.measure_cycles = 3000;
   config.faults.policy = policy;
@@ -344,8 +343,7 @@ TEST(MidRunFaults, RecoverySwapsBack) {
 TEST(MidRunFaults, EmptyScheduleMatchesFaultFreeRun) {
   const auto design = topo::make_hfb(8);
   const sim::Network network(design, route::HopWeights{});
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kTranspose, 8, 0.02);
+  const traffic::DemandRows demand(traffic::Pattern::kTranspose, 8, 0.02);
   sim::SimConfig plain = quiet_config();
   sim::SimConfig with_schedule = quiet_config();
   with_schedule.faults.policy = sim::FaultPolicy::kDrainThenSwap;

@@ -27,7 +27,7 @@
 #include "runctl/checkpoint.hpp"
 #include "svc/request.hpp"
 #include "svc/wire.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 #include "traffic/trace.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -288,9 +288,7 @@ TEST(Fuzz, TraceLoaderRoundTripsWhatItAccepts) {
   for (const int side : {2, 4}) {
     std::ostringstream out;
     traffic::Trace::sample(
-        traffic::TrafficMatrix::from_pattern(traffic::Pattern::kTranspose,
-                                             side, 0.1),
-        40, rng)
+        traffic::DemandRows(traffic::Pattern::kTranspose, side, 0.1), 40, rng)
         .save(out);
     samples.push_back(out.str());
   }

@@ -7,8 +7,9 @@
 #include "latency/model.hpp"
 #include "route/deadlock.hpp"
 #include "sim/throughput.hpp"
+#include "test_util.hpp"
 #include "topo/builders.hpp"
-#include "traffic/app_models.hpp"
+#include "traffic/demand.hpp"
 #include "util/numeric.hpp"
 
 namespace xlp {
@@ -52,7 +53,7 @@ TEST(Integration, OptimizedDesignIsDeadlockFree) {
 
 TEST(Integration, SimulationConfirmsTheAnalyticOrdering) {
   const auto& best = optimized_8x8();
-  const auto demand = traffic::parsec_model("canneal").traffic_matrix(8);
+  const traffic::DemandRows demand(traffic::parsec_model("canneal"), 8);
   sim::SimConfig config;
   config.warmup_cycles = 300;
   config.measure_cycles = 4000;
@@ -75,7 +76,7 @@ TEST(Integration, SimulationMatchesAnalyticWithinTolerance) {
   // zero-load analytic value (queueing) but well within the contention
   // allowance.
   const auto& best = optimized_8x8();
-  const auto demand = traffic::parsec_model("blackscholes").traffic_matrix(8);
+  const traffic::DemandRows demand(traffic::parsec_model("blackscholes"), 8);
   sim::SimConfig config;
   config.warmup_cycles = 300;
   config.measure_cycles = 4000;
@@ -95,8 +96,7 @@ TEST(Integration, ThroughputOrderingMatchesSection54) {
   config.warmup_cycles = 200;
   config.measure_cycles = 1200;
   config.drain_cycles = 1200;
-  const auto shape = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 1.0);
+  const traffic::DemandRows shape(traffic::Pattern::kUniformRandom, 8, 1.0);
 
   const auto& best = optimized_8x8();
   const sim::Network mesh(topo::make_mesh(8), route::HopWeights{});
@@ -123,12 +123,12 @@ TEST(Integration, ThroughputOrderingMatchesSection54) {
 TEST(Integration, AppSpecificImprovesOnGeneralPurpose) {
   // Section 5.6.4: with the traffic known in advance, per-row/column
   // placement cuts additional latency versus the uniform design.
-  const auto demand = traffic::parsec_model("dedup").traffic_matrix(8);
+  const traffic::DemandRows demand(traffic::parsec_model("dedup"), 8);
 
   core::SweepOptions options;
   options.sa = core::SaParams{}.with_moves(1500);
   options.latency = latency::LatencyParams::zero_load();
-  options.report_traffic = demand;
+  options.report_traffic = test::flows_of(demand);
 
   Rng rng1(5);
   auto general = core::sweep_link_limits(8, 8, options, rng1);

@@ -12,7 +12,7 @@
 #include "topo/builders.hpp"
 #include "traffic/app_models.hpp"
 #include "traffic/demand.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -136,10 +136,11 @@ TEST(MeshLatencyModel, WorstCaseOrderingMatchesTable2) {
 TEST(MeshLatencyModel, WeightedAverageWithUniformMatrixEqualsAverage) {
   const topo::ExpressMesh design = topo::make_hfb(8);
   const MeshLatencyModel model(design, LatencyParams::zero_load());
-  traffic::TrafficMatrix demand(8);
+  std::vector<traffic::Flow> flows;
   for (int src = 0; src < 64; ++src)
     for (int dst = 0; dst < 64; ++dst)
-      if (src != dst) demand.set_rate(src, dst, 1.0);
+      if (src != dst) flows.push_back({src, dst, 1.0});
+  const traffic::Flows demand(8, 8, std::move(flows));
   const LatencyBreakdown weighted = model.weighted_average(demand);
   const LatencyBreakdown uniform = model.average();
   // Unit rates are the pair counts average() folds: the same exact sums.
@@ -150,8 +151,7 @@ TEST(MeshLatencyModel, WeightedAverageWithUniformMatrixEqualsAverage) {
 TEST(MeshLatencyModel, WeightedAverageSinglePair) {
   const MeshLatencyModel model(topo::make_mesh(4),
                                LatencyParams::zero_load());
-  traffic::TrafficMatrix demand(4);
-  demand.set_rate(0, 15, 2.5);  // only corner-to-corner
+  const traffic::Flows demand(4, 4, {{0, 15, 2.5}});  // corner to corner
   const LatencyBreakdown w = model.weighted_average(demand);
   EXPECT_DOUBLE_EQ(w.head, model.pair_head_latency(0, 15));
 }
@@ -173,11 +173,11 @@ class NegativeDemand final : public LineDemand {
 TEST(MeshLatencyModel, WeightedAverageValidation) {
   const MeshLatencyModel model(topo::make_mesh(4),
                                LatencyParams::zero_load());
-  EXPECT_THROW((void)model.weighted_average(traffic::TrafficMatrix(3)),
+  EXPECT_THROW((void)model.weighted_average(traffic::Flows(3, 3, {})),
                PreconditionError);
-  EXPECT_THROW((void)model.weighted_average(traffic::TrafficMatrix(4, 2)),
+  EXPECT_THROW((void)model.weighted_average(traffic::Flows(4, 2, {})),
                PreconditionError);
-  EXPECT_THROW((void)model.weighted_average(traffic::TrafficMatrix(4)),
+  EXPECT_THROW((void)model.weighted_average(traffic::Flows(4, 4, {})),
                PreconditionError);
   EXPECT_THROW((void)model.weighted_average(NegativeDemand()),
                PreconditionError);
@@ -195,7 +195,7 @@ struct PairReference {
 };
 
 PairReference per_pair_reference(const MeshLatencyModel& model,
-                                 const traffic::TrafficMatrix& demand) {
+                                 const test::DenseDemand& demand) {
   const int nodes = model.routing().width() * model.routing().height();
   long double head_total = 0.0;
   long double weight_total = 0.0;
@@ -220,20 +220,20 @@ PairReference per_pair_reference(const MeshLatencyModel& model,
           static_cast<double>(hops) / pairs};
 }
 
-/// The fold of `demand` and of its dense `matrix` against the per-pair
-/// reference over `matrix`: weighted heads to 1e-12 relative, and the
+/// The fold of `demand` and of its `dense` reference against the per-pair
+/// reference over `dense`: weighted heads to 1e-12 relative, and the
 /// uniform average, the worst case and the hop average with EXPECT_EQ on
 /// doubles (equal bits: their sums are exact).
 void expect_fold_matches(const MeshLatencyModel& model,
                          const LineDemand& demand,
-                         const traffic::TrafficMatrix& matrix,
+                         const test::DenseDemand& dense,
                          const std::string& what) {
-  const PairReference reference = per_pair_reference(model, matrix);
+  const PairReference reference = per_pair_reference(model, dense);
   const double tolerance = 1e-12 * reference.head;
   const LatencyBreakdown folded = model.weighted_average(demand);
   EXPECT_NEAR(folded.head, reference.head, tolerance) << what;
   EXPECT_EQ(folded.serialization, model.serialization_cycles()) << what;
-  EXPECT_NEAR(model.weighted_average(matrix).head, reference.head, tolerance)
+  EXPECT_NEAR(model.weighted_average(dense).head, reference.head, tolerance)
       << what;
   EXPECT_EQ(model.average().head, reference.uniform_head) << what;
   EXPECT_EQ(model.worst_case(), reference.worst) << what;
@@ -241,10 +241,10 @@ void expect_fold_matches(const MeshLatencyModel& model,
 }
 
 /// Every line block of `demand` against the same block of its dense
-/// `matrix`, up to the one scale the blocks may drop (UR's are pair
+/// `reference`, up to the one scale the blocks may drop (UR's are pair
 /// counts), to 1e-12 of the block's largest entry.
 void expect_blocks_match(const LineDemand& demand,
-                         const traffic::TrafficMatrix& matrix,
+                         const test::DenseDemand& reference,
                          const std::string& what) {
   const int n = demand.width();
   std::vector<double> ours(static_cast<std::size_t>(n) * n);
@@ -253,7 +253,7 @@ void expect_blocks_match(const LineDemand& demand,
   double dense_total = 0.0;
   for (int y = 0; y < n; ++y) {
     demand.row_block(y, ours);
-    matrix.row_block(y, dense);
+    reference.row_block(y, dense);
     for (std::size_t i = 0; i < ours.size(); ++i) {
       our_total += ours[i];
       dense_total += dense[i];
@@ -264,10 +264,10 @@ void expect_blocks_match(const LineDemand& demand,
     for (int line = 0; line < n; ++line) {
       if (rows) {
         demand.row_block(line, ours);
-        matrix.row_block(line, dense);
+        reference.row_block(line, dense);
       } else {
         demand.col_block(line, ours);
-        matrix.col_block(line, dense);
+        reference.col_block(line, dense);
       }
       const double peak = *std::max_element(dense.begin(), dense.end());
       for (std::size_t i = 0; i < ours.size(); ++i)
@@ -291,14 +291,15 @@ topo::ExpressMesh random_heterogeneous(int width, int height, int limit,
   return topo::ExpressMesh(rows, cols, limit, 256 / limit);
 }
 
-/// Random rates with about 30% zero entries.
-traffic::TrafficMatrix random_dense(int width, int height, Rng& rng) {
-  traffic::TrafficMatrix demand(width, height);
-  for (int src = 0; src < demand.node_count(); ++src)
-    for (int dst = 0; dst < demand.node_count(); ++dst)
+/// Random rates on about 70% of the pairs.
+traffic::Flows random_flows(int width, int height, Rng& rng) {
+  const int nodes = width * height;
+  std::vector<traffic::Flow> flows;
+  for (int src = 0; src < nodes; ++src)
+    for (int dst = 0; dst < nodes; ++dst)
       if (src != dst && rng.uniform01() < 0.7)
-        demand.set_rate(src, dst, rng.uniform01());
-  return demand;
+        flows.push_back({src, dst, rng.uniform01()});
+  return traffic::Flows(width, height, std::move(flows));
 }
 
 std::string contention_tag(double contention) {
@@ -325,14 +326,14 @@ TEST(Latency, OnePassEqualsPerPairReference) {
       if (traffic::workload_unfit(workload, n) != nullptr) continue;
       const traffic::DemandRows demand =
           traffic::workload_rows(workload, n, 0.02);
-      const traffic::TrafficMatrix matrix = demand.matrix();
+      const test::DenseDemand dense(demand);
       const std::string what = workload + " n=" + std::to_string(n);
-      expect_blocks_match(demand, matrix, what);
+      expect_blocks_match(demand, dense, what);
       for (const double contention : {0.0, 0.5}) {
         LatencyParams params;
         params.contention_per_hop = contention;
         const MeshLatencyModel model(design, params);
-        expect_fold_matches(model, demand, matrix,
+        expect_fold_matches(model, demand, dense,
                             what + contention_tag(contention));
         // UR's blocks are the pair counts average() folds.
         if (workload == "uniform_random")
@@ -343,18 +344,19 @@ TEST(Latency, OnePassEqualsPerPairReference) {
     }
   }
 
-  // Random dense demands, zero entries included, on heterogeneous square
-  // designs and an 8x4 rectangular one.
+  // Random flow lists, on heterogeneous square designs and an 8x4
+  // rectangular one.
   for (const auto& [width, height] :
        {std::pair{4, 4}, std::pair{6, 6}, std::pair{8, 8}, std::pair{8, 4}}) {
     const topo::ExpressMesh design =
         random_heterogeneous(width, height, 4, rng);
-    const traffic::TrafficMatrix matrix = random_dense(width, height, rng);
+    const traffic::Flows flows = random_flows(width, height, rng);
+    const test::DenseDemand dense(flows);
     for (const double contention : {0.0, 0.5}) {
       LatencyParams params;
       params.contention_per_hop = contention;
       const MeshLatencyModel model(design, params);
-      expect_fold_matches(model, matrix, matrix,
+      expect_fold_matches(model, flows, dense,
                           "random " + std::to_string(width) + "x" +
                               std::to_string(height) +
                               contention_tag(contention));
@@ -389,13 +391,12 @@ TEST(Latency, ReflectionInBothAxesKeepsTheWeightedHead) {
     }
     const topo::ExpressMesh mirrored(rows, cols, design.link_limit(),
                                      design.flit_bits());
-    const traffic::TrafficMatrix demand = random_dense(n, n, rng);
-    const int last = demand.node_count() - 1;
-    traffic::TrafficMatrix reflected(n);
-    for (int src = 0; src <= last; ++src)
-      for (int dst = 0; dst <= last; ++dst)
-        if (src != dst)
-          reflected.set_rate(last - src, last - dst, demand.rate(src, dst));
+    const traffic::Flows demand = random_flows(n, n, rng);
+    const int last = n * n - 1;
+    std::vector<traffic::Flow> mirrored_flows;
+    for (const traffic::Flow& f : demand.entries())
+      mirrored_flows.push_back({last - f.src, last - f.dst, f.rate});
+    const traffic::Flows reflected(n, n, std::move(mirrored_flows));
     for (const double contention : {0.0, 0.5}) {
       LatencyParams params;
       params.contention_per_hop = contention;

@@ -11,7 +11,7 @@
 #include "core/sa.hpp"
 #include "test_util.hpp"
 #include "topo/builders.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 #include "util/check.hpp"
 
 namespace xlp::core {
@@ -320,7 +320,7 @@ TEST(Drivers, OnlySaProducesValidResults) {
 TEST(Drivers, DcsaNotWorseThanOnlySaAtEqualBudget) {
   // Fig. 7's claim, averaged over seeds to damp SA noise. At a short budget
   // the two can tie within noise, so allow a hair of slack; the strict gap
-  // at scale is exercised by bench/fig07_runtime.
+  // at scale is exercised by paper/fig07 (bench/paper.cpp).
   const RowObjective obj(16, paper_weights());
   const SaParams budget = SaParams{}.with_moves(1500);
   double dcsa_total = 0.0, only_total = 0.0;
@@ -417,10 +417,8 @@ TEST(CSweep, EvaluateDesignMatchesModel) {
 TEST(AppSpecific, BeatsGeneralPurposeOnSkewedTraffic) {
   const int n = 8;
   // Heavily skewed demand: corner-to-corner flows dominate.
-  traffic::TrafficMatrix demand(n);
-  demand.set_rate(0, n * n - 1, 1.0);
-  demand.set_rate(n * n - 1, 0, 1.0);
-  demand.set_rate(3, 60, 0.5);
+  const traffic::Flows demand(
+      n, n, {{0, n * n - 1, 1.0}, {n * n - 1, 0, 1.0}, {3, 60, 0.5}});
 
   SweepOptions options;
   options.sa = SaParams{}.with_moves(400);
@@ -443,9 +441,7 @@ TEST(AppSpecific, BeatsGeneralPurposeOnSkewedTraffic) {
 }
 
 TEST(AppSpecific, FullSweepPicksFeasibleBest) {
-  traffic::TrafficMatrix demand =
-      traffic::TrafficMatrix::from_pattern(traffic::Pattern::kTranspose, 4,
-                                           0.05);
+  const traffic::DemandRows demand(traffic::Pattern::kTranspose, 4, 0.05);
   SweepOptions options;
   options.sa = SaParams{}.with_moves(200);
   Rng rng(77);
@@ -460,8 +456,7 @@ TEST(AppSpecific, SolvesEveryRowWithTheSweepSolver) {
   // its own demand weights (its line block without the diagonal), and no
   // row draws from the shared stream.
   constexpr int kN = 6;
-  const traffic::TrafficMatrix demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kTranspose, kN, 0.05);
+  const traffic::DemandRows demand(traffic::Pattern::kTranspose, kN, 0.05);
   SweepOptions options;
   options.solver = Solver::kDncOnly;
   Rng rng(5);

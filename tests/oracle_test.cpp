@@ -32,7 +32,7 @@
 #include "topo/connection_matrix.hpp"
 #include "topo/express_mesh.hpp"
 #include "traffic/demand.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 #include "util/rng.hpp"
 
 namespace xlp::sim {
@@ -196,14 +196,15 @@ double exhaustive_best(const latency::LineDemand& demand) {
 TEST(SeparabilityOracle, PerLineExactSolvesMatchExhaustive2DSearch) {
   // A skewed gamma: light random rates under three heavy flows.
   Rng rng(43);
-  traffic::TrafficMatrix skewed(kSide);
-  const int nodes = skewed.node_count();
+  constexpr int nodes = kSide * kSide;
+  std::vector<traffic::Flow> flows;
   for (int src = 0; src < nodes; ++src)
     for (int dst = 0; dst < nodes; ++dst)
-      if (src != dst) skewed.set_rate(src, dst, 0.01 * rng.uniform01());
-  skewed.add_rate(0, nodes - 1, 1.0);
-  skewed.add_rate(kSide - 1, nodes - kSide, 0.6);
-  skewed.add_rate(1, 2 * kSide + 3, 0.3);
+      if (src != dst) flows.push_back({src, dst, 0.01 * rng.uniform01()});
+  flows.push_back({0, nodes - 1, 1.0});
+  flows.push_back({kSide - 1, nodes - kSide, 0.6});
+  flows.push_back({1, 2 * kSide + 3, 0.3});
+  const traffic::Flows skewed(kSide, kSide, std::move(flows));
   const traffic::DemandRows canneal(traffic::parsec_model("canneal"), kSide);
 
   SweepOptions options;

@@ -1,7 +1,7 @@
 // Regression guard on the reproduction itself. The analytic headlines
 // (Figs. 5, 11, 12 and Table 2) must stay inside their bands; budgets are
-// reduced versus the paper suite so the bands are generous. The simulated
-// and power claims (Figs. 6, 8, 9, 10 and Section 5.6.4) run the
+// reduced versus the paper suite so the bands are generous. The budget
+// series, simulated and power claims (Figs. 6-10 and Section 5.6.4) run the
 // registered paper/* bodies once through the bench runner, at whatever
 // XLP_BENCH_SCALE the run sets, and check the shape of their results:
 // orderings and bounds, not exact values (CI pins those against
@@ -204,6 +204,31 @@ TEST(PaperShape, Fig6LatencyOrderOnEveryParsecBenchmark) {
   EXPECT_LT(counter(result, "avg_hfb"), counter(result, "avg_mesh"));
 }
 
+TEST(PaperShape, Fig7BudgetsGrowAndLatencyNeverRisesOverTheSeries) {
+  // Fig. 7's axis is the evaluation budget: it must grow strictly along
+  // each series, and both algorithms end at or below where they start.
+  const auto result = run_paper("fig07");
+  const obs::Json& series = rows(result, "series");
+  ASSERT_EQ(series.size(), 2u);
+  for (std::size_t s = 0; s < series.size(); ++s) {
+    const int n = static_cast<int>(field(series.at(s), "n"));
+    EXPECT_EQ(n, s == 0 ? 8 : 16);
+    const obs::Json* points = series.at(s).find("points");
+    ASSERT_TRUE(points != nullptr && points->is_array()) << n;
+    ASSERT_EQ(points->size(), 8u) << n;
+    for (std::size_t i = 1; i < points->size(); ++i)
+      EXPECT_GT(field(points->at(i), "budget_evals"),
+                field(points->at(i - 1), "budget_evals"))
+          << n << " point " << i;
+    const obs::Json& first = points->at(0);
+    const obs::Json& last = points->at(points->size() - 1);
+    EXPECT_EQ(field(first, "runtime_units"), 1.0) << n;
+    EXPECT_EQ(field(last, "runtime_units"), 1000.0) << n;
+    for (const char* key : {"dcsa_latency", "onlysa_latency"})
+      EXPECT_LE(field(last, key), field(first, key)) << n << " " << key;
+  }
+}
+
 TEST(PaperShape, Fig8LatencyOrderAndHfbSaturatesFirst) {
   const auto result = run_paper("fig08");
   const obs::Json& patterns = rows(result, "latency");
@@ -299,6 +324,7 @@ TEST(PaperSuites, EveryExperimentIsRegisteredOnce) {
       "paper/fig05_4x4",
       "paper/fig05_8x8",
       "paper/fig05_16x16",
+      "paper/fig07",
       "paper/fig06",
       "paper/fig08",
       "paper/fig09",

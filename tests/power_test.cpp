@@ -77,7 +77,7 @@ TEST(PowerModel, StaticDominatesAtParsecLoads) {
   // Section 5.5: static is about two thirds of total router power. Measure
   // real activity on the mesh at canneal's load.
   const auto mesh = topo::make_mesh(8);
-  const auto demand = traffic::parsec_model("canneal").traffic_matrix(8);
+  const traffic::DemandRows demand(traffic::parsec_model("canneal"), 8);
   sim::SimConfig config;
   config.warmup_cycles = 300;
   config.measure_cycles = 3000;

@@ -139,11 +139,11 @@ TEST(RectSim, ZeroLoadMatchesAnalytic) {
 
 TEST(RectSim, UniformLoadDrains) {
   const auto design = topo::make_rect_mesh(8, 4);
-  traffic::TrafficMatrix demand(8, 4);
-  Rng rng(11);
+  std::vector<traffic::Flow> flows;
   for (int src = 0; src < 32; ++src)
     for (int dst = 0; dst < 32; ++dst)
-      if (src != dst) demand.set_rate(src, dst, 0.02 / 31.0);
+      if (src != dst) flows.push_back({src, dst, 0.02 / 31.0});
+  const traffic::Flows demand(8, 4, std::move(flows));
   sim::SimConfig config;
   config.warmup_cycles = 200;
   config.measure_cycles = 2000;
@@ -156,7 +156,7 @@ TEST(RectSim, UniformLoadDrains) {
 TEST(RectSim, MismatchedDemandIsRejected) {
   const auto design = topo::make_rect_mesh(8, 4);
   const sim::Network network(design, route::HopWeights{});
-  const traffic::TrafficMatrix wrong(4, 8);
+  const traffic::Flows wrong(4, 8, {});
   EXPECT_THROW(sim::Simulator(network, wrong, sim::SimConfig{}),
                PreconditionError);
 }
@@ -181,9 +181,7 @@ TEST(RectSweep, OptimizesBothDimensions) {
 }
 
 TEST(RectAppSpecific, WorksOnRectangularDemand) {
-  traffic::TrafficMatrix demand(4, 8);
-  demand.set_rate(0, 31, 1.0);
-  demand.set_rate(31, 0, 1.0);
+  const traffic::Flows demand(4, 8, {{0, 31, 1.0}, {31, 0, 1.0}});
   core::SweepOptions options;
   options.sa = core::SaParams{}.with_moves(200);
   options.latency = latency::LatencyParams::zero_load();
@@ -195,13 +193,12 @@ TEST(RectAppSpecific, WorksOnRectangularDemand) {
 }
 
 TEST(RectConcentrate, RectangularTiles) {
-  const auto cores = traffic::TrafficMatrix(8, 4);
-  traffic::TrafficMatrix m(8, 4);
-  m.set_rate(0, 31, 0.5);  // (0,0) -> (7,3): tiles (0,0) -> (3,1) on 4x2
+  // (0,0) -> (7,3): tiles (0,0) -> (3,1) on 4x2.
+  const traffic::Flows m(8, 4, {{0, 31, 0.5}});
   const auto routers = m.concentrate(2);
   EXPECT_EQ(routers.width(), 4);
   EXPECT_EQ(routers.height(), 2);
-  EXPECT_DOUBLE_EQ(routers.rate(0, 7), 0.5);
+  EXPECT_EQ(routers.entries()[0], (traffic::Flow{0, 7, 0.5}));
 }
 
 }  // namespace

@@ -127,8 +127,7 @@ TEST(SimRoutingModes, O1TurnDrainsAtLowLoadOnExpressDesign) {
   const topo::RowTopology row = test::random_valid_row(8, 4, rng);
   const topo::ExpressMesh design = topo::make_design(row, 4);
   const sim::Network net(design, route::HopWeights{});
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.02);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.02);
   sim::Simulator simulator(net, demand,
                            quiet_config(sim::RoutingMode::kO1Turn));
   const auto stats = simulator.run();
@@ -139,7 +138,7 @@ TEST(SimRoutingModes, O1TurnDrainsAtLowLoadOnExpressDesign) {
 TEST(SimRoutingModes, XyAndO1TurnWithinOnePercentAtParsecLoad) {
   // Section 4.2's justification for assuming DOR.
   const topo::ExpressMesh mesh = topo::make_mesh(8);
-  const auto demand = traffic::parsec_model("bodytrack").traffic_matrix(8);
+  const traffic::DemandRows demand(traffic::parsec_model("bodytrack"), 8);
   sim::SimConfig xy = quiet_config(sim::RoutingMode::kXY);
   xy.measure_cycles = 6000;
   sim::SimConfig o1 = xy;
@@ -156,8 +155,7 @@ TEST(SimRoutingModes, O1TurnBeatsXyOnSaturatedTranspose) {
   // class keeps 4 — with the default 4 the per-class VC shortage eats most
   // of the path-diversity gain.
   const sim::Network net(topo::make_mesh(8), route::HopWeights{});
-  const auto shape = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kTranspose, 8, 1.0);
+  const traffic::DemandRows shape(traffic::Pattern::kTranspose, 8, 1.0);
   sim::SimConfig xy = quiet_config(sim::RoutingMode::kXY);
   xy.vcs_per_port = 8;
   xy.warmup_cycles = 200;
@@ -185,19 +183,16 @@ TEST(Trace, ValidatesPackets) {
 }
 
 TEST(Trace, SampleMatchesDemandStatistically) {
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 4, 0.1);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 4, 0.1);
   Rng rng(7);
   const auto trace = traffic::Trace::sample(demand, 20000, rng);
   EXPECT_NEAR(trace.offered_per_node_cycle(), 0.1, 0.01);
-  const auto empirical = trace.empirical_matrix();
-  EXPECT_NEAR(empirical.total_rate(), demand.total_rate(),
-              0.1 * demand.total_rate());
+  const double offered = test::flows_of(demand).total_rate();
+  EXPECT_NEAR(trace.observed().total_rate(), offered, 0.1 * offered);
 }
 
 TEST(Trace, SaveLoadRoundTrip) {
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kTranspose, 4, 0.05);
+  const traffic::DemandRows demand(traffic::Pattern::kTranspose, 4, 0.05);
   Rng rng(9);
   const auto trace = traffic::Trace::sample(demand, 500, rng);
   std::stringstream buffer;
@@ -225,8 +220,7 @@ TEST(Trace, LoadRejectsGarbage) {
 }
 
 TEST(Trace, ReplayMeasuresEveryPacket) {
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 4, 0.03);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 4, 0.03);
   Rng rng(11);
   const auto trace = traffic::Trace::sample(demand, 2000, rng);
   const auto stats =
@@ -239,8 +233,7 @@ TEST(Trace, ReplayMeasuresEveryPacket) {
 }
 
 TEST(Trace, ReplayIsDeterministic) {
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kTranspose, 4, 0.02);
+  const traffic::DemandRows demand(traffic::Pattern::kTranspose, 4, 0.02);
   Rng rng(13);
   const auto trace = traffic::Trace::sample(demand, 1000, rng);
   const auto a = exp::replay_trace(topo::make_mesh(4), trace,
@@ -251,13 +244,13 @@ TEST(Trace, ReplayIsDeterministic) {
 }
 
 TEST(Trace, ProfileOnMeshObservesTheWorkload) {
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kTranspose, 4, 0.02);
+  const traffic::DemandRows demand(traffic::Pattern::kTranspose, 4, 0.02);
   const auto profile = exp::profile_on_mesh(demand, 5000, 3);
   EXPECT_TRUE(profile.stats.drained);
-  // The observed matrix concentrates on transpose pairs.
-  EXPECT_GT(profile.observed.rate(1, 4), 0.0);  // (1,0) -> (0,1)
-  EXPECT_DOUBLE_EQ(profile.observed.rate(1, 2), 0.0);
+  // The observed flows concentrate on transpose pairs.
+  const test::DenseDemand observed(profile.observed);
+  EXPECT_GT(observed.rate(1, 4), 0.0);  // (1,0) -> (0,1)
+  EXPECT_DOUBLE_EQ(observed.rate(1, 2), 0.0);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "runctl/control.hpp"
 #include "sim/stats_json.hpp"
 #include "topo/builders.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
@@ -446,8 +446,7 @@ TEST(ResumeTest, PortfolioResumeMatchesUninterruptedRun) {
 TEST(SimDeadlineTest, EarlyStopDrainsStatsWithoutSpuriousWarning) {
   const topo::RowTopology row(8);
   const topo::ExpressMesh design = topo::make_design(row, 4);
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.02);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.02);
   sim::SimConfig config;
   config.measure_cycles = 2000000;  // far more than the deadline allows
   RunControl control(nullptr, Deadline::after_seconds(0.0));
@@ -498,8 +497,7 @@ TEST(SimDeadlineTest, UndrainedEarlyStopIsANoteNotAWarning) {
 TEST(SimDeadlineTest, CompletedRunStillReportsCompleted) {
   const topo::RowTopology row(4);
   const topo::ExpressMesh design = topo::make_design(row, 2);
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 4, 0.01);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 4, 0.01);
   sim::SimConfig config;
   config.measure_cycles = 2000;
   CancelToken token;  // installed but never fired

@@ -26,9 +26,10 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats_json.hpp"
+#include "test_util.hpp"
 #include "topo/builders.hpp"
 #include "topo/row_topology.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 #include "traffic/patterns.hpp"
 
 namespace xlp::sim {
@@ -54,7 +55,7 @@ class GoldenTraceSink final : public obs::TraceSink {
 struct GoldenCase {
   std::string name;
   std::function<topo::ExpressMesh()> design;
-  std::function<traffic::TrafficMatrix()> demand;
+  std::function<traffic::Flows()> demand;
   std::function<void(SimConfig&)> configure;
   /// Trace-driven packets (src, dst, bits, create cycle), optional.
   std::vector<std::tuple<int, int, int, long>> scheduled;
@@ -63,8 +64,8 @@ struct GoldenCase {
 // gtest prints parameters on failure; the name says it all.
 void PrintTo(const GoldenCase& gc, std::ostream* os) { *os << gc.name; }
 
-traffic::TrafficMatrix pattern(traffic::Pattern p, double load) {
-  return traffic::TrafficMatrix::from_pattern(p, 8, load);
+traffic::Flows pattern(traffic::Pattern p, double load) {
+  return test::flows_of(traffic::DemandRows(p, 8, load));
 }
 
 SimConfig base_config() {
@@ -184,7 +185,7 @@ std::vector<GoldenCase> golden_cases() {
                          topo::RowTopology(8, topo::parse_links("0-3,3-7")),
                          4);
                    },
-                   [] { return traffic::TrafficMatrix(8); },
+                   [] { return traffic::Flows(8, 8, {}); },
                    [](SimConfig& c) {
                      c.warmup_cycles = 0;
                      c.measure_cycles = 400;
@@ -198,12 +199,12 @@ std::vector<GoldenCase> golden_cases() {
   cases.push_back({"rect6x4_ur_rr_xy",
                    [] { return topo::make_rect_mesh(6, 4); },
                    [] {
-                     traffic::TrafficMatrix m(6, 4);
-                     const int n = m.node_count();
+                     const int n = 6 * 4;
+                     std::vector<traffic::Flow> flows;
                      for (int s = 0; s < n; ++s)
                        for (int d = 0; d < n; ++d)
-                         if (s != d) m.set_rate(s, d, 0.05 / (n - 1));
-                     return m;
+                         if (s != d) flows.push_back({s, d, 0.05 / (n - 1)});
+                     return traffic::Flows(6, 4, std::move(flows));
                    },
                    [](SimConfig&) {}, {}});
   cases.push_back({"mesh8_transpose_saturated_undrained", mesh,
@@ -225,7 +226,7 @@ struct GoldenOutput {
 
 GoldenOutput run_case(const GoldenCase& gc) {
   const Network network(gc.design(), route::HopWeights{});
-  const traffic::TrafficMatrix demand = gc.demand();
+  const traffic::Flows demand = gc.demand();
   SimConfig config = base_config();
   gc.configure(config);
   obs::SeriesRecorder series(64);

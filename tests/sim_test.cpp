@@ -177,8 +177,7 @@ TEST(ZeroLoad, SerializationScalesWithFlitWidth) {
 
 TEST(Load, LowLoadDrainsAndMatchesOffered) {
   const Network net(topo::make_mesh(8), route::HopWeights{});
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.01);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.01);
   SimConfig config = quiet_config();
   config.measure_cycles = 5000;
   Simulator sim(net, demand, config);
@@ -192,8 +191,7 @@ TEST(Load, LowLoadDrainsAndMatchesOffered) {
 TEST(Load, LowLoadLatencyNearZeroLoadModel) {
   const topo::ExpressMesh design = topo::make_mesh(8);
   const Network net(design, route::HopWeights{});
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.005);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.005);
   SimConfig config = quiet_config();
   config.measure_cycles = 8000;
   Simulator sim(net, demand, config);
@@ -207,8 +205,7 @@ TEST(Load, LowLoadLatencyNearZeroLoadModel) {
 
 TEST(Load, ContentionGrowsWithLoad) {
   const Network net(topo::make_mesh(8), route::HopWeights{});
-  const auto shape = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 1.0);
+  const traffic::DemandRows shape(traffic::Pattern::kUniformRandom, 8, 1.0);
   SimConfig config = quiet_config();
   const SimStats low = simulate_at_load(net, shape, 0.01, config);
   const SimStats high = simulate_at_load(net, shape, 0.15, config);
@@ -216,11 +213,17 @@ TEST(Load, ContentionGrowsWithLoad) {
   EXPECT_GT(high.avg_latency, low.avg_latency);
 }
 
+TEST(Load, RescalingAnAllZeroShapeIsRejected) {
+  const Network net(topo::make_mesh(4), route::HopWeights{});
+  EXPECT_THROW((void)simulate_at_load(net, traffic::Flows(4, 4, {}), 0.1,
+                                      quiet_config()),
+               PreconditionError);
+}
+
 TEST(Load, HopsMatchRoutingTables) {
   const topo::ExpressMesh design = topo::make_hfb(8);
   const Network net(design, route::HopWeights{});
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kTranspose, 8, 0.01);
+  const traffic::DemandRows demand(traffic::Pattern::kTranspose, 8, 0.01);
   SimConfig config = quiet_config();
   Simulator sim(net, demand, config);
   const SimStats stats = sim.run();
@@ -230,21 +233,16 @@ TEST(Load, HopsMatchRoutingTables) {
   const auto breakdown = model.weighted_average(demand);
   (void)breakdown;
   double expect_hops = 0.0;
-  int flows = 0;
-  for (int s = 0; s < 64; ++s)
-    for (int d = 0; d < 64; ++d)
-      if (demand.rate(s, d) > 0) {
-        expect_hops += model.routing().hops(s, d);
-        ++flows;
-      }
-  expect_hops /= flows;
+  const traffic::Flows flows = test::flows_of(demand);
+  for (const traffic::Flow& f : flows.entries())
+    expect_hops += model.routing().hops(f.src, f.dst);
+  expect_hops /= static_cast<double>(flows.entries().size());
   EXPECT_NEAR(stats.avg_hops, expect_hops, 0.05);
 }
 
 TEST(Load, ActivityCountersAreConsistent) {
   const Network net(topo::make_mesh(8), route::HopWeights{});
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.02);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.02);
   SimConfig config = quiet_config();
   Simulator sim(net, demand, config);
   const SimStats stats = sim.run();
@@ -272,8 +270,7 @@ TEST(Load, SchedulePacketValidation) {
 
 TEST(Load, RejectsOverUnityInjection) {
   const Network net(topo::make_mesh(4), route::HopWeights{});
-  traffic::TrafficMatrix demand(4);
-  demand.set_rate(0, 1, 1.5);
+  const traffic::Flows demand(4, 4, {{0, 1, 1.5}});
   EXPECT_THROW(Simulator(net, demand, quiet_config()), PreconditionError);
   // A sampled trace draws from the same sampler, so it refuses too.
   Rng rng(1);
@@ -291,8 +288,7 @@ TEST(Saturation, MeshSustainsMoreUniformTrafficThanHfb) {
   config.warmup_cycles = 200;
   config.measure_cycles = 1500;
   config.drain_cycles = 1500;
-  const auto shape = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 1.0);
+  const traffic::DemandRows shape(traffic::Pattern::kUniformRandom, 8, 1.0);
 
   const Network mesh(topo::make_mesh(8), route::HopWeights{});
   const Network hfb(topo::make_hfb(8), route::HopWeights{});
@@ -307,8 +303,7 @@ TEST(Saturation, CurveIsMonotoneUntilSaturation) {
   config.warmup_cycles = 200;
   config.measure_cycles = 1000;
   config.drain_cycles = 1000;
-  const auto shape = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 1.0);
+  const traffic::DemandRows shape(traffic::Pattern::kUniformRandom, 8, 1.0);
   const Network mesh(topo::make_mesh(8), route::HopWeights{});
   const auto result = find_saturation(mesh, shape, config, 0.05, 0.4);
   ASSERT_GE(result.curve.size(), 2u);
@@ -332,8 +327,7 @@ class HeatmapCaptureSink final : public obs::TraceSink {
 
 TEST(Telemetry, ChannelUtilizationHeatmapMatchesStats) {
   const Network net(topo::make_mesh(4), route::HopWeights{});
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 4, 0.05);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 4, 0.05);
   SimConfig config = quiet_config();
   HeatmapCaptureSink sink;
   config.trace = &sink;

@@ -14,7 +14,7 @@
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
 #include "topo/builders.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 #include "util/check.hpp"
 
 namespace xlp {
@@ -46,8 +46,7 @@ class SimInvariants
 TEST_P(SimInvariants, HoldAtLowLoad) {
   const auto [name, pattern, routing, vec] = GetParam();
   const topo::ExpressMesh design = design_by_name(name);
-  const auto demand =
-      traffic::TrafficMatrix::from_pattern(pattern, 8, 0.015);
+  const traffic::DemandRows demand(pattern, 8, 0.015);
 
   sim::SimConfig config;
   config.routing = routing;
@@ -94,8 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SimDeterminism, SameSeedSameStats) {
   const auto design = topo::make_hfb(8);
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.03);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.03);
   sim::SimConfig config;
   config.warmup_cycles = 200;
   config.measure_cycles = 2000;
@@ -113,8 +111,7 @@ TEST(SimDeterminism, SameSeedSameStats) {
 
 TEST(SimConfidence, IntervalShrinksWithMoreCycles) {
   const auto design = topo::make_mesh(8);
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.05);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.05);
   sim::SimConfig small;
   small.warmup_cycles = 200;
   small.measure_cycles = 2000;
@@ -224,28 +221,27 @@ TEST(Differential, WeightedAverageMatchesBruteForce) {
   const latency::MeshLatencyModel model(mesh,
                                         latency::LatencyParams::zero_load());
   const int nodes = mesh.node_count();
-  traffic::TrafficMatrix demand(6);
+  std::vector<traffic::Flow> flows;
   for (int s = 0; s < nodes; ++s)
     for (int d = 0; d < nodes; ++d)
-      if (s != d) demand.set_rate(s, d, rng.uniform01() * 0.01);
+      if (s != d) flows.push_back({s, d, rng.uniform01() * 0.01});
+  const traffic::Flows demand(6, 6, std::move(flows));
 
   double num = 0.0, den = 0.0;
-  for (int s = 0; s < nodes; ++s)
-    for (int d = 0; d < nodes; ++d) {
-      if (s == d) continue;
-      const double w = demand.rate(s, d);
-      num += w * model.pair_head_latency(s, d);
-      den += w;
-    }
+  for (const traffic::Flow& f : demand.entries()) {
+    num += f.rate * model.pair_head_latency(f.src, f.dst);
+    den += f.rate;
+  }
   EXPECT_NEAR(model.weighted_average(demand).head, num / den, 1e-9);
 }
 
 TEST(Differential, RowBlocksMatchFlowEnumeration) {
   Rng rng(29);
-  traffic::TrafficMatrix demand(4);
+  std::vector<traffic::Flow> flows;
   for (int s = 0; s < 16; ++s)
     for (int d = 0; d < 16; ++d)
-      if (s != d) demand.set_rate(s, d, rng.uniform01() * 0.01);
+      if (s != d) flows.push_back({s, d, rng.uniform01() * 0.01});
+  const traffic::Flows demand(4, 4, std::move(flows));
 
   std::vector<double> w(16);
   for (int y = 0; y < 4; ++y) {
@@ -254,8 +250,8 @@ TEST(Differential, RowBlocksMatchFlowEnumeration) {
       for (int b = 0; b < 4; ++b) {
         if (a == b) continue;
         double expected = 0.0;
-        for (int d = 0; d < 16; ++d)
-          if (d % 4 == b) expected += demand.rate(y * 4 + a, d);
+        for (const traffic::Flow& f : demand.entries())
+          if (f.src == y * 4 + a && f.dst % 4 == b) expected += f.rate;
         EXPECT_NEAR(w[static_cast<std::size_t>(a) * 4 + b], expected, 1e-12);
       }
   }

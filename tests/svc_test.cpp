@@ -30,7 +30,7 @@
 #include "test_util.hpp"
 #include "topo/builders.hpp"
 #include "traffic/demand.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/injection.hpp"
 #include "traffic/patterns.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
@@ -194,9 +194,9 @@ TEST(Request, DenseDemandKindsStopAt64) {
   // [2, 256] range.
   Request simulate;
   simulate.kind = RequestKind::kSimulate;
-  simulate.n = traffic::kDenseDemandMaxSide;
+  simulate.n = traffic::kFlowTableMaxSide;
   EXPECT_NO_THROW(simulate.validate());
-  simulate.n = traffic::kDenseDemandMaxSide + 1;
+  simulate.n = traffic::kFlowTableMaxSide + 1;
   try {
     simulate.validate();
     ADD_FAILURE() << "simulate accepted n = 65";
@@ -207,7 +207,7 @@ TEST(Request, DenseDemandKindsStopAt64) {
        {RequestKind::kEvaluate, RequestKind::kAppspec}) {
     Request request;
     request.kind = kind;
-    for (const int n : {traffic::kDenseDemandMaxSide + 1, 256}) {
+    for (const int n : {traffic::kFlowTableMaxSide + 1, 256}) {
       request.n = n;
       EXPECT_NO_THROW(request.validate()) << to_string(kind) << " n " << n;
     }
@@ -222,7 +222,7 @@ TEST(Request, DenseDemandKindsStopAt64) {
   // Past the dense cap an evaluate still runs, without the matrix.
   Request evaluate;
   evaluate.kind = RequestKind::kEvaluate;
-  evaluate.n = traffic::kDenseDemandMaxSide + 1;
+  evaluate.n = traffic::kFlowTableMaxSide + 1;
   const obs::Json payload = execute_request(evaluate, nullptr);
   ASSERT_NE(payload.find("total"), nullptr);
   EXPECT_GT(payload.find("total")->as_number(), 0.0);
@@ -437,8 +437,7 @@ TEST(Request, EvaluateMatchesLatencyModel) {
   const topo::RowTopology row(8, {{1, 3}, {3, 7}});
   const latency::MeshLatencyModel model(topo::make_design(row, 4),
                                         latency::LatencyParams::zero_load());
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.02);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.02);
   const auto expected = model.weighted_average(demand);
   ASSERT_NE(payload.find("total"), nullptr);
   EXPECT_DOUBLE_EQ(payload.find("total")->as_number(), expected.total());

@@ -1,14 +1,19 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "latency/line_demand.hpp"
 #include "route/directional_paths.hpp"
 #include "svc/request.hpp"
 #include "topo/connection_matrix.hpp"
 #include "topo/row_topology.hpp"
+#include "traffic/flows.hpp"
 #include "util/rng.hpp"
 
 namespace xlp::test {
@@ -109,6 +114,64 @@ inline topo::RowTopology random_valid_row(int n, int link_limit, Rng& rng,
                                           double density = 0.5) {
   return topo::ConnectionMatrix::random(n, link_limit, rng, density).decode();
 }
+
+/// The positive rates of `demand`'s fill rows as a flow list.
+inline traffic::Flows flows_of(const traffic::Demand& demand) {
+  const int nodes = demand.width() * demand.height();
+  std::vector<double> row(static_cast<std::size_t>(nodes));
+  std::vector<traffic::Flow> flows;
+  for (int src = 0; src < nodes; ++src) {
+    demand.fill(src, row);
+    for (int dst = 0; dst < nodes; ++dst)
+      if (row[static_cast<std::size_t>(dst)] > 0.0)
+        flows.push_back({src, dst, row[static_cast<std::size_t>(dst)]});
+  }
+  return traffic::Flows(demand.width(), demand.height(), std::move(flows));
+}
+
+/// The dense reference of a demand: its fill rows copied into one
+/// row-major per-pair table, folded into line blocks the obvious way
+/// (every pair, zeros included, added in (src, dst) order).
+class DenseDemand final : public latency::LineDemand {
+ public:
+  explicit DenseDemand(const traffic::Demand& demand)
+      : width_(demand.width()),
+        height_(demand.height()),
+        rates_(static_cast<std::size_t>(nodes()) * nodes()) {
+    for (int src = 0; src < nodes(); ++src)
+      demand.fill(src, std::span<double>(rates_).subspan(
+                           static_cast<std::size_t>(src) * nodes(),
+                           static_cast<std::size_t>(nodes())));
+  }
+
+  [[nodiscard]] int width() const override { return width_; }
+  [[nodiscard]] int height() const override { return height_; }
+  [[nodiscard]] int nodes() const { return width_ * height_; }
+  [[nodiscard]] double rate(int src, int dst) const {
+    return rates_[static_cast<std::size_t>(src) * nodes() + dst];
+  }
+
+  void row_block(int y, std::span<double> block) const override {
+    std::fill(block.begin(), block.end(), 0.0);
+    for (int a = 0; a < width_; ++a)
+      for (int dst = 0; dst < nodes(); ++dst)
+        block[static_cast<std::size_t>(a) * width_ + dst % width_] +=
+            rate(y * width_ + a, dst);
+  }
+
+  void col_block(int x, std::span<double> block) const override {
+    std::fill(block.begin(), block.end(), 0.0);
+    for (int src = 0; src < nodes(); ++src)
+      for (int v = 0; v < height_; ++v)
+        block[static_cast<std::size_t>(src / width_) * height_ + v] +=
+            rate(src, v * width_ + x);
+  }
+
+ private:
+  int width_;
+  int height_;
+  std::vector<double> rates_;
+};
 
 /// A batch of distinct service requests: one solve per feasible link limit
 /// of an n-router row, all with the same dcsa move budget and seed.

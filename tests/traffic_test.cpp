@@ -6,9 +6,10 @@
 #include <vector>
 
 #include "traffic/app_models.hpp"
+#include "test_util.hpp"
 #include "traffic/demand.hpp"
+#include "traffic/flows.hpp"
 #include "traffic/injection.hpp"
-#include "traffic/matrix.hpp"
 #include "traffic/patterns.hpp"
 #include "traffic/trace.hpp"
 #include "util/check.hpp"
@@ -18,9 +19,33 @@ namespace xlp::traffic {
 namespace {
 
 /// Offered load of one source node, packets/cycle.
-double row_sum(const TrafficMatrix& m, int src) {
+double row_sum(const Demand& demand, int src) {
+  std::vector<double> row(
+      static_cast<std::size_t>(demand.width()) * demand.height());
+  demand.fill(src, row);
   double total = 0.0;
-  for (int dst = 0; dst < m.node_count(); ++dst) total += m.rate(src, dst);
+  for (const double rate : row) total += rate;
+  return total;
+}
+
+/// Row block (or column block) `index` of `m` as a vector.
+std::vector<double> block_of(const latency::LineDemand& m, bool row,
+                             int index) {
+  const int length = row ? m.width() : m.height();
+  std::vector<double> block(static_cast<std::size_t>(length) * length);
+  if (row)
+    m.row_block(index, block);
+  else
+    m.col_block(index, block);
+  return block;
+}
+
+/// Sum of a length x length block without its diagonal.
+double off_diagonal_sum(const std::vector<double>& block, int length) {
+  double total = 0.0;
+  for (int a = 0; a < length; ++a)
+    for (int b = 0; b < length; ++b)
+      if (a != b) total += block[static_cast<std::size_t>(a) * length + b];
   return total;
 }
 
@@ -93,56 +118,84 @@ TEST(Patterns, OnlyPermutationsHaveOneDestination) {
 
 // --------------------------------------------------------------------------
 
-TEST(TrafficMatrix, BasicAccounting) {
-  TrafficMatrix m(4);
-  EXPECT_EQ(m.node_count(), 16);
-  EXPECT_DOUBLE_EQ(m.total_rate(), 0.0);
-  m.set_rate(0, 5, 0.25);
-  m.add_rate(0, 5, 0.25);
-  m.set_rate(1, 0, 0.1);
-  EXPECT_DOUBLE_EQ(m.rate(0, 5), 0.5);
+TEST(Flows, BasicAccounting) {
+  const Flows m(4, 4, {{0, 5, 0.25}, {1, 0, 0.1}, {0, 5, 0.25}});
+  EXPECT_EQ(m.width(), 4);
+  EXPECT_EQ(m.height(), 4);
+  ASSERT_EQ(m.entries().size(), 2u);
+  EXPECT_EQ(m.entries()[0], (Flow{0, 5, 0.5}));
+  EXPECT_EQ(m.entries()[1], (Flow{1, 0, 0.1}));
+  EXPECT_EQ(test::DenseDemand(m).rate(5, 0), 0.0);
   EXPECT_DOUBLE_EQ(m.total_rate(), 0.6);
   EXPECT_DOUBLE_EQ(row_sum(m, 0), 0.5);
   EXPECT_DOUBLE_EQ(row_sum(m, 1), 0.1);
+  EXPECT_DOUBLE_EQ(Flows(4, 4, {}).total_rate(), 0.0);
 }
 
-TEST(TrafficMatrix, RejectsSelfTrafficAndNegatives) {
-  TrafficMatrix m(4);
-  EXPECT_THROW(m.set_rate(3, 3, 0.1), PreconditionError);
-  EXPECT_NO_THROW(m.set_rate(3, 3, 0.0));
-  EXPECT_THROW(m.set_rate(0, 1, -0.1), PreconditionError);
+TEST(Flows, RejectsSelfTrafficNegativesAndNodesOutOfRange) {
+  EXPECT_THROW(Flows(4, 4, {{3, 3, 0.1}}), PreconditionError);
+  EXPECT_THROW(Flows(4, 4, {{0, 1, -0.1}}), PreconditionError);
+  EXPECT_THROW(Flows(4, 4, {{0, 16, 0.1}}), PreconditionError);
+  EXPECT_THROW(Flows(4, 4, {{-1, 2, 0.1}}), PreconditionError);
+  EXPECT_THROW(Flows(1, 4, {}), PreconditionError);
+  // Zero rates carry no traffic and are dropped.
+  EXPECT_TRUE(Flows(4, 4, {{0, 1, 0.0}}).entries().empty());
 }
 
-TEST(TrafficMatrix, ScaleTotal) {
-  TrafficMatrix m(4);
-  m.set_rate(0, 1, 1.0);
-  m.set_rate(2, 3, 3.0);
-  m.scale_total(1.0);
-  EXPECT_DOUBLE_EQ(m.total_rate(), 1.0);
-  EXPECT_DOUBLE_EQ(m.rate(0, 1), 0.25);
-  TrafficMatrix empty(4);
-  EXPECT_THROW(empty.scale_total(1.0), PreconditionError);
+TEST(Flows, MergesRepeatedPairsInInputOrder) {
+  // 1e16 + 1 rounds back to 1e16, so the order of the adds shows in the
+  // bits: the first-listed entry comes first, as add_rate() calls would.
+  const Flows m(2, 2, {{1, 0, 1e16}, {0, 3, 0.5}, {1, 0, 1.0}, {1, 0, 1.0}});
+  ASSERT_EQ(m.entries().size(), 2u);
+  EXPECT_EQ(m.entries()[1], (Flow{1, 0, (1e16 + 1.0) + 1.0}));
+  EXPECT_NE(m.entries()[1].rate, 1e16 + (1.0 + 1.0));
 }
 
-TEST(TrafficMatrix, FromDeterministicPattern) {
-  const auto m = TrafficMatrix::from_pattern(Pattern::kTranspose, 8, 0.02);
+TEST(Flows, BlocksEqualADenseFoldOfTheirRows) {
+  // Random sparse lists that repeat pairs and leave source rows empty: every
+  // line block is bit-equal to the dense fold of the list's own rows.
+  Rng rng(47);
+  for (const auto& [width, height] :
+       {std::pair{4, 4}, std::pair{6, 3}, std::pair{3, 7}, std::pair{8, 8}}) {
+    const int nodes = width * height;
+    std::vector<Flow> entries;
+    for (int k = 0; k < 3 * nodes; ++k) {
+      const int src = static_cast<int>(rng.uniform_below(nodes / 2)) * 2;
+      const int dst = static_cast<int>(rng.uniform_below(nodes));
+      if (src != dst) entries.push_back({src, dst, rng.uniform01()});
+    }
+    const Flows flows(width, height, entries);
+    const test::DenseDemand dense(flows);
+    for (int y = 0; y < height; ++y)
+      EXPECT_EQ(block_of(flows, true, y), block_of(dense, true, y)) << y;
+    for (int x = 0; x < width; ++x)
+      EXPECT_EQ(block_of(flows, false, x), block_of(dense, false, x)) << x;
+    // Odd sources send nothing.
+    std::vector<double> row(static_cast<std::size_t>(nodes));
+    flows.fill(1, row);
+    EXPECT_EQ(row, std::vector<double>(row.size(), 0.0));
+  }
+}
+
+TEST(DemandRows, DeterministicPatternRows) {
+  const test::DenseDemand m(DemandRows(Pattern::kTranspose, 8, 0.02));
   EXPECT_DOUBLE_EQ(m.rate(11, 25), 0.02);
   EXPECT_DOUBLE_EQ(m.rate(11, 12), 0.0);
   // Diagonal sources inject nothing.
-  EXPECT_DOUBLE_EQ(row_sum(m, 9), 0.0);
+  EXPECT_DOUBLE_EQ(row_sum(DemandRows(Pattern::kTranspose, 8, 0.02), 9), 0.0);
 }
 
-TEST(TrafficMatrix, FromUniformRandomPattern) {
-  const auto m = TrafficMatrix::from_pattern(Pattern::kUniformRandom, 4,
-                                             0.1);
+TEST(DemandRows, UniformRandomRows) {
+  const DemandRows rows(Pattern::kUniformRandom, 4, 0.1);
+  const test::DenseDemand m(rows);
   for (int src = 0; src < 16; ++src) {
-    EXPECT_NEAR(row_sum(m, src), 0.1, 1e-12);
+    EXPECT_NEAR(row_sum(rows, src), 0.1, 1e-12);
     EXPECT_DOUBLE_EQ(m.rate(src, src), 0.0);
   }
 }
 
-TEST(TrafficMatrix, FromHotspotPatternFavorsHubs) {
-  const auto m = TrafficMatrix::from_pattern(Pattern::kHotspot, 8, 0.1);
+TEST(DemandRows, HotspotRowsFavorHubs) {
+  const test::DenseDemand m(DemandRows(Pattern::kHotspot, 8, 0.1));
   const int q = 2;
   const int hub = q * 8 + q;
   double hub_in = 0.0, ordinary_in = 0.0;
@@ -153,32 +206,10 @@ TEST(TrafficMatrix, FromHotspotPatternFavorsHubs) {
   EXPECT_GT(hub_in, 3.0 * ordinary_in);
 }
 
-/// Row block (or column block) `index` of `m` as a vector.
-std::vector<double> block_of(const TrafficMatrix& m, bool row, int index) {
-  const int length = row ? m.width() : m.height();
-  std::vector<double> block(static_cast<std::size_t>(length) * length);
-  if (row)
-    m.row_block(index, block);
-  else
-    m.col_block(index, block);
-  return block;
-}
-
-/// Sum of a length x length block without its diagonal.
-double off_diagonal_sum(const std::vector<double>& block, int length) {
-  double total = 0.0;
-  for (int a = 0; a < length; ++a)
-    for (int b = 0; b < length; ++b)
-      if (a != b) total += block[static_cast<std::size_t>(a) * length + b];
-  return total;
-}
-
-TEST(TrafficMatrix, RowBlocksCaptureRowSegments) {
-  TrafficMatrix m(4);
+TEST(Flows, RowBlocksCaptureRowSegments) {
   // Flow (1,0) -> (3,2): row 0 segment from x=1 to x=3.
-  m.set_rate(1, 2 * 4 + 3, 0.5);
   // Flow (2,0) -> (2,3): x equal -> no row segment, on the diagonal.
-  m.set_rate(2, 3 * 4 + 2, 0.7);
+  const Flows m(4, 4, {{1, 2 * 4 + 3, 0.5}, {2, 3 * 4 + 2, 0.7}});
   const auto a0 = block_of(m, true, 0);
   EXPECT_DOUBLE_EQ(a0[1 * 4 + 3], 0.5);
   EXPECT_DOUBLE_EQ(off_diagonal_sum(a0, 4), 0.5);
@@ -187,24 +218,22 @@ TEST(TrafficMatrix, RowBlocksCaptureRowSegments) {
   for (double x : block_of(m, true, 1)) EXPECT_DOUBLE_EQ(x, 0.0);
 }
 
-TEST(TrafficMatrix, ColBlocksCaptureColumnSegments) {
-  TrafficMatrix m(4);
+TEST(Flows, ColBlocksCaptureColumnSegments) {
   // Flow (1,0) -> (3,2): column 3 segment from y=0 to y=2.
-  m.set_rate(1, 2 * 4 + 3, 0.5);
   // Flow (0,2) -> (3,2): y equal -> no column segment, on the diagonal.
-  m.set_rate(2 * 4 + 0, 2 * 4 + 3, 0.7);
+  const Flows m(4, 4, {{1, 2 * 4 + 3, 0.5}, {2 * 4 + 0, 2 * 4 + 3, 0.7}});
   const auto b3 = block_of(m, false, 3);
   EXPECT_DOUBLE_EQ(b3[0 * 4 + 2], 0.5);
   EXPECT_DOUBLE_EQ(off_diagonal_sum(b3, 4), 0.5);
   EXPECT_DOUBLE_EQ(b3[2 * 4 + 2], 0.7);
 }
 
-TEST(TrafficMatrix, RowAndColumnBlocksConserveDemand) {
+TEST(Flows, RowAndColumnBlocksConserveDemand) {
   // Every flow with dx != 0 contributes its rate once off the diagonal of
   // some row block; every flow with dy != 0 once off the diagonal of some
   // column block.
-  const auto m = TrafficMatrix::from_pattern(Pattern::kUniformRandom, 8,
-                                             0.05);
+  const Flows m =
+      test::flows_of(DemandRows(Pattern::kUniformRandom, 8, 0.05));
   double row_total = 0.0, col_total = 0.0;
   for (int y = 0; y < 8; ++y)
     row_total += off_diagonal_sum(block_of(m, true, y), 8);
@@ -212,13 +241,43 @@ TEST(TrafficMatrix, RowAndColumnBlocksConserveDemand) {
     col_total += off_diagonal_sum(block_of(m, false, x), 8);
 
   double expect_row = 0.0, expect_col = 0.0;
-  for (int s = 0; s < 64; ++s)
-    for (int d = 0; d < 64; ++d) {
-      if (s % 8 != d % 8) expect_row += m.rate(s, d);
-      if (s / 8 != d / 8) expect_col += m.rate(s, d);
-    }
+  for (const Flow& f : m.entries()) {
+    if (f.src % 8 != f.dst % 8) expect_row += f.rate;
+    if (f.src / 8 != f.dst / 8) expect_col += f.rate;
+  }
   EXPECT_NEAR(row_total, expect_row, 1e-9);
   EXPECT_NEAR(col_total, expect_col, 1e-9);
+}
+
+TEST(Flows, ObservedDemandOfALargeTraceKeepsOnlyItsPairs) {
+  // A 256 x 256 trace (65536 nodes) of five packets, three of them one
+  // pair: its observed demand holds the two distinct pairs, nothing per
+  // node pair of the network.
+  constexpr int kSide = 256;
+  constexpr int kFar = kSide * kSide - 1;
+  const Trace trace(kSide, 7,
+                    {{0, 1, kFar, 128},
+                     {1, 300, 5, 512},
+                     {2, 1, kFar, 128},
+                     {4, 1, kFar, 64},
+                     {6, 300, 5, 128}});
+  const Flows observed = trace.observed();
+  const double inv = 1.0 / 7.0;
+  ASSERT_EQ(observed.entries().size(), 2u);
+  EXPECT_EQ(observed.entries()[0], (Flow{1, kFar, (inv + inv) + inv}));
+  EXPECT_EQ(observed.entries()[1], (Flow{300, 5, inv + inv}));
+  EXPECT_EQ(observed.total_rate(), ((inv + inv) + inv) + (inv + inv));
+  // (1, 0) -> (255, 255) runs row 0 from x = 1 to 255 and column 255 from
+  // y = 0 to 255; (44, 1) -> (5, 0) runs row 1 from 44 to 5 and column 5
+  // from 1 to 0.
+  const auto row0 = block_of(observed, true, 0);
+  EXPECT_EQ(row0[1 * kSide + 255], (inv + inv) + inv);
+  EXPECT_EQ(off_diagonal_sum(row0, kSide), (inv + inv) + inv);
+  EXPECT_EQ(block_of(observed, true, 1)[44 * kSide + 5], inv + inv);
+  EXPECT_EQ(block_of(observed, false, 255)[0 * kSide + 255],
+            (inv + inv) + inv);
+  EXPECT_EQ(block_of(observed, false, 5)[1 * kSide + 0], inv + inv);
+  EXPECT_EQ(off_diagonal_sum(block_of(observed, false, 7), kSide), 0.0);
 }
 
 // --------------------------------------------------------------------------
@@ -236,8 +295,8 @@ TEST(AppModels, LookupByName) {
 }
 
 TEST(AppModels, MatricesAreDeterministic) {
-  const auto a = parsec_model("ferret").traffic_matrix(8);
-  const auto b = parsec_model("ferret").traffic_matrix(8);
+  const test::DenseDemand a(DemandRows(parsec_model("ferret"), 8));
+  const test::DenseDemand b(DemandRows(parsec_model("ferret"), 8));
   for (int s = 0; s < 64; ++s)
     for (int d = 0; d < 64; ++d)
       EXPECT_DOUBLE_EQ(a.rate(s, d), b.rate(s, d));
@@ -245,7 +304,7 @@ TEST(AppModels, MatricesAreDeterministic) {
 
 TEST(AppModels, NodeRatesMatchInjectionRate) {
   for (const AppModel& model : parsec_models()) {
-    const auto m = model.traffic_matrix(8);
+    const DemandRows m(model, 8);
     for (int src = 0; src < 64; ++src) {
       // Hub self-traffic is dropped, so node rate is at most the nominal
       // injection rate and within hotspot_share of it.
@@ -259,8 +318,8 @@ TEST(AppModels, NodeRatesMatchInjectionRate) {
 TEST(AppModels, LocalityConcentratesNearbyTraffic) {
   AppModel local{"local_test", 0.02, 0.9, 0.0, 0, 1.0};
   AppModel uniform{"uniform_test", 0.02, 0.0, 0.0, 0, 1.0};
-  const auto lm = local.traffic_matrix(8);
-  const auto um = uniform.traffic_matrix(8);
+  const test::DenseDemand lm(DemandRows(local, 8));
+  const test::DenseDemand um(DemandRows(uniform, 8));
   // From the center node, a neighbor should get much more traffic under the
   // local model than under the uniform one.
   const int center = 3 * 8 + 3;
@@ -271,34 +330,47 @@ TEST(AppModels, LocalityConcentratesNearbyTraffic) {
 }
 
 TEST(AppModels, DifferentBenchmarksDiffer) {
-  const auto a = parsec_model("blackscholes").traffic_matrix(8);
-  const auto b = parsec_model("canneal").traffic_matrix(8);
+  const Flows a = test::flows_of(DemandRows(parsec_model("blackscholes"), 8));
+  const Flows b = test::flows_of(DemandRows(parsec_model("canneal"), 8));
   EXPECT_NE(a.total_rate(), b.total_rate());
 }
 
 TEST(AppModels, RejectsBadShares) {
   AppModel bad{"bad", 0.02, 0.8, 0.5, 2, 1.0};  // shares sum > 1
-  EXPECT_THROW(bad.traffic_matrix(4), PreconditionError);
+  EXPECT_THROW(DemandRows(bad, 4), PreconditionError);
 }
 
 TEST(AppModels, ParsecAverageIsTheMeanOfModels) {
-  const auto avg = parsec_average_matrix(4);
+  const Flows average = parsec_average(4);
+  const test::DenseDemand avg(average);
+  std::vector<test::DenseDemand> models;
   double expected_total = 0.0;
-  for (const AppModel& m : parsec_models())
-    expected_total += m.traffic_matrix(4).total_rate();
-  EXPECT_NEAR(avg.total_rate(), expected_total / 10.0, 1e-9);
+  for (const AppModel& m : parsec_models()) {
+    models.emplace_back(DemandRows(m, 4));
+    expected_total += test::flows_of(DemandRows(m, 4)).total_rate();
+  }
+  EXPECT_NEAR(average.total_rate(), expected_total / 10.0, 1e-9);
+  // Each pair is its models' rates / 10, added in model order.
+  for (int src = 0; src < 16; ++src)
+    for (int dst = 0; dst < 16; ++dst) {
+      double sum = 0.0;
+      for (const test::DenseDemand& model : models)
+        sum += model.rate(src, dst) / 10.0;
+      EXPECT_EQ(avg.rate(src, dst), sum) << src << " -> " << dst;
+    }
 }
 
 TEST(Workloads, ResolvePatternsAndParsecModels) {
   EXPECT_TRUE(is_known_workload("transpose"));
   EXPECT_TRUE(is_known_workload("canneal"));
   EXPECT_FALSE(is_known_workload("doom"));
-  EXPECT_EQ(workload_rows("transpose", 4, 0.01).matrix().total_rate(),
-            TrafficMatrix::from_pattern(Pattern::kTranspose, 4, 0.01)
+  EXPECT_EQ(test::flows_of(workload_rows("transpose", 4, 0.01)).total_rate(),
+            test::flows_of(DemandRows(Pattern::kTranspose, 4, 0.01))
                 .total_rate());
   // A PARSEC model brings its own injection rate; the load is unused.
-  EXPECT_EQ(workload_rows("canneal", 4, 0.5).matrix().total_rate(),
-            parsec_model("canneal").traffic_matrix(4).total_rate());
+  EXPECT_EQ(test::flows_of(workload_rows("canneal", 4, 0.5)).total_rate(),
+            test::flows_of(DemandRows(parsec_model("canneal"), 4))
+                .total_rate());
   EXPECT_THROW((void)workload_rows("doom", 4, 0.01), PreconditionError);
 }
 
@@ -312,7 +384,7 @@ TEST(Workloads, LoadOutsideZeroToOneIsRejected) {
 }
 
 /// A 2 x 2 demand whose node 0 sends `row` and every other node nothing,
-/// unchecked, as a source other than TrafficMatrix may produce.
+/// unchecked, as a source other than Flows or DemandRows may produce.
 class RawDemand final : public Demand {
  public:
   explicit RawDemand(std::vector<double> row) : row_(std::move(row)) {}
@@ -339,13 +411,13 @@ TEST(Injection, RejectsRowsBernoulliInjectionCannotDraw) {
   EXPECT_NO_THROW(Injection(RawDemand({0.0, 0.5, 0.5, 0.0})));
 }
 
-TEST(Injection, RowsSampleAsTheirMatrixDoes) {
+TEST(Injection, RowsSampleAsTheirFlowsDo) {
   for (const char* name : {"hotspot", "transpose", "canneal"}) {
     const DemandRows rows = workload_rows(name, 4, 0.2);
     Rng from_rows(9);
-    Rng from_matrix(9);
+    Rng from_flows(9);
     EXPECT_EQ(Trace::sample(rows, 200, from_rows),
-              Trace::sample(rows.matrix(), 200, from_matrix))
+              Trace::sample(test::flows_of(rows), 200, from_flows))
         << name;
   }
 }

@@ -5,7 +5,7 @@
 #include "exp/scenarios.hpp"
 #include "sim/simulator.hpp"
 #include "topo/builders.hpp"
-#include "traffic/matrix.hpp"
+#include "traffic/flows.hpp"
 
 namespace xlp::sim {
 namespace {
@@ -84,8 +84,7 @@ TEST(VirtualExpress, PhysicalExpressStillFasterOnLongHauls) {
 
 TEST(VirtualExpress, ReducesAverageLatencyUnderLoad) {
   const topo::ExpressMesh mesh = topo::make_mesh(8);
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kUniformRandom, 8, 0.02);
+  const traffic::DemandRows demand(traffic::Pattern::kUniformRandom, 8, 0.02);
   const auto plain = exp::simulate_design(mesh, demand, vec_config(false));
   const auto vec = exp::simulate_design(mesh, demand, vec_config(true));
   EXPECT_TRUE(vec.drained);
@@ -97,8 +96,7 @@ TEST(VirtualExpress, BypassDoesNotBreakWormholeIntegrity) {
   // complete (the per-VC FIFO order is preserved by construction; this
   // exercises it).
   const topo::ExpressMesh mesh = topo::make_mesh(8);
-  const auto demand = traffic::TrafficMatrix::from_pattern(
-      traffic::Pattern::kTranspose, 8, 0.05);
+  const traffic::DemandRows demand(traffic::Pattern::kTranspose, 8, 0.05);
   const auto stats = exp::simulate_design(mesh, demand, vec_config(true));
   EXPECT_TRUE(stats.drained);
   EXPECT_EQ(stats.packets_finished, stats.packets_offered);

@@ -59,6 +59,7 @@
 #include "topo/render.hpp"
 #include "traffic/app_models.hpp"
 #include "traffic/demand.hpp"
+#include "traffic/injection.hpp"
 #include "traffic/trace.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -438,10 +439,10 @@ int cmd_trace(const Args& args) {
   const long cycles = args.get_long("cycles");
   // Checked before the ledger record opens, as a request's fields are.
   // The sampler holds one flow per pair of nodes with traffic.
-  if (n < 2 || n > traffic::kDenseDemandMaxSide)
+  if (n < 2 || n > traffic::kFlowTableMaxSide)
     throw Error(ErrorCode::kUsage,
                 "--n must be in [2, " +
-                    std::to_string(traffic::kDenseDemandMaxSide) + "]");
+                    std::to_string(traffic::kFlowTableMaxSide) + "]");
   if (!traffic::is_known_workload(pattern))
     throw Error(ErrorCode::kUsage, "unknown --pattern '" + pattern + "'");
   if (const char* unfit = traffic::workload_unfit(pattern, n))
