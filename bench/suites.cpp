@@ -56,9 +56,18 @@ topo::RowTopology sample_row(int n, int limit) {
 constexpr long kBenchAnnealMoves = 500;
 
 // The micro_core anneal: 500 moves at C = 4 from a fixed random matrix,
-// scored by the full evaluator or by the delta evaluator.
-core::SaResult bench_anneal(int n, bool delta_eval) {
-  const core::RowObjective obj(n, route::HopWeights{});
+// scored by the full evaluator or by the delta evaluator, under the uniform
+// objective or under random pair weights (the app-specific objective).
+core::SaResult bench_anneal(int n, bool delta_eval, bool weighted = false) {
+  std::vector<double> weights;
+  if (weighted) {
+    Rng weight_rng(11);
+    weights.resize(static_cast<std::size_t>(n) * n);
+    for (double& w : weights) w = weight_rng.uniform01();
+  }
+  const core::RowObjective obj =
+      weighted ? core::RowObjective(n, route::HopWeights{}, std::move(weights))
+               : core::RowObjective(n, route::HopWeights{});
   Rng rng(3);
   core::SaParams params;
   params.total_moves = kBenchAnnealMoves;
@@ -67,6 +76,30 @@ core::SaResult bench_anneal(int n, bool delta_eval) {
   const auto initial = topo::ConnectionMatrix::random(n, 4, rng, 0.5);
   Rng move_rng(7);
   return core::anneal_connection_matrix(initial, obj, params, move_rng);
+}
+
+// A delta-driven bench_anneal that also reports the delta layer's work per
+// move, from the counters every delta-driven anneal adds to the global
+// registry: they read the same on any host, so the --deterministic
+// document keeps them.
+void delta_moves_body(int n, bool weighted, BenchRun& run) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  const long columns_before = metrics.counter("core.delta.columns");
+  const long restored_before = metrics.counter("core.delta.restored_bytes");
+  const core::SaResult result = bench_anneal(n, true, weighted);
+  g_sink = result.best_value;
+  run.set_items(kBenchAnnealMoves);
+  run.set_rate("moves", kBenchAnnealMoves);
+  run.set_counter("best_value", result.best_value);
+  run.set_counter("columns_per_move",
+                  static_cast<double>(metrics.counter("core.delta.columns") -
+                                      columns_before) /
+                      kBenchAnnealMoves);
+  run.set_counter(
+      "restored_bytes_per_move",
+      static_cast<double>(metrics.counter("core.delta.restored_bytes") -
+                          restored_before) /
+          kBenchAnnealMoves);
 }
 
 void register_micro_core() {
@@ -131,37 +164,16 @@ void register_micro_core() {
                      run.set_counter("best_value", result.best_value);
                    });
   }
-  // sa_delta_moves_* also report the delta layer's work per move, from the
-  // counters every delta-driven anneal adds to the global registry: they
-  // read the same on any host, so the --deterministic document keeps them.
-  for (const int n : {8, 16, 32}) {
+  // sa_delta_moves_* also report the delta layer's work per move;
+  // sa_delta_moves_weighted_64 is the n = 64 anneal under random pair
+  // weights.
+  for (const int n : {8, 16, 32, 64}) {
     register_bench("micro_core", "sa_delta_moves_" + std::to_string(n),
-                   n == 8 ? "smoke" : "", [n](BenchRun& run) {
-                     obs::MetricsRegistry& metrics =
-                         obs::MetricsRegistry::global();
-                     const long columns_before =
-                         metrics.counter("core.delta.columns");
-                     const long restored_before =
-                         metrics.counter("core.delta.restored_bytes");
-                     const core::SaResult result = bench_anneal(n, true);
-                     g_sink = result.best_value;
-                     run.set_items(kBenchAnnealMoves);
-                     run.set_rate("moves", kBenchAnnealMoves);
-                     run.set_counter("best_value", result.best_value);
-                     run.set_counter(
-                         "columns_per_move",
-                         static_cast<double>(
-                             metrics.counter("core.delta.columns") -
-                             columns_before) /
-                             kBenchAnnealMoves);
-                     run.set_counter(
-                         "restored_bytes_per_move",
-                         static_cast<double>(
-                             metrics.counter("core.delta.restored_bytes") -
-                             restored_before) /
-                             kBenchAnnealMoves);
-                   });
+                   n == 8 ? "smoke" : "",
+                   [n](BenchRun& run) { delta_moves_body(n, false, run); });
   }
+  register_bench("micro_core", "sa_delta_moves_weighted_64", "",
+                 [](BenchRun& run) { delta_moves_body(64, true, run); });
   // The delta speedup the CI perf gate asserts: the two anneals above,
   // alternated in one loop so both sides see the same host state, each
   // side's time the fastest of its rounds (interference only ever slows a
@@ -706,13 +718,14 @@ void scalability_point(int n, long moves, BenchRun& run) {
 }
 
 // Thread-scaling curve of the parallel portfolio: the same 8-chain solve
-// at 1/2/4/8 workers. Recorded, not gated — the speedup counters land in
-// BENCH_scalability.json so regressions in the parallel layer are visible
-// in the history. Also asserts (as a counter) the determinism contract:
-// every thread count must produce the identical best value.
+// at 1/2/4/8 workers. Recorded, not gated — each width's wall time lands
+// in BENCH_scalability.json as wall_<N>t_ns (speedup = wall_1t / wall_Nt),
+// a timing that --deterministic zeroes, so regressions in the parallel
+// layer are visible in the history. Also asserts (as a counter) the
+// determinism contract: every thread count must produce the identical best
+// value; the payload keeps only such deterministic facts.
 void portfolio_speedup_point(int n, int chains, long moves, BenchRun& run) {
   obs::Json curve = obs::Json::array();
-  double baseline_seconds = 0.0;
   double first_value = 0.0;
   bool deterministic = true;
   for (const int threads : {1, 2, 4, 8}) {
@@ -723,19 +736,13 @@ void portfolio_speedup_point(int n, int chains, long moves, BenchRun& run) {
     Stopwatch timer;
     const auto result = core::solve_portfolio(n, route::HopWeights{},
                                               std::nullopt, 4, options, 42);
-    const double seconds = timer.seconds();
-    if (threads == 1) {
-      baseline_seconds = seconds;
-      first_value = result.best.value;
-    }
+    run.set_time_ns("wall_" + std::to_string(threads) + "t_ns",
+                    timer.seconds() * 1e9);
+    if (threads == 1) first_value = result.best.value;
     deterministic = deterministic && result.best.value == first_value;
-    const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
     curve.push(obs::Json::object()
                    .set("threads", threads)
-                   .set("seconds", seconds)
-                   .set("speedup", speedup)
                    .set("best_value", result.best.value));
-    run.set_counter("speedup_" + std::to_string(threads) + "t", speedup);
   }
   g_sink = first_value;
   run.set_counter("deterministic", deterministic ? 1.0 : 0.0);
@@ -749,8 +756,6 @@ void portfolio_speedup_point(int n, int chains, long moves, BenchRun& run) {
 
 // Same curve for the fault campaign's simulation cells.
 void campaign_speedup_point(int n, int trials, BenchRun& run) {
-  obs::Json curve = obs::Json::array();
-  double baseline_seconds = 0.0;
   std::string first_json;
   bool deterministic = true;
   for (const int threads : {1, 2, 4, 8}) {
@@ -762,24 +767,13 @@ void campaign_speedup_point(int n, int trials, BenchRun& run) {
     config.threads = threads;
     Stopwatch timer;
     const std::string json = exp::run_fault_campaign(config).to_json().dump();
-    const double seconds = timer.seconds();
-    if (threads == 1) {
-      baseline_seconds = seconds;
-      first_json = json;
-    }
+    run.set_time_ns("wall_" + std::to_string(threads) + "t_ns",
+                    timer.seconds() * 1e9);
+    if (threads == 1) first_json = json;
     deterministic = deterministic && json == first_json;
-    const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
-    curve.push(obs::Json::object()
-                   .set("threads", threads)
-                   .set("seconds", seconds)
-                   .set("speedup", speedup));
-    run.set_counter("speedup_" + std::to_string(threads) + "t", speedup);
   }
   run.set_counter("deterministic", deterministic ? 1.0 : 0.0);
-  run.set_payload(obs::Json::object()
-                      .set("n", n)
-                      .set("trials", trials)
-                      .set("threads_curve", std::move(curve)));
+  run.set_payload(obs::Json::object().set("n", n).set("trials", trials));
 }
 
 void register_scalability() {

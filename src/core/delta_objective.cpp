@@ -28,27 +28,43 @@ void min_into(std::uint8_t* __restrict acc, const std::uint8_t* __restrict b,
 }
 
 // col = in + 1, one more hop into the target column: sources past the
-// target stay 0xFF, and the diagonal's 0xFF + 1 wraps to its 0. Every byte
-// that differs from `old` is ORed into its source row's mark and the
-// change is added to `sum`; returns the OR of all differences.
+// target stay 0xFF, and the diagonal's 0xFF + 1 wraps to its 0. The change
+// against `old` is added to `sum`; returns the OR of all differences.
 unsigned add_hop(std::uint8_t* __restrict col,
                  const std::uint8_t* __restrict in,
                  const std::uint8_t* __restrict old,
                  const std::uint8_t* __restrict iota, std::uint8_t target,
-                 std::uint8_t* __restrict row_changed, int len, int& sum) {
+                 int len, int& sum) {
   unsigned diff = 0;
   int change = 0;
   for (int i = 0; i < len; ++i) {
     const auto v = static_cast<std::uint8_t>(
         (in[i] + 1) | (iota[i] > target ? 0xFF : 0));
     col[i] = v;
-    const auto x = static_cast<std::uint8_t>(v ^ old[i]);
-    diff |= x;
-    row_changed[i] |= x;
+    diff |= static_cast<std::uint8_t>(v ^ old[i]);
     change += v - old[i];
   }
   sum = change;
   return diff;
+}
+
+// Σ w[i]·(col[i] - old[i]) over len sources. A flip changes few of a
+// column's hops, so 8-byte blocks equal to the mirror are skipped whole;
+// columns are padded to kLanes bytes, so every block read is in bounds.
+std::int64_t weighted_change(const std::uint8_t* __restrict col,
+                             const std::uint8_t* __restrict old,
+                             const std::int64_t* __restrict w, int len) {
+  std::int64_t change = 0;
+  for (int b = 0; b < len; b += 8) {
+    std::uint64_t now;
+    std::uint64_t was;
+    std::memcpy(&now, col + b, sizeof now);
+    std::memcpy(&was, old + b, sizeof was);
+    if (now == was) continue;
+    for (int i = b; i < std::min(b + 8, len); ++i)
+      change += w[i] * (static_cast<int>(col[i]) - static_cast<int>(old[i]));
+  }
+  return change;
 }
 
 bool check_delta_enabled() {
@@ -88,12 +104,10 @@ void DeltaRowObjective::build_tables(const topo::RowTopology& row) {
   stride_ = lanes_for(n_);
   words_ = (n_ + 63) / 64;
   const route::HopWeights& hop = objective_->hop_weights();
-  tr_ = hop.router_cycles;
   hop_cost_.resize(256);  // every byte value
-  for (int h = 0; h < 256; ++h) hop_cost_[h] = tr_ * h;
-  wire_cost_.resize(2 * static_cast<std::size_t>(n_) - 1);
-  for (int d = 1 - n_; d < n_; ++d)
-    wire_cost_[d + n_ - 1] = hop.link_cycles_per_unit * (d < 0 ? -d : d);
+  for (int h = 0; h < 256; ++h) hop_cost_[h] = hop.router_cycles * h;
+  wire_cost_.resize(static_cast<std::size_t>(n_));
+  for (int d = 0; d < n_; ++d) wire_cost_[d] = hop.link_cycles_per_unit * d;
   link_count_.assign(static_cast<std::size_t>(n_) * n_, 0);
   sources_.assign(static_cast<std::size_t>(n_) * words_, 0);
   changed_.assign(static_cast<std::size_t>(words_), 0);
@@ -103,46 +117,27 @@ void DeltaRowObjective::build_tables(const topo::RowTopology& row) {
   iota_.resize(static_cast<std::size_t>(stride_));
   for (int i = 0; i < stride_; ++i)
     iota_[i] = static_cast<std::uint8_t>(i);
-  row_changed_.assign(static_cast<std::size_t>(stride_), 0);
-  saved_rows_.resize(static_cast<std::size_t>(n_));
-  saved_rows_n_ = 0;
-  uniform_ = objective_->is_uniform();
   worst_ = objective_->worst_weight_ > 0.0;
   col_max_.assign(static_cast<std::size_t>(n_), 0.0);
 
   // Every column in order over all its sources: the whole table is what
-  // toggling every link at once would recompute.
+  // toggling every link at once would recompute. SH is summed afterwards,
+  // and weights_ is set only then: a weighted change against the 0xFF
+  // start could overflow it.
   hops_.assign(at(n_), 0xFF);
   for (int j = 0; j < n_; ++j) hops_[at(j) + static_cast<std::size_t>(j)] = 0;
   committed_ = hops_;
   for (int j = 1; j < n_; ++j) (void)recompute_column(j, lanes_for(j));
   committed_ = hops_;
   committed_col_max_ = col_max_;
+  const std::vector<std::int64_t>& weights = objective_->pair_weights_;
+  weights_ = weights.empty() ? nullptr : weights.data();
   hop_sum_ = 0;
-  long dist_sum = 0;
-  for (int j = 1; j < n_; ++j)
-    for (int i = 0; i < j; ++i) {
-      hop_sum_ += hops(i, j);
-      dist_sum += j - i;
-    }
-  dist_term_ = hop.link_cycles_per_unit * static_cast<double>(dist_sum);
-
-  wsum_ = 0.0;
-  row_part_.assign(static_cast<std::size_t>(n_), 0.0);
-  if (!uniform_) {
-    const std::vector<double>& weights = objective_->pair_weights_;
-    for (int i = 0; i < n_; ++i) {
-      // DirectionalShortestPaths::weighted_average_cost's per-row order.
-      double row_wsum = 0.0;
-      for (int j = 0; j < n_; ++j)
-        if (i != j) row_wsum += weights[static_cast<std::size_t>(i) * n_ + j];
-      wsum_ += row_wsum;
-      saved_rows_[saved_rows_n_++] = {i, 0.0};
-    }
-    refresh_partials();
-    saved_rows_n_ = 0;
+  for (int j = 1; j < n_; ++j) {
+    const std::uint8_t* col = hops_.data() + at(j);
+    for (int i = 0; i < j; ++i)
+      hop_sum_ += weights_ == nullptr ? col[i] : weight_column(j)[i] * col[i];
   }
-  XLP_REQUIRE(uniform_ || wsum_ > 0.0, "weights must have a positive sum");
 }
 
 bool DeltaRowObjective::apply_link(topo::RowLink link, int delta) {
@@ -183,64 +178,30 @@ bool DeltaRowObjective::recompute_column(int j, int len) {
         min_of(scratch_.data(), in, from, len);
       in = scratch_.data();
     }
+  std::uint8_t* col = hops_.data() + at(j);
+  const std::uint8_t* old = committed_.data() + at(j);
   int sum = 0;
-  const unsigned diff =
-      add_hop(hops_.data() + at(j), in, committed_.data() + at(j),
-              iota_.data(), static_cast<std::uint8_t>(j),
-              row_changed_.data(), len, sum);
+  const unsigned diff = add_hop(col, in, old, iota_.data(),
+                                static_cast<std::uint8_t>(j), len, sum);
   if (diff == 0) return false;
-  hop_sum_ += sum;
-  row_changed_[j] = 1;
+  // Only sources i < j hold hops; the cells past them never change.
+  hop_sum_ += weights_ == nullptr ? sum
+                                  : weighted_change(col, old, weight_column(j),
+                                                    std::min(len, j));
   if (worst_) col_max_[j] = column_max_cost(j);
   return true;
 }
 
 double DeltaRowObjective::column_max_cost(int j) const {
   const std::uint8_t* col = hops_.data() + at(j);
-  const double* wire = wire_cost_.data() + (n_ - 1) - j;
   double best = 0.0;  // the diagonal
   for (int i = 0; i < j; ++i)
-    best = std::max(best, wire[i] + hop_cost_[col[i]]);
+    best = std::max(best, wire_cost_[j - i] + hop_cost_[col[i]]);
   return best;
-}
-
-void DeltaRowObjective::refresh_partials() {
-  // Each row's partial is weighted_average_cost's sum over j in order, a
-  // chain of dependent adds. The products are independent, so a first pass
-  // writes them; then kBlock rows' chains run side by side, each still in
-  // that order. The diagonal's product is +0.0, which leaves a sum that
-  // started at +0.0 bit for bit unchanged.
-  constexpr std::size_t kBlock = 4;
-  const std::size_t n = static_cast<std::size_t>(n_);
-  products_.resize(kBlock * n);
-  for (std::size_t s = 0; s < saved_rows_n_; s += kBlock) {
-    int rows[kBlock];
-    for (std::size_t r = 0; r < kBlock; ++r) {
-      const int i = saved_rows_[std::min(s + r, saved_rows_n_ - 1)].row;
-      rows[r] = i;
-      const double* weights = objective_->pair_weights_.data() + i * n;
-      const double* wire = wire_cost_.data() + (n - 1) - i;
-      const std::uint8_t* col_i = hops_.data() + at(i);
-      double* out = products_.data() + r * n;
-      for (int j = 0; j < i; ++j)
-        out[j] = weights[j] * (wire[j] + hop_cost_[col_i[j]]);
-      out[i] = 0.0;
-      for (int j = i + 1; j < n_; ++j)
-        out[j] = weights[j] * (wire[j] + hop_cost_[hops(i, j)]);
-    }
-    double total[kBlock] = {};
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t r = 0; r < kBlock; ++r)
-        total[r] += products_[r * n + j];
-    for (std::size_t r = 0; r < kBlock && s + r < saved_rows_n_; ++r)
-      row_part_[rows[r]] = total[r];
-  }
 }
 
 void DeltaRowObjective::recompute_affected() {
   saved_hop_sum_ = hop_sum_;
-  // Only the weighted reduction reads the row marks.
-  if (!uniform_) std::fill(row_changed_.begin(), row_changed_.end(), 0);
   span_lo_ = span_hi_ = 0;
   if (toggled_.empty()) return;  // duplicate-only change: nothing moves
   int from = n_;
@@ -282,27 +243,9 @@ void DeltaRowObjective::recompute_affected() {
 
 double DeltaRowObjective::reduce_and_count() {
   objective_->count_evaluation();
-  const double pairs = static_cast<double>(n_) * (n_ - 1);
-  double average;
-  if (uniform_) {
-    // The exact integer DirectionalShortestPaths::average_cost sums.
-    average = 2.0 * (dist_term_ + tr_ * static_cast<double>(hop_sum_)) / pairs;
-  } else {
-    // Mirrors DirectionalShortestPaths::weighted_average_cost bit-for-bit:
-    // both sides sum one partial per source row and then sum the partials,
-    // so only rows whose hops changed need a fresh partial.
-    for (int i = 0; i < n_; ++i)
-      if (row_changed_[i] != 0)
-        saved_rows_[saved_rows_n_++] = {i, row_part_[i]};
-    refresh_partials();
-    double total = 0.0;
-    for (int i = 0; i < n_; ++i) total += row_part_[i];
-    average = total / wsum_;
-  }
-  if (!worst_) return average;
-  const double max_cost = *std::max_element(col_max_.begin(), col_max_.end());
-  const double worst_weight = objective_->worst_weight_;
-  return (1.0 - worst_weight) * average + worst_weight * max_cost;
+  return objective_->score(
+      hop_sum_,
+      worst_ ? *std::max_element(col_max_.begin(), col_max_.end()) : 0.0);
 }
 
 double DeltaRowObjective::checked(double value) const {
@@ -401,7 +344,6 @@ void DeltaRowObjective::clear_pending() {
   pending_ = false;
   pending_bit_ = -1;
   pending_link_.reset();
-  saved_rows_n_ = 0;
   span_lo_ = span_hi_ = 0;
   pending_changes_.clear();
   toggled_.clear();
@@ -429,8 +371,6 @@ void DeltaRowObjective::revert() {
                 committed_col_max_.begin() + span_hi_,
                 col_max_.begin() + span_lo_);
     hop_sum_ = saved_hop_sum_;
-    for (std::size_t s = 0; s < saved_rows_n_; ++s)
-      row_part_[saved_rows_[s].row] = saved_rows_[s].part;
   }
   clear_pending();
 }

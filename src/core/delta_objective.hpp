@@ -45,29 +45,24 @@ namespace xlp::core {
 /// Exactness contract: every score this class returns is bit-identical to
 /// what RowObjective::evaluate would return on the same placement, so an
 /// anneal driven by it accepts the same moves, visits the same states, and
-/// emits byte-identical checkpoints and results. It holds because
-/// RowObjective::delta_supported() admits only integer hop weights whose
-/// costs stay below 2^53 even summed over all n^2 pairs: every cost is then
-/// an exact integer, the same one the full DP finds, and
-///  - the uniform objective's total 2·(Tl·ΣD + Tr·ΣH) over pairs i < j is
-///    the exact integer DirectionalShortestPaths::average_cost sums (a
-///    leftward monotone path is a rightward one reversed), so both divide
-///    the same integer;
-///  - the weighted objective rebuilds cost(i, j) from hops for every row
-///    whose hops changed (found by a per-column byte compare against the
-///    mirror), refreshes that row's partial in weighted_average_cost's
-///    order and sums the partials in the full evaluator's order;
-///  - the worst-case blend keeps each column's largest cost and takes the
-///    maximum over columns.
+/// emits byte-identical checkpoints and results. It holds by construction:
+/// RowObjective owns the arithmetic, (Tl·SD + Tr·SH) / SW over int64 sums
+/// (see its class comment), and only SH = ΣW·hops moves with the
+/// placement. This class keeps SH up to date — the uniform objective
+/// (W ≡ 1) adds the byte change of each recomputed column, a weighted one
+/// adds ΣW·Δhops over it — and hands it to the same RowObjective::score
+/// the full evaluator calls, so both compute one expression on the same
+/// integers at any Tl and Tr. The worst-case blend keeps each column's
+/// largest cost, Tl·|j - i| + Tr·hops as HopWeights::path_cost forms it,
+/// and takes the maximum over columns.
 /// Set XLP_CHECK_DELTA=1 to run the full evaluator in lockstep and abort
 /// (InvariantError) on any divergence.
 ///
 /// Objectives delta_supported() rejects — a secondary-metric blend
 /// (RowObjective::set_secondary), which scores an opaque row-level function,
-/// hop weights outside the exact-integer bound, or rows longer than 256
-/// routers, whose hop counts (up to n - 1) no longer fit a byte — fall back
-/// to full evaluation (incremental() reports false), so call sites stay
-/// uniform.
+/// or rows longer than 256 routers, whose hop counts (up to n - 1) no
+/// longer fit a byte — fall back to full evaluation (incremental() reports
+/// false), so call sites stay uniform.
 ///
 /// Evaluation accounting: every propose_* call bumps the owning
 /// objective's evaluations() counter by exactly one, the same as one
@@ -105,8 +100,8 @@ class DeltaRowObjective {
   /// Accepts the pending proposal: the proposed placement becomes current.
   void commit();
 
-  /// Rejects the pending proposal: restores every hop column, row partial
-  /// and adjacency entry the proposal touched.
+  /// Rejects the pending proposal: restores every hop column, column
+  /// maximum and adjacency entry the proposal touched, and the hop sum.
   void revert();
 
   /// Work of the incremental path since construction, host-independent:
@@ -123,10 +118,6 @@ class DeltaRowObjective {
   static constexpr int kLanes = 16;
 
  private:
-  struct RowSave {
-    int row = 0;
-    double part = 0.0;
-  };
   struct LinkChange {
     topo::RowLink link;
     int delta = 0;  // +1 added, -1 removed
@@ -136,29 +127,23 @@ class DeltaRowObjective {
     return static_cast<std::size_t>(column) *
            static_cast<std::size_t>(stride_);
   }
+  /// W(i, j) for every source i of column j.
+  [[nodiscard]] const std::int64_t* weight_column(int j) const noexcept {
+    return weights_ +
+           static_cast<std::size_t>(j) * static_cast<std::size_t>(n_);
+  }
   /// `rows` rounded up to whole lanes.
   [[nodiscard]] static int lanes_for(int rows) noexcept {
     return (rows + kLanes - 1) / kLanes * kLanes;
-  }
-  [[nodiscard]] int hops(int i, int j) const noexcept {
-    return i < j ? hops_[at(j) + static_cast<std::size_t>(i)]
-                 : hops_[at(i) + static_cast<std::size_t>(j)];
-  }
-  /// Tl·|j - i| + Tr·hops(i, j), from the two lookup tables: exact, as
-  /// both terms are integers.
-  [[nodiscard]] double cost(int i, int j) const noexcept {
-    return wire_cost_[static_cast<std::size_t>(j - i + n_ - 1)] +
-           hop_cost_[static_cast<std::size_t>(hops(i, j))];
   }
 
   void build_tables(const topo::RowTopology& row);
   bool apply_link(topo::RowLink link, int delta);
   /// Recomputes column j over its first `len` sources; returns whether any
-  /// hop changed against the mirror, folding the change into the reductions.
+  /// hop changed against the mirror, folding the change into hop_sum_ and
+  /// the column maximum.
   bool recompute_column(int j, int len);
   [[nodiscard]] double column_max_cost(int j) const;
-  /// Recomputes the partial of every row saved_rows_ lists.
-  void refresh_partials();
   void recompute_affected();
   [[nodiscard]] double reduce_and_count();
   [[nodiscard]] double checked(double value) const;
@@ -184,8 +169,7 @@ class DeltaRowObjective {
   // committed_ mirrors it outside a pending proposal. iota_[i] == i.
   int stride_ = 0;
   int words_ = 0;  // 64-bit words per router bitset
-  // hop_cost_[h] is Tr·h; wire_cost_[d + n - 1] is Tl·|d|.
-  double tr_ = 0.0;
+  // hop_cost_[h] is Tr·h; wire_cost_[d] is Tl·d.
   std::vector<double> hop_cost_;
   std::vector<double> wire_cost_;
   std::vector<std::uint8_t> hops_;
@@ -202,26 +186,15 @@ class DeltaRowObjective {
   int span_lo_ = 0;
   int span_hi_ = 0;
 
-  // Reduction state. Uniform: hop_sum_ is ΣH over pairs i < j, dist_term_
-  // the constant Tl·ΣD. Weighted: one partial per source row (sum of
-  // w * cost in the full evaluator's order), the constant weight sum, and
-  // a per-row byte that is non-zero when the row's hops changed. Worst
-  // case: each column's largest cost, mirrored like the hop table.
-  bool uniform_ = true;
+  // Reduction state: hop_sum_ is SH over pairs i < j and weights_ the
+  // objective's W (row j holds W(i, j) for every i; null when W ≡ 1).
+  // Worst case: each column's largest cost, mirrored like the hop table.
+  const std::int64_t* weights_ = nullptr;
   bool worst_ = false;
-  long hop_sum_ = 0;
-  long saved_hop_sum_ = 0;
-  double dist_term_ = 0.0;
-  double wsum_ = 0.0;
-  std::vector<double> row_part_;
-  std::vector<double> products_;  // refresh_partials' scratch
-  std::vector<std::uint8_t> row_changed_;
+  std::int64_t hop_sum_ = 0;
+  std::int64_t saved_hop_sum_ = 0;
   std::vector<double> col_max_;
   std::vector<double> committed_col_max_;
-  // Preallocated to n_ entries (one propose saves each row at most once);
-  // saved_rows_n_ is the bump index.
-  std::vector<RowSave> saved_rows_;
-  std::size_t saved_rows_n_ = 0;
 
   // pending_changes_ is the proposal's link changes; toggled_ the subset
   // that changed adjacency (multiplicity crossed 0 <-> 1) — a duplicate

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -21,6 +22,17 @@ class DeltaRowObjective;
 /// serialization, the column contribution) are deliberately excluded — they
 /// do not change the argmin.
 ///
+/// Arithmetic: a pair's head cost is Tl·|j - i| + Tr·hops(i, j) (Eq. 1),
+/// and a leftward monotone path is a rightward one reversed, so pair i < j
+/// carries one integer weight W(i, j) for both directions: 1 for the
+/// uniform objective, and q(w_ij) + q(w_ji) for a weight matrix, where q
+/// quantizes each weight once to an int64 on a power-of-two grid scaled to
+/// the largest weight. Every average is then
+///   (Tl·SD + Tr·SH) / SW,  SD = ΣW·|j - i|,  SH = ΣW·hops,  SW = ΣW
+/// over pairs i < j: exact int64 sums, of which only SH depends on the
+/// placement. The grid keeps n^2 · max q · (n - 1), a bound on SD and SH,
+/// below 2^63 — about 39 bits of weight resolution at n = 256.
+///
 /// The evaluation counter tracks how many placements have been scored; the
 /// paper's Fig. 7 and Fig. 12 report runtimes of algorithms whose cost is
 /// dominated by exactly these evaluations, so the counter doubles as a
@@ -31,9 +43,10 @@ class RowObjective {
   RowObjective(int n, route::HopWeights weights);
 
   /// Weighted objective: `weights[i*n + j]` is the traffic demand from
-  /// position i to position j within the row. If every off-diagonal weight
-  /// is zero the objective falls back to uniform (placement is then
-  /// irrelevant for this row, but evaluation must still be well-defined).
+  /// position i to position j within the row, finite and non-negative; the
+  /// diagonal is ignored. If every off-diagonal weight is zero the
+  /// objective falls back to uniform (placement is then irrelevant for this
+  /// row, but evaluation must still be well-defined).
   RowObjective(int n, route::HopWeights weights,
                std::vector<double> pair_weights);
 
@@ -66,7 +79,7 @@ class RowObjective {
   /// case); lets the divide-and-conquer initializer reuse a half-solution
   /// for both halves.
   [[nodiscard]] bool is_uniform() const noexcept {
-    return pair_weights_.empty() || weights_all_zero_;
+    return pair_weights_.empty();
   }
 
   /// Number of evaluate() calls so far, *including* calls made through
@@ -84,14 +97,12 @@ class RowObjective {
   }
 
   /// True when evaluate() can be reproduced incrementally by a
-  /// DeltaRowObjective: uniform, weighted, and worst-case-blend objectives
-  /// over integer-valued hop weights qualify while n^2 times the largest
-  /// possible path cost, (n - 1) * link_cost(n - 1), stays below 2^53, so
-  /// every path cost and the sum of all pair costs are exact doubles, and
-  /// while n <= 256, so every hop count fits the delta evaluator's byte
-  /// table. A secondary-metric blend (set_secondary) scores an opaque
-  /// row-level function, and fractional or oversized hop weights void the
-  /// delta evaluator's exactness; all of them, and longer rows, force full
+  /// DeltaRowObjective: every uniform, weighted and worst-case-blend
+  /// objective over rows of at most 256 routers, whose hop counts (up to
+  /// n - 1) fit the delta evaluator's byte table. Both evaluators compute
+  /// the same expression over the same int64 sums, so they agree bit for
+  /// bit at any hop weights. A secondary-metric blend (set_secondary)
+  /// scores an opaque row-level function; it, and longer rows, force full
   /// evaluation.
   [[nodiscard]] bool delta_supported() const noexcept;
 
@@ -101,10 +112,19 @@ class RowObjective {
   [[nodiscard]] RowObjective sub_objective(int lo, int len) const;
 
  private:
-  // The incremental evaluator reproduces evaluate() from cached per-pair
-  // costs; it needs the blend weights, the shared counter, and the
+  // The incremental evaluator keeps SH up to date over its own hop table;
+  // it needs the pair weights, score(), the shared counter, and the
   // uncounted evaluation below for its XLP_CHECK_DELTA lockstep mode.
   friend class DeltaRowObjective;
+
+  /// Computes SD and SW from pair_weights_.
+  void fold_constant_sums();
+
+  /// The score of a placement whose hop sum is `hop_sum` (SH) and whose
+  /// largest pair cost is `max_cost` (read only under a worst-case blend),
+  /// before any secondary blend.
+  [[nodiscard]] double score(std::int64_t hop_sum,
+                             double max_cost) const noexcept;
 
   /// evaluate() without the precondition and counter bump: the
   /// cross-check path scores a placement the delta evaluator already
@@ -117,8 +137,11 @@ class RowObjective {
 
   int n_;
   route::HopWeights hop_;
-  std::vector<double> pair_weights_;  // empty => uniform
-  bool weights_all_zero_ = false;
+  // W(i, j) at [i*n + j] and [j*n + i], 0 on the diagonal; empty when
+  // W ≡ 1 (uniform).
+  std::vector<std::int64_t> pair_weights_;
+  std::int64_t dist_sum_ = 0;    // SD
+  std::int64_t weight_sum_ = 0;  // SW
   double worst_weight_ = 0.0;
   double secondary_weight_ = 0.0;
   std::function<double(const topo::RowTopology&)> secondary_;

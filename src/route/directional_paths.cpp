@@ -114,14 +114,9 @@ std::vector<int> DirectionalShortestPaths::path(int i, int j) const {
   return out;
 }
 
-// Both averages accumulate one partial sum per source row and then sum the
-// row partials, so the independent row chains pipeline on the FP units
-// instead of serializing 240+ dependent additions. The weighted order is a
-// contract: core::DeltaRowObjective reproduces its bits by refreshing only
-// the row partials whose costs changed, so changing the weighted summation
-// order here means changing it there too. The uniform sum needs no such
-// care: the delta evaluator only runs where every cost is an exact integer
-// (RowObjective::delta_supported), and there any order gives the same sum.
+// One partial sum per source row, then the sum of the partials, so the
+// independent row chains pipeline on the FP units instead of serializing
+// 240+ dependent additions.
 double DirectionalShortestPaths::average_cost() const {
   double total = 0.0;
   for (int i = 0; i < n_; ++i) {
@@ -131,29 +126,6 @@ double DirectionalShortestPaths::average_cost() const {
     total += row;
   }
   return total / (static_cast<double>(n_) * (n_ - 1));
-}
-
-double DirectionalShortestPaths::weighted_average_cost(
-    const std::vector<double>& weight) const {
-  XLP_REQUIRE(weight.size() == hops_.size(),
-              "weight matrix must be n*n, flattened row-major");
-  double total = 0.0;
-  double wsum = 0.0;
-  for (int i = 0; i < n_; ++i) {
-    double row_total = 0.0;
-    double row_wsum = 0.0;
-    for (int j = 0; j < n_; ++j) {
-      const double w = weight[idx(i, j)];
-      XLP_REQUIRE(w >= 0.0, "weights must be non-negative");
-      if (i == j) continue;
-      row_total += w * cost_at(i, j);
-      row_wsum += w;
-    }
-    total += row_total;
-    wsum += row_wsum;
-  }
-  XLP_REQUIRE(wsum > 0.0, "weights must have a positive sum");
-  return total / wsum;
 }
 
 long DirectionalShortestPaths::total_hops() const {

@@ -79,16 +79,11 @@ class DirectionalShortestPaths {
   /// Full router sequence i, ..., j (inclusive). Requires reachable(i, j).
   [[nodiscard]] std::vector<int> path(int i, int j) const;
 
-  /// Average cost over all ordered pairs i != j: the objective that
-  /// P̄(n, C) minimizes (uniform pairwise traffic). The averages below are
-  /// only meaningful when every pair is reachable (infinities propagate).
+  /// Average cost over all ordered pairs i != j under uniform pairwise
+  /// traffic (core::RowObjective scores placements from hops_row()). The
+  /// averages below are only meaningful when every pair is reachable
+  /// (infinities propagate).
   [[nodiscard]] double average_cost() const;
-
-  /// Average over ordered pairs weighted by `weight[i][j]` (flattened i*n+j);
-  /// the application-specific objective of Section 5.6.4. Weights must be
-  /// non-negative with a positive sum.
-  [[nodiscard]] double weighted_average_cost(
-      const std::vector<double>& weight) const;
 
   /// Hop count summed over all ordered pairs i != j.
   [[nodiscard]] long total_hops() const;

@@ -106,11 +106,12 @@ TEST(DeltaObjective, WeightedWorstCaseBlendMatchesFullEvaluationExactly) {
 }
 
 // Reflection, a metamorphic relation: mapping every link (i, j) to
-// (n-1-j, n-1-i) mirrors the row, so hops'(n-1-i, n-1-j) == hops(i, j),
-// and the uniform and worst-case objectives, sums of exact integer costs,
-// keep their bits. Mirroring every layer of a connection matrix mirrors
-// its decode, so a flip walk and its mirror image must score alike in
-// both evaluators.
+// (n-1-j, n-1-i) mirrors the row, so hops'(n-1-i, n-1-j) == hops(i, j).
+// Under the mirrored demand w'(i, j) = w(n-1-i, n-1-j) every objective's
+// int64 sums are the same, so the mirrored placement keeps its score bit
+// for bit: uniform, weighted and worst-case blends alike. Mirroring every
+// layer of a connection matrix mirrors its decode, so a flip walk and its
+// mirror image must score alike in both evaluators.
 TEST(DeltaObjective, ReflectedRowsScoreTheSame) {
   const auto reflect = [](const topo::RowTopology& row) {
     const int n = row.size();
@@ -119,80 +120,104 @@ TEST(DeltaObjective, ReflectedRowsScoreTheSame) {
       links.push_back({n - 1 - link.hi, n - 1 - link.lo});
     return topo::RowTopology(n, std::move(links));
   };
+  const auto mirror_weights = [](const std::vector<double>& w, int n) {
+    std::vector<double> out(w.size());
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j)
+        out[static_cast<std::size_t>(i) * n + j] =
+            w[static_cast<std::size_t>(n - 1 - i) * n + (n - 1 - j)];
+    return out;
+  };
   for (const int n : {5, 8, 13, 16}) {
     for (const int limit : {2, 4}) {
-      for (const double worst : {0.0, 0.5}) {
-        RowObjective obj(n, paper_weights());
-        obj.set_worst_case_weight(worst);
-        Rng rng(900u + static_cast<std::uint64_t>(n * limit));
-        topo::ConnectionMatrix matrix =
-            topo::ConnectionMatrix::random(n, limit, rng, 0.5);
-        const int interior = matrix.interior();
-        // The flat bit of the same layer at the mirrored interior router.
-        const auto mirror_bit = [interior](int bit) {
-          return bit - bit % interior + (interior - 1 - bit % interior);
-        };
-        topo::ConnectionMatrix mirrored(n, limit);
-        for (int bit = 0; bit < matrix.bit_count(); ++bit)
-          if (matrix.bit_flat(bit)) mirrored.flip_flat(mirror_bit(bit));
-        DeltaRowObjective delta(obj, matrix);
-        DeltaRowObjective mirrored_delta(obj, mirrored);
-        for (int m = 0; m < 60; ++m) {
-          const int bit = static_cast<int>(rng.uniform_below(
-              static_cast<std::uint64_t>(matrix.bit_count())));
-          const double score = delta.propose_flip(bit);
-          const double mirrored_score =
-              mirrored_delta.propose_flip(mirror_bit(bit));
-          delta.commit();
-          mirrored_delta.commit();
-          matrix.flip_flat(bit);
-          mirrored.flip_flat(mirror_bit(bit));
+      for (const bool weighted : {false, true}) {
+        for (const double worst : {0.0, 0.5}) {
+          Rng rng(900u + static_cast<std::uint64_t>(n * limit));
+          const std::vector<double> w = random_pair_weights(n, rng);
+          RowObjective obj = weighted ? RowObjective(n, paper_weights(), w)
+                                      : RowObjective(n, paper_weights());
+          RowObjective twin =
+              weighted ? RowObjective(n, paper_weights(), mirror_weights(w, n))
+                       : RowObjective(n, paper_weights());
+          obj.set_worst_case_weight(worst);
+          twin.set_worst_case_weight(worst);
+          topo::ConnectionMatrix matrix =
+              topo::ConnectionMatrix::random(n, limit, rng, 0.5);
+          const int interior = matrix.interior();
+          // The flat bit of the same layer at the mirrored interior router.
+          const auto mirror_bit = [interior](int bit) {
+            return bit - bit % interior + (interior - 1 - bit % interior);
+          };
+          topo::ConnectionMatrix mirrored(n, limit);
+          for (int bit = 0; bit < matrix.bit_count(); ++bit)
+            if (matrix.bit_flat(bit)) mirrored.flip_flat(mirror_bit(bit));
+          DeltaRowObjective delta(obj, matrix);
+          DeltaRowObjective mirrored_delta(twin, mirrored);
+          for (int m = 0; m < 60; ++m) {
+            const int bit = static_cast<int>(rng.uniform_below(
+                static_cast<std::uint64_t>(matrix.bit_count())));
+            const double score = delta.propose_flip(bit);
+            const double mirrored_score =
+                mirrored_delta.propose_flip(mirror_bit(bit));
+            delta.commit();
+            mirrored_delta.commit();
+            matrix.flip_flat(bit);
+            mirrored.flip_flat(mirror_bit(bit));
 
-          const topo::RowTopology row = matrix.decode();
-          const topo::RowTopology reflected = reflect(row);
-          ASSERT_EQ(mirrored.decode(), reflected) << row.to_string();
-          const route::DirectionalShortestPaths paths(row, paper_weights());
-          const route::DirectionalShortestPaths mirror(reflected,
-                                                       paper_weights());
-          for (int i = 0; i < n; ++i)
-            for (int j = 0; j < n; ++j)
-              ASSERT_EQ(mirror.hops(n - 1 - i, n - 1 - j), paths.hops(i, j))
-                  << row.to_string() << " pair " << i << "->" << j;
-          const double full = obj.evaluate(row);
-          ASSERT_EQ(obj.evaluate(reflected), full) << row.to_string();
-          ASSERT_EQ(score, full) << row.to_string();
-          ASSERT_EQ(mirrored_score, full) << row.to_string();
+            const topo::RowTopology row = matrix.decode();
+            const topo::RowTopology reflected = reflect(row);
+            ASSERT_EQ(mirrored.decode(), reflected) << row.to_string();
+            const route::DirectionalShortestPaths paths(row, paper_weights());
+            const route::DirectionalShortestPaths mirror(reflected,
+                                                         paper_weights());
+            for (int i = 0; i < n; ++i)
+              for (int j = 0; j < n; ++j)
+                ASSERT_EQ(mirror.hops(n - 1 - i, n - 1 - j), paths.hops(i, j))
+                    << row.to_string() << " pair " << i << "->" << j;
+            const double full = obj.evaluate(row);
+            ASSERT_EQ(twin.evaluate(reflected), full) << row.to_string();
+            ASSERT_EQ(score, full) << row.to_string();
+            ASSERT_EQ(mirrored_score, full) << row.to_string();
+          }
         }
       }
     }
   }
 }
 
-TEST(DeltaObjective, NonIntegerHopWeightsFallBackButStayExact) {
-  // Fractional cycle weights make path sums inexact, voiding the
-  // last-hop/first-hop and transpose equalities the incremental update
-  // relies on, so the evaluator takes the full-evaluation fallback; its
-  // scores must still be bit-identical.
+TEST(DeltaObjective, NonIntegerHopWeightsStayIncrementalAndExact) {
+  // Both evaluators compute (Tl·SD + Tr·SH) / SW from the same int64 sums,
+  // so fractional cycle weights, whose per-pair costs are inexact doubles,
+  // still score bit for bit alike, uniform and weighted.
   for (const int n : {8, 16}) {
-    const RowObjective obj(n, route::HopWeights{2.75, 1.5});
-    ASSERT_FALSE(obj.delta_supported());
-    const DeltaRowObjective delta(obj, topo::ConnectionMatrix(n, 4));
-    EXPECT_FALSE(delta.incremental());
-    run_flip_property(obj, n, 4, 400 + n, 200);
+    Rng wrng(47u + static_cast<std::uint64_t>(n));
+    const route::HopWeights fractional{2.75, 1.1};
+    const RowObjective uniform(n, fractional);
+    const RowObjective weighted(n, fractional, random_pair_weights(n, wrng));
+    for (const RowObjective* obj : {&uniform, &weighted}) {
+      ASSERT_TRUE(obj->delta_supported());
+      EXPECT_TRUE(
+          DeltaRowObjective(*obj, topo::ConnectionMatrix(n, 4)).incremental());
+      run_flip_property(*obj, n, 4, 400 + n, 200);
+    }
   }
 }
 
-TEST(DeltaObjective, HopWeightsPastTheExactSumBoundFallBackButStayExact) {
+TEST(DeltaObjective, LargeHopWeightsStayIncrementalAndExact) {
   // At n = 64 a path of 63 hops can cost up to 63 * 64e9 cycles, and n^2
-  // such costs pass 2^53, where doubles stop being exact integers: the
-  // objective must refuse the incremental path.
+  // such costs pass 2^53, where doubles stop being exact integers; the
+  // hop and distance sums stay exact int64s, so the scores still agree.
   const int n = 64;
-  const RowObjective obj(n, route::HopWeights{1e9, 1e9});
-  ASSERT_FALSE(obj.delta_supported());
-  const DeltaRowObjective delta(obj, topo::ConnectionMatrix(n, 4));
-  EXPECT_FALSE(delta.incremental());
-  run_flip_property(obj, n, 4, 64, 200);
-  EXPECT_TRUE(RowObjective(256, paper_weights()).delta_supported());
+  Rng wrng(64);
+  const route::HopWeights large{1e9, 1e9};
+  const RowObjective uniform(n, large);
+  const RowObjective weighted(n, large, random_pair_weights(n, wrng));
+  for (const RowObjective* obj : {&uniform, &weighted}) {
+    ASSERT_TRUE(obj->delta_supported());
+    EXPECT_TRUE(
+        DeltaRowObjective(*obj, topo::ConnectionMatrix(n, 4)).incremental());
+    run_flip_property(*obj, n, 4, 64, 200);
+  }
 }
 
 // Rows far longer than the small-n tests above: one flip at n = 256 can

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "core/app_specific.hpp"
 #include "core/branch_bound.hpp"
@@ -82,6 +85,52 @@ TEST(RowObjective, SubObjectiveSlicesWeights) {
   const RowObjective uniform_sub =
       RowObjective(4, paper_weights()).sub_objective(0, 2);
   EXPECT_TRUE(uniform_sub.is_uniform());
+}
+
+TEST(RowObjective, WeightedAverageOfOnePair) {
+  std::vector<double> w(16, 0.0);
+  w[0 * 4 + 3] = 1.0;  // only 0 -> 3 matters
+  EXPECT_DOUBLE_EQ(
+      RowObjective(4, paper_weights(), w).evaluate(topo::RowTopology(4)),
+      12.0);
+  w[3 * 4 + 0] = 3.0;  // 3 -> 0 reverses the same path
+  EXPECT_DOUBLE_EQ(
+      RowObjective(4, paper_weights(), w).evaluate(topo::RowTopology(4)),
+      12.0);
+  EXPECT_THROW(RowObjective(4, paper_weights(), std::vector<double>(15, 1.0)),
+               PreconditionError);
+  w[1] = -1.0;
+  EXPECT_THROW(RowObjective(4, paper_weights(), w), PreconditionError);
+  w[1] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(RowObjective(4, paper_weights(), w), PreconditionError);
+}
+
+// The quantized weights stand in for the demand: on random placements and
+// weights, the weighted score stays within 1e-9 of the double average
+// sum w * cost / sum w over ordered pairs.
+TEST(RowObjective, QuantizedWeightsMatchADoubleAverage) {
+  for (const int n : {8, 16, 64, 256}) {
+    Rng rng(70u + static_cast<std::uint64_t>(n));
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> w(static_cast<std::size_t>(n) * n, 0.0);
+      for (double& x : w)  // spans six decades, some pairs silent
+        x = rng.uniform01() < 0.1 ? 0.0 : std::pow(10.0, 6.0 * rng.uniform01());
+      const RowObjective obj(n, paper_weights(), w);
+      const topo::RowTopology row = test::random_valid_row(n, 4, rng);
+      const route::DirectionalShortestPaths paths(row, paper_weights());
+      double total = 0.0;
+      double wsum = 0.0;
+      for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
+          if (i != j) {
+            total += w[static_cast<std::size_t>(i) * n + j] * paths.cost(i, j);
+            wsum += w[static_cast<std::size_t>(i) * n + j];
+          }
+      const double reference = total / wsum;
+      EXPECT_NEAR(obj.evaluate(row), reference, 1e-9 * reference)
+          << "n=" << n << " trial " << trial;
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

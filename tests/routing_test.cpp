@@ -225,20 +225,6 @@ TEST(DirectionalPaths, MaxCost) {
   EXPECT_DOUBLE_EQ(paths.max_cost(), 28.0);
 }
 
-TEST(DirectionalPaths, WeightedAverageCost) {
-  const RowTopology row(4);
-  const DirectionalShortestPaths paths(row, HopWeights{});
-  std::vector<double> w(16, 0.0);
-  w[0 * 4 + 3] = 1.0;  // only 0 -> 3 matters
-  EXPECT_DOUBLE_EQ(paths.weighted_average_cost(w), 12.0);
-  w[3 * 4 + 0] = 3.0;
-  EXPECT_DOUBLE_EQ(paths.weighted_average_cost(w), 12.0);  // symmetric costs
-  EXPECT_THROW(paths.weighted_average_cost(std::vector<double>(15, 1.0)),
-               PreconditionError);
-  EXPECT_THROW(paths.weighted_average_cost(std::vector<double>(16, 0.0)),
-               PreconditionError);
-}
-
 TEST(DirectionalPaths, AddingLinksNeverHurts) {
   // Monotonicity property the branch-and-bound pruning relies on.
   Rng rng(1234);
