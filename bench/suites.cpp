@@ -329,20 +329,33 @@ void register_micro_core() {
                      run.set_items(std::size(kWorkloads));
                    });
   }
-  // Service-path kernels: the request content hash (canonical JSON +
-  // FNV-1a) and an in-memory cache hit — the two operations every request
-  // pays before any real work happens.
+  // Service-path kernels: the request content hash (the canonical
+  // document's FNV-1a) and an in-memory cache hit — the two operations
+  // every request pays before any real work happens. The hash runs over
+  // one solve, one evaluate and one simulate request, the kinds the
+  // warm_replay workload replays.
   register_bench("micro_core", "request_hash", "smoke", [](BenchRun& run) {
-    svc::Request request;
-    request.kind = svc::RequestKind::kSolve;
-    request.n = 8;
-    request.link_limit = 4;
+    svc::Request solve;
+    solve.kind = svc::RequestKind::kSolve;
+    solve.n = 8;
+    solve.link_limit = 4;
+    svc::Request evaluate = solve;
+    evaluate.kind = svc::RequestKind::kEvaluate;
+    evaluate.links = "0-2,2-5";
+    evaluate.workload = "canneal";
+    evaluate.contention_per_hop = 0.5;
+    svc::Request simulate = evaluate;
+    simulate.kind = svc::RequestKind::kSimulate;
+    simulate.load = 0.05;
+    simulate.cycles = 2000;
     constexpr int kIters = 200;
     for (int i = 0; i < kIters; ++i) {
-      request.seed = static_cast<std::uint64_t>(i);
-      g_sink = static_cast<double>(request.id().size());
+      for (svc::Request* request : {&solve, &evaluate, &simulate}) {
+        request->seed = static_cast<std::uint64_t>(i);
+        g_sink = static_cast<double>(request->id().size());
+      }
     }
-    run.set_items(kIters);
+    run.set_items(3 * kIters);
   });
   register_bench("micro_core", "cache_lookup", "smoke", [](BenchRun& run) {
     // Primed once per process: the fsync'd put is disk latency, not a

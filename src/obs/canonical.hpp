@@ -12,9 +12,10 @@ namespace xlp::obs {
 [[nodiscard]] Json canonical_sorted(const Json& value);
 
 /// Canonical serialization: canonical_sorted(value).dump(). This is the
-/// byte string content hashes are taken over — ledger run ids and svc
-/// request ids both use it, so a request built field-by-field by the CLI
-/// and one parsed from a client's JSON (any member order) hash the same.
+/// byte string content hashes are taken over — ledger run ids hash it, and
+/// svc::Request::id() writes the same bytes without building a Json — so a
+/// request built field-by-field by the CLI and one parsed from a client's
+/// JSON (any member order) hash the same.
 /// Number formatting is dump()'s: integral values print without a
 /// fraction, doubles with just enough digits to round-trip — stable
 /// across platforms, processes and thread counts.

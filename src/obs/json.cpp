@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,10 +11,14 @@
 
 namespace xlp::obs {
 
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
+void append_json_escaped(std::string& out, std::string_view raw) {
+  // Bytes that need no escape are copied a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -22,18 +27,38 @@ std::string json_escape(const std::string& raw) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      }
     }
   }
-  return out;
+  out.append(raw, run, raw.size() - run);
+}
+
+void append_json_number(std::string& out, double value, bool integral) {
+  char buf[32];
+  if (integral ||
+      (std::rint(value) == value && std::fabs(value) < 9.007199254740992e15 &&
+       std::isfinite(value))) {
+    // std::to_chars prints what %lld prints, without parsing a format.
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                  static_cast<long long>(std::llround(value)))
+                        .ptr);
+    return;
+  }
+  if (!std::isfinite(value)) {  // JSON has no inf/nan; emit null
+    out += "null";
+    return;
+  }
+  // Shortest representation that round-trips: try 15 significant digits,
+  // fall back to 17. (std::to_chars with a precision prints the same
+  // bytes, but its tables add 0.12-0.15 MB to a server's resident set.)
+  std::snprintf(buf, sizeof(buf), "%.15g", value);
+  if (std::strtod(buf, nullptr) != value)
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+  out += buf;
 }
 
 Json& Json::set(std::string key, Json value) {
@@ -100,40 +125,14 @@ const Json* Json::find(const std::string& key) const {
   return nullptr;
 }
 
-namespace {
-
-void format_number(double value, bool integral, std::string& out) {
-  char buf[32];
-  if (integral ||
-      (std::rint(value) == value && std::fabs(value) < 9.007199254740992e15 &&
-       std::isfinite(value))) {
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(std::llround(value)));
-    out += buf;
-    return;
-  }
-  if (!std::isfinite(value)) {  // JSON has no inf/nan; emit null
-    out += "null";
-    return;
-  }
-  // Shortest representation that round-trips: try 15 significant digits,
-  // fall back to 17.
-  std::snprintf(buf, sizeof(buf), "%.15g", value);
-  if (std::strtod(buf, nullptr) != value)
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-}  // namespace
-
 void Json::dump_to(std::string& out) const {
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: format_number(number_, integral_, out); break;
+    case Type::kNumber: append_json_number(out, number_, integral_); break;
     case Type::kString:
       out += '"';
-      out += json_escape(string_);
+      append_json_escaped(out, string_);
       out += '"';
       break;
     case Type::kArray: {
@@ -154,7 +153,7 @@ void Json::dump_to(std::string& out) const {
         if (!first) out += ',';
         first = false;
         out += '"';
-        out += json_escape(key);
+        append_json_escaped(out, key);
         out += "\":";
         value.dump_to(out);
       }

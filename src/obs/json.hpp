@@ -2,15 +2,23 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace xlp::obs {
 
-/// Escapes `raw` for embedding inside a JSON string literal (the
+/// Appends `raw` escaped for embedding inside a JSON string literal (the
 /// surrounding quotes are not added): quote, backslash and control
 /// characters become their \-sequences, everything else passes through.
-[[nodiscard]] std::string json_escape(const std::string& raw);
+void append_json_escaped(std::string& out, std::string_view raw);
+
+/// Appends the JSON text of a number: printf's `%lld` when `integral` or
+/// when the value is a whole number below 2^53, `null` when it is not
+/// finite, and otherwise the shorter of `%.15g` / `%.17g` that reads back
+/// exactly. Json::dump and Request::id() both print numbers through it,
+/// so equal values print equal bytes.
+void append_json_number(std::string& out, double value, bool integral);
 
 /// Minimal ordered JSON value — just enough for telemetry: build a
 /// document with set()/push(), serialize it with dump(), and parse one

@@ -10,18 +10,23 @@ namespace xlp::route {
 DirectionalShortestPaths::DirectionalShortestPaths(
     const topo::RowTopology& row, HopWeights weights)
     : n_(row.size()), weights_(weights) {
-  // Adjacency by direction. neighbors_right/left are sorted and de-duped.
-  std::vector<std::vector<int>> right(static_cast<std::size_t>(n_));
-  std::vector<std::vector<int>> left(static_cast<std::size_t>(n_));
-  for (int r = 0; r < n_; ++r) {
-    right[r] = row.neighbors_right(r);
-    left[r] = row.neighbors_left(r);
+  const obs::ProfileScope profile_scope("route.monotone_sp");
+  start_table();
+  // Rightward in one pass over the express links from the last: they are
+  // sorted, so the links leaving router i come just before those leaving
+  // i + 1. The local link alone bounds hops(i, j) by j - i, so every pair
+  // is reachable.
+  const std::vector<topo::RowLink>& links = row.express_links();
+  auto link = links.rbegin();
+  for (int i = n_ - 2; i >= 0; --i) {
+    relax_right(i, i + 1);
+    for (; link != links.rend() && link->lo == i; ++link)
+      relax_right(i, link->hi);
   }
-  compute(right, left);
-
-  // Local links guarantee connectivity in both directions.
-  XLP_CHECK(std::find(hops_.begin(), hops_.end(), -1) == hops_.end(),
-            "row with local links must be fully connected");
+  // Every link runs both ways, so the leftward path j -> i is the
+  // rightward path i -> j reversed.
+  for (int i = 0; i < n_; ++i)
+    for (int j = i + 1; j < n_; ++j) hops_[idx(j, i)] = hops_[idx(i, j)];
 }
 
 DirectionalShortestPaths::DirectionalShortestPaths(
@@ -32,43 +37,46 @@ DirectionalShortestPaths::DirectionalShortestPaths(
   XLP_REQUIRE(right.size() == static_cast<std::size_t>(n) &&
                   left.size() == static_cast<std::size_t>(n),
               "adjacency lists must have one entry per router");
-  compute(right, left);
-}
-
-void DirectionalShortestPaths::compute(
-    const std::vector<std::vector<int>>& right,
-    const std::vector<std::vector<int>>& left) {
   const obs::ProfileScope profile_scope("route.monotone_sp");
-  XLP_REQUIRE(weights_.router_cycles >= 0.0,
-              "the fewest hops are the cheapest only while Tr >= 0");
-  // Fewest hops over the monotone DAG. A path has at most n - 1 hops, so
-  // n stands for "no path" until the end, and 1 + n never wins a minimum.
-  const int none = n_;
-  hops_.assign(static_cast<std::size_t>(n_) * n_, none);
-  for (int i = 0; i < n_; ++i) hops_[idx(i, i)] = 0;
-  // Rightward: a path i -> j takes its first link to some k <= j, so row i
-  // right of i is 1 + the minimum of those rows k from k on. Rows below i
-  // are complete by then.
+  start_table();
   for (int i = n_ - 2; i >= 0; --i) {
-    int* row = hops_.data() + idx(i, 0);
     for (const int k : right[static_cast<std::size_t>(i)]) {
       XLP_REQUIRE(k > i && k < n_, "a right neighbor must lie right of it");
-      const int* via = hops_.data() + idx(k, 0);
-      for (int j = k; j < n_; ++j) row[j] = std::min(row[j], via[j] + 1);
+      relax_right(i, k);
     }
   }
-  // Leftward, mirrored: a path j -> i takes its first link to some k >= i,
-  // so row j left of j is 1 + the minimum of those rows k up to k. Rows
-  // above j are complete by then.
   for (int j = 1; j < n_; ++j) {
-    int* row = hops_.data() + idx(j, 0);
     for (const int k : left[static_cast<std::size_t>(j)]) {
       XLP_REQUIRE(k >= 0 && k < j, "a left neighbor must lie left of it");
-      const int* via = hops_.data() + idx(k, 0);
-      for (int i = 0; i <= k; ++i) row[i] = std::min(row[i], via[i] + 1);
+      relax_left(j, k);
     }
   }
-  std::replace(hops_.begin(), hops_.end(), none, -1);
+  std::replace(hops_.begin(), hops_.end(), n_, -1);
+}
+
+void DirectionalShortestPaths::start_table() {
+  XLP_REQUIRE(weights_.router_cycles >= 0.0,
+              "the fewest hops are the cheapest only while Tr >= 0");
+  // A path has at most n - 1 hops, so n stands for "no path" until the
+  // end, and 1 + n never wins a minimum.
+  hops_.assign(static_cast<std::size_t>(n_) * n_, n_);
+  for (int i = 0; i < n_; ++i) hops_[idx(i, i)] = 0;
+}
+
+void DirectionalShortestPaths::relax_right(int i, int k) {
+  // A path i -> j whose first link is i -> k: row i from k on is at most
+  // 1 + row k there. Rows below i are complete by then.
+  int* row = hops_.data() + idx(i, 0);
+  const int* via = hops_.data() + idx(k, 0);
+  for (int j = k; j < n_; ++j) row[j] = std::min(row[j], via[j] + 1);
+}
+
+void DirectionalShortestPaths::relax_left(int j, int k) {
+  // Mirrored: a path j -> i whose first link is j -> k, k >= i. Rows
+  // above j are complete by then.
+  int* row = hops_.data() + idx(j, 0);
+  const int* via = hops_.data() + idx(k, 0);
+  for (int i = 0; i <= k; ++i) row[i] = std::min(row[i], via[i] + 1);
 }
 
 bool DirectionalShortestPaths::reachable(int i, int j) const {

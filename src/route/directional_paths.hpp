@@ -102,8 +102,12 @@ class DirectionalShortestPaths {
   [[nodiscard]] double cost_at(int i, int j) const {
     return weights_.path_cost(i < j ? j - i : i - j, hops_[idx(i, j)]);
   }
-  void compute(const std::vector<std::vector<int>>& right,
-               const std::vector<std::vector<int>>& left);
+  /// Sizes the table: 0 on the diagonal, n ("no path yet") elsewhere.
+  void start_table();
+  /// The fewest-hops DP step for a link from router i to k > i, and for
+  /// one from router j to k < j.
+  void relax_right(int i, int k);
+  void relax_left(int j, int k);
 
   int n_;
   HopWeights weights_;

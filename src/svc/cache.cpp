@@ -131,7 +131,7 @@ std::optional<std::string> ResultCache::get(const std::string& id,
     if (corrupted != nullptr) *corrupted = true;
     return std::nullopt;
   }
-  touch_locked(id);
+  touch_locked(it->second);
   cache_hits_.fetch_add(1, std::memory_order_relaxed);
   return payload;
 }
@@ -149,7 +149,7 @@ bool ResultCache::put(const std::string& id, const std::string& payload) {
     if (it != entries_.end()) {
       it->second.payload = payload;
       it->second.checksum = std::move(checksum);
-      touch_locked(id);
+      touch_locked(it->second);
     } else {
       lru_.push_front(id);
       entries_[id] = Entry{payload, std::move(checksum), lru_.begin()};
@@ -189,11 +189,10 @@ void ResultCache::evict_if_needed_locked() {
   }
 }
 
-void ResultCache::touch_locked(const std::string& id) {
-  auto& entry = entries_.at(id);
-  lru_.erase(entry.lru_pos);
-  lru_.push_front(id);
-  entry.lru_pos = lru_.begin();
+void ResultCache::touch_locked(Entry& entry) {
+  // Relinks the entry's node at the front: no node is freed or allocated,
+  // and entry.lru_pos stays valid.
+  lru_.splice(lru_.begin(), lru_, entry.lru_pos);
 }
 
 void ResultCache::quarantine_locked(const std::string& name,

@@ -78,8 +78,10 @@ class ResultCache {
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
  private:
+  struct Entry;
   void evict_if_needed_locked();
-  void touch_locked(const std::string& id);
+  /// Makes `entry` the most recently used.
+  void touch_locked(Entry& entry);
   void quarantine_locked(const std::string& name,
                          const std::string& corrupt_bytes);
 

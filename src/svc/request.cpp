@@ -1,6 +1,10 @@
 #include "svc/request.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <optional>
+#include <type_traits>
 
 #include "core/objective.hpp"
 #include "core/portfolio.hpp"
@@ -196,40 +200,48 @@ const char* to_string(RequestKind kind) noexcept {
   return "unknown";
 }
 
-obs::Json Request::to_json() const {
-  obs::Json doc = obs::Json::object()
-                      .set("schema", kRequestSchema)
-                      .set("kind", svc::to_string(kind));
+template <typename Field>
+void Request::visit_identity(Field&& field) const {
+  field("schema", kRequestSchema);
+  field("kind", svc::to_string(kind));
   // A stats request names no work: every stats request is the same
   // request, {"schema","kind"} only.
-  if (kind == RequestKind::kStats) return doc;
-  doc.set("n", n);
-  if (!enumerates_c(kind)) doc.set("c", link_limit);
-  doc.set("b", base_flit_bits);
+  if (kind == RequestKind::kStats) return;
+  field("n", n);
+  if (!enumerates_c(kind)) field("c", link_limit);
+  field("b", base_flit_bits);
   if (searches(kind)) {
-    doc.set("method", method);
+    field("method", method);
     if (const auto solver = core::parse_solver(method);
         solver && core::is_annealed(*solver)) {
-      doc.set("moves", moves);
+      field("moves", moves);
       // A sweep or appspec runs one chain per solve.
-      if (chains != 1 && kind == RequestKind::kSolve)
-        doc.set("chains", chains);
+      if (chains != 1 && kind == RequestKind::kSolve) field("chains", chains);
     }
   }
   if (has_demand(kind)) {
-    if (!searches(kind)) doc.set("links", links);
-    doc.set("workload", workload).set("load", load);
+    if (!searches(kind)) field("links", links);
+    field("workload", workload);
+    field("load", load);
     if (kind == RequestKind::kSimulate) {
-      doc.set("cycles", cycles).set("routing", routing).set("vcs", vcs);
-      if (vec) doc.set("vec", true);
+      field("cycles", cycles);
+      field("routing", routing);
+      field("vcs", vcs);
+      if (vec) field("vec", true);
     } else if (kind == RequestKind::kEvaluate) {
-      doc.set("contention", contention_per_hop);
+      field("contention", contention_per_hop);
     }
   }
   // The seed only matters where randomness does: annealing and the
   // simulator's packet sampling. Evaluate is fully analytic.
-  if (kind != RequestKind::kEvaluate)
-    doc.set("seed", static_cast<long>(seed));
+  if (kind != RequestKind::kEvaluate) field("seed", static_cast<long>(seed));
+}
+
+obs::Json Request::to_json() const {
+  obs::Json doc = obs::Json::object();
+  visit_identity([&doc](const char* key, const auto& value) {
+    doc.set(key, value);
+  });
   return doc;
 }
 
@@ -253,7 +265,51 @@ obs::Json Request::fields() const {
 }
 
 std::string Request::id() const {
-  return obs::fnv1a64_hex(obs::canonical_json(to_json()));
+  // obs::canonical_json(to_json()) written directly: each member's value
+  // is rendered as Json::dump would print it, the members are sorted by
+  // key, and the hash runs over the one document they make.
+  struct Member {
+    const char* key;
+    std::size_t begin;  ///< the value's bytes in `values`
+    std::size_t end;
+  };
+  std::array<Member, 17> members{};
+  std::size_t count = 0;
+  std::string values;
+  values.reserve(160);
+  visit_identity([&](const char* key, const auto& value) {
+    using Value = std::decay_t<decltype(value)>;
+    const std::size_t begin = values.size();
+    if constexpr (std::is_same_v<Value, bool>) {
+      values += value ? "true" : "false";
+    } else if constexpr (std::is_arithmetic_v<Value>) {
+      // As Json(value) stores it: a double, integral for int and long.
+      obs::append_json_number(values, static_cast<double>(value),
+                              std::is_integral_v<Value>);
+    } else {
+      values += '"';
+      obs::append_json_escaped(values, value);
+      values += '"';
+    }
+    XLP_CHECK(count < members.size(), "more identity fields than members");
+    members[count++] = {key, begin, values.size()};
+  });
+  std::sort(members.begin(), members.begin() + count,
+            [](const Member& a, const Member& b) {
+              return std::strcmp(a.key, b.key) < 0;
+            });
+  std::string doc;
+  doc.reserve(values.size() + 16 * count + 2);
+  doc += '{';
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i > 0) doc += ',';
+    doc += '"';
+    obs::append_json_escaped(doc, members[i].key);
+    doc += "\":";
+    doc.append(values, members[i].begin, members[i].end - members[i].begin);
+  }
+  doc += '}';
+  return obs::fnv1a64_hex(doc);
 }
 
 void Request::validate() const {

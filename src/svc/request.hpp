@@ -86,8 +86,8 @@ struct Request {
   std::uint64_t seed = 1;
 
   /// Canonical JSON: {"schema", "kind", ...} restricted to the fields the
-  /// kind consumes, in a fixed member order. Feed through
-  /// obs::canonical_json for the hashable byte string.
+  /// kind consumes, in a fixed member order. obs::canonical_json of it is
+  /// the byte string id() hashes.
   [[nodiscard]] obs::Json to_json() const;
 
   /// Every parameter under its request-document name, whatever the kind
@@ -96,7 +96,8 @@ struct Request {
 
   /// The content-addressed identity: obs::fnv1a64_hex over the canonical
   /// serialization of to_json(). Thread-count and machine invariant; this
-  /// is the cache key and the reply correlation id.
+  /// is the cache key and the reply correlation id. It writes those bytes
+  /// straight from the field list to_json() reads, with no Json built.
   [[nodiscard]] std::string id() const;
 
   /// Parses a request object (any member order; unknown members are
@@ -107,6 +108,14 @@ struct Request {
   /// Validates field ranges (also called by from_json); throws
   /// xlp::Error(kParse) with a field-naming message.
   void validate() const;
+
+ private:
+  /// The one list of identity fields: calls `field(key, value)` for each
+  /// member of to_json(), in its order, with only the fields the kind
+  /// consumes. `value` is a const char*, std::string, int, long, double
+  /// or bool.
+  template <typename Field>
+  void visit_identity(Field&& field) const;
 };
 
 /// Solves a kSolve request: the one solver dispatch of the CLI and the

@@ -274,7 +274,7 @@ std::string Server::serve_text(const std::string& text) {
 
   if (doc->is_object()) {
     try {
-      return serve_batch({Request::from_json(*doc)})[0].to_text();
+      return resolve(Request::from_json(*doc)).to_text();
     } catch (const Error& error) {
       return rejection(error);
     }

@@ -69,9 +69,10 @@ struct ServerOptions {
 /// result cache, deduplicates identical work (within a batch, across
 /// concurrent clients, and across restarts via the persisted cache), and
 /// shards a batch's unique requests over a util::ThreadPool sized by
-/// their count. A one-document submission — what serve_text, the socket
-/// workers and the queue loop see from most clients — therefore resolves
-/// on the calling thread: a warm hit starts no thread at all.
+/// their count. A one-request submission — what serve_text, the socket
+/// workers and the queue loop see from most clients — goes straight to
+/// resolve() on the calling thread: a warm hit starts no thread and
+/// builds no batch.
 ///
 /// Determinism contract: for a given request id the served payload bytes
 /// are identical at any thread count, whether executed, deduplicated or
@@ -101,7 +102,8 @@ class Server {
       const std::vector<Request>& requests);
 
   /// Parses one submission document — a request object or an array of
-  /// request objects — and serves it. Malformed documents / elements
+  /// request objects — and serves it: an object through resolve(), an
+  /// array through serve_batch(). Malformed documents / elements
   /// produce error replies (request_id "" when the id is unknowable), so
   /// a bad client cannot wedge the queue. Returns the serialized reply
   /// document: an object for an object, an array for an array.

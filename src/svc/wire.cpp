@@ -137,7 +137,7 @@ std::string Reply::to_text() const {
   out += "{\"schema\":\"";
   out += kReplySchema;
   out += "\",\"request_id\":\"";
-  out += obs::json_escape(request_id);
+  obs::append_json_escaped(out, request_id);
   out += "\",\"cache_hit\":";
   out += cache_hit ? "true" : "false";
   if (ok) {
@@ -145,11 +145,11 @@ std::string Reply::to_text() const {
     out += payload_text;  // canonical payload bytes, spliced verbatim
   } else {
     out += ",\"error\":{\"kind\":\"";
-    out += obs::json_escape(error_kind);
+    obs::append_json_escaped(out, error_kind);
     out += "\",\"retryable\":";
     out += retryable ? "true" : "false";
     out += ",\"message\":\"";
-    out += obs::json_escape(payload_text);
+    obs::append_json_escaped(out, payload_text);
     out += "\"}";
   }
   out += "}";
@@ -213,7 +213,7 @@ std::string wrap_envelope(const std::string& payload) {
   out += "\",\"checksum\":\"";
   out += obs::fnv1a64_hex(payload);
   out += "\",\"payload\":\"";
-  out += obs::json_escape(payload);
+  obs::append_json_escaped(out, payload);
   out += "\"}";
   return out;
 }

@@ -1,6 +1,6 @@
 // Mutational fuzzing of the decoders of outside bytes: the service's wire
-// formats and requests, packet traces and checkpoints; ctest label `fuzz`,
-// run under asan-ubsan in CI.
+// formats and requests, JSON documents, packet traces and checkpoints;
+// ctest label `fuzz`, run under asan-ubsan in CI.
 //
 // Each target starts from valid samples and applies a seeded stack of
 // byte mutations (flip, insert, delete, truncate, turning an integer k into
@@ -9,8 +9,8 @@
 // replays the same inputs. Every input must yield a value or an
 // xlp::Error: any other exception fails the test with the offending
 // bytes, and a crash or sanitizer report fails the binary. Where a decoder
-// has an exact oracle (the frame reader; the reply, request, trace and
-// checkpoint round trips) the value is checked against it too.
+// has an exact oracle (the frame reader; the reply, request, JSON, trace
+// and checkpoint round trips) the value is checked against it too.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -24,6 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/canonical.hpp"
+#include "obs/json.hpp"
+#include "obs/ledger.hpp"
 #include "runctl/checkpoint.hpp"
 #include "svc/request.hpp"
 #include "svc/wire.hpp"
@@ -274,8 +277,53 @@ TEST(Fuzz, RequestParserRoundTripsWhatItAccepts) {
     const Request request = Request::from_json(*doc);
     EXPECT_EQ(Request::from_json(request.to_json()).id(), request.id())
         << printable(input);
+    // The construction id() writes directly, as the reference.
+    EXPECT_EQ(request.id(),
+              obs::fnv1a64_hex(obs::canonical_json(request.to_json())))
+        << printable(input);
   };
   const long errors = fuzz(sample_request_texts(), parse);
+  EXPECT_GT(errors, 0);
+  EXPECT_LT(errors, kIterations);
+}
+
+TEST(Fuzz, JsonParserRoundTripsWhatItAccepts) {
+  // The reader behind `xlp diff` and `xlp report`, seeded with one
+  // document of each kind they read or the service writes.
+  const std::string bench =
+      R"({"schema":"xlp-bench/1","kind":"suite","suite":"svc",)"
+      R"("provenance":{"git_sha":"6ace374ba870ec27","compiler":"gcc 12.2.0",)"
+      R"("flags":"[Release]","hostname":"vm","seed":0},"options":)"
+      R"({"warmup":1,"repeats":5,"deterministic":false},"benchmarks":[)"
+      R"({"name":"cache_hit_verify_pair","tags":"smoke","repeats":5,)"
+      R"("items":4000,"min_ns":1148.64925,"median_ns":1169.59025,)"
+      R"("mean_ns":1198.7496999999998,"metrics":{"lookups_per_sec":)"
+      R"(855000.28749384673,"verified_p50_ns":433,"payload_bytes":118}},)"
+      R"({"name":"serve_text_hit","tags":"","repeats":5,"items":2000,)"
+      R"("min_ns":-1.5e-7,"median_ns":1e21,"mean_ns":0,"metrics":{},)"
+      R"("payload":{"rows":["0-2","1-3"],"speedup":null}}]})";
+  obs::LedgerEntry entry;
+  entry.subcommand = "svc";
+  entry.params = sample_requests()[2].to_json();
+  entry.seed = 7;
+  entry.wall_seconds = 0.125;
+  entry.artifacts = {"out/stats.json", "tab\there"};
+  entry.cache_hit = 1;
+  entry.lifecycle =
+      obs::LedgerEntry::Lifecycle{"cache", false, 12.5, 1500, 0, 42000};
+  std::vector<std::string> samples = {bench, entry.to_json().dump()};
+  for (const std::string& reply : sample_reply_texts())
+    samples.push_back(reply);
+  samples.push_back(sample_request_texts()[2]);
+
+  const long errors = fuzz(samples, [](const std::string& input) {
+    const auto value = obs::Json::parse(input);
+    if (!value) throw Error(ErrorCode::kParse, "not JSON");
+    const std::string text = value->dump();
+    const auto again = obs::Json::parse(text);
+    ASSERT_TRUE(again.has_value()) << printable(input);
+    EXPECT_EQ(again->dump(), text) << printable(input);
+  });
   EXPECT_GT(errors, 0);
   EXPECT_LT(errors, kIterations);
 }

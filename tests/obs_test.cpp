@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -80,11 +85,66 @@ TEST(Metrics, JsonSnapshotRoundTrips) {
 }
 
 TEST(Json, EscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  const auto escaped = [](const std::string& raw) {
+    std::string out = "<";  // appends: what is already there stays
+    append_json_escaped(out, raw);
+    return out;
+  };
+  EXPECT_EQ(escaped("plain"), "<plain");
+  EXPECT_EQ(escaped("a\"b"), "<a\\\"b");
+  EXPECT_EQ(escaped("a\\b"), "<a\\\\b");
+  EXPECT_EQ(escaped("a\nb\tc"), "<a\\nb\\tc");
+  EXPECT_EQ(escaped(std::string(1, '\x01')), "<\\u0001");
+  EXPECT_EQ(escaped(std::string("x\0y\x1f\x7f", 5)), "<x\\u0000y\\u001f\x7f");
+}
+
+TEST(Json, NumbersPrintAsDumpPrintsThem) {
+  const auto number = [](double value, bool integral) {
+    std::string out;
+    append_json_number(out, value, integral);
+    return out;
+  };
+  EXPECT_EQ(number(3.0, false), "3");
+  EXPECT_EQ(number(-0.0, false), "0");
+  EXPECT_EQ(number(0.1, false), "0.1");
+  EXPECT_EQ(number(0.1 + 0.2, false), "0.30000000000000004");
+  EXPECT_EQ(number(9007199254740992.0, true), "9007199254740992");
+  EXPECT_EQ(number(9007199254740994.0, false), "9007199254740994");
+  EXPECT_EQ(number(std::numeric_limits<double>::infinity(), false), "null");
+  for (const double value : {2.5, 1e300, -7.0, 1.0 / 3.0})
+    EXPECT_EQ(number(value, false), Json(value).dump());
+  EXPECT_EQ(number(42.0, true), Json(42L).dump());
+  EXPECT_EQ(number(0x1p62, true), "4611686018427387904");
+
+  // The printf construction the writer stands for, on random bit patterns
+  // (subnormals and huge values included) and on values in [0, 1).
+  const auto printf_number = [](double value) {
+    char buf[32];
+    if (std::rint(value) == value && std::fabs(value) < 0x1p53) {
+      std::snprintf(buf, sizeof(buf), "%lld",
+                    static_cast<long long>(std::llround(value)));
+      return std::string(buf);
+    }
+    std::snprintf(buf, sizeof(buf), "%.15g", value);
+    if (std::strtod(buf, nullptr) != value)
+      std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return std::string(buf);
+  };
+  std::uint64_t bits = 0x5eed5eed5eedULL;
+  for (int i = 0; i < 20000; ++i) {
+    bits ^= bits << 13;
+    bits ^= bits >> 7;
+    bits ^= bits << 17;
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value))
+      ASSERT_EQ(number(value, false), printf_number(value)) << value;
+    value = static_cast<double>(bits >> 11) * 0x1p-53;
+    ASSERT_EQ(number(value, false), printf_number(value)) << value;
+  }
+  for (const double value : {5e-324, 1e-310, 2.2250738585072014e-308,
+                             1.7976931348623157e308, -1.7976931348623157e308})
+    EXPECT_EQ(number(value, false), printf_number(value));
 }
 
 TEST(Json, EscapedStringsRoundTrip) {

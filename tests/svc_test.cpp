@@ -240,6 +240,51 @@ TEST(Request, DefaultIdsArePinned) {
   EXPECT_EQ(request.id(), "3eed1cb268043f75");
 }
 
+TEST(Request, IdIsTheHashOfItsCanonicalJson) {
+  // id() writes obs::canonical_json(to_json()) itself; this is the
+  // construction it replaces, over every kind with each optional field at
+  // a value other than its default.
+  std::vector<Request> table;
+  for (const RequestKind kind :
+       {RequestKind::kSolve, RequestKind::kEvaluate, RequestKind::kSimulate,
+        RequestKind::kSweep, RequestKind::kAppspec, RequestKind::kStats}) {
+    Request plain;
+    plain.kind = kind;
+    table.push_back(plain);
+    Request set = plain;
+    set.n = 16;
+    set.link_limit = 8;
+    set.base_flit_bits = 128;
+    set.method = "onlysa";
+    set.moves = 123456789012L;
+    set.chains = 3;
+    set.links = "0-2,2-5,5-15";
+    set.workload = "canneal";
+    set.load = 0.37;
+    set.cycles = 5000;
+    set.routing = "o1turn";
+    set.vcs = 2;
+    set.vec = true;
+    set.contention_per_hop = 0.25;
+    set.seed = std::uint64_t{1} << 53;
+    table.push_back(set);
+    set.routing = "yx";
+    set.load = 1.0;  // a whole double prints as an integer
+    set.contention_per_hop = 1.0 / 3.0;
+    set.method = "dnc";
+    table.push_back(set);
+    set.method = "exact";
+    set.seed = 0;
+    set.workload = "quote\" back\\ newline\n ctrl\x01";  // escaped bytes
+    table.push_back(set);
+  }
+  for (const Request& request : table) {
+    const obs::Json doc = request.to_json();
+    EXPECT_EQ(request.id(), obs::fnv1a64_hex(obs::canonical_json(doc)))
+        << doc.dump();
+  }
+}
+
 TEST(Request, SweepIdKeepsOnlyTheFieldsASweepReads) {
   Request sweep;
   sweep.kind = RequestKind::kSweep;
